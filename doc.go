@@ -65,9 +65,8 @@
 //
 // Every safe-region recomputation draws its scratch state — the R-tree
 // best-first heap and traversal stack, the GNN result buffer, candidate
-// and bound slices, hypothetical tile sets, tile orderings, and the
-// Sum-MPN memo tables — from a reusable core.Workspace rather than the
-// heap. Each engine worker owns one workspace for its whole lifetime and
+// and bound slices, tile orderings, and the verification memo — from a
+// reusable core.Workspace rather than the heap. Each engine worker owns one workspace for its whole lifetime and
 // the synchronous paths (Group.Update, Server.Plan) borrow one from a
 // pool, so steady-state planning allocates only the returned safe
 // regions: two allocations per plan (one region-header slice and one
@@ -77,6 +76,18 @@
 // custom compute loops use core.NewWorkspace with the planner's
 // TileMSRInto/CircleMSRInto entry points; TestSteadyStateUpdateAllocs and
 // the core-level allocation fence gate the budget so regressions fail CI.
+//
+// The cost of one recomputation is the cost of its tile attempts, and an
+// attempt costs O(m) per candidate POI, not O(tiles): the planner keeps
+// running per-member region aggregates and one lazily filled memo cell
+// per (member, candidate) — for MAX the member's minimum candidate
+// distance and largest attacking tile, for SUM the paper's memoized
+// focal-difference minimum — folds each accepted tile into them, and
+// decides Divide-Verify from those instead of rescanning every region
+// for every candidate (see core's verifyMemo; plans are bit-identical to
+// the rescanning verifier, fenced by a golden corpus). What remains per
+// plan is the top-k retrieval, one tile-to-candidate distance per
+// verify, and for unbuffered runs the pruned index search per attempt.
 //
 // cmd/mpnbench's -json mode benchmarks this path (planner kernel and
 // engine update, swept over group size) and writes the ns/op, throughput,
@@ -168,12 +179,13 @@
 // recomputation into ~10µs, and a single escaping member costs a regrow
 // of one region instead of m.
 //
-// The partial path is guarded by an up-front cost heuristic: a regrown
-// tile is verified against every tile the clean members retained, so
-// when the retained regions hold more tiles than the frontier a fresh
-// plan would build (about TileLimit+1 tiles per member, scaled by a
-// measured crossover ratio), an untrimmed partial regrow is predicted
-// slower than replanning. Instead of abandoning the partial path, the
+// The partial path is guarded by an up-front cost heuristic: retained
+// regions that piled up sub-tiles reach far from their members, which
+// pushes every regrown tile into a later buffer slot with more
+// competitors to verify, so when the retained regions hold more tiles
+// than the frontier a fresh plan would build (about TileLimit+1 tiles
+// per member, scaled by a measured crossover ratio), an untrimmed
+// partial regrow is predicted slower than replanning. Instead of abandoning the partial path, the
 // server shrinks each oversized clean region down to the fresh-frontier
 // budget — keeping the tiles nearest the member; a subset of a valid
 // tile-region set is itself valid, it only cedes territory — and

@@ -409,22 +409,30 @@ func sortInts(s []int) {
 // regrowPredictedSlower is the up-front cost heuristic of the partial
 // regrow (see Options.IncCostRatio): it compares the retained clean
 // regions' tile count against the frontier a fresh plan would build —
-// about TileLimit+1 tiles per member. Every tile the dirty members
-// submit is verified against hypothetical groups over the retained
-// tiles (and, for SUM, rebuilds their memo minima), so when the
-// retained set outweighs the fresh frontier the partial regrow does
-// more verification work per accepted tile than a full replan spends in
-// total. When the heuristic fires the planner no longer abandons the
-// partial path: it shrinks the oversized clean regions down to the
-// fresh-frontier budget (see shrinkRetained) and regrows the dirty
-// members against the trimmed set, which bounds the per-tile
-// verification cost by construction. Calibration on the cmd/mpnbench
-// escape workload (21,287 POIs, α=10, b=50, minimal-escape
-// oscillation): kept/frontier was 0.97 at m=3 and 0.95 at m=5 — where
-// the untrimmed partial regrow wins 1.4–1.9× — but 1.25 at m=4, where
-// displaced-geometry candidates made the untrimmed partial ~2.1×
-// SLOWER than replanning (2.44ms vs 1.17ms per update);
-// DefaultIncCostRatio sits between the two regimes.
+// about TileLimit+1 tiles per member. When it fires the planner does not
+// abandon the partial path: it shrinks the oversized clean regions down
+// to the fresh-frontier budget (see shrinkRetained) and regrows the
+// dirty members against the trimmed set.
+//
+// What the tile count is a proxy for. One tile attempt costs O(m) per
+// candidate whatever the retained regions hold (see verifyMemo), so
+// retained tiles no longer make a verify dearer. They make it more
+// frequent: a region that piled up sub-tiles reaches farther from its
+// member, Algorithm 5's dist = max_j ‖u_j,R_j‖max grows with it, every
+// attempt lands in a later buffer slot and faces more competitors, and
+// more attempts are rejected and quartered. Re-measured on the
+// cmd/mpnbench escape workload (21,287 POIs, α=10, b=50, minimal-escape
+// oscillation of one member, engine update end to end):
+//
+//	m  kept/frontier  full replan  partial, trimmed  partial, untrimmed
+//	3      0.97         112 µs        (not fired)          71–80 µs
+//	4      1.25         102 µs           46 µs              124 µs
+//	5      0.95        72–105 µs      (not fired)          55–58 µs
+//
+// At m=4 the untrimmed regrow issues 959 tile verifies over 1,707
+// candidates per update, the trimmed one 90 over 115; below the ratio
+// the partial regrow beats the full replan untrimmed. DefaultIncCostRatio
+// still sits between the two regimes.
 func (pl *Planner) regrowPredictedSlower(retained []SafeRegion, dirty []bool, m int) bool {
 	ratio := pl.opts.IncCostRatio
 	if ratio < 0 {

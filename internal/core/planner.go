@@ -65,22 +65,24 @@ type Options struct {
 	// IncCostRatio tunes the incremental planner's up-front cost
 	// heuristic: when the retained clean regions hold more than
 	// IncCostRatio times the tile frontier a fresh plan would build
-	// (m·(TileLimit+1) tiles) — so that verifying every regrown tile
-	// against the whole retained set would outweigh a full replan — the
-	// oversized clean regions are first shrunk to the fresh-frontier
-	// budget (keeping each member's nearest tiles) and the partial
-	// regrow proceeds against the trimmed set. Zero selects
-	// DefaultIncCostRatio (the measured crossover); a negative value
-	// disables the heuristic and always regrows against the untrimmed
-	// retained regions.
+	// (m·(TileLimit+1) tiles) — regions that piled up sub-tiles reach
+	// far from their members, which pushes every regrown tile into a
+	// later buffer slot with more competitors to verify — the oversized
+	// clean regions are first shrunk to the fresh-frontier budget
+	// (keeping each member's nearest tiles) and the partial regrow
+	// proceeds against the trimmed set. Zero selects DefaultIncCostRatio
+	// (the measured crossover); a negative value disables the heuristic
+	// and always regrows against the untrimmed retained regions.
 	IncCostRatio float64
 }
 
 // DefaultIncCostRatio is the measured crossover of the partial-regrow
-// cost heuristic (see Options.IncCostRatio and the calibration note on
+// cost heuristic (see Options.IncCostRatio and the measurements on
 // regrowPredictedSlower): on the cmd/mpnbench escape workload the
-// partial regrow wins while retained tiles stay below ~1.0× the fresh
-// frontier and loses ~2× by 1.25×; 1.1 splits the measured regimes.
+// untrimmed partial regrow beats a full replan while retained tiles stay
+// below ~1.0× the fresh frontier (71–80 µs vs 112 µs) and loses to it at
+// 1.25× (124 µs vs 102 µs, where trimming first takes 46 µs); 1.1 splits
+// the measured regimes.
 const DefaultIncCostRatio = 1.1
 
 // DefaultOptions returns the paper's default configuration (Table 2):

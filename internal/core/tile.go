@@ -140,12 +140,14 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 	}
 
 	// Seed clean users' regions with their retained tiles before any
-	// verification, so hypothetical groups and the lazily-built Sum memo
-	// tables see the mixed region set from the start.
+	// verification, so the running aggregates and the lazily-filled
+	// verification memo see the mixed region set from the start.
 	if dirty != nil {
 		for i := range users {
 			if !dirty[i] {
-				t.regions[i].Tiles = append(t.regions[i].Tiles, retained[i].Tiles...)
+				for _, s := range retained[i].Tiles {
+					t.insertTile(i, s)
+				}
 			}
 		}
 	}
@@ -155,9 +157,6 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 	}
 
 	delta := math.Sqrt2 * rmax
-	if pl.opts.Aggregate == gnn.Sum {
-		t.resetSumMemo(len(users))
-	}
 	orderings := ws.resizeOrderings(len(users))
 	live := 0
 	exhausted := ws.resizeExhausted(len(users))
@@ -212,6 +211,24 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 // inside a Workspace: every slice and map below is retained across runs
 // and re-truncated by reset, so a warmed-up workspace plans without
 // allocating.
+//
+// Verification cost model. Planning time is the number of tile attempts
+// times the cost of one, and one attempt must not depend on how many
+// tiles the regions already hold: everything an attempt reads of the
+// regions changes only when a tile is accepted (at most α+1 accepted
+// attempts per member per run, against thousands of attempts, some 90 %
+// of them rejected). So the regions are summarised where they change —
+// insertTile folds each tile into ext, doMax and the member's filled
+// memo cells — and an attempt costs
+//
+//	buffered:    O(m) for dist, a binary search for the slot z, then per
+//	             candidate one ‖c,s‖min and O(m) memo reads;
+//	unbuffered:  one pruned index search (bounds from ext and doMax in
+//	             O(m)), then the same per candidate.
+//
+// A memo cell is filled by one scan of its member's tiles the first time
+// a candidate reaches it, so candidates that attempts never get to —
+// most of a 100-deep buffer — cost nothing.
 type tilePlanning struct {
 	pl    *Planner
 	snap  *Snapshot      // pinned by the entry point for the whole run
@@ -226,36 +243,37 @@ type tilePlanning struct {
 	// slices keep their capacity across runs. exportTiles copies them out.
 	regions []SafeRegion
 
-	// Buffering state (Section 5.4): the best b+1 GNNs and the distance
-	// thresholds τ_1 ≤ … ≤ τ_b of Algorithm 5 (τ_z is thresholds[z-1]).
-	buffered   []gnn.Result
+	// Running per-member aggregates over regions, folded in by insertTile
+	// so no tile attempt rescans a region: ext[j] = max_t ‖u_j,t‖max (the
+	// extent r↑_j of Theorem 3 and Algorithm 5's dist) and doMax[j] =
+	// max_t ‖p°,t‖max (‖p°,R_j‖max). Both are 0 for an empty region, as
+	// SafeRegion.MaxDist is.
+	ext   []float64
+	doMax []float64
+
+	// memo carries the per-(member, candidate) verification state across
+	// tile attempts (see verifyMemo).
+	memo verifyMemo
+
+	// Buffering state (Section 5.4): the distance thresholds τ_1 ≤ … ≤
+	// τ_b of Algorithm 5 (τ_z is thresholds[z-1]). While buffering is
+	// set, candBuf holds the competitors P*₁..b − {p°} in buffer order
+	// for the whole run.
+	buffering  bool
 	thresholds []float64
 
-	// Sum-MPN memoization (Section 6.3.1): per user, candidate POI id →
-	// min over the user's current region tiles of ‖p′,l‖ − ‖p°,l‖.
-	// sumMemo is nil for MAX runs; sumMemoStore retains the maps (cleared,
-	// not dropped, between runs) so steady-state SUM planning reuses their
-	// buckets.
-	sumMemo      []map[int]float64
-	sumMemoStore []map[int]float64
-
-	// Scratch buffers for candidate retrieval and verification.
-	candBuf []candidate
-	ext     []float64
+	// Scratch buffers for candidate retrieval and verification. A
+	// candidate is its slot in memo, which also holds its location.
+	candBuf []int32
 	bounds  []float64
-	ts      tileSets     // hypothetical per-user tile sets
+	mins    []float64    // verifyMax per-member minima
+	ts      tileSets     // IT-Verify ablation: hypothetical per-user tile sets
 	oneTile [1]geom.Rect // backing array for the ts.users[i] = {s} singleton
-	minDp   []float64    // gtVerifyMax per-user minima
 	itIdx   []int        // itVerifyMax mixed-radix counter
 
 	// Pruning queries passed (by stable pointer) to the R-tree search.
 	maxQ maxPruneQuery
 	sumQ sumPruneQuery
-}
-
-type candidate struct {
-	id int
-	p  geom.Point
 }
 
 // reset prepares the planning state for one computation, truncating every
@@ -269,19 +287,22 @@ func (t *tilePlanning) reset(pl *Planner, snap *Snapshot, rts *rtree.Scratch, us
 	t.poID = best.Item.ID
 	t.poAgg = best.Dist
 	t.stats = stats
-	t.buffered = nil
+	t.buffering = false
 	t.thresholds = t.thresholds[:0]
-	t.sumMemo = nil
 	t.candBuf = t.candBuf[:0]
 	t.maxQ.t = t
 	t.sumQ.t = t
 
 	m := len(users)
+	t.memo.reset(m, pl.opts.Aggregate, t.po)
 	t.regions = grown(t.regions, m)
+	t.ext = grown(t.ext, m)
+	t.doMax = grown(t.doMax, m)
 	for i := range t.regions {
 		t.regions[i].Kind = KindTiles
 		t.regions[i].Circle = geom.Circle{}
 		t.regions[i].Tiles = t.regions[i].Tiles[:0]
+		t.ext[i], t.doMax[i] = 0, 0
 	}
 }
 
@@ -294,20 +315,9 @@ func (t *tilePlanning) release() {
 	t.snap = nil
 	t.users = nil
 	t.stats = nil
-	t.buffered = nil
 }
 
-// resetSumMemo activates the Sum-MPN memo tables for m users, clearing
-// (but retaining) the maps of previous runs.
-func (t *tilePlanning) resetSumMemo(m int) {
-	t.sumMemoStore = grown(t.sumMemoStore, m)
-	t.sumMemo = t.sumMemoStore
-	for _, mp := range t.sumMemo {
-		clear(mp)
-	}
-}
-
-// initBuffer stores the best b+1 meeting points (retrieved in the single
+// initBuffer takes the best b+1 meeting points (retrieved in the single
 // index traversal of TileMSR) and precomputes the Algorithm 5 thresholds
 //
 //	τ_z = (‖p^{z+1},U‖ − ‖p°,U‖) / 2     (MAX, Definition 6)
@@ -315,9 +325,18 @@ func (t *tilePlanning) resetSumMemo(m int) {
 //
 // When the data set holds fewer than z+1 points, no POI outside the buffer
 // exists and τ_z is unbounded.
+//
+// The buffered competitors are the only candidates such a run ever
+// verifies, so they take their memo slots here, in buffer order:
+// candBuf[z-1] is p^{z+1}, and Algorithm 5's P*₁..z − {p°} is a prefix of
+// it.
 func (t *tilePlanning) initBuffer(b int, top []gnn.Result) {
-	t.buffered = top
+	t.buffering = true
 	t.stats.IndexAccesses++
+	t.candBuf = t.candBuf[:0]
+	for _, r := range top[1:] {
+		t.candBuf = append(t.candBuf, t.memo.addSlot(r.Item.P))
+	}
 
 	denom := 2.0
 	if t.pl.opts.Aggregate == gnn.Sum {
@@ -325,34 +344,42 @@ func (t *tilePlanning) initBuffer(b int, top []gnn.Result) {
 	}
 	t.thresholds = t.thresholds[:0]
 	for z := 1; z <= b; z++ {
-		if z < len(t.buffered) {
-			t.thresholds = append(t.thresholds, (t.buffered[z].Dist-t.poAgg)/denom)
+		if z < len(top) {
+			t.thresholds = append(t.thresholds, (top[z].Dist-t.poAgg)/denom)
 		} else {
 			t.thresholds = append(t.thresholds, math.Inf(1))
 		}
 	}
 }
 
-// addTile inserts tile s into user i's region and maintains the Sum-MPN
-// memo tables (the Hx(p′) ← min{Fx, Hx(p′)} update of Algorithm 6).
+// addTile accepts tile s into user i's region.
 func (t *tilePlanning) addTile(i int, s geom.Rect) {
-	t.regions[i].Tiles = append(t.regions[i].Tiles, s)
+	t.insertTile(i, s)
 	t.stats.TilesAccepted++
-	if t.sumMemo != nil {
-		for id, f := range t.sumMemo[i] {
-			v := geom.FocalDiffMin(s, t.snap.points[id], t.po)
-			if v < f {
-				t.sumMemo[i][id] = v
-			}
-		}
+}
+
+// insertTile appends tile s to user i's region and folds it into
+// everything derived from the region: the running extent and ‖p°,·‖max
+// aggregates and the user's filled memo cells. Accepted tiles and the
+// retained tiles seeding a partial regrow both enter through here, so the
+// derived state always equals a rescan of the region.
+func (t *tilePlanning) insertTile(i int, s geom.Rect) {
+	t.regions[i].Tiles = append(t.regions[i].Tiles, s)
+	if v := s.MaxDist(t.users[i]); v > t.ext[i] {
+		t.ext[i] = v
 	}
+	do := s.MaxDist(t.po)
+	if do > t.doMax[i] {
+		t.doMax[i] = do
+	}
+	t.memo.noteTile(i, s, do)
 }
 
 // divideVerify is Algorithm 2 (or Algorithm 5 when buffering is enabled):
 // verify tile s for user i against every candidate POI; on failure quarter
 // the tile and recurse down to split level 0.
 func (t *tilePlanning) divideVerify(i int, s geom.Rect, level int) bool {
-	if t.buffered != nil {
+	if t.buffering {
 		return t.bufferDivideVerify(i, s, level)
 	}
 	cands := t.collectCandidates(i, s)
@@ -367,8 +394,8 @@ func (t *tilePlanning) divideVerify(i int, s geom.Rect, level int) bool {
 func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
 	// dist ← max{‖ui,s‖max, max_j ‖uj,Rj‖max} (line 1).
 	dist := s.MaxDist(t.users[i])
-	for j := range t.users {
-		if v := t.regions[j].MaxExtent(t.users[j]); v > dist {
+	for _, v := range t.ext {
+		if v > dist {
 			dist = v
 		}
 	}
@@ -379,15 +406,12 @@ func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
 		t.stats.TilesRejected++
 		return false
 	}
-	// Verify against P*₁..z − {p°} = buffered[1..idx] (line 5). idx==0
+	// Verify against P*₁..z − {p°} = candBuf[:idx] (line 5). idx==0
 	// means even the circle-radius threshold covers dist, so no
 	// competitor is reachable and the tile is trivially safe.
-	t.candBuf = t.candBuf[:0]
-	for c := 1; c <= idx && c < len(t.buffered); c++ {
-		t.candBuf = append(t.candBuf, candidate{id: t.buffered[c].Item.ID, p: t.buffered[c].Item.P})
-	}
-	t.stats.CandidatesChecked += len(t.candBuf)
-	if t.verifyAgainst(i, s, t.candBuf) {
+	cands := t.candBuf[:min(idx, len(t.candBuf))]
+	t.stats.CandidatesChecked += len(cands)
+	if t.verifyAgainst(i, s, cands) {
 		t.addTile(i, s)
 		return true
 	}
@@ -413,21 +437,34 @@ func (t *tilePlanning) splitAndRecurse(i int, s geom.Rect, level int) bool {
 }
 
 // verifyAgainst runs Tile-Verify for every candidate and reports whether
-// the tile is safe with respect to all of them.
-func (t *tilePlanning) verifyAgainst(i int, s geom.Rect, cands []candidate) bool {
+// the tile is safe with respect to all of them. SUM and group-verified
+// MAX decide from the memo in O(m) per candidate; the IT-Verify ablation
+// (GroupVerify off) enumerates tile groups over the regions themselves.
+func (t *tilePlanning) verifyAgainst(i int, s geom.Rect, cands []int32) bool {
 	if len(cands) == 0 {
 		return true
 	}
 	if t.pl.opts.Aggregate == gnn.Sum {
 		for _, c := range cands {
 			t.stats.TileVerifies++
-			if !t.sumTileVerify(i, s, c) {
+			if !t.memo.verifySum(t.regions, i, s, c) {
 				return false
 			}
 		}
 		return true
 	}
 	m := len(t.users)
+	if t.pl.opts.GroupVerify {
+		t.mins = grown(t.mins, m)
+		do := s.MaxDist(t.po)
+		for _, c := range cands {
+			t.stats.TileVerifies++
+			if !t.memo.verifyMax(t.mins, t.regions, i, s, do, c) {
+				return false
+			}
+		}
+		return true
+	}
 	t.ts.users = grown(t.ts.users, m)
 	ts := tileSets{users: t.ts.users}
 	t.oneTile[0] = s
@@ -438,56 +475,14 @@ func (t *tilePlanning) verifyAgainst(i int, s geom.Rect, cands []candidate) bool
 			ts.users[j] = t.regions[j].Tiles
 		}
 	}
-	t.minDp = grown(t.minDp, m)
 	t.itIdx = grown(t.itIdx, m)
 	for _, c := range cands {
 		t.stats.TileVerifies++
-		var ok bool
-		if t.pl.opts.GroupVerify {
-			ok = gtVerifyMaxInto(t.minDp, ts, t.po, c.p)
-		} else {
-			ok = itVerifyMaxInto(t.itIdx, ts, t.po, c.p)
-		}
-		if !ok {
+		if !itVerifyMaxInto(t.itIdx, ts, t.po, t.memo.pts[c]) {
 			return false
 		}
 	}
 	return true
-}
-
-// sumTileVerify is Algorithm 6 (Sum-GT-Verify) with the hash-table
-// memoization described in Section 6.3.1: the tile is safe w.r.t.
-// candidate c iff F = F_x(s) + Σ_{j≠x} F_j ≥ 0, where F_j is the memoized
-// minimum of ‖p′,l‖ − ‖p°,l‖ over user j's current region and F_x(s) the
-// minimum over the new tile alone.
-func (t *tilePlanning) sumTileVerify(i int, s geom.Rect, c candidate) bool {
-	total := geom.FocalDiffMin(s, c.p, t.po)
-	for j := range t.users {
-		if j != i {
-			total += t.sumRegionF(j, c)
-		}
-	}
-	return total >= 0
-}
-
-// sumRegionF returns the memoized F_j value for candidate c.
-func (t *tilePlanning) sumRegionF(j int, c candidate) float64 {
-	memo := t.sumMemo[j]
-	if memo == nil {
-		memo = make(map[int]float64)
-		t.sumMemo[j] = memo // aliases sumMemoStore, so the map survives resets
-	}
-	if f, ok := memo[c.id]; ok {
-		return f
-	}
-	f := math.Inf(1)
-	for _, tile := range t.regions[j].Tiles {
-		if v := geom.FocalDiffMin(tile, c.p, t.po); v < f {
-			f = v
-		}
-	}
-	memo[c.id] = f
-	return f
 }
 
 // maxPruneQuery implements the Theorem 3 candidate retrieval as an
@@ -509,7 +504,7 @@ func (q *maxPruneQuery) Keep(r geom.Rect) bool {
 func (q *maxPruneQuery) VisitItem(it rtree.Item) bool {
 	t := q.t
 	if it.ID != t.poID {
-		t.candBuf = append(t.candBuf, candidate{id: it.ID, p: it.P})
+		t.candBuf = append(t.candBuf, t.memo.slotFor(it.ID, it.P))
 	}
 	return true
 }
@@ -532,7 +527,7 @@ func (q *sumPruneQuery) Keep(r geom.Rect) bool {
 func (q *sumPruneQuery) VisitItem(it rtree.Item) bool {
 	t := q.t
 	if it.ID != t.poID {
-		t.candBuf = append(t.candBuf, candidate{id: it.ID, p: it.P})
+		t.candBuf = append(t.candBuf, t.memo.slotFor(it.ID, it.P))
 	}
 	return true
 }
@@ -541,53 +536,50 @@ func (q *sumPruneQuery) VisitItem(it rtree.Item) bool {
 // hypothetical region group with s added to user i, traversing the R-tree
 // with the Theorem 3 (MAX) or Theorem 6 (SUM) pruning rule. With pruning
 // disabled it returns every non-result POI.
-func (t *tilePlanning) collectCandidates(i int, s geom.Rect) []candidate {
+func (t *tilePlanning) collectCandidates(i int, s geom.Rect) []int32 {
 	t.stats.IndexAccesses++
 	t.candBuf = t.candBuf[:0]
 
 	if !t.pl.opts.IndexPruning {
 		for id, p := range t.snap.points {
 			if id != t.poID && !t.snap.Deleted(id) {
-				t.candBuf = append(t.candBuf, candidate{id: id, p: p})
+				t.candBuf = append(t.candBuf, t.memo.slotFor(id, p))
 			}
 		}
 		t.stats.CandidatesChecked += len(t.candBuf)
 		return t.candBuf
 	}
 
-	// Extents r↑_j of the hypothetical regions.
-	t.ext = t.ext[:0]
-	for j, u := range t.users {
-		e := t.regions[j].MaxExtent(u)
+	// ext(j) is the extent r↑_j of the hypothetical region group: the
+	// running extent, widened by s for the user under extension.
+	ext := func(j int) float64 {
+		e := t.ext[j]
 		if j == i {
-			if v := s.MaxDist(u); v > e {
+			if v := s.MaxDist(t.users[j]); v > e {
 				e = v
 			}
 		}
-		t.ext = append(t.ext, e)
+		return e
 	}
 
 	if t.pl.opts.Aggregate == gnn.Max {
 		// ‖p°,R‖⊤ over the hypothetical group.
 		dmax := s.MaxDist(t.po)
-		for j := range t.users {
-			if j == i {
-				continue
-			}
-			if v := t.regions[j].MaxDist(t.po); v > dmax {
+		for j, v := range t.doMax {
+			if j != i && v > dmax {
 				dmax = v
 			}
 		}
 		t.bounds = t.bounds[:0]
-		for _, e := range t.ext {
-			t.bounds = append(t.bounds, dmax+e)
+		for j := range t.users {
+			t.bounds = append(t.bounds, dmax+ext(j))
 		}
 		t.snap.tree.PrunedSearchInto(t.rts, &t.maxQ)
 	} else {
 		// Theorem 6: prune p when Σ‖p,uj‖ > ‖p°,U‖sum + 2Σ r↑_j.
 		bound := t.poAgg
-		for _, e := range t.ext {
-			bound += 2 * e
+		for j := range t.users {
+			bound += 2 * ext(j)
 		}
 		t.sumQ.bound = bound
 		t.snap.tree.PrunedSearchInto(t.rts, &t.sumQ)

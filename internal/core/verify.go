@@ -90,6 +90,11 @@ type tileSets struct {
 	users [][]geom.Rect
 }
 
+// verifyEps is the tolerance of every MAX tile-group comparison
+// do > bound + eps, shared by the memoized verifier and its two oracles
+// so the three decide on bit-identical arithmetic.
+const verifyEps = 1e-12
+
 // gtVerifyMax is the group tile verification for the MAX aggregate. It
 // decides — exactly, in time linear in the total tile count — whether
 // every tile group ⟨s1∈T1,…,sm∈Tm⟩ passes the Lemma 1 test for candidate
@@ -107,16 +112,13 @@ type tileSets struct {
 // Scanning all tiles with precomputed per-user minima (plus the top-2 of
 // those minima to evaluate max_{k≠a} in O(1)) gives the exact answer with
 // none of IT-Verify's exponential enumeration.
+//
+// The planner does not call it: verifyMemo carries the per-user minima
+// and attacker maxima across tile attempts instead of rescanning every
+// tile per candidate. This stateless form is the memo's test oracle and
+// what ExactVerify exposes.
 func gtVerifyMax(ts tileSets, po, p geom.Point) bool {
-	return gtVerifyMaxInto(make([]float64, len(ts.users)), ts, po, p)
-}
-
-// gtVerifyMaxInto is gtVerifyMax with the per-user minima written into
-// caller-owned scratch (len(minDp) must equal len(ts.users)), so the hot
-// verification loop performs no allocations.
-func gtVerifyMaxInto(minDp []float64, ts tileSets, po, p geom.Point) bool {
-	m := len(ts.users)
-	// Per-user minimum dp.
+	minDp := make([]float64, len(ts.users))
 	for k, tiles := range ts.users {
 		best := math.Inf(1)
 		for _, t := range tiles {
@@ -126,30 +128,10 @@ func gtVerifyMaxInto(minDp []float64, ts tileSets, po, p geom.Point) bool {
 		}
 		minDp[k] = best
 	}
-	// Top-2 of minDp for O(1) "max excluding a".
-	best1, best2 := math.Inf(-1), math.Inf(-1)
-	arg1 := -1
-	for k, v := range minDp {
-		if v > best1 {
-			best2 = best1
-			best1, arg1 = v, k
-		} else if v > best2 {
-			best2 = v
-		}
-	}
-	maxExcl := func(a int) float64 {
-		if a == arg1 {
-			return best2
-		}
-		return best1
-	}
-
-	const eps = 1e-12
+	var top top2
+	top.of(minDp)
 	for a, tiles := range ts.users {
-		floor := maxExcl(a)
-		if m == 1 {
-			floor = math.Inf(-1)
-		}
+		floor := top.maxExcl(a)
 		for _, t := range tiles {
 			do := t.MaxDist(po)
 			dp := t.MinDist(p)
@@ -157,12 +139,217 @@ func gtVerifyMaxInto(minDp []float64, ts tileSets, po, p geom.Point) bool {
 			if floor > bound {
 				bound = floor
 			}
-			if do > bound+eps {
+			if do > bound+verifyEps {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// top2 holds the two largest of a group's per-user minima, so that
+// max_{k≠a} mins[k] — the floor every other member imposes on a group
+// through member a's tile — is an O(1) lookup.
+type top2 struct {
+	best1, best2 float64
+	arg1         int
+}
+
+func (t *top2) of(mins []float64) {
+	t.best1, t.best2, t.arg1 = math.Inf(-1), math.Inf(-1), -1
+	for k, v := range mins {
+		if v > t.best1 {
+			t.best2 = t.best1
+			t.best1, t.arg1 = v, k
+		} else if v > t.best2 {
+			t.best2 = v
+		}
+	}
+}
+
+// maxExcl returns max_{k≠a} mins[k]; −Inf for a single-member group,
+// where no other member constrains the tile.
+func (t *top2) maxExcl(a int) float64 {
+	if a == t.arg1 {
+		return t.best2
+	}
+	return t.best1
+}
+
+// memoCell is the verification state of one (member k, candidate c) pair
+// over member k's current tiles T_k:
+//
+//	MAX:  lo = min_{t∈T_k} ‖c,t‖min                      (minDp_k(c))
+//	      g  = max{ do(t) : t∈T_k, do(t) > ‖c,t‖min+eps }  (−Inf if none)
+//	SUM:  lo = min_{t∈T_k} FocalDiffMin(t, c, p°)          (F_k(c))
+//
+// with do(t) = ‖p°,t‖max. min and max are exact under any association, so
+// a cell folded tile by tile equals the rescan of T_k bit for bit.
+type memoCell struct {
+	filled bool
+	lo, g  float64
+}
+
+// verifyMemo replaces the per-candidate rescans of Divide-Verify. A tile
+// attempt for member i against candidate c needs, of every OTHER member
+// k, only lo_k(c) and g_k(c) (MAX) or lo_k(c) (SUM) — values that change
+// only when a tile joins T_k. The memo keeps one cell per (member,
+// candidate), fills it on first use by one scan of the member's current
+// tiles (so a candidate the attempt never reaches costs nothing), and
+// folds each accepted tile into the member's filled cells. One attempt
+// then costs O(m) per candidate instead of O(total tiles).
+//
+// Why the MAX decision is exact. gtVerifyMax rejects iff some member a
+// has a tile t with do(t) > max(dp_c(t), floor_a)+eps, floor_a =
+// max_{k≠a} lo_k(c). Rounding is monotone, so max(y,z)+eps is the larger
+// of y+eps and z+eps bit for bit, and x > max(y,z)+eps ⇔ x > y+eps ∧
+// x > z+eps. The existential over T_a therefore collapses to
+// g_a(c) > floor_a+eps: g is the largest do among exactly the tiles that
+// pass the first conjunct. An empty T_k gives lo = +Inf, which reproduces
+// the rescan's vacuous accept while another dirty member of a partial
+// regrow is still empty.
+//
+// Candidates are addressed by dense slot. Buffered runs (Algorithm 5)
+// assign slot z−1 to the z-th buffered competitor up front; unbuffered
+// runs meet arbitrary POI ids from the pruned index search and map them
+// through slotOf, a lookup table only — nothing iterates it, so no output
+// depends on map order. cells is slot-major (m cells per slot), which
+// keeps one verify's reads contiguous. Everything lives in the Workspace
+// and is truncated, not reallocated, between plans.
+type verifyMemo struct {
+	m      int
+	sum    bool
+	po     geom.Point
+	pts    []geom.Point // candidate location per slot
+	cells  []memoCell
+	slotOf map[int]int32
+}
+
+// reset empties the memo for a plan over m members.
+func (vm *verifyMemo) reset(m int, agg gnn.Aggregate, po geom.Point) {
+	vm.m = m
+	vm.sum = agg == gnn.Sum
+	vm.po = po
+	vm.pts = vm.pts[:0]
+	vm.cells = vm.cells[:0]
+	clear(vm.slotOf)
+}
+
+// addSlot appends a slot of m unfilled cells for a candidate at p.
+func (vm *verifyMemo) addSlot(p geom.Point) int32 {
+	slot := int32(len(vm.pts))
+	vm.pts = append(vm.pts, p)
+	n := len(vm.cells)
+	vm.cells = grown(vm.cells, n+vm.m)
+	clear(vm.cells[n:])
+	return slot
+}
+
+// slotFor returns the slot of POI id, assigning the next one on first
+// sight.
+func (vm *verifyMemo) slotFor(id int, p geom.Point) int32 {
+	if slot, ok := vm.slotOf[id]; ok {
+		return slot
+	}
+	if vm.slotOf == nil {
+		vm.slotOf = make(map[int]int32)
+	}
+	slot := vm.addSlot(p)
+	vm.slotOf[id] = slot
+	return slot
+}
+
+// fold folds tile s, with do = ‖p°,s‖max, into a filled cell.
+func (vm *verifyMemo) fold(c *memoCell, s geom.Rect, do float64, p geom.Point) {
+	if vm.sum {
+		if v := geom.FocalDiffMin(s, p, vm.po); v < c.lo {
+			c.lo = v
+		}
+		return
+	}
+	dp := s.MinDist(p)
+	if dp < c.lo {
+		c.lo = dp
+	}
+	if do > dp+verifyEps && do > c.g {
+		c.g = do
+	}
+}
+
+// cell returns member k's cell for slot, filling it from tiles — the
+// member's current region — on first use.
+func (vm *verifyMemo) cell(k int, slot int32, tiles []geom.Rect) *memoCell {
+	c := &vm.cells[int(slot)*vm.m+k]
+	if !c.filled {
+		*c = memoCell{filled: true, lo: math.Inf(1), g: math.Inf(-1)}
+		p := vm.pts[slot]
+		for _, t := range tiles {
+			do := 0.0
+			if !vm.sum {
+				do = t.MaxDist(vm.po)
+			}
+			vm.fold(c, t, do, p)
+		}
+	}
+	return c
+}
+
+// noteTile folds a tile that just joined member k's region into every
+// cell of hers that is already filled (the Hx(p′) ← min{Fx, Hx(p′)}
+// update of Algorithm 6, and its MAX counterpart). Unfilled cells will
+// see the tile when their first use scans the region.
+func (vm *verifyMemo) noteTile(k int, s geom.Rect, do float64) {
+	for slot, p := range vm.pts {
+		if c := &vm.cells[slot*vm.m+k]; c.filled {
+			vm.fold(c, s, do, p)
+		}
+	}
+}
+
+// verifyMax decides GT-Verify for tile s of member i against the
+// candidate in slot: whether every tile group ⟨T_1,…,{s}_i,…,T_m⟩ keeps
+// p° no farther than the candidate. regions holds the members' current
+// tiles (read only to fill cells); do = ‖p°,s‖max; mins is caller scratch
+// of length m.
+func (vm *verifyMemo) verifyMax(mins []float64, regions []SafeRegion, i int, s geom.Rect, do float64, slot int32) bool {
+	dp := s.MinDist(vm.pts[slot])
+	cells := vm.cells[int(slot)*vm.m:][:vm.m]
+	for k := range mins {
+		if k == i {
+			mins[k] = dp
+		} else {
+			mins[k] = vm.cell(k, slot, regions[k].Tiles).lo
+		}
+	}
+	var top top2
+	top.of(mins)
+	bound := dp
+	if floor := top.maxExcl(i); floor > bound {
+		bound = floor
+	}
+	if do > bound+verifyEps {
+		return false
+	}
+	for a := range cells {
+		if a != i && cells[a].g > top.maxExcl(a)+verifyEps {
+			return false
+		}
+	}
+	return true
+}
+
+// verifySum is Algorithm 6 (Sum-GT-Verify) over the memo: the tile is
+// safe w.r.t. the candidate iff F_i(s) + Σ_{j≠i} F_j ≥ 0, where F_j is
+// the memoized minimum of ‖p′,l‖ − ‖p°,l‖ over member j's current region
+// (Section 6.3.1) and F_i(s) the minimum over the new tile alone.
+func (vm *verifyMemo) verifySum(regions []SafeRegion, i int, s geom.Rect, slot int32) bool {
+	total := geom.FocalDiffMin(s, vm.pts[slot], vm.po)
+	for j := range regions {
+		if j != i {
+			total += vm.cell(j, slot, regions[j].Tiles).lo
+		}
+	}
+	return total >= 0
 }
 
 // itVerifyMax is IT-Verify: the naive enumeration of every tile group with
@@ -188,7 +375,6 @@ func itVerifyMaxInto(idx []int, ts tileSets, po, p geom.Point) bool {
 	for i := range idx {
 		idx[i] = 0
 	}
-	const eps = 1e-12
 	for {
 		// Evaluate the current group.
 		maxDo, maxDp := 0.0, 0.0
@@ -201,7 +387,7 @@ func itVerifyMaxInto(idx []int, ts tileSets, po, p geom.Point) bool {
 				maxDp = v
 			}
 		}
-		if maxDo > maxDp+eps {
+		if maxDo > maxDp+verifyEps {
 			return false
 		}
 		// Advance the mixed-radix counter.

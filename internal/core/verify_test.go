@@ -7,6 +7,7 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
+	"mpn/internal/rtree"
 )
 
 func TestDominantDistances(t *testing.T) {
@@ -190,5 +191,231 @@ func TestExactVerifyCompleteness(t *testing.T) {
 	}
 	if checkedRejections < 50 {
 		t.Fatalf("only %d witnessed rejections — exact verifier may be too conservative", checkedRejections)
+	}
+}
+
+// memoFixture is a tilePlanning wired by hand for the memo tests: m
+// members with empty regions, optimum po, and one memo slot per
+// candidate. No index is attached — the tests hand verifyAgainst their
+// own candidates instead of collecting them.
+func memoFixture(t *testing.T, agg gnn.Aggregate, users []geom.Point, po geom.Point, cands []geom.Point) (*tilePlanning, []int32) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Aggregate = agg
+	pl := mustPlanner(t, []geom.Point{po}, opts)
+	tp := &NewWorkspace().tp
+	tp.reset(pl, nil, nil, users, gnn.Result{Item: rtree.Item{P: po}}, new(Stats))
+	slots := make([]int32, len(cands))
+	for c, p := range cands {
+		slots[c] = tp.memo.addSlot(p)
+	}
+	return tp, slots
+}
+
+// memoTileSets is the hypothetical group ⟨T_1,…,{s}_i,…,T_m⟩ the oracles
+// decide on.
+func memoTileSets(tp *tilePlanning, i int, s geom.Rect) tileSets {
+	ts := tileSets{users: make([][]geom.Rect, len(tp.regions))}
+	for j := range ts.users {
+		ts.users[j] = tp.regions[j].Tiles
+	}
+	ts.users[i] = []geom.Rect{s}
+	return ts
+}
+
+// memoRandomTile draws a tile near the unit square: mostly ordinary
+// squares, sometimes a zero-area point tile, sometimes a duplicate of a
+// tile already drawn.
+func memoRandomTile(rng *rand.Rand, drawn []geom.Rect) geom.Rect {
+	switch r := rng.Intn(10); {
+	case r == 0 && len(drawn) > 0:
+		return drawn[rng.Intn(len(drawn))]
+	case r == 1:
+		p := geom.Pt(rng.Float64(), rng.Float64())
+		return geom.Rect{Min: p, Max: p}
+	default:
+		return geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()), rng.Float64()*0.2+0.005)
+	}
+}
+
+// memoEdgeCandidate places a candidate p so that do − ‖p,s‖min lands
+// within ±1e-12 of the verifiers' eps: due east of tile s's right edge at
+// mid-height, where ‖p,s‖min is exactly the x offset. With do = ‖p°,s‖max
+// the edge is the tile's own do > dp+eps test; with do taken from a tile
+// of ANOTHER member it is that attacker's do > floor+eps test, s being
+// the tile that sets the floor.
+func memoEdgeCandidate(rng *rand.Rand, s geom.Rect, do float64) geom.Point {
+	jitter := (rng.Float64()*2 - 1) * 1e-12
+	return geom.Pt(s.Max.X+do-verifyEps+jitter, (s.Min.Y+s.Max.Y)/2)
+}
+
+// itVerifyFeasible reports whether the tile sets form few enough groups
+// for the exponential IT-Verify oracle to enumerate.
+func itVerifyFeasible(ts tileSets) bool {
+	n := 1
+	for _, tiles := range ts.users {
+		n *= len(tiles)
+		if n > 2048 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoMatchesVerifyOracles is the differential fence of the
+// verification memo: on seeded random tile sets — m = 1…5, 0–40 tiles per
+// member with one member sometimes empty, duplicated and zero-area tiles,
+// and candidates sitting on both eps edges — the memoized MAX decision must
+// equal gtVerifyMax and itVerifyMax, and the memoized SUM decision the
+// rescanned Σ F_j, in both fill orders:
+//
+//   - lazy: every tile is inserted first, so each cell is filled by one
+//     scan of the finished region;
+//   - early: every cell is filled while the regions are still empty, then
+//     maintained tile by tile through addTile, with the decisions
+//     re-checked after every insertion.
+func TestMemoMatchesVerifyOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	var accepts, rejects, itChecked, edgeRejects int
+	for trial := 0; trial < 120; trial++ {
+		m := 1 + trial%5
+		po := geom.Pt(rng.Float64(), rng.Float64())
+		users := randomPoints(m, rng)
+
+		// The tile script: (member, tile) insertions in a shuffled order,
+		// so early mode interleaves members as round-robin growth does.
+		type ins struct {
+			k int
+			s geom.Rect
+		}
+		var script []ins
+		var drawn []geom.Rect
+		empty := -1
+		if m > 1 && trial%3 == 0 {
+			empty = rng.Intn(m)
+		}
+		for k := 0; k < m; k++ {
+			if k == empty {
+				continue
+			}
+			n := rng.Intn(41)
+			if trial%7 == 0 {
+				n = 1 + rng.Intn(4) // small sets keep IT-Verify enumerable
+			}
+			for ; n > 0; n-- {
+				s := memoRandomTile(rng, drawn)
+				drawn = append(drawn, s)
+				script = append(script, ins{k, s})
+			}
+		}
+		rng.Shuffle(len(script), func(a, b int) { script[a], script[b] = script[b], script[a] })
+
+		// Candidates: random ones plus eps-edge ones aimed at drawn tiles
+		// and at the probe tiles below.
+		probes := make([]geom.Rect, 3)
+		for i := range probes {
+			probes[i] = memoRandomTile(rng, drawn)
+		}
+		var cands []geom.Point
+		for c := 0; c < 6; c++ {
+			cands = append(cands, geom.Pt(rng.Float64()*1.4-0.2, rng.Float64()*1.4-0.2))
+		}
+		for c := 0; c < 8; c++ {
+			target := probes[rng.Intn(len(probes))]
+			if len(drawn) > 0 && c%2 == 0 {
+				target = drawn[rng.Intn(len(drawn))]
+			}
+			do := target.MaxDist(po)
+			if len(drawn) > 0 && c >= 4 {
+				// Floor edge: a probe tile sets the floor an attacker
+				// tile's do is compared against.
+				target = probes[rng.Intn(len(probes))]
+				do = drawn[rng.Intn(len(drawn))].MaxDist(po)
+			}
+			cands = append(cands, memoEdgeCandidate(rng, target, do))
+		}
+
+		check := func(tp *tilePlanning, mc []int32, agg gnn.Aggregate, mode string) {
+			// SUM oracle: F_j(c) rescanned from the regions as they stand.
+			var rescanF [][]float64
+			if agg == gnn.Sum {
+				rescanF = make([][]float64, m)
+				for j := range rescanF {
+					for _, p := range cands {
+						rescanF[j] = append(rescanF[j], regionFocalDiffMin(tp.regions[j], p, po))
+					}
+				}
+			}
+			for i := 0; i < m; i++ {
+				for _, s := range probes {
+					ts := memoTileSets(tp, i, s)
+					for c, p := range cands {
+						got := tp.verifyAgainst(i, s, mc[c:c+1])
+						var want bool
+						if agg == gnn.Sum {
+							total := geom.FocalDiffMin(s, p, po)
+							for j := range rescanF {
+								if j != i {
+									total += rescanF[j][c]
+								}
+							}
+							want = total >= 0
+						} else {
+							want = gtVerifyMax(ts, po, p)
+							if itVerifyFeasible(ts) {
+								itChecked++
+								if it := itVerifyMax(ts, po, p); it != want {
+									t.Fatalf("trial %d: oracles disagree: gt=%v it=%v", trial, want, it)
+								}
+							}
+						}
+						if got != want {
+							t.Fatalf("trial %d %s %v: member %d tile %v candidate %d: memo=%v oracle=%v",
+								trial, mode, agg, i, s, c, got, want)
+						}
+						if want {
+							accepts++
+						} else {
+							rejects++
+							if c >= 6 {
+								edgeRejects++
+							}
+						}
+					}
+				}
+			}
+		}
+
+		for _, agg := range []gnn.Aggregate{gnn.Max, gnn.Sum} {
+			// Lazy: insert everything, then decide.
+			tp, mc := memoFixture(t, agg, users, po, cands)
+			for _, in := range script {
+				tp.addTile(in.k, in.s)
+			}
+			check(tp, mc, agg, "lazy")
+
+			// Early: fill every cell over the empty regions, then keep the
+			// cells current through addTile.
+			tp, mc = memoFixture(t, agg, users, po, cands)
+			check(tp, mc, agg, "early/empty")
+			for n, in := range script {
+				tp.addTile(in.k, in.s)
+				if n%8 == 7 {
+					check(tp, mc, agg, "early/partial")
+				}
+			}
+			check(tp, mc, agg, "early/full")
+
+			// The running aggregates equal the rescans they replaced.
+			for j := range tp.regions {
+				if tp.ext[j] != tp.regions[j].MaxExtent(users[j]) || tp.doMax[j] != tp.regions[j].MaxDist(po) {
+					t.Fatalf("trial %d: member %d running aggregates (%v, %v) diverged from rescans (%v, %v)",
+						trial, j, tp.ext[j], tp.doMax[j], tp.regions[j].MaxExtent(users[j]), tp.regions[j].MaxDist(po))
+				}
+			}
+		}
+	}
+	if accepts == 0 || rejects == 0 || itChecked == 0 || edgeRejects == 0 {
+		t.Fatalf("vacuous: accepts=%d rejects=%d itChecked=%d edgeRejects=%d", accepts, rejects, itChecked, edgeRejects)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // Workspace carries all per-computation scratch state of the safe-region
 // planners: the typed best-first heap and explicit traversal stack of the
 // R-tree searches, the top-k GNN result buffer, the candidate buffer,
-// extent/bound slices and hypothetical tile sets of the verification
-// step, the per-user tile orderings, and the Sum-MPN memo tables.
+// running region aggregates, bound slices and per-(member, candidate)
+// memo of the verification step, and the per-user tile orderings.
 //
 // The *Into planner entry points (TileMSRInto, CircleMSRInto) draw every
 // piece of mutable state from the workspace, so a caller that reuses one

@@ -86,6 +86,57 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 	}
 }
 
+// TestWorkspaceMemoAcrossShapes drives one workspace through the shape
+// changes the verification memo's columns are sized by — m = 5, then
+// m = 2, then SUM, then MAX again, buffered (dense buffer slots) and
+// unbuffered (id → slot table) interleaved — and requires every plan,
+// full and partial, to equal the same request on a fresh workspace. A
+// memo cell, slot or running aggregate surviving a reset would surface
+// here as a diverging region or work counter.
+func TestWorkspaceMemoAcrossShapes(t *testing.T) {
+	pois := wsTestPOIs(3000, 43)
+	shapes := []struct {
+		m      int
+		agg    gnn.Aggregate
+		buffer int
+	}{
+		{5, gnn.Max, 50}, {2, gnn.Max, 50}, {3, gnn.Sum, 50}, {3, gnn.Max, 50},
+		{5, gnn.Max, 0}, {2, gnn.Max, 0}, {4, gnn.Sum, 0}, {3, gnn.Max, 0},
+		{5, gnn.Sum, 50}, {2, gnn.Max, 0},
+	}
+	shared := NewWorkspace()
+	rng := rand.New(rand.NewSource(47))
+	for n, sh := range shapes {
+		opts := DefaultOptions()
+		opts.TileLimit = 8
+		opts.Aggregate = sh.agg
+		opts.Buffer = sh.buffer
+		pl, err := NewPlanner(pois, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users, _ := wsTestGroup(rng, sh.m)
+		var stShared, stFresh PlanState
+		for step := 0; step < 3; step++ {
+			if step > 0 {
+				// Minimal escape of one member: a partial regrow seeded
+				// with the other members' retained tiles.
+				i := step % sh.m
+				users[i] = escapeFrom(stFresh.Regions()[i], users[i], rng.Float64()*6)
+			}
+			got, outG, errG := pl.Plan(shared, PlanRequest{Kind: KindTiles, Users: users, State: &stShared})
+			want, outW, errW := pl.Plan(NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users, State: &stFresh})
+			if errG != nil || errW != nil {
+				t.Fatalf("shape %d step %d: errs %v / %v", n, step, errG, errW)
+			}
+			if outG != outW || !reflect.DeepEqual(got, want) {
+				t.Fatalf("shape %d (%+v) step %d: shared workspace diverged (%v vs %v)\nshared: %+v\nfresh:  %+v",
+					n, sh, step, outG, outW, got, want)
+			}
+		}
+	}
+}
+
 // TestCircleMSRIntoMatchesCircleMSR is the circle-method analog of the
 // differential test.
 func TestCircleMSRIntoMatchesCircleMSR(t *testing.T) {
