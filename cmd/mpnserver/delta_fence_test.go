@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"mpn/internal/geom"
 	"mpn/internal/proto"
@@ -47,6 +48,35 @@ func (p *fencePair) setLoc(loc geom.Point) {
 	p.full.setLoc(loc)
 }
 
+// rejoin brings a member whose connection was just closed back into her
+// group: it dials and registers until the server accepts. The client's Run
+// returning says nothing about the server, which may not have reaped the
+// old connection yet; until it has, it refuses the TRegister ("user
+// already in group"), which ends the new client's Run with that error —
+// and, were the test to carry on, leaves the group incomplete for good.
+// Acceptance shows as the notification of the re-completed group, which is
+// put back for the caller's waitRound.
+func rejoin(t *testing.T, size uint32, dial func() *e2eUser) *e2eUser {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		u := dial()
+		if err := u.client.Register(size); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-u.notify:
+			u.notify <- p
+			return u
+		case <-u.runErr:
+			u.conn.Close()
+			time.Sleep(2 * time.Millisecond)
+		case <-deadline:
+			t.Fatal("server never accepted the re-registration")
+		}
+	}
+}
+
 func runDeltaFence(t *testing.T, method, agg string) {
 	rng := rand.New(rand.NewSource(17))
 	pois := make([]geom.Point, 800)
@@ -75,25 +105,20 @@ func runDeltaFence(t *testing.T, method, agg string) {
 	starts := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.35, 0.32), geom.Pt(0.31, 0.36)}
 	m := len(starts)
 	pairs := make([]*fencePair, m)
-	dial := func(i int, start geom.Point) *fencePair {
-		return &fencePair{
-			delta: dialUser(t, addr, 1, uint32(i), start),
-			full:  dialUser(t, addr, 2, uint32(i), start, proto.WithoutDelta()),
-		}
+	dialDelta := func(i int, start geom.Point) *e2eUser { return dialUser(t, addr, 1, uint32(i), start) }
+	dialFull := func(i int, start geom.Point) *e2eUser {
+		return dialUser(t, addr, 2, uint32(i), start, proto.WithoutDelta())
 	}
 	for i, s := range starts {
-		pairs[i] = dial(i, s)
+		pairs[i] = &fencePair{delta: dialDelta(i, s), full: dialFull(i, s)}
 	}
-	register := func(p *fencePair) {
+	for _, p := range pairs {
 		if err := p.delta.client.Register(uint32(m)); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.full.client.Register(uint32(m)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, p := range pairs {
-		register(p)
 	}
 
 	// waitRound consumes one notification per client in both groups and
@@ -172,8 +197,10 @@ func runDeltaFence(t *testing.T, method, agg string) {
 	pairs[2].full.conn.Close()
 	<-pairs[2].delta.runErr
 	<-pairs[2].full.runErr
-	pairs[2] = dial(2, loc2)
-	register(pairs[2])
+	pairs[2] = &fencePair{
+		delta: rejoin(t, uint32(m), func() *e2eUser { return dialDelta(2, loc2) }),
+		full:  rejoin(t, uint32(m), func() *e2eUser { return dialFull(2, loc2) }),
+	}
 	waitRound("reconnect")
 
 	// Round 5 — kept after reconnect: everyone reports in place; the

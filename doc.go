@@ -85,9 +85,16 @@
 // focal-difference minimum — folds each accepted tile into them, and
 // decides Divide-Verify from those instead of rescanning every region
 // for every candidate (see core's verifyMemo; plans are bit-identical to
-// the rescanning verifier, fenced by a golden corpus). What remains per
-// plan is the top-k retrieval, one tile-to-candidate distance per
-// verify, and for unbuffered runs the pruned index search per attempt.
+// the rescanning verifier, fenced by a golden corpus). Nor does it make
+// the attempts that cannot succeed: Divide-Verify quarters a rejected
+// tile down to the last split level, and most of its attempts used to go
+// into subtrees that end up rejected whole; under buffered MAX one O(m)
+// test against the rival that rejected the member's previous tile proves
+// such a subtree dead before its first verify, and it is skipped (see
+// core's deadSubtree; the same golden corpus holds every decision fixed
+// while the work counters roughly halve). What remains per plan is the
+// top-k retrieval, one tile-to-candidate distance per verify, and for
+// unbuffered runs the pruned index search per attempt.
 //
 // cmd/mpnbench's -json mode benchmarks this path (planner kernel and
 // engine update, swept over group size) and writes the ns/op, throughput,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mpn/internal/geom"
@@ -31,17 +32,24 @@ func samplePoint(r SafeRegion, rng *rand.Rand) geom.Point {
 	return geom.Pt(t.Min.X+rng.Float64()*t.Width(), t.Min.Y+rng.Float64()*t.Height())
 }
 
-// assertPlanSound draws random location instances from the plan's regions
-// and checks that the reported meeting point remains optimal (up to ties)
-// for each instance — the Definition 3 independence property.
+// assertPlanSound checks the Definition 3 independence property by brute
+// force: for location instances drawn from the plan's regions the reported
+// meeting point must remain optimal (up to ties) over all of points.
+//
+// Uniform interior draws alone rarely land where a verification bug would
+// show — at the extremes of a region, against a near rival. So besides the
+// samples draws, for each of the 12 rivals nearest the group and each lead
+// member, one instance puts the lead on the point of her region's boundary
+// (tile vertex, circle boundary point) that maximises ‖p°,·‖ − ‖rival,·‖
+// and everyone else on the point of theirs nearest the rival — MAX's worst
+// case through the lead's region — and one instance puts every member on
+// her own maximiser, which is SUM's.
 func assertPlanSound(t *testing.T, points []geom.Point, plan Plan, agg gnn.Aggregate, rng *rand.Rand, samples int) {
 	t.Helper()
-	for s := 0; s < samples; s++ {
-		inst := make([]geom.Point, len(plan.Regions))
-		for i, r := range plan.Regions {
-			inst[i] = samplePoint(r, rng)
-		}
-		poDist := agg.PointDist(plan.Best.Item.P, inst)
+	po := plan.Best.Item.P
+	check := func(what string, inst []geom.Point) {
+		t.Helper()
+		poDist := agg.PointDist(po, inst)
 		best := math.Inf(1)
 		for _, p := range points {
 			if d := agg.PointDist(p, inst); d < best {
@@ -49,10 +57,84 @@ func assertPlanSound(t *testing.T, points []geom.Point, plan Plan, agg gnn.Aggre
 			}
 		}
 		if poDist > best+1e-9 {
-			t.Fatalf("sample %d: p° dist %v exceeds true optimum %v (instance %v)",
-				s, poDist, best, inst)
+			t.Fatalf("%s: p° dist %v exceeds true optimum %v (instance %v)", what, poDist, best, inst)
 		}
 	}
+
+	inst := make([]geom.Point, len(plan.Regions))
+	for s := 0; s < samples; s++ {
+		for i, r := range plan.Regions {
+			inst[i] = samplePoint(r, rng)
+		}
+		check("uniform sample", inst)
+	}
+
+	worst := make([]geom.Point, len(plan.Regions))
+	near := make([]geom.Point, len(plan.Regions))
+	for _, rival := range nearestRivals(points, plan, agg, 12) {
+		for i, r := range plan.Regions {
+			worst[i], near[i] = regionExtremes(r, po, rival)
+		}
+		for lead := range plan.Regions {
+			copy(inst, near)
+			inst[lead] = worst[lead]
+			check("lead at her extreme, the rest nearest the rival", inst)
+		}
+		check("everyone at her extreme", worst)
+	}
+}
+
+// nearestRivals returns the n points other than p° with the smallest
+// aggregate distance to the group, each member standing at the centre of
+// her region's first tile (or of her circle).
+func nearestRivals(points []geom.Point, plan Plan, agg gnn.Aggregate, n int) []geom.Point {
+	at := make([]geom.Point, len(plan.Regions))
+	for i, r := range plan.Regions {
+		at[i] = r.Circle.C
+		if r.Kind == KindTiles {
+			at[i] = r.Tiles[0].Center()
+		}
+	}
+	var rivals []geom.Point
+	for _, p := range points {
+		if p != plan.Best.Item.P {
+			rivals = append(rivals, p)
+		}
+	}
+	sort.Slice(rivals, func(a, b int) bool { return agg.PointDist(rivals[a], at) < agg.PointDist(rivals[b], at) })
+	return rivals[:min(n, len(rivals))]
+}
+
+// regionExtremes returns the boundary point of r that maximises
+// ‖po,·‖ − ‖rival,·‖ — over the tile vertices, or 360 points of the circle
+// — and the point of r nearest the rival.
+func regionExtremes(r SafeRegion, po, rival geom.Point) (worst, near geom.Point) {
+	worstDiff, nearDist := math.Inf(-1), math.Inf(1)
+	consider := func(v geom.Point) {
+		if d := po.Dist(v) - rival.Dist(v); d > worstDiff {
+			worst, worstDiff = v, d
+		}
+	}
+	if r.Kind == KindCircle {
+		for k := 0; k < 360; k++ {
+			a := float64(k) * math.Pi / 180
+			consider(geom.Pt(r.Circle.C.X+r.Circle.R*math.Cos(a), r.Circle.C.Y+r.Circle.R*math.Sin(a)))
+		}
+		near = rival
+		if d := rival.Dist(r.Circle.C); d > r.Circle.R {
+			near = r.Circle.C.Add(rival.Sub(r.Circle.C).Scale(r.Circle.R / d))
+		}
+		return worst, near
+	}
+	for _, tile := range r.Tiles {
+		for _, v := range tile.Corners() {
+			consider(v)
+		}
+		if v := tile.ClosestPoint(rival); rival.Dist(v) < nearDist {
+			near, nearDist = v, rival.Dist(v)
+		}
+	}
+	return worst, near
 }
 
 func mustPlanner(t *testing.T, pts []geom.Point, opts Options) *Planner {

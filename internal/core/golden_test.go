@@ -18,10 +18,14 @@ import (
 )
 
 // updateGolden rewrites testdata/plan_golden.txt from the current
-// planner. The committed file was recorded at the commit BEFORE the
-// verification memo landed (b146fad), so the corpus proves the memoized
-// planner makes the same decisions as the rescanning one; regenerate it
-// only in a change that means to alter plans.
+// planner. Each line carries two hashes (see hashPlan). The decisions
+// column was recorded at the commit BEFORE the change under test — first
+// b146fad, ahead of the verification memo; last 0447458, ahead of the
+// Divide-Verify pre-reject — so the corpus proves the faster planner
+// makes the same decisions as the slower one. A change that only removes
+// work re-records the work column and must leave the decisions column
+// byte for byte as it found it; regenerate that one only in a change
+// that means to alter plans.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plan_golden.txt from the current planner")
 
 const goldenPath = "testdata/plan_golden.txt"
@@ -47,10 +51,14 @@ func (g *goldenTally) add(o goldenTally) {
 	g.shrunk += o.shrunk
 }
 
-func goldenLine(name string, sum uint64, g goldenTally) string {
-	return fmt.Sprintf("%s %016x full=%d kept=%d partial1=%d partial2=%d fallback=%d shrunk=%d",
-		name, sum, g.full, g.kept, g.partial1, g.partial2, g.fallback, g.shrunk)
+func goldenLine(name string, sum goldenSum, g goldenTally) string {
+	return fmt.Sprintf("%s decisions=%016x work=%016x full=%d kept=%d partial1=%d partial2=%d fallback=%d shrunk=%d",
+		name, sum.decisions.Sum64(), sum.work.Sum64(), g.full, g.kept, g.partial1, g.partial2, g.fallback, g.shrunk)
 }
+
+// goldenSum is one stream's pair of hashes: what its plans decided, and
+// how much verification work deciding it took.
+type goldenSum struct{ decisions, work hash.Hash64 }
 
 func hashU64(h hash.Hash64, v uint64) {
 	var b [8]byte
@@ -60,10 +68,14 @@ func hashU64(h hash.Hash64, v uint64) {
 
 func hashF64(h hash.Hash64, v float64) { hashU64(h, math.Float64bits(v)) }
 
-// hashPlan folds everything a plan decides — the optimum, every region
-// tile bit for bit, and the work counters that show the algorithm took
-// the same decisions to get there — into h.
-func hashPlan(h hash.Hash64, out IncOutcome, p Plan) {
+// hashPlan folds a plan into the stream's two hashes. decisions takes
+// everything the plan decides — the outcome, the optimum, every region
+// tile bit for bit — plus the two counters that are functions of those
+// decisions alone (tiles accepted, candidate retrievals). work takes the
+// counters of the effort spent getting there, which a sound pruning of
+// Divide-Verify lowers without changing one decision.
+func hashPlan(sum goldenSum, out IncOutcome, p Plan) {
+	h := sum.decisions
 	hashU64(h, uint64(out))
 	hashU64(h, uint64(p.Best.Item.ID))
 	hashF64(h, p.Best.Item.P.X)
@@ -80,11 +92,13 @@ func hashPlan(h hash.Hash64, out IncOutcome, p Plan) {
 			hashF64(h, s.Max.Y)
 		}
 	}
-	hashU64(h, uint64(p.Stats.TileVerifies))
 	hashU64(h, uint64(p.Stats.TilesAccepted))
+	hashU64(h, uint64(p.Stats.IndexAccesses))
+
+	h = sum.work
+	hashU64(h, uint64(p.Stats.TileVerifies))
 	hashU64(h, uint64(p.Stats.TilesRejected))
 	hashU64(h, uint64(p.Stats.CandidatesChecked))
-	hashU64(h, uint64(p.Stats.IndexAccesses))
 }
 
 // escapeFrom returns the point just past region's boundary from u along
@@ -110,12 +124,12 @@ func escapeFrom(region SafeRegion, u geom.Point, a float64) geom.Point {
 
 // goldenStream drives one seeded report stream through Planner.Plan with
 // a retained PlanState and one reused workspace, and returns the stream
-// hash and path tallies. The step pattern mixes minimal escapes of one
+// hashes and path tallies. The step pattern mixes minimal escapes of one
 // and two members (partial regrows, which also pile sub-tiles onto the
 // regions until shrinkRetained fires), a long stride (the regrown region
 // cannot reach the member → full fallback, or the optimum moves),
 // in-region drift (kept) and a whole-group teleport.
-func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (uint64, goldenTally) {
+func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (goldenSum, goldenTally) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	users := make([]geom.Point, m)
@@ -133,7 +147,7 @@ func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (uint64, goldenT
 		st    PlanState
 		tally goldenTally
 		ws    = NewWorkspace()
-		h     = fnv.New64a()
+		sum   = goldenSum{fnv.New64a(), fnv.New64a()}
 	)
 	for step := 0; step < 36; step++ {
 		escape := func(i int) {
@@ -166,7 +180,7 @@ func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (uint64, goldenT
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		hashPlan(h, out, plan)
+		hashPlan(sum, out, plan)
 
 		switch out {
 		case IncKept:
@@ -196,16 +210,16 @@ func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (uint64, goldenT
 			}
 		}
 	}
-	return h.Sum64(), tally
+	return sum, tally
 }
 
 // TestPlanGoldenCorpus replays a seeded corpus over {max, sum} ×
 // {b = 0, 50, 100} × {directed on/off} × m ∈ {1, 2, 3, 5} through
 // Planner.Plan and requires every stream to reproduce, bit for bit, the
 // plans and work counters recorded in testdata/plan_golden.txt. The
-// counters are hashed because they are how the end-to-end benchmark
-// (core.tile_verifies_per_plan) shows that a faster planner made the
-// same decisions rather than fewer.
+// work counters are hashed too, in their own column, because they are
+// what the end-to-end benchmark reports (core.tile_verifies_per_plan): a
+// change in them is either intended and re-recorded, or a surprise.
 func TestPlanGoldenCorpus(t *testing.T) {
 	pts := randomPoints(3000, rand.New(rand.NewSource(97)))
 

@@ -416,23 +416,27 @@ func sortInts(s []int) {
 //
 // What the tile count is a proxy for. One tile attempt costs O(m) per
 // candidate whatever the retained regions hold (see verifyMemo), so
-// retained tiles no longer make a verify dearer. They make it more
-// frequent: a region that piled up sub-tiles reaches farther from its
-// member, Algorithm 5's dist = max_j ‖u_j,R_j‖max grows with it, every
-// attempt lands in a later buffer slot and faces more competitors, and
-// more attempts are rejected and quartered. Re-measured on the
-// cmd/mpnbench escape workload (21,287 POIs, α=10, b=50, minimal-escape
-// oscillation of one member, engine update end to end):
+// retained tiles do not make a verify dearer. They made it more frequent:
+// a region that piled up sub-tiles reaches farther from its member,
+// Algorithm 5's dist = max_j ‖u_j,R_j‖max grows with it, every attempt
+// lands in a later buffer slot and faces more competitors, and more
+// attempts are rejected and quartered — which is the work deadSubtree now
+// skips, so most of that cost is gone as well. Re-measured after the
+// pre-reject on the cmd/mpnbench escape workload (21,287 POIs, α=10,
+// b=50, minimal-escape oscillation of one member, engine update end to
+// end, min of 5; verifies over candidates per update in brackets):
 //
-//	m  kept/frontier  full replan  partial, trimmed  partial, untrimmed
-//	3      0.97         112 µs        (not fired)          71–80 µs
-//	4      1.25         102 µs           46 µs              124 µs
-//	5      0.95        72–105 µs      (not fired)          55–58 µs
+//	m  kept/frontier  full replan    partial, trimmed  partial, untrimmed
+//	3      0.97       50 µs [396/570]  (not fired)      49–52 µs [451/682]
+//	4      1.25       51 µs [398/464]  27 µs [82/96]    30 µs [136/160]
+//	5      0.95       39 µs [124/140]  (not fired)      22 µs [29/46]
 //
-// At m=4 the untrimmed regrow issues 959 tile verifies over 1,707
-// candidates per update, the trimmed one 90 over 115; below the ratio
-// the partial regrow beats the full replan untrimmed. DefaultIncCostRatio
-// still sits between the two regimes.
+// Before it, same box: m=4 untrimmed 78 µs [956/1,703] against 30 µs
+// trimmed; m=3 60 µs partial against 94 µs full. So where the heuristic
+// fires the trim is now worth some 10 %, not 2.6×, and at m=3 a partial
+// regrow against the untrimmed regions no longer beats the full replan it
+// replaces. The trigger and DefaultIncCostRatio are left as they are —
+// moving either changes plans.
 func (pl *Planner) regrowPredictedSlower(retained []SafeRegion, dirty []bool, m int) bool {
 	ratio := pl.opts.IncCostRatio
 	if ratio < 0 {

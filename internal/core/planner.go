@@ -76,13 +76,15 @@ type Options struct {
 	IncCostRatio float64
 }
 
-// DefaultIncCostRatio is the measured crossover of the partial-regrow
-// cost heuristic (see Options.IncCostRatio and the measurements on
-// regrowPredictedSlower): on the cmd/mpnbench escape workload the
-// untrimmed partial regrow beats a full replan while retained tiles stay
-// below ~1.0× the fresh frontier (71–80 µs vs 112 µs) and loses to it at
-// 1.25× (124 µs vs 102 µs, where trimming first takes 46 µs); 1.1 splits
-// the measured regimes.
+// DefaultIncCostRatio is the threshold of the partial-regrow cost
+// heuristic (see Options.IncCostRatio and the measurements on
+// regrowPredictedSlower). It was set where, on the cmd/mpnbench escape
+// workload, the untrimmed partial regrow stopped beating a full replan:
+// fine while retained tiles stay below ~1.0× the fresh frontier, a loss
+// at 1.25× (where trimming first won 2.6×). Since Divide-Verify skips
+// dead subtrees the two regimes are within 10 % of each other (30 µs
+// untrimmed, 27 µs trimmed, 51 µs full at 1.25×); the value stays because
+// moving it changes which tiles retained regions keep, hence plans.
 const DefaultIncCostRatio = 1.1
 
 // DefaultOptions returns the paper's default configuration (Table 2):
@@ -132,13 +134,22 @@ type Stats struct {
 	// (the quantity the buffering optimization drives to zero after the
 	// initial GNN).
 	IndexAccesses int
-	// CandidatesChecked counts candidate points fed to tile verification.
+	// CandidatesChecked counts the candidate points handed to tile
+	// verification, summed over the tile attempts that reached it.
 	CandidatesChecked int
-	// TileVerifies counts Tile-Verify invocations (per candidate point).
+	// TileVerifies counts Tile-Verify invocations: one per (attempted
+	// tile, candidate) pair actually decided — an attempt stops at its
+	// first rejecting candidate.
 	TileVerifies int
 	// TilesAccepted counts tiles (including sub-tiles) added to regions.
 	TilesAccepted int
-	// TilesRejected counts tiles rejected at the deepest split level.
+	// TilesRejected counts the Divide-Verify nodes, at any split level,
+	// that contributed nothing to the region: a level-0 tile that failed
+	// verification, a tile all four of whose quadrants were rejected, a
+	// tile no buffer slot covers (Algorithm 5, lines 3–4) — and, once
+	// each however deep it is, a subtree the pre-reject proved dead
+	// without visiting it (see deadSubtree). A tile that fails but
+	// yields an accepted sub-tile is in neither count.
 	TilesRejected int
 }
 

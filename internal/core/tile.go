@@ -146,7 +146,7 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 		for i := range users {
 			if !dirty[i] {
 				for _, s := range retained[i].Tiles {
-					t.insertTile(i, s)
+					t.insertTile(i, s, nil)
 				}
 			}
 		}
@@ -213,13 +213,14 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 // allocating.
 //
 // Verification cost model. Planning time is the number of tile attempts
-// times the cost of one, and one attempt must not depend on how many
-// tiles the regions already hold: everything an attempt reads of the
-// regions changes only when a tile is accepted (at most α+1 accepted
-// attempts per member per run, against thousands of attempts, some 90 %
-// of them rejected). So the regions are summarised where they change —
-// insertTile folds each tile into ext, doMax and the member's filled
-// memo cells — and an attempt costs
+// times the cost of one, and the state below keeps both down.
+//
+// One attempt must not depend on how many tiles the regions already hold.
+// Everything an attempt reads of the regions changes only when a tile is
+// accepted (at most α+1 accepted attempts per member per run, against
+// thousands of attempts), so the regions are summarised where they change
+// — insertTile folds each tile into ext, doMax, tileDo and the member's
+// filled memo cells — and an attempt costs
 //
 //	buffered:    O(m) for dist, a binary search for the slot z, then per
 //	             candidate one ‖c,s‖min and O(m) memo reads;
@@ -229,6 +230,19 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 // A memo cell is filled by one scan of its member's tiles the first time
 // a candidate reaches it, so candidates that attempts never get to —
 // most of a 100-deep buffer — cost nothing.
+//
+// And attempts that cannot succeed should not be made. Divide-Verify
+// quarters every rejected tile down to level 0 — 21 attempts for a tile
+// rejected whole at L = 2 — and left to itself spends four attempts in
+// five inside such subtrees (end-to-end benchmark, euclid_tile, the 320
+// plans of one traced pass: 366,681 of 449,391 attempts, 34,006 of them
+// all accepted). 98 % of rejections come from the candidate that rejected
+// the member's previous tile, so under buffered MAX deadSubtree tries
+// that one candidate, in O(m), before a tile with splits to go is
+// verified; it proves 87 % of the dead top-level subtrees and 96 % of the
+// dead level-1 ones dead, and those are counted as one rejected tile and
+// never visited: 65,709 attempts instead of 449,391 for the same 34,006
+// tiles, 2,193 verifies per plan instead of 4,053.
 type tilePlanning struct {
 	pl    *Planner
 	snap  *Snapshot      // pinned by the entry point for the whole run
@@ -251,6 +265,10 @@ type tilePlanning struct {
 	ext   []float64
 	doMax []float64
 
+	// tileDo[j][n] = ‖p°,regions[j].Tiles[n]‖max, recorded by insertTile so
+	// a memo-cell fill reads it instead of recomputing it per candidate.
+	tileDo [][]float64
+
 	// memo carries the per-(member, candidate) verification state across
 	// tile attempts (see verifyMemo).
 	memo verifyMemo
@@ -262,11 +280,17 @@ type tilePlanning struct {
 	buffering  bool
 	thresholds []float64
 
+	// witness[i] is the candidate that rejected member i's last rejected
+	// tile (slot 0, the nearest rival, until one is): the one candidate
+	// deadSubtree tries.
+	witness []int32
+
 	// Scratch buffers for candidate retrieval and verification. A
 	// candidate is its slot in memo, which also holds its location.
 	candBuf []int32
 	bounds  []float64
 	mins    []float64    // verifyMax per-member minima
+	dps     []float64    // ‖c,s‖min per candidate of the latest MAX group verification
 	ts      tileSets     // IT-Verify ablation: hypothetical per-user tile sets
 	oneTile [1]geom.Rect // backing array for the ts.users[i] = {s} singleton
 	itIdx   []int        // itVerifyMax mixed-radix counter
@@ -298,11 +322,16 @@ func (t *tilePlanning) reset(pl *Planner, snap *Snapshot, rts *rtree.Scratch, us
 	t.regions = grown(t.regions, m)
 	t.ext = grown(t.ext, m)
 	t.doMax = grown(t.doMax, m)
+	t.tileDo = grown(t.tileDo, m)
+	t.mins = grown(t.mins, m)
+	t.witness = grown(t.witness, m)
 	for i := range t.regions {
 		t.regions[i].Kind = KindTiles
 		t.regions[i].Circle = geom.Circle{}
 		t.regions[i].Tiles = t.regions[i].Tiles[:0]
+		t.tileDo[i] = t.tileDo[i][:0]
 		t.ext[i], t.doMax[i] = 0, 0
+		t.witness[i] = 0
 	}
 }
 
@@ -354,16 +383,18 @@ func (t *tilePlanning) initBuffer(b int, top []gnn.Result) {
 
 // addTile accepts tile s into user i's region.
 func (t *tilePlanning) addTile(i int, s geom.Rect) {
-	t.insertTile(i, s)
+	t.insertTile(i, s, nil)
 	t.stats.TilesAccepted++
 }
 
 // insertTile appends tile s to user i's region and folds it into
 // everything derived from the region: the running extent and ‖p°,·‖max
-// aggregates and the user's filled memo cells. Accepted tiles and the
-// retained tiles seeding a partial regrow both enter through here, so the
-// derived state always equals a rescan of the region.
-func (t *tilePlanning) insertTile(i int, s geom.Rect) {
+// aggregates, the per-tile ‖p°,·‖max record and the user's filled memo
+// cells. Accepted tiles and the retained tiles seeding a partial regrow
+// both enter through here, so the derived state always equals a rescan of
+// the region. dps is noteTile's: the ‖c,s‖min of slots 0…len(dps)−1 when
+// the caller has just computed them for this very tile, nil otherwise.
+func (t *tilePlanning) insertTile(i int, s geom.Rect, dps []float64) {
 	t.regions[i].Tiles = append(t.regions[i].Tiles, s)
 	if v := s.MaxDist(t.users[i]); v > t.ext[i] {
 		t.ext[i] = v
@@ -372,7 +403,8 @@ func (t *tilePlanning) insertTile(i int, s geom.Rect) {
 	if do > t.doMax[i] {
 		t.doMax[i] = do
 	}
-	t.memo.noteTile(i, s, do)
+	t.tileDo[i] = append(t.tileDo[i], do)
+	t.memo.noteTile(i, s, do, dps)
 }
 
 // divideVerify is Algorithm 2 (or Algorithm 5 when buffering is enabled):
@@ -390,10 +422,12 @@ func (t *tilePlanning) divideVerify(i int, s geom.Rect, level int) bool {
 	return t.splitAndRecurse(i, s, level)
 }
 
-// bufferDivideVerify is Algorithm 5 (Buffer-Divide-Verify).
-func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
+// bufferCandidates is lines 1–5 of Algorithm 5 for a tile of the member
+// under extension whose ‖u_i,·‖max is own: the candidates the tile must be
+// verified against, or false when no buffer slot covers it.
+func (t *tilePlanning) bufferCandidates(own float64) ([]int32, bool) {
 	// dist ← max{‖ui,s‖max, max_j ‖uj,Rj‖max} (line 1).
-	dist := s.MaxDist(t.users[i])
+	dist := own
 	for _, v := range t.ext {
 		if v > dist {
 			dist = v
@@ -402,20 +436,123 @@ func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
 	// Smallest slot z (1-based) with dist ≤ τ_z, by binary search (line 2).
 	idx := sort.SearchFloat64s(t.thresholds, dist)
 	if idx == len(t.thresholds) {
+		return nil, false
+	}
+	// P*₁..z − {p°} = candBuf[:idx] (line 5). idx==0 means even the
+	// circle-radius threshold covers dist, so no competitor is reachable
+	// and the tile is trivially safe.
+	return t.candBuf[:min(idx, len(t.candBuf))], true
+}
+
+// bufferDivideVerify is Algorithm 5 (Buffer-Divide-Verify).
+func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
+	cands, ok := t.bufferCandidates(s.MaxDist(t.users[i]))
+	if !ok {
 		// No slot: the tile violates the Theorem 4/7 condition (lines 3–4).
 		t.stats.TilesRejected++
 		return false
 	}
-	// Verify against P*₁..z − {p°} = candBuf[:idx] (line 5). idx==0
-	// means even the circle-radius threshold covers dist, so no
-	// competitor is reachable and the tile is trivially safe.
-	cands := t.candBuf[:min(idx, len(t.candBuf))]
+	if level > 0 && t.deadSubtree(i, s, level) {
+		t.stats.TilesRejected++
+		return false
+	}
 	t.stats.CandidatesChecked += len(cands)
 	if t.verifyAgainst(i, s, cands) {
-		t.addTile(i, s)
+		// cands is the slot prefix 0…len(cands)−1, so the distances the
+		// verification just took are addressed by slot, as noteTile
+		// wants them (none after a SUM or IT-Verify pass).
+		t.insertTile(i, s, t.dps)
+		t.stats.TilesAccepted++
 		return true
 	}
 	return t.splitAndRecurse(i, s, level)
+}
+
+// deadSubtreeSlack widens deadSubtree's bounds, relative to their own
+// magnitude (some 450 ulps). The bounds are distances to leaves whose
+// coordinates are exactly the ones Quadrants will produce, so all that is
+// left to absorb is math.Hypot not being monotone in its last ulp.
+const deadSubtreeSlack = 1e-13
+
+// deadSubtree reports whether Buffer-Divide-Verify of tile s for member i,
+// entered with level ≥ 1 splits to go, is certain to reject s and every
+// sub-tile it would quarter s into, down to level 0 — in which case the
+// caller rejects the subtree unvisited. Most attempts would be made inside
+// subtrees that end up rejected whole, nearly always by the candidate that
+// rejected the member's previous tile (see tilePlanning); so the test
+// tries that one witness c, in O(m), and answers "not dead" whenever it
+// cannot prove otherwise. It is a filter in front of the recursion, not
+// a decision of its own: MAX with GT-Verify only, and only under buffering,
+// where candidates are a slot prefix.
+//
+// Every descendant s′ (s included) contains one of the 4^level leaves, so
+// with dp(·) = ‖c,·‖min, do(·) = ‖p°,·‖max:
+//
+//   - dp(s′) ≤ dp(leaf) ≤ D⁺, the dp of the corner leaf farthest from c on
+//     both axes (per axis the gap to a leaf is convex in its position, so
+//     it peaks at an end);
+//   - do(s′) ≥ do(leaf) ≥ D⁻, the do of the leaf nearest p° on both axes;
+//   - ‖u_i,s′‖max ≥ that of the leaf nearest u_i, so Algorithm 5 verifies
+//     s′ against at least the candidates it would give that leaf; c must
+//     be one of them (a descendant with no slot at all is rejected
+//     anyway).
+//
+// verifyMax sees a tile only through (dp, do) and rejects monotonically —
+// more readily for a smaller dp or a larger do — so if it rejects
+// (D⁺, D⁻) against c it rejects every descendant: either the descendant's
+// own test do > max(dp, floor_i)+eps fires, or some other member's
+// attacker tile beats every group through it. Nothing is accepted on the
+// way, so ext and the memo cells keep their entry values for the whole
+// recursion, and by induction from the leaves up every node returns
+// false. A member with an empty region has lo = +Inf, g = −Inf: verifyMax
+// accepts and the vacuous accepts of a partial regrow are preserved.
+func (t *tilePlanning) deadSubtree(i int, s geom.Rect, level int) bool {
+	if t.pl.opts.Aggregate != gnn.Max || !t.pl.opts.GroupVerify {
+		return false
+	}
+	c := t.witness[i]
+	own := leafToward(s, level, t.users[i]).MaxDist(t.users[i])
+	if cands, _ := t.bufferCandidates(own * (1 - deadSubtreeSlack)); int(c) >= len(cands) {
+		return false
+	}
+	p := t.memo.pts[c]
+	dp := leafAwayFrom(s, level, p).MinDist(p) * (1 + deadSubtreeSlack)
+	do := leafToward(s, level, t.po).MaxDist(t.po) * (1 - deadSubtreeSlack)
+	return !t.memo.verifyMax(t.mins, t.regions, t.tileDo, i, dp, do, c)
+}
+
+// leafToward returns, of the 4^level tiles Divide-Verify quarters s into,
+// the one nearest p on each axis — the leaf holding p when s does, else
+// the one at the end of that axis facing p. It halves as Quadrants does,
+// so the result is that leaf bit for bit.
+func leafToward(s geom.Rect, level int, p geom.Point) geom.Rect {
+	for ; level > 0; level-- {
+		mid := s.Center()
+		if p.X < mid.X {
+			s.Max.X = mid.X
+		} else {
+			s.Min.X = mid.X
+		}
+		if p.Y < mid.Y {
+			s.Max.Y = mid.Y
+		} else {
+			s.Min.Y = mid.Y
+		}
+	}
+	return s
+}
+
+// leafAwayFrom returns the corner leaf of s farthest from p on each axis.
+func leafAwayFrom(s geom.Rect, level int, p geom.Point) geom.Rect {
+	mid := s.Center()
+	away := geom.Pt(math.Inf(1), math.Inf(1))
+	if p.X > mid.X {
+		away.X = math.Inf(-1)
+	}
+	if p.Y > mid.Y {
+		away.Y = math.Inf(-1)
+	}
+	return leafToward(s, level, away)
 }
 
 // splitAndRecurse implements lines 4–10 of Algorithm 2.
@@ -441,6 +578,7 @@ func (t *tilePlanning) splitAndRecurse(i int, s geom.Rect, level int) bool {
 // MAX decide from the memo in O(m) per candidate; the IT-Verify ablation
 // (GroupVerify off) enumerates tile groups over the regions themselves.
 func (t *tilePlanning) verifyAgainst(i int, s geom.Rect, cands []int32) bool {
+	t.dps = t.dps[:0]
 	if len(cands) == 0 {
 		return true
 	}
@@ -455,11 +593,15 @@ func (t *tilePlanning) verifyAgainst(i int, s geom.Rect, cands []int32) bool {
 	}
 	m := len(t.users)
 	if t.pl.opts.GroupVerify {
-		t.mins = grown(t.mins, m)
+		// On acceptance t.dps holds ‖c,s‖min for every c of cands, in
+		// order, for insertTile to hand to the memo.
 		do := s.MaxDist(t.po)
 		for _, c := range cands {
 			t.stats.TileVerifies++
-			if !t.memo.verifyMax(t.mins, t.regions, i, s, do, c) {
+			dp := s.MinDist(t.memo.pts[c])
+			t.dps = append(t.dps, dp)
+			if !t.memo.verifyMax(t.mins, t.regions, t.tileDo, i, dp, do, c) {
+				t.witness[i] = c
 				return false
 			}
 		}

@@ -216,13 +216,18 @@ type memoCell struct {
 // depends on map order. cells is slot-major (m cells per slot), which
 // keeps one verify's reads contiguous. Everything lives in the Workspace
 // and is truncated, not reallocated, between plans.
+//
+// filledTo[k] is one past member k's highest filled slot. Attempts reach
+// only the first few of a deep buffer's slots, so folding a new tile walks
+// filledTo[k] cells instead of every slot.
 type verifyMemo struct {
-	m      int
-	sum    bool
-	po     geom.Point
-	pts    []geom.Point // candidate location per slot
-	cells  []memoCell
-	slotOf map[int]int32
+	m        int
+	sum      bool
+	po       geom.Point
+	pts      []geom.Point // candidate location per slot
+	cells    []memoCell
+	filledTo []int32
+	slotOf   map[int]int32
 }
 
 // reset empties the memo for a plan over m members.
@@ -232,6 +237,8 @@ func (vm *verifyMemo) reset(m int, agg gnn.Aggregate, po geom.Point) {
 	vm.po = po
 	vm.pts = vm.pts[:0]
 	vm.cells = vm.cells[:0]
+	vm.filledTo = grown(vm.filledTo, m)
+	clear(vm.filledTo)
 	clear(vm.slotOf)
 }
 
@@ -259,15 +266,16 @@ func (vm *verifyMemo) slotFor(id int, p geom.Point) int32 {
 	return slot
 }
 
-// fold folds tile s, with do = ‖p°,s‖max, into a filled cell.
-func (vm *verifyMemo) fold(c *memoCell, s geom.Rect, do float64, p geom.Point) {
-	if vm.sum {
-		if v := geom.FocalDiffMin(s, p, vm.po); v < c.lo {
-			c.lo = v
-		}
-		return
+// foldSum folds tile s into a filled SUM cell of the candidate at p.
+func (vm *verifyMemo) foldSum(c *memoCell, s geom.Rect, p geom.Point) {
+	if v := geom.FocalDiffMin(s, p, vm.po); v < c.lo {
+		c.lo = v
 	}
-	dp := s.MinDist(p)
+}
+
+// foldMax folds a tile with dp = ‖c,tile‖min and do = ‖p°,tile‖max into a
+// filled MAX cell of candidate c.
+func foldMax(c *memoCell, dp, do float64) {
 	if dp < c.lo {
 		c.lo = dp
 	}
@@ -276,19 +284,24 @@ func (vm *verifyMemo) fold(c *memoCell, s geom.Rect, do float64, p geom.Point) {
 	}
 }
 
-// cell returns member k's cell for slot, filling it from tiles — the
-// member's current region — on first use.
-func (vm *verifyMemo) cell(k int, slot int32, tiles []geom.Rect) *memoCell {
+// cell returns member k's cell for slot, filling it on first use by one
+// scan of region — the member's current tiles, with dos[n] = ‖p°,tile
+// n‖max as insertTile recorded it, so a MAX fill pays one distance per
+// tile, not two.
+func (vm *verifyMemo) cell(k int, slot int32, region []geom.Rect, dos []float64) *memoCell {
 	c := &vm.cells[int(slot)*vm.m+k]
 	if !c.filled {
 		*c = memoCell{filled: true, lo: math.Inf(1), g: math.Inf(-1)}
+		if slot >= vm.filledTo[k] {
+			vm.filledTo[k] = slot + 1
+		}
 		p := vm.pts[slot]
-		for _, t := range tiles {
-			do := 0.0
-			if !vm.sum {
-				do = t.MaxDist(vm.po)
+		for n, t := range region {
+			if vm.sum {
+				vm.foldSum(c, t, p)
+			} else {
+				foldMax(c, t.MinDist(p), dos[n])
 			}
-			vm.fold(c, t, do, p)
 		}
 	}
 	return c
@@ -298,27 +311,40 @@ func (vm *verifyMemo) cell(k int, slot int32, tiles []geom.Rect) *memoCell {
 // cell of hers that is already filled (the Hx(p′) ← min{Fx, Hx(p′)}
 // update of Algorithm 6, and its MAX counterpart). Unfilled cells will
 // see the tile when their first use scans the region.
-func (vm *verifyMemo) noteTile(k int, s geom.Rect, do float64) {
-	for slot, p := range vm.pts {
-		if c := &vm.cells[slot*vm.m+k]; c.filled {
-			vm.fold(c, s, do, p)
+//
+// dps hands over distances the caller already holds: dps[c] = ‖c,s‖min
+// for the slots c < len(dps), exactly as Rect.MinDist returns them. It is
+// empty unless s was just verified against precisely those slots.
+func (vm *verifyMemo) noteTile(k int, s geom.Rect, do float64, dps []float64) {
+	for slot := range int(vm.filledTo[k]) {
+		c := &vm.cells[slot*vm.m+k]
+		switch {
+		case !c.filled:
+		case vm.sum:
+			vm.foldSum(c, s, vm.pts[slot])
+		case slot < len(dps):
+			foldMax(c, dps[slot], do)
+		default:
+			foldMax(c, s.MinDist(vm.pts[slot]), do)
 		}
 	}
 }
 
-// verifyMax decides GT-Verify for tile s of member i against the
+// verifyMax decides GT-Verify for a tile of member i against the
 // candidate in slot: whether every tile group ⟨T_1,…,{s}_i,…,T_m⟩ keeps
-// p° no farther than the candidate. regions holds the members' current
-// tiles (read only to fill cells); do = ‖p°,s‖max; mins is caller scratch
-// of length m.
-func (vm *verifyMemo) verifyMax(mins []float64, regions []SafeRegion, i int, s geom.Rect, do float64, slot int32) bool {
-	dp := s.MinDist(vm.pts[slot])
+// p° no farther than the candidate. The tile enters only through
+// dp = ‖c,s‖min and do = ‖p°,s‖max, and the answer is monotone in both:
+// a rejection stands for every tile with a smaller dp and a larger do,
+// which is what deadSubtree relies on. regions and dos are the members'
+// current tiles and their ‖p°,·‖max (read only to fill cells); mins is
+// caller scratch of length m.
+func (vm *verifyMemo) verifyMax(mins []float64, regions []SafeRegion, dos [][]float64, i int, dp, do float64, slot int32) bool {
 	cells := vm.cells[int(slot)*vm.m:][:vm.m]
 	for k := range mins {
 		if k == i {
 			mins[k] = dp
 		} else {
-			mins[k] = vm.cell(k, slot, regions[k].Tiles).lo
+			mins[k] = vm.cell(k, slot, regions[k].Tiles, dos[k]).lo
 		}
 	}
 	var top top2
@@ -346,7 +372,7 @@ func (vm *verifyMemo) verifySum(regions []SafeRegion, i int, s geom.Rect, slot i
 	total := geom.FocalDiffMin(s, vm.pts[slot], vm.po)
 	for j := range regions {
 		if j != i {
-			total += vm.cell(j, slot, regions[j].Tiles).lo
+			total += vm.cell(j, slot, regions[j].Tiles, nil).lo
 		}
 	}
 	return total >= 0

@@ -262,6 +262,43 @@ func itVerifyFeasible(ts tileSets) bool {
 	return true
 }
 
+// memoIns is one step of a region script: tile s joins member k's region.
+type memoIns struct {
+	k int
+	s geom.Rect
+}
+
+// memoRandomScript draws one trial of the memo tests: m = 1…5 members, the
+// optimum, and 0–40 tiles per member (one member sometimes left empty,
+// every seventh trial small enough for IT-Verify) as (member, tile)
+// insertions in a shuffled order, so replaying the script interleaves
+// members as round-robin growth does. drawn lists the tiles.
+func memoRandomScript(rng *rand.Rand, trial int) (users []geom.Point, po geom.Point, script []memoIns, drawn []geom.Rect) {
+	m := 1 + trial%5
+	po = geom.Pt(rng.Float64(), rng.Float64())
+	users = randomPoints(m, rng)
+	empty := -1
+	if m > 1 && trial%3 == 0 {
+		empty = rng.Intn(m)
+	}
+	for k := 0; k < m; k++ {
+		if k == empty {
+			continue
+		}
+		n := rng.Intn(41)
+		if trial%7 == 0 {
+			n = 1 + rng.Intn(4) // small sets keep IT-Verify enumerable
+		}
+		for ; n > 0; n-- {
+			s := memoRandomTile(rng, drawn)
+			drawn = append(drawn, s)
+			script = append(script, memoIns{k, s})
+		}
+	}
+	rng.Shuffle(len(script), func(a, b int) { script[a], script[b] = script[b], script[a] })
+	return users, po, script, drawn
+}
+
 // TestMemoMatchesVerifyOracles is the differential fence of the
 // verification memo: on seeded random tile sets — m = 1…5, 0–40 tiles per
 // member with one member sometimes empty, duplicated and zero-area tiles,
@@ -278,37 +315,8 @@ func TestMemoMatchesVerifyOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	var accepts, rejects, itChecked, edgeRejects int
 	for trial := 0; trial < 120; trial++ {
-		m := 1 + trial%5
-		po := geom.Pt(rng.Float64(), rng.Float64())
-		users := randomPoints(m, rng)
-
-		// The tile script: (member, tile) insertions in a shuffled order,
-		// so early mode interleaves members as round-robin growth does.
-		type ins struct {
-			k int
-			s geom.Rect
-		}
-		var script []ins
-		var drawn []geom.Rect
-		empty := -1
-		if m > 1 && trial%3 == 0 {
-			empty = rng.Intn(m)
-		}
-		for k := 0; k < m; k++ {
-			if k == empty {
-				continue
-			}
-			n := rng.Intn(41)
-			if trial%7 == 0 {
-				n = 1 + rng.Intn(4) // small sets keep IT-Verify enumerable
-			}
-			for ; n > 0; n-- {
-				s := memoRandomTile(rng, drawn)
-				drawn = append(drawn, s)
-				script = append(script, ins{k, s})
-			}
-		}
-		rng.Shuffle(len(script), func(a, b int) { script[a], script[b] = script[b], script[a] })
+		users, po, script, drawn := memoRandomScript(rng, trial)
+		m := len(users)
 
 		// Candidates: random ones plus eps-edge ones aimed at drawn tiles
 		// and at the probe tiles below.

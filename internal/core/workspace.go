@@ -11,8 +11,9 @@ import (
 // Workspace carries all per-computation scratch state of the safe-region
 // planners: the typed best-first heap and explicit traversal stack of the
 // R-tree searches, the top-k GNN result buffer, the candidate buffer,
-// running region aggregates, bound slices and per-(member, candidate)
-// memo of the verification step, and the per-user tile orderings.
+// running region aggregates, per-tile ‖p°,·‖max record, bound slices,
+// per-(member, candidate) memo and per-member pre-reject witnesses of the
+// verification step, and the per-user tile orderings.
 //
 // The *Into planner entry points (TileMSRInto, CircleMSRInto) draw every
 // piece of mutable state from the workspace, so a caller that reuses one

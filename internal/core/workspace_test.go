@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -92,7 +93,11 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 // unbuffered (id → slot table) interleaved — and requires every plan,
 // full and partial, to equal the same request on a fresh workspace. A
 // memo cell, slot or running aggregate surviving a reset would surface
-// here as a diverging region or work counter.
+// here as a diverging region or work counter. Between plans the test
+// scribbles over the per-plan state reset must re-derive — the pre-reject
+// witnesses, the highest-filled-slot bounds, the per-tile ‖p°,·‖max record
+// and the handed-over distances — and after each plan it requires all of
+// it to equal a rescan of the regions the plan left behind.
 func TestWorkspaceMemoAcrossShapes(t *testing.T) {
 	pois := wsTestPOIs(3000, 43)
 	shapes := []struct {
@@ -124,11 +129,23 @@ func TestWorkspaceMemoAcrossShapes(t *testing.T) {
 				i := step % sh.m
 				users[i] = escapeFrom(stFresh.Regions()[i], users[i], rng.Float64()*6)
 			}
+			tp := &shared.tp
+			for i := range tp.witness {
+				tp.witness[i] = 1
+			}
+			for i := range tp.memo.filledTo {
+				tp.memo.filledTo[i] = 1 << 20
+			}
+			for i := range tp.tileDo {
+				tp.tileDo[i] = append(tp.tileDo[i], -1)
+			}
+			tp.dps = append(tp.dps, -1, -1, -1)
 			got, outG, errG := pl.Plan(shared, PlanRequest{Kind: KindTiles, Users: users, State: &stShared})
 			want, outW, errW := pl.Plan(NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users, State: &stFresh})
 			if errG != nil || errW != nil {
 				t.Fatalf("shape %d step %d: errs %v / %v", n, step, errG, errW)
 			}
+			assertMemoMatchesRescan(t, tp, fmt.Sprintf("shape %d (%+v) step %d", n, sh, step))
 			if outG != outW || !reflect.DeepEqual(got, want) {
 				t.Fatalf("shape %d (%+v) step %d: shared workspace diverged (%v vs %v)\nshared: %+v\nfresh:  %+v",
 					n, sh, step, outG, outW, got, want)
