@@ -128,10 +128,11 @@ func ablationPlanner(b *testing.B, n int, mod func(*core.Options)) (*core.Planne
 
 func benchTilePlan(b *testing.B, n int, mod func(*core.Options)) {
 	pl, users := ablationPlanner(b, n, mod)
+	ws := core.NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.TileMSR(users, nil); err != nil {
+		if _, _, err := pl.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: users}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,10 +163,11 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	b.Run("directed", func(b *testing.B) {
 		pl, users := ablationPlanner(b, 8000, func(o *core.Options) { o.Directed = true })
 		dirs := []core.Direction{{Angle: 0.3}, {Angle: 0.4}, {Angle: 0.2}}
+		ws := core.NewWorkspace()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.TileMSR(users, dirs); err != nil {
+			if _, _, err := pl.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: users, Dirs: dirs}); err != nil {
 				b.Fatal(err)
 			}
 		}

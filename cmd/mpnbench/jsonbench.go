@@ -1,7 +1,7 @@
 package main
 
 // The -json mode: machine-readable micro-benchmarks of the two hottest
-// server paths — one-shot safe-region planning (TileMSRInto on an owned
+// server paths — one-shot safe-region planning (a tile Plan on an owned
 // workspace, exactly what an engine worker runs per recomputation) and
 // the end-to-end synchronous engine update — swept over group size. The
 // ns/op, throughput, and allocs/op series are written as JSON so CI and
@@ -69,7 +69,7 @@ func toSeries(name string, m int, r testing.BenchmarkResult) benchfmt.Series {
 // stable across runs on the same workload.
 func probeEscapeAmp(planner *core.Planner, m int) (amp float64, partialFrac float64) {
 	users, dirs := jsonBenchGroup(m)
-	replan := engine.PlannerIncFunc(planner, false)
+	replan := engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
 	ws := core.NewWorkspace()
 	var st core.PlanState
 	locs := make([]geom.Point, m)
@@ -245,7 +245,7 @@ func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
 		// End-to-end engine update: registered group, synchronous
 		// recomputation, no subscribers.
 		r = testing.Benchmark(func(b *testing.B) {
-			eng := engine.NewWS(engine.PlannerWSFunc(planner, false), engine.Options{Shards: 1})
+			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{Shards: 1})
 			defer eng.Close()
 			id, err := eng.Register(users, dirs)
 			if err != nil {
@@ -272,8 +272,8 @@ func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
 		// re-verifies and keeps the whole retained plan (the paper's
 		// silence regime — only the result-set check is paid).
 		r = testing.Benchmark(func(b *testing.B) {
-			eng := engine.NewWS(engine.PlannerWSFunc(planner, false), engine.Options{
-				Shards: 1, Replan: engine.PlannerIncFunc(planner, false),
+			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
+				Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
 			})
 			defer eng.Close()
 			id, err := eng.Register(users, dirs)
@@ -306,9 +306,9 @@ func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
 			return testing.Benchmark(func(b *testing.B) {
 				eopts := engine.Options{Shards: 1}
 				if incremental {
-					eopts.Replan = engine.PlannerIncFunc(planner, false)
+					eopts.Replan = engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
 				}
-				eng := engine.NewWS(engine.PlannerWSFunc(planner, false), eopts)
+				eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), eopts)
 				defer eng.Close()
 				id, err := eng.Register(users, dirs)
 				if err != nil {
@@ -407,8 +407,8 @@ func runDurableBench(report *benchfmt.Report, planner *core.Planner, log io.Writ
 			b.Skip(err)
 		}
 		defer store.Close()
-		eng := engine.NewWS(engine.PlannerWSFunc(planner, false), engine.Options{
-			Shards: 1, Replan: engine.PlannerIncFunc(planner, false),
+		eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
+			Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
 			Journal: durJournal{store},
 		})
 		defer eng.Close()
@@ -591,8 +591,8 @@ func runReplBench(report *benchfmt.Report, planner *core.Planner, log io.Writer)
 		defer store.Close()
 		tl, stop := benchFollower(b, store)
 		defer stop()
-		eng := engine.NewWS(engine.PlannerWSFunc(planner, false), engine.Options{
-			Shards: 1, Replan: engine.PlannerIncFunc(planner, false),
+		eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
+			Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
 			Journal: durJournal{store},
 		})
 		defer eng.Close()
@@ -846,7 +846,7 @@ func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Write
 		users, dirs := jsonBenchGroup(m)
 		ws := core.NewWorkspace()
 		var st core.PlanState
-		replan := engine.PlannerIncFunc(planner, false)
+		replan := engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
 		locs := append([]geom.Point(nil), users...)
 		if _, _, _, _, err := replan(ws, &st, locs, dirs); err != nil {
 			return err
@@ -964,8 +964,8 @@ func multiGroupUsers(g int, clustered bool) ([]geom.Point, []core.Direction) {
 func runMultiGroupBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) {
 	bench := func(clustered bool, cache *nbrcache.Cache) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
-			replan := engine.PlannerIncCachedFunc(planner, false, cache)
-			eng := engine.NewWS(engine.PlannerWSFunc(planner, false), engine.Options{
+			replan := engine.PlannerKindIncFunc(planner, core.KindTiles, cache)
+			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
 				Shards: 1, Replan: replan,
 			})
 			defer eng.Close()

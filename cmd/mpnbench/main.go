@@ -7,11 +7,10 @@
 // Usage:
 //
 //	mpnbench [-scale quick|full|bench] [-fig all|13|14|15|16|17|18|19] [-o FILE]
-//	mpnbench -engine [-egroups N] [-edur D]   concurrent-engine throughput
 //	mpnbench -json [-rounds N] [-o FILE]      plan/update series → BENCH_plan.json
 //
 // The -json mode micro-benchmarks steady-state safe-region planning (the
-// workspace-reusing TileMSRInto kernel and the engine's synchronous
+// workspace-reusing tile planning kernel and the engine's synchronous
 // update path) across group sizes and writes the ns/op, throughput, and
 // allocs/op series as JSON — the repo's benchmark baseline format. The
 // sweep runs -rounds times end to end (interleaved, so a load spike
@@ -49,9 +48,6 @@ func main() {
 	incremental := flag.Bool("incremental", true, "replay figures under the paper's incremental maintenance protocol (false = historical full-replan accounting)")
 	deltaWire := flag.Bool("delta", true, "account notification bytes/packets under the delta wire protocol (unchanged regions ship a tiny delta frame; requires -incremental)")
 	cacheBytes := flag.Int64("gnncache", 0, "shared GNN neighborhood cache byte budget per figure run (0 = no cache)")
-	engineMode := flag.Bool("engine", false, "run the concurrent-engine throughput benchmark instead of the figures")
-	engineGroups := flag.Int("egroups", 0, "engine benchmark: live group count (0 = 64)")
-	engineDur := flag.Duration("edur", 0, "engine benchmark: measurement window per config (0 = 2s)")
 	jsonMode := flag.Bool("json", false, "write the plan/update benchmark series as JSON (default BENCH_plan.json; -o overrides)")
 	jsonRounds := flag.Int("rounds", 3, "-json: interleaved sweep repetitions merged by per-series median (1 = historical single-shot)")
 	flag.Parse()
@@ -70,29 +66,6 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *engineMode {
-		var out io.Writer = os.Stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		cfg := defaultEngineBenchConfig()
-		if *engineGroups > 0 {
-			cfg.Groups = *engineGroups
-		}
-		if *engineDur > 0 {
-			cfg.Duration = *engineDur
-		}
-		if err := runEngineBench(out, cfg); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -342,7 +342,7 @@ func chaosExpected(t *testing.T, pois []geom.Point, finals []geom.Point) chaosEx
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planner.TileMSR(finals, nil)
+	plan, _, err := planner.Plan(core.NewWorkspace(), core.PlanRequest{Kind: core.KindTiles, Users: finals})
 	if err != nil {
 		t.Fatal(err)
 	}

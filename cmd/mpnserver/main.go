@@ -223,6 +223,7 @@ type server struct {
 	coord   *proto.Coordinator
 	sub     *engine.Subscription
 	planner *core.Planner
+	cache   *nbrcache.Cache // shared GNN cache; nil when -gnncache is 0
 	logger  *log.Logger
 
 	// store journals group/POI state when durability is on (nil
@@ -305,7 +306,19 @@ func newServer(cfg serverConfig) (*server, error) {
 	opts := core.DefaultOptions()
 	opts.TileLimit = cfg.alpha
 	opts.Buffer = cfg.buffer
-	opts.Directed = cfg.method == "tiled"
+	opts.Directed = false
+	kind := core.KindTiles
+	switch cfg.method {
+	case "tiled":
+		opts.Directed = true
+	case "tile":
+	case "circle":
+		kind = core.KindCircle
+	case "net":
+		kind = core.KindNetRange
+	default:
+		return nil, fmt.Errorf("unknown method %q", cfg.method)
+	}
 	switch cfg.agg {
 	case "max":
 		opts.Aggregate = gnn.Max
@@ -315,7 +328,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, fmt.Errorf("unknown aggregate %q", cfg.agg)
 	}
 	var backend *netmpn.Backend
-	if cfg.method == "net" {
+	if kind == core.KindNetRange {
 		netw, err := roadnet.Generate(roadnet.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -398,33 +411,32 @@ func newServer(cfg serverConfig) (*server, error) {
 		planner.OnMutate(store.POIBatch)
 	}
 
-	var cache *nbrcache.Cache // nil degrades the cached adapters below
+	var cache *nbrcache.Cache // nil plans uncached (the net backend ignores it)
 	if cfg.cacheBytes > 0 {
 		cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.cacheBytes})
+		// Register the cache for mutation notifications, as mpn.NewServer
+		// does: an applied POI batch (a standby replaying its primary's)
+		// then evicts only the tiles it could affect instead of cooling
+		// the whole cache.
+		planner.ShareCache(cache)
 	}
-	var plan engine.PlanWSFunc
 	if backend != nil {
 		planner.RegisterNetBackend(backend)
-		plan = engine.PlannerKindWSFunc(planner, core.KindNetRange, nil)
-	} else {
-		plan = engine.PlannerCachedWSFunc(planner, cfg.method == "circle", cache)
 	}
+	plan := engine.PlannerKindWSFunc(planner, kind, cache)
 	eopts := engine.Options{
 		Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
 		AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
 	}
 	if cfg.incremental {
-		if backend != nil {
-			eopts.Replan = engine.PlannerKindIncFunc(planner, core.KindNetRange, nil)
-		} else {
-			eopts.Replan = engine.PlannerIncCachedFunc(planner, cfg.method == "circle", cache)
-		}
+		eopts.Replan = engine.PlannerKindIncFunc(planner, kind, cache)
 	}
 	if cfg.affinity {
 		eopts.TileAffinity = engine.DefaultTileAffinity
 	}
 	s := &server{
 		planner:      planner,
+		cache:        cache,
 		store:        store,
 		stateDir:     cfg.stateDir,
 		logger:       cfg.logger,

@@ -5,6 +5,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,7 +163,7 @@ func testEndToEndTCP(t *testing.T, incremental bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := planner.TileMSR(moved, nil)
+	want, _, err := planner.Plan(core.NewWorkspace(), core.PlanRequest{Kind: core.KindTiles, Users: moved})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,5 +234,73 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("never converged on the final location")
 		}
+	}
+}
+
+// TestMethodValidated: -method is checked like -agg. Before the check,
+// anything but "tiled", "circle" and "net" — a typo included — silently
+// served undirected tiles.
+func TestMethodValidated(t *testing.T) {
+	pois := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)}
+	for _, tc := range []struct {
+		method string
+		ok     bool
+	}{
+		{"circle", true}, {"tile", true}, {"tiled", true}, {"net", true},
+		{"", false}, {"cirlce", false},
+	} {
+		srv, err := newServer(serverConfig{
+			pois: pois, method: tc.method, agg: "max", alpha: 5, shards: 1,
+			logger: log.New(io.Discard, "", 0),
+		})
+		if err == nil {
+			srv.close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("method %q: err = %v, want accepted = %v", tc.method, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "unknown method") {
+			t.Errorf("method %q: err = %v, want an unknown-method error", tc.method, err)
+		}
+	}
+}
+
+// TestSharedCacheSurvivesFarPOIBatch: the server registers its GNN cache
+// with the planner (core.Planner.ShareCache), so a POI batch — on a
+// standby, every batch its primary ships — evicts only the tiles it could
+// affect. Without the registration the whole cache goes stale with the
+// version bump and the group's next plan pays the index traversal again.
+func TestSharedCacheSurvivesFarPOIBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pois := make([]geom.Point, 800)
+	for i := range pois {
+		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	srv, err := newServer(serverConfig{
+		pois: pois, method: "tiled", agg: "max", alpha: 5, buffer: 20,
+		shards: 1, cacheBytes: 1 << 20,
+		logger: log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+
+	users := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.31, 0.31), geom.Pt(0.30, 0.32)}
+	id, err := srv.eng.Register(users, nil) // populates the group's cache tile
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.planner.ApplyPOIs([]geom.Point{geom.Pt(0.95, 0.95)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.cache.Stats()
+	if err := srv.eng.Update(id, users, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := srv.cache.Stats()
+	if after.Hits != before.Hits+1 || after.Stale != before.Stale {
+		t.Fatalf("plan after a far POI batch: hits %d→%d, stale %d→%d; want one hit, no stale miss",
+			before.Hits, after.Hits, before.Stale, after.Stale)
 	}
 }

@@ -73,9 +73,9 @@
 // shared tile arena), ~3 allocations per end-to-end update, down from
 // thousands. Returned plans are exported by copy and never alias
 // workspace memory, so they are safe to retain indefinitely. Long-lived
-// custom compute loops use core.NewWorkspace with the planner's
-// TileMSRInto/CircleMSRInto entry points; TestSteadyStateUpdateAllocs and
-// the core-level allocation fence gate the budget so regressions fail CI.
+// custom compute loops hand core.Planner.Plan a core.NewWorkspace of
+// their own; TestSteadyStateUpdateAllocs and the core-level allocation
+// fence gate the budget so regressions fail CI.
 //
 // The cost of one recomputation is the cost of its tile attempts, and an
 // attempt costs O(m) per candidate POI, not O(tiles): the planner keeps
@@ -105,9 +105,7 @@
 // All planning flows through one entry point, core.Planner.Plan, which
 // takes a PlanRequest naming the region kind (tiles, circles, or network
 // ranges), the optional shared cache, and the optional PlanState for
-// incremental maintenance; the older TileMSR*/CircleMSR* methods remain
-// as deprecated thin wrappers over Plan and CI rejects new in-repo call
-// sites of them.
+// incremental maintenance.
 //
 // # Road-network backend
 //
@@ -482,6 +480,5 @@
 // coordinator (internal/proto, cmd/mpnserver), synthetic road networks
 // and mobility models (internal/roadnet, internal/mobility), and the
 // experiment harness reproducing every figure of the paper
-// (internal/experiments, cmd/mpnbench; see also cmd/mpnbench -engine for
-// the concurrent-groups throughput benchmark).
+// (internal/experiments, cmd/mpnbench).
 package mpn

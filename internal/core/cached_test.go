@@ -65,11 +65,11 @@ func TestCachedPlanningDifferential(t *testing.T) {
 				var planC, planU Plan
 				var errC, errU error
 				if cfg.circle {
-					planC, errC = pl.CircleMSRCachedInto(wsC, cache, users)
-					planU, errU = pl.CircleMSRInto(wsU, users)
+					planC, errC = planFull(pl, wsC, PlanRequest{Kind: KindCircle, Users: users, Cache: cache})
+					planU, errU = planFull(pl, wsU, PlanRequest{Kind: KindCircle, Users: users})
 				} else {
-					planC, errC = pl.TileMSRCachedInto(wsC, cache, users, dirs)
-					planU, errU = pl.TileMSRInto(wsU, users, dirs)
+					planC, errC = planFull(pl, wsC, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, Cache: cache})
+					planU, errU = planFull(pl, wsU, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
 				}
 				if errC != nil || errU != nil {
 					t.Fatalf("step %d: cached err %v, uncached err %v", step, errC, errU)
@@ -121,11 +121,11 @@ func TestCachedIncrementalDifferential(t *testing.T) {
 				var outC, outU IncOutcome
 				var errC, errU error
 				if cfg.circle {
-					planC, outC, errC = pl.CircleMSRIncCachedInto(wsC, cache, &stC, users)
-					planU, outU, errU = pl.CircleMSRIncInto(wsU, &stU, users)
+					planC, outC, errC = pl.Plan(wsC, PlanRequest{Kind: KindCircle, Users: users, Cache: cache, State: &stC})
+					planU, outU, errU = pl.Plan(wsU, PlanRequest{Kind: KindCircle, Users: users, State: &stU})
 				} else {
-					planC, outC, errC = pl.TileMSRIncCachedInto(wsC, cache, &stC, users, dirs)
-					planU, outU, errU = pl.TileMSRIncInto(wsU, &stU, users, dirs)
+					planC, outC, errC = pl.Plan(wsC, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, Cache: cache, State: &stC})
+					planU, outU, errU = pl.Plan(wsU, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, State: &stU})
 				}
 				if errC != nil || errU != nil {
 					t.Fatalf("step %d: cached err %v, uncached err %v", step, errC, errU)
@@ -154,7 +154,7 @@ func TestInsertPOIConsistency(t *testing.T) {
 	pl := mustPlanner(t, pts, tileOpts(nil))
 	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.42, 0.39)}
 
-	before, err := pl.TileMSR(users, nil)
+	before, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestInsertPOIConsistency(t *testing.T) {
 	if id != 300 || pl.NumPOIs() != 301 {
 		t.Fatalf("id=%d NumPOIs=%d", id, pl.NumPOIs())
 	}
-	after, err := pl.TileMSR(users, nil)
+	after, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestInsertPOIConsistency(t *testing.T) {
 	}
 	// Rebuild a fresh planner over the extended set: plans must match.
 	fresh := mustPlanner(t, pl.Points(), pl.Options())
-	ref, err := fresh.TileMSR(users, nil)
+	ref, err := planFull(fresh, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,15 +229,15 @@ func TestChurnDifferentialFence(t *testing.T) {
 				var err error
 				if c.circle {
 					if c.cached {
-						plan, err = pl.CircleMSRCachedInto(ws, cache, users)
+						plan, err = planFull(pl, ws, PlanRequest{Kind: KindCircle, Users: users, Cache: cache})
 					} else {
-						plan, err = pl.CircleMSRInto(ws, users)
+						plan, err = planFull(pl, ws, PlanRequest{Kind: KindCircle, Users: users})
 					}
 				} else {
 					if c.cached {
-						plan, err = pl.TileMSRCachedInto(ws, cache, users, nil)
+						plan, err = planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: users, Cache: cache})
 					} else {
-						plan, err = pl.TileMSRInto(ws, users, nil)
+						plan, err = planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: users})
 					}
 				}
 				if err != nil {
@@ -258,9 +258,9 @@ func TestChurnDifferentialFence(t *testing.T) {
 				snap.Release()
 				fresh := mustPlanner(t, surv, opts)
 				if c.circle {
-					ref, err = fresh.CircleMSRInto(wsRef, users)
+					ref, err = planFull(fresh, wsRef, PlanRequest{Kind: KindCircle, Users: users})
 				} else {
-					ref, err = fresh.TileMSRInto(wsRef, users, nil)
+					ref, err = planFull(fresh, wsRef, PlanRequest{Kind: KindTiles, Users: users})
 				}
 				if err != nil {
 					t.Fatalf("step %d ref: %v", step, err)
@@ -310,36 +310,36 @@ func TestMutationForcesFullReplan(t *testing.T) {
 	}
 
 	var st PlanState
-	_, out, err := pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile seed", out, IncFull, err)
-	_, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile steady", out, IncKept, err)
 
 	// A far-away insert: the optimum and every region stay, but the
 	// retained plan's certificate is void.
 	id := pl.InsertPOI(geom.Pt(0.97, 0.03))
-	_, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile post-insert", out, IncFull, err)
-	_, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile recovered", out, IncKept, err)
 
 	if !pl.DeletePOI(id) {
 		t.Fatal("delete failed")
 	}
-	_, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile post-delete", out, IncFull, err)
-	_, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	expect("tile recovered again", out, IncKept, err)
 
 	var stc PlanState
-	_, out, err = pl.CircleMSRIncInto(ws, &stc, users)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &stc})
 	expect("circle seed", out, IncFull, err)
-	_, out, err = pl.CircleMSRIncInto(ws, &stc, users)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &stc})
 	expect("circle steady", out, IncKept, err)
 	pl.InsertPOI(geom.Pt(0.03, 0.97))
-	_, out, err = pl.CircleMSRIncInto(ws, &stc, users)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &stc})
 	expect("circle post-insert", out, IncFull, err)
-	_, out, err = pl.CircleMSRIncInto(ws, &stc, users)
+	_, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &stc})
 	expect("circle recovered", out, IncKept, err)
 }
 
@@ -382,13 +382,13 @@ func TestChurnConcurrentPlanning(t *testing.T) {
 				var err error
 				switch w {
 				case 0:
-					plan, err = pl.TileMSRInto(ws, users, nil)
+					plan, err = planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: users})
 				case 1:
-					plan, err = pl.TileMSRCachedInto(ws, cache, users, nil)
+					plan, err = planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: users, Cache: cache})
 				case 2:
-					plan, err = pl.CircleMSRCachedInto(ws, cache, users)
+					plan, err = planFull(pl, ws, PlanRequest{Kind: KindCircle, Users: users, Cache: cache})
 				default:
-					plan, _, err = pl.TileMSRIncCachedInto(ws, cache, &st, users, nil)
+					plan, _, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Cache: cache, State: &st})
 				}
 				if err != nil {
 					t.Errorf("reader %d: %v", w, err)

@@ -6,7 +6,7 @@ import (
 	"mpn/internal/nbrcache"
 )
 
-// CircleMSR implements Algorithm 1 (Circle-MSR): it retrieves the best two
+// circleMSR implements Algorithm 1 (Circle-MSR): it retrieves the best two
 // meeting points with a top-2 GNN query and assigns every user a circle of
 // the maximal common radius
 //
@@ -17,39 +17,12 @@ import (
 // result can never change and the radius is unbounded; we return circles
 // covering the whole plane via an effectively infinite radius derived from
 // the data diameter.
-// CircleMSR borrows a pooled Workspace; loops that recompute continuously
-// should own one and call Plan directly.
 //
-// Deprecated: use Plan with a KindCircle PlanRequest.
-func (pl *Planner) CircleMSR(users []geom.Point) (Plan, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users})
-	return p, err
-}
-
-// CircleMSRInto is CircleMSR with all scratch state drawn from ws: the
-// top-2 GNN runs on the workspace's typed heap and result buffer, so the
-// only allocation in steady state is the returned region slice (which
-// does not alias ws and survives its reuse).
-//
-// Deprecated: use Plan with a KindCircle PlanRequest.
-func (pl *Planner) CircleMSRInto(ws *Workspace, users []geom.Point) (Plan, error) {
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users})
-	return p, err
-}
-
-// CircleMSRCachedInto is CircleMSRInto with the top-2 result set
-// retrieved through the shared neighborhood cache; the returned plan is
-// byte-identical to CircleMSRInto's. A nil cache degrades to
-// CircleMSRInto.
-//
-// Deprecated: use Plan with a KindCircle PlanRequest carrying the cache.
-func (pl *Planner) CircleMSRCachedInto(ws *Workspace, cache *nbrcache.Cache, users []geom.Point) (Plan, error) {
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, Cache: cache})
-	return p, err
-}
-
+// The top-2 GNN runs on the workspace's typed heap and result buffer (or
+// through the shared neighborhood cache when one is given — the plan is
+// byte-identical either way), so the only allocation in steady state is
+// the returned region slice (which does not alias ws and survives its
+// reuse).
 func (pl *Planner) circleMSR(ws *Workspace, cache *nbrcache.Cache, users []geom.Point) (Plan, error) {
 	if len(users) == 0 {
 		return Plan{}, ErrNoUsers

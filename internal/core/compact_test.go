@@ -84,7 +84,7 @@ func TestCompactionBoundedMemory(t *testing.T) {
 		if step%250 != 0 {
 			continue
 		}
-		plan, _, err := pl.TileMSRIncCachedInto(ws, cache, &st, users, nil)
+		plan, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Cache: cache, State: &st})
 		if err != nil {
 			t.Fatalf("step %d plan: %v", step, err)
 		}
@@ -97,7 +97,7 @@ func TestCompactionBoundedMemory(t *testing.T) {
 		}
 		snap.Release()
 		fresh := mustPlanner(t, surv, opts)
-		ref, err := fresh.TileMSRInto(wsRef, users, nil)
+		ref, err := planFull(fresh, wsRef, PlanRequest{Kind: KindTiles, Users: users})
 		if err != nil {
 			t.Fatalf("step %d ref: %v", step, err)
 		}

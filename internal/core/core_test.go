@@ -276,7 +276,7 @@ func TestCircleMSRSound(t *testing.T) {
 		pl := mustPlanner(t, pts, opts)
 		for trial := 0; trial < 25; trial++ {
 			users := randomPoints(2+rng.Intn(4), rng)
-			plan, err := pl.CircleMSR(users)
+			plan, err := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: users})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestCircleMSRMaximality(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0), geom.Pt(2, 0)}
 	users := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
 	pl := mustPlanner(t, pts, DefaultOptions())
-	plan, err := pl.CircleMSR(users)
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCircleMSRMaximality(t *testing.T) {
 
 func TestCircleMSRSinglePOI(t *testing.T) {
 	pl := mustPlanner(t, []geom.Point{geom.Pt(0.5, 0.5)}, DefaultOptions())
-	plan, err := pl.CircleMSR([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)})
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +343,10 @@ func TestCircleMSRSinglePOI(t *testing.T) {
 
 func TestCircleMSRNoUsers(t *testing.T) {
 	pl := mustPlanner(t, randomPoints(10, rand.New(rand.NewSource(5))), DefaultOptions())
-	if _, err := pl.CircleMSR(nil); err != ErrNoUsers {
+	if _, err := planFull(pl, nil, PlanRequest{Kind: KindCircle}); err != ErrNoUsers {
 		t.Fatalf("want ErrNoUsers, got %v", err)
 	}
-	if _, err := pl.TileMSR(nil, nil); err != ErrNoUsers {
+	if _, err := planFull(pl, nil, PlanRequest{Kind: KindTiles}); err != ErrNoUsers {
 		t.Fatalf("want ErrNoUsers, got %v", err)
 	}
 }
@@ -369,7 +369,7 @@ func TestTileMSRSoundMax(t *testing.T) {
 	pl := mustPlanner(t, pts, tileOpts(nil))
 	for trial := 0; trial < 10; trial++ {
 		users := randomPoints(3, rng)
-		plan, err := pl.TileMSR(users, nil)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func TestTileMSRSoundSum(t *testing.T) {
 	pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.Aggregate = gnn.Sum }))
 	for trial := 0; trial < 8; trial++ {
 		users := randomPoints(3, rng)
-		plan, err := pl.TileMSR(users, nil)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestTileMSRSoundDirected(t *testing.T) {
 			{Angle: rng.Float64() * math.Pi}, // falls back to Options.Theta
 			{Angle: rng.Float64() * math.Pi, Theta: math.Pi / 2},
 		}
-		plan, err := pl.TileMSR(users, dirs)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +424,7 @@ func TestTileMSRSoundBufferedMax(t *testing.T) {
 	pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.Buffer = 20 }))
 	for trial := 0; trial < 8; trial++ {
 		users := randomPoints(3, rng)
-		plan, err := pl.TileMSR(users, nil)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +444,7 @@ func TestTileMSRSoundBufferedSum(t *testing.T) {
 	}))
 	for trial := 0; trial < 6; trial++ {
 		users := randomPoints(3, rng)
-		plan, err := pl.TileMSR(users, nil)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func TestTileMSRSoundITVerify(t *testing.T) {
 		o.TileLimit = 5
 	}))
 	users := randomPoints(2, rng)
-	plan, err := pl.TileMSR(users, nil)
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestTileMSRSoundNoPruning(t *testing.T) {
 		o.TileLimit = 5
 	}))
 	users := randomPoints(3, rng)
-	plan, err := pl.TileMSR(users, nil)
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,11 +491,11 @@ func TestTileSeedCoversInscribedSquare(t *testing.T) {
 	optsT := tileOpts(nil)
 	pl := mustPlanner(t, pts, optsT)
 	users := randomPoints(3, rng)
-	circle, err := pl.CircleMSR(users)
+	circle, err := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiles, err := pl.TileMSR(users, nil)
+	tiles, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestTileMSRTieDegenerate(t *testing.T) {
 	// Two POIs equidistant from the single user: rmax = 0.
 	pts := []geom.Point{geom.Pt(-1, 0), geom.Pt(1, 0)}
 	pl := mustPlanner(t, pts, tileOpts(nil))
-	plan, err := pl.TileMSR([]geom.Point{geom.Pt(0, 0)}, nil)
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: []geom.Point{geom.Pt(0, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestBufferedFewerPOIsThanBuffer(t *testing.T) {
 	pts := randomPoints(5, rng)
 	pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.Buffer = 50 }))
 	users := randomPoints(3, rng)
-	plan, err := pl.TileMSR(users, nil)
+	plan, err := planFull(pl, nil, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}

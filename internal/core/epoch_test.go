@@ -36,7 +36,7 @@ func TestEpochSemantics(t *testing.T) {
 	var st PlanState
 
 	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.52, 0.51), geom.Pt(0.49, 0.53)}
-	if _, out, err := planner.TileMSRIncInto(ws, &st, users, nil); err != nil || out != IncFull {
+	if _, out, err := planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("first call: out=%v err=%v", out, err)
 	}
 	epochs := append([]uint64(nil), st.Epochs()...)
@@ -56,7 +56,7 @@ func TestEpochSemantics(t *testing.T) {
 	if !st.Regions()[1].Contains(jit[1]) {
 		t.Skip("jitter escaped the region; workload unsuitable")
 	}
-	_, out, err := planner.TileMSRIncInto(ws, &st, jit, nil)
+	_, out, err := planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: jit, State: &st})
 	if err != nil || out != IncKept {
 		t.Fatalf("jitter: out=%v err=%v", out, err)
 	}
@@ -81,7 +81,7 @@ func TestEpochSemantics(t *testing.T) {
 		}
 	}
 	prevRegions := append([]SafeRegion(nil), st.Regions()...)
-	_, out, err = planner.TileMSRIncInto(ws, &st, esc, nil)
+	_, out, err = planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: esc, State: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +124,13 @@ func TestEpochInvalidateAndChurn(t *testing.T) {
 	var st PlanState
 
 	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.43, 0.41)}
-	if _, _, err := planner.TileMSRIncInto(ws, &st, users, nil); err != nil {
+	if _, _, err := planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]uint64(nil), st.Epochs()...)
 
 	st.Invalidate()
-	if _, out, err := planner.TileMSRIncInto(ws, &st, users, nil); err != nil || out != IncFull {
+	if _, out, err := planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("post-Invalidate: out=%v err=%v", out, err)
 	}
 	for i, e := range st.Epochs() {
@@ -149,7 +149,7 @@ func TestEpochInvalidateAndChurn(t *testing.T) {
 		}
 	}
 	grown := append(append([]geom.Point(nil), users...), geom.Pt(0.45, 0.44))
-	if _, out, err := planner.TileMSRIncInto(ws, &st, grown, nil); err != nil || out != IncFull {
+	if _, out, err := planner.Plan(ws, PlanRequest{Kind: KindTiles, Users: grown, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("churn: out=%v err=%v", out, err)
 	}
 	if len(st.Epochs()) != len(grown) {
@@ -171,12 +171,12 @@ func TestEpochCircleKeptAndPartial(t *testing.T) {
 	var st PlanState
 
 	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.505, 0.502)}
-	if _, out, err := planner.CircleMSRIncInto(ws, &st, users); err != nil || out != IncFull {
+	if _, out, err := planner.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("first: out=%v err=%v", out, err)
 	}
 	base := append([]uint64(nil), st.Epochs()...)
 
-	if _, out, err := planner.CircleMSRIncInto(ws, &st, users); err != nil || out != IncKept {
+	if _, out, err := planner.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &st}); err != nil || out != IncKept {
 		t.Skipf("same-location recheck not kept (out=%v err=%v)", out, err)
 	}
 	for i, e := range st.Epochs() {
@@ -197,7 +197,7 @@ func TestEpochCircleKeptAndPartial(t *testing.T) {
 		}
 	}
 	moved := []geom.Point{users[0], loc}
-	_, out, err := planner.CircleMSRIncInto(ws, &st, moved)
+	_, out, err := planner.Plan(ws, PlanRequest{Kind: KindCircle, Users: moved, State: &st})
 	if err != nil {
 		t.Fatal(err)
 	}

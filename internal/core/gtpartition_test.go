@@ -150,7 +150,7 @@ func TestCircleMSRQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		users := randomPoints(2+r.Intn(3), r)
-		plan, err := pl.CircleMSR(users)
+		plan, err := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: users})
 		if err != nil {
 			return false
 		}

@@ -18,7 +18,7 @@ const (
 	// retained state was missing or stale, the result set churned, the
 	// optimum was degenerate, or a partial regrow could not cover a
 	// reporting user. Full-replan output is byte-identical to the
-	// corresponding TileMSRInto/CircleMSRInto call.
+	// same request without a State.
 	IncFull IncOutcome = iota
 	// IncPartial means the result set was unchanged and only the dirty
 	// users — those whose reported location escaped their retained region
@@ -169,7 +169,7 @@ func regionEqual(a, b SafeRegion) bool {
 	return true
 }
 
-// TileMSRIncInto is the incremental variant of TileMSRInto: it maintains
+// tileMSRInc is the incremental variant of tileMSR: it maintains
 // st across calls and recomputes only what the reported locations
 // invalidate.
 //
@@ -179,7 +179,7 @@ func regionEqual(a, b SafeRegion) bool {
 //
 //   - If st holds no plan, the optimum POI changed, or the safe radius is
 //     degenerate, the regions are regrown from scratch (IncFull),
-//     byte-identical to a TileMSRInto call.
+//     byte-identical to a tileMSR call.
 //   - Otherwise members are re-verified by containment: a member whose
 //     reported location escaped her retained region is dirty. With no
 //     dirty members the whole retained plan is still a valid safe-region
@@ -219,23 +219,9 @@ func regionEqual(a, b SafeRegion) bool {
 // Plan.Regions aliases the retained (immutable, previously exported)
 // regions.
 //
-// Deprecated: use Plan with a KindTiles PlanRequest carrying the state.
-func (pl *Planner) TileMSRIncInto(ws *Workspace, st *PlanState, users []geom.Point, dirs []Direction) (Plan, IncOutcome, error) {
-	return pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, State: st})
-}
-
-// TileMSRIncCachedInto is TileMSRIncInto with every top-k retrieval —
-// the per-update result-set check and any full-replan fallback —
-// routed through the shared neighborhood cache. Outcomes and plans are
-// byte-identical to TileMSRIncInto's. A nil cache degrades to
-// TileMSRIncInto.
-//
-// Deprecated: use Plan with a KindTiles PlanRequest carrying the state
-// and cache.
-func (pl *Planner) TileMSRIncCachedInto(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point, dirs []Direction) (Plan, IncOutcome, error) {
-	return pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, Cache: cache, State: st})
-}
-
+// Every top-k retrieval — the per-update result-set check and any
+// full-replan fallback — goes through the shared neighborhood cache when
+// one is given; outcomes and plans are byte-identical with or without it.
 func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point, dirs []Direction) (Plan, IncOutcome, error) {
 	if len(users) == 0 {
 		return Plan{}, IncFull, ErrNoUsers
@@ -455,7 +441,7 @@ func (pl *Planner) regrowPredictedSlower(retained []SafeRegion, dirty []bool, m 
 	return float64(kept) > ratio*frontier
 }
 
-// CircleMSRIncInto is the incremental variant of CircleMSRInto. The top-2
+// circleMSRInc is the incremental variant of circleMSR. The top-2
 // GNN is recomputed on every call (it is nearly the entire cost of circle
 // planning); the incremental win is keeping clean members' circles so
 // only dirty members receive new regions over the wire.
@@ -475,23 +461,6 @@ func (pl *Planner) regrowPredictedSlower(retained []SafeRegion, dirty []bool, m 
 // member's retained circle contributes its radius plus her drift from
 // the center. When the condition fails the call falls back to a full
 // replan, handing everyone fresh circles.
-//
-// Deprecated: use Plan with a KindCircle PlanRequest carrying the state.
-func (pl *Planner) CircleMSRIncInto(ws *Workspace, st *PlanState, users []geom.Point) (Plan, IncOutcome, error) {
-	return pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: st})
-}
-
-// CircleMSRIncCachedInto is CircleMSRIncInto with the top-2 retrieval
-// routed through the shared neighborhood cache; outcomes and plans are
-// byte-identical to CircleMSRIncInto's. A nil cache degrades to
-// CircleMSRIncInto.
-//
-// Deprecated: use Plan with a KindCircle PlanRequest carrying the state
-// and cache.
-func (pl *Planner) CircleMSRIncCachedInto(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point) (Plan, IncOutcome, error) {
-	return pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, Cache: cache, State: st})
-}
-
 func (pl *Planner) circleMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point) (Plan, IncOutcome, error) {
 	if len(users) == 0 {
 		return Plan{}, IncFull, ErrNoUsers

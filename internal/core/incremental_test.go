@@ -138,11 +138,11 @@ func TestIncrementalDifferential(t *testing.T) {
 				var out IncOutcome
 				var err, errFull error
 				if cfg.circle {
-					plan, out, err = pl.CircleMSRIncInto(ws, &st, users)
-					full, errFull = pl.CircleMSRInto(wsFull, users)
+					plan, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &st})
+					full, errFull = planFull(pl, wsFull, PlanRequest{Kind: KindCircle, Users: users})
 				} else {
-					plan, out, err = pl.TileMSRIncInto(ws, &st, users, dirs)
-					full, errFull = pl.TileMSRInto(wsFull, users, dirs)
+					plan, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, State: &st})
+					full, errFull = planFull(pl, wsFull, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
 				}
 				if err != nil || errFull != nil {
 					t.Fatalf("step %d: inc err %v, full err %v", step, err, errFull)
@@ -214,9 +214,9 @@ func TestIncrementalSingleMember(t *testing.T) {
 				var out IncOutcome
 				var err error
 				if cfg.circle {
-					plan, out, err = pl.CircleMSRIncInto(ws, &st, users)
+					plan, out, err = pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users, State: &st})
 				} else {
-					plan, out, err = pl.TileMSRIncInto(ws, &st, users, nil)
+					plan, out, err = pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -245,21 +245,21 @@ func TestIncrementalInvalidateForcesFull(t *testing.T) {
 
 	var st PlanState
 	ws := NewWorkspace()
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users, nil); err != nil || out != IncFull {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("first call: outcome %v err %v", out, err)
 	}
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users, nil); err != nil || out != IncKept {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil || out != IncKept {
 		t.Fatalf("unchanged locations: outcome %v err %v", out, err)
 	}
 	st.Invalidate()
 	if st.Valid() {
 		t.Fatal("Invalidate left the state valid")
 	}
-	plan, out, err := pl.TileMSRIncInto(ws, &st, users, nil)
+	plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 	if err != nil || out != IncFull {
 		t.Fatalf("after Invalidate: outcome %v err %v", out, err)
 	}
-	full, err := pl.TileMSRInto(NewWorkspace(), users, nil)
+	full, err := planFull(pl, NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,28 +279,28 @@ func TestIncrementalStateMismatches(t *testing.T) {
 
 	var st PlanState
 	users := randomPoints(3, rng)
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users, nil); err != nil || out != IncFull {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil || out != IncFull {
 		t.Fatalf("seed: outcome %v err %v", out, err)
 	}
 	// One member left: the retained three-region plan is unusable.
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users[:2], nil); err != nil || out != IncFull {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users[:2], State: &st}); err != nil || out != IncFull {
 		t.Fatalf("size churn: outcome %v err %v", out, err)
 	}
 	// Tile state fed to the circle planner: kind mismatch.
-	if _, out, err := pl.CircleMSRIncInto(ws, &st, users[:2]); err != nil || out != IncFull {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindCircle, Users: users[:2], State: &st}); err != nil || out != IncFull {
 		t.Fatalf("kind mismatch: outcome %v err %v", out, err)
 	}
 	// And now the state is circular: the tile planner must replan fully.
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users[:2], nil); err != nil || out != IncFull {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users[:2], State: &st}); err != nil || out != IncFull {
 		t.Fatalf("kind mismatch (tile over circle state): outcome %v err %v", out, err)
 	}
-	if _, out, err := pl.TileMSRIncInto(ws, &st, users[:2], nil); err != nil || out != IncKept {
+	if _, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users[:2], State: &st}); err != nil || out != IncKept {
 		t.Fatalf("recovery: outcome %v err %v", out, err)
 	}
-	if _, _, err := pl.TileMSRIncInto(ws, &st, nil, nil); err != ErrNoUsers {
+	if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, State: &st}); err != ErrNoUsers {
 		t.Fatalf("want ErrNoUsers, got %v", err)
 	}
-	if _, _, err := pl.CircleMSRIncInto(ws, &st, nil); err != ErrNoUsers {
+	if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindCircle, State: &st}); err != ErrNoUsers {
 		t.Fatalf("want ErrNoUsers, got %v", err)
 	}
 }
@@ -321,7 +321,7 @@ func TestIncrementalMultiDirtyITVerify(t *testing.T) {
 		users := randomPoints(3, rng)
 		var st PlanState
 		ws := NewWorkspace()
-		if _, _, err := pl.TileMSRIncInto(ws, &st, users, nil); err != nil {
+		if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
 			t.Fatal(err)
 		}
 		sawPartial := false
@@ -330,7 +330,7 @@ func TestIncrementalMultiDirtyITVerify(t *testing.T) {
 			users[0] = geom.Pt(users[0].X+d*rng.Float64(), users[0].Y-d*rng.Float64())
 			users[1] = geom.Pt(users[1].X-d*rng.Float64(), users[1].Y+d*rng.Float64())
 			prevClean := st.Regions()[2]
-			plan, out, err := pl.TileMSRIncInto(ws, &st, users, nil)
+			plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,8 +368,8 @@ func TestIncrementalWorkspaceIndependence(t *testing.T) {
 	var stA, stB PlanState
 	wsA := NewWorkspace()
 	for s, snap := range snapshots {
-		planA, outA, errA := pl.TileMSRIncInto(wsA, &stA, snap, nil)
-		planB, outB, errB := pl.TileMSRIncInto(NewWorkspace(), &stB, snap, nil)
+		planA, outA, errA := pl.Plan(wsA, PlanRequest{Kind: KindTiles, Users: snap, State: &stA})
+		planB, outB, errB := pl.Plan(NewWorkspace(), PlanRequest{Kind: KindTiles, Users: snap, State: &stB})
 		if errA != nil || errB != nil {
 			t.Fatalf("step %d: %v %v", s, errA, errB)
 		}

@@ -8,8 +8,8 @@
 // regions (Definition 3). The package provides:
 //
 //   - Verify            — the conservative group test of Lemma 1
-//   - CircleMSR         — circular safe regions (Algorithm 1, Theorems 1 and 5)
-//   - TileMSR           — tile-based safe regions (Algorithm 3) with
+//   - Plan, KindCircle  — circular safe regions (Algorithm 1, Theorems 1 and 5)
+//   - Plan, KindTiles   — tile-based safe regions (Algorithm 3) with
 //     divide-and-conquer verification (Algorithm 2),
 //     group tile verification (Algorithm 4, Theorem 2),
 //     index pruning (Theorems 3 and 6), undirected and

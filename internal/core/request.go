@@ -15,11 +15,6 @@ var ErrNoNetBackend = errors.New("core: no network backend registered")
 // kind (which selects the planning backend), the group's locations and
 // optional headings, the optional shared neighborhood cache, and the
 // optional retained incremental state.
-//
-// PlanRequest replaces the {Tile,Circle}×{Inc}×{Cached}×{Into} method
-// matrix that core grew one entry point at a time: every combination is
-// one field away, and a new backend (the road-network planner) registers
-// once instead of doubling the matrix again.
 type PlanRequest struct {
 	// Kind selects the safe-region representation — and with it the
 	// planning backend: KindTiles and KindCircle run the Euclidean
@@ -33,7 +28,7 @@ type PlanRequest struct {
 	// Dirs optionally holds per-member travel headings for the directed
 	// tile ordering. Ignored unless Kind is KindTiles with
 	// Options.Directed; may be nil or mismatched in length (both fall
-	// back to undirected defaults, as the matrix entry points did).
+	// back to undirected defaults).
 	Dirs []Direction
 
 	// Cache optionally routes top-k retrievals through the shared
@@ -42,16 +37,14 @@ type PlanRequest struct {
 
 	// State optionally carries the group's retained plan for incremental
 	// maintenance: non-nil selects the incremental path (kept/partial
-	// outcomes possible), nil recomputes from scratch. The state is
-	// mutated (recorded or invalidated) exactly as the *Inc* entry points
-	// did.
+	// outcomes possible), nil recomputes from scratch. Every recomputed
+	// plan is recorded into it.
 	State *PlanState
 }
 
 // Plan is the single planning entry point: every safe-region computation
 // — any region kind, cached or not, incremental or from scratch — is one
-// call with the parameters carried in req. The deprecated TileMSR*/
-// CircleMSR* methods are thin wrappers over it.
+// call with the parameters carried in req.
 //
 // The returned IncOutcome is meaningful when req.State is non-nil;
 // from-scratch computations always report IncFull. Plans are exported by
@@ -94,6 +87,3 @@ type NetBackend interface {
 // KindNetRange requests to. Call once, before planning begins; a nil
 // backend unregisters.
 func (pl *Planner) RegisterNetBackend(b NetBackend) { pl.netBackend = b }
-
-// NetBackend returns the registered network backend (nil if none).
-func (pl *Planner) NetBackend() NetBackend { return pl.netBackend }

@@ -18,7 +18,7 @@ type Direction struct {
 	Theta float64
 }
 
-// TileMSR implements Algorithm 3 (Tile-MSR): it grows one tile-based safe
+// tileMSR implements Algorithm 3 (Tile-MSR): it grows one tile-based safe
 // region per user by browsing candidate tiles around each user in
 // round-robin order, verifying each tile against all non-result POIs with
 // the divide-and-conquer procedure of Algorithm 2, and inserting the tiles
@@ -27,43 +27,18 @@ type Direction struct {
 // dirs supplies each user's recent travel direction for the directed
 // ordering; it may be nil when Options.Directed is false.
 //
-// TileMSR borrows a pooled Workspace; loops that recompute continuously
-// should own one and call Plan directly.
+// All scratch state is drawn from ws; the returned plan is exported by
+// copy (two allocations) and remains valid after ws is reused or returned
+// to the pool.
 //
-// Deprecated: use Plan with a KindTiles PlanRequest.
-func (pl *Planner) TileMSR(users []geom.Point, dirs []Direction) (Plan, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
-	return p, err
-}
-
-// TileMSRInto is TileMSR with all scratch state drawn from ws. The
-// returned plan is exported by copy (two allocations) and remains valid
-// after ws is reused or returned to the pool.
-//
-// Deprecated: use Plan with a KindTiles PlanRequest.
-func (pl *Planner) TileMSRInto(ws *Workspace, users []geom.Point, dirs []Direction) (Plan, error) {
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
-	return p, err
-}
-
-// TileMSRCachedInto is TileMSRInto with the top-k result set retrieved
-// through the shared neighborhood cache: when another co-located group
-// (or a previous update of this one) already paid the index traversal
-// for the same centroid tile, this computation reuses its certified
-// candidate set instead of touching the R-tree. The returned plan is
-// byte-identical to TileMSRInto's on every path — cached retrieval is
-// exact (see internal/nbrcache) and every accepted tile is still
-// Divide-Verified against this group's actual members. A nil cache
-// degrades to TileMSRInto.
-//
-// Deprecated: use Plan with a KindTiles PlanRequest carrying the cache.
-func (pl *Planner) TileMSRCachedInto(ws *Workspace, cache *nbrcache.Cache, users []geom.Point, dirs []Direction) (Plan, error) {
-	p, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs, Cache: cache})
-	return p, err
-}
-
+// With a non-nil cache the top-k result set is retrieved through the
+// shared neighborhood cache: when another co-located group (or a previous
+// update of this one) already paid the index traversal for the same
+// centroid tile, this computation reuses its certified candidate set
+// instead of touching the R-tree. The returned plan is byte-identical on
+// every path — cached retrieval is exact (see internal/nbrcache) and every
+// accepted tile is still Divide-Verified against this group's actual
+// members.
 func (pl *Planner) tileMSR(ws *Workspace, cache *nbrcache.Cache, users []geom.Point, dirs []Direction) (Plan, error) {
 	if len(users) == 0 {
 		return Plan{}, ErrNoUsers
@@ -119,7 +94,7 @@ func (pl *Planner) topK() int {
 // set is still empty, no complete tile group exists, and both verifiers
 // report safe — so a tile's own acceptance check does NOT by itself
 // cover all groups the final region set forms through it; soundness is
-// transitive (see TileMSRIncInto for the full argument).
+// transitive (see tileMSRInc for the full argument).
 func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []geom.Point, dirs []Direction, top []gnn.Result, retained []SafeRegion, dirty []bool) {
 	rmax := pl.circleRadius(users, top)
 
@@ -347,7 +322,7 @@ func (t *tilePlanning) release() {
 }
 
 // initBuffer takes the best b+1 meeting points (retrieved in the single
-// index traversal of TileMSR) and precomputes the Algorithm 5 thresholds
+// index traversal of tileMSR) and precomputes the Algorithm 5 thresholds
 //
 //	τ_z = (‖p^{z+1},U‖ − ‖p°,U‖) / 2     (MAX, Definition 6)
 //	τ_z = (‖p^{z+1},U‖ − ‖p°,U‖) / 2m   (SUM, Theorem 7)

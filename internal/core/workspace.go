@@ -15,8 +15,7 @@ import (
 // per-(member, candidate) memo and per-member pre-reject witnesses of the
 // verification step, and the per-user tile orderings.
 //
-// The *Into planner entry points (TileMSRInto, CircleMSRInto) draw every
-// piece of mutable state from the workspace, so a caller that reuses one
+// Planner.Plan draws every piece of mutable state from the workspace, so a caller that reuses one
 // workspace across computations — the engine's workers each own one for
 // their whole lifetime — reaches a steady state of near-zero allocations
 // per plan: only the returned Plan's regions are freshly allocated
@@ -60,9 +59,9 @@ func NewWorkspace() *Workspace { return new(Workspace) }
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // GetWorkspace borrows a workspace from the package pool. Pair with
-// PutWorkspace. The pooled path is what the non-Into entry points
-// (TileMSR, CircleMSR) and the engine's synchronous update path use, so
-// occasional callers share warmed-up scratch without owning one.
+// PutWorkspace. The pooled path is what the engine's synchronous update
+// path uses, so occasional callers share warmed-up scratch without
+// owning one.
 func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
 // PutWorkspace returns ws to the package pool. The caller must not use

@@ -32,7 +32,7 @@ func wsTestGroup(rng *rand.Rand, m int) ([]geom.Point, []Direction) {
 	return users, dirs
 }
 
-// TestWorkspaceReuseDifferential asserts that TileMSRInto with a dirty,
+// TestWorkspaceReuseDifferential asserts that a tile plan on a dirty,
 // heavily reused workspace produces plans (meeting point, regions, stats)
 // identical to computations on a fresh workspace, across both aggregates,
 // directed/undirected orderings, and buffered/unbuffered configurations.
@@ -68,8 +68,8 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 				if !opts.Directed {
 					dirs = nil
 				}
-				fresh, errF := pl.TileMSRInto(NewWorkspace(), users, dirs)
-				reused, errR := pl.TileMSRInto(dirty, users, dirs)
+				fresh, errF := planFull(pl, NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
+				reused, errR := planFull(pl, dirty, PlanRequest{Kind: KindTiles, Users: users, Dirs: dirs})
 				if (errF == nil) != (errR == nil) {
 					t.Fatalf("trial %d: fresh err %v, reused err %v", trial, errF, errR)
 				}
@@ -79,7 +79,7 @@ func TestWorkspaceReuseDifferential(t *testing.T) {
 				}
 				// Dirty the workspace further with an unrelated circle
 				// plan before the next trial.
-				if _, err := pl.CircleMSRInto(dirty, users[:1]); err != nil {
+				if _, err := planFull(pl, dirty, PlanRequest{Kind: KindCircle, Users: users[:1]}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -169,8 +169,8 @@ func TestCircleMSRIntoMatchesCircleMSR(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for trial := 0; trial < 5; trial++ {
 			users, _ := wsTestGroup(rng, 2+trial)
-			fresh, errF := pl.CircleMSR(users)
-			reused, errR := pl.CircleMSRInto(ws, users)
+			fresh, errF := planFull(pl, nil, PlanRequest{Kind: KindCircle, Users: users})
+			reused, errR := planFull(pl, ws, PlanRequest{Kind: KindCircle, Users: users})
 			if errF != nil || errR != nil {
 				t.Fatalf("agg %v trial %d: errs %v / %v", agg, trial, errF, errR)
 			}
@@ -196,17 +196,17 @@ func TestPlanDoesNotAliasWorkspace(t *testing.T) {
 	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(23))
 	users, _ := wsTestGroup(rng, 3)
-	first, err := pl.TileMSRInto(ws, users, nil)
+	first, err := planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot, err := pl.TileMSRInto(NewWorkspace(), users, nil)
+	snapshot, err := planFull(pl, NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 4; trial++ {
 		others, _ := wsTestGroup(rng, 2+trial)
-		if _, err := pl.TileMSRInto(ws, others, nil); err != nil {
+		if _, err := planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: others}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestPlanDoesNotAliasWorkspace(t *testing.T) {
 }
 
 // TestTileMSRIntoSteadyStateAllocs gates the core planner's steady-state
-// allocation budget: after warm-up, one TileMSRInto on an owned workspace
+// allocation budget: after warm-up, one tile plan on an owned workspace
 // may allocate only the exported plan regions (one header slice plus one
 // tile arena) and nothing else. This is the regression fence that keeps
 // future changes from silently re-introducing per-plan churn.
@@ -244,7 +244,7 @@ func TestTileMSRIntoSteadyStateAllocs(t *testing.T) {
 		for i, u := range users {
 			locs[i] = geom.Pt(u.X+jitter, u.Y-jitter)
 		}
-		if _, err := pl.TileMSRInto(ws, locs, dirs); err != nil {
+		if _, err := planFull(pl, ws, PlanRequest{Kind: KindTiles, Users: locs, Dirs: dirs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,6 +254,6 @@ func TestTileMSRIntoSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, run)
 	const budget = 4
 	if allocs > budget {
-		t.Errorf("steady-state TileMSRInto allocates %.1f/op, budget %d", allocs, budget)
+		t.Errorf("steady-state tile plan allocates %.1f/op, budget %d", allocs, budget)
 	}
 }

@@ -24,9 +24,10 @@ func benchLocs(rng *rand.Rand) []geom.Point {
 // across the whole recomputation, exactly what the synchronous
 // coordinator did per TCP report.
 type singleMutexRegistry struct {
-	plan PlanFunc
+	plan PlanWSFunc
 
 	mu     sync.Mutex
+	ws     core.Workspace // guarded by mu, like everything below
 	nextID GroupID
 	groups map[GroupID]*struct {
 		meeting geom.Point
@@ -34,7 +35,7 @@ type singleMutexRegistry struct {
 	}
 }
 
-func newSingleMutexRegistry(plan PlanFunc) *singleMutexRegistry {
+func newSingleMutexRegistry(plan PlanWSFunc) *singleMutexRegistry {
 	return &singleMutexRegistry{plan: plan, groups: map[GroupID]*struct {
 		meeting geom.Point
 		regions []core.SafeRegion
@@ -44,7 +45,7 @@ func newSingleMutexRegistry(plan PlanFunc) *singleMutexRegistry {
 func (r *singleMutexRegistry) Register(users []geom.Point) (GroupID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	meeting, regions, _, err := r.plan(users, nil)
+	meeting, regions, _, err := r.plan(&r.ws, users, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -59,7 +60,7 @@ func (r *singleMutexRegistry) Register(users []geom.Point) (GroupID, error) {
 func (r *singleMutexRegistry) Update(id GroupID, users []geom.Point) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	meeting, regions, _, err := r.plan(users, nil)
+	meeting, regions, _, err := r.plan(&r.ws, users, nil)
 	if err != nil {
 		return err
 	}
@@ -74,7 +75,7 @@ func (r *singleMutexRegistry) Update(id GroupID, users []geom.Point) error {
 // registry lookups.
 func BenchmarkEngineParallelUpdates(b *testing.B) {
 	pl := testPlanner(b, 2000, 42)
-	e := New(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0)})
+	e := NewWS(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0)})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	ids := make([]GroupID, benchGroups)
@@ -135,7 +136,7 @@ func BenchmarkSingleMutexParallelUpdates(b *testing.B) {
 // recomputes/op metric reports the collapse factor.
 func BenchmarkEngineAsyncBurst(b *testing.B) {
 	pl := testPlanner(b, 2000, 42)
-	e := New(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0), Workers: 1, QueueDepth: 4096})
+	e := NewWS(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0), Workers: 1, QueueDepth: 4096})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	ids := make([]GroupID, benchGroups)

@@ -32,8 +32,8 @@ func TestEngineSharedCacheDifferential(t *testing.T) {
 	cache := nbrcache.New(nbrcache.Config{})
 
 	build := func(c *nbrcache.Cache) *Engine {
-		return NewWS(PlannerCachedWSFunc(pl, false, c), Options{
-			Shards: 3, Replan: PlannerIncCachedFunc(pl, false, c),
+		return NewWS(PlannerKindWSFunc(pl, core.KindTiles, c), Options{
+			Shards: 3, Replan: PlannerKindIncFunc(pl, core.KindTiles, c),
 		})
 	}
 	cachedEng := build(cache)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpn/internal/core"
 	"mpn/internal/geom"
 	"mpn/internal/nbrcache"
 )
@@ -21,9 +22,9 @@ func TestEngineChurnConcurrent(t *testing.T) {
 	pl := testPlanner(t, 1200, 21)
 	cache := nbrcache.New(nbrcache.Config{})
 	pl.ShareCache(cache)
-	e := NewWS(PlannerCachedWSFunc(pl, false, cache), Options{
+	e := NewWS(PlannerKindWSFunc(pl, core.KindTiles, cache), Options{
 		Shards: 4, Workers: 2, QueueDepth: 64,
-		Replan: PlannerIncCachedFunc(pl, false, cache),
+		Replan: PlannerKindIncFunc(pl, core.KindTiles, cache),
 	})
 	defer e.Close()
 

@@ -1,6 +1,6 @@
 // Package engine is the concurrent heart of the MPN server: a sharded,
 // lock-striped registry of monitored groups that turns the single-group
-// compute kernel (core.Planner via a PlanFunc) into a high-throughput
+// compute kernel (core.Planner via a PlanWSFunc) into a high-throughput
 // asynchronous service.
 //
 // Architecture:
@@ -11,7 +11,7 @@
 //   - Each shard has a bounded FIFO run queue drained by a pool of worker
 //     goroutines. Submitting a location update enqueues the group;
 //     workers pop groups and recompute the meeting point and safe regions
-//     via the PlanFunc, outside all registry locks.
+//     via the PlanWSFunc, outside all registry locks.
 //   - Updates coalesce: a group holds at most one pending location
 //     snapshot and sits in the run queue at most once. A burst of
 //     submissions for the same group while a recomputation is queued or
@@ -47,19 +47,15 @@ import (
 	"mpn/internal/nbrcache"
 )
 
-// PlanFunc computes a meeting point and one safe region per user. It must
-// be safe for concurrent use (core.Planner is — including concurrently
-// with POI mutation: every planner call pins one immutable index
-// snapshot for its whole duration, so an engine recomputation racing a
-// core.Planner.ApplyPOIs sees either entirely the old or entirely the
-// new POI set, never a mix; core.Stats.IndexVersion in the emitted
-// Notification reports which).
-type PlanFunc func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error)
-
-// PlanWSFunc is the workspace-aware variant of PlanFunc: the engine hands
-// it the calling goroutine's reusable core.Workspace, so steady-state
-// recomputations allocate only their returned regions. Implementations
-// must be safe for concurrent use with distinct workspaces.
+// PlanWSFunc computes a meeting point and one safe region per user. The
+// engine hands it the calling goroutine's reusable core.Workspace, so
+// steady-state recomputations allocate only their returned regions. It
+// must be safe for concurrent use with distinct workspaces (core.Planner
+// is — including concurrently with POI mutation: every planner call pins
+// one immutable index snapshot for its whole duration, so an engine
+// recomputation racing a core.Planner.ApplyPOIs sees either entirely the
+// old or entirely the new POI set, never a mix; core.Stats.IndexVersion in
+// the emitted Notification reports which).
 type PlanWSFunc func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error)
 
 // ReplanWSFunc is the incremental variant of PlanWSFunc: the engine
@@ -71,39 +67,14 @@ type PlanWSFunc func(ws *core.Workspace, users []geom.Point, dirs []core.Directi
 // use across groups with distinct workspaces and states.
 type ReplanWSFunc func(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error)
 
-// PlannerFunc adapts a core.Planner to a PlanFunc: CircleMSR when circle
-// is set, TileMSR otherwise. Each call borrows a pooled workspace; engines
-// should prefer PlannerWSFunc with NewWS, which reuses one workspace per
-// worker.
-func PlannerFunc(pl *core.Planner, circle bool) PlanFunc {
-	planWS := PlannerWSFunc(pl, circle)
-	return func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
-		ws := core.GetWorkspace()
-		defer core.PutWorkspace(ws)
-		return planWS(ws, users, dirs)
-	}
-}
-
-// PlannerWSFunc adapts a core.Planner to a PlanWSFunc: circle planning
-// when circle is set, tiles otherwise.
-func PlannerWSFunc(pl *core.Planner, circle bool) PlanWSFunc {
-	return PlannerKindWSFunc(pl, kindFor(circle), nil)
-}
-
-// kindFor maps the engine adapters' legacy circle flag to a region kind.
-func kindFor(circle bool) core.RegionKind {
-	if circle {
-		return core.KindCircle
-	}
-	return core.KindTiles
-}
-
 // PlannerKindWSFunc adapts a core.Planner to a PlanWSFunc for any region
 // kind — the single unpacking point of the core.Plan result shape for
 // the engine. KindNetRange requires a backend registered on the planner
-// (see core.Planner.RegisterNetBackend). A non-nil cache routes top-k
-// retrievals through the shared neighborhood cache; plans are
-// byte-identical either way.
+// (see core.Planner.RegisterNetBackend). A non-nil cache routes every
+// recomputation's top-k retrieval through one shared neighborhood cache:
+// all shard workers (and the synchronous paths) consult the same cache, so
+// co-located groups anywhere in the engine reuse each other's index
+// traversals. Plans are byte-identical either way.
 func PlannerKindWSFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.Cache) PlanWSFunc {
 	return func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
 		p, _, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs, Cache: cache})
@@ -117,7 +88,8 @@ func PlannerKindWSFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.C
 // PlannerKindIncFunc is the incremental counterpart of
 // PlannerKindWSFunc: the returned ReplanWSFunc threads the group's
 // retained core.PlanState through core.Plan, so kept and partial
-// outcomes flow to the engine for any region kind.
+// outcomes flow to the engine for any region kind. Wire it into
+// Options.Replan to give the engine incremental safe-region maintenance.
 func PlannerKindIncFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.Cache) ReplanWSFunc {
 	return func(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
 		p, out, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs, Cache: cache, State: st})
@@ -126,30 +98,6 @@ func PlannerKindIncFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.
 		}
 		return p.Best.Item.P, p.Regions, p.Stats, out, nil
 	}
-}
-
-// PlannerIncFunc adapts a core.Planner to a ReplanWSFunc for circle or
-// tile planning. Wire it into Options.Replan to give the engine
-// incremental safe-region maintenance.
-func PlannerIncFunc(pl *core.Planner, circle bool) ReplanWSFunc {
-	return PlannerKindIncFunc(pl, kindFor(circle), nil)
-}
-
-// PlannerCachedWSFunc is PlannerWSFunc with every recomputation's top-k
-// retrieval routed through one shared neighborhood cache: all shard
-// workers (and the synchronous paths) consult the same cache, so
-// co-located groups anywhere in the engine reuse each other's index
-// traversals. Plans are byte-identical to the uncached adapter's; a nil
-// cache degrades to PlannerWSFunc.
-func PlannerCachedWSFunc(pl *core.Planner, circle bool, cache *nbrcache.Cache) PlanWSFunc {
-	return PlannerKindWSFunc(pl, kindFor(circle), cache)
-}
-
-// PlannerIncCachedFunc is PlannerIncFunc over the shared neighborhood
-// cache (see PlannerCachedWSFunc); a nil cache yields the plain
-// incremental adapter.
-func PlannerIncCachedFunc(pl *core.Planner, circle bool, cache *nbrcache.Cache) ReplanWSFunc {
-	return PlannerKindIncFunc(pl, kindFor(circle), cache)
 }
 
 // GroupID identifies a registered group.
@@ -540,19 +488,6 @@ func (e *Engine) beginOp() bool {
 		return false
 	}
 	return true
-}
-
-// New builds an engine over the given plan function. The worker pool
-// starts lazily on the first Submit; Close releases it. Workspace-aware
-// planners should use NewWS, which lets each worker reuse one
-// core.Workspace across recomputations.
-func New(plan PlanFunc, opts Options) *Engine {
-	if plan == nil {
-		panic("engine: nil PlanFunc")
-	}
-	return NewWS(func(_ *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
-		return plan(users, dirs)
-	}, opts)
 }
 
 // NewWS builds an engine over a workspace-aware plan function: each shard

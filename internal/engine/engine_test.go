@@ -30,14 +30,8 @@ func testPlanner(t testing.TB, n int, seed int64) *core.Planner {
 	return pl
 }
 
-func tilePlan(pl *core.Planner) PlanFunc {
-	return func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
-		p, err := pl.TileMSR(users, dirs)
-		if err != nil {
-			return geom.Point{}, nil, core.Stats{}, err
-		}
-		return p.Best.Item.P, p.Regions, p.Stats, nil
-	}
+func tilePlan(pl *core.Planner) PlanWSFunc {
+	return PlannerKindWSFunc(pl, core.KindTiles, nil)
 }
 
 // quiesce blocks until no shard has queued or running work (test helper).
@@ -71,7 +65,7 @@ func (e *Engine) quiesce(t testing.TB) {
 }
 
 func TestRegisterAndAccessors(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 400, 1)), Options{Shards: 4})
+	e := NewWS(tilePlan(testPlanner(t, 400, 1)), Options{Shards: 4})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.3, 0.25), geom.Pt(0.25, 0.3)}
 	id, err := e.Register(users, nil)
@@ -108,7 +102,7 @@ func TestRegisterAndAccessors(t *testing.T) {
 }
 
 func TestRegisterErrors(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 100, 2)), Options{Shards: 2})
+	e := NewWS(tilePlan(testPlanner(t, 100, 2)), Options{Shards: 2})
 	defer e.Close()
 	if _, err := e.Register(nil, nil); !errors.Is(err, ErrNoUsers) {
 		t.Fatalf("want ErrNoUsers, got %v", err)
@@ -129,7 +123,7 @@ func TestRegisterErrors(t *testing.T) {
 }
 
 func TestSubmitNotifies(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 400, 3)), Options{Shards: 4, Workers: 2})
+	e := NewWS(tilePlan(testPlanner(t, 400, 3)), Options{Shards: 4, Workers: 2})
 	defer e.Close()
 	sub := e.Subscribe(64)
 	users := []geom.Point{geom.Pt(0.3, 0.3), geom.Pt(0.35, 0.32)}
@@ -171,7 +165,7 @@ func TestCoalescing(t *testing.T) {
 	started := make(chan struct{}, 16)
 	var gating sync.Mutex
 	gateOn := false
-	plan := func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
+	plan := func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
 		gating.Lock()
 		g := gateOn
 		gating.Unlock()
@@ -179,9 +173,9 @@ func TestCoalescing(t *testing.T) {
 			started <- struct{}{}
 			<-gate
 		}
-		return inner(users, dirs)
+		return inner(ws, users, dirs)
 	}
-	e := New(plan, Options{Shards: 1, Workers: 1})
+	e := NewWS(plan, Options{Shards: 1, Workers: 1})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.45, 0.42)}
 	id, err := e.Register(users, nil) // gate off: registration is instant
@@ -241,7 +235,7 @@ func TestCoalescing(t *testing.T) {
 // coalescing may skip intermediates but must never lose the last word.
 func TestShardContention(t *testing.T) {
 	pl := testPlanner(t, 500, 5)
-	e := New(tilePlan(pl), Options{Shards: 8, Workers: 2, QueueDepth: 64})
+	e := NewWS(tilePlan(pl), Options{Shards: 8, Workers: 2, QueueDepth: 64})
 	defer e.Close()
 
 	const groups, writers, rounds = 40, 8, 10
@@ -309,7 +303,7 @@ func TestUpdateSupersedesQueuedSubmit(t *testing.T) {
 	started := make(chan struct{}, 4)
 	var gating sync.Mutex
 	gateOn := false
-	plan := func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
+	plan := func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
 		gating.Lock()
 		g := gateOn
 		gating.Unlock()
@@ -317,9 +311,9 @@ func TestUpdateSupersedesQueuedSubmit(t *testing.T) {
 			started <- struct{}{}
 			<-gate
 		}
-		return inner(users, dirs)
+		return inner(ws, users, dirs)
 	}
-	e := New(plan, Options{Shards: 1, Workers: 1})
+	e := NewWS(plan, Options{Shards: 1, Workers: 1})
 	defer e.Close()
 	decoy, err := e.Register([]geom.Point{geom.Pt(0.9, 0.9), geom.Pt(0.92, 0.9)}, nil)
 	if err != nil {
@@ -364,7 +358,7 @@ func TestUpdateSupersedesQueuedSubmit(t *testing.T) {
 }
 
 func TestSubmitTagOnNotification(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 300, 12)), Options{Shards: 1})
+	e := NewWS(tilePlan(testPlanner(t, 300, 12)), Options{Shards: 1})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.44, 0.4)}
 	sub := e.Subscribe(8)
@@ -393,16 +387,16 @@ func TestPlanErrorNotification(t *testing.T) {
 	inner := tilePlan(pl)
 	fail := false
 	var mu sync.Mutex
-	plan := func(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
+	plan := func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
 		mu.Lock()
 		f := fail
 		mu.Unlock()
 		if f {
 			return geom.Point{}, nil, core.Stats{}, errors.New("boom")
 		}
-		return inner(users, dirs)
+		return inner(ws, users, dirs)
 	}
-	e := New(plan, Options{Shards: 1})
+	e := NewWS(plan, Options{Shards: 1})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.44, 0.4)}
 	id, err := e.Register(users, nil)
@@ -437,7 +431,7 @@ func TestPlanErrorNotification(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 200, 7)), Options{Shards: 2})
+	e := NewWS(tilePlan(testPlanner(t, 200, 7)), Options{Shards: 2})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.5, 0.5)}
 	id, err := e.Register(users, nil)
@@ -457,7 +451,7 @@ func TestUnregister(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 200, 8)), Options{Shards: 2})
+	e := NewWS(tilePlan(testPlanner(t, 200, 8)), Options{Shards: 2})
 	sub := e.Subscribe(8)
 	users := []geom.Point{geom.Pt(0.5, 0.5)}
 	id, err := e.Register(users, nil)
@@ -483,7 +477,7 @@ func TestClose(t *testing.T) {
 }
 
 func TestSubscriptionDrop(t *testing.T) {
-	e := New(tilePlan(testPlanner(t, 200, 9)), Options{Shards: 1})
+	e := NewWS(tilePlan(testPlanner(t, 200, 9)), Options{Shards: 1})
 	defer e.Close()
 	sub := e.Subscribe(1)
 	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.52, 0.5)}

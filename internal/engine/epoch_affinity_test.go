@@ -47,8 +47,8 @@ func nextNotification(t *testing.T, sub *Subscription) Notification {
 // private copy (stable after later recomputations).
 func TestNotificationEpochs(t *testing.T) {
 	planner := epochTestPlanner(t)
-	eng := NewWS(PlannerWSFunc(planner, false), Options{
-		Shards: 1, Replan: PlannerIncFunc(planner, false),
+	eng := NewWS(PlannerKindWSFunc(planner, core.KindTiles, nil), Options{
+		Shards: 1, Replan: PlannerKindIncFunc(planner, core.KindTiles, nil),
 	})
 	defer eng.Close()
 	sub := eng.Subscribe(64)
@@ -119,7 +119,7 @@ func TestNotificationEpochs(t *testing.T) {
 // carry no epochs at all.
 func TestNotificationEpochsNonIncremental(t *testing.T) {
 	planner := epochTestPlanner(t)
-	eng := NewWS(PlannerWSFunc(planner, false), Options{Shards: 1})
+	eng := NewWS(PlannerKindWSFunc(planner, core.KindTiles, nil), Options{Shards: 1})
 	defer eng.Close()
 	sub := eng.Subscribe(8)
 	defer sub.Close()
@@ -148,7 +148,7 @@ func TestNotificationEpochsNonIncremental(t *testing.T) {
 // shard-encoding GroupIDs.
 func TestTileAffinityPlacement(t *testing.T) {
 	planner := epochTestPlanner(t)
-	eng := NewWS(PlannerWSFunc(planner, false), Options{
+	eng := NewWS(PlannerKindWSFunc(planner, core.KindTiles, nil), Options{
 		Shards: 8, TileAffinity: DefaultTileAffinity,
 	})
 	defer eng.Close()

@@ -26,7 +26,7 @@ func newStubPlan() *stubPlan {
 	return &stubPlan{entered: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (p *stubPlan) fn(users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
+func (p *stubPlan) fn(_ *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
 	if p.blocking.Load() {
 		p.entered <- struct{}{}
 		<-p.release
@@ -52,7 +52,7 @@ func threeUsers() []geom.Point {
 func TestSubmitOverloadedBounded(t *testing.T) {
 	const wait = 60 * time.Millisecond
 	p := newStubPlan()
-	e := New(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: wait})
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: wait})
 	sub := e.Subscribe(64)
 	g1, err := e.Register(threeUsers(), nil)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestSubmitOverloadedBounded(t *testing.T) {
 // sheds immediately instead of blocking.
 func TestSubmitOverloadedFailFast(t *testing.T) {
 	p := newStubPlan()
-	e := New(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: -1})
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: -1})
 	defer e.Close()
 	defer close(p.release) // unwedge the worker before Close's drain
 	g1, _ := e.Register(threeUsers(), nil)
@@ -154,7 +154,7 @@ func TestSubmitOverloadedFailFast(t *testing.T) {
 // submission.
 func TestWorkerPanicIsolation(t *testing.T) {
 	p := newStubPlan()
-	e := New(p.fn, Options{Shards: 1, Workers: 1})
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1})
 	defer e.Close()
 	id, err := e.Register(threeUsers(), nil)
 	if err != nil {
@@ -206,7 +206,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 // *PanicError, and the group (for Update) keeps its previous plan.
 func TestRegisterAndUpdatePanics(t *testing.T) {
 	p := newStubPlan()
-	e := New(p.fn, Options{Shards: 1})
+	e := NewWS(p.fn, Options{Shards: 1})
 	defer e.Close()
 	id, err := e.Register(threeUsers(), nil)
 	if err != nil {
@@ -285,7 +285,7 @@ func TestClosePostContract(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := newStubPlan()
 	close(p.release) // never block
-	e := New(p.fn, Options{Shards: 2, Workers: 2, QueueDepth: 1024})
+	e := NewWS(p.fn, Options{Shards: 2, Workers: 2, QueueDepth: 1024})
 	sub := e.Subscribe(1 << 14)
 
 	const groups = 8
@@ -365,7 +365,7 @@ func TestClosePostContract(t *testing.T) {
 // queue (counted), and return in bounded time.
 func TestCloseDrainDeadline(t *testing.T) {
 	p := newStubPlan()
-	e := New(p.fn, Options{
+	e := NewWS(p.fn, Options{
 		Shards: 1, Workers: 1, QueueDepth: 16,
 		AdmissionWait: -1, CloseTimeout: 40 * time.Millisecond,
 	})

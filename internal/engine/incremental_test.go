@@ -215,7 +215,7 @@ func TestIncrementalCoalescedInvalidation(t *testing.T) {
 // plan state has been dropped.
 func TestIncrementalReportAfterUnregister(t *testing.T) {
 	pl := testPlanner(t, 300, 21)
-	e := NewWS(nil, Options{Shards: 2, Replan: PlannerIncFunc(pl, false)})
+	e := NewWS(nil, Options{Shards: 2, Replan: PlannerKindIncFunc(pl, core.KindTiles, nil)})
 	defer e.Close()
 	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.52, 0.48)}
 	id, err := e.Register(users, nil)
@@ -250,7 +250,7 @@ func TestIncrementalReportAfterUnregister(t *testing.T) {
 // the others' regions.
 func TestIncrementalEngineEndToEnd(t *testing.T) {
 	pl := testPlanner(t, 400, 22)
-	e := NewWS(nil, Options{Shards: 1, Replan: PlannerIncFunc(pl, false)})
+	e := NewWS(nil, Options{Shards: 1, Replan: PlannerKindIncFunc(pl, core.KindTiles, nil)})
 	defer e.Close()
 	sub := e.Subscribe(64)
 

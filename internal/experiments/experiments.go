@@ -23,7 +23,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/mobility"
 	"mpn/internal/nbrcache"
 	"mpn/internal/sim"
 	"mpn/internal/stats"
@@ -392,21 +391,3 @@ func (s *Suite) bufferSweep(id string, agg gnn.Aggregate) ([]Figure, error) {
 	}
 	return figs, nil
 }
-
-// All regenerates every figure in paper order.
-func (s *Suite) All() ([]Figure, error) {
-	var out []Figure
-	for _, gen := range []func() ([]Figure, error){
-		s.Fig13, s.Fig14, s.Fig15, s.Fig16, s.Fig17, s.Fig18, s.Fig19,
-	} {
-		figs, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, figs...)
-	}
-	return out, nil
-}
-
-// Mobility re-exported helpers keep cmd binaries free of deep imports.
-type Trajectory = mobility.Trajectory

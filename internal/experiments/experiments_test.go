@@ -26,6 +26,16 @@ func tinySuite(t testing.TB) *Suite {
 	return s
 }
 
+// figureSweep marks a test that replays whole figures — together they are
+// most of this package's (and tier-1's) wall time — so `go test -short`
+// skips them; tier-1 and CI run without -short.
+func figureSweep(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("figure sweep skipped under -short")
+	}
+}
+
 func TestNewSuite(t *testing.T) {
 	s := tinySuite(t)
 	if len(s.POIs) != tinyScale.POIN {
@@ -40,6 +50,7 @@ func TestNewSuite(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	figs, err := s.Fig13()
 	if err != nil {
@@ -75,6 +86,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	figs, err := s.Fig14()
 	if err != nil {
@@ -86,6 +98,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	figs, err := s.Fig15()
 	if err != nil {
@@ -108,6 +121,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	figs, err := s.Fig16()
 	if err != nil {
@@ -127,6 +141,7 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestFigSumVariants(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	if figs, err := s.Fig17(); err != nil || len(figs) != 6 {
 		t.Fatalf("Fig17: %v / %d figures", err, len(figs))
@@ -159,6 +174,7 @@ func TestFigureTable(t *testing.T) {
 // maintenance protocol with a shared GNN cache: the harness must
 // produce the same figure structure with sane (non-negative) metrics.
 func TestIncrementalHarness(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	s.Incremental = true
 	s.GNNCacheBytes = 1 << 20

@@ -113,6 +113,7 @@ func TestCheckShapesBufferedConvergence(t *testing.T) {
 
 // The real tiny-scale suite must pass the robust ordering claims.
 func TestCheckShapesOnRealFigures(t *testing.T) {
+	figureSweep(t)
 	s := tinySuite(t)
 	figs, err := s.Fig13()
 	if err != nil {

@@ -335,38 +335,6 @@ func euclid(net *roadnet.Network, p Position) geom.Point {
 	return geom.Pt(a.X+p.T*(b.X-a.X), a.Y+p.T*(b.Y-a.Y))
 }
 
-func TestSimulate(t *testing.T) {
-	s := testServer(t, 4)
-	met, err := Simulate(s, 3, 400, 0.002, Max, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Timestamps != 400 || met.Updates < 1 {
-		t.Fatalf("metrics %+v", met)
-	}
-	// Safe regions must beat per-tick polling.
-	if met.Updates >= 400 {
-		t.Fatalf("regions saved nothing: %d updates", met.Updates)
-	}
-	if met.UpdateFrequency() <= 0 {
-		t.Fatal("update frequency")
-	}
-	if _, err := Simulate(s, 0, 10, 0.01, Max, 1); err == nil {
-		t.Fatal("m=0 accepted")
-	}
-}
-
-func TestSimulateSum(t *testing.T) {
-	s := testServer(t, 4)
-	met, err := Simulate(s, 2, 300, 0.002, Sum, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Updates < 1 || met.Updates >= 300 {
-		t.Fatalf("sum simulation updates=%d", met.Updates)
-	}
-}
-
 func TestPositionString(t *testing.T) {
 	if NodePos(3).String() != "node(3)" {
 		t.Fatal("node string")

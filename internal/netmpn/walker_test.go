@@ -9,7 +9,7 @@ import (
 
 // Walker generates network-constrained movement as edge-referenced
 // Positions (the network analog of mobility.NetworkTrajectory, which emits
-// Euclidean points). It drives the netmpn simulation and tests.
+// Euclidean points). It drives the netmpn tests.
 type Walker struct {
 	net   *roadnet.Network
 	rng   *rand.Rand
@@ -87,71 +87,4 @@ func (w *Walker) Step() Position {
 		}
 	}
 	return w.Pos()
-}
-
-// SimMetrics summarizes one network MPN simulation.
-type SimMetrics struct {
-	Timestamps int
-	Updates    int
-	// RegionValues is the total wire cost of shipped regions in doubles.
-	RegionValues int
-}
-
-// UpdateFrequency returns updates per 1,000 timestamps.
-func (m SimMetrics) UpdateFrequency() float64 {
-	if m.Timestamps == 0 {
-		return 0
-	}
-	return float64(m.Updates) * 1000 / float64(m.Timestamps)
-}
-
-// Simulate replays m walkers for steps timestamps against the server,
-// recomputing the meeting POI with fresh range regions whenever a walker
-// escapes — the network analog of the Euclidean simulator.
-func Simulate(s *Server, m, steps int, speed float64, agg Aggregate, seed int64) (SimMetrics, error) {
-	if m <= 0 || steps <= 1 {
-		return SimMetrics{}, fmt.Errorf("netmpn: need m>0 and steps>1")
-	}
-	walkers := make([]*Walker, m)
-	for i := range walkers {
-		w, err := NewWalker(s.net, speed, seed+int64(i)*7919)
-		if err != nil {
-			return SimMetrics{}, err
-		}
-		walkers[i] = w
-	}
-
-	users := make([]Position, m)
-	for i, w := range walkers {
-		users[i] = w.Pos()
-	}
-	_, regions, err := s.Plan(users, agg)
-	if err != nil {
-		return SimMetrics{}, err
-	}
-	met := SimMetrics{Timestamps: steps, Updates: 1}
-	for _, r := range regions {
-		met.RegionValues += r.EncodedValues()
-	}
-
-	for t := 1; t < steps; t++ {
-		escaped := false
-		for i, w := range walkers {
-			users[i] = w.Step()
-			if !regions[i].Contains(users[i]) {
-				escaped = true
-			}
-		}
-		if escaped {
-			_, regions, err = s.Plan(users, agg)
-			if err != nil {
-				return SimMetrics{}, err
-			}
-			met.Updates++
-			for _, r := range regions {
-				met.RegionValues += r.EncodedValues()
-			}
-		}
-	}
-	return met, nil
 }

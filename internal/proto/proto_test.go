@@ -125,13 +125,13 @@ func testPlan(t testing.TB, method string) PlanFunc {
 		t.Fatal(err)
 	}
 	return func(users []geom.Point) (geom.Point, []core.SafeRegion, error) {
-		var plan core.Plan
-		var perr error
+		kind := core.KindTiles
 		if method == "circle" {
-			plan, perr = planner.CircleMSR(users)
-		} else {
-			plan, perr = planner.TileMSR(users, nil)
+			kind = core.KindCircle
 		}
+		ws := core.GetWorkspace()
+		defer core.PutWorkspace(ws)
+		plan, _, perr := planner.Plan(ws, core.PlanRequest{Kind: kind, Users: users})
 		if perr != nil {
 			return geom.Point{}, nil, perr
 		}

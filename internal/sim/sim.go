@@ -71,7 +71,7 @@ type Config struct {
 	// harness trade fidelity for wall-clock time.
 	MaxSteps int
 	// Incremental routes every recomputation through the incremental
-	// planners (TileMSRIncInto / CircleMSRIncInto), retaining the group's
+	// planners (a PlanRequest carrying State), retaining the group's
 	// plan state across updates — the maintenance protocol the paper's
 	// independent safe regions propose. The default (false) keeps the
 	// historical full-replan accounting, where every update regrows all
@@ -280,8 +280,7 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 	// retained plan state is validated against the fresh locations and
 	// only what the movement invalidated is regrown. Either way the
 	// shared neighborhood cache, when configured, serves the result-set
-	// retrieval (a nil cache degrades the *CachedInto entry points to the
-	// plain ones).
+	// retrieval (a nil cache plans straight off the index).
 	start := time.Now()
 	var dirs []core.Direction
 	if s.cfg.Method == MethodTileD {

@@ -145,7 +145,13 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 		cfg:     cfg,
 		planner: planner,
 	}
-	circle := cfg.method == Circle
+	kind := core.KindTiles
+	switch cfg.method {
+	case Circle:
+		kind = core.KindCircle
+	case NetRange:
+		kind = core.KindNetRange
+	}
 	if cfg.cacheBytes > 0 {
 		s.cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.cacheBytes})
 		// Register the cache for mutation notifications: POI churn then
@@ -173,15 +179,11 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 			return nil, fmt.Errorf("mpn: %w", err)
 		}
 		planner.RegisterNetBackend(backend)
-		s.planWS = engine.PlannerKindWSFunc(planner, core.KindNetRange, nil)
-		if cfg.incremental {
-			eopts.Replan = engine.PlannerKindIncFunc(planner, core.KindNetRange, nil)
-		}
-	} else {
-		s.planWS = engine.PlannerCachedWSFunc(planner, circle, s.cache)
-		if cfg.incremental {
-			eopts.Replan = engine.PlannerIncCachedFunc(planner, circle, s.cache)
-		}
+	}
+	// s.cache is nil under NetRange (WithSharedGNNCache is rejected above).
+	s.planWS = engine.PlannerKindWSFunc(planner, kind, s.cache)
+	if cfg.incremental {
+		eopts.Replan = engine.PlannerKindIncFunc(planner, kind, s.cache)
 	}
 	s.engine = engine.NewWS(s.planWS, eopts)
 	return s, nil
