@@ -81,7 +81,4 @@ func TestWithSharedGNNCacheValidation(t *testing.T) {
 	if _, err := NewServer(testPOIs(50, 1), WithSharedGNNCache(0)); err == nil {
 		t.Fatal("zero cache budget accepted")
 	}
-	if _, err := NewServer(testPOIs(50, 1), WithIncrementalCostRatio(-1)); err != nil {
-		t.Fatalf("negative cost ratio (heuristic off) rejected: %v", err)
-	}
 }

@@ -329,6 +329,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	var backend *netmpn.Backend
 	if kind == core.KindNetRange {
+		if cfg.cacheBytes > 0 {
+			// Same refusal as mpn.NewServer: the net backend never reads
+			// the tile-keyed cache.
+			return nil, fmt.Errorf("-gnncache applies to Euclidean planning, not method %q", cfg.method)
+		}
 		netw, err := roadnet.Generate(roadnet.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -411,7 +416,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		planner.OnMutate(store.POIBatch)
 	}
 
-	var cache *nbrcache.Cache // nil plans uncached (the net backend ignores it)
+	var cache *nbrcache.Cache // nil plans uncached
 	if cfg.cacheBytes > 0 {
 		cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.cacheBytes})
 		// Register the cache for mutation notifications, as mpn.NewServer

@@ -239,28 +239,33 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 
 // TestMethodValidated: -method is checked like -agg. Before the check,
 // anything but "tiled", "circle" and "net" — a typo included — silently
-// served undirected tiles.
+// served undirected tiles. -gnncache with -method net is refused as
+// mpn.NewServer refuses it: the net backend never reads that cache.
 func TestMethodValidated(t *testing.T) {
 	pois := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)}
 	for _, tc := range []struct {
-		method string
-		ok     bool
+		method     string
+		cacheBytes int64
+		wantErr    string // empty: accepted
 	}{
-		{"circle", true}, {"tile", true}, {"tiled", true}, {"net", true},
-		{"", false}, {"cirlce", false},
+		{"circle", 0, ""}, {"tile", 0, ""}, {"tiled", 0, ""}, {"net", 0, ""},
+		{"", 0, "unknown method"}, {"cirlce", 0, "unknown method"},
+		{"tiled", 1 << 20, ""}, {"net", 1 << 20, "-gnncache applies to Euclidean planning"},
 	} {
 		srv, err := newServer(serverConfig{
 			pois: pois, method: tc.method, agg: "max", alpha: 5, shards: 1,
-			logger: log.New(io.Discard, "", 0),
+			cacheBytes: tc.cacheBytes,
+			logger:     log.New(io.Discard, "", 0),
 		})
 		if err == nil {
 			srv.close()
 		}
-		if (err == nil) != tc.ok {
-			t.Errorf("method %q: err = %v, want accepted = %v", tc.method, err, tc.ok)
+		ok := err == nil
+		if tc.wantErr != "" {
+			ok = err != nil && strings.Contains(err.Error(), tc.wantErr)
 		}
-		if err != nil && !strings.Contains(err.Error(), "unknown method") {
-			t.Errorf("method %q: err = %v, want an unknown-method error", tc.method, err)
+		if !ok {
+			t.Errorf("method %q, cache %d: err = %v, want error %q", tc.method, tc.cacheBytes, err, tc.wantErr)
 		}
 	}
 }

@@ -184,22 +184,6 @@
 // recomputation into ~10µs, and a single escaping member costs a regrow
 // of one region instead of m.
 //
-// The partial path is guarded by an up-front cost heuristic: retained
-// regions that piled up sub-tiles reach far from their members, which
-// pushes every regrown tile into a later buffer slot with more
-// competitors to verify, so when the retained regions hold more tiles
-// than the frontier a fresh plan would build (about TileLimit+1 tiles
-// per member, scaled by a measured crossover ratio), an untrimmed
-// partial regrow is predicted slower than replanning. Instead of abandoning the partial path, the
-// server shrinks each oversized clean region down to the fresh-frontier
-// budget — keeping the tiles nearest the member; a subset of a valid
-// tile-region set is itself valid, it only cedes territory — and
-// regrows the escapees against the trimmed set, preserving the partial
-// outcome's communication win (the clean majority still keeps regions,
-// merely smaller ones). WithIncrementalCostRatio tunes the crossover; a
-// negative ratio disables the trim and always regrows against the
-// untrimmed retained regions.
-//
 // # Delta notifications on the wire
 //
 // Incremental maintenance makes the server cheap; the delta protocol

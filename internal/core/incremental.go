@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
@@ -271,18 +270,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 		return plan, IncKept, nil
 	}
 
-	retained := st.regions
-	if pl.regrowPredictedSlower(retained, dirty, len(users)) {
-		// Cost remedy: the retained regions carry so many tiles that
-		// regrowing the dirty members against them is predicted to cost
-		// more than replanning everyone. Shrinking the clean regions to
-		// the fresh-frontier budget removes the overhang — a subset of a
-		// valid tile-region set is itself valid — so the partial regrow
-		// proceeds against the trimmed set instead of being abandoned.
-		retained = pl.shrinkRetained(ws, retained, users, dirty)
-	}
-
-	pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, retained, dirty)
+	pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, st.regions, dirty)
 	for i, u := range users {
 		if dirty[i] && !plan.Regions[i].Contains(u) {
 			// Carry the wasted partial work's counters into the full
@@ -295,150 +283,6 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 	}
 	st.Record(plan)
 	return plan, IncPartial, nil
-}
-
-// shrinkRetained trims every clean member's retained region to the tile
-// budget a fresh plan would build for her (TileLimit+1: the seed plus
-// one accepted tile per round), keeping the tiles nearest her reported
-// location. Dropping tiles from a valid tile-region set never breaks
-// the group-verification property — every tile group over the shrunk
-// set is a group over the original — so the result is still a valid
-// region set for the unchanged optimum; it only cedes territory. The
-// member's containing tile is always kept (she must remain inside her
-// own region or the partial outcome would misreport her as dirty), and
-// surviving tiles keep their original order. Regions already within
-// budget, and dirty members' regions (regrown from scratch anyway),
-// pass through verbatim; when nothing exceeds the budget the input
-// slice is returned as-is. The returned regions are backed by workspace
-// scratch — valid only until growTiles copies them out.
-func (pl *Planner) shrinkRetained(ws *Workspace, retained []SafeRegion, users []geom.Point, dirty []bool) []SafeRegion {
-	budget := pl.opts.TileLimit + 1
-	over := false
-	for i := range retained {
-		if !dirty[i] && len(retained[i].Tiles) > budget {
-			over = true
-			break
-		}
-	}
-	if !over {
-		return retained
-	}
-
-	out := ws.resizeShrunk(len(retained))
-	total := 0
-	for i := range retained {
-		if !dirty[i] && len(retained[i].Tiles) > budget {
-			total += budget
-		}
-	}
-	arena := grown(ws.shrinkTiles, total)[:0]
-	for i := range retained {
-		tiles := retained[i].Tiles
-		if dirty[i] || len(tiles) <= budget {
-			out[i] = retained[i]
-			continue
-		}
-		u := users[i]
-
-		// Rank tiles by distance from the user, stably by original index.
-		sel := &ws.shrinkSel
-		sel.c = grown(sel.c, len(tiles))
-		for j, s := range tiles {
-			sel.c[j] = shrinkCand{d: s.MinDist(u), idx: j}
-		}
-		sort.Sort(sel)
-
-		// Keep the budget nearest, forcing the member's containing tile
-		// into the cut if distance ranking alone dropped it. (A clean
-		// member has one by definition; ranking can only exclude it on
-		// boundary ties, where several tiles are at distance zero.)
-		keep := ws.shrinkIdx[:0]
-		contained := false
-		for _, c := range sel.c[:budget] {
-			keep = append(keep, c.idx)
-			if !contained && tiles[c.idx].Contains(u) {
-				contained = true
-			}
-		}
-		if !contained {
-			for _, c := range sel.c[budget:] {
-				if tiles[c.idx].Contains(u) {
-					keep[len(keep)-1] = c.idx
-					break
-				}
-			}
-		}
-		ws.shrinkIdx = keep
-
-		// Emit the survivors in their original region order.
-		sortInts(keep)
-		start := len(arena)
-		for _, j := range keep {
-			arena = append(arena, tiles[j])
-		}
-		out[i] = SafeRegion{Kind: KindTiles, Tiles: arena[start:len(arena):len(arena)]}
-	}
-	ws.shrinkTiles = arena
-	return out
-}
-
-// sortInts insertion-sorts a small index slice in place (budget-sized:
-// a few dozen elements at most).
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// regrowPredictedSlower is the up-front cost heuristic of the partial
-// regrow (see Options.IncCostRatio): it compares the retained clean
-// regions' tile count against the frontier a fresh plan would build —
-// about TileLimit+1 tiles per member. When it fires the planner does not
-// abandon the partial path: it shrinks the oversized clean regions down
-// to the fresh-frontier budget (see shrinkRetained) and regrows the
-// dirty members against the trimmed set.
-//
-// What the tile count is a proxy for. One tile attempt costs O(m) per
-// candidate whatever the retained regions hold (see verifyMemo), so
-// retained tiles do not make a verify dearer. They made it more frequent:
-// a region that piled up sub-tiles reaches farther from its member,
-// Algorithm 5's dist = max_j ‖u_j,R_j‖max grows with it, every attempt
-// lands in a later buffer slot and faces more competitors, and more
-// attempts are rejected and quartered — which is the work deadSubtree now
-// skips, so most of that cost is gone as well. Re-measured after the
-// pre-reject on the cmd/mpnbench escape workload (21,287 POIs, α=10,
-// b=50, minimal-escape oscillation of one member, engine update end to
-// end, min of 5; verifies over candidates per update in brackets):
-//
-//	m  kept/frontier  full replan    partial, trimmed  partial, untrimmed
-//	3      0.97       50 µs [396/570]  (not fired)      49–52 µs [451/682]
-//	4      1.25       51 µs [398/464]  27 µs [82/96]    30 µs [136/160]
-//	5      0.95       39 µs [124/140]  (not fired)      22 µs [29/46]
-//
-// Before it, same box: m=4 untrimmed 78 µs [956/1,703] against 30 µs
-// trimmed; m=3 60 µs partial against 94 µs full. So where the heuristic
-// fires the trim is now worth some 10 %, not 2.6×, and at m=3 a partial
-// regrow against the untrimmed regions no longer beats the full replan it
-// replaces. The trigger and DefaultIncCostRatio are left as they are —
-// moving either changes plans.
-func (pl *Planner) regrowPredictedSlower(retained []SafeRegion, dirty []bool, m int) bool {
-	ratio := pl.opts.IncCostRatio
-	if ratio < 0 {
-		return false
-	}
-	if ratio == 0 {
-		ratio = DefaultIncCostRatio
-	}
-	kept := 0
-	for i := range retained {
-		if !dirty[i] {
-			kept += len(retained[i].Tiles)
-		}
-	}
-	frontier := float64(m) * float64(pl.opts.TileLimit+1)
-	return float64(kept) > ratio*frontier
 }
 
 // circleMSRInc is the incremental variant of circleMSR. The top-2

@@ -64,31 +64,6 @@ func incStep(step int, users []geom.Point, rng *rand.Rand) {
 	}
 }
 
-// regionRetainedFrom reports whether got is a legal retained form of
-// prev for a clean member on a partial outcome: byte-identical, or —
-// when the cost heuristic shrank an oversized clean region — an
-// ordered subset of prev's tiles. The shrink never reorders or
-// rewrites surviving tiles, so an ordered-subsequence scan is exact.
-func regionRetainedFrom(got, prev SafeRegion) bool {
-	if reflect.DeepEqual(got, prev) {
-		return true
-	}
-	if got.Kind != KindTiles || prev.Kind != KindTiles || len(got.Tiles) >= len(prev.Tiles) {
-		return false
-	}
-	j := 0
-	for _, s := range got.Tiles {
-		for j < len(prev.Tiles) && prev.Tiles[j] != s {
-			j++
-		}
-		if j == len(prev.Tiles) {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
 // TestIncrementalDifferential is the correctness fence of the incremental
 // planner: randomized report streams across aggregates × directed ×
 // buffered × region shape, with every incremental plan checked against an
@@ -100,9 +75,8 @@ func regionRetainedFrom(got, prev SafeRegion) bool {
 //     full replan (it is one).
 //   - A kept outcome must return the retained regions verbatim, with every
 //     member still inside hers.
-//   - A partial outcome must keep every clean member's region intact —
-//     verbatim, or an ordered subset of its tiles when the cost
-//     heuristic shrank oversized regions — and cover every member.
+//   - A partial outcome must keep every clean member's region verbatim
+//     and cover every member.
 //   - Every plan, whatever the outcome, must satisfy the Definition 3
 //     independence property on sampled location instances.
 func TestIncrementalDifferential(t *testing.T) {
@@ -172,7 +146,7 @@ func TestIncrementalDifferential(t *testing.T) {
 						if !plan.Regions[i].Contains(u) {
 							t.Fatalf("step %d: partial region %d misses its user", step, i)
 						}
-						if prev[i].Contains(u) && !regionRetainedFrom(plan.Regions[i], prev[i]) {
+						if prev[i].Contains(u) && !reflect.DeepEqual(plan.Regions[i], prev[i]) {
 							t.Fatalf("step %d: clean member %d's region was regrown", step, i)
 						}
 					}
@@ -337,7 +311,7 @@ func TestIncrementalMultiDirtyITVerify(t *testing.T) {
 			if out == IncPartial {
 				sawPartial = true
 				// Member 2 never moves, so she is always the clean one.
-				if !regionRetainedFrom(plan.Regions[2], prevClean) {
+				if !reflect.DeepEqual(plan.Regions[2], prevClean) {
 					t.Fatalf("seed %d step %d: clean member's region changed", seed, step)
 				}
 			}

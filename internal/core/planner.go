@@ -61,31 +61,7 @@ type Options struct {
 	// MaxLayers caps the tile-grid layer explored by the orderings, as a
 	// safety bound on degenerate configurations. Zero means 4·TileLimit.
 	MaxLayers int
-
-	// IncCostRatio tunes the incremental planner's up-front cost
-	// heuristic: when the retained clean regions hold more than
-	// IncCostRatio times the tile frontier a fresh plan would build
-	// (m·(TileLimit+1) tiles) — regions that piled up sub-tiles reach
-	// far from their members, which pushes every regrown tile into a
-	// later buffer slot with more competitors to verify — the oversized
-	// clean regions are first shrunk to the fresh-frontier budget
-	// (keeping each member's nearest tiles) and the partial regrow
-	// proceeds against the trimmed set. Zero selects DefaultIncCostRatio
-	// (the measured crossover); a negative value disables the heuristic
-	// and always regrows against the untrimmed retained regions.
-	IncCostRatio float64
 }
-
-// DefaultIncCostRatio is the threshold of the partial-regrow cost
-// heuristic (see Options.IncCostRatio and the measurements on
-// regrowPredictedSlower). It was set where, on the cmd/mpnbench escape
-// workload, the untrimmed partial regrow stopped beating a full replan:
-// fine while retained tiles stay below ~1.0× the fresh frontier, a loss
-// at 1.25× (where trimming first won 2.6×). Since Divide-Verify skips
-// dead subtrees the two regimes are within 10 % of each other (30 µs
-// untrimmed, 27 µs trimmed, 51 µs full at 1.25×); the value stays because
-// moving it changes which tiles retained regions keep, hence plans.
-const DefaultIncCostRatio = 1.1
 
 // DefaultOptions returns the paper's default configuration (Table 2):
 // α=30, L=2, undirected ordering, GT-Verify, index pruning on, buffering

@@ -37,15 +37,6 @@ type Workspace struct {
 	exhausted []bool
 	dirty     []bool
 
-	// Scratch of the retained-region shrink (see shrinkRetained): the
-	// shrunk region headers, the (distance, index) selection candidates,
-	// the chosen tile indices, and the tile arena the shrunk regions
-	// point into. All valid only until growTiles seeds from them.
-	shrunk      []SafeRegion
-	shrinkSel   shrinkSelection
-	shrinkIdx   []int
-	shrinkTiles []geom.Rect
-
 	// net is the registered network backend's scratch slot (see
 	// NetScratch): resumable Dijkstra searches, candidate buffers, and
 	// interval arenas whose concrete type core does not know.
@@ -112,34 +103,6 @@ func (ws *Workspace) resizeExhausted(m int) []bool {
 func (ws *Workspace) resizeDirty(m int) []bool {
 	ws.dirty = grown(ws.dirty, m)
 	return ws.dirty
-}
-
-// resizeShrunk returns the workspace's shrunk-region slice sized to m;
-// shrinkRetained writes every element before the slice is read.
-func (ws *Workspace) resizeShrunk(m int) []SafeRegion {
-	ws.shrunk = grown(ws.shrunk, m)
-	return ws.shrunk
-}
-
-// shrinkCand is one selection candidate of the retained-region shrink:
-// a tile's distance from the user and its position in the region.
-type shrinkCand struct {
-	d   float64
-	idx int
-}
-
-// shrinkSelection sorts shrink candidates by (distance, original index);
-// it lives inside the Workspace so sort.Sort takes an already-allocated
-// pointer and the shrink path stays allocation-free in steady state.
-type shrinkSelection struct{ c []shrinkCand }
-
-func (s *shrinkSelection) Len() int      { return len(s.c) }
-func (s *shrinkSelection) Swap(i, j int) { s.c[i], s.c[j] = s.c[j], s.c[i] }
-func (s *shrinkSelection) Less(i, j int) bool {
-	if s.c[i].d != s.c[j].d {
-		return s.c[i].d < s.c[j].d
-	}
-	return s.c[i].idx < s.c[j].idx
 }
 
 // exportTiles deep-copies the scratch regions into exactly two fresh

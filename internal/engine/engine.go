@@ -1135,15 +1135,6 @@ func (e *Engine) Updates(id GroupID) int {
 	return int(st.seq)
 }
 
-// GroupSize returns the group's user count (0 if unknown).
-func (e *Engine) GroupSize(id GroupID) int {
-	st := e.lookup(id)
-	if st == nil {
-		return 0
-	}
-	return st.size
-}
-
 // NumGroups returns the registered group count across all shards.
 func (e *Engine) NumGroups() int {
 	n := 0

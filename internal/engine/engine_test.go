@@ -72,8 +72,8 @@ func TestRegisterAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumGroups() != 1 || e.GroupSize(id) != 3 || e.Updates(id) != 1 {
-		t.Fatalf("groups=%d size=%d updates=%d", e.NumGroups(), e.GroupSize(id), e.Updates(id))
+	if e.NumGroups() != 1 || e.Size(id) != 3 || e.Updates(id) != 1 {
+		t.Fatalf("groups=%d size=%d updates=%d", e.NumGroups(), e.Size(id), e.Updates(id))
 	}
 	if e.Meeting(id) == (geom.Point{}) {
 		t.Fatal("zero meeting point")

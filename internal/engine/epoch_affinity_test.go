@@ -179,8 +179,8 @@ func TestTileAffinityPlacement(t *testing.T) {
 
 	// Lifecycle through encoded ids.
 	for _, id := range []GroupID{idA, idB, idFar} {
-		if eng.GroupSize(id) != 2 {
-			t.Fatalf("group %d size %d", id, eng.GroupSize(id))
+		if eng.Size(id) != 2 {
+			t.Fatalf("group %d size %d", id, eng.Size(id))
 		}
 	}
 	if err := eng.Update(idA, colocA, nil); err != nil {
@@ -196,7 +196,7 @@ func TestTileAffinityPlacement(t *testing.T) {
 		t.Fatalf("notification for group %d, want %d", n.Group, idB)
 	}
 	eng.Unregister(idFar)
-	if eng.GroupSize(idFar) != 0 {
+	if eng.Size(idFar) != 0 {
 		t.Fatal("unregistered group still resolvable")
 	}
 	if eng.NumGroups() != 2 {

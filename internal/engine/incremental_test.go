@@ -286,9 +286,11 @@ func TestIncrementalEngineEndToEnd(t *testing.T) {
 		}
 	}
 	teleported := n.Regions
+	epochs := n.Epochs
 
 	// Single-member streams: walk user 0 outward until an update is
-	// served partially, and check the clean members kept their regions.
+	// served partially, and check the clean members kept their regions
+	// and, with them, their epochs (nothing is re-shipped to them).
 	step := moved
 	sawPartial := false
 	for i := 1; i <= 12 && !sawPartial; i++ {
@@ -306,14 +308,21 @@ func TestIncrementalEngineEndToEnd(t *testing.T) {
 			if !n.Regions[0].Contains(step[0]) {
 				t.Fatal("partial regrow misses the reporting user")
 			}
-			for _, j := range []int{1, 2} {
+			for j, u := range step {
+				if !teleported[j].Contains(u) {
+					continue
+				}
 				if !reflect.DeepEqual(n.Regions[j], teleported[j]) {
 					t.Fatalf("clean member %d's region changed on a partial update", j)
+				}
+				if n.Epochs[j] != epochs[j] {
+					t.Fatalf("clean member %d's epoch advanced on a partial update: %d → %d", j, epochs[j], n.Epochs[j])
 				}
 			}
 		case core.IncFull:
 			teleported = n.Regions // churn: new baseline for the clean check
 		}
+		epochs = n.Epochs
 	}
 	if !sawPartial {
 		t.Fatal("walking stream never produced a partial outcome")

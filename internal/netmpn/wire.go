@@ -104,10 +104,6 @@ func (r *Region) EqualRegion(other core.NetworkRegion) bool {
 	return true
 }
 
-// NumSegs returns how many covered sub-segments the region holds —
-// observability for tests and communication accounting.
-func (r *Region) NumSegs() int { return len(r.Segs) }
-
 // netRegionTag is the wire type byte of a network range region,
 // disjoint from 'C' (circle) and 'T' (tile set).
 const netRegionTag = 'N'

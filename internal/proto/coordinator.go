@@ -860,7 +860,6 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 	g.lastMeeting = meeting
 	g.havePlan = true
 	c.notifyObserversLocked(gid, g, meeting)
-	c.logger.Printf("group %d: notified %d members, meeting at %v", gid, len(ids), meeting)
 }
 
 // recordSend updates the member's delivered-state tracking after a send
@@ -1020,8 +1019,8 @@ func sortU32(xs []uint32) {
 	}
 }
 
-// EncodeRegion mirrors the public mpn.EncodeRegion format so clients of
-// either layer interoperate: 25 bytes for a circle (tag byte + three
+// EncodeRegion is the one region codec (the public mpn.EncodeRegion
+// delegates here): 25 bytes for a circle (tag byte + three
 // float64s), the 'N'-tagged covered-segment codec for network range
 // regions, the tileenc codec for tile regions. encodeRegion is the
 // internal alias.

@@ -46,9 +46,6 @@ func NewRoleState(r Role) *RoleState {
 // Get returns the current role.
 func (rs *RoleState) Get() Role { return Role(rs.v.Load()) }
 
-// IsPrimary reports whether the node currently serves writes.
-func (rs *RoleState) IsPrimary() bool { return rs.Get() == RolePrimary }
-
 // Promote moves Standby→Primary; reports whether the transition
 // happened (false when already primary or fenced).
 func (rs *RoleState) Promote() bool {

@@ -137,11 +137,6 @@ type SetConfig struct {
 	Seed int64
 }
 
-// DefaultSetConfig mirrors the paper's workloads at full scale.
-func DefaultSetConfig() SetConfig {
-	return SetConfig{NumTrajectories: 60, Steps: 10000, Speed: 0.0004, Seed: 7}
-}
-
 // GenerateGeoLifeSet builds the waypoint-model trajectory set.
 func GenerateGeoLifeSet(cfg SetConfig) (*TrajectorySet, error) {
 	if cfg.NumTrajectories <= 0 {

@@ -10,8 +10,8 @@ import (
 	"mpn/internal/gnn"
 	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
+	"mpn/internal/proto"
 	"mpn/internal/roadnet"
-	"mpn/internal/tileenc"
 )
 
 // RoadNetwork is an embedded road network for the NetRange method (see
@@ -393,45 +393,7 @@ func (g *Group) Stats() Stats {
 // circle (1 tag byte + 3 little-endian float64s), a tagged
 // covered-segment encoding for a network range region, the compact tile
 // codec otherwise. DecodeRegion reverses it.
-func EncodeRegion(r SafeRegion) []byte {
-	if r.Kind == core.KindCircle {
-		buf := make([]byte, 0, 25)
-		buf = append(buf, 'C')
-		buf = appendFloat(buf, r.Circle.C.X)
-		buf = appendFloat(buf, r.Circle.C.Y)
-		buf = appendFloat(buf, r.Circle.R)
-		return buf
-	}
-	if r.Kind == core.KindNetRange {
-		return r.Net.AppendEncode(nil)
-	}
-	delta := 0.0
-	for _, t := range r.Tiles {
-		if w := t.Width(); w > delta {
-			delta = w
-		}
-	}
-	return tileenc.Encode(r.Tiles, delta)
-}
+func EncodeRegion(r SafeRegion) []byte { return proto.EncodeRegion(r) }
 
 // DecodeRegion parses an EncodeRegion payload.
-func DecodeRegion(data []byte) (SafeRegion, error) {
-	if len(data) == 25 && data[0] == 'C' {
-		return core.CircleRegion(
-			Pt(floatAt(data, 1), floatAt(data, 9)),
-			floatAt(data, 17),
-		), nil
-	}
-	if len(data) > 0 && data[0] == 'N' {
-		nr, err := netmpn.DecodeRegion(data)
-		if err != nil {
-			return SafeRegion{}, err
-		}
-		return core.NetRegion(nr), nil
-	}
-	tiles, err := tileenc.Decode(data)
-	if err != nil {
-		return SafeRegion{}, err
-	}
-	return core.TileRegion(tiles...), nil
-}
+func DecodeRegion(data []byte) (SafeRegion, error) { return proto.DecodeRegion(data) }

@@ -238,14 +238,13 @@ func WithBuffer(b int) Option {
 // server retains each group's last plan, and an update whose recomputed
 // result set is unchanged regrows only the regions it invalidates —
 // every member still inside her region keeps it (the paper's
-// independent-safe-region protocol; verbatim, except that oversized
-// retained regions may be trimmed to the fresh-plan tile budget, see
-// WithIncrementalCostRatio), falling back to a full replan when the
-// optimum churns or the POI set mutated since the retained plan. Notification.Outcome reports which path each
-// recomputation took; Group.UpdateFull forces the full path for one
-// update. Incremental and full plans are equivalent (both are valid
-// safe-region sets for the same meeting point) but not byte-identical:
-// retained regions were grown around older locations.
+// independent-safe-region protocol), falling back to a full replan when
+// the optimum churns or the POI set mutated since the retained plan.
+// Notification.Outcome reports which path each recomputation took;
+// Group.UpdateFull forces the full path for one update. Incremental and
+// full plans are equivalent (both are valid safe-region sets for the
+// same meeting point) but not byte-identical: retained regions were
+// grown around older locations.
 func WithIncremental() Option {
 	return func(c *config) error {
 		c.incremental = true
@@ -275,24 +274,6 @@ func WithSharedGNNCache(maxBytes int) Option {
 			return fmt.Errorf("mpn: GNN cache budget %d must be positive", maxBytes)
 		}
 		c.cacheBytes = int64(maxBytes)
-		return nil
-	}
-}
-
-// WithIncrementalCostRatio tunes the incremental planner's up-front
-// cost heuristic: when the retained clean regions hold more than ratio
-// times the tile frontier a fresh plan would build — oversized retained
-// regions make the partial regrow verify more than a full replan
-// computes — the clean regions are first shrunk to the fresh-frontier
-// budget (each member keeps the tiles nearest her; a subset of a valid
-// region set is itself valid) and the partial regrow proceeds against
-// the trimmed set. Zero selects the measured default crossover; a
-// negative ratio disables the heuristic and always regrows against the
-// untrimmed retained regions. Only meaningful together with
-// WithIncremental.
-func WithIncrementalCostRatio(ratio float64) Option {
-	return func(c *config) error {
-		c.core.IncCostRatio = ratio
 		return nil
 	}
 }
