@@ -50,14 +50,14 @@
 //	mpnserver [-listen :7464] [-method circle|tile|tiled|net] [-agg max|sum]
 //	          [-n 21287] [-alpha 30] [-buffer 100] [-seed 42] [-pois FILE.csv]
 //	          [-shards N] [-workers N] [-queue N] [-incremental] [-gnncache N]
-//	          [-delta=true] [-affinity] [-network] [-poi-every 9]
+//	          [-delta=true] [-poi-every 9]
 //	          [-state-dir DIR] [-fsync always|interval|off]
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
 //	          [-promote-after 10s]
 //
 // POIs are generated synthetically unless -pois points to a CSV of "x,y"
-// lines (as produced by cmd/poigen). With -network (or -method net) the
-// server plans under shortest-path distance on a synthetic road network:
+// lines (as produced by cmd/poigen). With -method net the server plans
+// under shortest-path distance on a synthetic road network:
 // POIs sit on every k-th network node (-poi-every), safe regions are
 // covered road segments shipped with the 'N' wire tag, and -pois/-n are
 // ignored.
@@ -96,9 +96,8 @@ func main() {
 	log.SetPrefix("mpnserver: ")
 
 	listen := flag.String("listen", ":7464", "TCP listen address")
-	method := flag.String("method", "tiled", "safe-region method: circle, tile, tiled, or net")
-	network := flag.Bool("network", false, "plan under shortest-path distance on a synthetic road network (same as -method net); POIs live on network nodes and safe regions are covered road segments")
-	poiEvery := flag.Int("poi-every", 9, "with -network, place a POI on every k-th network node")
+	method := flag.String("method", "tiled", "safe-region method: circle, tile, tiled, or net (plan under shortest-path distance on a synthetic road network; POIs live on network nodes and safe regions are covered road segments)")
+	poiEvery := flag.Int("poi-every", 9, "with -method net, place a POI on every k-th network node")
 	agg := flag.String("agg", "max", "objective: max or sum")
 	n := flag.Int("n", workload.DefaultPOICount, "synthetic POI count (ignored with -pois)")
 	alpha := flag.Int("alpha", 30, "tile limit α")
@@ -111,7 +110,6 @@ func main() {
 	incremental := flag.Bool("incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
 	cacheBytes := flag.Int64("gnncache", 0, "shared GNN neighborhood cache byte budget, 0 disables (co-located groups reuse each other's index traversals)")
 	delta := flag.Bool("delta", true, "delta notifications: clients that negotiate receive epoch-tracked region diffs (only changed regions travel), with automatic full-frame fallback and repair")
-	tileAffinity := flag.Bool("affinity", false, "place new groups onto engine shards by quantized centroid tile, so co-located groups share worker-local state")
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "deadline armed before every connection write; a peer that stops draining this long is disconnected (0 disables)")
 	slowLimit := flag.Int("slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
@@ -125,9 +123,6 @@ func main() {
 	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a standby whose primary has been unreachable this long (0 = never promote automatically)")
 	flag.Parse()
 
-	if *network {
-		*method = "net"
-	}
 	pois, err := loadPOIs(*poiPath, *n, *seed)
 	if err != nil {
 		log.Fatal(err)
@@ -139,7 +134,6 @@ func main() {
 		incremental: *incremental,
 		cacheBytes:  *cacheBytes,
 		delta:       *delta,
-		affinity:    *tileAffinity,
 		readTimeout: *readTimeout, writeTimeout: *writeTimeout,
 		slowLimit:     *slowLimit,
 		admissionWait: *admissionWait, closeTimeout: *closeTimeout,
@@ -184,7 +178,6 @@ type serverConfig struct {
 	incremental            bool
 	cacheBytes             int64
 	delta                  bool
-	affinity               bool
 	// Failure-semantics knobs (zero values keep prior behavior for
 	// timeouts and pick engine/coordinator defaults for the rest).
 	readTimeout, writeTimeout   time.Duration
@@ -238,6 +231,7 @@ type server struct {
 	writeTimeout time.Duration
 	cstats       connStats
 	shedReports  atomic.Uint64 // reports shed by engine admission control
+	coalesced    atomic.Uint64 // reports that shared a newer report's recomputation
 
 	// mu guards the protocol-group ↔ engine-group id mappings; it is also
 	// held across engine registration so a group's initial notification
@@ -436,9 +430,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.incremental {
 		eopts.Replan = engine.PlannerKindIncFunc(planner, kind, cache)
 	}
-	if cfg.affinity {
-		eopts.TileAffinity = engine.DefaultTileAffinity
-	}
 	s := &server{
 		planner:      planner,
 		cache:        cache,
@@ -564,7 +555,7 @@ func (s *server) deliverError(gid uint32, err error) {
 		}
 		return
 	}
-	go s.coord.Deliver(gid, nil, geom.Point{}, nil, err)
+	go s.coord.Deliver(gid, nil, geom.Point{}, nil, nil, err)
 }
 
 // fanout pumps engine notifications into the coordinator's delivery path.
@@ -589,9 +580,9 @@ func (s *server) fanout() {
 			continue // group already unregistered
 		}
 		rt, _ := n.Tag.(reportTag) // id ordering the snapshot was computed for
-		s.coord.DeliverEpochs(gid, rt.ids, n.Meeting, n.Regions, n.Epochs, n.Err)
+		s.coord.Deliver(gid, rt.ids, n.Meeting, n.Regions, n.Epochs, n.Err)
 		if n.Coalesced > 1 {
-			s.logger.Printf("group %d: recompute covered %d coalesced reports", gid, n.Coalesced)
+			s.coalesced.Add(uint64(n.Coalesced - 1))
 		}
 	}
 }
@@ -650,6 +641,9 @@ type serverStats struct {
 	IdleTimeouts  uint64
 	FanoutDropped uint64        // engine→coordinator notification drops
 	WAL           durable.Stats // zero when durability is off
+	// CoalescedReports counts reports that shared a newer report's
+	// recomputation: Notification.Coalesced − 1 per delivery.
+	CoalescedReports uint64
 	// Replication roll-up (zero values when replication is off).
 	Role  string // current replication role
 	Epoch uint64 // fencing epoch
@@ -675,6 +669,8 @@ func (s *server) stats() serverStats {
 		WriteErrors:   s.cstats.writeErrors.Load(),
 		IdleTimeouts:  s.cstats.idleTimeouts.Load(),
 		FanoutDropped: s.sub.Dropped(),
+
+		CoalescedReports: s.coalesced.Load(),
 	}
 	if s.store != nil {
 		st.WAL = s.store.Stats()
@@ -710,8 +706,8 @@ func (s *server) close() {
 		s.logger.Printf("wal: appended=%d shed=%d syncs=%d compactions=%d errors=%d wedged=%v",
 			w.Appended, w.Shed, w.Syncs, w.Compactions, w.Errors, w.Wedged)
 	}
-	s.logger.Printf("served %d conns (%dB in, %dB out); shed=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d",
-		st.ConnsAccepted, st.ReadBytes, st.WriteBytes,
+	s.logger.Printf("served %d conns (%dB in, %dB out); coalesced=%d shed=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d",
+		st.ConnsAccepted, st.ReadBytes, st.WriteBytes, st.CoalescedReports,
 		st.ShedReports+st.EngineShed, st.EngineAbandon,
 		st.Coord.SlowClientDisconnects, st.Coord.DroppedFrames,
 		st.IdleTimeouts, st.ReadErrors, st.WriteErrors)

@@ -235,6 +235,17 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 			t.Fatal("never converged on the final location")
 		}
 	}
+	// Every report either got a recomputation of its own or is counted as
+	// coalesced into a newer one. The fan-out counts in delivery order, so
+	// the final notification having arrived means all of them are in.
+	srv.mu.Lock()
+	eid := srv.gidToEngine[9]
+	srv.mu.Unlock()
+	recomputed := uint64(srv.eng.Updates(eid) - 1) // minus the registration plan
+	if got := recomputed + srv.stats().CoalescedReports; got != 21 {
+		t.Fatalf("%d recomputations + %d coalesced reports, want 21 reports accounted for",
+			recomputed, srv.stats().CoalescedReports)
+	}
 }
 
 // TestMethodValidated: -method is checked like -agg. Before the check,

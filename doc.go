@@ -120,7 +120,7 @@
 // and the same Planner.Plan entry point (core.KindNetRange):
 //
 //   - ALT landmarks: NewServer precomputes shortest-path trees from a
-//     few far-apart landmark nodes (WithNetLandmarks); per-query work
+//     few far-apart landmark nodes; per-query work
 //     examines POI candidates in ascending landmark-lower-bound order
 //     and terminates early, with one resumable truncated Dijkstra per
 //     member instead of per (member, POI) pair. Selection replays the
@@ -145,7 +145,7 @@
 //
 // Network regions encode with a dedicated 'N'-tagged wire codec
 // (segments plus a center/radius summary) understood by EncodeRegion /
-// DecodeRegion and the coordinator. cmd/mpnserver -network serves the
+// DecodeRegion and the coordinator. cmd/mpnserver -method net serves the
 // network backend over TCP; the net_* series in BENCH_plan.json track
 // the ALT planner against the naive oracle (benchgate enforces ≥5×),
 // the incremental path, and the cache.
@@ -175,11 +175,7 @@
 // but not byte-identical: a retained region was grown around an older
 // location, so a full replan at the current locations would shape it
 // differently. Plans produced on the ReplanFull path are byte-identical
-// to what the non-incremental server would compute. Group.UpdateFull
-// (synchronous) and Group.SubmitUpdateFull (asynchronous) are the escape
-// hatch that forces the full path for one update, e.g. to hand a
-// rejoining client fresh regions; the forced-full demand survives
-// submission coalescing. In the
+// to what the non-incremental server would compute. In the
 // steady-state benchmark the kept path turns a multi-millisecond
 // recomputation into ~10µs, and a single escaping member costs a regrow
 // of one region instead of m.

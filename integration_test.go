@@ -111,11 +111,12 @@ func TestProtocolAgainstPublicPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := func(users []geom.Point) (geom.Point, []core.SafeRegion, error) {
+	// A backend that answers every submission inline (ok=true) makes the
+	// coordinator synchronous.
+	coord := proto.NewAsyncCoordinator(func(_ uint32, _ []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		mp, regions, _, err := server.Plan(users, nil)
-		return mp, regions, err
-	}
-	coord := proto.NewCoordinator(plan, nil)
+		return mp, regions, nil, err == nil
+	}, nil)
 
 	serverSide, clientSide := net.Pipe()
 	go func() { _ = coord.ServeConn(serverSide) }()

@@ -69,9 +69,9 @@ type PlanState struct {
 func (st *PlanState) Valid() bool { return st.valid }
 
 // Invalidate drops the retained plan, forcing the next incremental call
-// down the full-replan path — the escape hatch behind forced-full
-// updates. The epoch vector survives, so slots keep advancing
-// monotonically across the forced replan.
+// down the full-replan path — what the engine does when a planner panic
+// may have left the state torn. The epoch vector survives, so slots keep
+// advancing monotonically across the forced replan.
 func (st *PlanState) Invalidate() {
 	st.valid = false
 	st.regions = nil

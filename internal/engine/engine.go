@@ -23,6 +23,15 @@
 //     and whether the meeting point actually moved. Sends never block; a
 //     slow subscriber drops frames and the drop count is observable.
 //
+// There is one path from a location snapshot to a notification:
+// recompute plans the snapshot (compute, the engine's only call into the
+// planner — a non-incremental PlanWSFunc is adapted to the ReplanWSFunc
+// shape at construction), stores the plan, bumps Seq, journals and
+// notifies. The synchronous Update runs it on the caller's goroutine,
+// Submit/SubmitTag hand it to a shard worker; the two differ only in
+// whose workspace plans and in who learns of a planner error (Update's
+// caller, or the subscribers of the asynchronous path).
+//
 // The engine guarantees at most one in-flight asynchronous recomputation
 // per group, so successful notifications for one group are emitted in
 // strictly increasing Seq order (error notifications repeat the Seq of
@@ -34,7 +43,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -195,32 +203,11 @@ type Options struct {
 	// encodes and enqueues without blocking). The tag is the one given
 	// at RegisterTag, the group's stable identity across its lifetime.
 	Journal Journal
-	// TileAffinity, when positive, places new groups onto shards by
-	// their quantized centroid tile (side length = TileAffinity) instead
-	// of hashing the group id: co-located groups land on the same
-	// shard, so they share that shard's worker-local workspace state —
-	// warmed scratch sized for the local geometry — on top of any global
-	// GNN cache. The shard index is encoded in the returned GroupID, so
-	// lookups stay O(1). Zero disables affinity (the default id hash).
-	TileAffinity float64
 }
-
-// DefaultTileAffinity is the centroid quantization WithTileAffinity-style
-// callers use when they have no better number: 1/128 of the unit domain,
-// matching the shared GNN cache's default tile size so "same cache tile"
-// and "same shard" coincide.
-const DefaultTileAffinity = 1.0 / 128
-
-// affinityShardBits is how many low GroupID bits carry the shard index
-// when Options.TileAffinity is set.
-const affinityShardBits = 16
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.TileAffinity > 0 && o.Shards > 1<<affinityShardBits {
-		o.Shards = 1 << affinityShardBits
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -309,9 +296,8 @@ func (s *Subscription) Close() {
 type update struct {
 	users []geom.Point
 	dirs  []core.Direction
-	count int  // submissions coalesced into this snapshot
-	full  bool // some coalesced submission demanded a full replan
-	tag   any  // opaque caller tag of the newest submission
+	count int // submissions coalesced into this snapshot
+	tag   any // opaque caller tag of the newest submission
 }
 
 // groupState is the engine-side state of one group. The registry shard
@@ -332,13 +318,13 @@ type groupState struct {
 	stats   core.Stats // accumulated across recomputations
 	seq     uint64     // completed recomputations
 
-	// replanMu serializes incremental recomputations for this group and
-	// guards planState. It is held across the whole planning call — per
-	// group there is at most one asynchronous recomputation in flight, so
-	// it only ever contends with a racing synchronous Update. Never
-	// acquired while holding mu.
+	// replanMu serializes recomputations for this group and guards
+	// planState. It is held across the whole planning call — per group
+	// there is at most one asynchronous recomputation in flight, so it
+	// only ever contends with a racing synchronous Update. Never acquired
+	// while holding mu.
 	replanMu  sync.Mutex
-	planState core.PlanState // retained plan, used only when Options.Replan is set
+	planState core.PlanState // retained plan; stays zero unless Options.Replan is set
 }
 
 // shard is one lock stripe of the registry plus its run queue.
@@ -453,8 +439,7 @@ func (sh *shard) abandon() {
 // Engine is the sharded concurrent group engine. All methods are safe for
 // concurrent use.
 type Engine struct {
-	plan      PlanWSFunc
-	replan    ReplanWSFunc // non-nil iff Options.Replan was set
+	replan    ReplanWSFunc // Options.Replan, or the PlanWSFunc adapted to its shape
 	journal   Journal      // non-nil iff Options.Journal was set
 	opts      Options
 	shards    []*shard
@@ -493,17 +478,25 @@ func (e *Engine) beginOp() bool {
 // NewWS builds an engine over a workspace-aware plan function: each shard
 // worker owns one long-lived core.Workspace reused across all its
 // recomputations, and the synchronous Register/Update paths borrow one
-// from the core pool, so steady-state planning is allocation-free. plan
-// may be nil only when Options.Replan is set (every recomputation then
-// goes through the incremental replanner).
+// from the core pool, so steady-state planning is allocation-free. When
+// Options.Replan is set every recomputation goes through it and plan is
+// unused (it may be nil); otherwise plan is adapted to the replanner's
+// shape — it never touches the retained state, so every outcome is
+// core.IncFull and the epoch vector stays nil.
 func NewWS(plan PlanWSFunc, opts Options) *Engine {
-	if plan == nil && opts.Replan == nil {
-		panic("engine: nil PlanWSFunc")
+	replan := opts.Replan
+	if replan == nil {
+		if plan == nil {
+			panic("engine: nil PlanWSFunc")
+		}
+		replan = func(ws *core.Workspace, _ *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
+			meeting, regions, stats, err := plan(ws, users, dirs)
+			return meeting, regions, stats, core.IncFull, err
+		}
 	}
 	opts = opts.withDefaults()
 	e := &Engine{
-		plan:    plan,
-		replan:  opts.Replan,
+		replan:  replan,
 		journal: opts.Journal,
 		opts:    opts,
 		shards:  make([]*shard, opts.Shards),
@@ -530,34 +523,9 @@ func (e *Engine) start() {
 func (e *Engine) Options() Options { return e.opts }
 
 func (e *Engine) shardFor(id GroupID) *shard {
-	if e.opts.TileAffinity > 0 {
-		// Affinity ids carry their shard index in the low bits (assigned
-		// < len(shards) at registration; the modulo only guards foreign
-		// ids).
-		return e.shards[(uint64(id)&(1<<affinityShardBits-1))%uint64(len(e.shards))]
-	}
 	// Fibonacci hashing spreads sequential ids across shards.
 	h := uint64(id) * 0x9e3779b97f4a7c15
 	return e.shards[h%uint64(len(e.shards))]
-}
-
-// affinityShard maps a group's quantized centroid tile to a shard index,
-// so groups whose centroids share a tile share a shard (and its workers'
-// warmed workspaces).
-func (e *Engine) affinityShard(users []geom.Point) uint64 {
-	var cx, cy float64
-	for _, u := range users {
-		cx += u.X
-		cy += u.Y
-	}
-	inv := 1 / float64(len(users))
-	tx := int64(math.Floor(cx * inv / e.opts.TileAffinity))
-	ty := int64(math.Floor(cy * inv / e.opts.TileAffinity))
-	h := uint64(tx)*0x9e3779b97f4a7c15 ^ uint64(ty)*0xc2b2ae3d27d4eb4f
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h % uint64(len(e.shards))
 }
 
 // Register adds a group, computes its first plan synchronously (so the
@@ -576,34 +544,18 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 	if len(users) == 0 {
 		return 0, ErrNoUsers
 	}
+	// The zero plan state forces the replanner down the full path and
+	// comes back seeded, so the first escape report can already be served
+	// incrementally. The group is published only once its plan succeeded.
+	st := &groupState{size: len(users), tag: tag}
 	ws := core.GetWorkspace()
-	var pstate core.PlanState
-	var meeting geom.Point
-	var regions []core.SafeRegion
-	var stats core.Stats
-	var err error
-	if e.replan != nil {
-		// Seed the retained plan state through the replanner (the zero
-		// state forces the full path), so the first escape report can
-		// already be served incrementally.
-		meeting, regions, stats, _, err = e.runReplan(ws, &pstate, users, dirs)
-	} else {
-		meeting, regions, stats, err = e.runPlan(ws, users, dirs)
-	}
+	meeting, regions, epochs, stats, _, err := e.compute(st, ws, users, dirs, e.hasSubscribers())
 	core.PutWorkspace(ws)
 	if err != nil {
 		return 0, err
 	}
-	seq := e.nextID.Add(1)
-	id := GroupID(seq)
-	if e.opts.TileAffinity > 0 {
-		id = GroupID(seq<<affinityShardBits | e.affinityShard(users))
-	}
-	st := &groupState{
-		id: id, size: len(users), tag: tag,
-		meeting: meeting, regions: regions, stats: stats, seq: 1,
-		planState: pstate,
-	}
+	id := GroupID(e.nextID.Add(1))
+	st.id, st.meeting, st.regions, st.stats, st.seq = id, meeting, regions, stats, 1
 	sh := e.shardFor(id)
 	sh.mu.Lock()
 	if sh.closed {
@@ -618,14 +570,6 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		e.journal.GroupCommitted(tag, users, dirs)
 	}
 	if e.hasSubscribers() {
-		var epochs []uint64
-		if e.replan != nil {
-			// Under replanMu: a submission racing this registration could
-			// already be advancing the state on a worker.
-			st.replanMu.Lock()
-			epochs = append([]uint64(nil), st.planState.Epochs()...)
-			st.replanMu.Unlock()
-		}
 		e.emit(Notification{
 			Group: id, Seq: 1, Meeting: meeting, Regions: regions,
 			Stats: stats, Coalesced: 1, Changed: true, Tag: tag,
@@ -687,26 +631,13 @@ func (st *groupState) validate(users []geom.Point) error {
 // shard's run queue is full, and then at most Options.AdmissionWait
 // before shedding the submission with ErrOverloaded.
 func (e *Engine) Submit(id GroupID, users []geom.Point, dirs []core.Direction) error {
-	return e.submit(id, users, dirs, nil, false)
-}
-
-// SubmitFull is Submit with the incremental state invalidated when the
-// recomputation runs: the plan is recomputed from scratch even if every
-// member is inside her retained region. The demand survives coalescing —
-// if the submission collapses into a burst, the burst's recomputation is
-// full.
-func (e *Engine) SubmitFull(id GroupID, users []geom.Point, dirs []core.Direction) error {
-	return e.submit(id, users, dirs, nil, true)
+	return e.SubmitTag(id, users, dirs, nil)
 }
 
 // SubmitTag is Submit with an opaque tag: the notification for the
 // recomputation that covers this submission carries the tag of the
 // newest coalesced submission (see Notification.Tag).
 func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction, tag any) error {
-	return e.submit(id, users, dirs, tag, false)
-}
-
-func (e *Engine) submit(id GroupID, users []geom.Point, dirs []core.Direction, tag any, full bool) error {
 	if !e.beginOp() {
 		return ErrClosed
 	}
@@ -724,7 +655,6 @@ func (e *Engine) submit(id GroupID, users []geom.Point, dirs []core.Direction, t
 		users: append([]geom.Point(nil), users...),
 		dirs:  append([]core.Direction(nil), dirs...),
 		count: 1,
-		full:  full,
 		tag:   tag,
 	}
 	st.mu.Lock()
@@ -734,7 +664,6 @@ func (e *Engine) submit(id GroupID, users []geom.Point, dirs []core.Direction, t
 	}
 	if st.pending != nil {
 		up.count += st.pending.count
-		up.full = up.full || st.pending.full
 	}
 	st.pending = up
 	enqueue := !st.queued && !st.running
@@ -758,68 +687,93 @@ func (e *Engine) submit(id GroupID, users []geom.Point, dirs []core.Direction, t
 	return nil
 }
 
-// compute runs one recomputation over the snapshot, routing through the
-// incremental replanner when one is configured. The group's replan lock
-// is held across the whole planning call: it guards the retained plan
-// state, serializing a synchronous Update against the at-most-one
-// asynchronous recomputation in flight. forceFull invalidates the
-// retained state first, so the replanner takes the from-scratch path.
+// compute plans one location snapshot against the group's retained
+// state — the engine's one call into the planner. It goes through the
+// EnginePlan failpoint with panic isolation: a panic, the planner's own
+// or an injected one, comes back as a *PanicError instead of unwinding
+// the calling goroutine (which on the worker path would kill a pool
+// worker). The group's replan lock is held across the whole call: it
+// guards the retained plan state, serializing a synchronous Update
+// against the at-most-one asynchronous recomputation in flight.
 // wantEpochs asks for a snapshot of the post-recomputation epoch vector
 // (a copy, taken while the lock is still held); callers that will not
 // emit a notification pass false and skip the copy.
-func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point, dirs []core.Direction, forceFull, wantEpochs bool) (geom.Point, []core.SafeRegion, []uint64, core.Stats, core.IncOutcome, error) {
-	if e.replan == nil {
-		meeting, regions, stats, err := e.runPlan(ws, users, dirs)
-		return meeting, regions, nil, stats, core.IncFull, err
-	}
+func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point, dirs []core.Direction, wantEpochs bool) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, stats core.Stats, outcome core.IncOutcome, err error) {
 	st.replanMu.Lock()
 	defer st.replanMu.Unlock()
-	if forceFull {
-		st.planState.Invalidate()
-	}
-	meeting, regions, stats, outcome, err := e.runReplan(ws, &st.planState, users, dirs)
-	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
+	defer func() {
+		if v := recover(); v != nil {
 			// The panic may have left the retained state half-written.
 			// Drop it so the group's next recomputation replans from
 			// scratch off a clean slate instead of trusting torn state.
 			st.planState.Invalidate()
+			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
-		return meeting, regions, nil, stats, outcome, err
-	}
-	var epochs []uint64
-	if wantEpochs {
+	}()
+	faultinject.Fire(faultinject.EnginePlan)
+	meeting, regions, stats, outcome, err = e.replan(ws, &st.planState, users, dirs)
+	if err == nil && wantEpochs {
 		epochs = append([]uint64(nil), st.planState.Epochs()...)
 	}
 	return meeting, regions, epochs, stats, outcome, err
 }
 
-// runPlan invokes the full planner through the EnginePlan failpoint with
-// panic isolation: a panic — the planner's own or an injected one —
-// comes back as a *PanicError instead of unwinding the calling
-// goroutine (which on the worker path would kill a pool worker).
-func (e *Engine) runPlan(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (meeting geom.Point, regions []core.SafeRegion, stats core.Stats, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
+// recompute is the one path from a location snapshot to a committed
+// plan: compute, store the plan, bump Seq, journal, notify. Update runs
+// it on the caller's goroutine with a pooled workspace, the shard worker
+// on its own. superseded, when non-nil, is a pending snapshot older than
+// up: if it is still the group's pending snapshot at commit time it is
+// dropped and its submissions count as covered here. A planner error
+// leaves the previous plan (and its Seq) in place and is returned; a
+// group unregistered while its plan was computing commits nothing,
+// journals nothing, emits nothing and returns ErrUnknownGroup.
+func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *update) error {
+	meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, up.users, up.dirs, e.hasSubscribers())
+	if err != nil {
+		return err
+	}
+	st.mu.Lock()
+	if st.removed {
+		st.mu.Unlock()
+		return ErrUnknownGroup
+	}
+	covered := up.count
+	if superseded != nil && st.pending == superseded {
+		// The group may stay queued; the worker skips a nil pending.
+		covered += superseded.count
+		st.pending = nil
+	}
+	changed := meeting != st.meeting
+	st.meeting = meeting
+	st.regions = regions
+	st.stats.Add(stats)
+	st.seq++
+	if e.journal != nil {
+		// Prefer the covering submission's tag: it describes the snapshot
+		// this commit was computed from. Untagged submissions fall back to
+		// the group's registration identity.
+		jt := up.tag
+		if jt == nil {
+			jt = st.tag
 		}
-	}()
-	faultinject.Fire(faultinject.EnginePlan)
-	return e.plan(ws, users, dirs)
-}
-
-// runReplan is runPlan for the incremental replanner. Callers holding
-// the group's replan lock must invalidate the retained state when the
-// returned error is a *PanicError (see compute).
-func (e *Engine) runReplan(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (meeting geom.Point, regions []core.SafeRegion, stats core.Stats, outcome core.IncOutcome, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
+		e.journal.GroupCommitted(jt, up.users, up.dirs)
+	}
+	// Assemble the notification only when someone is listening: the
+	// zero-subscriber steady state pays for the recomputation alone.
+	emit := e.hasSubscribers()
+	var n Notification
+	if emit {
+		n = Notification{
+			Group: st.id, Seq: st.seq, Meeting: meeting, Regions: regions,
+			Stats: stats, Coalesced: covered, Changed: changed,
+			Outcome: outcome, Epochs: epochs, Tag: up.tag,
 		}
-	}()
-	faultinject.Fire(faultinject.EnginePlan)
-	return e.replan(ws, st, users, dirs)
+	}
+	st.mu.Unlock()
+	if emit {
+		e.emit(n)
+	}
+	return nil
 }
 
 // Update recomputes synchronously on the caller's goroutine and emits the
@@ -829,21 +783,9 @@ func (e *Engine) runReplan(ws *core.Workspace, st *core.PlanState, users []geom.
 // Submit that arrives during the computation is kept and recomputed
 // after. Seq assignment stays strictly increasing through the shared
 // per-group state, but a synchronous Update racing an asynchronous
-// recomputation already in flight may emit out of Seq order (each runs
-// its own computation, last store wins).
+// recomputation already in flight may emit out of Seq order (the two
+// commit independently, last store wins).
 func (e *Engine) Update(id GroupID, users []geom.Point, dirs []core.Direction) error {
-	return e.update(id, users, dirs, false)
-}
-
-// UpdateFull is Update with the incremental state invalidated first, so
-// the plan is recomputed from scratch even when every member is inside
-// her retained region — the synchronous forced-full escape hatch. On a
-// non-incremental engine it is identical to Update.
-func (e *Engine) UpdateFull(id GroupID, users []geom.Point, dirs []core.Direction) error {
-	return e.update(id, users, dirs, true)
-}
-
-func (e *Engine) update(id GroupID, users []geom.Point, dirs []core.Direction, forceFull bool) error {
 	if !e.beginOp() {
 		return ErrClosed
 	}
@@ -858,50 +800,10 @@ func (e *Engine) update(id GroupID, users []geom.Point, dirs []core.Direction, f
 	st.mu.Lock()
 	superseded := st.pending
 	st.mu.Unlock()
-	if superseded != nil && superseded.full {
-		// This call may discard that snapshot below; honor its forced-full
-		// demand rather than dropping it.
-		forceFull = true
-	}
 	ws := core.GetWorkspace()
-	meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, users, dirs, forceFull, e.hasSubscribers())
+	err := e.recompute(st, ws, &update{users: users, dirs: dirs, count: 1}, superseded)
 	core.PutWorkspace(ws)
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	covered := 1
-	if superseded != nil && st.pending == superseded {
-		// Still the same snapshot that predates this call: drop it and
-		// count its submissions as covered by this recomputation. The
-		// group may stay queued; the worker skips a nil pending.
-		covered += superseded.count
-		st.pending = nil
-	}
-	changed := meeting != st.meeting
-	st.meeting = meeting
-	st.regions = regions
-	st.stats.Add(stats)
-	st.seq++
-	if e.journal != nil && !st.removed {
-		e.journal.GroupCommitted(st.tag, users, dirs)
-	}
-	// Assemble the notification only when someone is listening: the
-	// zero-subscriber steady state pays for the recomputation alone.
-	emit := !st.removed && e.hasSubscribers()
-	var n Notification
-	if emit {
-		n = Notification{
-			Group: st.id, Seq: st.seq, Meeting: meeting, Regions: regions,
-			Stats: stats, Coalesced: covered, Changed: changed,
-			Outcome: outcome, Epochs: epochs,
-		}
-	}
-	st.mu.Unlock()
-	if emit {
-		e.emit(n)
-	}
-	return nil
+	return err
 }
 
 // worker drains one shard's run queue. Each worker owns one long-lived
@@ -929,43 +831,18 @@ func (e *Engine) worker(sh *shard) {
 		st.running = true
 		st.mu.Unlock()
 
-		meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, up.users, up.dirs, up.full, e.hasSubscribers())
+		err := e.recompute(st, ws, up, nil)
 
 		st.mu.Lock()
+		// The asynchronous path has no caller to return a planner failure
+		// to: surface it as a notification over the previous plan.
+		emit := err != nil && !st.removed && e.hasSubscribers()
 		var n Notification
-		emit := !st.removed && e.hasSubscribers()
-		if err != nil {
-			// Keep the previous plan (and its Seq); surface the failure.
-			if emit {
-				n = Notification{
-					Group: st.id, Seq: st.seq, Meeting: st.meeting,
-					Regions: st.regions, Coalesced: up.count, Err: err,
-					Tag: up.tag,
-				}
-			}
-		} else {
-			changed := meeting != st.meeting
-			st.meeting = meeting
-			st.regions = regions
-			st.stats.Add(stats)
-			st.seq++
-			if e.journal != nil && !st.removed {
-				// Prefer the covering submission's tag: it describes the
-				// snapshot this commit was computed from. Untagged Submit
-				// falls back to the group's registration identity.
-				jt := up.tag
-				if jt == nil {
-					jt = st.tag
-				}
-				e.journal.GroupCommitted(jt, up.users, up.dirs)
-			}
-			if emit {
-				n = Notification{
-					Group: st.id, Seq: st.seq, Meeting: meeting,
-					Regions: regions, Stats: stats, Coalesced: up.count,
-					Changed: changed, Outcome: outcome, Epochs: epochs,
-					Tag: up.tag,
-				}
+		if emit {
+			n = Notification{
+				Group: st.id, Seq: st.seq, Meeting: st.meeting,
+				Regions: st.regions, Coalesced: up.count, Err: err,
+				Tag: up.tag,
 			}
 		}
 		requeue := st.pending != nil && !st.removed
@@ -1071,9 +948,6 @@ func (e *Engine) Regions(id GroupID) []core.SafeRegion {
 // vector (see Notification.Epochs). Nil on non-incremental engines and
 // unknown groups.
 func (e *Engine) Epochs(id GroupID) []uint64 {
-	if e.replan == nil {
-		return nil
-	}
 	st := e.lookup(id)
 	if st == nil {
 		return nil

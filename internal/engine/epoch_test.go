@@ -43,7 +43,7 @@ func nextNotification(t *testing.T, sub *Subscription) Notification {
 // TestNotificationEpochs asserts the epoch vector rides every successful
 // notification of an incremental engine and follows the core contract:
 // registration starts every slot at 1, a kept update advances nothing, a
-// forced-full update advances every changed slot, and the vector is a
+// from-scratch replan advances every changed slot, and the vector is a
 // private copy (stable after later recomputations).
 func TestNotificationEpochs(t *testing.T) {
 	planner := epochTestPlanner(t)
@@ -88,23 +88,30 @@ func TestNotificationEpochs(t *testing.T) {
 		}
 	}
 
-	// Forced-full: the regions are regrown; every slot whose content
-	// changed advances, and the emitted vector must not change under a
-	// later recomputation (it is a copy, not a view).
-	if err := eng.UpdateFull(id, jit, nil); err != nil {
+	// Whole-group teleport: the optimum moves, every region is regrown
+	// from scratch and so every slot advances; the emitted vector must not
+	// change under a later recomputation (it is a copy, not a view).
+	teleport := func(dx, dy float64) []geom.Point {
+		out := make([]geom.Point, len(users))
+		for i, u := range users {
+			out[i] = geom.Pt(u.X+dx, u.Y+dy)
+		}
+		return out
+	}
+	if err := eng.Update(id, teleport(0.3, 0.3), nil); err != nil {
 		t.Fatal(err)
 	}
 	full := nextNotification(t, sub)
 	if full.Outcome != core.IncFull {
-		t.Fatalf("forced-full outcome %v", full.Outcome)
+		t.Fatalf("teleport outcome %v", full.Outcome)
 	}
 	for i := range full.Epochs {
-		if full.Epochs[i] < kept.Epochs[i] {
-			t.Fatalf("slot %d epoch went backwards: %d → %d", i, kept.Epochs[i], full.Epochs[i])
+		if full.Epochs[i] <= kept.Epochs[i] {
+			t.Fatalf("slot %d epoch did not advance on a from-scratch replan: %d → %d", i, kept.Epochs[i], full.Epochs[i])
 		}
 	}
 	snapshot := append([]uint64(nil), full.Epochs...)
-	if err := eng.UpdateFull(id, jit, nil); err != nil {
+	if err := eng.Update(id, teleport(-0.3, 0.3), nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = nextNotification(t, sub)
@@ -139,67 +146,5 @@ func TestNotificationEpochsNonIncremental(t *testing.T) {
 	}
 	if got := eng.Epochs(id); got != nil {
 		t.Fatalf("Epochs() = %v on non-incremental engine", got)
-	}
-}
-
-// TestTileAffinityPlacement: with Options.TileAffinity, groups whose
-// centroids share a quantized tile land on the same shard, and the whole
-// register/update/submit/unregister lifecycle works through the
-// shard-encoding GroupIDs.
-func TestTileAffinityPlacement(t *testing.T) {
-	planner := epochTestPlanner(t)
-	eng := NewWS(PlannerKindWSFunc(planner, core.KindTiles, nil), Options{
-		Shards: 8, TileAffinity: DefaultTileAffinity,
-	})
-	defer eng.Close()
-
-	// Two co-located groups (same centroid tile) and one far away.
-	colocA := []geom.Point{geom.Pt(0.5001, 0.5001), geom.Pt(0.5003, 0.5002)}
-	colocB := []geom.Point{geom.Pt(0.5002, 0.5003), geom.Pt(0.5004, 0.5001)}
-	far := []geom.Point{geom.Pt(0.1, 0.9), geom.Pt(0.102, 0.898)}
-
-	idA, err := eng.Register(colocA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := eng.Register(colocB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idFar, err := eng.Register(far, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.shardFor(idA) != eng.shardFor(idB) {
-		t.Fatal("co-located groups placed on different shards under tile affinity")
-	}
-	if idA == idB || idA == idFar {
-		t.Fatalf("group ids collide: %d %d %d", idA, idB, idFar)
-	}
-
-	// Lifecycle through encoded ids.
-	for _, id := range []GroupID{idA, idB, idFar} {
-		if eng.Size(id) != 2 {
-			t.Fatalf("group %d size %d", id, eng.Size(id))
-		}
-	}
-	if err := eng.Update(idA, colocA, nil); err != nil {
-		t.Fatal(err)
-	}
-	sub := eng.Subscribe(8)
-	defer sub.Close()
-	if err := eng.Submit(idB, colocB, nil); err != nil {
-		t.Fatal(err)
-	}
-	n := nextNotification(t, sub)
-	if n.Group != idB {
-		t.Fatalf("notification for group %d, want %d", n.Group, idB)
-	}
-	eng.Unregister(idFar)
-	if eng.Size(idFar) != 0 {
-		t.Fatal("unregistered group still resolvable")
-	}
-	if eng.NumGroups() != 2 {
-		t.Fatalf("NumGroups=%d want 2", eng.NumGroups())
 	}
 }

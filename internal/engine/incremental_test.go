@@ -15,7 +15,7 @@ import (
 // fakeReplan is a scripted ReplanWSFunc that records, per call, which
 // PlanState it was handed and whether that state was valid at entry, so
 // the engine's state threading (one retained state per group, serialized
-// access, forced-full invalidation) can be asserted exactly without
+// access) can be asserted exactly without
 // geometric noise. Semantics mirror the real replanners: invalid state →
 // full; any member outside her region → full (regions here are coarse
 // circles, so this path stands in for partial too); otherwise kept.
@@ -71,9 +71,9 @@ func (f *fakeReplan) calls() int {
 // TestReplanStateThreading drives an incremental engine over a scripted
 // replanner and checks the plumbing the real planners rely on: each
 // group gets exactly one retained PlanState across registration, updates
-// and worker recomputations; UpdateFull and SubmitFull invalidate it
-// before the call; distinct groups never share state; and the outcome
-// reaches subscribers on the notification.
+// and worker recomputations, synchronous or asynchronous; nothing but the
+// replanner itself invalidates it; distinct groups never share state;
+// and the outcome reaches subscribers on the notification.
 func TestReplanStateThreading(t *testing.T) {
 	f := &fakeReplan{}
 	e := NewWS(nil, Options{Shards: 2, Workers: 1, Replan: f.fn})
@@ -97,20 +97,22 @@ func TestReplanStateThreading(t *testing.T) {
 		t.Fatalf("unchanged update: outcome %v", n.Outcome)
 	}
 
-	// Forced full: the state must be invalid when the replanner runs.
-	if err := e.UpdateFull(id, users, nil); err != nil {
+	// An escape replans fully — decided by the replanner over the still
+	// valid retained state, not by the engine.
+	moved := []geom.Point{geom.Pt(0.9, 0.9), geom.Pt(0.92, 0.9)}
+	if err := e.Update(id, moved, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := <-sub.C; n.Outcome != core.IncFull {
-		t.Fatalf("forced-full update: outcome %v", n.Outcome)
+		t.Fatalf("escape update: outcome %v", n.Outcome)
 	}
 
-	// Async forced full through the worker pool.
-	if err := e.SubmitFull(id, users, nil); err != nil {
+	// The same through the worker pool.
+	if err := e.Submit(id, users, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := <-sub.C; n.Outcome != core.IncFull {
-		t.Fatalf("forced-full submit: outcome %v", n.Outcome)
+		t.Fatalf("escape submit: outcome %v", n.Outcome)
 	}
 	e.quiesce(t)
 
@@ -135,8 +137,8 @@ func TestReplanStateThreading(t *testing.T) {
 	wantValid := []bool{
 		false, // registration: zero state
 		true,  // kept update
-		false, // UpdateFull invalidated the state first
-		false, // SubmitFull likewise
+		true,  // escape update: the state is handed over as it stands
+		true,  // escape submit likewise
 		false, // second group's registration: fresh zero state
 		true,  // second group's kept update
 	}
@@ -145,21 +147,20 @@ func TestReplanStateThreading(t *testing.T) {
 			t.Fatalf("call %d: state valid=%v want %v", i+1, f.valid[i], v)
 		}
 	}
-	// Registration plans through a local state that is then copied into
-	// the group (calls 1 and 5); every later call for a group must hit
-	// that group's one retained state.
-	if f.states[2] != f.states[1] || f.states[3] != f.states[1] {
+	// Registration seeds the group's own state (calls 1 and 5); every
+	// later call for a group must hit that same retained state.
+	if f.states[1] != f.states[0] || f.states[2] != f.states[0] || f.states[3] != f.states[0] || f.states[5] != f.states[4] {
 		t.Fatal("updates for one group used different PlanStates")
 	}
-	if f.states[5] == f.states[1] {
+	if f.states[4] == f.states[0] {
 		t.Fatal("second group shares the first group's PlanState")
 	}
 }
 
 // TestIncrementalCoalescedInvalidation parks the single worker inside a
-// recomputation while a burst lands, and checks that the coalesced
-// snapshot invalidates the retained plan exactly once — and that a
-// SubmitFull folded into the burst keeps its forced-full demand.
+// recomputation while a burst lands, and checks that the burst costs
+// exactly one more replanner call, over the newest snapshot — whose
+// escape invalidates the retained plan.
 func TestIncrementalCoalescedInvalidation(t *testing.T) {
 	f := &fakeReplan{blockOn: 2, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	e := NewWS(nil, Options{Shards: 1, Workers: 1, Replan: f.fn})
@@ -178,13 +179,13 @@ func TestIncrementalCoalescedInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-f.entered
-	// Burst: a plain submit inside the retained region plus a forced-full
-	// one; they coalesce into a single pending snapshot that must keep
-	// the full demand.
-	if err := e.SubmitFull(id, base, nil); err != nil {
+	// Burst: a submit inside the retained region, then one outside it;
+	// they coalesce into a single pending snapshot holding the escape.
+	moved := []geom.Point{geom.Pt(0.9, 0.9)}
+	if err := e.Submit(id, base, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(id, base, nil); err != nil {
+	if err := e.Submit(id, moved, nil); err != nil {
 		t.Fatal(err)
 	}
 	close(f.release)
@@ -196,22 +197,16 @@ func TestIncrementalCoalescedInvalidation(t *testing.T) {
 	if n.Seq != 3 || n.Coalesced != 2 {
 		t.Fatalf("burst did not coalesce: %+v", n)
 	}
-	if n.Outcome != core.IncFull {
-		t.Fatalf("forced-full demand lost in coalescing: outcome %v", n.Outcome)
+	if n.Outcome != core.IncFull || n.Meeting != moved[0] {
+		t.Fatalf("coalesced recompute did not run over the newest snapshot: %+v", n)
 	}
-	f.mu.Lock()
-	if f.valid[2] {
-		f.mu.Unlock()
-		t.Fatal("coalesced recompute saw a valid state despite SubmitFull")
-	}
-	f.mu.Unlock()
 	if c := f.calls(); c != 3 {
 		t.Fatalf("replanner ran %d times, want 3", c)
 	}
 }
 
 // TestIncrementalReportAfterUnregister: once a group is gone, late
-// reports — sync, async, forced-full — are refused, and the retained
+// reports — sync and async — are refused, and the retained
 // plan state has been dropped.
 func TestIncrementalReportAfterUnregister(t *testing.T) {
 	pl := testPlanner(t, 300, 21)
@@ -227,14 +222,8 @@ func TestIncrementalReportAfterUnregister(t *testing.T) {
 	if err := e.Update(id, users, nil); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("Update after Unregister: %v", err)
 	}
-	if err := e.UpdateFull(id, users, nil); !errors.Is(err, ErrUnknownGroup) {
-		t.Fatalf("UpdateFull after Unregister: %v", err)
-	}
 	if err := e.Submit(id, users, nil); !errors.Is(err, ErrUnknownGroup) {
 		t.Fatalf("Submit after Unregister: %v", err)
-	}
-	if err := e.SubmitFull(id, users, nil); !errors.Is(err, ErrUnknownGroup) {
-		t.Fatalf("SubmitFull after Unregister: %v", err)
 	}
 	st.replanMu.Lock()
 	valid := st.planState.Valid()

@@ -20,7 +20,7 @@ func TestAsyncEndToEnd(t *testing.T) {
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		go func() {
 			meeting, regions, err := plan(users)
-			coord.Deliver(gid, ids, meeting, regions, err)
+			coord.Deliver(gid, ids, meeting, regions, nil, err)
 		}()
 		return geom.Point{}, nil, nil, false
 	}, nil)
@@ -59,14 +59,7 @@ func TestAsyncEndToEnd(t *testing.T) {
 // returns the plan synchronously (ok=true) and members are notified
 // inline, with no Deliver round trip.
 func TestSubmitInlineResult(t *testing.T) {
-	plan := testPlan(t, "tile")
-	coord := NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
-		meeting, regions, err := plan(users)
-		if err != nil {
-			return geom.Point{}, nil, nil, false
-		}
-		return meeting, regions, nil, true
-	}, nil)
+	coord := newSyncCoordinator(testPlan(t, "tile"))
 	u1 := newTestUser(t, coord, 4, 0, geom.Pt(0.3, 0.3))
 	u2 := newTestUser(t, coord, 4, 1, geom.Pt(0.34, 0.31))
 	if err := u1.client.Register(2); err != nil {
@@ -90,7 +83,7 @@ func TestDeliverStaleOrUnknownDropped(t *testing.T) {
 	}, nil)
 
 	// Unknown group: no-op.
-	coord.Deliver(99, nil, geom.Pt(0.5, 0.5), nil, nil)
+	coord.Deliver(99, nil, geom.Pt(0.5, 0.5), nil, nil, nil)
 
 	u1 := newTestUser(t, coord, 1, 0, geom.Pt(0.3, 0.3))
 	if err := u1.client.Register(1); err != nil {
@@ -106,9 +99,9 @@ func TestDeliverStaleOrUnknownDropped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	coord.Deliver(1, nil, geom.Pt(0.5, 0.5), make([]core.SafeRegion, 3), nil)
+	coord.Deliver(1, nil, geom.Pt(0.5, 0.5), make([]core.SafeRegion, 3), nil, nil)
 	coord.Deliver(1, []uint32{7}, geom.Pt(0.5, 0.5),
-		[]core.SafeRegion{core.CircleRegion(geom.Pt(0.5, 0.5), 0.1)}, nil)
+		[]core.SafeRegion{core.CircleRegion(geom.Pt(0.5, 0.5), 0.1)}, nil, nil)
 	select {
 	case p := <-u1.notifyCh:
 		t.Fatalf("stale delivery notified members: %v", p)
@@ -120,7 +113,7 @@ func TestDeliverError(t *testing.T) {
 	var coord *Coordinator
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		go func() {
-			coord.Deliver(gid, nil, geom.Point{}, nil, errors.New("planner exploded"))
+			coord.Deliver(gid, nil, geom.Point{}, nil, nil, errors.New("planner exploded"))
 		}()
 		return geom.Point{}, nil, nil, false
 	}, nil)

@@ -16,25 +16,22 @@ import (
 	"mpn/internal/tileenc"
 )
 
-// PlanFunc computes a meeting point and safe regions for the given user
-// locations; it is how the coordinator stays decoupled from the planner
-// implementation.
-type PlanFunc func(users []geom.Point) (geom.Point, []core.SafeRegion, error)
-
-// SubmitFunc hands a replan request to an asynchronous compute backend
-// (the sharded group engine). users[i] is the location of ids[i], the
-// group's members in ascending user-id order. Normally the backend
-// enqueues and answers later through Coordinator.Deliver, echoing ids so
-// the delivery can be checked against membership churn, and returns
-// ok=false. When the backend produced a plan synchronously — a group's
-// one-time registration — it returns the plan with ok=true and the
-// coordinator notifies the members inline, so the very first plan (the
-// one clients cannot recover from losing, since they never escape a
-// region they never received) does not depend on any lossy notification
-// path. SubmitFunc is called with the coordinator lock held — which is
-// what guarantees a group's snapshots reach the backend in report order —
-// so it must only enqueue (or at most compute that one registration
-// plan), never recompute steady-state reports inline.
+// SubmitFunc is the coordinator's one compute backend: every replan is
+// handed to it, which is how the coordinator stays decoupled from the
+// planner implementation. users[i] is the location of ids[i], the group's
+// members in ascending user-id order. Normally the backend (the sharded
+// group engine) enqueues and answers later through Coordinator.Deliver,
+// echoing ids so the delivery can be checked against membership churn,
+// and returns ok=false. When it has the plan in hand — a group's one-time
+// registration, or every call of a backend that computes inline — it
+// returns the plan with ok=true and the coordinator notifies the members
+// inline, so the very first plan (the one clients cannot recover from
+// losing, since they never escape a region they never received) does not
+// depend on any lossy notification path. SubmitFunc is called with the
+// coordinator lock held — which is what guarantees a group's snapshots
+// reach the backend in report order — so a serving backend must only
+// enqueue (or at most compute that one registration plan), never
+// recompute steady-state reports inline.
 //
 // epochs, when non-nil, is the backend's per-member region epoch vector
 // for the inline plan (regions[i] is at epoch epochs[i]); backends
@@ -44,7 +41,7 @@ type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom
 
 // Coordinator is the server side of the Fig. 3 protocol: it accepts
 // connections (one per user), assembles groups, and runs the
-// report → probe → notify exchange, recomputing plans via PlanFunc.
+// report → probe → notify exchange, recomputing plans via its SubmitFunc.
 //
 // Outbound frames are queued per member and written by a dedicated
 // goroutine, so the coordinator never blocks on a slow (or synchronous,
@@ -62,8 +59,7 @@ type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom
 type WriteGateFunc func() (peers []string, epoch uint64, err error)
 
 type Coordinator struct {
-	plan   PlanFunc   // synchronous backend (nil in async mode)
-	submit SubmitFunc // asynchronous backend (nil in sync mode)
+	submit SubmitFunc // the compute backend
 	logger *log.Logger
 
 	// gate, when set, is consulted before every client write (see
@@ -337,25 +333,11 @@ func (m *member) close() {
 	<-m.done
 }
 
-// NewCoordinator builds a coordinator around a plan function. logger may
-// be nil to disable logging.
-func NewCoordinator(plan PlanFunc, logger *log.Logger) *Coordinator {
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
-	}
-	return &Coordinator{
-		plan:   plan,
-		logger: logger,
-		groups: map[uint32]*group{},
-		locs:   map[uint32]map[uint32]geom.Point{},
-	}
-}
-
-// NewAsyncCoordinator builds a coordinator whose replans are submitted to
-// an asynchronous backend instead of computed inline: the transport's
-// read loops never wait on the planner, and the coordinator lock is never
-// held across a computation. Results return through Deliver. logger may
-// be nil to disable logging.
+// NewAsyncCoordinator builds a coordinator over its compute backend (see
+// SubmitFunc). With a backend that enqueues, the transport's read loops
+// never wait on the planner, the coordinator lock is never held across a
+// computation, and results return through Deliver. logger may be nil to
+// disable logging.
 func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -377,18 +359,14 @@ func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 // is dropped, so a rejoining user can never receive a region computed for
 // a departed one; the next escape report triggers a fresh replan from
 // current state.
-func (c *Coordinator) Deliver(gid uint32, ids []uint32, meeting geom.Point, regions []core.SafeRegion, err error) {
-	c.DeliverEpochs(gid, ids, meeting, regions, nil, err)
-}
-
-// DeliverEpochs is Deliver with the backend's per-member region epoch
-// vector (regions[i] is at epoch epochs[i], see
-// engine.Notification.Epochs): regions whose epoch matches the cached
-// encoding are not re-encoded, and delta-capable members receive only
-// the records that changed since their last delivery. A nil epochs falls
-// back to comparing fresh encodings against the cache — correct for any
-// backend, just not encode-free.
-func (c *Coordinator) DeliverEpochs(gid uint32, ids []uint32, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
+//
+// epochs is the backend's per-member region epoch vector (regions[i] is
+// at epoch epochs[i], see engine.Notification.Epochs): regions whose
+// epoch matches the cached encoding are not re-encoded, and delta-capable
+// members receive only the records that changed since their last
+// delivery. A nil epochs falls back to comparing fresh encodings against
+// the cache — correct for any backend, just not encode-free.
+func (c *Coordinator) Deliver(gid uint32, ids []uint32, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
 	faultinject.Fire(faultinject.CoordDeliver)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -784,31 +762,19 @@ func (c *Coordinator) maybeReplanLocked(gid uint32, g *group) {
 	c.replanLocked(gid, g)
 }
 
-// replanLocked obtains and distributes a fresh plan (step 3): inline with
-// the synchronous backend, via SubmitFunc + Deliver with the asynchronous
-// one. Member order is by ascending user id so regions match
-// deterministically.
+// replanLocked hands the group's current locations to the backend (step
+// 3) and distributes the plan if the backend returned one inline;
+// otherwise the plan arrives through Deliver. Member order is by
+// ascending user id so regions match deterministically.
 func (c *Coordinator) replanLocked(gid uint32, g *group) {
 	ids := memberIDs(g)
 	users := make([]geom.Point, len(ids))
 	for i, uid := range ids {
 		users[i] = c.locs[gid][uid]
 	}
-	if c.submit != nil {
-		if meeting, regions, epochs, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
-			c.notifyLocked(gid, g, ids, meeting, regions, epochs)
-		}
-		return
+	if meeting, regions, epochs, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
+		c.notifyLocked(gid, g, ids, meeting, regions, epochs)
 	}
-	meeting, regions, err := c.plan(users)
-	if err != nil {
-		c.logger.Printf("group %d: plan failed: %v", gid, err)
-		for _, uid := range ids {
-			g.members[uid].send(Message{Type: TError, Group: gid, Text: err.Error()})
-		}
-		return
-	}
-	c.notifyLocked(gid, g, ids, meeting, regions, nil)
 }
 
 // memberIDs returns a group's user ids in ascending order.

@@ -158,7 +158,7 @@ func TestDeltaKeptFrameIsTiny(t *testing.T) {
 
 // scriptedBackend is a SubmitFunc whose registrations return a fixed
 // plan inline and whose steady-state submissions are recorded; the test
-// then drives DeliverEpochs by hand.
+// then drives Deliver by hand.
 type scriptedBackend struct {
 	mu      sync.Mutex
 	regions []core.SafeRegion
@@ -273,7 +273,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Kept plan: same epochs, same meeting → record-less delta.
 	before := rc.count.ReadCount()
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	kept := rc.read(t)
 	if kept.Type != TNotifyDelta || kept.Epoch != 1 || len(kept.Deltas) != 0 || kept.MeetingChanged {
 		t.Fatalf("kept frame %+v", kept)
@@ -284,7 +284,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Changed region: epoch advances, one record travels.
 	newRegions := []core.SafeRegion{core.CircleRegion(geom.Pt(0.11, 0.2), 0.04)}
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, newRegions, []uint64{2}, nil)
 	chg := rc.read(t)
 	if chg.Type != TNotifyDelta || chg.Epoch != 2 || len(chg.Deltas) != 1 {
 		t.Fatalf("changed frame %+v", chg)
@@ -296,7 +296,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Meeting moves while the region stays: delta with meeting, no record.
 	moved := geom.Pt(0.51, 0.5)
-	coord.DeliverEpochs(1, []uint32{0}, moved, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, moved, newRegions, []uint64{2}, nil)
 	mm := rc.read(t)
 	if mm.Type != TNotifyDelta || !mm.MeetingChanged || mm.Meeting != moved || len(mm.Deltas) != 0 {
 		t.Fatalf("meeting frame %+v", mm)
@@ -316,7 +316,7 @@ func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("registration frame %v", m.Type)
 	}
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("kept update frame %v, want full TNotify without negotiation", m.Type)
 	}
@@ -347,7 +347,7 @@ func TestCoordinatorNackRepair(t *testing.T) {
 
 	// The repair reset delivered-state; the next kept delivery is a delta
 	// again.
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
@@ -382,7 +382,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	}
 
 	// Steady state: both on deltas.
-	coord.DeliverEpochs(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 steady frame %v", m.Type)
 	}
@@ -409,7 +409,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 frame during rejoin %v", m.Type)
 	}
-	coord.DeliverEpochs(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 post-rejoin frame %v", m.Type)
 	}
@@ -463,7 +463,7 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 	// registration notify) and the outbox absorbs deltas until it
 	// overflows; everything past that is dropped and flips needFull.
 	for i := 0; i < outboxSize+8; i++ {
-		coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+		coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	}
 	// Drain everything queued so far (the exact count depends on whether
 	// the writer goroutine held a frame when the outbox filled).
@@ -472,13 +472,13 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 		t.Fatalf("drained %d frames from a %d-slot outbox", drained, outboxSize)
 	}
 	// Nothing changed, but the drop must force a full frame now.
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	m := rc.read(t)
 	if m.Type != TNotify {
 		t.Fatalf("post-drop frame %v, want full TNotify repair", m.Type)
 	}
 	// And once repaired, deltas resume.
-	coord.DeliverEpochs(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
@@ -607,7 +607,7 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 		t.Fatalf("u7 registration frame %+v", m)
 	}
 	// Steady state: u7 on deltas at epoch 4 (slot 1).
-	coord.DeliverEpochs(6, []uint32{1, 7}, backend.meeting, regionsA, []uint64{4, 4}, nil)
+	coord.Deliver(6, []uint32{1, 7}, backend.meeting, regionsA, []uint64{4, 4}, nil)
 	if m := rc1.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u1 steady frame %v", m.Type)
 	}
@@ -643,7 +643,7 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 		t.Fatalf("joining member frame %+v", m)
 	}
 	// After the reset, deltas resume against the new id vector.
-	coord.DeliverEpochs(6, []uint32{7, 9}, backend.meeting, regionsB, []uint64{4, 4}, nil)
+	coord.Deliver(6, []uint32{7, 9}, backend.meeting, regionsB, []uint64{4, 4}, nil)
 	if m := rc7.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u7 post-churn steady frame %v", m.Type)
 	}

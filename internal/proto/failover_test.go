@@ -58,7 +58,7 @@ func TestPeersFrameCodec(t *testing.T) {
 // redirect followed by an error — the zero-downtime failover handshake a
 // client sees when it dials a standby.
 func TestWriteGateRefusesRegistration(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	refusal := errors.New("standby: writes go to the primary")
 	coord.SetWriteGate(func() ([]string, uint64, error) {
 		return []string{"primary:9000"}, 7, refusal
@@ -96,7 +96,7 @@ func TestWriteGateRefusesRegistration(t *testing.T) {
 // report refused — through its outbox, with the redirect first — after
 // the gate closes (the node was deposed mid-session).
 func TestWriteGateRefusesReportAfterDeposal(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	var deposed atomic.Bool
 	coord.SetWriteGate(func() ([]string, uint64, error) {
 		if deposed.Load() {

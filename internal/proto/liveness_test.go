@@ -16,7 +16,7 @@ import (
 // deadlock where replanLocked blocked on a pipe write while holding the
 // coordinator mutex.
 func TestSlowClientDoesNotBlockCoordinator(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	// Kicks off: this test is about lock liveness under sustained drops,
 	// so the slow client must survive the whole flood.
 	coord.SetSlowClientLimit(-1)

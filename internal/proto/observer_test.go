@@ -71,7 +71,7 @@ func sameRegion(a, b core.SafeRegion) bool {
 // and tracks subsequent replans; its retained state always converges to
 // what the members themselves hold.
 func TestObserverEndToEnd(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "tile"), nil)
+	coord := newSyncCoordinator(testPlan(t, "tile"))
 
 	obs := newTestObserver(t, coord, 1, 100)
 	if err := obs.client.Register(2); err != nil {
@@ -130,7 +130,7 @@ func TestObserverEndToEnd(t *testing.T) {
 // group distributed a plan is caught up immediately from the encoding
 // cache — no replan, no member traffic.
 func TestObserverLateSubscription(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 
 	u1 := newTestUser(t, coord, 7, 0, geom.Pt(0.40, 0.40))
 	u2 := newTestUser(t, coord, 7, 1, geom.Pt(0.45, 0.42))
@@ -162,7 +162,7 @@ func TestObserverLateSubscription(t *testing.T) {
 // observer cannot outlive its group and silently watch a future group
 // under a reused id.
 func TestObserverTornDownWithGroup(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 
 	obs := newTestObserver(t, coord, 3, 50)
 	if err := obs.client.Register(1); err != nil {
@@ -189,7 +189,7 @@ func TestObserverTornDownWithGroup(t *testing.T) {
 // TestObserverOnlyGroupGC: an observer subscribed to a group whose
 // members never arrive does not leak the group when it disconnects.
 func TestObserverOnlyGroupGC(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 
 	obs := newTestObserver(t, coord, 9, 1)
 	if err := obs.client.Register(4); err != nil {
@@ -204,7 +204,7 @@ func TestObserverOnlyGroupGC(t *testing.T) {
 // and an observer of the same group — disconnect routing would be
 // ambiguous otherwise.
 func TestObserverDuplicateIDRejected(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 
 	u1 := newTestUser(t, coord, 4, 0, geom.Pt(0.40, 0.40))
 	if err := u1.client.Register(2); err != nil {

@@ -109,8 +109,27 @@ func TestRegionCodec(t *testing.T) {
 
 // --- coordinator + client over net.Pipe -------------------------------------
 
-// testPlan builds a PlanFunc over a small POI set.
-func testPlan(t testing.TB, method string) PlanFunc {
+// planFunc is the planner shape the tests wrap into a SubmitFunc.
+type planFunc func(users []geom.Point) (geom.Point, []core.SafeRegion, error)
+
+// newSyncCoordinator builds a coordinator over a backend that computes
+// every plan inline and returns it with ok=true. A planner error is
+// delivered off the submit path, which runs under the coordinator lock.
+func newSyncCoordinator(plan planFunc) *Coordinator {
+	var coord *Coordinator
+	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
+		meeting, regions, err := plan(users)
+		if err != nil {
+			go coord.Deliver(gid, nil, geom.Point{}, nil, nil, err)
+			return geom.Point{}, nil, nil, false
+		}
+		return meeting, regions, nil, true
+	}, nil)
+	return coord
+}
+
+// testPlan builds a planFunc over a small POI set.
+func testPlan(t testing.TB, method string) planFunc {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	pois := make([]geom.Point, 500)
@@ -198,7 +217,7 @@ func (u *testUser) waitNotify(t *testing.T) geom.Point {
 }
 
 func TestEndToEndProtocol(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "tile"), nil)
+	coord := newSyncCoordinator(testPlan(t, "tile"))
 
 	u1 := newTestUser(t, coord, 1, 0, geom.Pt(0.30, 0.30))
 	u2 := newTestUser(t, coord, 1, 1, geom.Pt(0.35, 0.32))
@@ -253,7 +272,7 @@ func TestEndToEndProtocol(t *testing.T) {
 }
 
 func TestCoordinatorRejectsBadRegistration(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	serverSide, clientSide := net.Pipe()
 	go func() { _ = coord.ServeConn(serverSide) }()
 	defer clientSide.Close()
@@ -280,7 +299,7 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 }
 
 func TestCoordinatorDuplicateUser(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	a, b := net.Pipe()
 	go func() { _ = coord.ServeConn(a) }()
 	defer b.Close()
@@ -316,7 +335,7 @@ func TestCoordinatorDuplicateUser(t *testing.T) {
 }
 
 func TestMemberDisconnectCleansUp(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	a, b := net.Pipe()
 	done := make(chan struct{})
 	go func() { _ = coord.ServeConn(a); close(done) }()

@@ -17,7 +17,7 @@ import (
 // A pinging client against a live coordinator: pongs flow back and both
 // sides count them. Registration is not required for liveness traffic.
 func TestHeartbeatPingPong(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "circle"), nil)
+	coord := newSyncCoordinator(testPlan(t, "circle"))
 	serverSide, clientSide := net.Pipe()
 	go func() { _ = coord.ServeConn(serverSide) }()
 	defer clientSide.Close()
@@ -90,7 +90,7 @@ func TestHeartbeatDetectsSilentServer(t *testing.T) {
 // server must probe each in the layout it negotiated and accept both
 // reply layouts; the probe round completes for everyone either way.
 func TestCompactProbeNegotiation(t *testing.T) {
-	coord := NewCoordinator(testPlan(t, "tile"), nil)
+	coord := newSyncCoordinator(testPlan(t, "tile"))
 
 	type member struct {
 		client   *Client
@@ -177,7 +177,7 @@ func TestCompactProbeNegotiation(t *testing.T) {
 // be killed and brought back on a fresh port, like a crashed process.
 type restartableServer struct {
 	t    *testing.T
-	plan PlanFunc
+	plan planFunc
 	// gate, when set, is installed as the coordinator's write gate on
 	// every (re)start.
 	gate  WriteGateFunc
@@ -193,7 +193,7 @@ func (s *restartableServer) start() {
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	coord := NewCoordinator(s.plan, nil)
+	coord := newSyncCoordinator(s.plan)
 	if s.gate != nil {
 		coord.SetWriteGate(s.gate)
 	}

@@ -162,7 +162,6 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 	eopts := engine.Options{
 		Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queueDepth,
 		AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
-		TileAffinity: cfg.tileAffinity,
 	}
 	if cfg.method == NetRange {
 		agg := netmpn.Max
@@ -171,7 +170,6 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 		}
 		backend, err := netmpn.NewBackend(cfg.network, cfg.poiNodes, netmpn.BackendConfig{
 			Aggregate:    agg,
-			Landmarks:    cfg.landmarks,
 			CacheEntries: cfg.netCacheEntries,
 			CacheK:       cfg.netCacheK,
 		})
@@ -335,19 +333,6 @@ func (g *Group) Update(users []Point, dirs []Direction) error {
 	return g.server.engine.Update(g.id, users, dirs)
 }
 
-// UpdateFull is Update with the server's retained incremental state for
-// this group invalidated first, forcing a from-scratch replan of every
-// member's region — the escape hatch when a client wants fresh regions
-// regardless of what the incremental maintenance would keep (for
-// example, after rejoining from a long disconnect). On servers without
-// WithIncremental it is identical to Update.
-func (g *Group) UpdateFull(users []Point, dirs []Direction) error {
-	if len(users) != g.size {
-		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
-	}
-	return g.server.engine.UpdateFull(g.id, users, dirs)
-}
-
 // SubmitUpdate schedules an asynchronous recomputation on the engine's
 // worker pool and returns immediately. Bursts of submissions for the same
 // group coalesce into a single recomputation over the latest locations;
@@ -358,19 +343,6 @@ func (g *Group) SubmitUpdate(users []Point, dirs []Direction) error {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
 	}
 	return g.server.engine.Submit(g.id, users, dirs)
-}
-
-// SubmitUpdateFull is SubmitUpdate with the retained incremental state
-// invalidated when the recomputation runs — the asynchronous counterpart
-// of UpdateFull, for callers on the Subscribe/SubmitUpdate pattern whose
-// read loops must never block on a replan. The forced-full demand
-// survives coalescing: if the submission collapses into a burst, the
-// burst's one recomputation is full.
-func (g *Group) SubmitUpdateFull(users []Point, dirs []Direction) error {
-	if len(users) != g.size {
-		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
-	}
-	return g.server.engine.SubmitFull(g.id, users, dirs)
 }
 
 // Unregister removes the group from the server's engine; queued

@@ -287,25 +287,28 @@ func TestWithIncrementalLifecycle(t *testing.T) {
 			}
 		}
 
-		// The forced-full escape hatch replans from scratch regardless,
-		// on both the synchronous and the asynchronous path.
-		if err := g.UpdateFull(users, nil); err != nil {
+		// The asynchronous path is served from the same retained plan.
+		if err := g.SubmitUpdate(users, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := <-sub.C; n.Outcome != ReplanFull {
-			t.Fatalf("%v forced full: outcome %v", method, n.Outcome)
+		if n := <-sub.C; n.Outcome != ReplanKept {
+			t.Fatalf("%v duplicate report (async): outcome %v", method, n.Outcome)
 		}
-		if err := g.UpdateFull(users[:1], nil); err == nil {
-			t.Fatalf("%v: UpdateFull accepted a short location slice", method)
+		if err := g.Update(users[:1], nil); err == nil {
+			t.Fatalf("%v: Update accepted a short location slice", method)
 		}
-		if err := g.SubmitUpdateFull(users, nil); err != nil {
+		if err := g.SubmitUpdate(users[:1], nil); err == nil {
+			t.Fatalf("%v: SubmitUpdate accepted a short location slice", method)
+		}
+
+		// Fresh regions regardless of what the retained plan would keep
+		// come from re-registration.
+		g.Unregister()
+		if g, err = s.Register(users, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := <-sub.C; n.Outcome != ReplanFull {
-			t.Fatalf("%v forced full (async): outcome %v", method, n.Outcome)
-		}
-		if err := g.SubmitUpdateFull(users[:1], nil); err == nil {
-			t.Fatalf("%v: SubmitUpdateFull accepted a short location slice", method)
+		if n := <-sub.C; n.Outcome != ReplanFull || n.Seq != 1 {
+			t.Fatalf("%v re-registration: %+v", method, n)
 		}
 
 		// A whole-group teleport churns the result set: full replan with

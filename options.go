@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mpn/internal/core"
-	"mpn/internal/engine"
 	"mpn/internal/gnn"
 	"mpn/internal/roadnet"
 )
@@ -73,11 +72,10 @@ func (m Method) String() string {
 
 // config is the resolved server configuration.
 type config struct {
-	method       Method
-	core         core.Options
-	incremental  bool
-	cacheBytes   int64
-	tileAffinity float64
+	method      Method
+	core        core.Options
+	incremental bool
+	cacheBytes  int64
 
 	// Engine sizing; zero selects the engine's defaults (GOMAXPROCS
 	// shards, 1 worker per shard, queue depth 1024).
@@ -93,7 +91,6 @@ type config struct {
 	// Road-network backend (NetRange method only).
 	network         *roadnet.Network
 	poiNodes        []int
-	landmarks       int
 	netCacheEntries int
 	netCacheK       int
 }
@@ -145,20 +142,6 @@ func WithRoadNetwork(net *RoadNetwork, poiNodes []int) Option {
 		c.poiNodes = poiNodes
 		c.method = NetRange
 		c.core.Directed = false
-		return nil
-	}
-}
-
-// WithNetLandmarks sets the ALT landmark count for the road-network
-// backend's lower-bound pruning (default 8). More landmarks tighten the
-// bounds at higher preprocessing and per-query cost. Only meaningful
-// together with WithRoadNetwork.
-func WithNetLandmarks(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("mpn: landmark count %d must be positive", n)
-		}
-		c.landmarks = n
 		return nil
 	}
 }
@@ -240,11 +223,10 @@ func WithBuffer(b int) Option {
 // every member still inside her region keeps it (the paper's
 // independent-safe-region protocol), falling back to a full replan when
 // the optimum churns or the POI set mutated since the retained plan.
-// Notification.Outcome reports which path each recomputation took;
-// Group.UpdateFull forces the full path for one update. Incremental and
-// full plans are equivalent (both are valid safe-region sets for the
-// same meeting point) but not byte-identical: retained regions were
-// grown around older locations.
+// Notification.Outcome reports which path each recomputation took.
+// Incremental and full plans are equivalent (both are valid safe-region
+// sets for the same meeting point) but not byte-identical: retained
+// regions were grown around older locations.
 func WithIncremental() Option {
 	return func(c *config) error {
 		c.incremental = true
@@ -274,22 +256,6 @@ func WithSharedGNNCache(maxBytes int) Option {
 			return fmt.Errorf("mpn: GNN cache budget %d must be positive", maxBytes)
 		}
 		c.cacheBytes = int64(maxBytes)
-		return nil
-	}
-}
-
-// WithTileAffinity places newly registered groups onto engine shards by
-// their quantized centroid tile instead of hashing the group id: groups
-// meeting in the same area land on the same shard, so they share that
-// shard's worker-local workspace state (scratch warmed to the local
-// geometry) on top of the global GNN cache's result sharing. The tile
-// side matches the shared cache's default quantization, so "same cache
-// tile" and "same shard" coincide. The trade-off is load skew under
-// heavily clustered workloads — shard counts sized for the number of
-// active areas, not the number of groups, keep workers busy.
-func WithTileAffinity() Option {
-	return func(c *config) error {
-		c.tileAffinity = engine.DefaultTileAffinity
 		return nil
 	}
 }
