@@ -55,8 +55,9 @@
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
 //	          [-promote-after 10s]
 //
-// POIs are generated synthetically unless -pois points to a CSV of "x,y"
-// lines (as produced by cmd/poigen). With -method net the server plans
+// POIs are generated synthetically unless -pois points to a CSV file: one
+// POI per line as "x,y" (two finite decimal floats; blank lines and an
+// "x,y" header line are skipped). With -method net the server plans
 // under shortest-path distance on a synthetic road network:
 // POIs sit on every k-th network node (-poi-every), safe regions are
 // covered road segments shipped with the 'N' wire tag, and -pois/-n are
@@ -233,12 +234,12 @@ type server struct {
 	shedReports  atomic.Uint64 // reports shed by engine admission control
 	coalesced    atomic.Uint64 // reports that shared a newer report's recomputation
 
-	// mu guards the protocol-group ↔ engine-group id mappings; it is also
-	// held across engine registration so a group's initial notification
-	// cannot outrun the mapping it needs.
+	// mu guards the protocol-group → engine-group id mapping (the way
+	// back travels on every notification, see reportTag); it is also held
+	// across engine registration so a group's initial notification cannot
+	// outrun the mapping it needs.
 	mu          sync.Mutex
 	gidToEngine map[uint32]engine.GroupID
-	engineToGid map[engine.GroupID]uint32
 
 	fanoutDone chan struct{}
 
@@ -265,9 +266,11 @@ type server struct {
 
 // reportTag travels with every engine registration and submission for a
 // protocol group: the protocol group id plus the ascending member-id
-// ordering the location snapshot was computed for. The fan-out fences
-// deliveries against membership churn with ids; the durable journal
-// logs committed state under gid, the group's stable identity.
+// ordering the location snapshot was computed for. The fan-out routes
+// a notification by gid (dropping one from an engine group the gid no
+// longer maps to) and fences deliveries against membership churn with
+// ids; the durable journal logs committed state under gid, the group's
+// stable identity.
 type reportTag struct {
 	gid uint32
 	ids []uint32
@@ -439,7 +442,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		readTimeout:  cfg.readTimeout,
 		writeTimeout: cfg.writeTimeout,
 		gidToEngine:  map[uint32]engine.GroupID{},
-		engineToGid:  map[engine.GroupID]uint32{},
 		fanoutDone:   make(chan struct{}),
 	}
 	if store != nil {
@@ -468,7 +470,6 @@ func newServer(cfg serverConfig) (*server, error) {
 				continue
 			}
 			s.gidToEngine[gid] = eid
-			s.engineToGid[eid] = gid
 			ok++
 		}
 		cfg.logger.Printf("restored %d/%d durable groups", ok, len(gids))
@@ -510,7 +511,6 @@ func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Poin
 		// stale engine group — journaled, so a crash right here does
 		// not resurrect it — and register afresh from current state.
 		delete(s.gidToEngine, gid)
-		delete(s.engineToGid, eid)
 		s.eng.Unregister(eid)
 		ok = false
 	}
@@ -523,7 +523,6 @@ func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Poin
 			return geom.Point{}, nil, nil, false
 		}
 		s.gidToEngine[gid] = eid
-		s.engineToGid[eid] = gid
 		meeting := s.eng.Meeting(eid)
 		regions := s.eng.Regions(eid)
 		epochs := s.eng.Epochs(eid)
@@ -573,14 +572,15 @@ func (s *server) fanout() {
 		if n.Seq == 1 {
 			continue // the registration plan was delivered inline by submit
 		}
+		// The gid and the id ordering the snapshot was computed for.
+		rt, ok := n.Tag.(reportTag)
 		s.mu.Lock()
-		gid, ok := s.engineToGid[n.Group]
+		eid, live := s.gidToEngine[rt.gid]
 		s.mu.Unlock()
-		if !ok {
-			continue // group already unregistered
+		if !ok || !live || eid != n.Group {
+			continue // group already unregistered (or re-registered since)
 		}
-		rt, _ := n.Tag.(reportTag) // id ordering the snapshot was computed for
-		s.coord.Deliver(gid, rt.ids, n.Meeting, n.Regions, n.Epochs, n.Err)
+		s.coord.Deliver(rt.gid, rt.ids, n.Meeting, n.Regions, n.Epochs, n.Err)
 		if n.Coalesced > 1 {
 			s.coalesced.Add(uint64(n.Coalesced - 1))
 		}
@@ -591,10 +591,7 @@ func (s *server) fanout() {
 func (s *server) onGroupEmpty(gid uint32) {
 	s.mu.Lock()
 	eid, ok := s.gidToEngine[gid]
-	if ok {
-		delete(s.gidToEngine, gid)
-		delete(s.engineToGid, eid)
-	}
+	delete(s.gidToEngine, gid)
 	s.mu.Unlock()
 	if ok {
 		s.eng.Unregister(eid)
@@ -727,7 +724,10 @@ func (s *server) crash() {
 	<-s.fanoutDone
 }
 
-// loadPOIs reads a poigen CSV or generates a synthetic set.
+// loadPOIs generates a synthetic set or, given a path, reads a CSV file
+// with one POI per line as "x,y": two finite decimal floats, spaces around
+// either allowed; blank lines and an "x,y" header line are skipped. Any
+// other line fails the load with its line number.
 func loadPOIs(path string, n int, seed int64) ([]geom.Point, error) {
 	if path == "" {
 		cfg := workload.DefaultPOIConfig()
@@ -760,6 +760,10 @@ func loadPOIs(path string, n int, seed int64) ([]geom.Point, error) {
 		y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
+		}
+		// ParseFloat accepts "NaN" and "Inf"; x-x is 0 only for finite x.
+		if x-x != 0 || y-y != 0 {
+			return nil, fmt.Errorf("%s:%d: coordinates must be finite", path, line)
 		}
 		pts = append(pts, geom.Pt(x, y))
 	}

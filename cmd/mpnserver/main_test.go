@@ -5,6 +5,8 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -318,5 +320,44 @@ func TestSharedCacheSurvivesFarPOIBatch(t *testing.T) {
 	if after.Hits != before.Hits+1 || after.Stale != before.Stale {
 		t.Fatalf("plan after a far POI batch: hits %d→%d, stale %d→%d; want one hit, no stale miss",
 			before.Hits, after.Hits, before.Stale, after.Stale)
+	}
+}
+
+// TestLoadPOIs: the -pois CSV reader takes "x,y" lines and refuses
+// everything else — in particular the "NaN" and "Inf" spellings that
+// strconv.ParseFloat accepts, which would put an unreachable POI (or one
+// that poisons every distance) into the index.
+func TestLoadPOIs(t *testing.T) {
+	cases := []struct {
+		name, csv string
+		want      int // POIs loaded; -1 = load must fail
+	}{
+		{"plain", "0.1,0.2\n0.3,0.4\n", 2},
+		{"header, blanks and spaces", "x,y\n\n 0.1 , 0.2 \n", 1},
+		{"NaN", "0.1,0.2\nNaN,0.4\n", -1},
+		{"nan y", "0.1,nan\n", -1},
+		{"+Inf", "Inf,0.4\n", -1},
+		{"-Inf", "0.1,-Inf\n", -1},
+		{"infinity", "0.1,+Infinity\n", -1},
+		{"three fields", "0.1,0.2,0.3\n", -1},
+		{"not a number", "0.1,abc\n", -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "pois.csv")
+			if err := os.WriteFile(path, []byte(tc.csv), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pts, err := loadPOIs(path, 0, 0)
+			if tc.want < 0 {
+				if err == nil {
+					t.Fatalf("accepted %q as %v", tc.csv, pts)
+				}
+				return
+			}
+			if err != nil || len(pts) != tc.want {
+				t.Fatalf("got %d POIs (err %v), want %d", len(pts), err, tc.want)
+			}
+		})
 	}
 }

@@ -290,7 +290,6 @@ func (s *server) applyReplGroup(rec durable.Record) error {
 	eid, ok := s.gidToEngine[rec.GID]
 	if ok && s.eng.Size(eid) != len(rec.Locs) {
 		delete(s.gidToEngine, rec.GID)
-		delete(s.engineToGid, eid)
 		s.eng.Unregister(eid)
 		ok = false
 	}
@@ -301,7 +300,6 @@ func (s *server) applyReplGroup(rec durable.Record) error {
 			return fmt.Errorf("replicated group %d: register: %w", rec.GID, err)
 		}
 		s.gidToEngine[rec.GID] = eid
-		s.engineToGid[eid] = rec.GID
 		s.mu.Unlock()
 		return nil
 	}

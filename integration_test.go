@@ -1,7 +1,7 @@
 package mpn
 
-// Cross-module integration tests: the public API, the wire protocol, the
-// simulator, and the cost model working against the same workloads.
+// Cross-module integration tests: the public API and the wire protocol
+// working against the same workloads.
 
 import (
 	"math"
@@ -11,19 +11,17 @@ import (
 	"time"
 
 	"mpn/internal/core"
-	"mpn/internal/costmodel"
 	"mpn/internal/geom"
-	"mpn/internal/gnn"
 	"mpn/internal/mobility"
 	"mpn/internal/proto"
-	"mpn/internal/sim"
 	"mpn/internal/workload"
 )
 
 // TestEndToEndMovingGroup replays a mobility-model trajectory group
-// against the public API and verifies the invariant users actually rely
-// on: between updates, the reported meeting point is optimal for the
-// current locations whenever everyone is inside their regions.
+// against the public API, for every Euclidean method and both aggregates,
+// and verifies the invariant users actually rely on: between updates,
+// every member is inside the region the API returned for her, and the
+// reported meeting point is optimal for the current locations.
 func TestEndToEndMovingGroup(t *testing.T) {
 	poiCfg := workload.DefaultPOIConfig()
 	poiCfg.N = 1500
@@ -38,11 +36,6 @@ func TestEndToEndMovingGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	trajs := set.Trajs
-
-	server, err := NewServer(pois, WithMethod(TileDirected), WithTileLimit(8), WithBuffer(30))
-	if err != nil {
-		t.Fatal(err)
-	}
 	locsAt := func(tm int) []Point {
 		out := make([]Point, len(trajs))
 		for i, tr := range trajs {
@@ -61,40 +54,60 @@ func TestEndToEndMovingGroup(t *testing.T) {
 		return out
 	}
 
-	group, err := server.Register(locsAt(0), dirsAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for tm := 1; tm < 300; tm++ {
-		locs := locsAt(tm)
-		escaped := false
-		for i, l := range locs {
-			if group.NeedsUpdate(i, l) {
-				escaped = true
-				break
-			}
-		}
-		if escaped {
-			if err := group.Update(locs, dirsAt(tm)); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		// Inside all regions: the reported point must be optimal now.
-		if tm%17 == 0 {
-			mp := group.MeetingPoint()
-			mpDist := gnn.Max.PointDist(mp, locs)
-			for _, p := range pois {
-				if gnn.Max.PointDist(p, locs) < mpDist-1e-9 {
-					t.Fatalf("t=%d: POI %v beats reported meeting point %v", tm, p, mp)
+	for _, method := range []Method{TileDirected, Tile, Circle} {
+		for _, agg := range []Aggregate{MinimizeMax, MinimizeSum} {
+			t.Run(method.String()+"/"+agg.String(), func(t *testing.T) {
+				server, err := NewServer(pois, WithMethod(method), WithAggregate(agg),
+					WithTileLimit(8), WithBuffer(30))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			checked++
+				defer server.Close()
+				group, err := server.Register(locsAt(0), dirsAt(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				quiet := 0
+				for tm := 1; tm < 300; tm++ {
+					locs := locsAt(tm)
+					escaped := false
+					for i, l := range locs {
+						if group.NeedsUpdate(i, l) {
+							escaped = true
+							break
+						}
+					}
+					if escaped {
+						if err := group.Update(locs, dirsAt(tm)); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						quiet++
+					}
+					// Nobody needs an update (any more): each member is inside
+					// her region and the reported point must be optimal now.
+					for i, l := range locs {
+						if !group.Region(i).Contains(l) {
+							t.Fatalf("t=%d: member %d at %v is outside her region", tm, i, l)
+						}
+					}
+					mp, dist := group.MeetingPoint(), agg.gnn()
+					mpDist := dist.PointDist(mp, locs)
+					for _, p := range pois {
+						if dist.PointDist(p, locs) < mpDist-1e-9 {
+							t.Fatalf("t=%d: POI %v beats reported meeting point %v", tm, p, mp)
+						}
+					}
+				}
+				// The three users are far apart, so the sum is flat around its
+				// optimum and SUM regions here are ~1e-5 wide against a 1e-3
+				// step: every SUM tick is an escape, checked right after its
+				// replan. MAX must have ticks that rely on the regions alone.
+				if quiet == 0 && agg == MinimizeMax {
+					t.Fatal("invariant was never checked between updates — users escaped every tick")
+				}
+			})
 		}
-	}
-	if checked == 0 {
-		t.Fatal("invariant was never checked — users escaped every tick")
 	}
 }
 
@@ -151,48 +164,6 @@ func TestProtocolAgainstPublicPlanner(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no notification")
-	}
-}
-
-// TestCostModelRanksLikeSimulator checks the future-work cost model agrees
-// with the simulator on method ordering for the same POI set.
-func TestCostModelRanksLikeSimulator(t *testing.T) {
-	poiCfg := workload.DefaultPOIConfig()
-	poiCfg.N = 1500
-	pois, err := workload.GeneratePOIs(poiCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := workload.GenerateGeoLifeSet(workload.SetConfig{
-		NumTrajectories: 3, Steps: 600, Speed: 0.0008, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	freq := map[sim.Method]float64{}
-	pred := map[sim.Method]float64{}
-	for _, m := range []sim.Method{sim.MethodCircle, sim.MethodTile} {
-		cfg := sim.MethodConfig(m, gnn.Max, 0)
-		cfg.Core.TileLimit = 8
-		met, err := sim.Run(pois, set.Trajs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freq[m] = met.UpdateFrequency()
-
-		opts := core.DefaultOptions()
-		opts.TileLimit = 8
-		est, err := costmodel.Predict(pois, costmodel.Config{
-			Method: m, Core: opts, GroupSize: 3, Speed: 0.0008, Samples: 25, Seed: 41,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred[m] = est.UpdateFreq
-	}
-	if (freq[sim.MethodTile] < freq[sim.MethodCircle]) != (pred[sim.MethodTile] < pred[sim.MethodCircle]) {
-		t.Fatalf("model ordering disagrees with simulator: sim %v vs model %v", freq, pred)
 	}
 }
 

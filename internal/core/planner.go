@@ -57,10 +57,6 @@ type Options struct {
 	// during R-tree retrieval. Disabling it scans the entire POI set on
 	// every verification (ablation).
 	IndexPruning bool
-
-	// MaxLayers caps the tile-grid layer explored by the orderings, as a
-	// safety bound on degenerate configurations. Zero means 4·TileLimit.
-	MaxLayers int
 }
 
 // DefaultOptions returns the paper's default configuration (Table 2):
@@ -264,11 +260,9 @@ func (pl *Planner) OnMutate(fn func(baseExt int, inserts []geom.Point, deleteIDs
 	pl.mu.Unlock()
 }
 
-// maxLayers resolves the layer cap for tile orderings.
+// maxLayers is the tile-grid layer cap of the orderings, a safety bound
+// on degenerate configurations: 4·TileLimit.
 func (pl *Planner) maxLayers() int {
-	if pl.opts.MaxLayers > 0 {
-		return pl.opts.MaxLayers
-	}
 	if pl.opts.TileLimit == 0 {
 		return 4
 	}

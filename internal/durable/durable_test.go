@@ -482,7 +482,7 @@ func TestLeftoverWALIgnored(t *testing.T) {
 
 	// Fabricate the leftover: an old-seq wal holding a group that was
 	// never part of the compacted state.
-	stale := frame([]byte(walMagic), appendGroup(nil, 999, []uint32{9}, []geom.Point{geom.Pt(0.9, 0.9)}))
+	stale := AppendFrame([]byte(walMagic), appendGroup(nil, 999, []uint32{9}, []geom.Point{geom.Pt(0.9, 0.9)}))
 	if err := os.WriteFile(walName(dir, 1), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}

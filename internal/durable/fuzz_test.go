@@ -11,7 +11,7 @@ import (
 // validPair returns well-formed snapshot and log bytes the fuzzer
 // mutates from.
 func validPair() (snap, wal []byte) {
-	st := newState()
+	st := NewState()
 	st.POIBase = 10
 	st.POIInserts = []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.25, 0.75)}
 	st.POIDeleted = []int{3, 11}
@@ -28,9 +28,9 @@ func validPair() (snap, wal []byte) {
 	snap, _ = os.ReadFile(snapName(dir, 1))
 
 	wal = []byte(walMagic)
-	wal = frame(wal, appendGroup(nil, 8, []uint32{5}, []geom.Point{geom.Pt(0.9, 0.9)}))
-	wal = frame(wal, appendPOIs(nil, 12, []geom.Point{geom.Pt(0.6, 0.6)}, []int{0}))
-	wal = frame(wal, appendUnreg(nil, 7))
+	wal = AppendFrame(wal, appendGroup(nil, 8, []uint32{5}, []geom.Point{geom.Pt(0.9, 0.9)}))
+	wal = AppendFrame(wal, appendPOIs(nil, 12, []geom.Point{geom.Pt(0.6, 0.6)}, []int{0}))
+	wal = AppendFrame(wal, appendUnreg(nil, 7))
 	return snap, wal
 }
 

@@ -101,9 +101,6 @@ func NewState() *State {
 	return &State{POIBase: -1, Groups: make(map[uint32]GroupState)}
 }
 
-// newState is the package-internal alias.
-func newState() *State { return NewState() }
-
 // poiNext returns the next expected external insert id.
 func (st *State) poiNext() int {
 	base := st.POIBase
@@ -122,8 +119,8 @@ func appendGroup(buf []byte, gid uint32, ids []uint32, locs []geom.Point) []byte
 		buf = binary.LittleEndian.AppendUint32(buf, id)
 	}
 	for _, p := range locs {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(p.X))
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(p.Y))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 	}
 	return buf
 }
@@ -144,8 +141,8 @@ func appendPOIs(buf []byte, baseExt int, inserts []geom.Point, deleteIDs []int) 
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(inserts)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(deleteIDs)))
 	for _, p := range inserts {
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(p.X))
-		buf = binary.LittleEndian.AppendUint64(buf, floatBits(p.Y))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 	}
 	for _, id := range deleteIDs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
@@ -167,10 +164,6 @@ func AppendEpochRecord(buf []byte, epoch uint64) []byte {
 	buf = append(buf, RecEpoch)
 	return binary.LittleEndian.AppendUint64(buf, epoch)
 }
-
-// floatBits / fromBits convert between float64 and its IEEE-754 bits.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func fromBits(b uint64) float64  { return math.Float64frombits(b) }
 
 // Record is one structurally decoded log record, for consumers that
 // need the fields rather than the state fold: the replication tailer
@@ -219,8 +212,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 			off += 4
 		}
 		for i := range rec.Locs {
-			rec.Locs[i].X = fromBits(binary.LittleEndian.Uint64(body[off:]))
-			rec.Locs[i].Y = fromBits(binary.LittleEndian.Uint64(body[off+8:]))
+			rec.Locs[i].X = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
+			rec.Locs[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:]))
 			off += 16
 		}
 	case RecUnreg:
@@ -244,8 +237,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 		off := 16
 		rec.Inserts = make([]geom.Point, nIns)
 		for i := range rec.Inserts {
-			rec.Inserts[i].X = fromBits(binary.LittleEndian.Uint64(body[off:]))
-			rec.Inserts[i].Y = fromBits(binary.LittleEndian.Uint64(body[off+8:]))
+			rec.Inserts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
+			rec.Inserts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8:]))
 			off += 16
 		}
 		rec.Deletes = make([]int, nDel)
@@ -339,19 +332,13 @@ func (st *State) ApplyRecord(rec Record) error {
 	return nil
 }
 
-// apply is the package-internal alias for Apply.
-func (st *State) apply(payload []byte) error { return st.Apply(payload) }
-
-// frame appends one CRC frame around payload to buf.
-func frame(buf, payload []byte) []byte {
+// AppendFrame appends one CRC frame around payload to buf — the exact
+// wire shape the WAL, snapshots, and the replication stream all share.
+func AppendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	return append(buf, payload...)
 }
-
-// AppendFrame appends one CRC frame around payload to buf — the exact
-// wire shape the WAL, snapshots, and the replication stream all share.
-func AppendFrame(buf, payload []byte) []byte { return frame(buf, payload) }
 
 // AppendStateFrames serializes st as a framed record sequence: meta
 // first (the snapshot invariant recovery checks), then the fencing
@@ -364,14 +351,14 @@ func AppendStateFrames(buf []byte, st *State) []byte {
 	if base < 0 {
 		base = 0
 	}
-	buf = frame(buf, appendMeta(nil, base))
+	buf = AppendFrame(buf, appendMeta(nil, base))
 	if st.Epoch > 0 {
-		buf = frame(buf, AppendEpochRecord(nil, st.Epoch))
+		buf = AppendFrame(buf, AppendEpochRecord(nil, st.Epoch))
 	}
 	if len(st.POIInserts) > 0 || len(st.POIDeleted) > 0 {
 		dels := append([]int(nil), st.POIDeleted...)
 		sort.Ints(dels)
-		buf = frame(buf, appendPOIs(nil, base, st.POIInserts, dels))
+		buf = AppendFrame(buf, appendPOIs(nil, base, st.POIInserts, dels))
 	}
 	gids := make([]uint32, 0, len(st.Groups))
 	for gid := range st.Groups {
@@ -380,7 +367,7 @@ func AppendStateFrames(buf []byte, st *State) []byte {
 	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
 	for _, gid := range gids {
 		g := st.Groups[gid]
-		buf = frame(buf, appendGroup(nil, gid, g.IDs, g.Locs))
+		buf = AppendFrame(buf, appendGroup(nil, gid, g.IDs, g.Locs))
 	}
 	return buf
 }

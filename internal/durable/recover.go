@@ -60,7 +60,7 @@ func scanDir(dir string) (snaps, wals []uint64, err error) {
 // Recover is read-only; it does not truncate the torn tail on disk
 // (Open does, before appending).
 func Recover(dir string) (*State, RecoverInfo, error) {
-	st := newState()
+	st := NewState()
 	var info RecoverInfo
 	snaps, wals, err := scanDir(dir)
 	if os.IsNotExist(err) {
@@ -125,7 +125,7 @@ func loadSnapshot(path string, st *State) error {
 			return fmt.Errorf("%w: %s does not start with a meta record", ErrCorruptSnapshot, filepath.Base(path))
 		}
 		first = false
-		if err := st.apply(payload); err != nil {
+		if err := st.Apply(payload); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 		}
 		b = b[size:]
@@ -154,7 +154,7 @@ func replayLog(b []byte, st *State) (valid int64, records int) {
 		if !ok {
 			break
 		}
-		if err := st.apply(payload); err != nil {
+		if err := st.Apply(payload); err != nil {
 			break
 		}
 		off += int64(size)

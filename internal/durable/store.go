@@ -70,11 +70,8 @@ type Config struct {
 	// Default 5.
 	ReopenAttempts int
 	// ReopenBackoff is the base delay before the first reopen attempt;
-	// it doubles per attempt with seeded jitter. Default 5ms.
+	// it doubles per attempt with jitter from a fixed seed. Default 5ms.
 	ReopenBackoff time.Duration
-	// ReopenSeed seeds the reopen jitter (deterministic tests). 0 means
-	// seed 1.
-	ReopenSeed int64
 	// POIBase is the size of the base POI table the server boots with;
 	// recovery fails if a recovered snapshot disagrees (the serving
 	// config changed under the state directory). Negative accepts
@@ -225,10 +222,6 @@ func Open(cfg Config) (*Store, *State, RecoverInfo, error) {
 		return nil, nil, info, err
 	}
 
-	seed := cfg.ReopenSeed
-	if seed == 0 {
-		seed = 1
-	}
 	s := &Store{
 		cfg:          cfg,
 		ch:           make(chan []byte, cfg.Queue),
@@ -244,7 +237,7 @@ func Open(cfg Config) (*Store, *State, RecoverInfo, error) {
 		lastSync:     time.Now(),
 		lastCompact:  time.Now(),
 		mirror:       st.clone(),
-		rng:          rand.New(rand.NewSource(seed)),
+		rng:          rand.New(rand.NewSource(1)),
 	}
 	go s.writer()
 	return s, st, info, nil
@@ -668,7 +661,7 @@ func (s *Store) writeBatch(batch [][]byte) {
 		}
 		if eff.ShortWrite > 0 {
 			s.flush(batch[:pend])
-			fr := frame(nil, p)
+			fr := AppendFrame(nil, p)
 			k := eff.ShortWrite
 			if k > len(fr) {
 				k = len(fr)
@@ -688,7 +681,7 @@ func (s *Store) writeBatch(batch [][]byte) {
 		if i != pend {
 			batch[pend] = p
 		}
-		s.buf = frame(s.buf, p)
+		s.buf = AppendFrame(s.buf, p)
 		pend++
 	}
 	s.flush(batch[:pend])
@@ -724,7 +717,7 @@ func (s *Store) flush(payloads [][]byte) {
 	}
 	s.subMu.Lock()
 	for _, p := range payloads {
-		if err := s.mirror.apply(p); err != nil {
+		if err := s.mirror.Apply(p); err != nil {
 			s.errs.Add(1)
 			continue
 		}

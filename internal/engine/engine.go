@@ -116,6 +116,7 @@ var (
 	ErrClosed       = errors.New("engine: closed")
 	ErrUnknownGroup = errors.New("engine: unknown group")
 	ErrNoUsers      = errors.New("engine: empty user group")
+	errNonFinite    = errors.New("engine: non-finite user location")
 	// ErrOverloaded is returned by Submit when the target shard's run
 	// queue stayed full for the whole admission wait: the submission was
 	// shed, not queued (see Options.AdmissionWait and ShardStats.Shed).
@@ -548,6 +549,9 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 	// comes back seeded, so the first escape report can already be served
 	// incrementally. The group is published only once its plan succeeded.
 	st := &groupState{size: len(users), tag: tag}
+	if err := st.validate(users); err != nil {
+		return 0, err
+	}
 	ws := core.GetWorkspace()
 	meeting, regions, epochs, stats, _, err := e.compute(st, ws, users, dirs, e.hasSubscribers())
 	core.PutWorkspace(ws)
@@ -616,10 +620,19 @@ func (e *Engine) lookup(id GroupID) *groupState {
 	return st
 }
 
-// validate checks a location snapshot against the group's size.
+// validate checks a location snapshot against the group's size and
+// refuses NaN and ±Inf coordinates: the planner would silently plan as if
+// that member did not exist and hand her a region that does not contain
+// her.
 func (st *groupState) validate(users []geom.Point) error {
 	if len(users) != st.size {
 		return fmt.Errorf("engine: group has %d users, got %d locations", st.size, len(users))
+	}
+	for _, u := range users {
+		// x-x is 0 for every finite x and NaN for NaN and ±Inf.
+		if u.X-u.X != 0 || u.Y-u.Y != 0 {
+			return errNonFinite
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -119,6 +120,30 @@ func TestRegisterErrors(t *testing.T) {
 	}
 	if err := e.Update(id, []geom.Point{geom.Pt(0.4, 0.4)}, nil); err == nil {
 		t.Fatal("size mismatch accepted by Update")
+	}
+
+	// A non-finite coordinate is refused at every entry point and leaves
+	// the group's plan as it was.
+	meeting, updates := e.Meeting(id), e.Updates(id)
+	for _, bad := range []geom.Point{
+		geom.Pt(math.NaN(), 0.5), geom.Pt(0.5, math.NaN()),
+		geom.Pt(math.Inf(1), 0.5), geom.Pt(0.5, math.Inf(-1)),
+	} {
+		users := []geom.Point{geom.Pt(0.4, 0.4), bad}
+		if _, err := e.RegisterTag(users, nil, "tag"); !errors.Is(err, errNonFinite) {
+			t.Fatalf("RegisterTag(%v): want errNonFinite, got %v", bad, err)
+		}
+		if err := e.SubmitTag(id, users, nil, "tag"); !errors.Is(err, errNonFinite) {
+			t.Fatalf("SubmitTag(%v): want errNonFinite, got %v", bad, err)
+		}
+		if err := e.Update(id, users, nil); !errors.Is(err, errNonFinite) {
+			t.Fatalf("Update(%v): want errNonFinite, got %v", bad, err)
+		}
+	}
+	e.quiesce(t)
+	if e.NumGroups() != 1 || e.Meeting(id) != meeting || e.Updates(id) != updates {
+		t.Fatalf("refused locations changed state: groups=%d meeting=%v updates=%d",
+			e.NumGroups(), e.Meeting(id), e.Updates(id))
 	}
 }
 

@@ -122,14 +122,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// UnionPoint returns the smallest Rect containing r and p.
-func (r Rect) UnionPoint(p Point) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, p.X), math.Min(r.Min.Y, p.Y)},
-		Max: Point{math.Max(r.Max.X, p.X), math.Max(r.Max.Y, p.Y)},
-	}
-}
-
 // Intersect returns the intersection of r and s. If they do not intersect,
 // the returned Rect is invalid (IsValid reports false).
 func (r Rect) Intersect(s Rect) Rect {
@@ -163,26 +155,12 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MinDist2 returns the squared minimum distance from p to r.
-func (r Rect) MinDist2(p Point) float64 {
-	dx := axisDist(p.X, r.Min.X, r.Max.X)
-	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
-	return dx*dx + dy*dy
-}
-
 // MaxDist returns ‖p,r‖max, the maximum distance from p to any point of r
 // (Definition 1, Eq. 2). The maximum is attained at one of the corners.
 func (r Rect) MaxDist(p Point) float64 {
 	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
 	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
-}
-
-// MaxDist2 returns the squared maximum distance from p to r.
-func (r Rect) MaxDist2(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return dx*dx + dy*dy
 }
 
 // Quadrants splits r into its four equal quadrant sub-rectangles. It is the
@@ -283,29 +261,6 @@ func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 // At returns the point A + t·(B−A) for t ∈ [0,1].
 func (s Segment) At(t float64) Point {
 	return Point{s.A.X + t*(s.B.X-s.A.X), s.A.Y + t*(s.B.Y-s.A.Y)}
-}
-
-// IntersectLine returns the intersection points (0, 1 or 2 of them, but for
-// a segment against an infinite line at most 1 unless collinear) between the
-// segment and the infinite line through p and q. Collinear overlap returns
-// the segment endpoints.
-func (s Segment) IntersectLine(p, q Point) []Point {
-	d := q.Sub(p)     // line direction
-	e := s.B.Sub(s.A) // segment direction
-	denom := d.X*e.Y - d.Y*e.X
-	w := s.A.Sub(p)
-	if math.Abs(denom) < 1e-18 {
-		// Parallel. Collinear if w is parallel to d as well.
-		if math.Abs(d.X*w.Y-d.Y*w.X) < 1e-12 {
-			return []Point{s.A, s.B}
-		}
-		return nil
-	}
-	t := (d.Y*w.X - d.X*w.Y) / denom // parameter along the segment
-	if t < 0 || t > 1 {
-		return nil
-	}
-	return []Point{s.At(t)}
 }
 
 // NormalizeAngle maps an angle to (−π, π].

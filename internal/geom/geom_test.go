@@ -124,11 +124,6 @@ func TestRectUnion(t *testing.T) {
 	if got != want {
 		t.Fatalf("Union=%v want %v", got, want)
 	}
-	got = a.UnionPoint(Pt(-1, 5))
-	want = Rect{Min: Pt(-1, 0), Max: Pt(1, 5)}
-	if got != want {
-		t.Fatalf("UnionPoint=%v want %v", got, want)
-	}
 }
 
 func TestMinMaxDist(t *testing.T) {
@@ -194,23 +189,6 @@ func TestMinMaxDistProperty(t *testing.T) {
 	}
 }
 
-func TestMinDist2Consistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		r := RectFromPoints(
-			Pt(rng.Float64(), rng.Float64()),
-			Pt(rng.Float64(), rng.Float64()),
-		)
-		p := Pt(rng.Float64()*3-1, rng.Float64()*3-1)
-		if !almostEq(r.MinDist(p)*r.MinDist(p), r.MinDist2(p), 1e-9) {
-			t.Fatal("MinDist2 inconsistent with MinDist")
-		}
-		if !almostEq(r.MaxDist(p)*r.MaxDist(p), r.MaxDist2(p), 1e-9) {
-			t.Fatal("MaxDist2 inconsistent with MaxDist")
-		}
-	}
-}
-
 func TestQuadrants(t *testing.T) {
 	r := Rect{Min: Pt(0, 0), Max: Pt(4, 4)}
 	qs := r.Quadrants()
@@ -266,27 +244,6 @@ func TestInscribedSquare(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersectLine(t *testing.T) {
-	s := Segment{A: Pt(0, -1), B: Pt(0, 1)}
-	// Line y=0 crosses at origin.
-	got := s.IntersectLine(Pt(-1, 0), Pt(1, 0))
-	if len(got) != 1 || !almostEq(got[0].X, 0, 1e-12) || !almostEq(got[0].Y, 0, 1e-12) {
-		t.Fatalf("got %v", got)
-	}
-	// Parallel non-collinear: no intersection.
-	if got := s.IntersectLine(Pt(1, 0), Pt(1, 1)); got != nil {
-		t.Fatalf("parallel: got %v", got)
-	}
-	// Collinear: endpoints returned.
-	if got := s.IntersectLine(Pt(0, 5), Pt(0, 6)); len(got) != 2 {
-		t.Fatalf("collinear: got %v", got)
-	}
-	// Line crossing beyond segment extent: none.
-	if got := s.IntersectLine(Pt(-1, 5), Pt(1, 5)); got != nil {
-		t.Fatalf("beyond: got %v", got)
-	}
-}
-
 func TestAngleHelpers(t *testing.T) {
 	if got := NormalizeAngle(3 * math.Pi); !almostEq(got, math.Pi, 1e-12) {
 		t.Fatalf("NormalizeAngle=%v", got)
@@ -335,30 +292,6 @@ func TestFocalDiffMinProperty(t *testing.T) {
 		slack := 2 * tile.Width() / grid
 		if sampleMin-got > slack {
 			t.Fatalf("FocalDiffMin=%v too far below sampled min %v", got, sampleMin)
-		}
-	}
-}
-
-func TestFocalDiffMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for i := 0; i < 300; i++ {
-		tile := RectAround(Pt(rng.Float64()*2, rng.Float64()*2), rng.Float64()+0.1)
-		pp := Pt(rng.Float64()*4-2, rng.Float64()*4-2)
-		po := Pt(rng.Float64()*4-2, rng.Float64()*4-2)
-		maxv := FocalDiffMax(tile, pp, po)
-		minv := FocalDiffMin(tile, pp, po)
-		if maxv < minv-1e-12 {
-			t.Fatalf("max %v < min %v", maxv, minv)
-		}
-		for j := 0; j < 50; j++ {
-			l := Pt(
-				tile.Min.X+rng.Float64()*tile.Width(),
-				tile.Min.Y+rng.Float64()*tile.Height(),
-			)
-			v := pp.Dist(l) - po.Dist(l)
-			if v > maxv+1e-9 {
-				t.Fatalf("sample %v exceeds FocalDiffMax %v", v, maxv)
-			}
 		}
 	}
 }

@@ -35,12 +35,6 @@ func FocalDiffMin(tile Rect, pPrime, pOpt Point) float64 {
 	return best
 }
 
-// FocalDiffMax returns max over l ∈ tile of ‖pPrime,l‖ − ‖pOpt,l‖. By
-// symmetry, max f = −min(−f) = −min(‖pOpt,l‖ − ‖pPrime,l‖).
-func FocalDiffMax(tile Rect, pPrime, pOpt Point) float64 {
-	return -FocalDiffMin(tile, pOpt, pPrime)
-}
-
 // edgeFocalDiffMin minimizes f(l)=‖pp,l‖−‖po,l‖ along the segment a→b.
 func edgeFocalDiffMin(a, b, pp, po Point) float64 {
 	e := b.Sub(a)

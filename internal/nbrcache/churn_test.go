@@ -160,7 +160,7 @@ func TestAdaptiveDepthShrinks(t *testing.T) {
 	tree, _ := buildTree(3000, 5)
 	const k = 2
 	cfg := Config{TileSize: 1.0 / 64, MaxDepthFactor: 4096}
-	staticJ := k*4 + 16 // resolved DepthFactor/DepthSlack defaults
+	staticJ := k*depthFactor + depthSlack
 
 	// Spread cross around the tile holding (0.5, 0.5): rejected at static
 	// depth, records a deep hint.

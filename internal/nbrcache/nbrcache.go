@@ -127,20 +127,22 @@ type Config struct {
 	MaxBytes int64
 	// Stripes is the lock-stripe count. Default 16.
 	Stripes int
-	// DepthFactor and DepthSlack set an entry's starting depth J =
-	// k·DepthFactor + DepthSlack. Deeper entries certify more spread-out
-	// groups at the cost of more distance computations per hit. Defaults
-	// 4 and 16.
-	DepthFactor int
-	DepthSlack  int
 	// MaxDepthFactor bounds the adaptive entry depth: a certification
 	// rejection records the guarantee radius the rejecting group would
 	// have needed, and the key's next repopulation deepens J
 	// geometrically (one extra point-kNN per doubling) until that radius
-	// is covered, capped at k·MaxDepthFactor + DepthSlack. Values at or
-	// below DepthFactor disable growth. Default 64.
+	// is covered, capped at k·MaxDepthFactor + depthSlack. Values at or
+	// below depthFactor disable growth. Default 64.
 	MaxDepthFactor int
 }
+
+// depthFactor and depthSlack set an entry's starting depth J =
+// k·depthFactor + depthSlack. Deeper entries certify more spread-out
+// groups at the cost of more distance computations per hit.
+const (
+	depthFactor = 4
+	depthSlack  = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.TileSize <= 0 {
@@ -151,12 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Stripes <= 0 {
 		c.Stripes = 16
-	}
-	if c.DepthFactor <= 0 {
-		c.DepthFactor = 4
-	}
-	if c.DepthSlack <= 0 {
-		c.DepthSlack = 16
 	}
 	if c.MaxDepthFactor <= 0 {
 		c.MaxDepthFactor = 64
@@ -189,7 +185,7 @@ type Stats struct {
 	// needed — the adaptive-depth feedback signal.
 	DepthHints uint64
 	// DepthGrows counts repopulations that deepened an entry beyond the
-	// static k·DepthFactor+DepthSlack to satisfy a recorded hint.
+	// static k·depthFactor+depthSlack to satisfy a recorded hint.
 	DepthGrows uint64
 	// DepthShrinks counts depth-hint decays: a sustained streak of
 	// certified hits on a deepened entry never needed the recorded
@@ -425,7 +421,7 @@ func (c *Cache) TopKInto(t *rtree.Tree, gs *gnn.Scratch, cs *Scratch, users []ge
 			if hit {
 				c.hits.Add(1)
 			}
-			if len(e.items) > k*c.cfg.DepthFactor+c.cfg.DepthSlack && len(res) >= k {
+			if len(e.items) > k*depthFactor+depthSlack && len(res) >= k {
 				// A certified hit on a deepened entry reveals how much
 				// radius this group actually needed; feed the shrink
 				// window so depth forced by long-gone spread-out groups
@@ -537,7 +533,7 @@ func (c *Cache) recordHitDepth(ky key, q geom.Point, users []geom.Point, agg gnn
 
 // populate retrieves the J nearest POIs to the tile center with a
 // point-kNN traversal and publishes the entry. J starts at the static
-// k·DepthFactor+DepthSlack; when a prior rejection recorded the radius a
+// k·depthFactor+depthSlack; when a prior rejection recorded the radius a
 // spread-out group needed (see recordNeed), the retrieval doubles J —
 // one extra traversal per doubling, repopulations are rare — until the
 // entry's guarantee radius strictly exceeds it, the data set is
@@ -549,8 +545,8 @@ func (c *Cache) populate(t *rtree.Tree, gs *gnn.Scratch, cs *Scratch, ky key, q 
 	need := st0.need[ky].radius
 	st0.mu.Unlock()
 
-	j := k*c.cfg.DepthFactor + c.cfg.DepthSlack
-	maxJ := k*c.cfg.MaxDepthFactor + c.cfg.DepthSlack
+	j := k*depthFactor + depthSlack
+	maxJ := k*c.cfg.MaxDepthFactor + depthSlack
 	cs.qpt[0] = q
 	grew := false
 	for {

@@ -13,13 +13,11 @@ import (
 )
 
 // BackendConfig configures the landmark-accelerated network backend.
-// The zero value selects Max aggregation, alt.DefaultLandmarks, and no
-// neighborhood cache.
+// The zero value selects Max aggregation and no neighborhood cache; the
+// ALT overlay always has alt.DefaultLandmarks landmarks.
 type BackendConfig struct {
 	// Aggregate selects network MPN (Max) or Sum-MPN (Sum).
 	Aggregate Aggregate
-	// Landmarks is the ALT landmark count; 0 selects alt.DefaultLandmarks.
-	Landmarks int
 	// CacheEntries bounds the network neighborhood cache (see cache.go);
 	// 0 disables caching. Cached plans are byte-identical to uncached.
 	CacheEntries int
@@ -61,7 +59,7 @@ func NewBackend(net *roadnet.Network, poiNodes []int, cfg BackendConfig) (*Backe
 	if err != nil {
 		return nil, err
 	}
-	idx, err := alt.Build(net, cfg.Landmarks)
+	idx, err := alt.Build(net, alt.DefaultLandmarks)
 	if err != nil {
 		return nil, err
 	}
@@ -82,9 +80,6 @@ func NewBackend(net *roadnet.Network, poiNodes []int, cfg BackendConfig) (*Backe
 // Server exposes the underlying naive server — the differential oracle
 // and baseline for the backend's plans.
 func (b *Backend) Server() *Server { return b.s }
-
-// Landmarks returns the ALT landmark count in effect.
-func (b *Backend) Landmarks() int { return b.alt.NumLandmarks() }
 
 // Snap projects a Euclidean point onto the nearest road segment. The
 // scan is deterministic (first edge in adjacency order wins ties), so

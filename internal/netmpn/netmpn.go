@@ -36,9 +36,6 @@ type Position struct {
 // NodePos returns the Position of a network node.
 func NodePos(node int) Position { return Position{A: node, B: node} }
 
-// IsNode reports whether the position sits exactly on a node.
-func (p Position) IsNode() bool { return p.A == p.B || p.T == 0 || p.T == 1 }
-
 // String implements fmt.Stringer.
 func (p Position) String() string {
 	if p.A == p.B {

@@ -188,14 +188,3 @@ func (r RangeRegion) coveredAt(a, b int, t float64) bool {
 
 // NumEdges returns how many road segments the region touches.
 func (r RangeRegion) NumEdges() int { return len(r.edges) }
-
-// EncodedValues estimates the wire cost in double-precision values: two
-// per covered interval plus the center and radius. Used by communication
-// accounting.
-func (r RangeRegion) EncodedValues() int {
-	n := 4 // center edge ids + T + radius
-	for _, ivs := range r.edges {
-		n += 2 * len(ivs)
-	}
-	return n
-}

@@ -85,8 +85,6 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	groups map[uint32]*group
-	// locs holds the last reported location per group and user.
-	locs map[uint32]map[uint32]geom.Point
 }
 
 // coordCounters are the coordinator's monotone counters, updated with
@@ -255,6 +253,10 @@ type member struct {
 	out  chan Message
 	done chan struct{}
 
+	// loc is the member's last reported location (registration, escape
+	// report or probe reply), guarded by the coordinator lock.
+	loc geom.Point
+
 	// Delta-protocol state, guarded by the coordinator lock: delta is
 	// the registration-time negotiation; needFull forces the next
 	// delivery to be a full TNotify (fresh connections start true, and
@@ -346,7 +348,6 @@ func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 		submit: submit,
 		logger: logger,
 		groups: map[uint32]*group{},
-		locs:   map[uint32]map[uint32]geom.Point{},
 	}
 }
 
@@ -404,6 +405,10 @@ func sameIDs(a, b []uint32) bool {
 	return true
 }
 
+// errNonFinite ends the session of a client that sent a NaN or ±Inf
+// location (see ServeConn).
+var errNonFinite = errors.New("proto: non-finite location")
+
 // ServeConn runs the read loop for one client connection until EOF or a
 // protocol error, then removes the member from its group. It is intended
 // to be called in its own goroutine per accepted connection.
@@ -423,6 +428,16 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 				return nil
 			}
 			return err
+		}
+		// A NaN or ±Inf location (registration, report or probe reply; Loc
+		// is zero on every other frame) would be planned as if that member
+		// did not exist — a wrong optimum for the whole group — so it ends
+		// the session before anything is stored. x-x is 0 for every finite
+		// x and NaN otherwise.
+		if l := msg.Loc; l.X-l.X != 0 || l.Y-l.Y != 0 {
+			c.stats.protocolErrors.Add(1)
+			c.reply(conn, registered, gid, uid, Message{Type: TError, Group: gid, Text: errNonFinite.Error()})
+			return errNonFinite
 		}
 		switch msg.Type {
 		case TRegister:
@@ -465,7 +480,8 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 			}
 			c.handleProbeReply(msg)
 		case TPing:
-			c.handlePing(msg, conn, registered, gid, uid)
+			c.stats.heartbeats.Add(1)
+			c.reply(conn, registered, gid, uid, Message{Type: TPong, Epoch: msg.Epoch})
 		case TNack:
 			if !registered {
 				c.sendError(conn, "nack before register")
@@ -540,16 +556,15 @@ func (c *Coordinator) sendError(w io.Writer, text string) {
 	_ = Write(w, Message{Type: TError, Text: text})
 }
 
-// handlePing answers a heartbeat with TPong echoing the sequence number.
-// A registered member's pong rides its outbox — the writer goroutine
-// owns the connection, and a wedged outbox failing the heartbeat is
-// exactly the liveness signal the peer wants. Before registration the
-// read loop may write directly (nothing else owns the connection yet).
-func (c *Coordinator) handlePing(msg Message, conn io.Writer, registered bool, gid, uid uint32) {
-	c.stats.heartbeats.Add(1)
-	pong := Message{Type: TPong, Epoch: msg.Epoch}
+// reply answers the connection's own peer: a heartbeat's TPong echoing
+// the sequence number, or the TError that ends a session. A registered
+// member's frame rides its outbox — the writer goroutine owns the
+// connection, and a wedged outbox failing the heartbeat is exactly the
+// liveness signal the peer wants. Before registration the read loop may
+// write directly (nothing else owns the connection yet).
+func (c *Coordinator) reply(conn io.Writer, registered bool, gid, uid uint32, msg Message) {
 	if !registered {
-		_ = Write(conn, pong)
+		_ = Write(conn, msg)
 		return
 	}
 	c.mu.Lock()
@@ -563,7 +578,7 @@ func (c *Coordinator) handlePing(msg Message, conn io.Writer, registered bool, g
 		mb = g.observers[uid]
 	}
 	if mb != nil {
-		mb.noteSend(c, gid, mb.send(pong))
+		mb.noteSend(c, gid, mb.send(msg))
 	}
 }
 
@@ -584,7 +599,6 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 			enc:       map[uint32]*encRegion{},
 		}
 		c.groups[msg.Group] = g
-		c.locs[msg.Group] = map[uint32]geom.Point{}
 	}
 	if g.size != msg.GroupSize {
 		return fmt.Errorf("group %d has size %d, not %d", msg.Group, g.size, msg.GroupSize)
@@ -602,6 +616,7 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 		return fmt.Errorf("group %d is full", msg.Group)
 	}
 	mb := newMember(msg.User, w, c.logger)
+	mb.loc = msg.Loc
 	mb.delta = msg.Flags&FlagDeltaCapable != 0
 	mb.compact = msg.Flags&FlagCompactProbe != 0
 	if closer, ok := w.(io.Closer); ok {
@@ -610,7 +625,6 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 		mb.kick = func() { _ = closer.Close() }
 	}
 	g.members[msg.User] = mb
-	c.locs[msg.Group][msg.User] = msg.Loc
 	c.logger.Printf("group %d: user %d registered (%d/%d)",
 		msg.Group, msg.User, len(g.members), g.size)
 	if uint32(len(g.members)) == g.size {
@@ -705,10 +719,11 @@ func (c *Coordinator) handleReport(msg Message) {
 	if g == nil || uint32(len(g.members)) != g.size {
 		return
 	}
-	if _, ok := g.members[msg.User]; !ok {
+	mb := g.members[msg.User]
+	if mb == nil {
 		return
 	}
-	c.locs[msg.Group][msg.User] = msg.Loc
+	mb.loc = msg.Loc
 	if g.probing != nil {
 		// A probe round is already in flight (e.g. two users escaped in
 		// the same tick); the fresh location is recorded and the pending
@@ -746,8 +761,8 @@ func (c *Coordinator) handleProbeReply(msg Message) {
 	if g == nil || g.probing == nil {
 		return
 	}
-	if _, ok := g.members[msg.User]; ok {
-		c.locs[msg.Group][msg.User] = msg.Loc
+	if mb := g.members[msg.User]; mb != nil {
+		mb.loc = msg.Loc
 	}
 	delete(g.probing, msg.User)
 	c.maybeReplanLocked(msg.Group, g)
@@ -770,7 +785,7 @@ func (c *Coordinator) replanLocked(gid uint32, g *group) {
 	ids := memberIDs(g)
 	users := make([]geom.Point, len(ids))
 	for i, uid := range ids {
-		users[i] = c.locs[gid][uid]
+		users[i] = g.members[uid].loc
 	}
 	if meeting, regions, epochs, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
 		c.notifyLocked(gid, g, ids, meeting, regions, epochs)
@@ -926,7 +941,6 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 		if mb := g.members[uid]; mb != nil {
 			closing = append(closing, mb)
 			delete(g.members, uid)
-			delete(c.locs[gid], uid)
 			// Drop the cached encoding too: entries are only trustworthy for
 			// the membership they were built under (see encIDs), and keeping
 			// them would leak one region per departed uid in a long-lived
@@ -938,7 +952,6 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 			}
 			if len(g.members) == 0 {
 				delete(c.groups, gid)
-				delete(c.locs, gid)
 				for ouid, ob := range g.observers {
 					delete(g.observers, ouid)
 					if ob.kick != nil {
@@ -959,7 +972,6 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 				// Observer-first group whose members never arrived: GC it.
 				// No onEmpty — nothing was ever submitted to a backend.
 				delete(c.groups, gid)
-				delete(c.locs, gid)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -295,6 +296,78 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 	}
 	if msg, err = Read(clientSide); err != nil || msg.Type != TError {
 		t.Fatalf("report-before-register: %v %v", msg.Type, err)
+	}
+}
+
+// TestCoordinatorRefusesNonFiniteLocation: a frame carrying a NaN or ±Inf
+// location is answered with a TError and ends that connection; nothing is
+// stored, and the rest of the group stays connected.
+func TestCoordinatorRefusesNonFiniteLocation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	goodLoc := geom.Pt(0.35, 0.32)
+	cases := []struct {
+		name string
+		msg  Message // sent by user 0 on group 1
+	}{
+		{"register/NaN", Message{Type: TRegister, User: 0, GroupSize: 2, Loc: geom.Pt(nan, 0.3)}},
+		{"register/-Inf", Message{Type: TRegister, User: 0, GroupSize: 2, Loc: geom.Pt(0.3, -inf)}},
+		{"report/NaN", Message{Type: TReport, User: 0, Loc: geom.Pt(0.3, nan)}},
+		{"report/+Inf", Message{Type: TReport, User: 0, Loc: geom.Pt(inf, 0.3)}},
+		// Frames name their user themselves, so a reply can aim at another
+		// member's stored location.
+		{"probe-reply/NaN", Message{Type: TProbeReply, User: 1, Loc: geom.Pt(nan, nan)}},
+		{"probe-reply-compact/+Inf", Message{Type: TProbeReplyC, User: 1, Loc: geom.Pt(0.3, inf)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := newSyncCoordinator(testPlan(t, "circle"))
+			dial := func() net.Conn {
+				serverSide, clientSide := net.Pipe()
+				go func() { _ = coord.ServeConn(serverSide) }()
+				t.Cleanup(func() { clientSide.Close() })
+				return clientSide
+			}
+			expect := func(conn net.Conn, want MsgType) {
+				t.Helper()
+				if msg, err := Read(conn); err != nil || msg.Type != want {
+					t.Fatalf("want %v, got %v (err %v)", want, msg.Type, err)
+				}
+			}
+			good, bad := dial(), dial()
+			if err := Write(good, Message{Type: TRegister, Group: 1, User: 1, GroupSize: 2, Loc: goodLoc}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.msg.Type != TRegister {
+				if err := Write(bad, Message{Type: TRegister, Group: 1, User: 0, GroupSize: 2, Loc: geom.Pt(0.3, 0.3)}); err != nil {
+					t.Fatal(err)
+				}
+				expect(good, TNotify)
+				expect(bad, TNotify)
+			}
+
+			tc.msg.Group = 1
+			if err := Write(bad, tc.msg); err != nil {
+				t.Fatal(err)
+			}
+			expect(bad, TError)
+			if msg, err := Read(bad); err == nil {
+				t.Fatalf("connection still open after a non-finite location: got %v", msg.Type)
+			}
+
+			// The other member is still served, and holds her own location.
+			if err := Write(good, Message{Type: TPing, Epoch: 7}); err != nil {
+				t.Fatal(err)
+			}
+			expect(good, TPong)
+			coord.mu.Lock()
+			g := coord.groups[1]
+			_, badStored := g.members[0]
+			stored := g.members[1].loc
+			coord.mu.Unlock()
+			if badStored || stored != goodLoc {
+				t.Fatalf("refused frame left state behind: user 0 stored=%v, user 1 at %v", badStored, stored)
+			}
+		})
 	}
 }
 

@@ -30,9 +30,11 @@ type ShipperConfig struct {
 	// falls further behind is cut and must reconnect for a full reseed.
 	// Default 1024.
 	Buffer int
-	// WriteTimeout bounds each frame write to a follower. Default 5s.
-	WriteTimeout time.Duration
 }
+
+// writeTimeout bounds the handshake read and each frame write to a
+// follower.
+const writeTimeout = 5 * time.Second
 
 // ShipperStats is a point-in-time read of shipping progress.
 type ShipperStats struct {
@@ -87,9 +89,6 @@ type follower struct {
 func NewShipper(cfg ShipperConfig) *Shipper {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 1024
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
 	}
 	return &Shipper{cfg: cfg, followers: make(map[*follower]struct{})}
 }
@@ -179,7 +178,7 @@ func (sh *Shipper) FollowerAddrs() []string {
 // check), seed, then tail until cut.
 func (sh *Shipper) handleConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(sh.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	rd := NewReader(conn)
 	if err := rd.Magic(); err != nil {
 		return
@@ -232,17 +231,16 @@ func (sh *Shipper) handleConn(conn net.Conn) {
 	if _, err := conn.Write([]byte(streamMagic)); err != nil {
 		return
 	}
-	w := sh.cfg.WriteTimeout
-	if err := writeFrame(conn, appendHeader(nil, epoch, pos, sh.cfg.Advertise), w); err != nil {
+	if err := writeFrame(conn, appendHeader(nil, epoch, pos, sh.cfg.Advertise), writeTimeout); err != nil {
 		return
 	}
 	// The seed frames are already CRC-framed by AppendStateFrames.
-	conn.SetWriteDeadline(time.Now().Add(w))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(durable.AppendStateFrames(nil, seed)); err != nil {
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
-	if err := writeFrame(conn, appendSeedEnd(nil, pos), w); err != nil {
+	if err := writeFrame(conn, appendSeedEnd(nil, pos), writeTimeout); err != nil {
 		return
 	}
 
@@ -272,7 +270,7 @@ func (sh *Shipper) handleConn(conn net.Conn) {
 			<-ackDone
 			return
 		}
-		if err := writeFrame(conn, rec.Payload, w); err != nil {
+		if err := writeFrame(conn, rec.Payload, writeTimeout); err != nil {
 			sh.cuts.Add(1)
 			conn.Close()
 			<-ackDone

@@ -34,10 +34,9 @@ type TailerConfig struct {
 	// state); nil starts empty. Seeds are diffed against the mirror so
 	// only the delta reaches OnRecord.
 	Initial *durable.State
-	// Dial overrides the TCP dialer (tests inject pipes/faults).
+	// Dial overrides the TCP dialer (tests inject pipes/faults); timeout
+	// is always dialTimeout.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// DialTimeout bounds each dial. Default 2s.
-	DialTimeout time.Duration
 	// RetryBackoff is the pause between reconnect attempts. Default
 	// 100ms.
 	RetryBackoff time.Duration
@@ -45,6 +44,9 @@ type TailerConfig struct {
 	// Default 50ms.
 	AckInterval time.Duration
 }
+
+// dialTimeout bounds each dial, the handshake write and each ack write.
+const dialTimeout = 2 * time.Second
 
 // TailerStats is a point-in-time read of catch-up progress.
 type TailerStats struct {
@@ -84,9 +86,6 @@ type Tailer struct {
 
 // StartTailer launches the tail loop.
 func StartTailer(cfg TailerConfig) *Tailer {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 100 * time.Millisecond
 	}
@@ -158,7 +157,7 @@ func (t *Tailer) run() {
 			return
 		default:
 		}
-		conn, err := t.cfg.Dial(t.cfg.PrimaryAddr, t.cfg.DialTimeout)
+		conn, err := t.cfg.Dial(t.cfg.PrimaryAddr, dialTimeout)
 		if err == nil {
 			err = t.stream(conn)
 			t.connected.Store(false)
@@ -200,11 +199,11 @@ func (t *Tailer) stream(conn net.Conn) error {
 		// Model a rejoining follower that forgot its fence.
 		helloEpoch = 0
 	}
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.DialTimeout))
+	conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 	if _, err := conn.Write([]byte(streamMagic)); err != nil {
 		return err
 	}
-	if err := writeFrame(conn, appendHello(nil, helloEpoch, t.cfg.Advertise), t.cfg.DialTimeout); err != nil {
+	if err := writeFrame(conn, appendHello(nil, helloEpoch, t.cfg.Advertise), dialTimeout); err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -292,7 +291,7 @@ func (t *Tailer) stream(conn net.Conn) error {
 	t.pos.Store(seedPos)
 	t.seeds.Add(1)
 	t.connected.Store(true)
-	writeFrame(conn, appendAck(nil, seedPos), t.cfg.DialTimeout)
+	writeFrame(conn, appendAck(nil, seedPos), dialTimeout)
 	lastAck := seedPos
 
 	ticker := time.NewTicker(t.cfg.AckInterval)
@@ -301,7 +300,7 @@ func (t *Tailer) stream(conn net.Conn) error {
 		select {
 		case <-t.quit:
 			if cur := t.pos.Load(); cur != lastAck {
-				writeFrame(conn, appendAck(nil, cur), t.cfg.DialTimeout)
+				writeFrame(conn, appendAck(nil, cur), dialTimeout)
 			}
 			return errStreamCut
 		case err := <-errc:
@@ -325,7 +324,7 @@ func (t *Tailer) stream(conn net.Conn) error {
 			t.records.Add(1)
 		case <-ticker.C:
 			if cur := t.pos.Load(); cur != lastAck {
-				if err := writeFrame(conn, appendAck(nil, cur), t.cfg.DialTimeout); err != nil {
+				if err := writeFrame(conn, appendAck(nil, cur), dialTimeout); err != nil {
 					return err
 				}
 				lastAck = cur

@@ -17,7 +17,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"mpn/internal/core"
@@ -55,6 +54,15 @@ func (m Method) String() string {
 	}
 }
 
+// Tile-D's per-user direction is learned from the trajectory.
+const (
+	// headingWindow is the number of recent steps used to estimate each
+	// user's heading and deviation bound.
+	headingWindow = 20
+	// minTheta floors the learned deviation bound.
+	minTheta = 0.5235987755982988 // π/6
+)
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// Method is the safe-region strategy.
@@ -62,11 +70,6 @@ type Config struct {
 	// Core configures the planner (aggregate, α, L, buffer, pruning). The
 	// Directed flag is forced to match Method.
 	Core core.Options
-	// HeadingWindow is the number of recent steps used to estimate each
-	// user's heading and deviation bound for Tile-D. Zero means 20.
-	HeadingWindow int
-	// MinTheta floors the learned deviation bound. Zero means π/6.
-	MinTheta float64
 	// MaxSteps truncates the trajectories (0 = full length), letting the
 	// harness trade fidelity for wall-clock time.
 	MaxSteps int
@@ -184,12 +187,6 @@ func Run(points []geom.Point, group []mobility.Trajectory, cfg Config) (Metrics,
 	if steps < 2 {
 		return Metrics{}, ErrShortTraject
 	}
-	if cfg.HeadingWindow <= 0 {
-		cfg.HeadingWindow = 20
-	}
-	if cfg.MinTheta <= 0 {
-		cfg.MinTheta = 0.5235987755982988 // π/6
-	}
 	cfg.Core.Directed = cfg.Method == MethodTileD
 
 	planner, err := core.NewPlanner(points, cfg.Core)
@@ -290,8 +287,8 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 		dirs = make([]core.Direction, s.m)
 		for i, tr := range s.group {
 			dirs[i] = core.Direction{
-				Angle: mobility.Heading(tr, t, s.cfg.HeadingWindow),
-				Theta: mobility.DeviationBound(tr, t, s.cfg.HeadingWindow, s.cfg.MinTheta),
+				Angle: mobility.Heading(tr, t, headingWindow),
+				Theta: mobility.DeviationBound(tr, t, headingWindow, minTheta),
 			}
 		}
 	}
@@ -369,16 +366,4 @@ func MethodConfig(method Method, agg gnn.Aggregate, buffer int) Config {
 	opts.Aggregate = agg
 	opts.Buffer = buffer
 	return Config{Method: method, Core: opts}
-}
-
-// Describe names a configuration the way the paper's figures do.
-func Describe(cfg Config) string {
-	name := cfg.Method.String()
-	if cfg.Method != MethodCircle && cfg.Core.Buffer > 0 {
-		name = fmt.Sprintf("%s-b%d", name, cfg.Core.Buffer)
-	}
-	if cfg.Core.Aggregate == gnn.Sum {
-		name += " (sum)"
-	}
-	return name
 }

@@ -171,17 +171,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	cfg := MethodConfig(MethodTileD, gnn.Max, 100)
-	if got := Describe(cfg); got != "Tile-D-b100" {
-		t.Fatalf("Describe=%q", got)
-	}
-	cfg = MethodConfig(MethodCircle, gnn.Sum, 0)
-	if got := Describe(cfg); got != "Circle (sum)" {
-		t.Fatalf("Describe=%q", got)
-	}
-}
-
 func TestDirectedFlagForcedByMethod(t *testing.T) {
 	pts, group := testWorkload(t, 2)
 	cfg := quickConfig(MethodTile)

@@ -22,20 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Median returns the median of xs (0 for an empty slice).
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -48,22 +34,6 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// GeoMean returns the geometric mean of positive xs; zero/negative entries
-// are skipped.
-func GeoMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
 }
 
 // Table is a simple aligned text table with a heading.

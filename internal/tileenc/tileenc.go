@@ -165,17 +165,3 @@ func Decode(data []byte) ([]geom.Rect, error) {
 	}
 	return tiles, nil
 }
-
-// EncodedSize returns the payload size in bytes without materializing it
-// twice; it simply encodes (the codec is cheap and allocation is the
-// dominant cost the caller avoids by calling Encode once instead).
-func EncodedSize(tiles []geom.Rect, delta float64) int {
-	return len(Encode(tiles, delta))
-}
-
-// NaiveSize returns the byte size of the uncompressed representation the
-// paper charges for squares: three float64 values (center x, center y,
-// side) per tile.
-func NaiveSize(tiles []geom.Rect) int {
-	return 24 * len(tiles)
-}

@@ -27,26 +27,21 @@ const DefaultPOICount = 21287
 type POIConfig struct {
 	// N is the number of points.
 	N int
-	// Clusters is the number of Gaussian city clusters.
-	Clusters int
-	// Sigma is the cluster standard deviation.
-	Sigma float64
-	// UniformFrac is the fraction of points drawn uniformly (rural POIs).
-	UniformFrac float64
 	// Seed drives generation deterministically.
 	Seed int64
 }
 
-// DefaultPOIConfig mimics the UK POI snapshot: strong urban clustering
-// with a thin uniform background.
+// The shape of the generated set mimics the UK POI snapshot: strong urban
+// clustering with a thin uniform background.
+const (
+	poiClusters    = 40   // Gaussian city clusters
+	poiSigma       = 0.03 // cluster standard deviation
+	poiUniformFrac = 0.25 // fraction of points drawn uniformly (rural POIs)
+)
+
+// DefaultPOIConfig is the paper-sized set under the fixed default seed.
 func DefaultPOIConfig() POIConfig {
-	return POIConfig{
-		N:           DefaultPOICount,
-		Clusters:    40,
-		Sigma:       0.03,
-		UniformFrac: 0.25,
-		Seed:        42,
-	}
+	return POIConfig{N: DefaultPOICount, Seed: 42}
 }
 
 // GeneratePOIs returns cfg.N points in the unit square.
@@ -54,13 +49,10 @@ func GeneratePOIs(cfg POIConfig) ([]geom.Point, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("workload: N %d must be positive", cfg.N)
 	}
-	if cfg.Clusters <= 0 {
-		cfg.Clusters = 1
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	centers := make([]geom.Point, cfg.Clusters)
-	weights := make([]float64, cfg.Clusters)
+	centers := make([]geom.Point, poiClusters)
+	weights := make([]float64, poiClusters)
 	totalW := 0.0
 	for i := range centers {
 		centers[i] = geom.Pt(rng.Float64(), rng.Float64())
@@ -71,20 +63,20 @@ func GeneratePOIs(cfg POIConfig) ([]geom.Point, error) {
 
 	pts := make([]geom.Point, 0, cfg.N)
 	for len(pts) < cfg.N {
-		if rng.Float64() < cfg.UniformFrac {
+		if rng.Float64() < poiUniformFrac {
 			pts = append(pts, geom.Pt(rng.Float64(), rng.Float64()))
 			continue
 		}
 		// Weighted cluster choice.
 		target := rng.Float64() * totalW
 		ci := 0
-		for acc := weights[0]; acc < target && ci < cfg.Clusters-1; {
+		for acc := weights[0]; acc < target && ci < poiClusters-1; {
 			ci++
 			acc += weights[ci]
 		}
 		p := geom.Pt(
-			centers[ci].X+rng.NormFloat64()*cfg.Sigma,
-			centers[ci].Y+rng.NormFloat64()*cfg.Sigma,
+			centers[ci].X+rng.NormFloat64()*poiSigma,
+			centers[ci].Y+rng.NormFloat64()*poiSigma,
 		)
 		if p.X < 0 || p.X > 1 || p.Y < 0 || p.Y > 1 {
 			continue // resample points that fall outside the space

@@ -105,6 +105,41 @@ func TestRegisterEmpty(t *testing.T) {
 	}
 }
 
+// TestNonFiniteLocationRefused: a NaN or ±Inf coordinate used to be
+// planned as if that member did not exist — a wrong optimum for the whole
+// group and a region that does not contain her — with a nil error.
+func TestNonFiniteLocationRefused(t *testing.T) {
+	good := []Point{Pt(0.4, 0.4), Pt(0.5, 0.5), Pt(0.5, 0.45)}
+	for _, method := range []Method{Circle, Tile, TileDirected} {
+		s, err := NewServer(testPOIs(300, 4), WithMethod(method))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.Register(good, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Point{
+			Pt(math.NaN(), 0.5), Pt(0.5, math.NaN()), Pt(math.Inf(1), 0.5), Pt(0.5, math.Inf(-1)),
+		} {
+			users := []Point{good[0], bad, good[2]}
+			if _, err := s.Register(users, nil); err == nil {
+				t.Fatalf("%v: Register accepted %v", method, bad)
+			}
+			if err := g.Update(users, nil); err == nil {
+				t.Fatalf("%v: Update accepted %v", method, bad)
+			}
+			if err := g.SubmitUpdate(users, nil); err == nil {
+				t.Fatalf("%v: SubmitUpdate accepted %v", method, bad)
+			}
+		}
+		if g.Updates() != 1 {
+			t.Fatalf("%v: refused locations were planned (%d updates)", method, g.Updates())
+		}
+		s.Close()
+	}
+}
+
 func TestMeetingPointIsOptimal(t *testing.T) {
 	pois := testPOIs(400, 5)
 	users := []Point{Pt(0.4, 0.4), Pt(0.6, 0.6)}
