@@ -3,9 +3,9 @@
 // baseline (BENCH_plan.json) and exits non-zero when any series
 // regresses beyond tolerance — more than -tol relative ns/op increase
 // (default 0.25), or any allocs/op increase at all (allocation counts
-// are deterministic, so even +1 is a real regression; the churn_*
-// series alone get a slack of 2, see allocSlack). It also enforces five
-// machine-independent in-report bounds on the current report: the delta
+// are deterministic, so even +1 is a real regression; the churn_* and
+// net_* series alone get a slack of 2, see allocSlack). It also enforces
+// five machine-independent in-report bounds on the current report: the delta
 // notification protocol's wire-byte reduction (enforceDeltaReduction),
 // the shared cache's hit rate under localized POI churn
 // (enforceChurnHitRate), the road-network backend's speedup over the
@@ -233,10 +233,13 @@ func enforceDeltaReduction(current map[key]benchfmt.Series) int {
 // measured iterations, so their allocs/op is an amortized average whose
 // integer rounding can wobble with the harness-chosen iteration count —
 // a slack of 2 absorbs the rounding without hiding a real per-op leak
-// (one new allocation on the plan path shows up 8×, not 1×). Every
+// (one new allocation on the plan path shows up 8×, not 1×). The net_*
+// series average over a stream of moving groups whose region sizes (and
+// so allocation counts) differ, and the harness-chosen iteration count
+// decides how much of the stream is averaged: the same slack. Every
 // other series is exactly repeatable and gets none.
 func allocSlack(name string) int64 {
-	if strings.HasPrefix(name, "churn_") {
+	if strings.HasPrefix(name, "churn_") || strings.HasPrefix(name, "net_") {
 		return 2
 	}
 	return 0
@@ -282,13 +285,14 @@ func enforceChurnHitRate(current map[key]benchfmt.Series) int {
 	return failures
 }
 
-// minNetSpeedup is the enforced win of the ALT landmark-pruned network
-// backend over the per-member full-SSSP oracle at the default network
-// size. Both series run in the same process on the same machine, so the
-// ratio is machine-independent; losing it means the landmark pruning (or
-// the truncated resumable search behind it) stopped cutting work.
+// minNetSpeedup is the enforced win of the table-driven network backend
+// (exact POI distances read from a table built once) over the per-member
+// full-SSSP oracle at the default network size, on groups whose members
+// start at independent junctions. Both series run in the same process on
+// the same machine, so the ratio is machine-independent; losing it means
+// a per-plan shortest-path search crept back into the top-2 scan.
 const (
-	minNetSpeedup  = 5.0
+	minNetSpeedup  = 10.0
 	netPlanSeries  = "net_plan"
 	netNaiveSeries = "net_plan_naive"
 )

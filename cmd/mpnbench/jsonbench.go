@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -22,6 +23,7 @@ import (
 	"mpn/internal/durable"
 	"mpn/internal/engine"
 	"mpn/internal/geom"
+	"mpn/internal/mobility"
 	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
 	"mpn/internal/proto"
@@ -699,19 +701,43 @@ func runReplBench(report *benchfmt.Report, planner *core.Planner, log io.Writer)
 	return nil
 }
 
+// netBenchFleet draws the net series' fixture the way bench/'s net_road
+// movers are drawn: seeded groups of m members who each start at an
+// independent random junction and walk mobility.NetworkTrajectory routes
+// at the paper's default speed, so a group's members sit half a city
+// apart (one hand-picked cluster hid a 10× slower plan). Iteration i of a
+// series plans group i mod groups.
+func netBenchFleet(netw *roadnet.Network, groups, m, steps int) ([][]mobility.Trajectory, error) {
+	rng := rand.New(rand.NewSource(1))
+	fleet := make([][]mobility.Trajectory, groups)
+	for g := range fleet {
+		fleet[g] = make([]mobility.Trajectory, m)
+		for j := range fleet[g] {
+			cfg := mobility.DefaultNetworkConfig()
+			cfg.Steps, cfg.Seed = steps, rng.Int63()
+			var err error
+			if fleet[g][j], err = mobility.NetworkTrajectory(netw, cfg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return fleet, nil
+}
+
 // runNetBench appends the road-network backend series at the default
-// network size: net_plan_naive (the per-member full-SSSP oracle the
-// paper's network variant starts from), net_plan (the production ALT
-// landmark-pruned backend through the core dispatch — byte-identical
-// plans, see internal/netmpn's differential fences), net_update_inc (the
-// incremental kept/partial protocol over a small-drift location stream),
-// and net_plan_cached (the nearest-node neighborhood cache under
-// clustered groups). CI gates net_plan_naive/net_plan at ≥5× (see
-// cmd/benchgate).
+// network size over the netBenchFleet stream: net_plan_naive (the
+// per-member full-SSSP oracle the paper's network variant starts from),
+// net_plan (the production backend through the core dispatch — the exact
+// top-2 read from the POI distance table, see internal/netmpn's
+// differential fences) and net_update_inc (the incremental kept/partial
+// protocol, each group advancing one timestamp every fourth visit). CI
+// gates net_plan_naive/net_plan at ≥10× (see cmd/benchgate).
 func runNetBench(report *benchfmt.Report, log io.Writer) error {
 	const (
 		netM        = 3
 		netPOIEvery = 9
+		netGroups   = 32
+		netSteps    = 512
 	)
 	netw, err := roadnet.Generate(roadnet.DefaultConfig())
 	if err != nil {
@@ -725,38 +751,39 @@ func runNetBench(report *benchfmt.Report, log io.Writer) error {
 	for i, n := range poiNodes {
 		pois[i] = netw.Nodes[n].P
 	}
-	newNetPlanner := func(cacheEntries int) (*core.Planner, *netmpn.Backend, error) {
-		planner, err := core.NewPlanner(pois, core.DefaultOptions())
-		if err != nil {
-			return nil, nil, err
-		}
-		backend, err := netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{
-			Aggregate: netmpn.Max, CacheEntries: cacheEntries, CacheK: 8,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		planner.RegisterNetBackend(backend)
-		return planner, backend, nil
-	}
-	planner, backend, err := newNetPlanner(0)
+	planner, err := core.NewPlanner(pois, core.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	users, _ := jsonBenchGroup(netM)
+	backend, err := netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{Aggregate: netmpn.Max})
+	if err != nil {
+		return err
+	}
+	planner.RegisterNetBackend(backend)
+	fleet, err := netBenchFleet(netw, netGroups, netM, netSteps)
+	if err != nil {
+		return err
+	}
+	// at fills locs with group g's positions at timestamp t.
+	at := func(g, t int, locs []geom.Point) {
+		for j, traj := range fleet[g] {
+			locs[j] = traj[t%netSteps]
+		}
+	}
 
 	// Naive oracle: one full SSSP per member per plan (snapping included,
 	// as the backend path snaps too).
 	naive := testing.Benchmark(func(b *testing.B) {
 		srv := backend.Server()
-		locs := make([]netmpn.Position, netM)
+		locs := make([]geom.Point, netM)
+		pos := make([]netmpn.Position, netM)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			jitter := 1e-5 * float64(i%7)
-			for j, u := range users {
-				locs[j] = backend.Snap(geom.Pt(u.X+jitter, u.Y-jitter))
+			at(i%netGroups, i/netGroups, locs)
+			for j, u := range locs {
+				pos[j] = backend.Snap(u)
 			}
-			if _, _, err := srv.Plan(locs, netmpn.Max); err != nil {
+			if _, _, err := srv.Plan(pos, netmpn.Max); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -766,23 +793,18 @@ func runNetBench(report *benchfmt.Report, log io.Writer) error {
 	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op\n",
 		"net_plan_naive", netM, sNaive.NsPerOp, sNaive.OpsPerSec, sNaive.AllocsPerOp)
 
-	planBench := func(pl *core.Planner) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			ws := core.NewWorkspace()
-			locs := make([]geom.Point, netM)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				if _, _, err := pl.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs}); err != nil {
-					b.Fatal(err)
-				}
+	plan := testing.Benchmark(func(b *testing.B) {
+		ws := core.NewWorkspace()
+		locs := make([]geom.Point, netM)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at(i%netGroups, i/netGroups, locs)
+			if _, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	sPlan := toSeries("net_plan", netM, planBench(planner))
+		}
+	})
+	sPlan := toSeries("net_plan", netM, plan)
 	report.Series = append(report.Series, sPlan)
 	speedup := 0.0
 	if sPlan.NsPerOp > 0 {
@@ -791,45 +813,31 @@ func runNetBench(report *benchfmt.Report, log io.Writer) error {
 	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op (%.1fx vs naive)\n",
 		"net_plan", netM, sPlan.NsPerOp, sPlan.OpsPerSec, sPlan.AllocsPerOp, speedup)
 
+	var outcomes [3]int // of the last (longest) benchmark round
 	inc := testing.Benchmark(func(b *testing.B) {
 		ws := core.NewWorkspace()
-		var st core.PlanState
+		states := make([]core.PlanState, netGroups)
 		locs := make([]geom.Point, netM)
+		outcomes = [3]int{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Locations advance every 4th report: the coalesced-burst
-			// regime (identical repeats) the kept path accelerates.
-			jitter := 1e-5 * float64((i/4)%7)
-			for j, u := range users {
-				locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-			}
-			if _, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs, State: &st}); err != nil {
+			// A group's locations advance every 4th visit: the
+			// coalesced-burst regime (identical repeats) the kept path
+			// accelerates.
+			g := i % netGroups
+			at(g, i/netGroups/4, locs)
+			_, out, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs, State: &states[g]})
+			if err != nil {
 				b.Fatal(err)
 			}
+			outcomes[out]++
 		}
 	})
 	sInc := toSeries("net_update_inc", netM, inc)
 	report.Series = append(report.Series, sInc)
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f upd/s %4d allocs/op\n",
-		"net_update_inc", netM, sInc.NsPerOp, sInc.OpsPerSec, sInc.AllocsPerOp)
-
-	cachedPlanner, cachedBackend, err := newNetPlanner(256)
-	if err != nil {
-		return err
-	}
-	hits0, misses0, rejected0 := cachedBackend.CacheStats()
-	sCached := toSeries("net_plan_cached", netM, planBench(cachedPlanner))
-	hits, misses, rejected := cachedBackend.CacheStats()
-	sCached.CacheHits = hits - hits0
-	sCached.CacheMisses = misses - misses0
-	sCached.CacheRejected = rejected - rejected0
-	report.Series = append(report.Series, sCached)
-	extra := ""
-	if total := sCached.CacheHits + sCached.CacheMisses + sCached.CacheRejected; total > 0 {
-		extra = fmt.Sprintf(" (cache %.1f%% hit)", 100*float64(sCached.CacheHits)/float64(total))
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op%s\n",
-		"net_plan_cached", netM, sCached.NsPerOp, sCached.OpsPerSec, sCached.AllocsPerOp, extra)
+	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f upd/s %4d allocs/op (kept %d, partial %d, full %d)\n",
+		"net_update_inc", netM, sInc.NsPerOp, sInc.OpsPerSec, sInc.AllocsPerOp,
+		outcomes[core.IncKept], outcomes[core.IncPartial], outcomes[core.IncFull])
 	return nil
 }
 

@@ -353,9 +353,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if opts.Aggregate == gnn.Sum {
 			bagg = netmpn.Sum
 		}
-		backend, err = netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{
-			Aggregate: bagg, CacheEntries: 256,
-		})
+		backend, err = netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{Aggregate: bagg})
 		if err != nil {
 			return nil, err
 		}

@@ -119,36 +119,39 @@
 // Euclidean one, reachable through the same Server/engine/wire stack
 // and the same Planner.Plan entry point (core.KindNetRange):
 //
-//   - ALT landmarks: NewServer precomputes shortest-path trees from a
-//     few far-apart landmark nodes; per-query work
-//     examines POI candidates in ascending landmark-lower-bound order
-//     and terminates early, with one resumable truncated Dijkstra per
-//     member instead of per (member, POI) pair. Selection replays the
-//     naive oracle's comparison order over the examined subset, so
-//     plans are byte-identical to per-query Dijkstra over all POIs —
-//     the differential fence asserts it. A uniform edge grid makes
-//     position snapping sublinear, again bit-identical to the
+//   - POI distance table: NewServer runs one Dijkstra per POI, once (in
+//     parallel across GOMAXPROCS), and keeps the exact network distance
+//     from every POI to every junction — |POI|·|V|·8 bytes, 2.3 MB for
+//     178 POIs on 1,600 junctions. A member on edge (A,B) is
+//     min(t·l + d(p,A), (1−t)·l + d(p,B)) from POI p, so a plan reads the
+//     exact aggregate of every POI from the table and keeps the best
+//     two: no per-query shortest-path search, no pruning, no
+//     approximation. The table is rooted at the POIs where the naive
+//     oracle (per-query Dijkstra from each member) is rooted at the
+//     users; on an undirected graph the two sum the same edge lengths in
+//     opposite order, so their aggregates agree to 1e-12 rather than
+//     bitwise, and an exact tie between two POIs may resolve either way.
+//     The differential fences assert that tolerance against the oracle
+//     and bit-identity against brute force over POI-rooted Dijkstras.
+//     NewServer refuses a network that is not undirected with one
+//     finite non-negative length per street (ErrBadNetwork). A uniform
+//     edge grid makes position snapping sublinear, bit-identical to the
 //     exhaustive scan.
-//   - Workspace and epochs: network planning draws its heaps, distance
-//     maps, and candidate buffers from the same core.Workspace scratch
-//     as the Euclidean planners and stamps per-member region epochs
-//     into core.PlanState, so zero-allocation steady state, kept/partial
-//     incremental outcomes, and the delta wire protocol all work
-//     unchanged. Cleanliness is judged at the member's snapped network
-//     position, so an off-road GPS report a snap away from a covered
-//     segment does not spuriously dirty her.
-//   - Network neighborhood cache: WithNetCache keys recent top-k results
-//     by nearest node; a hit is certified by landmark lower bounds (the
-//     nbrcache triangle trick, transferred to network distance) and
-//     falls back to a real search when certification fails, so cached
-//     plans stay byte-identical to uncached ones.
+//   - Workspace and epochs: network planning keeps its scratch in the
+//     same core.Workspace as the Euclidean planners and stamps
+//     per-member region epochs into core.PlanState, so kept/partial
+//     incremental outcomes and the delta wire protocol work unchanged.
+//     Cleanliness is judged at the member's snapped network position, so
+//     an off-road GPS report a snap away from a covered segment does not
+//     spuriously dirty her.
 //
 // Network regions encode with a dedicated 'N'-tagged wire codec
 // (segments plus a center/radius summary) understood by EncodeRegion /
 // DecodeRegion and the coordinator. cmd/mpnserver -method net serves the
 // network backend over TCP; the net_* series in BENCH_plan.json track
-// the ALT planner against the naive oracle (benchgate enforces ≥5×),
-// the incremental path, and the cache.
+// the table-driven planner against the naive oracle (benchgate enforces
+// ≥10×) and the incremental path, over groups whose members start at
+// independent junctions.
 //
 // # Incremental vs full replanning
 //

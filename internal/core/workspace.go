@@ -38,8 +38,7 @@ type Workspace struct {
 	dirty     []bool
 
 	// net is the registered network backend's scratch slot (see
-	// NetScratch): resumable Dijkstra searches, candidate buffers, and
-	// interval arenas whose concrete type core does not know.
+	// NetScratch), whose concrete type core does not know.
 	net any
 }
 
@@ -61,11 +60,10 @@ func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 func PutWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // NetScratch exposes the workspace's backend-owned scratch slot. The
-// road-network backend stores its reusable planning state (resumable
-// per-member Dijkstra searches, landmark-ranked candidate buffers,
-// interval arenas) here, so network plans reach the same steady state of
-// near-zero allocations the Euclidean planners get from the typed fields
-// — without core depending on the backend's types. The slot follows the
+// road-network backend stores its reusable planning state (snapped
+// positions, the per-POI aggregate vector) here, so network plans reuse
+// their scratch the way the Euclidean planners reuse the typed fields —
+// without core depending on the backend's types. The slot follows the
 // workspace's lifecycle: per goroutine, reused across plans, recycled
 // through the pool.
 func (ws *Workspace) NetScratch() *any { return &ws.net }

@@ -2,79 +2,92 @@ package netmpn
 
 import (
 	"math"
-	"sort"
+	"runtime"
+	"sync"
 
 	"mpn/internal/core"
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/netmpn/alt"
 	"mpn/internal/roadnet"
 	"mpn/internal/rtree"
 )
 
-// BackendConfig configures the landmark-accelerated network backend.
-// The zero value selects Max aggregation and no neighborhood cache; the
-// ALT overlay always has alt.DefaultLandmarks landmarks.
+// BackendConfig configures the network backend. The zero value selects
+// Max aggregation.
 type BackendConfig struct {
 	// Aggregate selects network MPN (Max) or Sum-MPN (Sum).
 	Aggregate Aggregate
-	// CacheEntries bounds the network neighborhood cache (see cache.go);
-	// 0 disables caching. Cached plans are byte-identical to uncached.
+	// CacheEntries is accepted and ignored (bench/ still sets it).
 	CacheEntries int
-	// CacheK is how many network-nearest POIs each cache entry certifies;
-	// 0 selects DefaultCacheK. Ignored when the cache is disabled.
-	CacheK int
 }
 
 // Backend is the road-network planning backend behind core.Plan: it
-// implements core.NetBackend over a Server, an ALT landmark overlay, and
-// (optionally) a nearest-node-keyed neighborhood cache.
+// implements core.NetBackend over a Server and a table of the exact
+// network distance from every POI to every junction.
 //
 // Where the naive Server.Plan pays one full single-source Dijkstra per
-// member per query, the backend ranks POIs by the ALT aggregate lower
-// bound max_L |d(L,u) − d(L,p)| and computes exact aggregate distances —
-// through per-member resumable truncated Dijkstras — only for candidates
-// whose bound does not already exceed the current runner-up. The final
-// (best, runner-up) pair is replayed through the oracle's own selection
-// scan over the examined subset, so the backend's plan is byte-identical
-// to Server.Plan's on every input (the fence backend_test.go enforces):
-// any omitted POI has exact aggregate ≥ its bound > the final runner-up
-// value, so it could not have displaced either register.
+// member per query, the backend pays one per POI at construction
+// (|POI| Dijkstras, |POI|·|V|·8 bytes — 2.3 MB for 178 POIs on 1,600
+// junctions) and a plan is then one scan: a member on edge (A,B) at
+// offsets (offA, offB) is min(offA+d(p,A), offB+d(p,B)) from POI p, so
+// the exact top-2 over every POI costs O(m·|POI|) loads and no search.
 //
-// A Backend is safe for concurrent use with distinct workspaces and
-// plan states; the cache carries its own lock.
+// The table is rooted at the POIs, the oracle's Dijkstras at the users.
+// On an undirected network (which NewServer enforces) both compute the
+// same shortest-path length, but sum the same edge lengths in opposite
+// order, so the two agree to rounding — 1e-12 relative, the fence
+// backend_test.go enforces — not bitwise, and exact ties between POIs may
+// resolve differently. The bitwise fence is against brute force over the
+// same POI-rooted distances.
+//
+// The incremental arm runs no search either: a clean member's drift from
+// her retained center is read off the junction distances her region was
+// grown with (Region.drift).
+//
+// A Backend is immutable after construction and safe for concurrent use
+// with distinct workspaces and plan states.
 type Backend struct {
-	s      *Server
-	alt    *alt.Index
-	agg    Aggregate
-	cache  *nbrCache
-	grid   *snapGrid
-	poiIdx []int32 // node id → index into s.pois, -1 elsewhere
+	s    *Server
+	agg  Aggregate
+	grid *snapGrid
+	// poiDist[v*len(s.pois)+j] is the network distance between junction v
+	// and POI j: node-major, so the distances a member's scan reads from
+	// one endpoint are contiguous.
+	poiDist []float64
 }
 
 // NewBackend builds a backend over the network and POI placement,
-// precomputing the landmark distance vectors.
+// precomputing the POI distance table.
 func NewBackend(net *roadnet.Network, poiNodes []int, cfg BackendConfig) (*Backend, error) {
 	s, err := NewServer(net, poiNodes)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := alt.Build(net, alt.DefaultLandmarks)
-	if err != nil {
-		return nil, err
+	return &Backend{s: s, agg: cfg.Aggregate, grid: buildSnapGrid(net), poiDist: buildPOIDist(s)}, nil
+}
+
+// buildPOIDist runs one Dijkstra per POI — rows are independent, so
+// GOMAXPROCS goroutines take every workers-th POI — and scatters each
+// into the node-major table. A cell's value depends only on its POI's
+// own search, never on which goroutine ran it.
+func buildPOIDist(s *Server) []float64 {
+	np := len(s.pois)
+	table := make([]float64, s.net.NumNodes()*np)
+	workers := min(runtime.GOMAXPROCS(0), np)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := w; j < np; j += workers {
+				for v, d := range s.sssp(NodePos(s.pois[j])) {
+					table[v*np+j] = d
+				}
+			}
+		}()
 	}
-	b := &Backend{s: s, alt: idx, agg: cfg.Aggregate, grid: buildSnapGrid(net)}
-	b.poiIdx = make([]int32, net.NumNodes())
-	for i := range b.poiIdx {
-		b.poiIdx[i] = -1
-	}
-	for j, p := range s.pois {
-		b.poiIdx[p] = int32(j)
-	}
-	if cfg.CacheEntries > 0 {
-		b.cache = newNbrCache(cfg.CacheEntries, cfg.CacheK)
-	}
-	return b, nil
+	wg.Wait()
+	return table
 }
 
 // Server exposes the underlying naive server — the differential oracle
@@ -131,17 +144,11 @@ func (s *Server) posPoint(p Position) geom.Point {
 }
 
 // netScratch is the backend's per-workspace scratch (stored in
-// core.Workspace.NetScratch): one resumable Dijkstra per member plus the
-// candidate-ranking buffers, all reused across plans.
+// core.Workspace.NetScratch), reused across plans.
 type netScratch struct {
-	searches []search
-	pos      []Position
-	dirty    []bool
-
-	lb    []float64 // per-POI aggregate lower bound
-	order []int     // POI indices, ascending (lb, index)
-	exact []float64 // exact aggregate for examined POIs
-	done  []bool    // whether exact[j] holds a value this plan
+	pos   []Position
+	dirty []bool
+	agg   []float64 // per-POI aggregate distance of the plan in flight
 }
 
 func (b *Backend) scratch(ws *core.Workspace) *netScratch {
@@ -169,8 +176,7 @@ func grow[T any](s []T, m int) []T {
 // Plan.Best carries the meeting POI's node id and Euclidean location,
 // and every region is a *Region payload wrapped in core.NetRegion.
 //
-// req.Cache (the Euclidean neighborhood cache) is ignored: the backend
-// carries its own network-keyed cache, configured at construction.
+// req.Cache (the Euclidean neighborhood cache) is ignored.
 func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, core.IncOutcome, error) {
 	users := req.Users
 	if len(users) == 0 {
@@ -178,16 +184,14 @@ func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, 
 	}
 	ns := b.scratch(ws)
 	ns.pos = grow(ns.pos, len(users))
-	ns.searches = grow(ns.searches, len(users))
 	for i, u := range users {
 		ns.pos[i] = b.Snap(u)
-		ns.searches[i].reset(b.s, ns.pos[i])
 	}
 
 	var plan core.Plan
 	plan.Stats.GNNCalls = 1
-	best, second, checked := b.top2(ns, len(users))
-	plan.Stats.CandidatesChecked = checked
+	plan.Stats.CandidatesChecked = len(b.s.pois)
+	best, second := b.top2(ns)
 	if best.Node == -1 || math.IsInf(best.Dist, 1) {
 		return plan, core.IncFull, ErrUnreachable
 	}
@@ -250,7 +254,7 @@ func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, 
 		in := nr.ContainsPoint(b.s.posPoint(ns.pos[i]))
 		ns.dirty[i] = !in
 		if in {
-			rho = ns.searches[i].distToPos(b.s, ns.pos[i], nr.cpos) + nr.Radius
+			rho = nr.drift(b.s, ns.pos[i]) + nr.Radius
 		} else {
 			ndirty++
 		}
@@ -284,7 +288,7 @@ func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, 
 }
 
 // radiusOf computes the Theorem 1/5 safe radius exactly as Server.Plan
-// does (same operations, same order — the fences compare bitwise).
+// does (same operations, same order).
 func radiusOf(best, second Result, agg Aggregate, m int) float64 {
 	if second.Node == -1 {
 		return math.Inf(1) // single POI: never displaced
@@ -306,148 +310,66 @@ func (b *Backend) freshRegion(ns *netScratch, i int, r float64) core.SafeRegion 
 	return core.NetRegion(b.s.exportRegion(&rr, b.s.posPoint(ns.pos[i])))
 }
 
-// top2 finds the best and runner-up meeting POIs under the aggregate
-// network distance, byte-identically to Server.Plan's full scan.
-// checked counts POIs whose exact aggregate was computed.
-//
-// The examined subset comes from the neighborhood cache when a certified
-// entry covers the group (see cache.go), and from the ALT bound ranking
-// otherwise; either way the two-register selection runs over the subset
-// in POI order, replaying the oracle's scan.
-func (b *Backend) top2(ns *netScratch, m int) (best, second Result, checked int) {
-	np := len(b.s.pois)
-	ns.exact = grow(ns.exact, np)
-	ns.done = grow(ns.done, np)
-	for j := range ns.done {
-		ns.done[j] = false
+// drift returns the network distance between the region's center and p:
+// along their common street, or through an endpoint of p's street using
+// the center's retained junction distances. It is exact for every p
+// inside the region — a shortest path from the center to such a p enters
+// p's street through a junction within Radius, which nodeDist holds — and
+// an over-estimate (possibly +Inf) outside, which only makes the caller's
+// safety test more conservative. No search is run.
+func (r *Region) drift(s *Server, p Position) float64 {
+	l := s.edgeLen[edgeKey(p.A, p.B)] // 0 at a node (A == B)
+	d := math.Inf(1)
+	if v, ok := r.nodeDist[p.A]; ok {
+		d = v + p.T*l
 	}
-
-	if b.cache != nil {
-		if best, second, checked, ok := b.cacheTop2(ns, m); ok {
-			return best, second, checked
-		}
+	if v, ok := r.nodeDist[p.B]; ok {
+		d = min(d, v+(1-p.T)*l)
 	}
-
-	// Aggregate ALT lower bound per POI. A member on edge (A,B) at
-	// offsets (offA, offB) satisfies d(u,p) = min(offA+d(A,p),
-	// offB+d(B,p)), so min(offA+lb(A,p), offB+lb(B,p)) lower-bounds her
-	// distance; the MAX/SUM combination of member bounds lower-bounds
-	// the aggregate.
-	ns.lb = grow(ns.lb, np)
-	for j := range ns.lb {
-		ns.lb[j] = 0
-	}
-	for i := 0; i < m; i++ {
-		pos := ns.pos[i]
-		if pos.A == pos.B {
-			vec := b.alt.Vec(pos.A)
-			for j, p := range b.s.pois {
-				lb := b.alt.BoundTo(vec, p)
-				if b.agg == Max {
-					if lb > ns.lb[j] {
-						ns.lb[j] = lb
-					}
-				} else {
-					ns.lb[j] += lb
-				}
-			}
-			continue
+	if c := r.cpos; c.A != c.B && edgeKey(c.A, c.B) == edgeKey(p.A, p.B) {
+		ct := c.T
+		if c.A != p.A {
+			ct = 1 - ct // express both offsets from p's A endpoint
 		}
-		l := b.s.edgeLen[edgeKey(pos.A, pos.B)]
-		offA, offB := pos.T*l, (1-pos.T)*l
-		vecA, vecB := b.alt.Vec(pos.A), b.alt.Vec(pos.B)
-		for j, p := range b.s.pois {
-			lb := offA + b.alt.BoundTo(vecA, p)
-			if v := offB + b.alt.BoundTo(vecB, p); v < lb {
-				lb = v
-			}
-			if b.agg == Max {
-				if lb > ns.lb[j] {
-					ns.lb[j] = lb
-				}
-			} else {
-				ns.lb[j] += lb
-			}
-		}
-	}
-
-	ns.order = grow(ns.order, np)
-	for j := range ns.order {
-		ns.order[j] = j
-	}
-	sort.Slice(ns.order, func(x, y int) bool {
-		jx, jy := ns.order[x], ns.order[y]
-		if ns.lb[jx] != ns.lb[jy] {
-			return ns.lb[jx] < ns.lb[jy]
-		}
-		return jx < jy
-	})
-
-	// Examine candidates in ascending bound order, keeping the two
-	// smallest exact aggregates seen; once the next bound exceeds the
-	// running runner-up no unexamined POI can enter the top two.
-	v1, v2 := math.Inf(1), math.Inf(1)
-	for _, j := range ns.order {
-		if ns.lb[j] > v2 {
-			break
-		}
-		d := ns.exact[j]
-		if !ns.done[j] {
-			d = b.exactAgg(ns, j, m)
-			ns.exact[j] = d
-			ns.done[j] = true
-			checked++
-		}
-		if d < v1 {
-			v2, v1 = v1, d
-		} else if d < v2 {
-			v2 = d
-		}
-	}
-
-	best, second = replayScan(b.s.pois, ns)
-	return best, second, checked
-}
-
-// exactAgg computes the exact aggregate network distance from all
-// members to POI j, advancing each member's resumable search just far
-// enough. The member order and floating-point operations match
-// Server.Plan's aggregation loop exactly.
-func (b *Backend) exactAgg(ns *netScratch, j, m int) float64 {
-	p := b.s.pois[j]
-	var d float64
-	if b.agg == Max {
-		for i := 0; i < m; i++ {
-			if v := ns.searches[i].distTo(b.s, p); v > d {
-				d = v
-			}
-		}
-	} else {
-		for i := 0; i < m; i++ {
-			d += ns.searches[i].distTo(b.s, p)
-		}
+		d = min(d, math.Abs(p.T-ct)*l)
 	}
 	return d
 }
 
-// replayScan runs the oracle's two-register selection over the examined
-// subset in POI order — the step that makes the accelerated result
-// byte-identical to the full scan (earliest-index minimum, then
-// earliest-index minimum of the remainder).
-func replayScan(pois []int, ns *netScratch) (best, second Result) {
-	best = Result{Node: -1, Dist: math.Inf(1)}
-	second = Result{Node: -1, Dist: math.Inf(1)}
-	for j, p := range pois {
-		if !ns.done[j] {
-			continue
+// top2 finds the best and runner-up meeting POIs under the aggregate
+// network distance: the exact aggregate of every POI, read from the
+// table, fed in POI order to the two-register selection Server.Plan uses
+// (earliest-index minimum, then earliest-index minimum of the rest).
+func (b *Backend) top2(ns *netScratch) (best, second Result) {
+	np := len(b.s.pois)
+	ns.agg = grow(ns.agg, np)
+	clear(ns.agg)
+	for _, pos := range ns.pos {
+		l := b.s.edgeLen[edgeKey(pos.A, pos.B)] // 0 at a node (A == B)
+		offA, offB := pos.T*l, (1-pos.T)*l
+		rowA := b.poiDist[pos.A*np:][:np]
+		rowB := b.poiDist[pos.B*np:][:np]
+		for j, d := range rowA {
+			d += offA
+			if v := offB + rowB[j]; v < d {
+				d = v
+			}
+			if b.agg == Sum {
+				ns.agg[j] += d
+			} else if d > ns.agg[j] {
+				ns.agg[j] = d
+			}
 		}
-		d := ns.exact[j]
+	}
+	best = Result{Node: -1, Dist: math.Inf(1)}
+	second = best
+	for j, d := range ns.agg {
 		switch {
 		case d < best.Dist:
 			second = best
-			best = Result{Node: p, Dist: d}
+			best = Result{Node: b.s.pois[j], Dist: d}
 		case d < second.Dist:
-			second = Result{Node: p, Dist: d}
+			second = Result{Node: b.s.pois[j], Dist: d}
 		}
 	}
 	return best, second

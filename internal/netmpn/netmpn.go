@@ -69,10 +69,18 @@ var (
 	ErrNoUsers     = errors.New("netmpn: no users")
 	ErrBadPos      = errors.New("netmpn: invalid position")
 	ErrUnreachable = errors.New("netmpn: POIs unreachable from some user")
+	// ErrBadNetwork rejects a road network that is not an undirected graph
+	// with one finite non-negative length per street; NewServer wraps it
+	// with the offending edge.
+	ErrBadNetwork = errors.New("netmpn: bad road network")
 )
 
 // NewServer builds a network MPN server. poiNodes are the node ids that
-// host POIs; duplicates are ignored.
+// host POIs; duplicates are ignored. The network must be undirected —
+// every edge listed from both endpoints with one finite, non-negative
+// length — or NewServer fails with ErrBadNetwork: region geometry keys
+// edges by their unordered endpoint pair, and the Backend's distance
+// table is exact only when d(p,v) = d(v,p).
 func NewServer(net *roadnet.Network, poiNodes []int) (*Server, error) {
 	if net == nil || net.NumNodes() == 0 {
 		return nil, errors.New("netmpn: empty network")
@@ -94,12 +102,40 @@ func NewServer(net *roadnet.Network, poiNodes []int) (*Server, error) {
 	if len(s.pois) == 0 {
 		return nil, ErrNoPOIs
 	}
+	if len(net.Adj) != net.NumNodes() {
+		return nil, fmt.Errorf("%w: %d adjacency lists for %d nodes", ErrBadNetwork, len(net.Adj), net.NumNodes())
+	}
 	for a := range net.Adj {
 		for _, e := range net.Adj[a] {
+			if e.To < 0 || e.To >= net.NumNodes() {
+				return nil, fmt.Errorf("%w: edge %d->%d leaves the node set", ErrBadNetwork, a, e.To)
+			}
+			if !(e.Len >= 0) || math.IsInf(e.Len, 1) {
+				return nil, fmt.Errorf("%w: edge %d->%d has length %v", ErrBadNetwork, a, e.To, e.Len)
+			}
+			if l, ok := s.edgeLen[edgeKey(a, e.To)]; ok && l != e.Len {
+				return nil, fmt.Errorf("%w: edge %d->%d has lengths %v and %v", ErrBadNetwork, a, e.To, l, e.Len)
+			}
 			s.edgeLen[edgeKey(a, e.To)] = e.Len
 		}
 	}
+	for a := range net.Adj {
+		for _, e := range net.Adj[a] {
+			if !hasEdge(net, e.To, a) {
+				return nil, fmt.Errorf("%w: edge %d->%d has no reverse", ErrBadNetwork, a, e.To)
+			}
+		}
+	}
 	return s, nil
+}
+
+func hasEdge(net *roadnet.Network, from, to int) bool {
+	for _, e := range net.Adj[from] {
+		if e.To == to {
+			return true
+		}
+	}
+	return false
 }
 
 func edgeKey(a, b int) [2]int {
@@ -180,10 +216,10 @@ type Result struct {
 // network distance is a metric.
 //
 // Plan pays one full single-source Dijkstra per member and scans every
-// POI — the naive baseline. It is retained as the differential oracle
-// for the landmark-accelerated Backend (whose plans are byte-identical
-// to Plan's on every input, see backend.go) and as the net_plan_naive
-// benchmark series the speedup gate compares against.
+// POI — the naive baseline. It is retained as the user-rooted oracle
+// for the table-driven Backend (whose aggregate distances agree with
+// Plan's to 1e-12, see backend.go) and as the net_plan_naive benchmark
+// series the speedup gate compares against.
 func (s *Server) Plan(users []Position, agg Aggregate) (Result, []RangeRegion, error) {
 	if len(users) == 0 {
 		return Result{}, nil, ErrNoUsers

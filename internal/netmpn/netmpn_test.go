@@ -1,6 +1,7 @@
 package netmpn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,6 +53,41 @@ func TestNewServerErrors(t *testing.T) {
 	}
 	if len(s.pois) != 2 {
 		t.Fatalf("pois=%d want 2", len(s.pois))
+	}
+}
+
+// TestNewServerBadNetwork: a hand-built network that is not an undirected
+// graph with one finite non-negative length per street is refused with
+// ErrBadNetwork, by NewServer and unchanged through NewBackend.
+func TestNewServerBadNetwork(t *testing.T) {
+	edge := func(to int, l float64) roadnet.Edge { return roadnet.Edge{To: to, Len: l} }
+	for _, tc := range []struct {
+		name string
+		adj  [][]roadnet.Edge
+		bad  bool
+	}{
+		{"valid", [][]roadnet.Edge{{edge(1, 1)}, {edge(0, 1), edge(2, 2)}, {edge(1, 2)}}, false},
+		{"parallel edges of one length", [][]roadnet.Edge{{edge(1, 1), edge(1, 1)}, {edge(0, 1)}, {}}, false},
+		{"missing reverse", [][]roadnet.Edge{{edge(1, 1)}, {edge(2, 2)}, {edge(1, 2)}}, true},
+		{"mismatched length", [][]roadnet.Edge{{edge(1, 1)}, {edge(0, 1.5)}, {}}, true},
+		{"negative", [][]roadnet.Edge{{edge(1, -1)}, {edge(0, -1)}, {}}, true},
+		{"NaN", [][]roadnet.Edge{{edge(1, math.NaN())}, {edge(0, math.NaN())}, {}}, true},
+		{"infinite", [][]roadnet.Edge{{edge(1, math.Inf(1))}, {edge(0, math.Inf(1))}, {}}, true},
+		{"dangling endpoint", [][]roadnet.Edge{{edge(3, 1)}, {}, {}}, true},
+		{"short adjacency", [][]roadnet.Edge{{}, {}}, true},
+	} {
+		net := &roadnet.Network{Nodes: make([]roadnet.Node, 3), Adj: tc.adj}
+		_, errS := NewServer(net, []int{0})
+		_, errB := NewBackend(net, []int{0}, BackendConfig{})
+		if errS != errB && (errS == nil || errB == nil || errS.Error() != errB.Error()) {
+			t.Fatalf("%s: NewServer %v, NewBackend %v", tc.name, errS, errB)
+		}
+		if got := errors.Is(errS, ErrBadNetwork); got != tc.bad {
+			t.Fatalf("%s: err %v, want ErrBadNetwork=%v", tc.name, errS, tc.bad)
+		}
+		if !tc.bad && errS != nil {
+			t.Fatalf("%s: %v", tc.name, errS)
+		}
 	}
 }
 

@@ -33,11 +33,14 @@ type Region struct {
 	// (ascending edge key, then position along the edge).
 	Segs []Segment
 
-	// cpos is the planner-side network position of the center; decoded
-	// regions leave it zero (hasPos false). The incremental planner needs
-	// it to measure a member's network drift from her retained center.
-	cpos   Position
-	hasPos bool
+	// cpos is the planner-side network position of the center and
+	// nodeDist the distance from it to every junction within Radius;
+	// decoded regions leave both zero (hasPos false). The incremental
+	// planner reads a member's network drift from her retained center off
+	// them (see drift).
+	cpos     Position
+	nodeDist map[int]float64
+	hasPos   bool
 }
 
 // Segment is one covered sub-segment of a road edge.
@@ -177,10 +180,11 @@ func f64At(data []byte, off int) float64 {
 // degenerate to nothing, ascending by id.
 func (s *Server) exportRegion(rr *RangeRegion, center geom.Point) *Region {
 	out := &Region{
-		Center: center,
-		Radius: rr.Radius,
-		cpos:   rr.Center,
-		hasPos: true,
+		Center:   center,
+		Radius:   rr.Radius,
+		cpos:     rr.Center,
+		nodeDist: rr.nodeDist,
+		hasPos:   true,
 	}
 	if math.IsInf(rr.Radius, 1) {
 		return out // contains everything; no segment list needed

@@ -65,6 +65,13 @@ var ErrOverloaded = engine.ErrOverloaded
 // It aliases the engine's sentinel, so errors.Is works across layers.
 var ErrServerClosed = engine.ErrClosed
 
+// ErrBadNetwork is returned by NewServer when the WithRoadNetwork graph
+// is not undirected with one finite non-negative length per street (a
+// missing reverse edge, two lengths for one street, a negative or
+// non-finite length); the wrapping error names the edge. It aliases the
+// network backend's sentinel, so errors.Is works across layers.
+var ErrBadNetwork = netmpn.ErrBadNetwork
+
 // GroupID identifies a registered group within a Server's engine; it
 // appears in notifications so subscribers can route them.
 type GroupID = engine.GroupID
@@ -126,7 +133,7 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 			return nil, fmt.Errorf("mpn: method %v requires WithRoadNetwork", NetRange)
 		}
 		if cfg.cacheBytes > 0 {
-			return nil, fmt.Errorf("mpn: WithSharedGNNCache applies to Euclidean planning; use WithNetCache with %v", NetRange)
+			return nil, fmt.Errorf("mpn: WithSharedGNNCache applies to Euclidean planning, not %v", NetRange)
 		}
 		// The indexed POI set is the network POI nodes' embedded
 		// coordinates; the pois argument is ignored (see WithRoadNetwork).
@@ -168,11 +175,7 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 		if cfg.core.Aggregate == gnn.Sum {
 			agg = netmpn.Sum
 		}
-		backend, err := netmpn.NewBackend(cfg.network, cfg.poiNodes, netmpn.BackendConfig{
-			Aggregate:    agg,
-			CacheEntries: cfg.netCacheEntries,
-			CacheK:       cfg.netCacheK,
-		})
+		backend, err := netmpn.NewBackend(cfg.network, cfg.poiNodes, netmpn.BackendConfig{Aggregate: agg})
 		if err != nil {
 			return nil, fmt.Errorf("mpn: %w", err)
 		}

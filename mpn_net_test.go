@@ -7,11 +7,13 @@ package mpn
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"mpn/internal/proto"
+	"mpn/internal/roadnet"
 )
 
 func testRoadNet(t *testing.T) *RoadNetwork {
@@ -54,6 +56,11 @@ func TestNetRangeOptionValidation(t *testing.T) {
 	if _, err := NewServer(nil, WithRoadNetwork(nil, []int{0})); err == nil {
 		t.Fatal("nil network accepted")
 	}
+	oneWay := *net
+	oneWay.Adj = append([][]roadnet.Edge{net.Adj[0][1:]}, net.Adj[1:]...)
+	if _, err := NewServer(nil, WithRoadNetwork(&oneWay, []int{0})); !errors.Is(err, ErrBadNetwork) {
+		t.Fatalf("network with a missing reverse edge: err %v, want ErrBadNetwork", err)
+	}
 	if NetRange.String() != "net-range" {
 		t.Fatalf("NetRange.String() = %q", NetRange.String())
 	}
@@ -63,8 +70,7 @@ func TestNetRangeServer(t *testing.T) {
 	net := testRoadNet(t)
 	s, err := NewServer(nil,
 		WithRoadNetwork(net, netPOINodes(net, 9)),
-		WithIncremental(),
-		WithNetCache(64, 8))
+		WithIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +135,6 @@ func TestNetRangeServerParallel(t *testing.T) {
 	s, err := NewServer(nil,
 		WithRoadNetwork(net, netPOINodes(net, 9)),
 		WithIncremental(),
-		WithNetCache(128, 8),
 		WithShards(4))
 	if err != nil {
 		t.Fatal(err)

@@ -89,10 +89,8 @@ type config struct {
 	closeTimeout  time.Duration
 
 	// Road-network backend (NetRange method only).
-	network         *roadnet.Network
-	poiNodes        []int
-	netCacheEntries int
-	netCacheK       int
+	network  *roadnet.Network
+	poiNodes []int
 }
 
 func defaultConfig() config {
@@ -142,28 +140,6 @@ func WithRoadNetwork(net *RoadNetwork, poiNodes []int) Option {
 		c.poiNodes = poiNodes
 		c.method = NetRange
 		c.core.Directed = false
-		return nil
-	}
-}
-
-// WithNetCache enables the road-network neighborhood cache: entries keyed
-// by each group's nearest network node certify cached candidate POIs with
-// landmark lower bounds, so clustered groups skip most shortest-path
-// work. Cached plans are byte-identical to uncached ones (every hit is
-// certified exactly; uncertifiable hits fall back to the full search).
-// entries bounds the LRU entry count; k is how many network-nearest POIs
-// each entry certifies (0 selects the backend default). Only meaningful
-// together with WithRoadNetwork.
-func WithNetCache(entries, k int) Option {
-	return func(c *config) error {
-		if entries < 1 {
-			return fmt.Errorf("mpn: net cache entry bound %d must be positive", entries)
-		}
-		if k < 0 {
-			return fmt.Errorf("mpn: net cache k %d must be non-negative", k)
-		}
-		c.netCacheEntries = entries
-		c.netCacheK = k
 		return nil
 	}
 }
