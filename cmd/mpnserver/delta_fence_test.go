@@ -17,7 +17,7 @@ import (
 // protocol: for the same report stream, a delta-protocol client's
 // reassembled plan must be byte-identical to a full-Notify client's at
 // every step. Two groups with identical member locations run against
-// one delta-enabled incremental server — group 1's clients negotiate
+// one incremental server — group 1's clients negotiate
 // deltas, group 2's force full frames — and after every notification
 // round the decoded regions and meeting points are compared. The stream
 // exercises kept (in-region report), partial (minimal escape), and full
@@ -87,7 +87,6 @@ func runDeltaFence(t *testing.T, method, agg string) {
 		pois: pois, method: method, agg: agg,
 		alpha: 5, buffer: 20, shards: 2, workers: 1,
 		incremental: true,
-		delta:       true,
 		logger:      log.New(io.Discard, "", 0),
 	})
 	if err != nil {

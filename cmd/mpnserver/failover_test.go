@@ -16,6 +16,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -25,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"mpn/internal/core"
 	"mpn/internal/durable"
 	"mpn/internal/geom"
 	"mpn/internal/proto"
@@ -562,5 +564,56 @@ func TestFollowerCatchUpDifferential(t *testing.T) {
 	}
 	if pFinal.Epoch == 0 {
 		t.Fatal("replicating primary never journaled its epoch")
+	}
+}
+
+// TestNetServerRefusesPOIChurn: a net server's POI set is fixed
+// (core.ErrFixedPOIs) on every path a POI batch can reach it by. A
+// replicated batch stops a standby's tail instead of being applied to an
+// index the network backend never plans with, and a journaled batch
+// fails the POI replay of a boot from that state directory.
+func TestNetServerRefusesPOIChurn(t *testing.T) {
+	pcfg := failoverConfig(t, nil)
+	pcfg.method, pcfg.replicateTo = "net", "127.0.0.1:0"
+	primary := startFailoverNode(t, pcfg)
+	primaryDead := false
+	defer func() {
+		if !primaryDead {
+			primary.kill()
+		}
+	}()
+	scfg := failoverConfig(t, nil)
+	scfg.method, scfg.standbyOf = "net", primary.srv.replAddr()
+	standby := startFailoverNode(t, scfg)
+	defer standby.kill()
+	waitCond(t, "standby connected to primary", func() bool {
+		return standby.srv.tail.Stats().Connected
+	})
+
+	n := primary.srv.planner.NumPOIs()
+	batch := durable.Record{Type: durable.RecPOIs, Inserts: []geom.Point{geom.Pt(0.5, 0.5)}}
+	if err := primary.srv.applyReplicated(batch); !errors.Is(err, core.ErrFixedPOIs) {
+		t.Fatalf("applyReplicated(RecPOIs) = %v, want ErrFixedPOIs", err)
+	}
+	// Journal the batch as a primary that had applied it would: the
+	// record ships, and the standby must refuse it.
+	primary.srv.store.POIBatch(n, batch.Inserts, nil)
+	waitCond(t, "standby tail stopped", func() bool { return standby.srv.tail.Err() != nil })
+	if err := standby.srv.tail.Err(); !errors.Is(err, core.ErrFixedPOIs) || !errors.Is(err, replica.ErrDiverged) {
+		t.Fatalf("standby tail error %v, want ErrDiverged wrapping ErrFixedPOIs", err)
+	}
+	if got := standby.srv.planner.NumPOIs(); got != n {
+		t.Fatalf("standby POIs %d → %d", n, got)
+	}
+
+	primary.kill()
+	primaryDead = true
+	pcfg.replicateTo = ""
+	srv, err := newServer(pcfg)
+	if err == nil {
+		srv.close()
+	}
+	if !errors.Is(err, core.ErrFixedPOIs) {
+		t.Fatalf("boot from a log with a POI batch: err %v, want ErrFixedPOIs", err)
 	}
 }

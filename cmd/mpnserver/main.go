@@ -13,11 +13,12 @@
 // read loops never wait on the planner, and a burst of reports costs one
 // recomputation.
 //
-// Notifications default to the delta wire protocol (-delta): clients
-// that negotiate it receive epoch-tracked region diffs — only regions
-// whose content changed travel, a steady-state "nothing changed" frame
-// is ~10 bytes — with automatic full-frame fallback on registration,
-// reconnect, dropped frames, and client NACKs.
+// Notifications use the delta wire protocol: clients that negotiate it
+// receive epoch-tracked region diffs — only regions whose content changed
+// travel, a steady-state "nothing changed" frame is ~10 bytes — with
+// automatic full-frame fallback on registration, reconnect, dropped
+// frames, and client NACKs; clients that do not negotiate it receive full
+// frames.
 //
 // With -state-dir the server's authoritative state — group
 // registrations and membership, last committed member locations, and
@@ -50,7 +51,7 @@
 //	mpnserver [-listen :7464] [-method circle|tile|tiled|net] [-agg max|sum]
 //	          [-n 21287] [-alpha 30] [-buffer 100] [-seed 42] [-pois FILE.csv]
 //	          [-shards N] [-workers N] [-queue N] [-incremental] [-gnncache N]
-//	          [-delta=true] [-poi-every 9]
+//	          [-poi-every 9]
 //	          [-state-dir DIR] [-fsync always|interval|off]
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
 //	          [-promote-after 10s]
@@ -60,8 +61,9 @@
 // "x,y" header line are skipped). With -method net the server plans
 // under shortest-path distance on a synthetic road network:
 // POIs sit on every k-th network node (-poi-every), safe regions are
-// covered road segments shipped with the 'N' wire tag, and -pois/-n are
-// ignored.
+// covered road segments shipped with the 'N' wire tag, -pois, -n and
+// -seed are ignored and no Euclidean POIs are generated, and the POI set
+// is fixed: a durable or replicated POI batch is refused.
 package main
 
 import (
@@ -85,91 +87,85 @@ import (
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
 	"mpn/internal/nbrcache"
-	"mpn/internal/netmpn"
 	"mpn/internal/proto"
 	"mpn/internal/replica"
 	"mpn/internal/roadnet"
+	"mpn/internal/serving"
 	"mpn/internal/workload"
 )
 
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("mpnserver: ")
-
-	listen := flag.String("listen", ":7464", "TCP listen address")
-	method := flag.String("method", "tiled", "safe-region method: circle, tile, tiled, or net (plan under shortest-path distance on a synthetic road network; POIs live on network nodes and safe regions are covered road segments)")
-	poiEvery := flag.Int("poi-every", 9, "with -method net, place a POI on every k-th network node")
-	agg := flag.String("agg", "max", "objective: max or sum")
-	n := flag.Int("n", workload.DefaultPOICount, "synthetic POI count (ignored with -pois)")
-	alpha := flag.Int("alpha", 30, "tile limit α")
-	buffer := flag.Int("buffer", 100, "buffering parameter b")
-	seed := flag.Int64("seed", 42, "synthetic POI seed")
-	poiPath := flag.String("pois", "", "CSV file of x,y POIs (optional)")
-	shards := flag.Int("shards", 0, "engine registry shards (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "recompute workers per shard (0 = 1)")
-	queue := flag.Int("queue", 0, "per-shard work queue depth (0 = 1024)")
-	incremental := flag.Bool("incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
-	cacheBytes := flag.Int64("gnncache", 0, "shared GNN neighborhood cache byte budget, 0 disables (co-located groups reuse each other's index traversals)")
-	delta := flag.Bool("delta", true, "delta notifications: clients that negotiate receive epoch-tracked region diffs (only changed regions travel), with automatic full-frame fallback and repair")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
-	writeTimeout := flag.Duration("write-timeout", 30*time.Second, "deadline armed before every connection write; a peer that stops draining this long is disconnected (0 disables)")
-	slowLimit := flag.Int("slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
-	admissionWait := flag.Duration("admission-wait", 0, "how long a report may wait for shard queue space before being shed (0 = engine default, negative = shed immediately)")
-	closeTimeout := flag.Duration("close-timeout", 0, "how long shutdown drains queued recomputations before abandoning them (0 = engine default, negative = unbounded)")
-	stateDir := flag.String("state-dir", "", "durable state directory (write-ahead log + snapshots); restored on boot, empty disables durability")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: always (per write batch), interval (periodic, bounded loss), off (clean close only)")
-	replicateTo := flag.String("replicate-to", "", "serve the replication (WAL-shipping) stream to hot-standby followers on this address; requires -state-dir")
-	standbyOf := flag.String("standby-of", "", "follow the primary at this replication address as a hot standby: client writes are refused with a redirect until promotion")
-	advertise := flag.String("advertise", "", "this node's client-facing address, pushed to clients in peer frames so they can fail over")
-	promoteAfter := flag.Duration("promote-after", 0, "auto-promote a standby whose primary has been unreachable this long (0 = never promote automatically)")
-	flag.Parse()
-
-	pois, err := loadPOIs(*poiPath, *n, *seed)
+	cfg, listen, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := newServer(serverConfig{
-		pois: pois, method: *method, agg: *agg, netPOIEvery: *poiEvery,
-		alpha: *alpha, buffer: *buffer,
-		shards: *shards, workers: *workers, queue: *queue,
-		incremental: *incremental,
-		cacheBytes:  *cacheBytes,
-		delta:       *delta,
-		readTimeout: *readTimeout, writeTimeout: *writeTimeout,
-		slowLimit:     *slowLimit,
-		admissionWait: *admissionWait, closeTimeout: *closeTimeout,
-		stateDir: *stateDir, fsync: *fsync,
-		replicateTo: *replicateTo, standbyOf: *standbyOf,
-		advertise: *advertise, promoteAfter: *promoteAfter,
-		logger: log.Default(),
-	})
+	cfg.logger = log.Default()
+	srv, err := newServer(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.close()
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		log.Fatal(err)
 	}
 	eo := srv.eng.Options()
 	mode := "full-replan"
-	if *incremental {
+	if cfg.incremental {
 		mode = "incremental"
 	}
-	wire := "full notifications"
-	if *delta {
-		wire = "delta notifications"
-	}
-	log.Printf("serving %d POIs with %s/%s on %s (%d shards × %d workers, %s, %s)",
-		len(pois), *method, *agg, ln.Addr(), eo.Shards, eo.Workers, mode, wire)
+	log.Printf("serving %d POIs with %s/%s on %s (%d shards × %d workers, %s)",
+		srv.planner.NumPOIs(), cfg.method, cfg.agg, ln.Addr(), eo.Shards, eo.Workers, mode)
 	if err := srv.serve(ln); err != nil {
 		log.Fatal(err)
 	}
 }
 
+// parseFlags maps the command line onto a server configuration and the
+// listen address, loading the POI set a Euclidean method plans over.
+func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
+	var cfg serverConfig
+	listen := fs.String("listen", ":7464", "TCP listen address")
+	fs.StringVar(&cfg.method, "method", "tiled", "safe-region method: circle, tile, tiled, or net (plan under shortest-path distance on a synthetic road network; POIs live on network nodes and safe regions are covered road segments)")
+	fs.IntVar(&cfg.netPOIEvery, "poi-every", 9, "with -method net, place a POI on every k-th network node")
+	fs.StringVar(&cfg.agg, "agg", "max", "objective: max or sum")
+	n := fs.Int("n", workload.DefaultPOICount, "synthetic POI count (ignored with -pois and -method net)")
+	fs.IntVar(&cfg.alpha, "alpha", 30, "tile limit α")
+	fs.IntVar(&cfg.buffer, "buffer", 100, "buffering parameter b")
+	seed := fs.Int64("seed", 42, "synthetic POI seed")
+	poiPath := fs.String("pois", "", "CSV file of x,y POIs (optional; ignored with -method net)")
+	fs.IntVar(&cfg.shards, "shards", 0, "engine registry shards (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.workers, "workers", 0, "recompute workers per shard (0 = 1)")
+	fs.IntVar(&cfg.queue, "queue", 0, "per-shard work queue depth (0 = 1024)")
+	fs.BoolVar(&cfg.incremental, "incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
+	fs.Int64Var(&cfg.cacheBytes, "gnncache", 0, "shared GNN neighborhood cache byte budget, 0 disables (co-located groups reuse each other's index traversals)")
+	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
+	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline armed before every connection write; a peer that stops draining this long is disconnected (0 disables)")
+	fs.IntVar(&cfg.slowLimit, "slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
+	fs.DurationVar(&cfg.admissionWait, "admission-wait", 0, "how long a report may wait for shard queue space before being shed (0 = engine default, negative = shed immediately)")
+	fs.DurationVar(&cfg.closeTimeout, "close-timeout", 0, "how long shutdown drains queued recomputations before abandoning them (0 = engine default, negative = unbounded)")
+	fs.StringVar(&cfg.stateDir, "state-dir", "", "durable state directory (write-ahead log + snapshots); restored on boot, empty disables durability")
+	fs.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy: always (per write batch), interval (periodic, bounded loss), off (clean close only)")
+	fs.StringVar(&cfg.replicateTo, "replicate-to", "", "serve the replication (WAL-shipping) stream to hot-standby followers on this address; requires -state-dir")
+	fs.StringVar(&cfg.standbyOf, "standby-of", "", "follow the primary at this replication address as a hot standby: client writes are refused with a redirect until promotion")
+	fs.StringVar(&cfg.advertise, "advertise", "", "this node's client-facing address, pushed to clients in peer frames so they can fail over")
+	fs.DurationVar(&cfg.promoteAfter, "promote-after", 0, "auto-promote a standby whose primary has been unreachable this long (0 = never promote automatically)")
+	err := fs.Parse(args)
+	// The flag set keeps pointers into cfg for good: the POIs go into a
+	// copy, so they do not stay reachable after the planner indexed them.
+	run := cfg
+	if err == nil && run.method != "net" {
+		run.pois, err = loadPOIs(*poiPath, *n, *seed)
+	}
+	return run, *listen, err
+}
+
 // serverConfig parameterizes a server instance (flags in production, a
-// small synthetic setup in the end-to-end test).
+// small synthetic setup in the end-to-end test). pois is ignored by the
+// net method.
 type serverConfig struct {
 	pois                   []geom.Point
 	method, agg            string
@@ -178,7 +174,6 @@ type serverConfig struct {
 	shards, workers, queue int
 	incremental            bool
 	cacheBytes             int64
-	delta                  bool
 	// Failure-semantics knobs (zero values keep prior behavior for
 	// timeouts and pick engine/coordinator defaults for the rest).
 	readTimeout, writeTimeout   time.Duration
@@ -299,38 +294,30 @@ func (j serverJournal) GroupRemoved(tag any) {
 	}
 }
 
+// newServer maps the configuration onto the serving stack (see
+// internal/serving), restores durable state into it, and wires the
+// coordinator and replication around it.
 func newServer(cfg serverConfig) (*server, error) {
-	opts := core.DefaultOptions()
-	opts.TileLimit = cfg.alpha
-	opts.Buffer = cfg.buffer
-	opts.Directed = false
-	kind := core.KindTiles
+	if cfg.logger == nil {
+		cfg.logger = log.New(os.Stderr, "", 0)
+	}
+	scfg := serving.Config{
+		Kind: core.KindTiles, Core: core.DefaultOptions(), POIs: cfg.pois,
+		CacheBytes: cfg.cacheBytes, Incremental: cfg.incremental,
+		Engine: engine.Options{
+			Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
+			AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
+		},
+	}
+	scfg.Core.TileLimit = cfg.alpha
+	scfg.Core.Buffer = cfg.buffer
 	switch cfg.method {
 	case "tiled":
-		opts.Directed = true
+		scfg.Core.Directed = true
 	case "tile":
 	case "circle":
-		kind = core.KindCircle
+		scfg.Kind = core.KindCircle
 	case "net":
-		kind = core.KindNetRange
-	default:
-		return nil, fmt.Errorf("unknown method %q", cfg.method)
-	}
-	switch cfg.agg {
-	case "max":
-		opts.Aggregate = gnn.Max
-	case "sum":
-		opts.Aggregate = gnn.Sum
-	default:
-		return nil, fmt.Errorf("unknown aggregate %q", cfg.agg)
-	}
-	var backend *netmpn.Backend
-	if kind == core.KindNetRange {
-		if cfg.cacheBytes > 0 {
-			// Same refusal as mpn.NewServer: the net backend never reads
-			// the tile-keyed cache.
-			return nil, fmt.Errorf("-gnncache applies to Euclidean planning, not method %q", cfg.method)
-		}
 		netw, err := roadnet.Generate(roadnet.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -339,102 +326,30 @@ func newServer(cfg serverConfig) (*server, error) {
 		if every <= 0 {
 			every = 9
 		}
-		var poiNodes []int
 		for i := 0; i < netw.NumNodes(); i += every {
-			poiNodes = append(poiNodes, i)
+			scfg.POINodes = append(scfg.POINodes, i)
 		}
-		// The planner indexes the POI nodes' embedded coordinates; network
-		// planning itself runs against the backend's shortest-path state.
-		cfg.pois = make([]geom.Point, len(poiNodes))
-		for i, node := range poiNodes {
-			cfg.pois[i] = netw.Nodes[node].P
-		}
-		bagg := netmpn.Max
-		if opts.Aggregate == gnn.Sum {
-			bagg = netmpn.Sum
-		}
-		backend, err = netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{Aggregate: bagg})
+		scfg.Kind, scfg.Network = core.KindNetRange, netw
+	default:
+		return nil, fmt.Errorf("unknown method %q", cfg.method)
+	}
+	switch cfg.agg {
+	case "max":
+		scfg.Core.Aggregate = gnn.Max
+	case "sum":
+		scfg.Core.Aggregate = gnn.Sum
+	default:
+		return nil, fmt.Errorf("unknown aggregate %q", cfg.agg)
+	}
+	pol := durable.PolicyInterval
+	if cfg.stateDir != "" && cfg.fsync != "" {
+		p, err := durable.ParsePolicy(cfg.fsync)
 		if err != nil {
 			return nil, err
 		}
-	}
-	planner, err := core.NewPlanner(cfg.pois, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.logger == nil {
-		cfg.logger = log.New(os.Stderr, "", 0)
-	}
-
-	// Durable state: recover whatever a previous process persisted —
-	// truncating a torn tail from an unclean death — before any plan
-	// is computed, so restored groups plan against the restored POI
-	// set. The recorded POI base fences config drift: a state
-	// directory from a different -n/-seed/-pois boot is refused rather
-	// than silently merged.
-	var (
-		store    *durable.Store
-		restored *durable.State
-	)
-	if cfg.stateDir != "" {
-		pol := durable.PolicyInterval
-		if cfg.fsync != "" {
-			p, perr := durable.ParsePolicy(cfg.fsync)
-			if perr != nil {
-				return nil, perr
-			}
-			pol = p
-		}
-		var info durable.RecoverInfo
-		store, restored, info, err = durable.Open(durable.Config{
-			Dir: cfg.stateDir, Fsync: pol, Interval: cfg.fsyncEvery,
-			POIBase: len(cfg.pois),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("durable state %s: %w", cfg.stateDir, err)
-		}
-		if info.TornBytes > 0 {
-			cfg.logger.Printf("durable log had a torn tail: truncated %dB after %d valid records", info.TornBytes, info.LogRecords)
-		}
-		if len(restored.POIInserts) > 0 || len(restored.POIDeleted) > 0 {
-			if backend != nil {
-				store.Close()
-				return nil, fmt.Errorf("durable state %s holds POI churn, which the net method cannot replay", cfg.stateDir)
-			}
-			if _, aerr := planner.ApplyPOIs(restored.POIInserts, restored.POIDeleted); aerr != nil {
-				store.Close()
-				return nil, fmt.Errorf("durable state %s: POI replay: %w", cfg.stateDir, aerr)
-			}
-		}
-		// From here on, every applied POI batch is journaled (replay
-		// above predates the hook on purpose — it is already logged).
-		planner.OnMutate(store.POIBatch)
-	}
-
-	var cache *nbrcache.Cache // nil plans uncached
-	if cfg.cacheBytes > 0 {
-		cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.cacheBytes})
-		// Register the cache for mutation notifications, as mpn.NewServer
-		// does: an applied POI batch (a standby replaying its primary's)
-		// then evicts only the tiles it could affect instead of cooling
-		// the whole cache.
-		planner.ShareCache(cache)
-	}
-	if backend != nil {
-		planner.RegisterNetBackend(backend)
-	}
-	plan := engine.PlannerKindWSFunc(planner, kind, cache)
-	eopts := engine.Options{
-		Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
-		AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
-	}
-	if cfg.incremental {
-		eopts.Replan = engine.PlannerKindIncFunc(planner, kind, cache)
+		pol = p
 	}
 	s := &server{
-		planner:      planner,
-		cache:        cache,
-		store:        store,
 		stateDir:     cfg.stateDir,
 		logger:       cfg.logger,
 		readTimeout:  cfg.readTimeout,
@@ -442,10 +357,48 @@ func newServer(cfg serverConfig) (*server, error) {
 		gidToEngine:  map[uint32]engine.GroupID{},
 		fanoutDone:   make(chan struct{}),
 	}
-	if store != nil {
-		eopts.Journal = serverJournal{s}
+	if cfg.stateDir != "" {
+		scfg.Engine.Journal = serverJournal{s}
 	}
-	s.eng = engine.NewWS(plan, eopts)
+	stack, err := serving.New(scfg)
+	if err != nil {
+		return nil, err
+	}
+	s.planner, s.cache, s.eng = stack.Planner, stack.Cache, stack.Engine
+	s.poiBase = s.planner.NumPOIs()
+
+	// Durable state: recover whatever a previous process persisted —
+	// truncating a torn tail from an unclean death — before any plan
+	// is computed, so restored groups plan against the restored POI
+	// set. The recorded POI base fences config drift: a state
+	// directory from a different -n/-seed/-pois boot is refused rather
+	// than silently merged.
+	var restored *durable.State
+	if cfg.stateDir != "" {
+		var info durable.RecoverInfo
+		s.store, restored, info, err = durable.Open(durable.Config{
+			Dir: cfg.stateDir, Fsync: pol, Interval: cfg.fsyncEvery,
+			POIBase: s.poiBase,
+		})
+		if err != nil {
+			s.eng.Close()
+			return nil, fmt.Errorf("durable state %s: %w", cfg.stateDir, err)
+		}
+		if info.TornBytes > 0 {
+			cfg.logger.Printf("durable log had a torn tail: truncated %dB after %d valid records", info.TornBytes, info.LogRecords)
+		}
+		if len(restored.POIInserts) > 0 || len(restored.POIDeleted) > 0 {
+			// A net server refuses the batch (core.ErrFixedPOIs).
+			if _, aerr := s.planner.ApplyPOIs(restored.POIInserts, restored.POIDeleted); aerr != nil {
+				s.store.Close()
+				s.eng.Close()
+				return nil, fmt.Errorf("durable state %s: POI replay: %w", cfg.stateDir, aerr)
+			}
+		}
+		// From here on, every applied POI batch is journaled (replay
+		// above predates the hook on purpose — it is already logged).
+		s.planner.OnMutate(s.store.POIBatch)
+	}
 
 	// Re-own every recovered group before taking traffic: each is
 	// registered with its last committed member locations and retained
@@ -462,12 +415,10 @@ func newServer(cfg serverConfig) (*server, error) {
 		ok := 0
 		for _, gid := range gids {
 			g := restored.Groups[gid]
-			eid, rerr := s.eng.RegisterTag(g.Locs, nil, reportTag{gid: gid, ids: g.IDs})
-			if rerr != nil {
+			if _, _, rerr := s.routeGroup(gid, g.IDs, g.Locs); rerr != nil {
 				cfg.logger.Printf("group %d: restore failed: %v", gid, rerr)
 				continue
 			}
-			s.gidToEngine[gid] = eid
 			ok++
 		}
 		cfg.logger.Printf("restored %d/%d durable groups", ok, len(gids))
@@ -476,16 +427,42 @@ func newServer(cfg serverConfig) (*server, error) {
 
 	s.coord = proto.NewAsyncCoordinator(s.submit, cfg.logger)
 	s.coord.SetGroupEmptyHook(s.onGroupEmpty)
-	s.coord.SetDeltaEnabled(cfg.delta)
 	s.coord.SetSlowClientLimit(cfg.slowLimit)
 	s.sub = s.eng.Subscribe(1024)
 	go s.fanout()
-	s.poiBase = len(cfg.pois)
 	if err := s.initReplication(cfg, restored); err != nil {
 		s.close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// routeGroup hands protocol group gid's location snapshot to the engine —
+// the one gid→engine routine behind client reports (submit), boot-time
+// restore and replicated group records. The first snapshot registers the
+// group, planning it synchronously (registered is true). So does a
+// snapshot whose member count differs from the engine group's — one
+// restored or replicated under a shape the members no longer have — after
+// the stale engine group is retired (journaled, so a crash right there
+// does not resurrect it). Every other snapshot is a plain SubmitTag.
+func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point) (eid engine.GroupID, registered bool, err error) {
+	tag := reportTag{gid: gid, ids: ids}
+	s.mu.Lock()
+	eid, ok := s.gidToEngine[gid]
+	if ok && s.eng.Size(eid) == len(users) {
+		s.mu.Unlock()
+		return eid, false, s.eng.SubmitTag(eid, users, nil, tag)
+	}
+	defer s.mu.Unlock()
+	if ok {
+		delete(s.gidToEngine, gid)
+		s.eng.Unregister(eid)
+	}
+	if eid, err = s.eng.RegisterTag(users, nil, tag); err != nil {
+		return 0, false, err
+	}
+	s.gidToEngine[gid] = eid
+	return eid, true, nil
 }
 
 // submit is the coordinator's replan hook, called with the coordinator
@@ -494,46 +471,21 @@ func newServer(cfg serverConfig) (*server, error) {
 // contact registers the group: the engine computes the initial plan
 // synchronously and submit returns it for inline delivery, so the one
 // notification clients cannot recover from losing never rides the lossy
-// subscription stream. Every later report is a plain bounded enqueue, so
+// subscription stream (the fan-out skips the matching Seq-1
+// notification). Every later report is a plain bounded enqueue, so
 // after registration the read loops never wait on the planner; a full
 // shard queue blocks here, backpressure toward the transport. The
 // member-id ordering travels as the submission tag so deliveries can be
 // verified against membership churn.
 func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
-	s.mu.Lock()
-	eid, ok := s.gidToEngine[gid]
-	if ok && s.eng.Size(eid) != len(users) {
-		// The engine group was restored from the durable log with a
-		// member count the reconnecting clients no longer have (the
-		// group changed shape while the server was down). Retire the
-		// stale engine group — journaled, so a crash right here does
-		// not resurrect it — and register afresh from current state.
-		delete(s.gidToEngine, gid)
-		s.eng.Unregister(eid)
-		ok = false
-	}
-	if !ok {
-		var err error
-		eid, err = s.eng.RegisterTag(users, nil, reportTag{gid: gid, ids: ids})
-		if err != nil {
-			s.mu.Unlock()
-			s.deliverError(gid, err)
-			return geom.Point{}, nil, nil, false
-		}
-		s.gidToEngine[gid] = eid
-		meeting := s.eng.Meeting(eid)
-		regions := s.eng.Regions(eid)
-		epochs := s.eng.Epochs(eid)
-		s.mu.Unlock()
-		// Hand the initial plan back for inline delivery; the fan-out
-		// skips the matching Seq-1 notification.
-		return meeting, regions, epochs, true
-	}
-	s.mu.Unlock()
-	if err := s.eng.SubmitTag(eid, users, nil, reportTag{gid: gid, ids: ids}); err != nil {
+	eid, registered, err := s.routeGroup(gid, ids, users)
+	if err != nil {
 		s.deliverError(gid, err)
 	}
-	return geom.Point{}, nil, nil, false
+	if !registered {
+		return geom.Point{}, nil, nil, false
+	}
+	return s.eng.Meeting(eid), s.eng.Regions(eid), s.eng.Epochs(eid), true
 }
 
 // deliverError reports a submission failure to the group's members. It

@@ -263,7 +263,7 @@ func TestMethodValidated(t *testing.T) {
 	}{
 		{"circle", 0, ""}, {"tile", 0, ""}, {"tiled", 0, ""}, {"net", 0, ""},
 		{"", 0, "unknown method"}, {"cirlce", 0, "unknown method"},
-		{"tiled", 1 << 20, ""}, {"net", 1 << 20, "-gnncache applies to Euclidean planning"},
+		{"tiled", 1 << 20, ""}, {"net", 1 << 20, "GNN cache applies to Euclidean planning"},
 	} {
 		srv, err := newServer(serverConfig{
 			pois: pois, method: tc.method, agg: "max", alpha: 5, shards: 1,

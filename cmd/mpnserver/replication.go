@@ -247,7 +247,8 @@ func (s *server) applyReplicated(rec durable.Record) error {
 		return nil
 	case durable.RecPOIs:
 		// The planner's OnMutate hook journals the applied batch under
-		// our own WAL; version alignment is checked inside ApplyPOIs.
+		// our own WAL; version alignment is checked inside ApplyPOIs, and
+		// a net server refuses the batch (core.ErrFixedPOIs).
 		_, err := s.planner.ApplyPOIs(rec.Inserts, rec.Deletes)
 		return err
 	case durable.RecUnreg:
@@ -278,39 +279,21 @@ func (s *server) adoptEpoch(e uint64) {
 	}
 }
 
-// applyReplGroup mirrors submit()'s registration logic for a
-// replicated group record: first sight registers (synchronous plan,
-// so the standby is warm), a shape change retires the stale engine
-// group first, and later records are ordinary submissions. The
-// engine's admission control can shed a submission under load — on
-// the replication path that must never surface as divergence, so
-// overload retries until the queue drains or the server stops.
+// applyReplGroup routes a replicated group record like a client report
+// (routeGroup): first sight registers (synchronous plan, so the standby
+// is warm), a shape change retires the stale engine group first, and
+// later records are ordinary submissions. The engine's admission control
+// can shed a submission under load — on the replication path that must
+// never surface as divergence, so overload retries until the queue
+// drains or the server stops.
 func (s *server) applyReplGroup(rec durable.Record) error {
-	s.mu.Lock()
-	eid, ok := s.gidToEngine[rec.GID]
-	if ok && s.eng.Size(eid) != len(rec.Locs) {
-		delete(s.gidToEngine, rec.GID)
-		s.eng.Unregister(eid)
-		ok = false
-	}
-	if !ok {
-		eid, err := s.eng.RegisterTag(rec.Locs, nil, reportTag{gid: rec.GID, ids: rec.IDs})
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("replicated group %d: register: %w", rec.GID, err)
-		}
-		s.gidToEngine[rec.GID] = eid
-		s.mu.Unlock()
-		return nil
-	}
-	s.mu.Unlock()
 	for {
-		err := s.eng.SubmitTag(eid, rec.Locs, nil, reportTag{gid: rec.GID, ids: rec.IDs})
-		if err == nil {
-			return nil
-		}
+		_, _, err := s.routeGroup(rec.GID, rec.IDs, rec.Locs)
 		if !errors.Is(err, engine.ErrOverloaded) {
-			return fmt.Errorf("replicated group %d: submit: %w", rec.GID, err)
+			if err != nil {
+				return fmt.Errorf("replicated group %d: %w", rec.GID, err)
+			}
+			return nil
 		}
 		select {
 		case <-s.replStop:

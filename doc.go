@@ -190,7 +190,7 @@
 // regions exist to suppress messages — yet a kept plan whose regions
 // changed not at all would still ship every member her full encoded
 // region on every notification. The protocol layer (internal/proto,
-// cmd/mpnserver -delta, on by default) closes that gap end to end:
+// cmd/mpnserver) closes that gap end to end:
 //
 //   - Epoch stamping: core.PlanState tags every member slot with a
 //     monotone epoch that advances exactly when that slot's region
@@ -286,9 +286,11 @@
 //
 // # Live POI churn and snapshot semantics
 //
-// The POI set is mutable while the server runs: Server.InsertPOI,
-// Server.DeletePOI, and the batched Server.UpdatePOIs apply venue churn
-// without stopping — or even pausing — planning. The index is published
+// The POI set of a Euclidean server is mutable while it runs:
+// Server.InsertPOI, Server.DeletePOI, and the batched Server.UpdatePOIs
+// apply venue churn without stopping — or even pausing — planning (a
+// road-network server refuses them with ErrFixedPOIs: its backend plans
+// from distances computed once for its POI nodes). The index is published
 // as immutable snapshots behind one atomic pointer (an RCU-style
 // double buffer in internal/core):
 //
@@ -454,6 +456,12 @@
 // in BENCH_plan.json price shipping on the update path and the
 // follower's drain rate; cmd/benchgate enforces the disclosed ceiling
 // against update_inc.
+//
+// One package assembles the serving stack: internal/serving builds the
+// planner, the road-network backend, the shared cache and the engine from
+// one Config, and NewServer and cmd/mpnserver only map their options or
+// flags onto it — so the library and the binary plan alike, which a
+// parity fence in cmd/mpnserver checks for every method and objective.
 //
 // The internal packages implement the full substrate from scratch: an
 // R-tree (internal/rtree), top-k group nearest neighbor search

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,6 +11,39 @@ import (
 	"mpn/internal/gnn"
 	"mpn/internal/nbrcache"
 )
+
+// stubNet is a NetBackend that is never asked to plan.
+type stubNet struct{}
+
+func (stubNet) PlanNet(*Workspace, PlanRequest) (Plan, IncOutcome, error) {
+	return Plan{}, IncFull, nil
+}
+
+// TestNetBackendFixesPOIs: once a network backend is registered, every
+// mutation path refuses with ErrFixedPOIs and changes nothing — the
+// backend plans from the POI set it was built with. InsertPOI, whose
+// only failure used to be unreachable, returns -1 instead of panicking.
+func TestNetBackendFixesPOIs(t *testing.T) {
+	pl := mustPlanner(t, randomPoints(8, rand.New(rand.NewSource(5))), tileOpts(nil))
+	pl.RegisterNetBackend(stubNet{})
+	if ids, err := pl.ApplyPOIs([]geom.Point{geom.Pt(0.5, 0.5)}, []int{0}); !errors.Is(err, ErrFixedPOIs) || ids != nil {
+		t.Fatalf("ApplyPOIs = %v, %v; want ErrFixedPOIs", ids, err)
+	}
+	if _, err := pl.ApplyPOIs(nil, nil); !errors.Is(err, ErrFixedPOIs) {
+		t.Fatalf("empty batch: err %v, want ErrFixedPOIs", err)
+	}
+	if id := pl.InsertPOI(geom.Pt(0.5, 0.5)); id != -1 {
+		t.Fatalf("InsertPOI = %d, want -1", id)
+	}
+	if pl.DeletePOI(0) {
+		t.Fatal("DeletePOI accepted")
+	}
+	snap := pl.Acquire()
+	defer snap.Release()
+	if snap.Version() != 0 || snap.Live() != 8 {
+		t.Fatalf("refused mutations changed state: version %d, %d live", snap.Version(), snap.Live())
+	}
+}
 
 // TestDeletePOISemantics pins down the mutation API's edge behavior:
 // range checks, double deletes, the never-empty guard, batch

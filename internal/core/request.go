@@ -11,6 +11,12 @@ import (
 // planner with no registered network backend.
 var ErrNoNetBackend = errors.New("core: no network backend registered")
 
+// ErrFixedPOIs is returned by ApplyPOIs on a planner with a registered
+// network backend: the backend plans from POI distances it computed once,
+// at construction, so a mutated POI set would be indexed but never
+// planned with.
+var ErrFixedPOIs = errors.New("core: the POI set of a road-network planner is fixed")
+
 // PlanRequest describes one safe-region computation to Plan: the region
 // kind (which selects the planning backend), the group's locations and
 // optional headings, the optional shared neighborhood cache, and the
@@ -84,6 +90,7 @@ type NetBackend interface {
 }
 
 // RegisterNetBackend installs the network backend Plan dispatches
-// KindNetRange requests to. Call once, before planning begins; a nil
-// backend unregisters.
+// KindNetRange requests to, and from then on refuses POI mutation (see
+// ErrFixedPOIs). Call once, before planning begins; a nil backend
+// unregisters.
 func (pl *Planner) RegisterNetBackend(b NetBackend) { pl.netBackend = b }

@@ -106,12 +106,13 @@ type shadowState struct {
 // InsertPOI appends one point to the data set and publishes the change,
 // returning the new POI's id. It is a one-element ApplyPOIs batch: safe
 // to call concurrently with planning, but each call pays a full snapshot
-// publication — batch through ApplyPOIs when inserting many.
+// publication — batch through ApplyPOIs when inserting many. It returns
+// -1, and changes nothing, on a planner whose POI set is fixed (see
+// ErrFixedPOIs).
 func (pl *Planner) InsertPOI(p geom.Point) int {
 	ids, err := pl.ApplyPOIs([]geom.Point{p}, nil)
 	if err != nil {
-		// Unreachable: a pure insert batch cannot fail validation.
-		panic(err)
+		return -1
 	}
 	return ids[0]
 }
@@ -119,7 +120,8 @@ func (pl *Planner) InsertPOI(p geom.Point) int {
 // DeletePOI removes the POI with the given id from the data set and
 // publishes the change. It reports false — and changes nothing — when id
 // is out of range, already deleted, or the last live POI (a planner's
-// data set may never become empty; see ErrNoPOIs).
+// data set may never become empty; see ErrNoPOIs), or when the POI set
+// is fixed (see ErrFixedPOIs).
 func (pl *Planner) DeletePOI(id int) bool {
 	_, err := pl.ApplyPOIs(nil, []int{id})
 	return err == nil
@@ -142,7 +144,8 @@ const compactMinTable = 256
 //
 // ApplyPOIs returns an error, and applies nothing, when a delete id is
 // out of range, already deleted, repeated within the batch, or when the
-// batch would leave the data set empty.
+// batch would leave the data set empty — and ErrFixedPOIs, for any
+// batch, once a network backend is registered.
 //
 // Concurrency: safe to call concurrently with planning and with itself
 // (writers serialize on an internal lock; readers are never blocked).
@@ -161,6 +164,9 @@ const compactMinTable = 256
 // indirection itself grows 4 bytes per id ever inserted — the
 // irreducible cost of the ids-never-reused contract.
 func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, error) {
+	if pl.netBackend != nil {
+		return nil, ErrFixedPOIs
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 

@@ -621,13 +621,19 @@ func (e *Engine) lookup(id GroupID) *groupState {
 }
 
 // validate checks a location snapshot against the group's size and
-// refuses NaN and ±Inf coordinates: the planner would silently plan as if
-// that member did not exist and hand her a region that does not contain
-// her.
+// refuses non-finite coordinates (see CheckFinite).
 func (st *groupState) validate(users []geom.Point) error {
 	if len(users) != st.size {
 		return fmt.Errorf("engine: group has %d users, got %d locations", st.size, len(users))
 	}
+	return CheckFinite(users)
+}
+
+// CheckFinite refuses NaN and ±Inf coordinates, with the error Register,
+// Submit and Update return for them: the planner would silently plan as
+// if that member did not exist and hand her a region that does not
+// contain her.
+func CheckFinite(users []geom.Point) error {
 	for _, u := range users {
 		// x-x is 0 for every finite x and NaN for NaN and ±Inf.
 		if u.X-u.X != 0 || u.Y-u.Y != 0 {

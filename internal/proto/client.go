@@ -84,7 +84,7 @@ func WithHeartbeat(interval time.Duration) ClientOption {
 // with the location supplier, reports escapes, and surfaces notifications.
 //
 // By default the client negotiates the delta protocol (FlagDeltaCapable):
-// a delta-enabled server then sends only changed regions, and the client
+// the server then sends only changed regions, and the client
 // reassembles the current plan from its retained region. A delta frame
 // it cannot apply — no retained region yet, or an epoch that does not
 // match its retained one — is answered with TNack, and the server

@@ -72,10 +72,6 @@ type Coordinator struct {
 	// can observe the stale mapping.
 	onEmpty func(gid uint32)
 
-	// delta enables TNotifyDelta frames toward members that negotiated
-	// them (see SetDeltaEnabled).
-	delta bool
-
 	// slowLimit is the slow-client policy knob (see SetSlowClientLimit):
 	// after this many consecutive outbox drops the member's connection is
 	// kicked. 0 selects DefaultSlowClientLimit; negative disables kicks.
@@ -170,14 +166,6 @@ func (c *Coordinator) slowClientLimit() int {
 	}
 	return c.slowLimit
 }
-
-// SetDeltaEnabled turns delta notifications on or off. Call it before
-// serving connections. With delta on, members that registered with
-// FlagDeltaCapable receive TNotifyDelta frames carrying only the regions
-// whose epoch advanced since their last delivery; everything else —
-// registration plans, members that did not negotiate, members whose last
-// frame was dropped, NACK repairs — still receives full TNotify frames.
-func (c *Coordinator) SetDeltaEnabled(on bool) { c.delta = on }
 
 // SetWriteGate installs the write-admission gate (see WriteGateFunc).
 // Call it before serving connections. The gate runs without the
@@ -820,7 +808,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 	for i, uid := range ids {
 		mb := g.members[uid]
 		data, epoch := g.encodedRegion(uid, regions[i], epochs, i)
-		if !c.delta || !mb.delta || mb.needFull {
+		if !mb.delta || mb.needFull {
 			ok := mb.send(Message{
 				Type: TNotify, Group: gid, User: uid,
 				Meeting: meeting, Epoch: epoch, Region: data,
@@ -872,11 +860,11 @@ func (g *group) encodedRegion(uid uint32, r core.SafeRegion, epochs []uint64, i 
 		if e != nil && e.epoch == epochs[i] {
 			return e.data, e.epoch
 		}
-		data := encodeRegion(r)
+		data := EncodeRegion(r)
 		g.enc[uid] = &encRegion{epoch: epochs[i], data: data}
 		return data, epochs[i]
 	}
-	data := encodeRegion(r)
+	data := EncodeRegion(r)
 	if e != nil && bytes.Equal(e.data, data) {
 		return e.data, e.epoch
 	}
@@ -1000,11 +988,8 @@ func sortU32(xs []uint32) {
 // EncodeRegion is the one region codec (the public mpn.EncodeRegion
 // delegates here): 25 bytes for a circle (tag byte + three
 // float64s), the 'N'-tagged covered-segment codec for network range
-// regions, the tileenc codec for tile regions. encodeRegion is the
-// internal alias.
-func EncodeRegion(r core.SafeRegion) []byte { return encodeRegion(r) }
-
-func encodeRegion(r core.SafeRegion) []byte {
+// regions, the tileenc codec for tile regions.
+func EncodeRegion(r core.SafeRegion) []byte {
 	if r.Kind == core.KindCircle {
 		buf := make([]byte, 0, 25)
 		buf = append(buf, 'C')
@@ -1025,7 +1010,7 @@ func encodeRegion(r core.SafeRegion) []byte {
 	return tileenc.Encode(r.Tiles, delta)
 }
 
-// DecodeRegion parses an encodeRegion payload back into a SafeRegion.
+// DecodeRegion parses an EncodeRegion payload back into a SafeRegion.
 func DecodeRegion(data []byte) (core.SafeRegion, error) {
 	if len(data) == 25 && data[0] == 'C' {
 		return core.CircleRegion(geom.Pt(readF(data, 1), readF(data, 9)), readF(data, 17)), nil

@@ -15,7 +15,7 @@ import (
 // --- codec -----------------------------------------------------------------
 
 func TestDeltaFrameRoundTrip(t *testing.T) {
-	region := encodeRegion(core.CircleRegion(geom.Pt(0.2, 0.3), 0.05))
+	region := EncodeRegion(core.CircleRegion(geom.Pt(0.2, 0.3), 0.05))
 	msgs := []Message{
 		// Steady-state kept frame: nothing but the epoch confirmation.
 		{Type: TNotifyDelta, Group: 7, User: 2, Epoch: 9},
@@ -114,7 +114,7 @@ func TestDeltaFrameCorruption(t *testing.T) {
 // TestCircleEncodingIs25Bytes pins the circle region wire size the
 // package doc promises: one tag byte plus three little-endian float64s.
 func TestCircleEncodingIs25Bytes(t *testing.T) {
-	enc := encodeRegion(core.CircleRegion(geom.Pt(0.125, 0.75), 0.0625))
+	enc := EncodeRegion(core.CircleRegion(geom.Pt(0.125, 0.75), 0.0625))
 	if len(enc) != 25 {
 		t.Fatalf("encoded circle is %d bytes, want 25", len(enc))
 	}
@@ -144,7 +144,7 @@ func TestDeltaKeptFrameIsTiny(t *testing.T) {
 	}
 	full := Message{Type: TNotify, Group: 3, User: 1, Epoch: 5,
 		Meeting: geom.Pt(0.5, 0.5),
-		Region:  encodeRegion(core.CircleRegion(geom.Pt(0.5, 0.5), 0.1))}
+		Region:  EncodeRegion(core.CircleRegion(geom.Pt(0.5, 0.5), 0.1))}
 	fullFrame, err := full.AppendFrame(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,6 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 		meeting: geom.Pt(0.5, 0.5),
 	}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 
 	rc := dialRaw(t, coord)
 	if err := Write(rc.conn, Message{
@@ -290,7 +289,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 		t.Fatalf("changed frame %+v", chg)
 	}
 	if chg.Deltas[0].Member != 0 || chg.Deltas[0].Epoch != 2 ||
-		!bytes.Equal(chg.Deltas[0].Region, encodeRegion(newRegions[0])) {
+		!bytes.Equal(chg.Deltas[0].Region, EncodeRegion(newRegions[0])) {
 		t.Fatalf("changed record %+v", chg.Deltas[0])
 	}
 
@@ -304,11 +303,10 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 }
 
 // TestCoordinatorDeltaNotNegotiated: a client without FlagDeltaCapable
-// on a delta-enabled server receives full frames forever.
+// receives full frames forever.
 func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 	rc := dialRaw(t, coord)
 	if err := Write(rc.conn, Message{Type: TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.1, 0.2)}); err != nil {
 		t.Fatal(err)
@@ -327,7 +325,6 @@ func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 func TestCoordinatorNackRepair(t *testing.T) {
 	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 	rc := dialRaw(t, coord)
 	if err := Write(rc.conn, Message{
 		Type: TRegister, Group: 1, User: 0, GroupSize: 1,
@@ -359,7 +356,6 @@ func TestCoordinatorNackRepair(t *testing.T) {
 func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	backend := &scriptedBackend{regions: circleRegions(2), epochs: []uint64{3, 3}, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 
 	reg := func(rc *rawConn, user uint32) {
 		t.Helper()
@@ -447,7 +443,6 @@ func waitGroupsSize(t *testing.T, c *Coordinator, gid uint32, want int) {
 func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 	// Kicks off: the overflow below must only coalesce, not disconnect,
 	// so the post-drop repair path can be observed on a live member.
 	coord.SetSlowClientLimit(-1)
@@ -524,7 +519,7 @@ func TestClientDeltaStateMachine(t *testing.T) {
 	region := core.CircleRegion(geom.Pt(0.1, 0.1), 0.2)
 	if err := Write(server, Message{
 		Type: TNotify, Group: 1, User: 0, Epoch: 3,
-		Meeting: geom.Pt(0.5, 0.5), Region: encodeRegion(region),
+		Meeting: geom.Pt(0.5, 0.5), Region: EncodeRegion(region),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +552,7 @@ func TestClientDeltaStateMachine(t *testing.T) {
 	if err := Write(server, Message{
 		Type: TNotifyDelta, Group: 1, User: 0, Epoch: 6,
 		MeetingChanged: true, Meeting: geom.Pt(0.6, 0.6),
-		Deltas: []RegionDelta{{Member: 0, Epoch: 6, Region: encodeRegion(region2)}},
+		Deltas: []RegionDelta{{Member: 0, Epoch: 6, Region: EncodeRegion(region2)}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +580,6 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 	regionsA := circleRegions(2)
 	backend := &scriptedBackend{regions: regionsA, epochs: []uint64{4, 4}, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
-	coord.SetDeltaEnabled(true)
 
 	reg := func(rc *rawConn, user uint32) {
 		t.Helper()
@@ -636,10 +630,10 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 	if m7.Type != TNotify {
 		t.Fatalf("continuing member got %v after same-size churn, want full TNotify", m7.Type)
 	}
-	if !bytes.Equal(m7.Region, encodeRegion(regionsB[0])) {
+	if !bytes.Equal(m7.Region, EncodeRegion(regionsB[0])) {
 		t.Fatal("continuing member's post-churn region is not her fresh slot's region")
 	}
-	if m := rc9.read(t); m.Type != TNotify || !bytes.Equal(m.Region, encodeRegion(regionsB[1])) {
+	if m := rc9.read(t); m.Type != TNotify || !bytes.Equal(m.Region, EncodeRegion(regionsB[1])) {
 		t.Fatalf("joining member frame %+v", m)
 	}
 	// After the reset, deltas resume against the new id vector.

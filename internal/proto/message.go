@@ -121,12 +121,12 @@ func (t MsgType) String() string {
 
 // FlagDeltaCapable, set on a Register frame, announces that the client
 // understands TNotifyDelta frames. The server only sends deltas to
-// members that negotiated them (and only when its own delta mode is on),
-// so a client that opts out — or never sets the flag — receives full
-// TNotify frames forever. Note the negotiation is within this wire
-// version: the classic frame layout itself changed when the Flags and
-// Epoch fields were added (fixed header 49 → 58 bytes), so peers from
-// before that change cannot interoperate regardless of the flag.
+// members that negotiated them, so a client that opts out — or never
+// sets the flag — receives full TNotify frames forever. Note the
+// negotiation is within this wire version: the classic frame layout
+// itself changed when the Flags and Epoch fields were added (fixed
+// header 49 → 58 bytes), so peers from before that change cannot
+// interoperate regardless of the flag.
 const FlagDeltaCapable uint8 = 1 << 0
 
 // FlagCompactProbe, set on a Register frame, announces that the client

@@ -85,7 +85,7 @@ func TestMsgTypeString(t *testing.T) {
 
 func TestRegionCodec(t *testing.T) {
 	c := core.CircleRegion(geom.Pt(0.25, 0.75), 0.125)
-	dec, err := DecodeRegion(encodeRegion(c))
+	dec, err := DecodeRegion(EncodeRegion(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRegionCodec(t *testing.T) {
 		geom.RectAround(geom.Pt(0.5, 0.5), 0.01),
 		geom.RectAround(geom.Pt(0.51, 0.5), 0.01),
 	)
-	dec, err = DecodeRegion(encodeRegion(tr))
+	dec, err = DecodeRegion(EncodeRegion(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

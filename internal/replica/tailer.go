@@ -28,7 +28,8 @@ type TailerConfig struct {
 	Epoch func() uint64
 	// OnRecord applies one replicated record to the serving engine. It
 	// runs on the tailer goroutine, strictly in stream order; an error
-	// is fatal (the standby can no longer converge by replay).
+	// is fatal (the standby can no longer converge by replay), and Err
+	// then wraps both it and ErrDiverged.
 	OnRecord func(durable.Record) error
 	// Initial is the follower's starting mirror (its own recovered
 	// state); nil starts empty. Seeds are diffed against the mirror so
@@ -284,7 +285,7 @@ func (t *Tailer) stream(conn net.Conn) error {
 	}
 	for _, rec := range recs {
 		if err := t.cfg.OnRecord(rec); err != nil {
-			return fmt.Errorf("%w: applying seed diff: %v", ErrDiverged, err)
+			return fmt.Errorf("%w: applying seed diff: %w", ErrDiverged, err)
 		}
 	}
 	t.mirror = seed
@@ -318,7 +319,7 @@ func (t *Tailer) stream(conn net.Conn) error {
 				return err
 			}
 			if err := t.cfg.OnRecord(rec); err != nil {
-				return fmt.Errorf("%w: applying tail record: %v", ErrDiverged, err)
+				return fmt.Errorf("%w: applying tail record: %w", ErrDiverged, err)
 			}
 			t.pos.Add(1)
 			t.records.Add(1)

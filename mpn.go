@@ -7,11 +7,11 @@ import (
 	"mpn/internal/core"
 	"mpn/internal/engine"
 	"mpn/internal/geom"
-	"mpn/internal/gnn"
 	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
 	"mpn/internal/proto"
 	"mpn/internal/roadnet"
+	"mpn/internal/serving"
 )
 
 // RoadNetwork is an embedded road network for the NetRange method (see
@@ -72,6 +72,13 @@ var ErrServerClosed = engine.ErrClosed
 // network backend's sentinel, so errors.Is works across layers.
 var ErrBadNetwork = netmpn.ErrBadNetwork
 
+// ErrFixedPOIs is returned by UpdatePOIs on a road-network server
+// (WithRoadNetwork), where InsertPOI and DeletePOI refuse too: its POI
+// set is the network nodes given at construction, and the backend plans
+// from distances it computed once for exactly those. It aliases the
+// planner's sentinel, so errors.Is works across layers.
+var ErrFixedPOIs = core.ErrFixedPOIs
+
 // GroupID identifies a registered group within a Server's engine; it
 // appears in notifications so subscribers can route them.
 type GroupID = engine.GroupID
@@ -106,11 +113,7 @@ type Subscription = engine.Subscription
 // in a sharded concurrent engine whose worker pool recomputes safe
 // regions asynchronously (see Group.SubmitUpdate and Subscribe).
 type Server struct {
-	cfg     config
-	planner *core.Planner
-	planWS  engine.PlanWSFunc
-	engine  *engine.Engine
-	cache   *nbrcache.Cache // non-nil iff WithSharedGNNCache was given
+	st *serving.Stack
 }
 
 // CacheStats is a snapshot of the shared GNN cache's counters (see
@@ -128,66 +131,12 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.method == NetRange {
-		if cfg.network == nil {
-			return nil, fmt.Errorf("mpn: method %v requires WithRoadNetwork", NetRange)
-		}
-		if cfg.cacheBytes > 0 {
-			return nil, fmt.Errorf("mpn: WithSharedGNNCache applies to Euclidean planning, not %v", NetRange)
-		}
-		// The indexed POI set is the network POI nodes' embedded
-		// coordinates; the pois argument is ignored (see WithRoadNetwork).
-		pois = make([]Point, len(cfg.poiNodes))
-		for i, n := range cfg.poiNodes {
-			pois[i] = cfg.network.Nodes[n].P
-		}
-	} else if cfg.network != nil {
-		return nil, fmt.Errorf("mpn: WithRoadNetwork requires method %v, got %v", NetRange, cfg.method)
-	}
-	planner, err := core.NewPlanner(pois, cfg.core)
+	cfg.POIs = pois // ignored under NetRange (see WithRoadNetwork)
+	st, err := serving.New(cfg.Config)
 	if err != nil {
 		return nil, fmt.Errorf("mpn: %w", err)
 	}
-	s := &Server{
-		cfg:     cfg,
-		planner: planner,
-	}
-	kind := core.KindTiles
-	switch cfg.method {
-	case Circle:
-		kind = core.KindCircle
-	case NetRange:
-		kind = core.KindNetRange
-	}
-	if cfg.cacheBytes > 0 {
-		s.cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.cacheBytes})
-		// Register the cache for mutation notifications: POI churn then
-		// evicts only the entries a mutation could actually affect
-		// (dirty-tile invalidation) instead of cooling the whole cache.
-		planner.ShareCache(s.cache)
-	}
-	eopts := engine.Options{
-		Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queueDepth,
-		AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
-	}
-	if cfg.method == NetRange {
-		agg := netmpn.Max
-		if cfg.core.Aggregate == gnn.Sum {
-			agg = netmpn.Sum
-		}
-		backend, err := netmpn.NewBackend(cfg.network, cfg.poiNodes, netmpn.BackendConfig{Aggregate: agg})
-		if err != nil {
-			return nil, fmt.Errorf("mpn: %w", err)
-		}
-		planner.RegisterNetBackend(backend)
-	}
-	// s.cache is nil under NetRange (WithSharedGNNCache is rejected above).
-	s.planWS = engine.PlannerKindWSFunc(planner, kind, s.cache)
-	if cfg.incremental {
-		eopts.Replan = engine.PlannerKindIncFunc(planner, kind, s.cache)
-	}
-	s.engine = engine.NewWS(s.planWS, eopts)
-	return s, nil
+	return &Server{st: st}, nil
 }
 
 // ShardStats is a snapshot of one engine shard's admission counters:
@@ -197,20 +146,20 @@ type ShardStats = engine.ShardStats
 
 // ShardStats reports every engine shard's admission counters — the
 // observability face of WithAdmissionWait and WithCloseTimeout.
-func (s *Server) ShardStats() []ShardStats { return s.engine.ShardStats() }
+func (s *Server) ShardStats() []ShardStats { return s.st.Engine.ShardStats() }
 
 // GNNCacheStats reports the shared neighborhood cache's counters and
 // occupancy; ok is false (and the snapshot zero) when the server was
 // built without WithSharedGNNCache.
 func (s *Server) GNNCacheStats() (stats CacheStats, ok bool) {
-	if s.cache == nil {
+	if s.st.Cache == nil {
 		return CacheStats{}, false
 	}
-	return s.cache.Stats(), true
+	return s.st.Cache.Stats(), true
 }
 
 // NumPOIs returns the indexed data set size.
-func (s *Server) NumPOIs() int { return s.planner.NumPOIs() }
+func (s *Server) NumPOIs() int { return s.st.Planner.NumPOIs() }
 
 // InsertPOI adds one POI to the live data set and returns its id (ids
 // are assigned sequentially and never reused). It is safe to call
@@ -222,13 +171,16 @@ func (s *Server) NumPOIs() int { return s.planner.NumPOIs() }
 // on incremental servers that next update is a full replan (the
 // retained plan's certificate does not cover the mutation). Each call
 // publishes a snapshot — batch through UpdatePOIs when changing many.
-func (s *Server) InsertPOI(p Point) int { return s.planner.InsertPOI(p) }
+// On a road-network server it returns -1 and changes nothing (see
+// ErrFixedPOIs).
+func (s *Server) InsertPOI(p Point) int { return s.st.Planner.InsertPOI(p) }
 
 // DeletePOI removes the POI with the given id from the live data set.
 // It reports false — and changes nothing — when id is out of range,
 // already deleted, or the last remaining POI (the data set may never
-// become empty). Concurrency semantics are those of InsertPOI.
-func (s *Server) DeletePOI(id int) bool { return s.planner.DeletePOI(id) }
+// become empty), and on a road-network server (see ErrFixedPOIs).
+// Concurrency semantics are those of InsertPOI.
+func (s *Server) DeletePOI(id int) bool { return s.st.Planner.DeletePOI(id) }
 
 // UpdatePOIs applies one batched mutation — inserts added to the data
 // set, deleteIDs removed — atomically: the whole batch becomes visible
@@ -236,10 +188,10 @@ func (s *Server) DeletePOI(id int) bool { return s.planner.DeletePOI(id) }
 // prefix of it. It returns the inserted POIs' ids, in order. The batch
 // is rejected as a whole (with nothing applied) when a delete id is out
 // of range, already deleted, repeated, or when the batch would empty
-// the data set. Safe to call concurrently with planning and with other
-// mutations.
+// the data set, and always on a road-network server (ErrFixedPOIs).
+// Safe to call concurrently with planning and with other mutations.
 func (s *Server) UpdatePOIs(inserts []Point, deleteIDs []int) ([]int, error) {
-	ids, err := s.planner.ApplyPOIs(inserts, deleteIDs)
+	ids, err := s.st.Planner.ApplyPOIs(inserts, deleteIDs)
 	if err != nil {
 		return nil, fmt.Errorf("mpn: %w", err)
 	}
@@ -254,7 +206,7 @@ func (s *Server) Register(users []Point, dirs []Direction) (*Group, error) {
 	if len(users) == 0 {
 		return nil, ErrNoGroup
 	}
-	id, err := s.engine.Register(users, dirs)
+	id, err := s.st.Engine.Register(users, dirs)
 	if err != nil {
 		return nil, err
 	}
@@ -267,25 +219,29 @@ func (s *Server) Register(users []Point, dirs []Direction) (*Group, error) {
 // block: a subscriber that falls behind drops frames (Subscription
 // counts them).
 func (s *Server) Subscribe(buffer int) *Subscription {
-	return s.engine.Subscribe(buffer)
+	return s.st.Engine.Subscribe(buffer)
 }
 
 // Close stops the engine's workers — queued recomputations complete, but
 // a submission accepted while its group was being recomputed may be
 // discarded — and closes all subscription channels.
-func (s *Server) Close() { s.engine.Close() }
+func (s *Server) Close() { s.st.Engine.Close() }
 
 // Plan computes a one-shot meeting point and safe regions without creating
-// a group. It is the stateless core of Register/Update; scratch state is
+// a group. It is the stateless core of Register/Update, and refuses NaN
+// and ±Inf locations with the error they return; scratch state is
 // borrowed from the planning workspace pool, so repeated calls reach a
 // steady state of a few allocations per plan (just the returned regions).
 func (s *Server) Plan(users []Point, dirs []Direction) (Point, []SafeRegion, Stats, error) {
 	if len(users) == 0 {
 		return Point{}, nil, Stats{}, ErrNoGroup
 	}
+	if err := engine.CheckFinite(users); err != nil {
+		return Point{}, nil, Stats{}, err
+	}
 	ws := core.GetWorkspace()
 	defer core.PutWorkspace(ws)
-	return s.planWS(ws, users, dirs)
+	return s.st.Plan(ws, users, dirs)
 }
 
 // Group is one monitored user group: a handle over the server engine's
@@ -305,23 +261,23 @@ func (g *Group) Size() int { return g.size }
 
 // MeetingPoint returns the currently reported optimal meeting point.
 func (g *Group) MeetingPoint() Point {
-	return g.server.engine.Meeting(g.id)
+	return g.server.st.Engine.Meeting(g.id)
 }
 
 // Region returns user i's current safe region.
 func (g *Group) Region(i int) SafeRegion {
-	return g.server.engine.Region(g.id, i)
+	return g.server.st.Engine.Region(g.id, i)
 }
 
 // Regions returns a copy of all safe regions.
 func (g *Group) Regions() []SafeRegion {
-	return g.server.engine.Regions(g.id)
+	return g.server.st.Engine.Regions(g.id)
 }
 
 // NeedsUpdate reports whether user i moving to loc escapes her safe region
 // — the client-side trigger of the Fig. 3 protocol.
 func (g *Group) NeedsUpdate(i int, loc Point) bool {
-	return g.server.engine.NeedsUpdate(g.id, i, loc)
+	return g.server.st.Engine.NeedsUpdate(g.id, i, loc)
 }
 
 // Update recomputes the meeting point and safe regions from all users'
@@ -333,7 +289,7 @@ func (g *Group) Update(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
 	}
-	return g.server.engine.Update(g.id, users, dirs)
+	return g.server.st.Engine.Update(g.id, users, dirs)
 }
 
 // SubmitUpdate schedules an asynchronous recomputation on the engine's
@@ -345,23 +301,23 @@ func (g *Group) SubmitUpdate(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
 	}
-	return g.server.engine.Submit(g.id, users, dirs)
+	return g.server.st.Engine.Submit(g.id, users, dirs)
 }
 
 // Unregister removes the group from the server's engine; queued
 // recomputations for it are discarded and its accessors become
 // conservative zero values.
-func (g *Group) Unregister() { g.server.engine.Unregister(g.id) }
+func (g *Group) Unregister() { g.server.st.Engine.Unregister(g.id) }
 
 // Updates returns how many times the group's result was recomputed
 // (registration counts as the first).
 func (g *Group) Updates() int {
-	return g.server.engine.Updates(g.id)
+	return g.server.st.Engine.Updates(g.id)
 }
 
 // Stats returns the accumulated computation counters.
 func (g *Group) Stats() Stats {
-	return g.server.engine.Stats(g.id)
+	return g.server.st.Engine.Stats(g.id)
 }
 
 // EncodeRegion serializes a safe region for transmission: 25 bytes for a

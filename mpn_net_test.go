@@ -128,6 +128,45 @@ func TestNetRangeServer(t *testing.T) {
 	}
 }
 
+// TestNetRangeRefusesPOIChurn: a road-network server plans from POI
+// distances its backend computed once, at construction, so POI mutation
+// is refused with ErrFixedPOIs — not applied to an index the backend
+// never plans with, after which plans would still name deleted POIs.
+func TestNetRangeRefusesPOIChurn(t *testing.T) {
+	net := testRoadNet(t)
+	s, err := NewServer(nil, WithRoadNetwork(net, netPOINodes(net, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	users := []Point{Pt(0.5, 0.5), Pt(0.53, 0.48), Pt(0.45, 0.52)}
+	before, _, _, err := s.Plan(users, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.NumPOIs()
+	all := make([]int, n-1)
+	for i := range all {
+		all[i] = i
+	}
+	if ids, err := s.UpdatePOIs([]Point{users[0]}, all); !errors.Is(err, ErrFixedPOIs) || ids != nil {
+		t.Fatalf("UpdatePOIs = %v, %v; want ErrFixedPOIs", ids, err)
+	}
+	if id := s.InsertPOI(users[0]); id != -1 {
+		t.Fatalf("InsertPOI = %d, want -1", id)
+	}
+	if s.DeletePOI(0) {
+		t.Fatal("DeletePOI accepted")
+	}
+	if s.NumPOIs() != n {
+		t.Fatalf("NumPOIs %d → %d", n, s.NumPOIs())
+	}
+	after, _, _, err := s.Plan(users, nil)
+	if err != nil || after != before {
+		t.Fatalf("plan moved from %v to %v (err %v)", before, after, err)
+	}
+}
+
 // TestNetRangeServerParallel hammers a network-backed incremental server
 // from many goroutines; run with -race.
 func TestNetRangeServerParallel(t *testing.T) {

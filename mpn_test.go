@@ -1,6 +1,7 @@
 package mpn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -110,8 +111,13 @@ func TestRegisterEmpty(t *testing.T) {
 // group and a region that does not contain her — with a nil error.
 func TestNonFiniteLocationRefused(t *testing.T) {
 	good := []Point{Pt(0.4, 0.4), Pt(0.5, 0.5), Pt(0.5, 0.45)}
-	for _, method := range []Method{Circle, Tile, TileDirected} {
-		s, err := NewServer(testPOIs(300, 4), WithMethod(method))
+	net := testRoadNet(t)
+	for _, method := range []Method{Circle, Tile, TileDirected, NetRange} {
+		opt := WithMethod(method)
+		if method == NetRange {
+			opt = WithRoadNetwork(net, netPOINodes(net, 9))
+		}
+		s, err := NewServer(testPOIs(300, 4), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +129,8 @@ func TestNonFiniteLocationRefused(t *testing.T) {
 			Pt(math.NaN(), 0.5), Pt(0.5, math.NaN()), Pt(math.Inf(1), 0.5), Pt(0.5, math.Inf(-1)),
 		} {
 			users := []Point{good[0], bad, good[2]}
-			if _, err := s.Register(users, nil); err == nil {
+			_, regErr := s.Register(users, nil)
+			if regErr == nil {
 				t.Fatalf("%v: Register accepted %v", method, bad)
 			}
 			if err := g.Update(users, nil); err == nil {
@@ -131,6 +138,9 @@ func TestNonFiniteLocationRefused(t *testing.T) {
 			}
 			if err := g.SubmitUpdate(users, nil); err == nil {
 				t.Fatalf("%v: SubmitUpdate accepted %v", method, bad)
+			}
+			if _, regions, _, err := s.Plan(users, nil); !errors.Is(err, regErr) || regions != nil {
+				t.Fatalf("%v: Plan(%v) = %d regions, err %v; want Register's error %v", method, bad, len(regions), err, regErr)
 			}
 		}
 		if g.Updates() != 1 {

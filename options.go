@@ -7,7 +7,7 @@ import (
 
 	"mpn/internal/core"
 	"mpn/internal/gnn"
-	"mpn/internal/roadnet"
+	"mpn/internal/serving"
 )
 
 // Aggregate selects the meeting-point objective.
@@ -70,34 +70,15 @@ func (m Method) String() string {
 	}
 }
 
-// config is the resolved server configuration.
-type config struct {
-	method      Method
-	core        core.Options
-	incremental bool
-	cacheBytes  int64
-
-	// Engine sizing; zero selects the engine's defaults (GOMAXPROCS
-	// shards, 1 worker per shard, queue depth 1024).
-	shards     int
-	workers    int
-	queueDepth int
-
-	// Failure-semantics bounds; zero selects the engine's defaults (1s
-	// admission wait, 5s close drain).
-	admissionWait time.Duration
-	closeTimeout  time.Duration
-
-	// Road-network backend (NetRange method only).
-	network  *roadnet.Network
-	poiNodes []int
-}
+// config is the resolved server configuration: the serving stack's
+// Config, which NewServer hands to serving.New unchanged.
+type config struct{ serving.Config }
 
 func defaultConfig() config {
 	opts := core.DefaultOptions()
 	opts.Directed = true
 	opts.Buffer = 100 // the paper's recommended buffering default
-	return config{method: TileDirected, core: opts}
+	return config{serving.Config{Kind: core.KindTiles, Core: opts}}
 }
 
 // Option customizes a Server.
@@ -107,13 +88,17 @@ type Option func(*config) error
 func WithMethod(m Method) Option {
 	return func(c *config) error {
 		switch m {
-		case Circle, Tile, TileDirected, NetRange:
-			c.method = m
-			c.core.Directed = m == TileDirected
-			return nil
+		case Tile, TileDirected:
+			c.Kind = core.KindTiles
+		case Circle:
+			c.Kind = core.KindCircle
+		case NetRange:
+			c.Kind = core.KindNetRange
 		default:
 			return fmt.Errorf("mpn: unknown method %d", m)
 		}
+		c.Core.Directed = m == TileDirected
+		return nil
 	}
 }
 
@@ -136,10 +121,10 @@ func WithRoadNetwork(net *RoadNetwork, poiNodes []int) Option {
 				return fmt.Errorf("mpn: POI node %d out of range [0, %d)", n, net.NumNodes())
 			}
 		}
-		c.network = net
-		c.poiNodes = poiNodes
-		c.method = NetRange
-		c.core.Directed = false
+		c.Network = net
+		c.POINodes = poiNodes
+		c.Kind = core.KindNetRange
+		c.Core.Directed = false
 		return nil
 	}
 }
@@ -150,7 +135,7 @@ func WithAggregate(a Aggregate) Option {
 		if a != MinimizeMax && a != MinimizeSum {
 			return fmt.Errorf("mpn: unknown aggregate %d", a)
 		}
-		c.core.Aggregate = a.gnn()
+		c.Core.Aggregate = a.gnn()
 		return nil
 	}
 }
@@ -163,7 +148,7 @@ func WithTileLimit(alpha int) Option {
 		if alpha < 1 {
 			return fmt.Errorf("mpn: tile limit %d must be positive", alpha)
 		}
-		c.core.TileLimit = alpha
+		c.Core.TileLimit = alpha
 		return nil
 	}
 }
@@ -175,7 +160,7 @@ func WithSplitLevel(l int) Option {
 		if l < 0 {
 			return fmt.Errorf("mpn: split level %d must be non-negative", l)
 		}
-		c.core.SplitLevel = l
+		c.Core.SplitLevel = l
 		return nil
 	}
 }
@@ -188,7 +173,7 @@ func WithBuffer(b int) Option {
 		if b < 0 {
 			return fmt.Errorf("mpn: buffer %d must be non-negative", b)
 		}
-		c.core.Buffer = b
+		c.Core.Buffer = b
 		return nil
 	}
 }
@@ -205,7 +190,7 @@ func WithBuffer(b int) Option {
 // regions were grown around older locations.
 func WithIncremental() Option {
 	return func(c *config) error {
-		c.incremental = true
+		c.Incremental = true
 		return nil
 	}
 }
@@ -231,7 +216,7 @@ func WithSharedGNNCache(maxBytes int) Option {
 		if maxBytes < 1 {
 			return fmt.Errorf("mpn: GNN cache budget %d must be positive", maxBytes)
 		}
-		c.cacheBytes = int64(maxBytes)
+		c.CacheBytes = int64(maxBytes)
 		return nil
 	}
 }
@@ -244,7 +229,7 @@ func WithShards(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("mpn: shard count %d must be positive", n)
 		}
-		c.shards = n
+		c.Engine.Shards = n
 		return nil
 	}
 }
@@ -256,7 +241,7 @@ func WithWorkers(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("mpn: worker count %d must be positive", n)
 		}
-		c.workers = n
+		c.Engine.Workers = n
 		return nil
 	}
 }
@@ -270,7 +255,7 @@ func WithQueueDepth(depth int) Option {
 		if depth < 1 {
 			return fmt.Errorf("mpn: queue depth %d must be positive", depth)
 		}
-		c.queueDepth = depth
+		c.Engine.QueueDepth = depth
 		return nil
 	}
 }
@@ -289,7 +274,7 @@ func WithAdmissionWait(d time.Duration) Option {
 		if d == 0 {
 			return nil // keep the engine default
 		}
-		c.admissionWait = d
+		c.Engine.AdmissionWait = d
 		return nil
 	}
 }
@@ -303,7 +288,7 @@ func WithCloseTimeout(d time.Duration) Option {
 		if d == 0 {
 			return nil // keep the engine default
 		}
-		c.closeTimeout = d
+		c.Engine.CloseTimeout = d
 		return nil
 	}
 }
@@ -316,7 +301,7 @@ func WithTheta(theta float64) Option {
 		if theta <= 0 || theta > math.Pi {
 			return fmt.Errorf("mpn: theta %v out of (0, π]", theta)
 		}
-		c.core.Theta = theta
+		c.Core.Theta = theta
 		return nil
 	}
 }
