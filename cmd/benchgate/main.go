@@ -5,14 +5,12 @@
 // (default 0.25), or any allocs/op increase at all (allocation counts
 // are deterministic, so even +1 is a real regression; the churn_* and
 // net_* series alone get a slack of 2, see allocSlack). It also enforces
-// five machine-independent in-report bounds on the current report: the delta
-// notification protocol's wire-byte reduction (enforceDeltaReduction),
-// the shared cache's hit rate under localized POI churn
-// (enforceChurnHitRate), the road-network backend's speedup over the
-// per-member full-SSSP oracle (enforceNetSpeedup), the WAL journal's
-// overhead ceiling on the steady-state update path
-// (enforceDurableOverhead), and the hot-standby replication overhead
-// ceiling on that same path (enforceReplOverhead).
+// machine-independent in-report bounds on the current report: the ratio
+// floors and ceilings of ratioBounds (the delta notification protocol's
+// wire-byte reduction, the road-network backend's speedup over the
+// per-member full-SSSP oracle, and the WAL journal's and hot-standby
+// replication's overhead on the steady-state update path), and the
+// shared cache's hit rate under localized POI churn (enforceChurnHitRate).
 //
 // The baseline is typically produced on a different machine than the
 // gate run (a developer box vs a CI runner), so raw ns/op ratios mostly
@@ -178,11 +176,8 @@ func main() {
 				cur.Name, cur.GroupSize)
 		}
 	}
-	failures += enforceDeltaReduction(current)
+	failures += enforceRatios(current)
 	failures += enforceChurnHitRate(current)
-	failures += enforceNetSpeedup(current)
-	failures += enforceDurableOverhead(current)
-	failures += enforceReplOverhead(current)
 	if failures > 0 {
 		fmt.Printf("\nbenchgate: %d regression(s) beyond tolerance\n", failures)
 		os.Exit(1)
@@ -193,40 +188,6 @@ func main() {
 // wireBytesTol is the slack on deterministic wire-byte series (region
 // shapes shift slightly when the planner workload is perturbed).
 const wireBytesTol = 0.10
-
-// minDeltaReduction is the enforced steady-state win of the delta
-// notification protocol at the largest benchmarked group size: the
-// full-protocol bytes per kept-path notification round must be at least
-// this many times the delta protocol's.
-const (
-	minDeltaReduction  = 10.0
-	deltaReductionAtM  = 6
-	notifyBytesFullSer = "notify_bytes_full"
-	notifyBytesDeltaSr = "notify_bytes_delta"
-)
-
-// enforceDeltaReduction checks the current report's notify_bytes series
-// pair: at m=6 the delta protocol must keep its ≥10× reduction. Returns
-// the number of failures.
-func enforceDeltaReduction(current map[key]benchfmt.Series) int {
-	failures := 0
-	for m := 2; m <= deltaReductionAtM; m++ {
-		full, okF := current[key{notifyBytesFullSer, m}]
-		delta, okD := current[key{notifyBytesDeltaSr, m}]
-		if !okF || !okD || delta.WireBytes <= 0 {
-			continue
-		}
-		ratio := full.WireBytes / delta.WireBytes
-		status := ""
-		if m == deltaReductionAtM && ratio < minDeltaReduction {
-			status = fmt.Sprintf("  FAIL reduction %.1fx < %.0fx", ratio, minDeltaReduction)
-			failures++
-		}
-		fmt.Printf("notify delta reduction m=%d: %.0f B → %.0f B (%.1fx)%s\n",
-			m, full.WireBytes, delta.WireBytes, ratio, status)
-	}
-	return failures
-}
 
 // allocSlack returns the allocs/op headroom a series gets on top of its
 // baseline. The churn_* series interleave mutation batches with the
@@ -285,149 +246,73 @@ func enforceChurnHitRate(current map[key]benchfmt.Series) int {
 	return failures
 }
 
-// minNetSpeedup is the enforced win of the table-driven network backend
-// (exact POI distances read from a table built once) over the per-member
-// full-SSSP oracle at the default network size, on groups whose members
-// start at independent junctions. Both series run in the same process on
-// the same machine, so the ratio is machine-independent; losing it means
-// a per-plan shortest-path search crept back into the top-2 scan.
-const (
-	minNetSpeedup  = 10.0
-	netPlanSeries  = "net_plan"
-	netNaiveSeries = "net_plan_naive"
-)
-
-// enforceNetSpeedup checks the current report's net_plan series against
-// the naive-oracle floor. Returns the number of failures.
-func enforceNetSpeedup(current map[key]benchfmt.Series) int {
-	failures := 0
-	for _, s := range sortedSeries(current) {
-		if s.Name != netPlanSeries {
-			continue
-		}
-		naive, ok := current[key{netNaiveSeries, s.GroupSize}]
-		if !ok || s.NsPerOp <= 0 {
-			fmt.Printf("net plan speedup m=%d: naive baseline missing  FAIL\n", s.GroupSize)
-			failures++
-			continue
-		}
-		ratio := naive.NsPerOp / s.NsPerOp
-		status := ""
-		if ratio < minNetSpeedup {
-			status = fmt.Sprintf("  FAIL speedup %.1fx < %.0fx", ratio, minNetSpeedup)
-			failures++
-		}
-		fmt.Printf("net plan speedup m=%d: %.0f ns/op → %.0f ns/op (%.1fx)%s\n",
-			s.GroupSize, naive.NsPerOp, s.NsPerOp, ratio, status)
-	}
-	return failures
+// ratioBound is one machine-independent in-report bound: at group size m,
+// series num's field divided by series den's must be at least min (when
+// min > 0) and at most max (when max > 0). Both series come from the same
+// report — the same process on the same machine — so the ratio measures
+// the code, not the hardware. A missing pair fails: a bounded series must
+// not silently drop out of the report.
+type ratioBound struct {
+	what     string
+	num, den string
+	wire     bool // compare WireBytes; otherwise NsPerOp
+	m        int
+	min, max float64
 }
 
-// maxDurableOverhead is the enforced ceiling on what WAL journaling may
-// cost the steady-state update path: durable_update (update_inc's exact
-// workload with the group-state journal attached at fsync=interval) may
-// take at most this many times update_inc's ns/op. The hook only
-// encodes and enqueues — file I/O runs on the store's writer goroutine —
-// so the true per-update cost is a record encode plus a channel send
-// (~hundreds of ns on a multi-µs update). The ceiling is deliberately
-// coarse: on shared CI runners the writer goroutine's background I/O
-// adds scheduler noise well above the hook's own cost, and what the
-// fence exists to catch — an fsync or compaction accidentally moved
-// onto the update's critical path — is a 10×+ effect, not a 2× one.
-const (
-	maxDurableOverhead  = 2.0
-	durableUpdateSeries = "durable_update"
-	updateIncSeries     = "update_inc"
-)
-
-// enforceDurableOverhead checks the current report's durable_update
-// series against the update_inc baseline at the same group size. Both
-// run in the same process on the same machine, so the ratio is
-// machine-independent. A missing pair fails — the durability series must
-// not silently drop out of the report. Returns the number of failures.
-func enforceDurableOverhead(current map[key]benchfmt.Series) int {
-	failures := 0
-	seen := false
-	for _, s := range sortedSeries(current) {
-		if s.Name != durableUpdateSeries {
-			continue
-		}
-		seen = true
-		inc, ok := current[key{updateIncSeries, s.GroupSize}]
-		if !ok || inc.NsPerOp <= 0 {
-			fmt.Printf("durable overhead m=%d: update_inc baseline missing  FAIL\n", s.GroupSize)
-			failures++
-			continue
-		}
-		ratio := s.NsPerOp / inc.NsPerOp
-		status := ""
-		if ratio > maxDurableOverhead {
-			status = fmt.Sprintf("  FAIL overhead %.2fx > %.2fx", ratio, maxDurableOverhead)
-			failures++
-		}
-		fmt.Printf("durable update overhead m=%d: %.0f ns/op → %.0f ns/op (%.2fx, ceiling %.2fx)%s\n",
-			s.GroupSize, inc.NsPerOp, s.NsPerOp, ratio, maxDurableOverhead, status)
-	}
-	if !seen {
-		fmt.Printf("durable overhead: durable_update series missing from report  FAIL\n")
-		failures++
-	}
-	return failures
+var ratioBounds = []ratioBound{
+	// The delta notification protocol's steady-state win at the largest
+	// benchmarked group: full-protocol bytes per kept-path notification
+	// round over the delta protocol's.
+	{what: "notify delta reduction", num: "notify_bytes_full", den: "notify_bytes_delta", wire: true, m: 6, min: 10},
+	// The table-driven network backend over the per-member full-SSSP
+	// oracle, on groups whose members start at independent junctions.
+	// Losing it means a per-plan shortest-path search crept back into the
+	// top-2 scan.
+	{what: "net plan speedup", num: "net_plan_naive", den: "net_plan", m: 3, min: 10},
+	// WAL journaling on the steady-state update path: durable_update is
+	// update_inc's workload with the group-state journal attached at
+	// fsync=interval. The hook only encodes and enqueues, so the ceiling
+	// is coarse on purpose: shared runners add writer-goroutine noise, and
+	// what it catches — an fsync or compaction moved onto the update's
+	// critical path — is a 10×+ effect.
+	{what: "durable update overhead", num: "durable_update", den: "update_inc", m: 3, max: 2.0},
+	// Hot-standby replication on that same path: repl_ship adds a live
+	// follower tailing the record stream over loopback. Shipping runs on
+	// its own goroutine, so the ceiling sits half a turn above the durable
+	// one; it catches a synchronous write or an ack wait.
+	{what: "repl ship overhead", num: "repl_ship", den: "update_inc", m: 3, max: 2.5},
 }
 
-// maxReplOverhead is the enforced ceiling on what hot-standby
-// replication may cost the steady-state update path: repl_ship
-// (update_inc's exact workload with the WAL journal attached AND a live
-// follower tailing the record stream over loopback, lag-bounded) may
-// take at most this many times update_inc's ns/op. Shipping rides the
-// store's existing stream fan-out — the update path pays the same
-// encode-and-enqueue the durable fence already prices, and the shipper
-// writes frames on its own goroutine — so the honest cost is the
-// durable overhead plus stream-forward contention, not a wire round
-// trip. The ceiling sits above maxDurableOverhead by half a turn: what
-// it exists to catch is shipping leaking onto the update's critical
-// path (a synchronous write or an ack wait), which is a 10×+ effect.
-const (
-	maxReplOverhead = 2.5
-	replShipSeries  = "repl_ship"
-	replLagSeries   = "repl_lag"
-)
-
-// enforceReplOverhead checks the current report's repl_ship series
-// against the update_inc baseline at the same group size, same-process
-// same-machine so the ratio is machine-independent. A missing repl
-// series pair fails — replication coverage must not silently drop out
-// of the report. Returns the number of failures.
-func enforceReplOverhead(current map[key]benchfmt.Series) int {
+// enforceRatios checks every ratioBound against the current report and
+// returns the number of failures.
+func enforceRatios(current map[key]benchfmt.Series) int {
 	failures := 0
-	seen := false
-	for _, s := range sortedSeries(current) {
-		if s.Name != replShipSeries {
-			continue
+	for _, b := range ratioBounds {
+		num, okN := current[key{b.num, b.m}]
+		den, okD := current[key{b.den, b.m}]
+		n, d, unit := num.NsPerOp, den.NsPerOp, "ns/op"
+		if b.wire {
+			n, d, unit = num.WireBytes, den.WireBytes, "B"
 		}
-		seen = true
-		inc, ok := current[key{updateIncSeries, s.GroupSize}]
-		if !ok || inc.NsPerOp <= 0 {
-			fmt.Printf("repl ship overhead m=%d: update_inc baseline missing  FAIL\n", s.GroupSize)
+		if !okN || !okD || d <= 0 {
+			fmt.Printf("%s m=%d: %s / %s pair missing from report  FAIL\n", b.what, b.m, b.num, b.den)
 			failures++
 			continue
 		}
-		ratio := s.NsPerOp / inc.NsPerOp
+		ratio := n / d
 		status := ""
-		if ratio > maxReplOverhead {
-			status = fmt.Sprintf("  FAIL overhead %.2fx > %.2fx", ratio, maxReplOverhead)
+		if b.min > 0 && ratio < b.min {
+			status = fmt.Sprintf("  FAIL %.2fx < %.2fx", ratio, b.min)
+		}
+		if b.max > 0 && ratio > b.max {
+			status = fmt.Sprintf("  FAIL %.2fx > %.2fx", ratio, b.max)
+		}
+		if status != "" {
 			failures++
 		}
-		fmt.Printf("repl ship overhead m=%d: %.0f ns/op → %.0f ns/op (%.2fx, ceiling %.2fx)%s\n",
-			s.GroupSize, inc.NsPerOp, s.NsPerOp, ratio, maxReplOverhead, status)
-		if _, ok := current[key{replLagSeries, s.GroupSize}]; !ok {
-			fmt.Printf("repl lag m=%d: repl_lag series missing from report  FAIL\n", s.GroupSize)
-			failures++
-		}
-	}
-	if !seen {
-		fmt.Printf("repl ship overhead: repl_ship series missing from report  FAIL\n")
-		failures++
+		fmt.Printf("%s m=%d: %s %.0f %s / %s %.0f %s = %.2fx%s\n",
+			b.what, b.m, b.num, n, unit, b.den, d, unit, ratio, status)
 	}
 	return failures
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"mpn/internal/core"
+	"mpn/internal/faultinject"
 	"mpn/internal/geom"
 	"mpn/internal/proto"
 )
@@ -206,4 +208,122 @@ func runDeltaFence(t *testing.T, method, agg string) {
 	// rejoined client now rides deltas again and must stay identical.
 	report(1)
 	waitRound("kept-after-reconnect")
+}
+
+// TestStaleDeliveryAfterRejoin: a replan the engine finished for a group
+// that has since dissolved and re-formed under the same gid and member ids
+// must not reach the new incarnation. Both incarnations number their
+// region epochs from 1, so nothing in the old plan marks it as old. The
+// first delivery is held at the CoordDeliver failpoint while both members
+// disconnect and re-register far away; released, it must be dropped as
+// stale, and every client must keep the new registration plan.
+func TestStaleDeliveryAfterRejoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pois := make([]geom.Point, 800)
+	for i := range pois {
+		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	srv, err := newServer(serverConfig{
+		pois: pois, method: "circle", agg: "max",
+		alpha: 5, buffer: 20, shards: 1, workers: 1,
+		incremental: true,
+		logger:      log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srv.serve(ln) }()
+	addr := ln.Addr().String()
+
+	join := func(locs []geom.Point) []*e2eUser {
+		users := make([]*e2eUser, len(locs))
+		for i, loc := range locs {
+			users[i] = dialUser(t, addr, 1, uint32(i), loc)
+			if err := users[i].client.Register(uint32(len(locs))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, u := range users {
+			u.waitNotify(t)
+		}
+		return users
+	}
+	users := join([]geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.35, 0.32)})
+
+	// Hold the first delivery until the group has re-formed.
+	held, release := make(chan struct{}), make(chan struct{})
+	faultinject.Arm(faultinject.Script{faultinject.CoordDeliver: func(hit uint64) faultinject.Effect {
+		if hit == 1 {
+			close(held)
+			<-release
+		}
+		return faultinject.Effect{}
+	}})
+	t.Cleanup(faultinject.Disarm)
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+
+	users[0].setLoc(geom.Pt(0.70, 0.70))
+	if err := users[0].client.Report(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replan never reached the coordinator")
+	}
+
+	for _, u := range users {
+		u.conn.Close()
+		<-u.runErr
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.coord.NumGroups() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the group never dissolved")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	moved := []geom.Point{geom.Pt(0.80, 0.15), geom.Pt(0.82, 0.18)}
+	users = join(moved)
+	meetings := make([]geom.Point, len(users))
+	regions := make([]core.SafeRegion, len(users))
+	for i, u := range users {
+		meetings[i], regions[i] = u.client.Meeting(), u.client.Region()
+	}
+
+	close(release)
+	deadline = time.Now().Add(10 * time.Second)
+	for srv.coord.Stats().StaleDeliveries == 0 {
+		for i, u := range users {
+			select {
+			case p := <-u.notify:
+				t.Fatalf("member %d received the old group's plan (meeting %v)", i, p)
+			default:
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the held delivery was neither dropped nor sent")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, u := range users {
+		if u.client.Meeting() != meetings[i] || !reflect.DeepEqual(u.client.Region(), regions[i]) {
+			t.Fatalf("member %d lost the registration plan: meeting %v, want %v", i, u.client.Meeting(), meetings[i])
+		}
+		if !u.client.Region().Contains(moved[i]) {
+			t.Fatalf("member %d: region misses her location %v", i, moved[i])
+		}
+	}
 }

@@ -504,7 +504,7 @@ func (s *server) deliverError(gid uint32, err error) {
 		}
 		return
 	}
-	go s.coord.Deliver(gid, nil, geom.Point{}, nil, nil, err)
+	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, nil, err)
 }
 
 // fanout pumps engine notifications into the coordinator's delivery path.
@@ -524,13 +524,22 @@ func (s *server) fanout() {
 		}
 		// The gid and the id ordering the snapshot was computed for.
 		rt, ok := n.Tag.(reportTag)
-		s.mu.Lock()
-		eid, live := s.gidToEngine[rt.gid]
-		s.mu.Unlock()
-		if !ok || !live || eid != n.Group {
-			continue // group already unregistered (or re-registered since)
+		if !ok {
+			continue
 		}
-		s.coord.Deliver(rt.gid, rt.ids, n.Meeting, n.Regions, n.Epochs, n.Err)
+		// The engine group must still be the one serving gid when the
+		// coordinator sends, so Deliver runs live under its lock. Checked
+		// any earlier, the group could dissolve and re-form with the same
+		// member ids before the send; the new incarnation's epochs restart
+		// at 1, so the old plan would pass for current.
+		eid := n.Group
+		live := func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			cur, ok := s.gidToEngine[rt.gid]
+			return ok && cur == eid
+		}
+		s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Epochs, n.Err)
 		if n.Coalesced > 1 {
 			s.coalesced.Add(uint64(n.Coalesced - 1))
 		}

@@ -190,7 +190,10 @@
 // regions exist to suppress messages — yet a kept plan whose regions
 // changed not at all would still ship every member her full encoded
 // region on every notification. The protocol layer (internal/proto,
-// cmd/mpnserver) closes that gap end to end:
+// cmd/mpnserver) closes that gap end to end. Every frame shares one
+// layout — a length prefix, the type byte, then only the fields that type
+// carries, integers as varints — so a step-1 report or a probe reply is
+// about 24 bytes and a probe about 8:
 //
 //   - Epoch stamping: core.PlanState tags every member slot with a
 //     monotone epoch that advances exactly when that slot's region
@@ -232,7 +235,7 @@
 // Observers are torn down with the group when its last member leaves.
 //
 // On the kept-path steady state at m=6 the notification round shrinks
-// from ~1.3 KB to ~60 B (≈20×) and serialization from ~17µs to ~250ns;
+// from ~1.0 KB to ~60 B (≈17×) and serialization from ~17µs to ~250ns;
 // the notify_bytes_*/notify_encode_* series in BENCH_plan.json carry
 // the numbers and cmd/benchgate enforces both the regression bound and
 // the ≥10× reduction. The simulator and experiment harness account the
@@ -354,7 +357,7 @@
 //     promptly rather than leak.
 //   - Dead and slow peers: cmd/mpnserver arms a read deadline covering
 //     idle time (-read-timeout) and a write deadline per flush
-//     (-write-timeout); clients send varint Ping heartbeats
+//     (-write-timeout); clients send Ping heartbeats
 //     (proto.WithHeartbeat) so an idle-but-alive client is never reaped
 //     while a silent TCP hole is, on both ends. A client too slow to
 //     drain its outbox first has deliveries coalesced (newest plan

@@ -233,7 +233,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 	// and any full replan it degrades to — sees the same index state.
 	snap := pl.Acquire()
 	defer snap.Release()
-	if !st.usable(snap.version, users, KindTiles) {
+	if !st.Usable(snap.version, users, KindTiles) {
 		plan, err := pl.tileMSRSnap(ws, cache, snap, users, dirs)
 		if err != nil {
 			return plan, IncFull, err
@@ -327,7 +327,7 @@ func (pl *Planner) circleMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanSt
 		return plan, IncFull, nil
 	}
 
-	if !st.usable(snap.version, users, KindCircle) || plan.Best.Item.ID != st.bestID || r <= 0 {
+	if !st.Usable(snap.version, users, KindCircle) || plan.Best.Item.ID != st.bestID || r <= 0 {
 		return full()
 	}
 
@@ -377,25 +377,20 @@ func (pl *Planner) circleMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanSt
 	return plan, IncPartial, nil
 }
 
-// usable reports whether the retained state can seed an incremental run
+// BestID returns the retained result-set identity (the POI id Record
+// saved from Plan.Best); meaningless unless Valid.
+func (st *PlanState) BestID() int { return st.bestID }
+
+// Usable reports whether the retained state can seed an incremental run
 // against the given snapshot version for the given group shape and
 // region kind. Size mismatches (membership churn) and kind mismatches
 // force a full replan; so does any POI mutation since the retained plan
 // was recorded (st.version != version) — the retained regions were
 // verified against a candidate set the mutation may have changed, so
-// their tiles carry no guarantee under the fresh snapshot.
-// Usable is the exported form of the retained-state gate for planning
-// backends outside core (see NetBackend): implementations run the same
-// check the built-in incremental planners do before trusting st.
+// their tiles carry no guarantee under the fresh snapshot. The built-in
+// incremental planners and backends outside core (see NetBackend) run
+// this same gate before trusting st.
 func (st *PlanState) Usable(version uint64, users []geom.Point, kind RegionKind) bool {
-	return st.usable(version, users, kind)
-}
-
-// BestID returns the retained result-set identity (the POI id Record
-// saved from Plan.Best); meaningless unless Valid.
-func (st *PlanState) BestID() int { return st.bestID }
-
-func (st *PlanState) usable(version uint64, users []geom.Point, kind RegionKind) bool {
 	if !st.valid || st.version != version || len(st.regions) != len(users) {
 		return false
 	}

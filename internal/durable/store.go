@@ -236,7 +236,7 @@ func Open(cfg Config) (*Store, *State, RecoverInfo, error) {
 		compactAfter: cfg.CompactAt,
 		lastSync:     time.Now(),
 		lastCompact:  time.Now(),
-		mirror:       st.clone(),
+		mirror:       st.Clone(),
 		rng:          rand.New(rand.NewSource(1)),
 	}
 	go s.writer()
@@ -266,9 +266,6 @@ func (st *State) Clone() *State {
 	}
 	return c
 }
-
-// clone is the package-internal alias for Clone.
-func (st *State) clone() *State { return st.Clone() }
 
 // GroupUpsert records a group registration or committed location
 // update. Non-blocking: sheds when the queue is full or the store is

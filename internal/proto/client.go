@@ -30,12 +30,6 @@ type ClientOption func(*Client)
 // prove it.
 func WithoutDelta() ClientOption { return func(c *Client) { c.delta = false } }
 
-// WithoutCompactProbe disables compact-probe negotiation: the client
-// registers without FlagCompactProbe and the server probes it with
-// classic TProbe frames. The exchange is semantically identical; only
-// the wire layout differs.
-func WithoutCompactProbe() ClientOption { return func(c *Client) { c.compact = false } }
-
 // GroupNotifyFunc receives each observer update: the group's current
 // meeting point and every member's safe region keyed by user id. The map
 // is the callback's to keep.
@@ -96,7 +90,6 @@ type Client struct {
 	group     uint32
 	user      uint32
 	delta     bool
-	compact   bool
 	observer  bool
 	heartbeat time.Duration
 
@@ -126,7 +119,7 @@ func NewClient(conn io.ReadWriter, group, user uint32, loc LocFunc, onNotify Not
 	if loc == nil {
 		return nil, errors.New("proto: nil location supplier")
 	}
-	c := &Client{conn: conn, group: group, user: user, delta: true, compact: true, loc: loc, onNotify: onNotify}
+	c := &Client{conn: conn, group: group, user: user, delta: true, loc: loc, onNotify: onNotify}
 	for _, o := range opts {
 		o(c)
 	}
@@ -144,9 +137,6 @@ func (c *Client) Register(groupSize uint32) error {
 	var flags uint8
 	if c.delta {
 		flags |= FlagDeltaCapable
-	}
-	if c.compact {
-		flags |= FlagCompactProbe
 	}
 	if c.observer {
 		flags |= FlagObserver
@@ -224,10 +214,9 @@ func (c *Client) MemberRegion(uid uint32) (core.SafeRegion, bool) {
 }
 
 // Run processes server frames until EOF or error. Run answers probes
-// automatically (in the layout they arrived in, so a classic server
-// keeps its classic replies); notifications — full or delta — update
-// Meeting/Region and invoke the callback. With WithHeartbeat it also
-// pings the server and arms read deadlines. It returns nil on clean EOF.
+// automatically; notifications — full or delta — update Meeting/Region
+// and invoke the callback. With WithHeartbeat it also pings the server
+// and arms read deadlines. It returns nil on clean EOF.
 func (c *Client) Run() error {
 	if c.heartbeat > 0 {
 		stop := make(chan struct{})
@@ -248,12 +237,8 @@ func (c *Client) Run() error {
 			return err
 		}
 		switch msg.Type {
-		case TProbe, TProbeC:
-			reply := Message{Type: TProbeReply, Group: c.group, User: c.user, Loc: c.loc()}
-			if msg.Type == TProbeC {
-				reply.Type = TProbeReplyC
-			}
-			if err := c.write(reply); err != nil {
+		case TProbe:
+			if err := c.write(Message{Type: TProbeReply, Group: c.group, User: c.user, Loc: c.loc()}); err != nil {
 				return err
 			}
 		case TPong:

@@ -92,7 +92,6 @@ type coordCounters struct {
 	staleDeliveries atomic.Uint64
 	protocolErrors  atomic.Uint64
 	heartbeats      atomic.Uint64
-	compactProbes   atomic.Uint64
 	observerFrames  atomic.Uint64
 	writeRefusals   atomic.Uint64
 }
@@ -110,15 +109,14 @@ type CoordStats struct {
 	// NackRepairs counts full notifies sent in answer to client NACKs.
 	NackRepairs uint64
 	// StaleDeliveries counts async plan deliveries dropped because group
-	// membership changed while the plan was being computed.
+	// membership changed while the plan was being computed, or because
+	// the plan belongs to an earlier incarnation of the group.
 	StaleDeliveries uint64
 	// ProtocolErrors counts client frames rejected as protocol
 	// violations (wrong type, register twice, report before register…).
 	ProtocolErrors uint64
 	// Heartbeats counts TPing frames answered with TPong.
 	Heartbeats uint64
-	// CompactProbes counts probes sent in the compact TProbeC form.
-	CompactProbes uint64
 	// ObserverFrames counts group-state TNotifyDelta frames successfully
 	// enqueued to FlagObserver subscriptions.
 	ObserverFrames uint64
@@ -138,7 +136,6 @@ func (c *Coordinator) Stats() CoordStats {
 		StaleDeliveries:       c.stats.staleDeliveries.Load(),
 		ProtocolErrors:        c.stats.protocolErrors.Load(),
 		Heartbeats:            c.stats.heartbeats.Load(),
-		CompactProbes:         c.stats.compactProbes.Load(),
 		ObserverFrames:        c.stats.observerFrames.Load(),
 		WriteRefusals:         c.stats.writeRefusals.Load(),
 	}
@@ -256,9 +253,6 @@ type member struct {
 	epoch    uint64
 	meeting  geom.Point
 
-	// compact is the registration-time FlagCompactProbe negotiation:
-	// probes to this member go out as TProbeC.
-	compact bool
 	// obsEpochs, on observer connections only, records the per-member
 	// region epoch last successfully enqueued to this observer — the
 	// observer-side analogue of epoch, one entry per watched member.
@@ -349,18 +343,33 @@ func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 // a departed one; the next escape report triggers a fresh replan from
 // current state.
 //
+// live, when non-nil, says whether the plan still belongs to the group
+// under gid: the group may have dissolved and re-formed with the same
+// member ids since the backend took the submission, and only the backend
+// can tell its incarnations apart. Deliver calls it with the coordinator
+// lock held — so no dissolve or registration can slip in between the
+// check and the send — and drops the plan as stale when it returns
+// false. live may take the backend's own locks (the order is coordinator
+// lock first, as for SubmitFunc) but must not call back into the
+// coordinator.
+//
 // epochs is the backend's per-member region epoch vector (regions[i] is
 // at epoch epochs[i], see engine.Notification.Epochs): regions whose
 // epoch matches the cached encoding are not re-encoded, and delta-capable
 // members receive only the records that changed since their last
 // delivery. A nil epochs falls back to comparing fresh encodings against
 // the cache — correct for any backend, just not encode-free.
-func (c *Coordinator) Deliver(gid uint32, ids []uint32, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
+func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
 	faultinject.Fire(faultinject.CoordDeliver)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.groups[gid]
 	if g == nil {
+		return
+	}
+	if live != nil && !live() {
+		c.stats.staleDeliveries.Add(1)
+		c.logger.Printf("group %d: dropping delivery computed for an earlier incarnation of the group", gid)
 		return
 	}
 	current := memberIDs(g)
@@ -461,7 +470,7 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 				}
 			}
 			c.handleReport(msg)
-		case TProbeReply, TProbeReplyC:
+		case TProbeReply:
 			if !registered {
 				c.sendError(conn, "reply before register")
 				continue
@@ -606,7 +615,6 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 	mb := newMember(msg.User, w, c.logger)
 	mb.loc = msg.Loc
 	mb.delta = msg.Flags&FlagDeltaCapable != 0
-	mb.compact = msg.Flags&FlagCompactProbe != 0
 	if closer, ok := w.(io.Closer); ok {
 		// The slow-client policy's kick: closing the connection fails the
 		// member's read loop, which removes it through the normal path.
@@ -726,12 +734,7 @@ func (c *Coordinator) handleReport(msg Message) {
 			continue
 		}
 		g.probing[uid] = true
-		probe := Message{Type: TProbe, Group: msg.Group, User: uid}
-		if other.compact {
-			probe.Type = TProbeC
-			c.stats.compactProbes.Add(1)
-		}
-		ok := other.send(probe)
+		ok := other.send(Message{Type: TProbe, Group: msg.Group, User: uid})
 		other.noteSend(c, msg.Group, ok)
 		if !ok {
 			c.logger.Printf("group %d: probe to user %d dropped (outbox full)", msg.Group, uid)

@@ -53,30 +53,6 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClassicFrameFlagsEpochRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{Type: TRegister, Group: 7, User: 2, GroupSize: 3, Flags: FlagDeltaCapable, Loc: geom.Pt(0.25, 0.5)},
-		{Type: TNotify, Group: 3, User: 1, Epoch: 42, Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3}},
-		{Type: TNack, Group: 3, User: 1, Epoch: 41},
-	}
-	var buf bytes.Buffer
-	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type != want.Type || got.Flags != want.Flags || got.Epoch != want.Epoch ||
-			got.Group != want.Group || got.User != want.User || !bytes.Equal(got.Region, want.Region) {
-			t.Fatalf("classic round trip mismatch:\n got %+v\nwant %+v", got, want)
-		}
-	}
-}
-
 // TestDeltaFrameCorruption: every truncation of a valid delta frame's
 // payload, and several mutations, must fail cleanly.
 func TestDeltaFrameCorruption(t *testing.T) {
@@ -272,7 +248,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Kept plan: same epochs, same meeting → record-less delta.
 	before := rc.count.ReadCount()
-	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	kept := rc.read(t)
 	if kept.Type != TNotifyDelta || kept.Epoch != 1 || len(kept.Deltas) != 0 || kept.MeetingChanged {
 		t.Fatalf("kept frame %+v", kept)
@@ -283,7 +259,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Changed region: epoch advances, one record travels.
 	newRegions := []core.SafeRegion{core.CircleRegion(geom.Pt(0.11, 0.2), 0.04)}
-	coord.Deliver(1, []uint32{0}, backend.meeting, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, newRegions, []uint64{2}, nil)
 	chg := rc.read(t)
 	if chg.Type != TNotifyDelta || chg.Epoch != 2 || len(chg.Deltas) != 1 {
 		t.Fatalf("changed frame %+v", chg)
@@ -295,7 +271,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Meeting moves while the region stays: delta with meeting, no record.
 	moved := geom.Pt(0.51, 0.5)
-	coord.Deliver(1, []uint32{0}, moved, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, nil, moved, newRegions, []uint64{2}, nil)
 	mm := rc.read(t)
 	if mm.Type != TNotifyDelta || !mm.MeetingChanged || mm.Meeting != moved || len(mm.Deltas) != 0 {
 		t.Fatalf("meeting frame %+v", mm)
@@ -314,7 +290,7 @@ func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("registration frame %v", m.Type)
 	}
-	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("kept update frame %v, want full TNotify without negotiation", m.Type)
 	}
@@ -344,7 +320,7 @@ func TestCoordinatorNackRepair(t *testing.T) {
 
 	// The repair reset delivered-state; the next kept delivery is a delta
 	// again.
-	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
@@ -378,7 +354,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	}
 
 	// Steady state: both on deltas.
-	coord.Deliver(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 steady frame %v", m.Type)
 	}
@@ -405,7 +381,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 frame during rejoin %v", m.Type)
 	}
-	coord.Deliver(2, []uint32{0, 1}, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 post-rejoin frame %v", m.Type)
 	}
@@ -458,7 +434,7 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 	// registration notify) and the outbox absorbs deltas until it
 	// overflows; everything past that is dropped and flips needFull.
 	for i := 0; i < outboxSize+8; i++ {
-		coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+		coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	}
 	// Drain everything queued so far (the exact count depends on whether
 	// the writer goroutine held a frame when the outbox filled).
@@ -467,13 +443,13 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 		t.Fatalf("drained %d frames from a %d-slot outbox", drained, outboxSize)
 	}
 	// Nothing changed, but the drop must force a full frame now.
-	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	m := rc.read(t)
 	if m.Type != TNotify {
 		t.Fatalf("post-drop frame %v, want full TNotify repair", m.Type)
 	}
 	// And once repaired, deltas resume.
-	coord.Deliver(1, []uint32{0}, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
@@ -601,7 +577,7 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 		t.Fatalf("u7 registration frame %+v", m)
 	}
 	// Steady state: u7 on deltas at epoch 4 (slot 1).
-	coord.Deliver(6, []uint32{1, 7}, backend.meeting, regionsA, []uint64{4, 4}, nil)
+	coord.Deliver(6, []uint32{1, 7}, nil, backend.meeting, regionsA, []uint64{4, 4}, nil)
 	if m := rc1.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u1 steady frame %v", m.Type)
 	}
@@ -637,7 +613,7 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 		t.Fatalf("joining member frame %+v", m)
 	}
 	// After the reset, deltas resume against the new id vector.
-	coord.Deliver(6, []uint32{7, 9}, backend.meeting, regionsB, []uint64{4, 4}, nil)
+	coord.Deliver(6, []uint32{7, 9}, nil, backend.meeting, regionsB, []uint64{4, 4}, nil)
 	if m := rc7.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u7 post-churn steady frame %v", m.Type)
 	}

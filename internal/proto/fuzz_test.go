@@ -2,18 +2,18 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"mpn/internal/geom"
 )
 
-// fuzzSeedMessages covers every frame-layout family: classic fixed
-// header, compact delta, and the all-varint heartbeat/compact-probe
-// frames.
+// fuzzSeedMessages covers every frame type (TestFrameTruncationIsCorrupt
+// checks that it does), with and without each optional part.
 func fuzzSeedMessages() []Message {
 	return []Message{
 		{Type: TRegister, Group: 7, User: 2, GroupSize: 3,
-			Flags: FlagDeltaCapable | FlagCompactProbe, Loc: geom.Pt(0.25, 0.5)},
+			Flags: FlagDeltaCapable | FlagObserver, Loc: geom.Pt(0.25, 0.5)},
 		{Type: TReport, Group: 1, User: 0, Loc: geom.Pt(-1, 2)},
 		{Type: TNotify, Group: 3, User: 1, Epoch: 9,
 			Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3, 4}},
@@ -28,11 +28,16 @@ func fuzzSeedMessages() []Message {
 		{Type: TError, Text: "planner exploded"},
 		{Type: TPing, Epoch: 42},
 		{Type: TPong, Epoch: 1 << 40},
-		{Type: TProbeC, Group: 9, User: 4},
-		{Type: TProbeReplyC, Group: 9, User: 4, Loc: geom.Pt(0.1, 0.9)},
+		{Type: TProbe, Group: 9, User: 4},
+		{Type: TProbeReply, Group: 9, User: 4, Loc: geom.Pt(0.1, 0.9)},
 		{Type: TPeers, Epoch: 3, Peers: []string{"primary:9000", "standby:9001"}},
 		{Type: TPeers, Epoch: 1 << 33, Peers: []string{""}},
 		{Type: TPeers},
+		{Type: TRegister, Group: 1 << 31, User: 1 << 20, GroupSize: 64},
+		{Type: TNotify, Group: 200, User: 2},
+		{Type: TError, Group: 200, Text: "group 200 is full"},
+		{Type: TNotifyDelta, Group: 8, User: 3, DeltaReset: true,
+			Deltas: []RegionDelta{{Member: 3, Epoch: 1, Region: []byte{'C'}}}},
 	}
 }
 
@@ -67,7 +72,9 @@ func FuzzFrame(f *testing.F) {
 // seed frame is rejected with ErrCorruptFrame — a torn frame can never
 // silently parse as a shorter valid one, and never panics.
 func TestFrameTruncationIsCorrupt(t *testing.T) {
+	seeded := map[MsgType]bool{}
 	for _, m := range fuzzSeedMessages() {
+		seeded[m.Type] = true
 		payload := m.appendPayload(nil)
 		for i := 0; i < len(payload); i++ {
 			got, err := parsePayload(payload[:i])
@@ -80,17 +87,22 @@ func TestFrameTruncationIsCorrupt(t *testing.T) {
 			t.Fatalf("full %v frame rejected: %v", m.Type, err)
 		}
 	}
+	for typ := MsgType(1); typ != 0; typ++ {
+		if typ.String() != fmt.Sprintf("msgtype(%d)", uint8(typ)) && !seeded[typ] {
+			t.Errorf("no fuzz seed for frame type %v", typ)
+		}
+	}
 }
 
-// TestCompactFrameRoundTrip round-trips the varint frame family through
-// the public Write/Read pair.
+// TestCompactFrameRoundTrip round-trips the smallest frames through the
+// public Write/Read pair.
 func TestCompactFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		{Type: TPing, Epoch: 7},
 		{Type: TPong, Epoch: 7},
-		{Type: TProbeC, Group: 123456, User: 3},
-		{Type: TProbeReplyC, Group: 123456, User: 3, Loc: geom.Pt(0.31, 0.77)},
+		{Type: TProbe, Group: 123456, User: 3},
+		{Type: TProbeReply, Group: 123456, User: 3, Loc: geom.Pt(0.31, 0.77)},
 	}
 	for _, m := range msgs {
 		if err := Write(&buf, m); err != nil {

@@ -11,26 +11,27 @@
 //	Notify      server → client   step 3: meeting point + safe region
 //	NotifyDelta server → client   step 3, delta form: only changed regions
 //	Nack        client → server   a delta could not be applied; send full
-//	Ping/Pong   either direction  liveness heartbeat (compact varint layout)
+//	Ping/Pong   either direction  liveness heartbeat
 //
-// The probe round also has a compact all-varint form (TProbeC and
-// TProbeReplyC, negotiated via FlagCompactProbe) that drops the classic
-// 58-byte fixed header — a probe is 4–6 bytes on the wire.
-//
-// Frames are length-prefixed little-endian binary; safe regions travel in
-// the mpn region encoding (25-byte circles — one tag byte plus three
-// float64 values — and varint-compressed tile grids).
+// Every frame is a 4-byte little-endian payload length followed by the
+// payload: the type byte, then exactly the fields that type carries (see
+// MsgType). Integers are uvarints, points are two little-endian float64s,
+// and regions, texts and addresses are uvarint-length-prefixed bytes — in
+// group 200, a report or a probe reply is 24 bytes on the wire and a
+// probe 8. Safe regions travel in the mpn region encoding (25-byte
+// circles — one tag byte plus three float64 values — and
+// varint-compressed tile grids).
 //
 // # Delta notifications
 //
 // A client that sets FlagDeltaCapable on its Register frame opts into
-// TNotifyDelta: a compact frame (varint header, ~10 bytes on the wire
-// when nothing changed) that carries only the regions whose epoch
-// advanced since the server last delivered to that client, each as a
-// (member id, epoch, encoded region) record. Regions are state, not
-// diffs-of-diffs — every record carries the member's complete encoded
-// region — so a single delta frame always repairs an arbitrary epoch
-// gap. The frame's Epoch field is the recipient's own-region epoch after
+// TNotifyDelta: a frame (~10 bytes on the wire when nothing changed)
+// that carries only the regions whose epoch advanced since the server
+// last delivered to that client, each as a (member id, epoch, encoded
+// region) record. Regions are state, not diffs-of-diffs — every record
+// carries the member's complete encoded region — so a single delta
+// frame always repairs an arbitrary epoch gap. The frame's Epoch field
+// is the recipient's own-region epoch after
 // the update; a client holding a different epoch and receiving no record
 // for itself answers with TNack, and the server repairs it with a full
 // TNotify. Full TNotify frames also carry the recipient's epoch so the
@@ -50,29 +51,36 @@ import (
 // MsgType identifies a frame.
 type MsgType uint8
 
-// Frame types. TRegister through TNack use the classic fixed-header
-// layout (TNotifyDelta excepted); TPing and up use compact all-varint
-// layouts (see appendCompactPayload).
+// Frame types and the payload fields each carries after its type byte:
+//
+//	TRegister     group user size flags(1 byte) loc
+//	TReport       group user loc
+//	TProbe        group user
+//	TProbeReply   group user loc
+//	TNotify       group user epoch meeting region
+//	TError        group text
+//	TNotifyDelta  group user dflags(1 byte) epoch [meeting] n {member epoch region}×n
+//	TNack         group user epoch
+//	TPing, TPong  epoch
+//	TPeers        epoch n {addr}×n
+//
+// Codes 3 and 4 are unassigned.
 const (
-	TRegister MsgType = iota + 1
-	TReport
-	TProbe
-	TProbeReply
-	TNotify
-	TError
-	TNotifyDelta
-	TNack
+	TRegister    MsgType = 1
+	TReport      MsgType = 2
+	TNotify      MsgType = 5
+	TError       MsgType = 6
+	TNotifyDelta MsgType = 7
+	TNack        MsgType = 8
 	// TPing and TPong are the heartbeat: either peer may send TPing
 	// (Epoch carries an opaque sequence number) and the other answers
-	// TPong echoing it. Three payload bytes in the steady state.
-	TPing
-	TPong
-	// TProbeC and TProbeReplyC are the compact probe round — the same
-	// exchange as TProbe/TProbeReply without the 58-byte classic header,
-	// negotiated via FlagCompactProbe on Register. A probe is typically
-	// 4–6 payload bytes; the reply adds the 16-byte location.
-	TProbeC
-	TProbeReplyC
+	// TPong echoing it. Two payload bytes in the steady state.
+	TPing MsgType = 9
+	TPong MsgType = 10
+	// TProbe and TProbeReply are the probe round: the server asks a
+	// member for its location and the member answers with it.
+	TProbe      MsgType = 11
+	TProbeReply MsgType = 12
 	// TPeers is a server→client peer advertisement: the cluster's current
 	// client-facing addresses (primary first) stamped with the fencing
 	// epoch that published them. The server pushes one after a successful
@@ -82,7 +90,7 @@ const (
 	// an advertisement only when its epoch is not older than the last one
 	// adopted, so a delayed frame from a deposed primary cannot point
 	// them back at a dead node.
-	TPeers
+	TPeers MsgType = 13
 )
 
 // String implements fmt.Stringer.
@@ -108,10 +116,6 @@ func (t MsgType) String() string {
 		return "ping"
 	case TPong:
 		return "pong"
-	case TProbeC:
-		return "probe-compact"
-	case TProbeReplyC:
-		return "probe-reply-compact"
 	case TPeers:
 		return "peers"
 	default:
@@ -122,19 +126,8 @@ func (t MsgType) String() string {
 // FlagDeltaCapable, set on a Register frame, announces that the client
 // understands TNotifyDelta frames. The server only sends deltas to
 // members that negotiated them, so a client that opts out — or never
-// sets the flag — receives full TNotify frames forever. Note the
-// negotiation is within this wire version: the classic frame layout
-// itself changed when the Flags and Epoch fields were added (fixed
-// header 49 → 58 bytes), so peers from before that change cannot
-// interoperate regardless of the flag.
+// sets the flag — receives full TNotify frames forever.
 const FlagDeltaCapable uint8 = 1 << 0
-
-// FlagCompactProbe, set on a Register frame, announces that the client
-// understands the compact probe round (TProbeC/TProbeReplyC). The server
-// probes such a member compactly and the client answers in kind; a
-// member without the flag keeps the classic TProbe/TProbeReply exchange,
-// so old clients interoperate with new servers and vice versa.
-const FlagCompactProbe uint8 = 1 << 1
 
 // FlagObserver, set on a Register frame, subscribes the connection to a
 // group's notifications WITHOUT joining it: an observer does not count
@@ -173,15 +166,10 @@ type RegionDelta struct {
 	Region []byte
 }
 
-// Message is one protocol frame. Fields are used according to Type:
-// Register carries Group/User/GroupSize/Flags/Loc; Report and ProbeReply
-// carry Group/User/Loc; Probe carries Group/User; Notify carries
-// Group/User/Meeting/Epoch/Region; NotifyDelta carries
-// Group/User/Epoch/Deltas (and Meeting when MeetingChanged); Nack
-// carries Group/User/Epoch; Error carries Text; Ping and Pong carry a
-// heartbeat sequence number in Epoch; ProbeC carries Group/User and
-// ProbeReplyC carries Group/User/Loc; Peers carries Epoch (the fencing
-// epoch) and Peers (the cluster's client-facing addresses).
+// Message is one protocol frame. Fields are used according to Type (see
+// the table at MsgType): Epoch is the recipient's region epoch on Notify,
+// NotifyDelta and Nack frames, the heartbeat sequence number on Ping and
+// Pong, and the fencing epoch on Peers; Error carries Text.
 type Message struct {
 	Type      MsgType
 	Group     uint32
@@ -214,85 +202,69 @@ var (
 	ErrCorruptFrame  = errors.New("proto: corrupt frame")
 )
 
-// appendPayload serializes m into buf and returns the extended slice
-// (without the length prefix).
+// appendPayload serializes m into buf (without the length prefix): the
+// type byte, then the fields of m.Type's row of the MsgType table.
 func (m Message) appendPayload(buf []byte) []byte {
-	if m.Type == TNotifyDelta {
-		return m.appendDeltaPayload(buf)
-	}
-	if m.Type >= TPing {
-		return m.appendCompactPayload(buf)
-	}
-	buf = append(buf, byte(m.Type))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Group)
-	buf = binary.LittleEndian.AppendUint32(buf, m.User)
-	buf = binary.LittleEndian.AppendUint32(buf, m.GroupSize)
-	buf = append(buf, m.Flags)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-	buf = appendPoint(buf, m.Loc)
-	buf = appendPoint(buf, m.Meeting)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Region)))
-	buf = append(buf, m.Region...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Text)))
-	buf = append(buf, m.Text...)
-	return buf
-}
-
-// appendDeltaPayload is the compact TNotifyDelta layout. Everything that
-// can be a varint is one: the steady-state frame — nothing changed — is
-// about six payload bytes, versus the ~58-byte fixed header of a classic
-// frame before any region bytes.
-func (m Message) appendDeltaPayload(buf []byte) []byte {
-	buf = append(buf, byte(TNotifyDelta))
-	buf = binary.AppendUvarint(buf, uint64(m.Group))
-	buf = binary.AppendUvarint(buf, uint64(m.User))
-	fl := uint8(0)
-	if m.MeetingChanged {
-		fl |= deltaMeeting
-	}
-	if m.DeltaReset {
-		fl |= deltaReset
-	}
-	buf = append(buf, fl)
-	buf = binary.AppendUvarint(buf, m.Epoch)
-	if m.MeetingChanged {
-		buf = appendPoint(buf, m.Meeting)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		buf = binary.AppendUvarint(buf, uint64(d.Member))
-		buf = binary.AppendUvarint(buf, d.Epoch)
-		buf = binary.AppendUvarint(buf, uint64(len(d.Region)))
-		buf = append(buf, d.Region...)
-	}
-	return buf
-}
-
-// appendCompactPayload serializes the all-varint frame family (TPing and
-// up): heartbeats are type + uvarint sequence, compact probes are type +
-// uvarint group + uvarint user (+ the 16-byte location on the reply),
-// peer advertisements are type + uvarint epoch + uvarint count +
-// length-prefixed addresses.
-func (m Message) appendCompactPayload(buf []byte) []byte {
 	buf = append(buf, byte(m.Type))
 	switch m.Type {
+	case TRegister:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User), uint64(m.GroupSize))
+		buf = append(buf, m.Flags)
+		buf = appendPoint(buf, m.Loc)
+	case TReport, TProbeReply:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User))
+		buf = appendPoint(buf, m.Loc)
+	case TProbe:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User))
+	case TNotify:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User), m.Epoch)
+		buf = appendPoint(buf, m.Meeting)
+		buf = appendBytes(buf, m.Region)
+	case TError:
+		buf = binary.AppendUvarint(buf, uint64(m.Group))
+		buf = appendBytes(buf, m.Text)
+	case TNotifyDelta:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User))
+		fl := uint8(0)
+		if m.MeetingChanged {
+			fl |= deltaMeeting
+		}
+		if m.DeltaReset {
+			fl |= deltaReset
+		}
+		buf = append(buf, fl)
+		buf = binary.AppendUvarint(buf, m.Epoch)
+		if m.MeetingChanged {
+			buf = appendPoint(buf, m.Meeting)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(m.Deltas)))
+		for _, d := range m.Deltas {
+			buf = appendUvarints(buf, uint64(d.Member), d.Epoch)
+			buf = appendBytes(buf, d.Region)
+		}
+	case TNack:
+		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User), m.Epoch)
 	case TPing, TPong:
 		buf = binary.AppendUvarint(buf, m.Epoch)
-	case TProbeC, TProbeReplyC:
-		buf = binary.AppendUvarint(buf, uint64(m.Group))
-		buf = binary.AppendUvarint(buf, uint64(m.User))
-		if m.Type == TProbeReplyC {
-			buf = appendPoint(buf, m.Loc)
-		}
 	case TPeers:
-		buf = binary.AppendUvarint(buf, m.Epoch)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Peers)))
+		buf = appendUvarints(buf, m.Epoch, uint64(len(m.Peers)))
 		for _, a := range m.Peers {
-			buf = binary.AppendUvarint(buf, uint64(len(a)))
-			buf = append(buf, a...)
+			buf = appendBytes(buf, a)
 		}
 	}
 	return buf
+}
+
+func appendUvarints(buf []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+func appendBytes[T string | []byte](buf []byte, b T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
 }
 
 func appendPoint(buf []byte, p geom.Point) []byte {
@@ -317,7 +289,7 @@ func (m Message) AppendFrame(buf []byte) ([]byte, error) {
 
 // Write frames and writes m.
 func Write(w io.Writer, m Message) error {
-	frame, err := m.AppendFrame(make([]byte, 0, 80+len(m.Region)+len(m.Text)))
+	frame, err := m.AppendFrame(make([]byte, 0, 40+len(m.Region)+len(m.Text)))
 	if err != nil {
 		return err
 	}
@@ -325,7 +297,8 @@ func Write(w io.Writer, m Message) error {
 	return err
 }
 
-// Read reads one framed message.
+// Read reads one framed message. Its Region and Deltas[i].Region share
+// the frame's freshly allocated payload.
 func Read(r io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -342,218 +315,151 @@ func Read(r io.Reader) (Message, error) {
 	return parsePayload(payload)
 }
 
+// parsePayload decodes one payload. Unknown types, truncation, overflow,
+// unknown delta flags and trailing bytes are all ErrCorruptFrame, never a
+// panic.
 func parsePayload(p []byte) (Message, error) {
 	if len(p) == 0 {
 		return Message{}, ErrCorruptFrame
 	}
-	if MsgType(p[0]) == TNotifyDelta {
-		return parseDeltaPayload(p)
-	}
-	if MsgType(p[0]) >= TPing {
-		return parseCompactPayload(p)
-	}
-	// Fixed part: type(1) + group(4) + user(4) + size(4) + flags(1) +
-	// epoch(8) + 2 points(32) + region len(4).
-	const fixed = 1 + 4 + 4 + 4 + 1 + 8 + 32 + 4
-	if len(p) < fixed {
-		return Message{}, ErrCorruptFrame
-	}
-	var m Message
-	m.Type = MsgType(p[0])
-	if m.Type < TRegister || m.Type > TNack {
-		return Message{}, ErrCorruptFrame
-	}
-	m.Group = binary.LittleEndian.Uint32(p[1:])
-	m.User = binary.LittleEndian.Uint32(p[5:])
-	m.GroupSize = binary.LittleEndian.Uint32(p[9:])
-	m.Flags = p[13]
-	m.Epoch = binary.LittleEndian.Uint64(p[14:])
-	m.Loc = readPoint(p[22:])
-	m.Meeting = readPoint(p[38:])
-	regionLen := binary.LittleEndian.Uint32(p[54:])
-	rest := p[58:]
-	if uint64(len(rest)) < uint64(regionLen)+4 {
-		return Message{}, ErrCorruptFrame
-	}
-	if regionLen > 0 {
-		m.Region = append([]byte(nil), rest[:regionLen]...)
-	}
-	rest = rest[regionLen:]
-	textLen := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if uint32(len(rest)) != textLen {
-		return Message{}, ErrCorruptFrame
-	}
-	if textLen > 0 {
-		m.Text = string(rest)
-	}
-	return m, nil
-}
-
-// parseDeltaPayload decodes the compact TNotifyDelta layout with the
-// same defensiveness as the fixed layout: any truncation, overflow, or
-// trailing garbage is ErrCorruptFrame, never a panic.
-func parseDeltaPayload(p []byte) (Message, error) {
-	m := Message{Type: TNotifyDelta}
-	rest := p[1:]
-	u32 := func() (uint32, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > math.MaxUint32 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return uint32(v), true
-	}
-	u64 := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	var ok bool
-	if m.Group, ok = u32(); !ok {
-		return m, ErrCorruptFrame
-	}
-	if m.User, ok = u32(); !ok {
-		return m, ErrCorruptFrame
-	}
-	if len(rest) < 1 {
-		return m, ErrCorruptFrame
-	}
-	fl := rest[0]
-	rest = rest[1:]
-	if fl&^(deltaMeeting|deltaReset) != 0 {
-		return m, ErrCorruptFrame
-	}
-	m.DeltaReset = fl&deltaReset != 0
-	if m.Epoch, ok = u64(); !ok {
-		return m, ErrCorruptFrame
-	}
-	if fl&deltaMeeting != 0 {
-		if len(rest) < 16 {
-			return m, ErrCorruptFrame
-		}
-		m.MeetingChanged = true
-		m.Meeting = readPoint(rest)
-		rest = rest[16:]
-	}
-	count, ok := u64()
-	if !ok || count > uint64(len(rest))/3 {
-		// Each record needs at least 3 varint bytes; a count beyond what
-		// the remaining payload could possibly hold is corruption, not a
-		// huge frame — and it must be rejected BEFORE sizing the slice,
-		// or a small corrupt frame could demand a ~40× larger
-		// preallocation (RegionDelta headers) than its own bytes.
-		return m, ErrCorruptFrame
-	}
-	if count > 0 {
-		// Cap the preallocation: real frames carry at most a group's
-		// worth of records, and append will grow the rare larger (still
-		// payload-backed) frame without handing a forged count a 40×
-		// memory amplification.
-		m.Deltas = make([]RegionDelta, 0, int(min(count, 64)))
-	}
-	for i := uint64(0); i < count; i++ {
-		var d RegionDelta
-		if d.Member, ok = u32(); !ok {
-			return m, ErrCorruptFrame
-		}
-		if d.Epoch, ok = u64(); !ok {
-			return m, ErrCorruptFrame
-		}
-		rl, ok := u64()
-		if !ok || rl > uint64(len(rest)) {
-			return m, ErrCorruptFrame
-		}
-		if rl > 0 {
-			d.Region = append([]byte(nil), rest[:rl]...)
-			rest = rest[rl:]
-		}
-		m.Deltas = append(m.Deltas, d)
-	}
-	if len(rest) != 0 {
-		return m, ErrCorruptFrame
-	}
-	return m, nil
-}
-
-// parseCompactPayload decodes the all-varint frame family (TPing and
-// up) with the codec's usual defensiveness: unknown types, truncation,
-// overflow, and trailing garbage are all ErrCorruptFrame, never a panic.
-func parseCompactPayload(p []byte) (Message, error) {
 	m := Message{Type: MsgType(p[0])}
-	rest := p[1:]
-	u32 := func() (uint32, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > math.MaxUint32 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return uint32(v), true
-	}
-	var ok bool
+	c := cursor{p: p[1:]}
 	switch m.Type {
+	case TRegister:
+		m.Group, m.User, m.GroupSize = c.u32(), c.u32(), c.u32()
+		m.Flags = c.u8()
+		m.Loc = c.point()
+	case TReport, TProbeReply:
+		m.Group, m.User = c.u32(), c.u32()
+		m.Loc = c.point()
+	case TProbe:
+		m.Group, m.User = c.u32(), c.u32()
+	case TNotify:
+		m.Group, m.User, m.Epoch = c.u32(), c.u32(), c.uvarint()
+		m.Meeting = c.point()
+		m.Region = c.bytes()
+	case TError:
+		m.Group = c.u32()
+		m.Text = string(c.bytes())
+	case TNotifyDelta:
+		m.Group, m.User = c.u32(), c.u32()
+		fl := c.u8()
+		if fl&^(deltaMeeting|deltaReset) != 0 {
+			c.bad = true
+		}
+		m.DeltaReset = fl&deltaReset != 0
+		m.Epoch = c.uvarint()
+		if fl&deltaMeeting != 0 {
+			m.MeetingChanged = true
+			m.Meeting = c.point()
+		}
+		// A record is at least three bytes: member, epoch, region length.
+		if n := c.count(3); n > 0 {
+			m.Deltas = make([]RegionDelta, 0, min(n, maxPrealloc))
+			for i := 0; i < n && !c.bad; i++ {
+				m.Deltas = append(m.Deltas, RegionDelta{Member: c.u32(), Epoch: c.uvarint(), Region: c.bytes()})
+			}
+		}
+	case TNack:
+		m.Group, m.User, m.Epoch = c.u32(), c.u32(), c.uvarint()
 	case TPing, TPong:
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return m, ErrCorruptFrame
-		}
-		m.Epoch = v
-		rest = rest[n:]
-	case TProbeC, TProbeReplyC:
-		if m.Group, ok = u32(); !ok {
-			return m, ErrCorruptFrame
-		}
-		if m.User, ok = u32(); !ok {
-			return m, ErrCorruptFrame
-		}
-		if m.Type == TProbeReplyC {
-			if len(rest) < 16 {
-				return m, ErrCorruptFrame
-			}
-			m.Loc = readPoint(rest)
-			rest = rest[16:]
-		}
+		m.Epoch = c.uvarint()
 	case TPeers:
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return m, ErrCorruptFrame
-		}
-		m.Epoch = v
-		rest = rest[n:]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return m, ErrCorruptFrame
-		}
-		rest = rest[n:]
-		if count > uint64(len(rest)) {
-			// Every address needs at least its one-byte length prefix; a
-			// count beyond the remaining payload is corruption and must be
-			// rejected BEFORE sizing the slice (same forged-count hazard
-			// as parseDeltaPayload).
-			return m, ErrCorruptFrame
-		}
-		if count > 0 {
-			m.Peers = make([]string, 0, int(min(count, 16)))
-		}
-		for i := uint64(0); i < count; i++ {
-			l, n := binary.Uvarint(rest)
-			if n <= 0 || l > uint64(len(rest)-n) {
-				return m, ErrCorruptFrame
+		m.Epoch = c.uvarint()
+		if n := c.count(1); n > 0 {
+			m.Peers = make([]string, 0, min(n, maxPrealloc))
+			for i := 0; i < n && !c.bad; i++ {
+				m.Peers = append(m.Peers, string(c.bytes()))
 			}
-			rest = rest[n:]
-			m.Peers = append(m.Peers, string(rest[:l]))
-			rest = rest[l:]
 		}
 	default:
-		return m, ErrCorruptFrame
+		return Message{}, ErrCorruptFrame
 	}
-	if len(rest) != 0 {
-		return m, ErrCorruptFrame
+	if c.bad || len(c.p) != 0 {
+		return Message{}, ErrCorruptFrame
 	}
 	return m, nil
+}
+
+// maxPrealloc caps the slice a record count may preallocate: real frames
+// carry at most a group's worth of records, and append grows the rare
+// larger (still payload-backed) frame, so a forged count cannot turn a
+// small frame into a many-times larger allocation.
+const maxPrealloc = 64
+
+// cursor is the decoder's bounds-checked view of the rest of a payload.
+// A read past the end, a malformed varint or an out-of-range value marks
+// it bad and returns a zero value, so a decoder reads its fields straight
+// through and checks bad once.
+type cursor struct {
+	p   []byte
+	bad bool
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.p)
+	if n <= 0 {
+		c.bad = true
+		return 0
+	}
+	c.p = c.p[n:]
+	return v
+}
+
+func (c *cursor) u32() uint32 {
+	v := c.uvarint()
+	if v > math.MaxUint32 {
+		c.bad = true
+		return 0
+	}
+	return uint32(v)
+}
+
+func (c *cursor) u8() uint8 {
+	b := c.take(1)
+	if len(b) == 0 {
+		return 0
+	}
+	return b[0]
+}
+
+func (c *cursor) point() geom.Point {
+	b := c.take(16)
+	if len(b) == 0 {
+		return geom.Point{}
+	}
+	return readPoint(b)
+}
+
+// bytes reads a length-prefixed byte string, nil when empty.
+func (c *cursor) bytes() []byte {
+	b := c.take(c.uvarint())
+	if len(b) == 0 {
+		return nil
+	}
+	return b
+}
+
+// count reads a record count, refusing one the rest of the payload could
+// not hold at minLen bytes a record — a forged count is corruption, and
+// must be caught before it sizes a slice.
+func (c *cursor) count(minLen int) int {
+	n := c.uvarint()
+	if c.bad || n > uint64(len(c.p)/minLen) {
+		c.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+func (c *cursor) take(n uint64) []byte {
+	if c.bad || n > uint64(len(c.p)) {
+		c.bad = true
+		return nil
+	}
+	b := c.p[:n:n]
+	c.p = c.p[n:]
+	return b
 }
 
 func readPoint(p []byte) geom.Point {

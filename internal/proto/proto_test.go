@@ -2,10 +2,12 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,12 +21,13 @@ import (
 
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
-		{Type: TRegister, Group: 7, User: 2, GroupSize: 3, Loc: geom.Pt(0.25, 0.5)},
+		{Type: TRegister, Group: 7, User: 2, GroupSize: 3, Flags: FlagDeltaCapable, Loc: geom.Pt(0.25, 0.5)},
 		{Type: TReport, Group: 1, User: 0, Loc: geom.Pt(-1, 2)},
 		{Type: TProbe, Group: 9, User: 4},
 		{Type: TProbeReply, Group: 9, User: 4, Loc: geom.Pt(0.1, 0.9)},
-		{Type: TNotify, Group: 3, User: 1, Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3, 4}},
-		{Type: TError, Text: "boom"},
+		{Type: TNotify, Group: 3, User: 1, Epoch: 42, Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3, 4}},
+		{Type: TNack, Group: 3, User: 1, Epoch: 41},
+		{Type: TError, Group: 3, Text: "boom"},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
@@ -37,12 +40,54 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Type != want.Type || got.Group != want.Group || got.User != want.User ||
-			got.GroupSize != want.GroupSize || got.Loc != want.Loc ||
-			got.Meeting != want.Meeting || got.Text != want.Text ||
-			!bytes.Equal(got.Region, want.Region) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// TestFrameGoldenBytes pins exact frames, length prefix included. These
+// layouts are fixed; the benchmark's frame sniffer (bench/trace.go), for
+// one, decodes delta frames by hand.
+func TestFrameGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		m    Message
+		want string
+	}{
+		{Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 5},
+			"06000000070301000500"},
+		{Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 5, MeetingChanged: true, Meeting: geom.Pt(0.25, 0.75)},
+			"160000000703010105000000000000d03f000000000000e83f00"},
+		{Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 6,
+			Deltas: []RegionDelta{{Member: 1, Epoch: 6, Region: []byte{'C', 1, 2}}}},
+			"0c000000070301000601010603430102"},
+		{Message{Type: TNotifyDelta, Group: 300, User: 70000, Epoch: 1 << 40, MeetingChanged: true, DeltaReset: true,
+			Meeting: geom.Pt(-1, 2), Deltas: []RegionDelta{{Member: 1, Epoch: 9, Region: []byte{1, 2, 3}}, {Member: 200, Epoch: 2}}},
+			"2800000007ac02f0a20403808080808020000000000000f0bf000000000000004002010903010203c8010200"},
+		{Message{Type: TPing, Epoch: 42}, "02000000092a"},
+		{Message{Type: TPong, Epoch: 1 << 40}, "070000000a808080808020"},
+		{Message{Type: TPeers, Epoch: 3, Peers: []string{"primary:9000", "standby:9001"}},
+			"1d0000000d03020c7072696d6172793a393030300c7374616e6462793a39303031"},
+		{Message{Type: TPeers}, "030000000d0000"},
+		{Message{Type: TProbe, Group: 200, User: 2}, "040000000bc80102"},
+		{Message{Type: TProbeReply, Group: 200, User: 2, Loc: geom.Pt(0.125, -3.5)},
+			"140000000cc80102000000000000c03f0000000000000cc0"},
+	} {
+		got, err := tc.m.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("%v frame\n got %x\nwant %s", tc.m.Type, got, tc.want)
+		}
+	}
+	// A step-1 report carries group, user and location, nothing else.
+	report, err := Message{Type: TReport, Group: 200, User: 2, Loc: geom.Pt(0.125, -3.5)}.AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report) != 24 {
+		t.Fatalf("report frame is %d bytes, want 24", len(report))
 	}
 }
 
@@ -121,7 +166,7 @@ func newSyncCoordinator(plan planFunc) *Coordinator {
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		meeting, regions, err := plan(users)
 		if err != nil {
-			go coord.Deliver(gid, nil, geom.Point{}, nil, nil, err)
+			go coord.Deliver(gid, nil, nil, geom.Point{}, nil, nil, err)
 			return geom.Point{}, nil, nil, false
 		}
 		return meeting, regions, nil, true
@@ -316,7 +361,7 @@ func TestCoordinatorRefusesNonFiniteLocation(t *testing.T) {
 		// Frames name their user themselves, so a reply can aim at another
 		// member's stored location.
 		{"probe-reply/NaN", Message{Type: TProbeReply, User: 1, Loc: geom.Pt(nan, nan)}},
-		{"probe-reply-compact/+Inf", Message{Type: TProbeReplyC, User: 1, Loc: geom.Pt(0.3, inf)}},
+		{"probe-reply/+Inf", Message{Type: TProbeReply, User: 1, Loc: geom.Pt(0.3, inf)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -116,7 +116,7 @@ type ReconnectClient struct {
 
 // NewReconnectClient builds a reconnecting client. dial and loc must be
 // non-nil; onNotify may be nil. opts are applied to every underlying
-// Client (session defaults: delta and compact probes negotiated).
+// Client (session default: delta notifications negotiated).
 // Call Start to begin.
 func NewReconnectClient(dial DialFunc, group, user, groupSize uint32, loc LocFunc, onNotify NotifyFunc, backoff Backoff, opts ...ClientOption) (*ReconnectClient, error) {
 	if dial == nil {

@@ -84,93 +84,6 @@ func TestHeartbeatDetectsSilentServer(t *testing.T) {
 	}
 }
 
-// --- compact probes ----------------------------------------------------------
-
-// A mixed group: one member negotiates compact probes, one opts out. The
-// server must probe each in the layout it negotiated and accept both
-// reply layouts; the probe round completes for everyone either way.
-func TestCompactProbeNegotiation(t *testing.T) {
-	coord := newSyncCoordinator(testPlan(t, "tile"))
-
-	type member struct {
-		client   *Client
-		loc      geom.Point
-		locMu    sync.Mutex
-		notifyCh chan geom.Point
-	}
-	mk := func(user uint32, start geom.Point, opts ...ClientOption) *member {
-		serverSide, clientSide := net.Pipe()
-		go func() { _ = coord.ServeConn(serverSide) }()
-		t.Cleanup(func() { clientSide.Close() })
-		m := &member{loc: start, notifyCh: make(chan geom.Point, 16)}
-		cl, err := NewClient(clientSide, 1, user,
-			func() geom.Point {
-				m.locMu.Lock()
-				defer m.locMu.Unlock()
-				return m.loc
-			},
-			func(meeting geom.Point, _ core.SafeRegion) { m.notifyCh <- meeting },
-			opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.client = cl
-		go func() { _ = cl.Run() }()
-		return m
-	}
-
-	compact := mk(0, geom.Pt(0.30, 0.30))
-	classic := mk(1, geom.Pt(0.35, 0.32), WithoutCompactProbe())
-	members := []*member{compact, classic}
-	for _, m := range members {
-		if err := m.client.Register(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wait := func(m *member) geom.Point {
-		select {
-		case p := <-m.notifyCh:
-			return p
-		case <-time.After(5 * time.Second):
-			t.Fatal("timed out waiting for notification")
-			return geom.Point{}
-		}
-	}
-	for _, m := range members {
-		wait(m)
-	}
-
-	// The compact member escapes: the probe round hits the classic member
-	// as TProbe and would hit other compact members as TProbeC. Both reply
-	// layouts must be accepted and a fresh plan must land everywhere.
-	compact.locMu.Lock()
-	compact.loc = geom.Pt(0.70, 0.70)
-	compact.locMu.Unlock()
-	if err := compact.client.Report(); err != nil {
-		t.Fatal(err)
-	}
-	m1, m2 := wait(compact), wait(classic)
-	if m1 != m2 {
-		t.Fatalf("meeting mismatch after mixed probe round: %v vs %v", m1, m2)
-	}
-
-	// Now the classic member escapes, so the compact member is probed with
-	// TProbeC and must reply in kind.
-	classic.locMu.Lock()
-	classic.loc = geom.Pt(0.10, 0.60)
-	classic.locMu.Unlock()
-	if err := classic.client.Report(); err != nil {
-		t.Fatal(err)
-	}
-	m1, m2 = wait(compact), wait(classic)
-	if m1 != m2 {
-		t.Fatalf("meeting mismatch after compact probe round: %v vs %v", m1, m2)
-	}
-	if got := coord.Stats().CompactProbes; got == 0 {
-		t.Fatal("no compact probes sent to a compact-negotiated member")
-	}
-}
-
 // --- reconnect ---------------------------------------------------------------
 
 // restartableServer is a coordinator behind a real TCP listener that can
