@@ -53,6 +53,32 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClassicFrameFlagsEpochRoundTrip: the non-delta frames keep the
+// Register flags, the Notify epoch and region, and the Nack epoch.
+func TestClassicFrameFlagsEpochRoundTrip(t *testing.T) {
+	msgs := []Message{
+		{Type: TRegister, Group: 7, User: 2, GroupSize: 3, Flags: FlagDeltaCapable, Loc: geom.Pt(0.25, 0.5)},
+		{Type: TNotify, Group: 3, User: 1, Epoch: 42, Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3}},
+		{Type: TNack, Group: 3, User: 1, Epoch: 41},
+	}
+	var buf bytes.Buffer
+	for _, m := range msgs {
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range msgs {
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != want.Type || got.Flags != want.Flags || got.Epoch != want.Epoch ||
+			got.Group != want.Group || got.User != want.User || !bytes.Equal(got.Region, want.Region) {
+			t.Fatalf("classic round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
 // TestDeltaFrameCorruption: every truncation of a valid delta frame's
 // payload, and several mutations, must fail cleanly.
 func TestDeltaFrameCorruption(t *testing.T) {
