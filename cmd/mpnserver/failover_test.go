@@ -537,9 +537,13 @@ func TestFollowerCatchUpDifferential(t *testing.T) {
 		primary.srv.mu.Unlock()
 		return n == 0
 	})
+	// gidToEngine empties before the engine journals the teardown, so
+	// first wait for the primary's log to hold it, then for the ack.
 	waitCond(t, "teardown replicated", func() bool {
+		pState, _, pSub := primary.srv.store.StreamFrom(1)
+		pSub.Close()
 		st := primary.srv.ship.Stats()
-		return st.Followers == 1 && st.AckPos == st.StreamPos
+		return len(pState.Groups) == 0 && st.Followers == 1 && st.AckPos == st.StreamPos
 	})
 
 	// Clean close both; recover both directories; the recovered states

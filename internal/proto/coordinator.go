@@ -39,15 +39,6 @@ import (
 // comparing encodings.
 type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, ok bool)
 
-// Coordinator is the server side of the Fig. 3 protocol: it accepts
-// connections (one per user), assembles groups, and runs the
-// report → probe → notify exchange, recomputing plans via its SubmitFunc.
-//
-// Outbound frames are queued per member and written by a dedicated
-// goroutine, so the coordinator never blocks on a slow (or synchronous,
-// e.g. net.Pipe) transport while holding its lock — a deadlock hazard
-// otherwise, since clients may be writing to the server at the same
-// moment.
 // WriteGateFunc decides whether this node currently accepts client
 // writes (registrations and reports). A nil error admits the write;
 // peers is then the cluster's client-facing addresses (primary first)
@@ -58,6 +49,15 @@ type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom
 // live one instead of silently serving writes it has no right to accept.
 type WriteGateFunc func() (peers []string, epoch uint64, err error)
 
+// Coordinator is the server side of the Fig. 3 protocol: it accepts
+// connections (one per user), assembles groups, and runs the
+// report → probe → notify exchange, recomputing plans via its SubmitFunc.
+//
+// Outbound frames are encoded when they are queued, queued per member
+// and written by a dedicated goroutine, so the coordinator never blocks
+// on a slow (or synchronous, e.g. net.Pipe) transport while holding its
+// lock — a deadlock hazard otherwise, since clients may be writing to the
+// server at the same moment.
 type Coordinator struct {
 	submit SubmitFunc // the compute backend
 	logger *log.Logger
@@ -100,7 +100,8 @@ type coordCounters struct {
 // counters (see Coordinator.Stats).
 type CoordStats struct {
 	// DroppedFrames counts outbound frames discarded because a member's
-	// outbox was full (the member is repaired by a later full notify).
+	// outbox was full (the member is repaired by a later full notify) or
+	// because the frame could not be encoded (it exceeded MaxFrame).
 	DroppedFrames uint64
 	// SlowClientDisconnects counts members kicked by the slow-client
 	// policy: their outbox stayed full for SlowClientLimit consecutive
@@ -176,8 +177,9 @@ func (c *Coordinator) SetWriteGate(fn WriteGateFunc) { c.gate = fn }
 // into the coordinator or block.
 func (c *Coordinator) SetGroupEmptyHook(fn func(gid uint32)) { c.onEmpty = fn }
 
-// outboxSize bounds the per-member outbound queue. A member this far
-// behind is considered dead and dropped.
+// outboxSize bounds the per-member outbound queue, in frames. A member
+// this far behind is considered dead and dropped. An empty slot costs a
+// slice header, so the bound is cheap to keep generous.
 const outboxSize = 256
 
 // group is the server-side state of one user group.
@@ -227,7 +229,7 @@ func (g *group) resetEncLocked(ids []uint32) {
 }
 
 // encRegion is one cached region encoding. data is immutable once
-// stored (it is shared with member outboxes).
+// stored (frames built from it copy it).
 type encRegion struct {
 	epoch uint64
 	data  []byte
@@ -235,7 +237,9 @@ type encRegion struct {
 
 type member struct {
 	user uint32
-	out  chan Message
+	// out holds encoded frames, length prefix included, each written to
+	// the connection with one Write call by the member's writer goroutine.
+	out  chan []byte
 	done chan struct{}
 
 	// loc is the member's last reported location (registration, escape
@@ -265,7 +269,8 @@ type member struct {
 }
 
 // noteSend updates the slow-client drop streak after a send attempt and
-// applies the policy: limit consecutive drops close the connection. Must
+// applies the policy: limit consecutive drops close the connection. Every
+// send's result goes through it, so DroppedFrames counts every drop. Must
 // be called with the coordinator lock held.
 func (m *member) noteSend(c *Coordinator, gid uint32, ok bool) {
 	if ok {
@@ -282,15 +287,16 @@ func (m *member) noteSend(c *Coordinator, gid uint32, ok bool) {
 	}
 }
 
-// newMember starts the writer goroutine for one connection.
+// newMember starts the writer goroutine for one connection: it writes
+// each queued frame with one w.Write call, in queue order, until close.
 func newMember(user uint32, w io.Writer, logger *log.Logger) *member {
-	m := &member{user: user, out: make(chan Message, outboxSize), done: make(chan struct{}), needFull: true}
+	m := &member{user: user, out: make(chan []byte, outboxSize), done: make(chan struct{}), needFull: true}
 	go func() {
 		defer close(m.done)
-		for msg := range m.out {
-			if err := Write(w, msg); err != nil {
+		for frame := range m.out {
+			if _, err := w.Write(frame); err != nil {
 				logger.Printf("user %d: write failed: %v", user, err)
-				// Drain remaining messages so senders never block.
+				// Drain remaining frames so senders never block.
 				for range m.out {
 				}
 				return
@@ -300,18 +306,25 @@ func newMember(user uint32, w io.Writer, logger *log.Logger) *member {
 	return m
 }
 
-// send enqueues without blocking; it reports whether the member accepted
-// the frame.
+// send encodes msg and enqueues the frame without blocking; it reports
+// whether the member accepted it. A frame that cannot be encoded (it
+// exceeds MaxFrame) is refused here, like one that finds the outbox full,
+// so the caller counts it as a drop and the writer never sees it.
 func (m *member) send(msg Message) bool {
+	frame, err := msg.AppendFrame(make([]byte, 0, 40+len(msg.Region)+len(msg.Text)))
+	if err != nil {
+		return false
+	}
 	select {
-	case m.out <- msg:
+	case m.out <- frame:
 		return true
 	default:
 		return false
 	}
 }
 
-// close stops the writer after the queue drains.
+// close stops the writer after the queue drains: it returns once every
+// queued frame was written, or the writer gave up on a failed write.
 func (m *member) close() {
 	close(m.out)
 	<-m.done
@@ -376,7 +389,8 @@ func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meetin
 	if err != nil {
 		c.logger.Printf("group %d: plan failed: %v", gid, err)
 		for _, uid := range current {
-			g.members[uid].send(Message{Type: TError, Group: gid, Text: err.Error()})
+			mb := g.members[uid]
+			mb.noteSend(c, gid, mb.send(Message{Type: TError, Group: gid, Text: err.Error()}))
 		}
 		return
 	}
@@ -540,7 +554,7 @@ func (c *Coordinator) refuseWrite(gid, uid uint32, peers []string, epoch uint64,
 		return
 	}
 	if len(peers) > 0 {
-		mb.send(Message{Type: TPeers, Epoch: epoch, Peers: peers})
+		mb.noteSend(c, gid, mb.send(Message{Type: TPeers, Epoch: epoch, Peers: peers}))
 	}
 	mb.noteSend(c, gid, mb.send(Message{Type: TError, Group: gid, Text: gerr.Error()}))
 }

@@ -1,9 +1,14 @@
 package proto
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"log"
 	"net"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,5 +109,124 @@ func TestMemberOutboxOverflow(t *testing.T) {
 	}
 	if accepted < outboxSize {
 		t.Fatalf("outbox rejected too early: %d", accepted)
+	}
+}
+
+// frameWriter records each Write call's bytes. Until release is closed,
+// every Write blocks, so a test can hold the writer goroutine mid-queue.
+type frameWriter struct {
+	release chan struct{}
+	mu      sync.Mutex
+	writes  [][]byte
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// The writer contract the fault-injection schedules count on: frames
+// reach the peer in send order, one frame per Write call, and close
+// returns only once every queued frame was written.
+func TestMemberWriterOneFramePerWrite(t *testing.T) {
+	w := &frameWriter{release: make(chan struct{})}
+	m := newMember(1, w, log.New(io.Discard, "", 0))
+	const n = outboxSize
+	for i := range n {
+		if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
+			t.Fatalf("send %d refused by a %d-slot outbox", i, outboxSize)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		m.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("close returned while the writer was still blocked")
+	default:
+	}
+	close(w.release)
+	<-closed
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.writes) != n {
+		t.Fatalf("close returned after %d of %d writes", len(w.writes), n)
+	}
+	for i, p := range w.writes {
+		r := bytes.NewReader(p)
+		msg, err := Read(r)
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if r.Len() != 0 {
+			t.Fatalf("write %d carries %d bytes past its frame", i, r.Len())
+		}
+		if msg.Type != TPing || msg.Epoch != uint64(i) {
+			t.Fatalf("write %d is %v epoch %d, want ping %d", i, msg.Type, msg.Epoch, i)
+		}
+	}
+}
+
+// A frame the codec refuses (here a TError longer than MaxFrame) is a
+// counted drop at enqueue: the writer never sees it, so it cannot stop
+// the connection's later frames from being written.
+func TestOversizedErrorIsCountedDrop(t *testing.T) {
+	backend := &scriptedBackend{regions: circleRegions(2), epochs: []uint64{1, 1}, meeting: geom.Pt(0.5, 0.5)}
+	coord := NewAsyncCoordinator(backend.submit, nil)
+	conns := []*rawConn{dialRaw(t, coord), dialRaw(t, coord)}
+	for uid, rc := range conns {
+		if err := Write(rc.conn, Message{
+			Type: TRegister, Group: 4, User: uint32(uid), GroupSize: 2, Loc: geom.Pt(0.1*float64(uid+1), 0.2),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for uid, rc := range conns {
+		if m := rc.read(t); m.Type != TNotify {
+			t.Fatalf("user %d registration frame %v", uid, m.Type)
+		}
+	}
+
+	before := coord.Stats().DroppedFrames
+	coord.Deliver(4, nil, nil, geom.Point{}, nil, nil, errors.New(strings.Repeat("x", MaxFrame+1)))
+	if got := coord.Stats().DroppedFrames - before; got != uint64(len(conns)) {
+		t.Errorf("oversized error raised DroppedFrames by %d, want %d (one per member)", got, len(conns))
+	}
+
+	coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
+	for uid, rc := range conns {
+		m := rc.read(t)
+		if m.Type != TNotify || !bytes.Equal(m.Region, EncodeRegion(backend.regions[uid])) {
+			t.Fatalf("user %d: frame after the oversized error is %+v, want the plan", uid, m)
+		}
+	}
+}
+
+// The per-member footprint fence: registering a member allocates its
+// outbox, writer goroutine closure and bookkeeping, which must stay
+// under 10 KB; with 24-byte slots the outbox is about 6 KB of it.
+// Goroutine stacks are not heap, so TotalAlloc does not count them.
+func TestMemberFootprint(t *testing.T) {
+	const n = 512
+	members := make([]*member, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range members {
+		members[i] = newMember(uint32(i), io.Discard, log.New(io.Discard, "", 0))
+	}
+	runtime.ReadMemStats(&after)
+	for _, m := range members {
+		m.close()
+	}
+	perMember := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B allocated per member", perMember)
+	if perMember > 10<<10 {
+		t.Fatalf("newMember allocates %d B per member, want ≤ %d", perMember, 10<<10)
 	}
 }
