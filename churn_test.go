@@ -7,13 +7,11 @@ import (
 
 // TestServerPOIChurn exercises the public mutation API end to end:
 // inserts and deletes change what groups see, batched mutations are
-// atomic, validation failures apply nothing, and a cached server under
-// localized churn keeps serving exact plans while distant cache entries
-// survive.
+// atomic, and validation failures apply nothing.
 func TestServerPOIChurn(t *testing.T) {
 	s, err := NewServer(testPOIs(600, 41),
 		WithTileLimit(6), WithBuffer(20),
-		WithIncremental(), WithSharedGNNCache(1<<20))
+		WithIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,54 +71,12 @@ func TestServerPOIChurn(t *testing.T) {
 	}
 }
 
-// TestServerChurnCacheLocality: localized churn must only cool the
-// cache near the mutations — a group planning far away keeps hitting
-// its migrated entries.
-func TestServerChurnCacheLocality(t *testing.T) {
-	s, err := NewServer(testPOIs(4000, 42),
-		WithTileLimit(4), WithSharedGNNCache(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	users := []Point{Pt(0.2, 0.2), Pt(0.21, 0.19)}
-	if _, _, _, err := s.Plan(users, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Churn confined to the far corner.
-	var ids []int
-	for i := 0; i < 10; i++ {
-		got, err := s.UpdatePOIs([]Point{Pt(0.9+0.01*float64(i), 0.9)}, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = got
-	}
-
-	before, _ := s.GNNCacheStats()
-	if _, _, _, err := s.Plan(users, nil); err != nil {
-		t.Fatal(err)
-	}
-	after, ok := s.GNNCacheStats()
-	if !ok {
-		t.Fatal("cache stats unavailable")
-	}
-	if after.Hits <= before.Hits {
-		t.Fatalf("far-away churn cooled the local entry: before %+v after %+v", before, after)
-	}
-	if after.ChurnMigrated == 0 {
-		t.Fatalf("no entries migrated under churn: %+v", after)
-	}
-}
-
 // TestServerChurnConcurrent races the public mutation API against
 // group updates; meaningful mainly under -race.
 func TestServerChurnConcurrent(t *testing.T) {
 	s, err := NewServer(testPOIs(1000, 43),
 		WithTileLimit(4), WithBuffer(10),
-		WithIncremental(), WithSharedGNNCache(1<<20))
+		WithIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,7 @@
 // floors and ceilings of ratioBounds (the delta notification protocol's
 // wire-byte reduction, the road-network backend's speedup over the
 // per-member full-SSSP oracle, and the WAL journal's and hot-standby
-// replication's overhead on the steady-state update path), and the
-// shared cache's hit rate under localized POI churn (enforceChurnHitRate).
+// replication's overhead on the steady-state update path).
 //
 // The baseline is typically produced on a different machine than the
 // gate run (a developer box vs a CI runner), so raw ns/op ratios mostly
@@ -177,7 +176,6 @@ func main() {
 		}
 	}
 	failures += enforceRatios(current)
-	failures += enforceChurnHitRate(current)
 	if failures > 0 {
 		fmt.Printf("\nbenchgate: %d regression(s) beyond tolerance\n", failures)
 		os.Exit(1)
@@ -204,46 +202,6 @@ func allocSlack(name string) int64 {
 		return 2
 	}
 	return 0
-}
-
-// minChurnHitRate is the enforced shared-cache hit-rate floor of the
-// churn_plan_cached series: under localized POI churn the dirty-tile
-// invalidation must keep distant cache entries alive, so the planning
-// group far from the mutations keeps hitting. A wholesale
-// version-mismatch invalidation drives this to ~12% (one miss per
-// mutation batch, churnEvery-1 hits between batches at best — in
-// practice every lookup misses because the version never stops moving);
-// locality-aware migration keeps it near 100%.
-const (
-	minChurnHitRate   = 0.80
-	churnCachedSeries = "churn_plan_cached"
-)
-
-// enforceChurnHitRate checks the current report's churn_plan_cached
-// cache counters against the hit-rate floor. Returns the number of
-// failures.
-func enforceChurnHitRate(current map[key]benchfmt.Series) int {
-	failures := 0
-	for _, s := range sortedSeries(current) {
-		if s.Name != churnCachedSeries {
-			continue
-		}
-		total := s.CacheHits + s.CacheMisses + s.CacheRejected
-		if total == 0 {
-			fmt.Printf("churn cache hit rate m=%d: no lookups recorded  FAIL (counters missing from report)\n", s.GroupSize)
-			failures++
-			continue
-		}
-		rate := float64(s.CacheHits) / float64(total)
-		status := ""
-		if rate < minChurnHitRate {
-			status = fmt.Sprintf("  FAIL hit rate %.1f%% < %.0f%%", 100*rate, 100*minChurnHitRate)
-			failures++
-		}
-		fmt.Printf("churn cache hit rate m=%d: %.1f%% (%d hit / %d miss / %d rejected)%s\n",
-			s.GroupSize, 100*rate, s.CacheHits, s.CacheMisses, s.CacheRejected, status)
-	}
-	return failures
 }
 
 // ratioBound is one machine-independent in-report bound: at group size m,

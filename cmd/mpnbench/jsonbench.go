@@ -24,7 +24,6 @@ import (
 	"mpn/internal/engine"
 	"mpn/internal/geom"
 	"mpn/internal/mobility"
-	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
 	"mpn/internal/proto"
 	"mpn/internal/replica"
@@ -183,9 +182,6 @@ func mergeReports(reports []benchfmt.Report) benchfmt.Report {
 		s.AllocsPerOp = int64(med(func(x benchfmt.Series) float64 { return float64(x.AllocsPerOp) }, group))
 		s.BytesPerOp = int64(med(func(x benchfmt.Series) float64 { return float64(x.BytesPerOp) }, group))
 		s.WireBytes = med(func(x benchfmt.Series) float64 { return x.WireBytes }, group)
-		s.CacheHits = uint64(med(func(x benchfmt.Series) float64 { return float64(x.CacheHits) }, group))
-		s.CacheMisses = uint64(med(func(x benchfmt.Series) float64 { return float64(x.CacheMisses) }, group))
-		s.CacheRejected = uint64(med(func(x benchfmt.Series) float64 { return float64(x.CacheRejected) }, group))
 		out = append(out, s)
 	}
 	merged.Series = out
@@ -339,7 +335,6 @@ func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
 			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, 100*partialFrac)
 	}
 
-	runMultiGroupBench(&report, planner, log)
 	if err := runNotifyBench(&report, planner, log); err != nil {
 		return benchfmt.Report{}, err
 	}
@@ -936,111 +931,13 @@ func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Write
 	return nil
 }
 
-// Multi-group workload shape: mgGroups incremental groups of mgM members
-// each on one engine, every update an in-region jitter (the kept-path
-// steady state whose floor is the GNN index traversal). Clustered groups
-// all fall in one cache tile around (0.504, 0.504); dispersed groups get
-// one tile each.
-const (
-	mgGroups = 8
-	mgM      = 3
-)
-
-func multiGroupUsers(g int, clustered bool) ([]geom.Point, []core.Direction) {
-	var base geom.Point
-	if clustered {
-		base = geom.Pt(0.5030+0.0006*float64(g%4), 0.5028+0.0006*float64(g/4))
-	} else {
-		base = geom.Pt(0.11+0.094*float64(g), 0.13+0.087*float64(g))
-	}
-	users := make([]geom.Point, mgM)
-	dirs := make([]core.Direction, mgM)
-	for i := range users {
-		users[i] = geom.Pt(base.X+0.0011*float64(i), base.Y-0.0009*float64(i))
-		dirs[i] = core.Direction{Angle: 0.4 * float64(i)}
-	}
-	return users, dirs
-}
-
-// runMultiGroupBench appends the multi_group series: the cross-group
-// sharing regime (clustered, one tile for all groups), the no-sharing
-// regime (uniform, one tile per group), each with the shared GNN cache
-// on and off, plus a forced-miss series (a one-entry cache budget
-// evicts on every lookup) pricing the worst-case miss path. Cache
-// hit/miss/rejected counters are attached to the cached series so a
-// hit-rate regression shows up in the committed artifacts.
-func runMultiGroupBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) {
-	bench := func(clustered bool, cache *nbrcache.Cache) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			replan := engine.PlannerKindIncFunc(planner, core.KindTiles, cache)
-			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
-				Shards: 1, Replan: replan,
-			})
-			defer eng.Close()
-			ids := make([]engine.GroupID, mgGroups)
-			users := make([][]geom.Point, mgGroups)
-			dirs := make([][]core.Direction, mgGroups)
-			for g := range ids {
-				users[g], dirs[g] = multiGroupUsers(g, clustered)
-				id, err := eng.Register(users[g], dirs[g])
-				if err != nil {
-					b.Fatal(err)
-				}
-				ids[g] = id
-			}
-			locs := make([]geom.Point, mgM)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g := i % mgGroups
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users[g] {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				if err := eng.Update(ids[g], locs, dirs[g]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	emit := func(name string, clustered bool, cache *nbrcache.Cache) {
-		before := cache.Stats()
-		s := toSeries(name, mgM, bench(clustered, cache))
-		after := cache.Stats()
-		s.CacheHits = after.Hits - before.Hits
-		s.CacheMisses = after.Misses - before.Misses
-		s.CacheRejected = after.Rejected - before.Rejected
-		report.Series = append(report.Series, s)
-		extra := ""
-		if cache != nil {
-			total := s.CacheHits + s.CacheMisses + s.CacheRejected
-			if total > 0 {
-				extra = fmt.Sprintf(" (cache %.0f%% hit, %d miss, %d rejected)",
-					100*float64(s.CacheHits)/float64(total), s.CacheMisses, s.CacheRejected)
-			}
-		}
-		fmt.Fprintf(log, "  %-26s G=%d m=%d %10.0f ns/op %8.0f upd/s %4d allocs/op%s\n",
-			name, mgGroups, mgM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, extra)
-	}
-
-	emit("multi_group_clustered", true, nil)
-	emit("multi_group_clustered_cached", true, nbrcache.New(nbrcache.Config{}))
-	emit("multi_group_uniform", false, nil)
-	emit("multi_group_uniform_cached", false, nbrcache.New(nbrcache.Config{}))
-	// One-entry budget: every lookup evicts the previous group's entry,
-	// so each update pays populate + certify + evict — the miss ceiling.
-	emit("multi_group_miss", false, nbrcache.New(nbrcache.Config{MaxBytes: 1, Stripes: 1}))
-}
-
 // Churn workload shape: one group of churnM members planning in place
 // mid-domain while localized mutation batches land in the far corner —
 // every churnEvery-th plan is preceded by a batch of churnOps mutations
 // (half inserts on a lattice around (0.9, 0.9), half deletes of the
 // oldest surviving churn inserts once enough have accumulated, so the
 // live set stays bounded). The mutations sit far outside the group's
-// neighborhood, the regime the locality-aware cache invalidation is
-// built for: entries the batch provably cannot affect must migrate to
-// the new snapshot and keep hitting.
+// neighborhood.
 const (
 	churnM            = 3
 	churnEvery        = 8
@@ -1083,66 +980,45 @@ func (c *churnState) batch(planner *core.Planner) error {
 }
 
 // runChurnBench appends the churn_* series: planning under live POI
-// churn. churn_plan and churn_plan_cached time the planner kernel with
-// a mutation batch landing every churnEvery iterations — uncached vs
-// the shared GNN cache, whose hit/miss/rejected counters are attached
-// (cmd/benchgate enforces the hit-rate floor under this localized
-// churn). churn_mutate times the ApplyPOIs batch itself: the full RCU
-// publication — reader drain, shadow catch-up, batched R-tree
-// insert/delete, tombstone re-publication, the atomic snapshot swap,
-// and the cache Advance. Every series runs a fresh planner over the
+// churn. churn_plan times the planner kernel with a mutation batch
+// landing every churnEvery iterations. churn_mutate times the ApplyPOIs
+// batch itself: the full RCU publication — reader drain, shadow
+// catch-up, batched R-tree insert/delete, tombstone re-publication and
+// the atomic snapshot swap. Every series runs a fresh planner over the
 // same POIs so churn never perturbs the shared planner the other
 // series measure.
 func runChurnBench(report *benchfmt.Report, pois []geom.Point, opts core.Options, log io.Writer) {
 	users, dirs := jsonBenchGroup(churnM)
 
-	plan := func(cache *nbrcache.Cache) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			planner, err := core.NewPlanner(pois, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			planner.ShareCache(cache)
-			ws := core.NewWorkspace()
-			locs := make([]geom.Point, churnM)
-			var st churnState
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%churnEvery == churnEvery-1 {
-					if err := st.batch(planner); err != nil {
-						b.Fatal(err)
-					}
-				}
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				_, _, err = planner.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: locs, Dirs: dirs, Cache: cache})
-				if err != nil {
+	plan := testing.Benchmark(func(b *testing.B) {
+		planner, err := core.NewPlanner(pois, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := core.NewWorkspace()
+		locs := make([]geom.Point, churnM)
+		var st churnState
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%churnEvery == churnEvery-1 {
+				if err := st.batch(planner); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-
-	emit := func(name string, cache *nbrcache.Cache) {
-		before := cache.Stats()
-		s := toSeries(name, churnM, plan(cache))
-		after := cache.Stats()
-		s.CacheHits = after.Hits - before.Hits
-		s.CacheMisses = after.Misses - before.Misses
-		s.CacheRejected = after.Rejected - before.Rejected
-		report.Series = append(report.Series, s)
-		extra := ""
-		if total := s.CacheHits + s.CacheMisses + s.CacheRejected; total > 0 {
-			extra = fmt.Sprintf(" (cache %.1f%% hit, %d miss, %d rejected)",
-				100*float64(s.CacheHits)/float64(total), s.CacheMisses, s.CacheRejected)
+			jitter := 1e-5 * float64(i%7)
+			for j, u := range users {
+				locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
+			}
+			_, _, err = planner.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: locs, Dirs: dirs})
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
-		fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op%s\n",
-			name, churnM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, extra)
-	}
-	emit("churn_plan", nil)
-	emit("churn_plan_cached", nbrcache.New(nbrcache.Config{}))
+	})
+	s := toSeries("churn_plan", churnM, plan)
+	report.Series = append(report.Series, s)
+	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op\n",
+		"churn_plan", churnM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp)
 
 	mutate := testing.Benchmark(func(b *testing.B) {
 		// The external id space is append-only, but long sessions no
@@ -1173,7 +1049,7 @@ func runChurnBench(report *benchfmt.Report, pois []geom.Point, opts core.Options
 			}
 		}
 	})
-	s := toSeries("churn_mutate", churnM, mutate)
+	s = toSeries("churn_mutate", churnM, mutate)
 	report.Series = append(report.Series, s)
 	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f batches/s %4d allocs/op (%d-op batches)\n",
 		"churn_mutate", churnM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, churnOps)

@@ -9,18 +9,18 @@ import (
 // mergeReports must take the per-field median across rounds, keep the
 // round-1 series order, and recompute OpsPerSec from the median ns/op.
 func TestMergeReports(t *testing.T) {
-	mk := func(ns float64, allocs int64, hits uint64) benchfmt.Report {
+	mk := func(ns float64, allocs, bytes int64) benchfmt.Report {
 		return benchfmt.Report{
 			Description: "d", POIs: 10,
 			Series: []benchfmt.Series{
 				{Name: "plan", GroupSize: 2, NsPerOp: ns, OpsPerSec: 1e9 / ns, AllocsPerOp: allocs},
-				{Name: "churn_plan_cached", GroupSize: 3, NsPerOp: ns * 2, CacheHits: hits},
+				{Name: "churn_plan", GroupSize: 3, NsPerOp: ns * 2, BytesPerOp: bytes},
 				{Name: "notify_bytes_full", GroupSize: 2, WireBytes: 500},
 			},
 		}
 	}
 	// ns medians: plan=100 (from round 2), allocs median=7 (round 3),
-	// hits median=20 (round 1) — medians are per field, so a single round
+	// bytes median=20 (round 1) — medians are per field, so a single round
 	// need not win every field.
 	merged := mergeReports([]benchfmt.Report{
 		mk(300, 5, 20), mk(100, 9, 10), mk(200, 7, 30),
@@ -35,9 +35,9 @@ func TestMergeReports(t *testing.T) {
 	if got, want := plan.OpsPerSec, 1e9/200.0; got != want {
 		t.Fatalf("OpsPerSec=%v want %v", got, want)
 	}
-	cached := merged.Series[1]
-	if cached.NsPerOp != 400 || cached.CacheHits != 20 {
-		t.Fatalf("cached merged wrong: %+v", cached)
+	churn := merged.Series[1]
+	if churn.NsPerOp != 400 || churn.BytesPerOp != 20 {
+		t.Fatalf("churn merged wrong: %+v", churn)
 	}
 	if merged.Series[2].WireBytes != 500 {
 		t.Fatalf("wire bytes lost: %+v", merged.Series[2])

@@ -47,7 +47,6 @@ func main() {
 	groups := flag.Int("groups", 0, "override group count averaged over (0 = scale default)")
 	incremental := flag.Bool("incremental", true, "replay figures under the paper's incremental maintenance protocol (false = historical full-replan accounting)")
 	deltaWire := flag.Bool("delta", true, "account notification bytes/packets under the delta wire protocol (unchanged regions ship a tiny delta frame; requires -incremental)")
-	cacheBytes := flag.Int64("gnncache", 0, "shared GNN neighborhood cache byte budget per figure run (0 = no cache)")
 	jsonMode := flag.Bool("json", false, "write the plan/update benchmark series as JSON (default BENCH_plan.json; -o overrides)")
 	jsonRounds := flag.Int("rounds", 3, "-json: interleaved sweep repetitions merged by per-series median (1 = historical single-shot)")
 	flag.Parse()
@@ -105,7 +104,6 @@ func main() {
 		log.Fatal(err)
 	}
 	suite.Incremental = *incremental
-	suite.GNNCacheBytes = *cacheBytes
 	suite.DeltaWire = *deltaWire && *incremental
 	protocol := "incremental maintenance"
 	if !*incremental {

@@ -63,7 +63,9 @@
 // POIs sit on every k-th network node (-poi-every), safe regions are
 // covered road segments shipped with the 'N' wire tag, -pois, -n and
 // -seed are ignored and no Euclidean POIs are generated, and the POI set
-// is fixed: a durable or replicated POI batch is refused.
+// is fixed: a durable or replicated POI batch is refused. -gnncache is
+// accepted and ignored (the shared GNN cache it sized was deleted); it is
+// removed with ROADMAP 9, once the benchmark stops passing it.
 package main
 
 import (
@@ -86,7 +88,6 @@ import (
 	"mpn/internal/engine"
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 	"mpn/internal/proto"
 	"mpn/internal/replica"
 	"mpn/internal/roadnet"
@@ -141,7 +142,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "recompute workers per shard (0 = 1)")
 	fs.IntVar(&cfg.queue, "queue", 0, "per-shard work queue depth (0 = 1024)")
 	fs.BoolVar(&cfg.incremental, "incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
-	fs.Int64Var(&cfg.cacheBytes, "gnncache", 0, "shared GNN neighborhood cache byte budget, 0 disables (co-located groups reuse each other's index traversals)")
+	fs.Int64("gnncache", 0, "accepted and ignored; removed with ROADMAP 9")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline armed before every connection write; a peer that stops draining this long is disconnected (0 disables)")
 	fs.IntVar(&cfg.slowLimit, "slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
@@ -173,7 +174,6 @@ type serverConfig struct {
 	alpha, buffer          int
 	shards, workers, queue int
 	incremental            bool
-	cacheBytes             int64
 	// Failure-semantics knobs (zero values keep prior behavior for
 	// timeouts and pick engine/coordinator defaults for the rest).
 	readTimeout, writeTimeout   time.Duration
@@ -212,7 +212,6 @@ type server struct {
 	coord   *proto.Coordinator
 	sub     *engine.Subscription
 	planner *core.Planner
-	cache   *nbrcache.Cache // shared GNN cache; nil when -gnncache is 0
 	logger  *log.Logger
 
 	// store journals group/POI state when durability is on (nil
@@ -303,7 +302,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	scfg := serving.Config{
 		Kind: core.KindTiles, Core: core.DefaultOptions(), POIs: cfg.pois,
-		CacheBytes: cfg.cacheBytes, Incremental: cfg.incremental,
+		Incremental: cfg.incremental,
 		Engine: engine.Options{
 			Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
 			AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
@@ -364,7 +363,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.planner, s.cache, s.eng = stack.Planner, stack.Cache, stack.Engine
+	s.planner, s.eng = stack.Planner, stack.Engine
 	s.poiBase = s.planner.NumPOIs()
 
 	// Durable state: recover whatever a previous process persisted —

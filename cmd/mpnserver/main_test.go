@@ -94,7 +94,6 @@ func testEndToEndTCP(t *testing.T, incremental bool) {
 		pois: pois, method: "tiled", agg: "max",
 		alpha: 5, buffer: 20, shards: 2, workers: 1,
 		incremental: incremental,
-		cacheBytes:  1 << 20, // exercise the shared GNN cache on the deployed path
 		logger:      log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -252,23 +251,21 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 
 // TestMethodValidated: -method is checked like -agg. Before the check,
 // anything but "tiled", "circle" and "net" — a typo included — silently
-// served undirected tiles. -gnncache with -method net is refused as
-// mpn.NewServer refuses it: the net backend never reads that cache.
+// served undirected tiles. There is no -gnncache row: the refusal of
+// -gnncache under -method net went with the GNN cache, and the flag is now
+// accepted and ignored with every method (see TestParseFlags).
 func TestMethodValidated(t *testing.T) {
 	pois := []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.8, 0.3), geom.Pt(0.5, 0.9)}
 	for _, tc := range []struct {
-		method     string
-		cacheBytes int64
-		wantErr    string // empty: accepted
+		method  string
+		wantErr string // empty: accepted
 	}{
-		{"circle", 0, ""}, {"tile", 0, ""}, {"tiled", 0, ""}, {"net", 0, ""},
-		{"", 0, "unknown method"}, {"cirlce", 0, "unknown method"},
-		{"tiled", 1 << 20, ""}, {"net", 1 << 20, "GNN cache applies to Euclidean planning"},
+		{"circle", ""}, {"tile", ""}, {"tiled", ""}, {"net", ""},
+		{"", "unknown method"}, {"cirlce", "unknown method"},
 	} {
 		srv, err := newServer(serverConfig{
 			pois: pois, method: tc.method, agg: "max", alpha: 5, shards: 1,
-			cacheBytes: tc.cacheBytes,
-			logger:     log.New(io.Discard, "", 0),
+			logger: log.New(io.Discard, "", 0),
 		})
 		if err == nil {
 			srv.close()
@@ -278,48 +275,8 @@ func TestMethodValidated(t *testing.T) {
 			ok = err != nil && strings.Contains(err.Error(), tc.wantErr)
 		}
 		if !ok {
-			t.Errorf("method %q, cache %d: err = %v, want error %q", tc.method, tc.cacheBytes, err, tc.wantErr)
+			t.Errorf("method %q: err = %v, want error %q", tc.method, err, tc.wantErr)
 		}
-	}
-}
-
-// TestSharedCacheSurvivesFarPOIBatch: the server registers its GNN cache
-// with the planner (core.Planner.ShareCache), so a POI batch — on a
-// standby, every batch its primary ships — evicts only the tiles it could
-// affect. Without the registration the whole cache goes stale with the
-// version bump and the group's next plan pays the index traversal again.
-func TestSharedCacheSurvivesFarPOIBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pois := make([]geom.Point, 800)
-	for i := range pois {
-		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
-	}
-	srv, err := newServer(serverConfig{
-		pois: pois, method: "tiled", agg: "max", alpha: 5, buffer: 20,
-		shards: 1, cacheBytes: 1 << 20,
-		logger: log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.close()
-
-	users := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.31, 0.31), geom.Pt(0.30, 0.32)}
-	id, err := srv.eng.Register(users, nil) // populates the group's cache tile
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.planner.ApplyPOIs([]geom.Point{geom.Pt(0.95, 0.95)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	before := srv.cache.Stats()
-	if err := srv.eng.Update(id, users, nil); err != nil {
-		t.Fatal(err)
-	}
-	after := srv.cache.Stats()
-	if after.Hits != before.Hits+1 || after.Stale != before.Stale {
-		t.Fatalf("plan after a far POI batch: hits %d→%d, stale %d→%d; want one hit, no stale miss",
-			before.Hits, after.Hits, before.Stale, after.Stale)
 	}
 }
 

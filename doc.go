@@ -104,8 +104,7 @@
 //
 // All planning flows through one entry point, core.Planner.Plan, which
 // takes a PlanRequest naming the region kind (tiles, circles, or network
-// ranges), the optional shared cache, and the optional PlanState for
-// incremental maintenance.
+// ranges) and the optional PlanState for incremental maintenance.
 //
 // # Road-network backend
 //
@@ -242,51 +241,6 @@
 // same protocol (sim.Config.DeltaWire, mpnbench -delta), so the paper's
 // communication figures reflect what the coordinator actually ships.
 //
-// # The shared GNN neighborhood cache
-//
-// Every recomputation — full, partial, or kept — starts with a top-k
-// GNN search over the POI R-tree, and with buffering on it is the only
-// index traversal an update performs; at scale, co-located groups
-// repeat the same traversals endlessly. WithSharedGNNCache(maxBytes)
-// installs one concurrency-safe, lock-striped cache (internal/nbrcache)
-// shared by all engine shards and the synchronous paths. Entries are
-// keyed by the group centroid's quantized tile plus the aggregate and
-// k, and store the J nearest POIs to the tile center together with a
-// guarantee radius (every uncached POI is provably farther) and the
-// R-tree version they were computed against.
-//
-// Three properties make a hit safe:
-//
-//   - Exactness per group: a hit recomputes every cached candidate's
-//     true aggregate distance for the requesting group's actual member
-//     locations, and the selection is certified by the triangle
-//     inequality against the guarantee radius — if certification fails
-//     (the group is too spread for the entry), the lookup falls back to
-//     a real traversal. Cached plans are byte-identical to uncached
-//     ones; a differential fence asserts this across aggregates, region
-//     shapes, and hit/miss/stale paths.
-//   - Verification downstream: safe-region tiles are still
-//     Divide-Verified against the group's own members, so planner
-//     correctness never rests on the cache at all.
-//   - Churn invalidation by locality: a POI mutation batch tells the
-//     cache exactly which locations changed; an entry is evicted only if
-//     a mutated location falls within its guarantee radius (where it
-//     could appear among, or displace, the cached candidates) or the
-//     entry claims completeness. Every other entry migrates to the new
-//     index snapshot untouched, so localized churn leaves distant areas
-//     of the cache hot. Entries recording an unknown (tree, version)
-//     pair — e.g. on a cache not registered for notifications — are
-//     still discarded on their next lookup, so correctness never
-//     depends on the migration.
-//
-// The cache is bounded by an LRU byte budget (lock-striped, evictions
-// counted) and observable through Server.GNNCacheStats. On the
-// cmd/mpnbench multi_group series — eight co-located incremental groups
-// jittering inside their regions — the shared cache turns every
-// steady-state update's index traversal into a few hundred distance
-// computations, roughly doubling planning throughput and reaching a
-// 100% hit rate after the first group's miss populates the tile.
-//
 // # Live POI churn and snapshot semantics
 //
 // The POI set of a Euclidean server is mutable while it runs:
@@ -313,19 +267,16 @@
 //     waits on at most one retired snapshot's readers. When accumulated
 //     churn exceeds the live set size, the shadow is re-packed with the
 //     STR bulk loader to restore load balance.
-//   - What survives a mutation: shared-cache entries outside the reach
-//     of every mutated location migrate to the new snapshot (see above);
-//     retained incremental plans do not — the next update for each group
-//     replans fully, because retained tiles were verified against a
-//     candidate set the mutation may have changed. Deleted POI ids are
-//     never reused, and a pinned snapshot keeps its entire state valid
-//     until released.
+//   - What survives a mutation: retained incremental plans do not — the
+//     next update for each group replans fully, because retained tiles
+//     were verified against a candidate set the mutation may have
+//     changed. Deleted POI ids are never reused, and a pinned snapshot
+//     keeps its entire state valid until released.
 //
 // The churn differential fence asserts that after any interleaving of
 // inserts and deletes, every planner variant produces plans identical
 // to a freshly built server over the surviving POI set — deletions
-// leave no trace — and the churn_* benchmark series gate the cost:
-// localized churn keeps the shared cache above an 80% hit rate.
+// leave no trace — and the churn_* benchmark series gate the cost.
 //
 // # Failure semantics
 //
@@ -464,7 +415,7 @@
 // against update_inc.
 //
 // One package assembles the serving stack: internal/serving builds the
-// planner, the road-network backend, the shared cache and the engine from
+// planner, the road-network backend and the engine from
 // one Config, and NewServer and cmd/mpnserver only map their options or
 // flags onto it — so the library and the binary plan alike, which a
 // parity fence in cmd/mpnserver checks for every method and objective.

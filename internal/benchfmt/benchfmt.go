@@ -13,21 +13,16 @@ type Series struct {
 	// "update_inc" (incremental engine, in-region jitter: the kept-plan
 	// fast path), "update_escape"/"update_inc_escape" (one member
 	// oscillating out of her region, full-replan vs incremental engine),
-	// the "multi_group_*" family (G co-located or dispersed groups on
-	// one incremental engine, with and without the shared GNN cache;
-	// "multi_group_miss" forces an eviction+miss on every lookup to
-	// price the worst-case miss path), "notify_encode_full"/
+	// "notify_encode_full"/
 	// "notify_encode_delta" (server-side cost of serializing one
 	// kept-path notification round to all m members, full protocol vs
 	// epoch-tracked delta protocol), "notify_bytes_full"/
 	// "notify_bytes_delta" (WireBytes only: the wire size of that same
 	// round), or the "churn_*" family — planning under live POI churn:
-	// "churn_plan"/"churn_plan_cached" (planner kernel with a localized
-	// mutation batch landing every few iterations, uncached vs the
-	// shared GNN cache; the cached series carries the cache counters and
-	// cmd/benchgate enforces its hit-rate floor) and "churn_mutate" (one
-	// batched ApplyPOIs publication: shadow catch-up, R-tree
-	// insert/delete, snapshot swap, cache advance).
+	// "churn_plan" (planner kernel with a localized mutation batch
+	// landing every few iterations) and "churn_mutate" (one batched
+	// ApplyPOIs publication: shadow catch-up, R-tree insert/delete,
+	// snapshot swap).
 	Name        string  `json:"name"`
 	GroupSize   int     `json:"group_size"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -42,15 +37,6 @@ type Series struct {
 	// it without normalization and additionally enforces the delta
 	// protocol's steady-state reduction ratio.
 	WireBytes float64 `json:"wire_bytes,omitempty"`
-
-	// CacheHits/CacheMisses/CacheRejected report the shared GNN cache
-	// counters accumulated over the series' benchmark run (cached series
-	// only; omitted otherwise), so a hit-rate regression is visible in
-	// the committed artifacts even though only ns/op and allocs/op are
-	// gated.
-	CacheHits     uint64 `json:"cache_hits,omitempty"`
-	CacheMisses   uint64 `json:"cache_misses,omitempty"`
-	CacheRejected uint64 `json:"cache_rejected,omitempty"`
 }
 
 // Report is the full benchmark report with its workload parameters.

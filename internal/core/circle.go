@@ -3,7 +3,6 @@ package core
 import (
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 )
 
 // circleMSR implements Algorithm 1 (Circle-MSR): it retrieves the best two
@@ -18,28 +17,26 @@ import (
 // covering the whole plane via an effectively infinite radius derived from
 // the data diameter.
 //
-// The top-2 GNN runs on the workspace's typed heap and result buffer (or
-// through the shared neighborhood cache when one is given — the plan is
-// byte-identical either way), so the only allocation in steady state is
-// the returned region slice (which does not alias ws and survives its
-// reuse).
-func (pl *Planner) circleMSR(ws *Workspace, cache *nbrcache.Cache, users []geom.Point) (Plan, error) {
+// The top-2 GNN runs on the workspace's typed heap and result buffer, so
+// the only allocation in steady state is the returned region slice (which
+// does not alias ws and survives its reuse).
+func (pl *Planner) circleMSR(ws *Workspace, users []geom.Point) (Plan, error) {
 	if len(users) == 0 {
 		return Plan{}, ErrNoUsers
 	}
 	snap := pl.Acquire()
 	defer snap.Release()
-	return pl.circleMSRSnap(ws, cache, snap, users)
+	return pl.circleMSRSnap(ws, snap, users)
 }
 
 // circleMSRSnap runs circle planning entirely against one pinned
 // snapshot; callers that already hold a snapshot (the incremental
 // planner's full fallback) reuse it so the whole update sees a single
 // index state.
-func (pl *Planner) circleMSRSnap(ws *Workspace, cache *nbrcache.Cache, snap *Snapshot, users []geom.Point) (Plan, error) {
+func (pl *Planner) circleMSRSnap(ws *Workspace, snap *Snapshot, users []geom.Point) (Plan, error) {
 	var plan Plan
 	plan.Stats.IndexVersion = snap.version
-	ws.topk = pl.lookupTopK(ws, cache, snap, users, 2)
+	ws.topk = gnn.TopKInto(snap.tree, &ws.gnn, users, pl.opts.Aggregate, 2, ws.topk[:0])
 	plan.Stats.GNNCalls++
 	plan.Best = ws.topk[0]
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpn/internal/geom"
-	"mpn/internal/nbrcache"
 )
 
 // TestCompactionBoundedMemory is the regression fence of long-session
@@ -21,8 +20,6 @@ func TestCompactionBoundedMemory(t *testing.T) {
 	opts := tileOpts(nil)
 	opts.TileLimit = 6
 	pl := mustPlanner(t, pts, opts)
-	cache := nbrcache.New(nbrcache.Config{})
-	pl.ShareCache(cache)
 
 	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.52, 0.485)}
 	ws, wsRef := NewWorkspace(), NewWorkspace()
@@ -78,13 +75,13 @@ func TestCompactionBoundedMemory(t *testing.T) {
 		}
 		snap.Release()
 
-		// Every 250 batches, fence plans (cached and incremental paths
-		// included — both must survive the slot remap via the version
-		// gate) against a fresh planner over the surviving set.
+		// Every 250 batches, fence plans (the incremental path included —
+		// it must survive the slot remap via the version gate) against a
+		// fresh planner over the surviving set.
 		if step%250 != 0 {
 			continue
 		}
-		plan, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, Cache: cache, State: &st})
+		plan, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 		if err != nil {
 			t.Fatalf("step %d plan: %v", step, err)
 		}

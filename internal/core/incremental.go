@@ -5,7 +5,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 )
 
 // IncOutcome reports how an incremental replanning call satisfied an
@@ -217,11 +216,7 @@ func regionEqual(a, b SafeRegion) bool {
 // The returned plan is exported by copy except on IncKept, where
 // Plan.Regions aliases the retained (immutable, previously exported)
 // regions.
-//
-// Every top-k retrieval — the per-update result-set check and any
-// full-replan fallback — goes through the shared neighborhood cache when
-// one is given; outcomes and plans are byte-identical with or without it.
-func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point, dirs []Direction) (Plan, IncOutcome, error) {
+func (pl *Planner) tileMSRInc(ws *Workspace, st *PlanState, users []geom.Point, dirs []Direction) (Plan, IncOutcome, error) {
 	if len(users) == 0 {
 		return Plan{}, IncFull, ErrNoUsers
 	}
@@ -234,7 +229,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 	snap := pl.Acquire()
 	defer snap.Release()
 	if !st.Usable(snap.version, users, KindTiles) {
-		plan, err := pl.tileMSRSnap(ws, cache, snap, users, dirs)
+		plan, err := pl.tileMSRSnap(ws, snap, users, dirs)
 		if err != nil {
 			return plan, IncFull, err
 		}
@@ -244,7 +239,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 
 	var plan Plan
 	plan.Stats.IndexVersion = snap.version
-	ws.topk = pl.lookupTopK(ws, cache, snap, users, pl.topK())
+	ws.topk = gnn.TopKInto(snap.tree, &ws.gnn, users, pl.opts.Aggregate, pl.topK(), ws.topk[:0])
 	plan.Stats.GNNCalls++
 	plan.Best = ws.topk[0]
 
@@ -305,7 +300,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanStat
 // member's retained circle contributes its radius plus her drift from
 // the center. When the condition fails the call falls back to a full
 // replan, handing everyone fresh circles.
-func (pl *Planner) circleMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanState, users []geom.Point) (Plan, IncOutcome, error) {
+func (pl *Planner) circleMSRInc(ws *Workspace, st *PlanState, users []geom.Point) (Plan, IncOutcome, error) {
 	if len(users) == 0 {
 		return Plan{}, IncFull, ErrNoUsers
 	}
@@ -313,7 +308,7 @@ func (pl *Planner) circleMSRInc(ws *Workspace, cache *nbrcache.Cache, st *PlanSt
 	defer snap.Release()
 	var plan Plan
 	plan.Stats.IndexVersion = snap.version
-	ws.topk = pl.lookupTopK(ws, cache, snap, users, 2)
+	ws.topk = gnn.TopKInto(snap.tree, &ws.gnn, users, pl.opts.Aggregate, 2, ws.topk[:0])
 	plan.Stats.GNNCalls++
 	plan.Best = ws.topk[0]
 	r := pl.circleRadius(users, ws.topk)

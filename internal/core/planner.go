@@ -9,7 +9,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 	"mpn/internal/rtree"
 )
 
@@ -167,11 +166,11 @@ type Planner struct {
 	snap atomic.Pointer[Snapshot]
 
 	// Writer state, guarded by mu: the canonical slot-indexed point
-	// table, tombstones, the running mutation count, the lagging shadow
-	// buffer, and the caches to notify on publish. External POI ids are
-	// assigned sequentially and never reused; they equal table slots
-	// until the first id-space compaction, after which extSlot/ids
-	// carry the indirection (see ApplyPOIs).
+	// table, tombstones, the running mutation count and the lagging
+	// shadow buffer. External POI ids are assigned sequentially and never
+	// reused; they equal table slots until the first id-space
+	// compaction, after which extSlot/ids carry the indirection (see
+	// ApplyPOIs).
 	mu      sync.Mutex
 	points  []geom.Point
 	deleted []bool // nil until the first delete (and after a compaction)
@@ -181,7 +180,6 @@ type Planner struct {
 	ids     []int   // slot→ext; nil until first compaction
 	version uint64
 	shadow  *shadowState
-	caches  []*nbrcache.Cache
 
 	// onMutate, when set, observes every applied ApplyPOIs batch (see
 	// OnMutate); called with mu held.
@@ -215,18 +213,6 @@ func NewPlanner(points []geom.Point, opts Options) (*Planner, error) {
 
 // Options returns the planner's configuration.
 func (pl *Planner) Options() Options { return pl.opts }
-
-// lookupTopK retrieves the top-k result set for users against the pinned
-// snapshot: through the shared neighborhood cache when one is supplied,
-// with a plain aggregate GNN traversal otherwise. The cached retrieval
-// is byte-identical to the traversal (see internal/nbrcache); either way
-// the results land in ws.topk.
-func (pl *Planner) lookupTopK(ws *Workspace, cache *nbrcache.Cache, snap *Snapshot, users []geom.Point, k int) []gnn.Result {
-	if cache != nil {
-		return cache.TopKInto(snap.tree, &ws.gnn, &ws.nbr, users, pl.opts.Aggregate, k, ws.topk[:0])
-	}
-	return gnn.TopKInto(snap.tree, &ws.gnn, users, pl.opts.Aggregate, k, ws.topk[:0])
-}
 
 // Tree exposes the current snapshot's R-tree. It is safe to traverse —
 // a published tree is never mutated in place — but unpinned: a caller

@@ -19,8 +19,7 @@ var ErrFixedPOIs = errors.New("core: the POI set of a road-network planner is fi
 
 // PlanRequest describes one safe-region computation to Plan: the region
 // kind (which selects the planning backend), the group's locations and
-// optional headings, the optional shared neighborhood cache, and the
-// optional retained incremental state.
+// optional headings, and the optional retained incremental state.
 type PlanRequest struct {
 	// Kind selects the safe-region representation — and with it the
 	// planning backend: KindTiles and KindCircle run the Euclidean
@@ -37,8 +36,7 @@ type PlanRequest struct {
 	// back to undirected defaults).
 	Dirs []Direction
 
-	// Cache optionally routes top-k retrievals through the shared
-	// neighborhood cache. Plans are byte-identical with or without it.
+	// Cache is accepted and ignored; removed with ROADMAP 9.
 	Cache *nbrcache.Cache
 
 	// State optionally carries the group's retained plan for incremental
@@ -49,8 +47,8 @@ type PlanRequest struct {
 }
 
 // Plan is the single planning entry point: every safe-region computation
-// — any region kind, cached or not, incremental or from scratch — is one
-// call with the parameters carried in req.
+// — any region kind, incremental or from scratch — is one call with the
+// parameters carried in req.
 //
 // The returned IncOutcome is meaningful when req.State is non-nil;
 // from-scratch computations always report IncFull. Plans are exported by
@@ -60,9 +58,9 @@ func (pl *Planner) Plan(ws *Workspace, req PlanRequest) (Plan, IncOutcome, error
 	switch req.Kind {
 	case KindCircle:
 		if req.State != nil {
-			return pl.circleMSRInc(ws, req.Cache, req.State, req.Users)
+			return pl.circleMSRInc(ws, req.State, req.Users)
 		}
-		p, err := pl.circleMSR(ws, req.Cache, req.Users)
+		p, err := pl.circleMSR(ws, req.Users)
 		return p, IncFull, err
 	case KindNetRange:
 		b := pl.netBackend
@@ -72,9 +70,9 @@ func (pl *Planner) Plan(ws *Workspace, req PlanRequest) (Plan, IncOutcome, error
 		return b.PlanNet(ws, req)
 	default: // KindTiles
 		if req.State != nil {
-			return pl.tileMSRInc(ws, req.Cache, req.State, req.Users, req.Dirs)
+			return pl.tileMSRInc(ws, req.State, req.Users, req.Dirs)
 		}
-		p, err := pl.tileMSR(ws, req.Cache, req.Users, req.Dirs)
+		p, err := pl.tileMSR(ws, req.Users, req.Dirs)
 		return p, IncFull, err
 	}
 }
@@ -82,9 +80,9 @@ func (pl *Planner) Plan(ws *Workspace, req PlanRequest) (Plan, IncOutcome, error
 // NetBackend is a road-network planning backend: an implementation that
 // answers KindNetRange requests with network meeting points and
 // KindNetRange safe regions, honoring the same contract as the Euclidean
-// paths (exported plans, PlanState protocol, IncOutcome semantics,
-// byte-identical cached retrieval). Implementations must be safe for
-// concurrent use with distinct workspaces and states.
+// paths (exported plans, PlanState protocol, IncOutcome semantics).
+// Implementations must be safe for concurrent use with distinct
+// workspaces and states.
 type NetBackend interface {
 	PlanNet(ws *Workspace, req PlanRequest) (Plan, IncOutcome, error)
 }

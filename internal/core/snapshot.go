@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mpn/internal/geom"
-	"mpn/internal/nbrcache"
 	"mpn/internal/rtree"
 )
 
@@ -151,17 +150,15 @@ const compactMinTable = 256
 // (writers serialize on an internal lock; readers are never blocked).
 // The writer mutates a shadow copy of the index — the tree retired two
 // publishes ago, after its last readers drain — and publishes it with
-// one atomic pointer swap, then tells every cache registered via
-// ShareCache which entries the batch could have invalidated.
+// one atomic pointer swap.
 //
 // Memory: tombstoned slots normally live for the planner's life, but
 // once tombstones outnumber live points (and the table is at least
 // compactMinTable slots) the batch ends in an id-space compaction: a
 // fresh slot table holding only live points is published in one epoch,
 // an external-id→slot indirection keeps every previously returned id
-// valid, and shared caches flush once via version self-invalidation.
-// Point-table memory is therefore bounded by twice the live set; the
-// indirection itself grows 4 bytes per id ever inserted — the
+// valid. Point-table memory is therefore bounded by twice the live set;
+// the indirection itself grows 4 bytes per id ever inserted — the
 // irreducible cost of the ids-never-reused contract.
 func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, error) {
 	if pl.netBackend != nil {
@@ -231,7 +228,6 @@ func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, erro
 
 	// Apply the new batch to the shadow tree and the canonical tables.
 	ops := make([]mutation, 0, len(inserts)+len(deleteIDs))
-	locs := make([]geom.Point, 0, len(inserts)+len(deleteIDs))
 	var ids []int
 	if len(inserts) > 0 {
 		ids = make([]int, len(inserts))
@@ -246,7 +242,6 @@ func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, erro
 		}
 		sh.tree.Insert(rtree.Item{P: p, ID: slot})
 		ops = append(ops, mutation{insert: true, id: slot, p: p})
-		locs = append(locs, p)
 		ids[i] = pl.nextExt
 		if pl.extSlot != nil {
 			pl.extSlot = append(pl.extSlot, int32(slot))
@@ -272,7 +267,6 @@ func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, erro
 		p := pl.points[slot]
 		sh.tree.Delete(rtree.Item{P: p, ID: slot})
 		ops = append(ops, mutation{id: slot, p: p})
-		locs = append(locs, p)
 	}
 	sh.churn += len(ops)
 
@@ -281,10 +275,9 @@ func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, erro
 
 	if pl.ndel > live && len(pl.points) >= compactMinTable {
 		// Id-space compaction: remap every live point into a dense
-		// slot table and publish it as this batch's snapshot. Shared
-		// caches are not advanced — their entries flush once on the
-		// version bump — and the shadow pair is discarded (the next
-		// mutation rebuilds it from the compacted canonical state).
+		// slot table and publish it as this batch's snapshot. The shadow
+		// pair is discarded (the next mutation rebuilds it from the
+		// compacted canonical state).
 		pl.compactLocked(live)
 	} else {
 		if sh.churn > live {
@@ -302,31 +295,17 @@ func (pl *Planner) ApplyPOIs(inserts []geom.Point, deleteIDs []int) ([]int, erro
 		if pl.ndel > 0 {
 			del = pl.deleted[:len(pl.deleted):len(pl.deleted)]
 		}
-		ns := &Snapshot{
+		pl.snap.Store(&Snapshot{
 			tree:    sh.tree,
 			points:  pl.points[:len(pl.points):len(pl.points)],
 			deleted: del,
 			live:    live,
 			version: pl.version,
 			churn:   sh.churn,
-		}
-		pl.snap.Store(ns)
+		})
 
 		// The retired tree becomes the next shadow, owing this batch.
 		pl.shadow = &shadowState{tree: cur.tree, pending: ops, owner: cur, churn: cur.churn}
-
-		// Tell shared caches exactly what changed, so entries the batch
-		// cannot reach migrate to the new snapshot instead of dying.
-		if len(pl.caches) > 0 {
-			inv := nbrcache.Invalidation{
-				OldTree: cur.tree, OldVersion: cur.version,
-				NewTree: ns.tree, NewVersion: ns.version,
-				Points: locs,
-			}
-			for _, c := range pl.caches {
-				c.Advance(inv)
-			}
-		}
 	}
 
 	// Capture the applied batch for durability, in application order,
@@ -421,20 +400,4 @@ func (pl *Planner) shadowLocked(cur *Snapshot) *shadowState {
 		pl.shadow = &shadowState{tree: t}
 	}
 	return pl.shadow
-}
-
-// ShareCache registers a neighborhood cache for mutation notifications:
-// every published batch calls c.Advance with the retired and fresh
-// (tree, version) pairs and the mutated locations, letting entries the
-// batch provably cannot affect survive the version transition. The
-// public server registers its shared GNN cache here; without
-// registration a cache still stays correct (entries die on version
-// mismatch), just colder under churn.
-func (pl *Planner) ShareCache(c *nbrcache.Cache) {
-	if c == nil {
-		return
-	}
-	pl.mu.Lock()
-	pl.caches = append(pl.caches, c)
-	pl.mu.Unlock()
 }

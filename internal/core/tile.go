@@ -6,7 +6,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 	"mpn/internal/rtree"
 )
 
@@ -30,29 +29,20 @@ type Direction struct {
 // All scratch state is drawn from ws; the returned plan is exported by
 // copy (two allocations) and remains valid after ws is reused or returned
 // to the pool.
-//
-// With a non-nil cache the top-k result set is retrieved through the
-// shared neighborhood cache: when another co-located group (or a previous
-// update of this one) already paid the index traversal for the same
-// centroid tile, this computation reuses its certified candidate set
-// instead of touching the R-tree. The returned plan is byte-identical on
-// every path — cached retrieval is exact (see internal/nbrcache) and every
-// accepted tile is still Divide-Verified against this group's actual
-// members.
-func (pl *Planner) tileMSR(ws *Workspace, cache *nbrcache.Cache, users []geom.Point, dirs []Direction) (Plan, error) {
+func (pl *Planner) tileMSR(ws *Workspace, users []geom.Point, dirs []Direction) (Plan, error) {
 	if len(users) == 0 {
 		return Plan{}, ErrNoUsers
 	}
 	snap := pl.Acquire()
 	defer snap.Release()
-	return pl.tileMSRSnap(ws, cache, snap, users, dirs)
+	return pl.tileMSRSnap(ws, snap, users, dirs)
 }
 
 // tileMSRSnap is tileMSR against an already-pinned snapshot: the whole
 // computation — GNN retrieval, candidate collection, verification —
 // traverses exactly that snapshot's index, so a concurrent POI mutation
 // can never tear a plan.
-func (pl *Planner) tileMSRSnap(ws *Workspace, cache *nbrcache.Cache, snap *Snapshot, users []geom.Point, dirs []Direction) (Plan, error) {
+func (pl *Planner) tileMSRSnap(ws *Workspace, snap *Snapshot, users []geom.Point, dirs []Direction) (Plan, error) {
 	if len(dirs) != len(users) {
 		// Missing or mismatched headings: fall back to zero-value
 		// directions (Options.Theta, heading 0) exactly as a nil dirs.
@@ -60,7 +50,7 @@ func (pl *Planner) tileMSRSnap(ws *Workspace, cache *nbrcache.Cache, snap *Snaps
 	}
 
 	var plan Plan
-	ws.topk = pl.lookupTopK(ws, cache, snap, users, pl.topK())
+	ws.topk = gnn.TopKInto(snap.tree, &ws.gnn, users, pl.opts.Aggregate, pl.topK(), ws.topk[:0])
 	plan.Stats.GNNCalls++
 	plan.Stats.IndexVersion = snap.version
 	plan.Best = ws.topk[0]

@@ -5,7 +5,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 )
 
 // Workspace carries all per-computation scratch state of the safe-region
@@ -28,7 +27,6 @@ import (
 // with GetWorkspace/PutWorkspace.
 type Workspace struct {
 	gnn  gnn.Scratch
-	nbr  nbrcache.Scratch
 	topk []gnn.Result
 
 	tp tilePlanning

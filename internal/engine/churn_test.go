@@ -7,24 +7,21 @@ import (
 
 	"mpn/internal/core"
 	"mpn/internal/geom"
-	"mpn/internal/nbrcache"
 )
 
 // TestEngineChurnConcurrent is the system-level handoff fence: POI
 // mutation batches applied through core.Planner.ApplyPOIs while engine
 // workers and synchronous updaters replan concurrently through the
-// cached incremental adapters. Run under -race this exercises the whole
-// snapshot pipeline (RCU publish, shadow replay, cache Advance,
-// incremental version invalidation) end to end; the in-test assertions
+// incremental adapters. Run under -race this exercises the whole
+// snapshot pipeline (RCU publish, shadow replay, incremental version
+// invalidation) end to end; the in-test assertions
 // check that every group converges on a plan computed against the final
 // published index version.
 func TestEngineChurnConcurrent(t *testing.T) {
 	pl := testPlanner(t, 1200, 21)
-	cache := nbrcache.New(nbrcache.Config{})
-	pl.ShareCache(cache)
-	e := NewWS(PlannerKindWSFunc(pl, core.KindTiles, cache), Options{
+	e := NewWS(PlannerKindWSFunc(pl, core.KindTiles, nil), Options{
 		Shards: 4, Workers: 2, QueueDepth: 64,
-		Replan: PlannerKindIncFunc(pl, core.KindTiles, cache),
+		Replan: PlannerKindIncFunc(pl, core.KindTiles, nil),
 	})
 	defer e.Close()
 

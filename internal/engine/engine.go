@@ -78,14 +78,11 @@ type ReplanWSFunc func(ws *core.Workspace, st *core.PlanState, users []geom.Poin
 // PlannerKindWSFunc adapts a core.Planner to a PlanWSFunc for any region
 // kind — the single unpacking point of the core.Plan result shape for
 // the engine. KindNetRange requires a backend registered on the planner
-// (see core.Planner.RegisterNetBackend). A non-nil cache routes every
-// recomputation's top-k retrieval through one shared neighborhood cache:
-// all shard workers (and the synchronous paths) consult the same cache, so
-// co-located groups anywhere in the engine reuse each other's index
-// traversals. Plans are byte-identical either way.
+// (see core.Planner.RegisterNetBackend). cache is accepted and ignored;
+// removed with ROADMAP 9.
 func PlannerKindWSFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.Cache) PlanWSFunc {
 	return func(ws *core.Workspace, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
-		p, _, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs, Cache: cache})
+		p, _, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs})
 		if err != nil {
 			return geom.Point{}, nil, core.Stats{}, err
 		}
@@ -98,9 +95,10 @@ func PlannerKindWSFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.C
 // retained core.PlanState through core.Plan, so kept and partial
 // outcomes flow to the engine for any region kind. Wire it into
 // Options.Replan to give the engine incremental safe-region maintenance.
+// cache is accepted and ignored; removed with ROADMAP 9.
 func PlannerKindIncFunc(pl *core.Planner, kind core.RegionKind, cache *nbrcache.Cache) ReplanWSFunc {
 	return func(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
-		p, out, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs, Cache: cache, State: st})
+		p, out, err := pl.Plan(ws, core.PlanRequest{Kind: kind, Users: users, Dirs: dirs, State: st})
 		if err != nil {
 			return geom.Point{}, nil, core.Stats{}, out, err
 		}

@@ -23,7 +23,6 @@ import (
 
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 	"mpn/internal/sim"
 	"mpn/internal/stats"
 	"mpn/internal/workload"
@@ -119,9 +118,6 @@ type Suite struct {
 	// the CPU-per-update figures measure the protocol the paper actually
 	// proposes. False replays the historical full-replan accounting.
 	Incremental bool
-	// GNNCacheBytes, when positive, gives every run a shared
-	// neighborhood cache of that byte budget (see internal/nbrcache).
-	GNNCacheBytes int64
 	// DeltaWire replays the figures under the delta notification
 	// protocol (sim.Config.DeltaWire): members whose region epoch did
 	// not advance receive a region-less delta frame, so the
@@ -180,9 +176,6 @@ func (s *Suite) runAvg(pois []geom.Point, set *workload.TrajectorySet, m int, cf
 	}
 	cfg.Incremental = s.Incremental
 	cfg.DeltaWire = s.DeltaWire
-	if s.GNNCacheBytes > 0 {
-		cfg.SharedCache = nbrcache.New(nbrcache.Config{MaxBytes: s.GNNCacheBytes})
-	}
 	var uf, pk, cpu []float64
 	for _, g := range groups {
 		met, err := sim.Run(pois, g, cfg)

@@ -171,13 +171,12 @@ func TestFigureTable(t *testing.T) {
 }
 
 // TestIncrementalHarness replays Fig13 under the paper's incremental
-// maintenance protocol with a shared GNN cache: the harness must
-// produce the same figure structure with sane (non-negative) metrics.
+// maintenance protocol: the harness must produce the same figure
+// structure with sane (non-negative) metrics.
 func TestIncrementalHarness(t *testing.T) {
 	figureSweep(t)
 	s := tinySuite(t)
 	s.Incremental = true
-	s.GNNCacheBytes = 1 << 20
 	figs, err := s.Fig13()
 	if err != nil {
 		t.Fatal(err)

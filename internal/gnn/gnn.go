@@ -140,37 +140,29 @@ func TopK(t *rtree.Tree, users []geom.Point, agg Aggregate, k int) []Result {
 	return TopKInto(t, &s, users, agg, k, make([]Result, 0, k))
 }
 
-// PushTopK inserts (it, d) into the running ascending bounded top-k
-// slice out and returns it, dropping the element beyond rank k. Among
-// exactly equal distances the earlier-pushed element sorts first. It is
-// the one bounded insertion-sort shared by BruteTopK and the
-// neighborhood cache's candidate extraction, so the two selections
-// cannot drift apart.
-func PushTopK(out []Result, it rtree.Item, d float64, k int) []Result {
-	pos := len(out)
-	for pos > 0 && out[pos-1].Dist > d {
-		pos--
-	}
-	if pos >= k {
-		return out
-	}
-	if len(out) < k {
-		out = append(out, Result{})
-	}
-	copy(out[pos+1:], out[pos:])
-	out[pos] = Result{Item: it, Dist: d}
-	return out
-}
-
 // BruteTopK computes TopK by exhaustive scan. It is the reference
-// implementation used by tests and by callers with tiny data sets.
+// implementation used by tests and by callers with tiny data sets. It
+// keeps a bounded insertion-sorted top k; among exactly equal distances
+// the lower id sorts first.
 func BruteTopK(points []geom.Point, users []geom.Point, agg Aggregate, k int) []Result {
 	if k <= 0 || len(users) == 0 {
 		return nil
 	}
 	out := make([]Result, 0, k)
 	for id, p := range points {
-		out = PushTopK(out, rtree.Item{P: p, ID: id}, agg.PointDist(p, users), k)
+		d := agg.PointDist(p, users)
+		pos := len(out)
+		for pos > 0 && out[pos-1].Dist > d {
+			pos--
+		}
+		if pos >= k {
+			continue
+		}
+		if len(out) < k {
+			out = append(out, Result{})
+		}
+		copy(out[pos+1:], out[pos:])
+		out[pos] = Result{Item: rtree.Item{P: p, ID: id}, Dist: d}
 	}
 	return out
 }

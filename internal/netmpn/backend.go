@@ -175,8 +175,6 @@ func grow[T any](s []T, m int) []T {
 // points and are snapped to the nearest road segment; the returned
 // Plan.Best carries the meeting POI's node id and Euclidean location,
 // and every region is a *Region payload wrapped in core.NetRegion.
-//
-// req.Cache (the Euclidean neighborhood cache) is ignored.
 func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, core.IncOutcome, error) {
 	users := req.Users
 	if len(users) == 0 {

@@ -951,10 +951,10 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 			// them would leak one region per departed uid in a long-lived
 			// group with churning membership.
 			delete(g.enc, uid)
-			if g.probing != nil {
-				delete(g.probing, uid)
-				c.maybeReplanLocked(gid, g)
-			}
+			// A probe round in flight is abandoned, not closed: planning
+			// the m−1 members left would plan a subgroup. The member's
+			// re-registration completes the group and replans it whole.
+			g.probing = nil
 			if len(g.members) == 0 {
 				delete(c.groups, gid)
 				for ouid, ob := range g.observers {

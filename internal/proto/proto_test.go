@@ -473,6 +473,94 @@ func TestMemberDisconnectCleansUp(t *testing.T) {
 	}
 }
 
+// TestDepartureAbandonsProbeRound: a member leaving while her probe reply
+// is the last one missing must not close the round — planning the m−1
+// members left would plan a subgroup, and the server would retire the
+// group's backend state for it. The round is abandoned; re-registration
+// completes the group and replans all m.
+func TestDepartureAbandonsProbeRound(t *testing.T) {
+	plan := testPlan(t, "circle")
+	var mu sync.Mutex
+	var sizes []int // group size of every snapshot handed to the backend
+	coord := NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
+		mu.Lock()
+		sizes = append(sizes, len(ids))
+		mu.Unlock()
+		meeting, regions, err := plan(users)
+		return meeting, regions, nil, err == nil
+	}, nil)
+	submitted := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), sizes...)
+	}
+	// probing returns the group's outstanding probe replies and its member
+	// count.
+	probing := func() (int, int) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		g := coord.groups[1]
+		return len(g.probing), len(g.members)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// silent registers user 2 over a raw connection that reads (and so
+	// receives probes) but never replies.
+	silent := func() net.Conn {
+		serverSide, clientSide := net.Pipe()
+		go func() { _ = coord.ServeConn(serverSide) }()
+		t.Cleanup(func() { clientSide.Close() })
+		go func() {
+			for {
+				if _, err := Read(clientSide); err != nil {
+					return
+				}
+			}
+		}()
+		if err := Write(clientSide, Message{Type: TRegister, Group: 1, User: 2, GroupSize: 3, Loc: geom.Pt(0.31, 0.36)}); err != nil {
+			t.Fatal(err)
+		}
+		return clientSide
+	}
+
+	u0 := newTestUser(t, coord, 1, 0, geom.Pt(0.30, 0.30))
+	u1 := newTestUser(t, coord, 1, 1, geom.Pt(0.35, 0.32))
+	for i, u := range []*testUser{u0, u1} {
+		if err := u.client.Register(3); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+	}
+	raw := silent()
+	u0.waitNotify(t)
+	u1.waitNotify(t)
+
+	// User 0 escapes; user 1 answers her probe, user 2 never does.
+	u0.setLoc(geom.Pt(0.70, 0.70))
+	if err := u0.client.Report(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("user 1's probe reply", func() bool { n, _ := probing(); return n == 1 })
+	raw.Close()
+	waitFor("user 2's departure", func() bool { _, m := probing(); return m == 2 })
+	if got := submitted(); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("backend snapshot sizes %v, want [3]: the departure planned the incomplete group", got)
+	}
+
+	// The returning member completes the group, which replans whole.
+	silent()
+	u0.waitNotify(t)
+	u1.waitNotify(t)
+	if got := submitted(); !reflect.DeepEqual(got, []int{3, 3}) {
+		t.Fatalf("backend snapshot sizes %v, want [3 3]", got)
+	}
+}
+
 func TestClientErrors(t *testing.T) {
 	if _, err := NewClient(nil, 0, 0, nil, nil); err == nil {
 		t.Fatal("nil LocFunc accepted")

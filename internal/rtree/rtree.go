@@ -62,9 +62,8 @@ type Tree struct {
 	minEntries int
 
 	// version counts structural mutations (see Version). It is atomic so
-	// concurrent readers holding cached results keyed by version can check
-	// staleness without a lock, but the tree itself is still not safe for
-	// mutation concurrent with searches.
+	// concurrent readers can check it without a lock, but the tree itself
+	// is still not safe for mutation concurrent with searches.
 	version atomic.Uint64
 
 	// mutateHook, when non-nil, runs after a mutation's structural change
@@ -75,11 +74,10 @@ type Tree struct {
 
 // Version returns the tree's monotone mutation counter: it starts at 0
 // for a freshly built (New or Bulk) tree and increases on every Insert,
-// Delete, and Rebuild. Result caches key their entries by it so a cached
-// traversal self-invalidates after any POI mutation without scanning the
-// tree. The counter is published after the structural change it counts:
-// an observer that reads version v and then traverses sees at least the
-// first v mutations (never a newer version paired with an older tree).
+// Delete, and Rebuild. The counter is published after the structural
+// change it counts: an observer that reads version v and then traverses
+// sees at least the first v mutations (never a newer version paired with
+// an older tree).
 func (t *Tree) Version() uint64 { return t.version.Load() }
 
 // SetVersion overwrites the mutation counter. It exists for writers that

@@ -1,5 +1,5 @@
 // Package serving assembles the serving stack — POI planner, road-network
-// backend, shared GNN cache and group engine — from one Config. It is the
+// backend and group engine — from one Config. It is the
 // only place that stack is built: the public mpn.NewServer and the
 // mpnserver binary each map their options or flags onto a Config and call
 // New, so the two front ends cannot disagree on how the pieces fit.
@@ -12,7 +12,6 @@ import (
 	"mpn/internal/engine"
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
 	"mpn/internal/roadnet"
 )
@@ -33,9 +32,6 @@ type Config struct {
 	// is required by KindNetRange and refused by every other kind.
 	Network  *roadnet.Network
 	POINodes []int
-	// CacheBytes is the shared GNN cache's byte budget; 0 plans uncached.
-	// Refused under KindNetRange, whose backend never reads the cache.
-	CacheBytes int64
 	// Incremental retains each group's plan and regrows only what an
 	// update invalidates.
 	Incremental bool
@@ -47,7 +43,6 @@ type Config struct {
 // Stack is an assembled serving stack.
 type Stack struct {
 	Planner *core.Planner
-	Cache   *nbrcache.Cache // nil when Config.CacheBytes is 0
 	// Plan computes a from-scratch plan: the engine's planner when it is
 	// not incremental, and the one-shot planner of callers without a
 	// group.
@@ -62,9 +57,6 @@ func New(cfg Config) (*Stack, error) {
 	if cfg.Kind == core.KindNetRange {
 		if cfg.Network == nil {
 			return nil, errors.New("serving: network range planning requires a road network")
-		}
-		if cfg.CacheBytes > 0 {
-			return nil, errors.New("serving: the shared GNN cache applies to Euclidean planning, not road networks")
 		}
 		pois = make([]geom.Point, len(cfg.POINodes))
 		for i, n := range cfg.POINodes {
@@ -88,17 +80,10 @@ func New(cfg Config) (*Stack, error) {
 		}
 		planner.RegisterNetBackend(backend)
 	}
-	st := &Stack{Planner: planner}
-	if cfg.CacheBytes > 0 {
-		st.Cache = nbrcache.New(nbrcache.Config{MaxBytes: cfg.CacheBytes})
-		// Registered for mutation notifications: a POI batch then evicts
-		// only the entries it could affect instead of cooling the cache.
-		planner.ShareCache(st.Cache)
-	}
-	st.Plan = engine.PlannerKindWSFunc(planner, cfg.Kind, st.Cache)
+	st := &Stack{Planner: planner, Plan: engine.PlannerKindWSFunc(planner, cfg.Kind, nil)}
 	cfg.Engine.Replan = nil
 	if cfg.Incremental {
-		cfg.Engine.Replan = engine.PlannerKindIncFunc(planner, cfg.Kind, st.Cache)
+		cfg.Engine.Replan = engine.PlannerKindIncFunc(planner, cfg.Kind, nil)
 	}
 	st.Engine = engine.NewWS(st.Plan, cfg.Engine)
 	return st, nil

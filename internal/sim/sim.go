@@ -23,7 +23,6 @@ import (
 	"mpn/internal/geom"
 	"mpn/internal/gnn"
 	"mpn/internal/mobility"
-	"mpn/internal/nbrcache"
 	"mpn/internal/tileenc"
 )
 
@@ -80,10 +79,6 @@ type Config struct {
 	// historical full-replan accounting, where every update regrows all
 	// m regions from scratch.
 	Incremental bool
-	// SharedCache, when non-nil, serves GNN result-set retrievals from
-	// the shared neighborhood cache (see internal/nbrcache). Plans are
-	// unaffected; only the index-traversal cost changes.
-	SharedCache *nbrcache.Cache
 	// DeltaWire models the delta notification protocol on the wire
 	// (TNotifyDelta, internal/proto): a member whose region epoch did
 	// not advance since her last notification receives a small
@@ -275,9 +270,7 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 	// is the paper's "running time per update"). With Config.Incremental
 	// the recomputation runs the paper's maintenance protocol: the
 	// retained plan state is validated against the fresh locations and
-	// only what the movement invalidated is regrown. Either way the
-	// shared neighborhood cache, when configured, serves the result-set
-	// retrieval (a nil cache plans straight off the index).
+	// only what the movement invalidated is regrown.
 	start := time.Now()
 	var dirs []core.Direction
 	if s.cfg.Method == MethodTileD {
@@ -292,7 +285,7 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 			}
 		}
 	}
-	req := core.PlanRequest{Kind: core.KindTiles, Users: users, Dirs: dirs, Cache: s.cfg.SharedCache}
+	req := core.PlanRequest{Kind: core.KindTiles, Users: users, Dirs: dirs}
 	if s.cfg.Method == MethodCircle {
 		req.Kind = core.KindCircle
 	}

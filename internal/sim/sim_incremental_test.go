@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpn/internal/gnn"
-	"mpn/internal/nbrcache"
 )
 
 // TestRunIncrementalProtocol replays one workload under the incremental
@@ -40,37 +39,6 @@ func TestRunIncrementalProtocol(t *testing.T) {
 	if incMet.PartialReplans+incMet.KeptPlans == 0 {
 		t.Fatalf("incremental run never reused a plan: %d full / %d partial / %d kept",
 			incMet.FullReplans, incMet.PartialReplans, incMet.KeptPlans)
-	}
-}
-
-// TestRunCacheInvariance: the shared neighborhood cache changes only
-// where the result sets come from, never what they are — update
-// frequency, packets, and region bytes must match the uncached run
-// exactly, incremental or not.
-func TestRunCacheInvariance(t *testing.T) {
-	pois, group := testWorkload(t, 3)
-	for _, incremental := range []bool{false, true} {
-		cfg := MethodConfig(MethodTile, gnn.Max, 0)
-		cfg.Core.TileLimit = 8
-		cfg.MaxSteps = 300
-		cfg.Incremental = incremental
-
-		plain, err := Run(pois, group, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.SharedCache = nbrcache.New(nbrcache.Config{})
-		cached, err := Run(pois, group, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.Updates != plain.Updates || cached.Packets != plain.Packets ||
-			cached.RegionBytes != plain.RegionBytes ||
-			cached.FullReplans != plain.FullReplans ||
-			cached.PartialReplans != plain.PartialReplans ||
-			cached.KeptPlans != plain.KeptPlans {
-			t.Fatalf("incremental=%v: cached run diverged: %+v vs %+v", incremental, cached, plain)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"mpn/internal/core"
 	"mpn/internal/engine"
 	"mpn/internal/geom"
-	"mpn/internal/nbrcache"
 	"mpn/internal/netmpn"
 	"mpn/internal/proto"
 	"mpn/internal/roadnet"
@@ -116,10 +115,6 @@ type Server struct {
 	st *serving.Stack
 }
 
-// CacheStats is a snapshot of the shared GNN cache's counters (see
-// WithSharedGNNCache and Server.GNNCacheStats).
-type CacheStats = nbrcache.Stats
-
 // NewServer indexes the POI set and returns a server. The default
 // configuration is the paper's best method (directed tiles, α=30, L=2,
 // buffering b=100, max-distance objective). Close releases the engine's
@@ -147,16 +142,6 @@ type ShardStats = engine.ShardStats
 // ShardStats reports every engine shard's admission counters — the
 // observability face of WithAdmissionWait and WithCloseTimeout.
 func (s *Server) ShardStats() []ShardStats { return s.st.Engine.ShardStats() }
-
-// GNNCacheStats reports the shared neighborhood cache's counters and
-// occupancy; ok is false (and the snapshot zero) when the server was
-// built without WithSharedGNNCache.
-func (s *Server) GNNCacheStats() (stats CacheStats, ok bool) {
-	if s.st.Cache == nil {
-		return CacheStats{}, false
-	}
-	return s.st.Cache.Stats(), true
-}
 
 // NumPOIs returns the indexed data set size.
 func (s *Server) NumPOIs() int { return s.st.Planner.NumPOIs() }

@@ -44,9 +44,6 @@ func TestNetRangeOptionValidation(t *testing.T) {
 	if _, err := NewServer(nil, WithRoadNetwork(net, netPOINodes(net, 7)), WithMethod(Circle)); err == nil {
 		t.Fatal("WithRoadNetwork with a Euclidean method accepted")
 	}
-	if _, err := NewServer(nil, WithRoadNetwork(net, netPOINodes(net, 7)), WithSharedGNNCache(1<<20)); err == nil {
-		t.Fatal("WithSharedGNNCache on a network server accepted")
-	}
 	if _, err := NewServer(nil, WithRoadNetwork(net, nil)); err == nil {
 		t.Fatal("empty POI node set accepted")
 	}

@@ -195,32 +195,6 @@ func WithIncremental() Option {
 	}
 }
 
-// WithSharedGNNCache enables the cross-group neighborhood cache: one
-// concurrency-safe, tile-keyed cache of GNN result sets shared by every
-// group and every engine worker, bounded by the given LRU byte budget.
-// Groups whose centroids fall in the same quantized tile reuse each
-// other's index traversals instead of recomputing them — the dominant
-// server cost when many groups cluster in the same urban areas. Cached
-// retrieval is exact (every hit is certified against the requesting
-// group's actual member locations, and safe-region tiles are still
-// verified per group), so plans are byte-identical to an uncached
-// server's. Under POI churn (InsertPOI, DeletePOI, UpdatePOIs) the
-// cache is invalidated by locality, not wholesale: each mutation batch
-// evicts only the entries whose cached guarantee a mutated location
-// could actually violate, and every other entry migrates to the new
-// index snapshot untouched — localized churn leaves distant areas of
-// the cache hot. See Server.GNNCacheStats for hit/miss/churn
-// observability.
-func WithSharedGNNCache(maxBytes int) Option {
-	return func(c *config) error {
-		if maxBytes < 1 {
-			return fmt.Errorf("mpn: GNN cache budget %d must be positive", maxBytes)
-		}
-		c.CacheBytes = int64(maxBytes)
-		return nil
-	}
-}
-
 // WithShards sets the number of independent registry shards in the
 // server's concurrent group engine (default GOMAXPROCS). Groups hash over
 // shards; operations on different shards never contend.
