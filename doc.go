@@ -311,7 +311,7 @@
 //     (-write-timeout); clients send Ping heartbeats
 //     (proto.WithHeartbeat) so an idle-but-alive client is never reaped
 //     while a silent TCP hole is, on both ends. Each connection's
-//     outbox queues up to 256 frames, encoded when queued (a frame too
+//     outbox queues up to 16 frames, encoded when queued (a frame too
 //     large to encode is dropped and counted there, like an overflow).
 //     A client too slow to drain its outbox first has deliveries
 //     coalesced (newest plan wins), then is disconnected with an

@@ -145,9 +145,9 @@ func (c *Coordinator) Stats() CoordStats {
 // DefaultSlowClientLimit is how many consecutive outbox drops a member
 // gets before the slow-client policy kicks its connection. Drops are
 // already coalesced — a member with a full outbox keeps only needing one
-// repair frame — so consecutive drops mean the client has not drained
-// outboxSize frames across that many deliveries: it is not slow, it is
-// gone.
+// repair frame — so consecutive drops mean the client has not drained a
+// single frame of its full outbox across that many deliveries: it is not
+// slow, it is gone.
 const DefaultSlowClientLimit = 8
 
 // SetSlowClientLimit configures the slow-client coalesce-then-disconnect
@@ -177,10 +177,20 @@ func (c *Coordinator) SetWriteGate(fn WriteGateFunc) { c.gate = fn }
 // into the coordinator or block.
 func (c *Coordinator) SetGroupEmptyHook(fn func(gid uint32)) { c.onEmpty = fn }
 
-// outboxSize bounds the per-member outbound queue, in frames. A member
-// this far behind is considered dead and dropped. An empty slot costs a
-// slice header, so the bound is cheap to keep generous.
-const outboxSize = 256
+// outboxSize bounds the per-member outbound queue, in frames; a frame
+// that finds it full is dropped. It is sized from measured traffic, since
+// the channel buffer (24 B a slot) is allocated at registration and is
+// most of an idle member's heap. Recording len(out) after every enqueue,
+// the high-water mark was 1 frame on all five bench/ workloads. The
+// largest burst one critical section queues to one member is 2 frames (a
+// registration's TNotify plus TPeers, or refuseWrite's TPeers plus
+// TError). Over net.Pipe, whose writes wait for the reader, the
+// closed-loop fleet of TestFleetTrafficFitsOutbox drops frames at 2 slots
+// and none at 16. The queue fills only while the writer is blocked on a
+// full socket, and then the write deadline is the real bound: more slots
+// only delay the drop → needFull → kick path the slow-client policy
+// already takes.
+const outboxSize = 16
 
 // group is the server-side state of one user group.
 type group struct {
@@ -311,7 +321,7 @@ func newMember(user uint32, w io.Writer, logger *log.Logger) *member {
 // exceeds MaxFrame) is refused here, like one that finds the outbox full,
 // so the caller counts it as a drop and the writer never sees it.
 func (m *member) send(msg Message) bool {
-	frame, err := msg.AppendFrame(make([]byte, 0, 40+len(msg.Region)+len(msg.Text)))
+	frame, err := msg.AppendFrame(make([]byte, 0, msg.frameCap()))
 	if err != nil {
 		return false
 	}

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mpn/internal/core"
 	"mpn/internal/geom"
 )
 
@@ -210,7 +212,7 @@ func TestOversizedErrorIsCountedDrop(t *testing.T) {
 
 // The per-member footprint fence: registering a member allocates its
 // outbox, writer goroutine closure and bookkeeping, which must stay
-// under 10 KB; with 24-byte slots the outbox is about 6 KB of it.
+// under 2 KB; the outbox's 16 slots of 24 bytes are 384 B of it.
 // Goroutine stacks are not heap, so TotalAlloc does not count them.
 func TestMemberFootprint(t *testing.T) {
 	const n = 512
@@ -226,7 +228,177 @@ func TestMemberFootprint(t *testing.T) {
 	}
 	perMember := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d B allocated per member", perMember)
-	if perMember > 10<<10 {
-		t.Fatalf("newMember allocates %d B per member, want ≤ %d", perMember, 10<<10)
+	if perMember > 2<<10 {
+		t.Fatalf("newMember allocates %d B per member, want ≤ %d", perMember, 2<<10)
+	}
+}
+
+// Encoding a frame into a fresh buffer allocates once, whatever the
+// frame carries: send (the outbox path) and Write (the direct path) size
+// the buffer from the whole message, delta records and peer addresses
+// included.
+func TestFrameAllocatesOnce(t *testing.T) {
+	circle := EncodeRegion(core.CircleRegion(geom.Pt(0.25, 0.75), 0.125))
+	meeting := geom.Pt(0.4, 0.6)
+	m := &member{out: make(chan []byte, 1)}
+	for _, tc := range []struct {
+		name string
+		msg  Message
+	}{
+		{"notify", Message{Type: TNotify, Group: 3, User: 1, Epoch: 7, Meeting: meeting, Region: circle}},
+		{"delta", Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 8, MeetingChanged: true, Meeting: meeting,
+			Deltas: []RegionDelta{{Member: 1, Epoch: 8, Region: circle}}}},
+		{"observer", Message{Type: TNotifyDelta, Group: 3, User: 100, DeltaReset: true, MeetingChanged: true, Meeting: meeting,
+			Deltas: []RegionDelta{{Member: 0, Epoch: 8, Region: circle}, {Member: 1, Epoch: 8, Region: circle}, {Member: 2, Epoch: 8, Region: circle}}}},
+		{"peers", Message{Type: TPeers, Epoch: 2, Peers: []string{"primary:9000", "standby:9001"}}},
+		{"probe", Message{Type: TProbe, Group: 3, User: 2}},
+	} {
+		refused := false
+		n := testing.AllocsPerRun(100, func() {
+			if !m.send(tc.msg) {
+				refused = true
+				return
+			}
+			<-m.out
+		})
+		if refused {
+			t.Fatalf("%s: member.send refused the frame", tc.name)
+		}
+		if n != 1 {
+			t.Errorf("%s: member.send allocates %.1f times, want 1", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = Write(io.Discard, tc.msg) }); n != 1 {
+			t.Errorf("%s: Write allocates %.1f times, want 1", tc.name, n)
+		}
+	}
+}
+
+// The traffic fence for outboxSize: a closed-loop fleet — members that
+// read continuously, ping on a heartbeat and answer every probe, plus one
+// observer per group — never fills an outbox, so nothing is dropped and
+// nobody is kicked. Shrunk to one slot, every run of it drops frames; to
+// two, some runs do.
+func TestFleetTrafficFitsOutbox(t *testing.T) {
+	const groups, size, rounds = 32, 3, 20
+	coord := newSyncCoordinator(testPlan(t, "circle"))
+	clientErrs := make(chan error, groups*(size+1))
+	var clients []*Client
+	dial := func(gid, uid uint32, loc LocFunc, onNotify NotifyFunc, opts ...ClientOption) *Client {
+		serverSide, clientSide := net.Pipe()
+		go func() { _ = coord.ServeConn(serverSide) }()
+		t.Cleanup(func() { clientSide.Close() })
+		// The client sees no SetReadDeadline, so a scheduling stall under
+		// -race cannot time a read out; the pings still flow.
+		conn := struct {
+			io.Reader
+			io.Writer
+		}{clientSide, clientSide}
+		cl, err := NewClient(conn, gid, uid, loc, onNotify, append(opts, WithHeartbeat(3*time.Millisecond))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			if err := cl.Run(); err != nil {
+				clientErrs <- err
+			}
+		}()
+		clients = append(clients, cl)
+		return cl
+	}
+
+	// Each group runs its rounds concurrently with the others: one member
+	// moves and reports, the server probes the other two, replans, and
+	// notifies all three and the observer. The reporter's circle is centred
+	// on her, so every round changes it and the observer gets one frame.
+	var wg sync.WaitGroup
+	groupErrs := make(chan error, groups)
+	for g := range uint32(groups) {
+		var mu sync.Mutex
+		locs := make([]geom.Point, size)
+		notified := make(chan struct{}, size*(rounds+1))
+		observed := make(chan struct{}, rounds+1)
+		members := make([]*Client, size)
+		for i := range locs {
+			locs[i] = geom.Pt(0.2+0.02*float64(g), 0.2+0.1*float64(i))
+			members[i] = dial(g, uint32(i),
+				func() geom.Point { mu.Lock(); defer mu.Unlock(); return locs[i] },
+				func(geom.Point, core.SafeRegion) { notified <- struct{}{} })
+		}
+		observer := dial(g, 100, func() geom.Point { return geom.Point{} }, nil, AsObserver(),
+			WithGroupNotify(func(geom.Point, map[uint32]core.SafeRegion) { observed <- struct{}{} }))
+		if err := observer.Register(size); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// await closes the loop: one notification per member and one
+			// observer update. An observer the rounds did not wait for would
+			// fall behind on net.Pipe, whose writes wait for the reader.
+			await := func(what string) bool {
+				for i := range size + 1 {
+					ch := notified
+					if i == size {
+						ch = observed
+					}
+					select {
+					case <-ch:
+					case <-time.After(10 * time.Second):
+						groupErrs <- fmt.Errorf("group %d: timed out waiting for %s", g, what)
+						return false
+					}
+				}
+				return true
+			}
+			for _, cl := range members {
+				if err := cl.Register(size); err != nil {
+					groupErrs <- err
+					return
+				}
+			}
+			if !await("the first plan") {
+				return
+			}
+			for r := range rounds {
+				reporter := r % size
+				mu.Lock()
+				locs[reporter].X += 0.01
+				mu.Unlock()
+				if err := members[reporter].Report(); err != nil {
+					groupErrs <- err
+					return
+				}
+				if !await(fmt.Sprintf("round %d", r)) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(groupErrs)
+	for err := range groupErrs {
+		t.Error(err)
+	}
+	// The heartbeats ran beside the rounds; wait for every client's first
+	// pong so the fence always covers that traffic too.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, cl := range clients {
+		for cl.Pongs() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("a client never received a pong")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	select {
+	case err := <-clientErrs:
+		t.Fatalf("client stopped: %v", err)
+	default:
+	}
+	st := coord.Stats()
+	t.Logf("%d heartbeats, %d observer frames", st.Heartbeats, st.ObserverFrames)
+	if st.DroppedFrames != 0 || st.SlowClientDisconnects != 0 {
+		t.Fatalf("closed-loop fleet dropped %d frames and kicked %d clients from %d-slot outboxes",
+			st.DroppedFrames, st.SlowClientDisconnects, outboxSize)
 	}
 }

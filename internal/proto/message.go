@@ -287,9 +287,25 @@ func (m Message) AppendFrame(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// frameCap is a buffer capacity that holds m's whole frame, so encoding
+// into a fresh buffer allocates once: the length prefix, the type byte
+// and any type's fixed fields at full varint width take at most 52 bytes
+// (TNotifyDelta's), a delta record adds 25 plus its region, and a peer
+// address 10 plus its bytes.
+func (m Message) frameCap() int {
+	n := 52 + len(m.Region) + len(m.Text)
+	for _, d := range m.Deltas {
+		n += 25 + len(d.Region)
+	}
+	for _, a := range m.Peers {
+		n += binary.MaxVarintLen64 + len(a)
+	}
+	return n
+}
+
 // Write frames and writes m.
 func Write(w io.Writer, m Message) error {
-	frame, err := m.AppendFrame(make([]byte, 0, 40+len(m.Region)+len(m.Text)))
+	frame, err := m.AppendFrame(make([]byte, 0, m.frameCap()))
 	if err != nil {
 		return err
 	}
