@@ -29,9 +29,11 @@ type tileOrdering struct {
 	accepted  bool // any tile accepted in the current layer?
 	maxLayers int
 
-	directed bool
-	heading  float64
-	theta    float64
+	// The directed cone, precomputed by reset for tileInCone: the unit
+	// heading vector and the sine and cosine of θ.
+	directed           bool
+	heading            geom.Point
+	cosTheta, sinTheta float64
 }
 
 // newTileOrdering starts the enumeration after the center tile (layer 0),
@@ -49,10 +51,13 @@ func (o *tileOrdering) reset(center geom.Point, delta float64, maxLayers int, di
 		center:    center,
 		delta:     delta,
 		maxLayers: maxLayers,
-		directed:  directed,
-		heading:   heading,
-		theta:     theta,
-		layer:     1,
+		// θ ≥ π puts every bearing in the cone (a caller's Direction.Theta
+		// is not bounded by Options' validation).
+		directed: directed && theta < math.Pi,
+		heading:  geom.Pt(math.Cos(heading), math.Sin(heading)),
+		cosTheta: math.Cos(theta),
+		sinTheta: math.Sin(theta),
+		layer:    1,
 		// accepted is false: it tracks acceptances within the layer being
 		// enumerated (layer 1). The layer-0 seed is inserted
 		// unconditionally by Tile-MSR, so layer 1 is always explored.
@@ -137,15 +142,25 @@ func (o *tileOrdering) next() (geom.Rect, bool) {
 
 // tileInCone reports whether the tile's subtended angle at the user
 // deviates from the heading by at most theta. The test uses the tile
-// center's bearing with a grace of the tile's angular half-width, so tiles
-// straddling the cone boundary are kept.
+// center's bearing with a grace of the tile's angular half-width
+// α = atan2(r, d), r = δ√2/2, d = ‖v‖, so tiles straddling the cone
+// boundary are kept: with φ the angle between v and the heading h, the
+// tile is in iff φ ≤ θ+α.
+//
+// It is decided without a single atan2. Multiplying the angle-sum
+// identities by √(d²+r²) > 0 gives sin(θ+α)·√(d²+r²) = d·sinθ + r·cosθ and
+// cos(θ+α)·√(d²+r²) = d·cosθ − r·sinθ. When the first is negative, θ+α
+// passes π and every bearing is in; otherwise θ+α ∈ [0, π], where cos is
+// decreasing, and φ ≤ θ+α ⇔ cos φ = v·h/d ≥ cos(θ+α).
 func (o *tileOrdering) tileInCone(tile geom.Rect) bool {
-	c := tile.Center()
-	v := c.Sub(o.center)
-	dist := v.Norm()
-	if dist == 0 {
+	v := tile.Center().Sub(o.center)
+	d := math.Sqrt(v.Dot(v))
+	if d == 0 {
 		return true
 	}
-	halfWidth := math.Atan2(o.delta*math.Sqrt2/2, dist)
-	return geom.AngleDiff(v.Angle(), o.heading) <= o.theta+halfWidth
+	r := o.delta * math.Sqrt2 / 2
+	if d*o.sinTheta+r*o.cosTheta < 0 {
+		return true
+	}
+	return v.Dot(o.heading)*math.Sqrt(d*d+r*r) >= d*(d*o.cosTheta-r*o.sinTheta)
 }

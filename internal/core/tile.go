@@ -188,13 +188,17 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 // filled memo cells — and an attempt costs
 //
 //	buffered:    O(m) for dist, a binary search for the slot z, then per
-//	             candidate one ‖c,s‖min and O(m) memo reads;
+//	             candidate one ‖c,s‖min and one compare against the
+//	             candidate's cached floor — O(m) memo reads only for the
+//	             first check of it in a member's turn;
 //	unbuffered:  one pruned index search (bounds from ext and doMax in
 //	             O(m)), then the same per candidate.
 //
 // A memo cell is filled by one scan of its member's tiles the first time
 // a candidate reaches it, so candidates that attempts never get to —
-// most of a 100-deep buffer — cost nothing.
+// most of a 100-deep buffer — cost nothing. A cached floor (memoFloor)
+// goes stale only when another member's region grows, and no other
+// region grows during a member's turn of round-robin growth.
 //
 // And attempts that cannot succeed should not be made. Divide-Verify
 // quarters every rejected tile down to level 0 — 21 attempts for a tile
@@ -435,8 +439,11 @@ func (t *tilePlanning) bufferDivideVerify(i int, s geom.Rect, level int) bool {
 
 // deadSubtreeSlack widens deadSubtree's bounds, relative to their own
 // magnitude (some 450 ulps). The bounds are distances to leaves whose
-// coordinates are exactly the ones Quadrants will produce, so all that is
-// left to absorb is math.Hypot not being monotone in its last ulp.
+// coordinates are exactly the ones Quadrants will produce, and Rect's
+// distances are non-decreasing in each axis gap, so the bounds hold
+// without it. It stays as a safety margin: a later change to the
+// distance kernel or to the halving must not silently turn "dead" into
+// a wrong rejection.
 const deadSubtreeSlack = 1e-13
 
 // deadSubtree reports whether Buffer-Divide-Verify of tile s for member i,

@@ -197,7 +197,8 @@ type memoCell struct {
 // candidate), fills it on first use by one scan of the member's current
 // tiles (so a candidate the attempt never reaches costs nothing), and
 // folds each accepted tile into the member's filled cells. One attempt
-// then costs O(m) per candidate instead of O(total tiles).
+// then costs O(m) per candidate instead of O(total tiles), and under MAX
+// one compare once the candidate's floor is cached (see verifyMax).
 //
 // Why the MAX decision is exact. gtVerifyMax rejects iff some member a
 // has a tile t with do(t) > max(dp_c(t), floor_a)+eps, floor_a =
@@ -220,14 +221,36 @@ type memoCell struct {
 // filledTo[k] is one past member k's highest filled slot. Attempts reach
 // only the first few of a deep buffer's slots, so folding a new tile walks
 // filledTo[k] cells instead of every slot.
+//
+// floors caches, per (slot, member i under extension), what verifyMax
+// derives from the other members' cells (see memoFloor); it is laid out
+// like cells. inserted counts the tiles noteTile has seen this plan and
+// insertedBy[k] those of member k, so inserted − insertedBy[i] changes
+// exactly when a cell that member i's floors read can change.
 type verifyMemo struct {
-	m        int
-	sum      bool
-	po       geom.Point
-	pts      []geom.Point // candidate location per slot
-	cells    []memoCell
-	filledTo []int32
-	slotOf   map[int]int32
+	m          int
+	sum        bool
+	po         geom.Point
+	pts        []geom.Point // candidate location per slot
+	cells      []memoCell
+	floors     []memoFloor
+	filledTo   []int32
+	inserted   int
+	insertedBy []int
+	slotOf     map[int]int32
+}
+
+// memoFloor is what a MAX verification of a tile of member i against one
+// candidate c reads of the other members:
+//
+//	F = max_{k≠i} lo_k(c)
+//	T = max{ g_a(c) : a≠i, g_a(c) > H_a+eps },  H_a = max_{k∉{a,i}} lo_k(c)
+//
+// (−Inf for an empty max). It is current while stamp equals
+// inserted − insertedBy[i] + 1; the +1 makes a zeroed entry stale.
+type memoFloor struct {
+	f, t  float64
+	stamp int
 }
 
 // reset empties the memo for a plan over m members.
@@ -237,18 +260,25 @@ func (vm *verifyMemo) reset(m int, agg gnn.Aggregate, po geom.Point) {
 	vm.po = po
 	vm.pts = vm.pts[:0]
 	vm.cells = vm.cells[:0]
+	vm.floors = vm.floors[:0]
 	vm.filledTo = grown(vm.filledTo, m)
 	clear(vm.filledTo)
+	vm.inserted = 0
+	vm.insertedBy = grown(vm.insertedBy, m)
+	clear(vm.insertedBy)
 	clear(vm.slotOf)
 }
 
-// addSlot appends a slot of m unfilled cells for a candidate at p.
+// addSlot appends a slot of m unfilled cells and m stale floors for a
+// candidate at p.
 func (vm *verifyMemo) addSlot(p geom.Point) int32 {
 	slot := int32(len(vm.pts))
 	vm.pts = append(vm.pts, p)
 	n := len(vm.cells)
 	vm.cells = grown(vm.cells, n+vm.m)
 	clear(vm.cells[n:])
+	vm.floors = grown(vm.floors, n+vm.m)
+	clear(vm.floors[n:])
 	return slot
 }
 
@@ -316,6 +346,8 @@ func (vm *verifyMemo) cell(k int, slot int32, region []geom.Rect, dos []float64)
 // for the slots c < len(dps), exactly as Rect.MinDist returns them. It is
 // empty unless s was just verified against precisely those slots.
 func (vm *verifyMemo) noteTile(k int, s geom.Rect, do float64, dps []float64) {
+	vm.inserted++
+	vm.insertedBy[k]++
 	for slot := range int(vm.filledTo[k]) {
 		c := &vm.cells[slot*vm.m+k]
 		switch {
@@ -338,30 +370,49 @@ func (vm *verifyMemo) noteTile(k int, s geom.Rect, do float64, dps []float64) {
 // which is what deadSubtree relies on. regions and dos are the members'
 // current tiles and their ‖p°,·‖max (read only to fill cells); mins is
 // caller scratch of length m.
+//
+// Everything else the decision reads depends on the other members' cells
+// alone, so it is cached as the slot's memoFloor for member i and the
+// check is one compare per side:
+//
+//	reject ⇔ (do > dp+eps ∧ do > F+eps) ∨ T > dp+eps.
+//
+// This is gtVerifyMax's test, split by the same monotone-rounding step
+// as verifyMemo's: member i's own tile fails iff do > max(dp, F)+eps;
+// another member a's attacker fails iff g_a > max(dp, H_a)+eps, since
+// with s in the group max_{k≠a} of the minima is max(dp, H_a); and
+// some attacker fails iff the largest g_a that clears its H_a clears dp.
+// Between two verifications of the same (slot, i) only tiles inserted
+// into member i can have been folded in, and none of F, T reads her
+// cell, so an entry whose stamp still matches is the value a refill
+// would produce, bit for bit.
 func (vm *verifyMemo) verifyMax(mins []float64, regions []SafeRegion, dos [][]float64, i int, dp, do float64, slot int32) bool {
-	cells := vm.cells[int(slot)*vm.m:][:vm.m]
+	fl := &vm.floors[int(slot)*vm.m+i]
+	if stamp := vm.inserted - vm.insertedBy[i] + 1; fl.stamp != stamp {
+		vm.floor(fl, mins, regions, dos, i, slot)
+		fl.stamp = stamp
+	}
+	return !(do > dp+verifyEps && do > fl.f+verifyEps) && !(fl.t > dp+verifyEps)
+}
+
+// floor recomputes member i's memoFloor for slot from the other members'
+// cells, filling those on first use.
+func (vm *verifyMemo) floor(fl *memoFloor, mins []float64, regions []SafeRegion, dos [][]float64, i int, slot int32) {
 	for k := range mins {
 		if k == i {
-			mins[k] = dp
+			mins[k] = math.Inf(-1) // absent, so maxExcl(a) is H_a
 		} else {
 			mins[k] = vm.cell(k, slot, regions[k].Tiles, dos[k]).lo
 		}
 	}
 	var top top2
 	top.of(mins)
-	bound := dp
-	if floor := top.maxExcl(i); floor > bound {
-		bound = floor
-	}
-	if do > bound+verifyEps {
-		return false
-	}
-	for a := range cells {
-		if a != i && cells[a].g > top.maxExcl(a)+verifyEps {
-			return false
+	fl.f, fl.t = top.maxExcl(i), math.Inf(-1)
+	for a, c := range vm.cells[int(slot)*vm.m:][:vm.m] {
+		if a != i && c.g > top.maxExcl(a)+verifyEps && c.g > fl.t {
+			fl.t = c.g
 		}
 	}
-	return true
 }
 
 // verifySum is Algorithm 6 (Sum-GT-Verify) over the memo: the tile is

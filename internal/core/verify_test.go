@@ -308,9 +308,9 @@ func memoRandomScript(rng *rand.Rand, trial int) (users []geom.Point, po geom.Po
 //
 //   - lazy: every tile is inserted first, so each cell is filled by one
 //     scan of the finished region;
-//   - early: every cell is filled while the regions are still empty, then
-//     maintained tile by tile through addTile, with the decisions
-//     re-checked after every insertion.
+//   - early: every cell and cached floor is filled while the regions are
+//     still empty, then maintained tile by tile through addTile, with the
+//     decisions re-checked after every insertion.
 func TestMemoMatchesVerifyOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	var accepts, rejects, itChecked, edgeRejects int
@@ -370,7 +370,7 @@ func TestMemoMatchesVerifyOracles(t *testing.T) {
 							want = total >= 0
 						} else {
 							want = gtVerifyMax(ts, po, p)
-							if itVerifyFeasible(ts) {
+							if mode != "early/each" && itVerifyFeasible(ts) {
 								itChecked++
 								if it := itVerifyMax(ts, po, p); it != want {
 									t.Fatalf("trial %d: oracles disagree: gt=%v it=%v", trial, want, it)
@@ -402,14 +402,20 @@ func TestMemoMatchesVerifyOracles(t *testing.T) {
 			}
 			check(tp, mc, agg, "lazy")
 
-			// Early: fill every cell over the empty regions, then keep the
-			// cells current through addTile.
+			// Early: fill every cell and cached floor over the empty
+			// regions, then keep them current through addTile. MAX decides
+			// again after every insertion, so no stale floor goes unread;
+			// every eighth re-check also covers SUM (which caches no
+			// floors) and IT-Verify, whose rescans dominate the cost.
 			tp, mc = memoFixture(t, agg, users, po, cands)
 			check(tp, mc, agg, "early/empty")
 			for n, in := range script {
 				tp.addTile(in.k, in.s)
-				if n%8 == 7 {
+				switch {
+				case n%8 == 7:
 					check(tp, mc, agg, "early/partial")
+				case agg == gnn.Max:
+					check(tp, mc, agg, "early/each")
 				}
 			}
 			check(tp, mc, agg, "early/full")

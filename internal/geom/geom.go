@@ -152,15 +152,39 @@ func (r Rect) ClosestPoint(p Point) Point {
 func (r Rect) MinDist(p Point) float64 {
 	dx := axisDist(p.X, r.Min.X, r.Max.X)
 	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
-	return math.Hypot(dx, dy)
+	return rectHypot(dx, dy)
 }
 
 // MaxDist returns ‖p,r‖max, the maximum distance from p to any point of r
 // (Definition 1, Eq. 2). The maximum is attained at one of the corners.
 func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
+	dx, dx2 := math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X)
+	if dx2 > dx {
+		dx = dx2
+	}
+	dy, dy2 := math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y)
+	if dy2 > dy {
+		dy = dy2
+	}
+	return rectHypot(dx, dy)
+}
+
+// rectHypot is √(dx²+dy²) for the two Rect distances, whose values the
+// planner only ever compares. It is within an ulp of the exact distance
+// (math.Hypot is within two) at a fraction of math.Hypot's cost, and,
+// unlike math.Hypot, non-decreasing in either argument: squaring, adding
+// and math.Sqrt all round monotonically. Gaps whose squares overflow
+// (about 1e154 and up) take math.Hypot, so huge inputs keep their finite
+// answers. The float64 conversions stop the compiler fusing the sum into
+// an FMA, which would round differently on architectures that have one.
+// Point.Dist stays math.Hypot: its values leave the planner (thresholds,
+// radii, the reported optimum distance).
+func rectHypot(dx, dy float64) float64 {
+	s := float64(dx*dx) + float64(dy*dy)
+	if s > math.MaxFloat64 {
+		return math.Hypot(dx, dy)
+	}
+	return math.Sqrt(s)
 }
 
 // Quadrants splits r into its four equal quadrant sub-rectangles. It is the

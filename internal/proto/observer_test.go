@@ -202,24 +202,71 @@ func TestObserverOnlyGroupGC(t *testing.T) {
 
 // TestObserverDuplicateIDRejected: a user id may not be both a member
 // and an observer of the same group — disconnect routing would be
-// ambiguous otherwise.
+// ambiguous otherwise. Whichever registers second is refused. Register
+// returns once the frame is written, not once the coordinator applied it,
+// so each case waits for the first registration to land before the
+// second is sent.
 func TestObserverDuplicateIDRejected(t *testing.T) {
-	coord := newSyncCoordinator(testPlan(t, "circle"))
-
-	u1 := newTestUser(t, coord, 4, 0, geom.Pt(0.40, 0.40))
-	if err := u1.client.Register(2); err != nil {
-		t.Fatal(err)
-	}
-	obs := newTestObserver(t, coord, 4, 0) // same uid as the member
-	if err := obs.client.Register(2); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-obs.runErr:
-		if err == nil {
-			t.Fatal("duplicate-id observer registration not rejected")
+	// registered waits until user 0 is in group 4 as a member or an
+	// observer.
+	registered := func(t *testing.T, coord *Coordinator, observer bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			coord.mu.Lock()
+			var ok bool
+			if g := coord.groups[4]; g != nil && observer {
+				_, ok = g.observers[0]
+			} else if g != nil {
+				_, ok = g.members[0]
+			}
+			coord.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("user 0 never registered in group 4 (observer=%v)", observer)
+			}
+			time.Sleep(time.Millisecond)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no rejection for duplicate-id observer")
 	}
+	refused := func(t *testing.T, runErr chan error, who string) {
+		t.Helper()
+		select {
+		case err := <-runErr:
+			if err == nil {
+				t.Fatalf("duplicate-id %s registration not rejected", who)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no rejection for duplicate-id %s", who)
+		}
+	}
+
+	t.Run("member first", func(t *testing.T) {
+		coord := newSyncCoordinator(testPlan(t, "circle"))
+		u1 := newTestUser(t, coord, 4, 0, geom.Pt(0.40, 0.40))
+		if err := u1.client.Register(2); err != nil {
+			t.Fatal(err)
+		}
+		registered(t, coord, false)
+		obs := newTestObserver(t, coord, 4, 0) // same uid as the member
+		if err := obs.client.Register(2); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, obs.runErr, "observer")
+	})
+
+	t.Run("observer first", func(t *testing.T) {
+		coord := newSyncCoordinator(testPlan(t, "circle"))
+		obs := newTestObserver(t, coord, 4, 0)
+		if err := obs.client.Register(2); err != nil {
+			t.Fatal(err)
+		}
+		registered(t, coord, true)
+		u1 := newTestUser(t, coord, 4, 0, geom.Pt(0.40, 0.40)) // same uid as the observer
+		if err := u1.client.Register(2); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, u1.runErr, "member")
+	})
 }
