@@ -6,10 +6,9 @@ package main
 // failover story: primary crash with automatic standby promotion and
 // client failover (fenced differentially against a fault-free oracle,
 // like the chaos suite), deliberate promotion with the old primary
-// still alive (fencing epoch, write refusal, client redirect), an
-// observer subscription surviving the failover, and a follower
-// catch-up differential that byte-compares the two nodes' canonical
-// durable states after interleaved group and POI churn.
+// still alive (fencing epoch, write refusal, client redirect), and a
+// follower catch-up differential that byte-compares the two nodes'
+// canonical durable states after interleaved group and POI churn.
 //
 // Seeds come from CHAOS_SEEDS like the chaos suite, so CI runs the
 // same matrix.
@@ -354,91 +353,6 @@ func TestFailoverFencing(t *testing.T) {
 		}
 		return false
 	})
-}
-
-// TestFailoverObserver: an observer subscription — registered through
-// the multi-address client before the crash — survives the failover
-// and converges on the promoted node's full group view.
-func TestFailoverObserver(t *testing.T) {
-	pois := failoverPOIs()
-	finals := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.60, 0.35), geom.Pt(0.40, 0.65)}
-	want := chaosExpected(t, pois, finals)
-
-	primary, standby := startReplicatedPair(t, pois, 250*time.Millisecond)
-	defer standby.kill()
-	primaryDead := false
-	defer func() {
-		if !primaryDead {
-			primary.kill()
-		}
-	}()
-
-	addrs := []string{primary.addr, standby.addr}
-	users := make([]*chaosUser, len(finals))
-	for i := range finals {
-		users[i] = newFailoverUser(t, addrs, 13, uint32(i), finals[i], uint32(len(finals)))
-	}
-	defer func() {
-		for _, u := range users {
-			u.rc.Stop()
-		}
-	}()
-	waitCond(t, "members registered", func() bool {
-		for _, u := range users {
-			if len(u.rc.Region().Tiles) == 0 {
-				return false
-			}
-		}
-		return true
-	})
-
-	obs, err := proto.NewReconnectClientAddrs(
-		func(addr string) (io.ReadWriteCloser, error) { return net.Dial("tcp", addr) },
-		addrs, 1, 90, uint32(len(finals)),
-		func() geom.Point { return geom.Point{} }, nil,
-		proto.Backoff{Min: 10 * time.Millisecond, Max: 250 * time.Millisecond, Factor: 2, Seed: 13},
-		proto.AsObserver(), proto.WithHeartbeat(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs.Start()
-	defer obs.Stop()
-	waitCond(t, "observer sees the group", func() bool {
-		return len(obs.GroupRegions()) == len(finals)
-	})
-
-	// Kill the primary mid-observation. The standby promotes, members
-	// fail over and re-report; the observer must follow and converge on
-	// the promoted node's view of the exact fault-free plan.
-	primary.crash()
-	primaryDead = true
-
-	deadline := time.Now().Add(45 * time.Second)
-	for {
-		users[0].report()
-		time.Sleep(150 * time.Millisecond)
-		if chaosConverged(users, want) {
-			regions := obs.GroupRegions()
-			match := len(regions) == len(finals)
-			for i := range finals {
-				r, ok := regions[uint32(i)]
-				if !ok || !bytes.Equal(proto.EncodeRegion(r), want.regions[i]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("observer never converged after failover: holds %d regions, reconnects=%d, addrs=%v",
-				len(obs.GroupRegions()), obs.Reconnects(), obs.Addrs())
-		}
-	}
-	if obs.Reconnects() == 0 {
-		t.Fatal("observer never reconnected — the failover was not exercised")
-	}
 }
 
 // TestFollowerCatchUpDifferential: interleaved group churn and POI

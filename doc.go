@@ -222,17 +222,6 @@
 //     with a forced mid-stream reconnect, and compares after every
 //     round).
 //
-// Beyond its members, a group can be watched: a connection registering
-// with proto.FlagObserver (proto.AsObserver on the client) subscribes to
-// the group without joining it — it is never probed, never reports, and
-// does not count toward the group size. Each notify fans one
-// TNotifyDelta to every observer carrying all member regions that
-// changed since that observer's last delivery (all of them on
-// subscription, after a drop, or after a membership change, flagged so
-// the client resets its retained map); the observer reassembles the
-// whole group's state from the same epoch machinery members use.
-// Observers are torn down with the group when its last member leaves.
-//
 // On the kept-path steady state at m=6 the notification round shrinks
 // from ~1.0 KB to ~60 B (≈17×) and serialization from ~17µs to ~250ns;
 // the notify_bytes_*/notify_encode_* series in BENCH_plan.json carry
@@ -400,10 +389,9 @@
 // and adopt server-pushed peer frames (epoch-gated, so a stale list
 // never overrides a newer one), failing over without operator
 // involvement: a write refused by a standby or fenced node arrives with
-// the peer list naming who can serve it, and observer subscriptions
-// re-attach through the ordinary re-register path. The loss window on
-// failover is the replication lag at the moment the primary died, on
-// top of the -fsync window: with fsync=always a promoted follower is
+// the peer list naming who can serve it. The loss window on failover is
+// the replication lag at the moment the primary died, on top of the
+// -fsync window: with fsync=always a promoted follower is
 // missing at most the records the primary had not yet streamed; with
 // fsync=interval a crashed-and-restarted primary may itself have lost
 // up to one interval that its follower retained — the failover chaos

@@ -30,24 +30,6 @@ type ClientOption func(*Client)
 // prove it.
 func WithoutDelta() ClientOption { return func(c *Client) { c.delta = false } }
 
-// GroupNotifyFunc receives each observer update: the group's current
-// meeting point and every member's safe region keyed by user id. The map
-// is the callback's to keep.
-type GroupNotifyFunc func(meeting geom.Point, regions map[uint32]core.SafeRegion)
-
-// AsObserver subscribes the client to the group instead of joining it
-// (FlagObserver): the client never reports or answers probes, and every
-// notification delivers the complete set of member regions, retained and
-// readable through GroupRegions/MemberRegion. Combine with
-// WithGroupNotify to stream updates.
-func AsObserver() ClientOption { return func(c *Client) { c.observer = true } }
-
-// WithGroupNotify installs the observer-side update callback (see
-// GroupNotifyFunc). Only observer clients invoke it.
-func WithGroupNotify(fn GroupNotifyFunc) ClientOption {
-	return func(c *Client) { c.onGroup = fn }
-}
-
 // PeerUpdateFunc receives each TPeers advertisement the server pushes:
 // the fencing epoch that published the list and the cluster's
 // client-facing addresses, primary first. The slice is the callback's to
@@ -90,14 +72,12 @@ type Client struct {
 	group     uint32
 	user      uint32
 	delta     bool
-	observer  bool
 	heartbeat time.Duration
 
 	pongs atomic.Uint64
 
 	loc      LocFunc
 	onNotify NotifyFunc
-	onGroup  GroupNotifyFunc
 	onPeers  PeerUpdateFunc
 
 	wmu sync.Mutex
@@ -107,9 +87,6 @@ type Client struct {
 	region  core.SafeRegion
 	haveReg bool
 	epoch   uint64
-	// obsRegions is the observer-mode retained state: every member's
-	// last delivered region, replaced wholesale on DeltaReset frames.
-	obsRegions map[uint32]core.SafeRegion
 }
 
 // NewClient wires a client over conn. loc must be non-nil; onNotify may be
@@ -137,9 +114,6 @@ func (c *Client) Register(groupSize uint32) error {
 	var flags uint8
 	if c.delta {
 		flags |= FlagDeltaCapable
-	}
-	if c.observer {
-		flags |= FlagObserver
 	}
 	return c.write(Message{
 		Type: TRegister, Group: c.group, User: c.user,
@@ -190,28 +164,6 @@ func (c *Client) Epoch() uint64 {
 // Pongs returns how many heartbeat replies the client has received —
 // observability for liveness tests and monitoring.
 func (c *Client) Pongs() uint64 { return c.pongs.Load() }
-
-// GroupRegions returns a copy of the observer's retained member regions
-// (user id → region). Empty before the first observer frame, and on
-// non-observer clients.
-func (c *Client) GroupRegions() map[uint32]core.SafeRegion {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[uint32]core.SafeRegion, len(c.obsRegions))
-	for uid, r := range c.obsRegions {
-		out[uid] = r
-	}
-	return out
-}
-
-// MemberRegion returns the observer's retained region for one member
-// and whether it is known.
-func (c *Client) MemberRegion(uid uint32) (core.SafeRegion, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	r, ok := c.obsRegions[uid]
-	return r, ok
-}
 
 // Run processes server frames until EOF or error. Run answers probes
 // automatically; notifications — full or delta — update Meeting/Region
@@ -301,9 +253,6 @@ func (c *Client) pinger(stop <-chan struct{}) {
 // answers TNack and waits for the server's full repair instead of
 // exposing state it cannot verify.
 func (c *Client) applyDelta(msg Message) error {
-	if c.observer {
-		return c.applyObserverDelta(msg)
-	}
 	var rec *RegionDelta
 	for i := range msg.Deltas {
 		if msg.Deltas[i].Member == c.user {
@@ -333,51 +282,6 @@ func (c *Client) applyDelta(msg Message) error {
 	c.mu.Unlock()
 	if c.onNotify != nil {
 		c.onNotify(meeting, region)
-	}
-	return nil
-}
-
-// applyObserverDelta folds a group-state frame into the observer's
-// retained member map. Records are complete regions, so application is
-// unconditional; a DeltaReset frame first discards everything retained —
-// that is how departed members disappear from the map. An observer that
-// has no state yet and receives a non-reset frame cannot tell which
-// members it is missing, so it NACKs and the server repairs it with a
-// full frame.
-func (c *Client) applyObserverDelta(msg Message) error {
-	decoded := make([]core.SafeRegion, len(msg.Deltas))
-	for i := range msg.Deltas {
-		r, err := DecodeRegion(msg.Deltas[i].Region)
-		if err != nil {
-			return err
-		}
-		decoded[i] = r
-	}
-	c.mu.Lock()
-	if c.obsRegions == nil && !msg.DeltaReset {
-		c.mu.Unlock()
-		return c.write(Message{Type: TNack, Group: c.group, User: c.user})
-	}
-	if msg.DeltaReset || c.obsRegions == nil {
-		c.obsRegions = make(map[uint32]core.SafeRegion, len(msg.Deltas))
-	}
-	for i := range msg.Deltas {
-		c.obsRegions[msg.Deltas[i].Member] = decoded[i]
-	}
-	if msg.MeetingChanged {
-		c.meeting = msg.Meeting
-	}
-	meeting := c.meeting
-	var snapshot map[uint32]core.SafeRegion
-	if c.onGroup != nil {
-		snapshot = make(map[uint32]core.SafeRegion, len(c.obsRegions))
-		for uid, r := range c.obsRegions {
-			snapshot[uid] = r
-		}
-	}
-	c.mu.Unlock()
-	if c.onGroup != nil {
-		c.onGroup(meeting, snapshot)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,7 +93,6 @@ type coordCounters struct {
 	staleDeliveries atomic.Uint64
 	protocolErrors  atomic.Uint64
 	heartbeats      atomic.Uint64
-	observerFrames  atomic.Uint64
 	writeRefusals   atomic.Uint64
 }
 
@@ -118,9 +118,6 @@ type CoordStats struct {
 	ProtocolErrors uint64
 	// Heartbeats counts TPing frames answered with TPong.
 	Heartbeats uint64
-	// ObserverFrames counts group-state TNotifyDelta frames successfully
-	// enqueued to FlagObserver subscriptions.
-	ObserverFrames uint64
 	// WriteRefusals counts registrations and reports refused by the
 	// write gate (this node was not the primary), each answered with a
 	// peer redirect.
@@ -137,7 +134,6 @@ func (c *Coordinator) Stats() CoordStats {
 		StaleDeliveries:       c.stats.staleDeliveries.Load(),
 		ProtocolErrors:        c.stats.protocolErrors.Load(),
 		Heartbeats:            c.stats.heartbeats.Load(),
-		ObserverFrames:        c.stats.observerFrames.Load(),
 		WriteRefusals:         c.stats.writeRefusals.Load(),
 	}
 }
@@ -185,23 +181,18 @@ func (c *Coordinator) SetGroupEmptyHook(fn func(gid uint32)) { c.onEmpty = fn }
 // largest burst one critical section queues to one member is 2 frames (a
 // registration's TNotify plus TPeers, or refuseWrite's TPeers plus
 // TError). Over net.Pipe, whose writes wait for the reader, the
-// closed-loop fleet of TestFleetTrafficFitsOutbox drops frames at 2 slots
-// and none at 16. The queue fills only while the writer is blocked on a
-// full socket, and then the write deadline is the real bound: more slots
-// only delay the drop → needFull → kick path the slow-client policy
-// already takes.
+// closed-loop fleet of TestFleetTrafficFitsOutbox dropped frames in 50 of
+// 50 runs at 1 slot and 35 of 50 at 2 (20 of 20 each under -race), and
+// in none of 50 (20 under -race) at 16. The queue fills only while the
+// writer is blocked on a full socket, and then the write deadline is the
+// real bound: more slots only delay the drop → needFull → kick path the
+// slow-client policy already takes.
 const outboxSize = 16
 
 // group is the server-side state of one user group.
 type group struct {
 	size    uint32
 	members map[uint32]*member
-	// observers are FlagObserver subscriptions: connections that receive
-	// the whole group's regions on every notify but do not count toward
-	// size, are never probed, and never report. Keyed by user id in the
-	// same id space as members (a duplicate across the two maps is
-	// rejected at registration so disconnect routing is unambiguous).
-	observers map[uint32]*member
 	// probing is non-nil while a probe round is outstanding; it holds the
 	// user ids whose replies are still missing.
 	probing map[uint32]bool
@@ -232,9 +223,6 @@ func (g *group) resetEncLocked(ids []uint32) {
 	g.encIDs = append(g.encIDs[:0], ids...)
 	for _, mb := range g.members {
 		mb.needFull = true
-	}
-	for _, ob := range g.observers {
-		ob.needFull = true
 	}
 }
 
@@ -267,10 +255,6 @@ type member struct {
 	epoch    uint64
 	meeting  geom.Point
 
-	// obsEpochs, on observer connections only, records the per-member
-	// region epoch last successfully enqueued to this observer — the
-	// observer-side analogue of epoch, one entry per watched member.
-	obsEpochs map[uint32]uint64
 	// drops counts consecutive outbox drops (guarded by the coordinator
 	// lock); any successful send resets it. kick, when non-nil, closes
 	// the member's connection — the slow-client policy's teeth.
@@ -404,26 +388,13 @@ func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meetin
 		}
 		return
 	}
-	if len(current) != len(regions) || (ids != nil && !sameIDs(ids, current)) {
+	if len(current) != len(regions) || (ids != nil && !slices.Equal(ids, current)) {
 		c.stats.staleDeliveries.Add(1)
 		c.logger.Printf("group %d: dropping stale delivery (members %v, computed for %v, %d regions)",
 			gid, current, ids, len(regions))
 		return
 	}
 	c.notifyLocked(gid, g, current, meeting, regions, epochs)
-}
-
-// sameIDs reports whether two ascending id lists are identical.
-func sameIDs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // errNonFinite ends the session of a client that sent a NaN or ±Inf
@@ -516,10 +487,10 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 }
 
 // pushPeers enqueues the current peer advertisement to a freshly
-// registered member or observer, so failover-capable clients learn the
-// standby addresses before they ever need them. The gate is consulted
-// outside the coordinator lock (it may take replication locks of its
-// own); the frame rides the member's outbox like any other delivery.
+// registered member, so failover-capable clients learn the standby
+// addresses before they ever need them. The gate is consulted outside
+// the coordinator lock (it may take replication locks of its own); the
+// frame rides the member's outbox like any other delivery.
 func (c *Coordinator) pushPeers(gid, uid uint32) {
 	if c.gate == nil {
 		return
@@ -534,11 +505,7 @@ func (c *Coordinator) pushPeers(gid, uid uint32) {
 	if g == nil {
 		return
 	}
-	mb := g.members[uid]
-	if mb == nil {
-		mb = g.observers[uid]
-	}
-	if mb != nil {
+	if mb := g.members[uid]; mb != nil {
 		mb.noteSend(c, gid, mb.send(Message{Type: TPeers, Epoch: epoch, Peers: peers}))
 	}
 }
@@ -557,9 +524,6 @@ func (c *Coordinator) refuseWrite(gid, uid uint32, peers []string, epoch uint64,
 		return
 	}
 	mb := g.members[uid]
-	if mb == nil {
-		mb = g.observers[uid]
-	}
 	if mb == nil {
 		return
 	}
@@ -594,11 +558,7 @@ func (c *Coordinator) reply(conn io.Writer, registered bool, gid, uid uint32, ms
 	if g == nil {
 		return
 	}
-	mb := g.members[uid]
-	if mb == nil {
-		mb = g.observers[uid]
-	}
-	if mb != nil {
+	if mb := g.members[uid]; mb != nil {
 		mb.noteSend(c, gid, mb.send(msg))
 	}
 }
@@ -609,15 +569,17 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 	if msg.GroupSize == 0 {
 		return errors.New("group size must be positive")
 	}
+	if msg.Flags&^FlagDeltaCapable != 0 {
+		return fmt.Errorf("unknown register flags %#x", msg.Flags)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.groups[msg.Group]
 	if g == nil {
 		g = &group{
-			size:      msg.GroupSize,
-			members:   map[uint32]*member{},
-			observers: map[uint32]*member{},
-			enc:       map[uint32]*encRegion{},
+			size:    msg.GroupSize,
+			members: map[uint32]*member{},
+			enc:     map[uint32]*encRegion{},
 		}
 		c.groups[msg.Group] = g
 	}
@@ -626,12 +588,6 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 	}
 	if _, dup := g.members[msg.User]; dup {
 		return fmt.Errorf("user %d already in group %d", msg.User, msg.Group)
-	}
-	if _, dup := g.observers[msg.User]; dup {
-		return fmt.Errorf("user %d already observes group %d", msg.User, msg.Group)
-	}
-	if msg.Flags&FlagObserver != 0 {
-		return c.registerObserverLocked(msg, g, w)
 	}
 	if uint32(len(g.members)) >= g.size {
 		return fmt.Errorf("group %d is full", msg.Group)
@@ -651,83 +607,6 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 		c.replanLocked(msg.Group, g)
 	}
 	return nil
-}
-
-// registerObserverLocked adds a FlagObserver subscription to the group:
-// the connection gets the usual outbox/writer machinery but lives in the
-// observers map — it does not count toward the group size and never
-// participates in the report/probe exchange. If the group already
-// distributed a plan, the observer is caught up immediately from the
-// encoding cache; otherwise its first frame arrives with the group's
-// first plan.
-func (c *Coordinator) registerObserverLocked(msg Message, g *group, w io.Writer) error {
-	ob := newMember(msg.User, w, c.logger)
-	ob.obsEpochs = map[uint32]uint64{}
-	if closer, ok := w.(io.Closer); ok {
-		ob.kick = func() { _ = closer.Close() }
-	}
-	g.observers[msg.User] = ob
-	c.logger.Printf("group %d: observer %d subscribed (%d observers)",
-		msg.Group, msg.User, len(g.observers))
-	if g.havePlan {
-		c.sendObserverLocked(msg.Group, g, ob, g.lastMeeting)
-	}
-	return nil
-}
-
-// notifyObserversLocked fans the group's freshly cached plan out to its
-// observers. Must run after the member loop of notifyLocked populated
-// the encoding cache for the current membership.
-func (c *Coordinator) notifyObserversLocked(gid uint32, g *group, meeting geom.Point) {
-	for _, ob := range g.observers {
-		c.sendObserverLocked(gid, g, ob, meeting)
-	}
-}
-
-// sendObserverLocked builds and enqueues one observer TNotifyDelta from
-// the group's encoding cache: a full (DeltaReset) frame carrying every
-// member's region when the observer needs repair, otherwise only the
-// records whose epoch advanced since the observer's last successful
-// enqueue. A drop marks the observer for full repair, exactly like a
-// member's dropped notify.
-func (c *Coordinator) sendObserverLocked(gid uint32, g *group, ob *member, meeting geom.Point) {
-	full := ob.needFull
-	msg := Message{Type: TNotifyDelta, Group: gid, User: ob.user, DeltaReset: full}
-	if full || meeting != ob.meeting {
-		msg.MeetingChanged = true
-		msg.Meeting = meeting
-	}
-	for _, uid := range g.encIDs {
-		e := g.enc[uid]
-		if e == nil {
-			continue
-		}
-		if !full {
-			if last, ok := ob.obsEpochs[uid]; ok && last == e.epoch {
-				continue
-			}
-		}
-		msg.Deltas = append(msg.Deltas, RegionDelta{Member: uid, Epoch: e.epoch, Region: e.data})
-	}
-	if !full && !msg.MeetingChanged && len(msg.Deltas) == 0 {
-		return // nothing changed for this observer; no frame
-	}
-	ok := ob.send(msg)
-	ob.noteSend(c, gid, ok)
-	if !ok {
-		ob.needFull = true
-		c.logger.Printf("group %d: observer frame to %d dropped (outbox full)", gid, ob.user)
-		return
-	}
-	c.stats.observerFrames.Add(1)
-	ob.needFull = false
-	ob.meeting = meeting
-	if full {
-		clear(ob.obsEpochs)
-	}
-	for _, d := range msg.Deltas {
-		ob.obsEpochs[d.Member] = d.Epoch
-	}
 }
 
 // handleReport is step 1: record the reporter's location and probe the
@@ -813,7 +692,7 @@ func memberIDs(g *group) []uint32 {
 	for uid := range g.members {
 		ids = append(ids, uid)
 	}
-	sortU32(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -829,7 +708,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 	if len(epochs) != len(ids) {
 		epochs = nil
 	}
-	if !sameIDs(ids, g.encIDs) {
+	if !slices.Equal(ids, g.encIDs) {
 		g.resetEncLocked(ids)
 	}
 	for i, uid := range ids {
@@ -855,7 +734,6 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 	}
 	g.lastMeeting = meeting
 	g.havePlan = true
-	c.notifyObserversLocked(gid, g, meeting)
 }
 
 // recordSend updates the member's delivered-state tracking after a send
@@ -916,15 +794,6 @@ func (c *Coordinator) handleNack(msg Message) {
 	}
 	mb := g.members[msg.User]
 	if mb == nil {
-		if ob := g.observers[msg.User]; ob != nil {
-			// An observer that cannot reconcile a frame asks for complete
-			// state; repair it from the cache like any other NACK.
-			ob.needFull = true
-			if g.havePlan {
-				c.stats.nackRepairs.Add(1)
-				c.sendObserverLocked(msg.Group, g, ob, g.lastMeeting)
-			}
-		}
 		return
 	}
 	mb.needFull = true
@@ -943,18 +812,14 @@ func (c *Coordinator) handleNack(msg Message) {
 	}
 }
 
-// removeMember drops a disconnected user (member or observer); an
-// incomplete group stops replanning until it refills. When the last
-// member leaves, the group dissolves and its observers are disconnected
-// with it — there is nothing left to observe, and a future group under
-// the same id is a different group.
+// removeMember drops a disconnected member; an incomplete group stops
+// replanning until it refills. When the last member leaves, the group
+// dissolves — a future group under the same id is a different group.
 func (c *Coordinator) removeMember(gid, uid uint32) {
 	c.mu.Lock()
-	g := c.groups[gid]
-	var closing []*member
-	if g != nil {
-		if mb := g.members[uid]; mb != nil {
-			closing = append(closing, mb)
+	var mb *member
+	if g := c.groups[gid]; g != nil {
+		if mb = g.members[uid]; mb != nil {
 			delete(g.members, uid)
 			// Drop the cached encoding too: entries are only trustworthy for
 			// the membership they were built under (see encIDs), and keeping
@@ -967,32 +832,17 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 			g.probing = nil
 			if len(g.members) == 0 {
 				delete(c.groups, gid)
-				for ouid, ob := range g.observers {
-					delete(g.observers, ouid)
-					if ob.kick != nil {
-						ob.kick()
-					}
-					closing = append(closing, ob)
-				}
 				if c.onEmpty != nil {
 					// Under the lock: a re-registration of the same gid
 					// cannot interleave with the backend teardown.
 					c.onEmpty(gid)
 				}
 			}
-		} else if ob := g.observers[uid]; ob != nil {
-			closing = append(closing, ob)
-			delete(g.observers, uid)
-			if len(g.members) == 0 && len(g.observers) == 0 {
-				// Observer-first group whose members never arrived: GC it.
-				// No onEmpty — nothing was ever submitted to a backend.
-				delete(c.groups, gid)
-			}
 		}
 	}
 	c.mu.Unlock()
-	for _, m := range closing {
-		m.close()
+	if mb != nil {
+		mb.close()
 	}
 	c.logger.Printf("group %d: user %d left", gid, uid)
 }
@@ -1002,14 +852,6 @@ func (c *Coordinator) NumGroups() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.groups)
-}
-
-func sortU32(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // EncodeRegion is the one region codec (the public mpn.EncodeRegion

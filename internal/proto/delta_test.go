@@ -99,12 +99,14 @@ func TestDeltaFrameCorruption(t *testing.T) {
 			t.Fatalf("truncated delta payload (%d/%d bytes) accepted", cut, len(payload))
 		}
 	}
-	// Unknown delta flags are rejected.
-	mut := append([]byte(nil), payload...)
-	// flags byte sits after type + uvarint(group=5) + uvarint(user=1).
-	mut[3] = 0x80
-	if _, err := parsePayload(mut); err == nil {
-		t.Fatal("unknown delta flags accepted")
+	// Unknown delta flags are rejected: deltaMeeting is the only bit.
+	for _, fl := range []byte{0x80, 0x02} {
+		mut := append([]byte(nil), payload...)
+		// flags byte sits after type + uvarint(group=5) + uvarint(user=1).
+		mut[3] = fl
+		if _, err := parsePayload(mut); err == nil {
+			t.Fatalf("unknown delta flags %#x accepted", fl)
+		}
 	}
 	// Absurd record count is rejected.
 	bad := []byte{byte(TNotifyDelta), 5, 1, 0, 3, 0xff, 0xff, 0xff, 0xff, 0x0f}

@@ -271,74 +271,3 @@ func TestReconnectClientAdoptsPeers(t *testing.T) {
 		t.Fatal("Connected never recovered on the advertised server")
 	}
 }
-
-// An observer ReconnectClient must re-subscribe after a failover and
-// keep serving the retained group view during the gap.
-func TestReconnectObserverSurvivesRestart(t *testing.T) {
-	srv := &restartableServer{t: t, plan: testPlan(t, "circle")}
-	srv.start()
-	defer srv.kill()
-
-	member, err := NewReconnectClient(
-		func() (io.ReadWriteCloser, error) { return net.Dial("tcp", srv.addr()) },
-		1, 0, 1,
-		func() geom.Point { return geom.Pt(0.25, 0.25) }, nil,
-		Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	member.Start()
-	defer member.Stop()
-
-	groupFrames := make(chan int, 64)
-	obs, err := NewReconnectClient(
-		func() (io.ReadWriteCloser, error) { return net.Dial("tcp", srv.addr()) },
-		1, 100, 1,
-		func() geom.Point { return geom.Point{} }, nil,
-		Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond, Seed: 2},
-		AsObserver(),
-		WithGroupNotify(func(_ geom.Point, regions map[uint32]core.SafeRegion) {
-			groupFrames <- len(regions)
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs.Start()
-	defer obs.Stop()
-
-	waitGroup := func(what string) {
-		select {
-		case n := <-groupFrames:
-			if n != 1 {
-				t.Fatalf("%s: observer saw %d regions, want 1", what, n)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-	waitGroup("initial observer frame")
-	if got := obs.GroupRegions(); len(got) != 1 {
-		t.Fatalf("retained group view has %d regions", len(got))
-	}
-
-	srv.kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for obs.Connected() {
-		if time.Now().After(deadline) {
-			t.Fatal("observer never noticed the dead server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The retained view answers during the outage.
-	if got := obs.GroupRegions(); len(got) != 1 {
-		t.Fatalf("retained group view lost during outage (%d regions)", len(got))
-	}
-
-	// After the restart both sessions re-register: the member re-forms
-	// the group, and the observer's re-subscription is caught up with a
-	// complete frame.
-	srv.start()
-	waitGroup("post-restart observer frame")
-}

@@ -13,7 +13,7 @@ import (
 func fuzzSeedMessages() []Message {
 	return []Message{
 		{Type: TRegister, Group: 7, User: 2, GroupSize: 3,
-			Flags: FlagDeltaCapable | FlagObserver, Loc: geom.Pt(0.25, 0.5)},
+			Flags: FlagDeltaCapable, Loc: geom.Pt(0.25, 0.5)},
 		{Type: TReport, Group: 1, User: 0, Loc: geom.Pt(-1, 2)},
 		{Type: TNotify, Group: 3, User: 1, Epoch: 9,
 			Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3, 4}},
@@ -36,7 +36,7 @@ func fuzzSeedMessages() []Message {
 		{Type: TRegister, Group: 1 << 31, User: 1 << 20, GroupSize: 64},
 		{Type: TNotify, Group: 200, User: 2},
 		{Type: TError, Group: 200, Text: "group 200 is full"},
-		{Type: TNotifyDelta, Group: 8, User: 3, DeltaReset: true,
+		{Type: TNotifyDelta, Group: 8, User: 3,
 			Deltas: []RegionDelta{{Member: 3, Epoch: 1, Region: []byte{'C'}}}},
 	}
 }

@@ -126,32 +126,14 @@ func (t MsgType) String() string {
 // FlagDeltaCapable, set on a Register frame, announces that the client
 // understands TNotifyDelta frames. The server only sends deltas to
 // members that negotiated them, so a client that opts out — or never
-// sets the flag — receives full TNotify frames forever.
+// sets the flag — receives full TNotify frames forever. It is the only
+// Register flag: the server refuses a registration that sets any other
+// bit.
 const FlagDeltaCapable uint8 = 1 << 0
-
-// FlagObserver, set on a Register frame, subscribes the connection to a
-// group's notifications WITHOUT joining it: an observer does not count
-// toward the group size, is never probed, and never reports. Whenever
-// the group's members are notified of a fresh plan, each observer
-// receives one TNotifyDelta frame whose Deltas carry every member's
-// complete encoded region that changed since the observer's last
-// delivery (all of them after subscription, a drop, or a membership
-// change). Observer frames always use the delta layout regardless of
-// FlagDeltaCapable, and their Epoch field is zero — an observer has no
-// own-region epoch. Observers are torn down with the group when its
-// last member leaves.
-const FlagObserver uint8 = 1 << 2
 
 // deltaMeeting marks a TNotifyDelta frame that carries a meeting point
 // (it changed since the last delivery to this client).
 const deltaMeeting uint8 = 1 << 0
-
-// deltaReset marks a TNotifyDelta frame as complete state: the recipient
-// must discard every retained member region before applying the frame's
-// records. The coordinator sets it on full observer deliveries —
-// subscription catch-up, drop repair, membership change — so an observer
-// never keeps a region of a member that left the group.
-const deltaReset uint8 = 1 << 1
 
 // MaxFrame bounds a frame's payload, protecting the reader from corrupt
 // length prefixes. Tile regions are a few hundred bytes; 1 MiB is
@@ -182,12 +164,10 @@ type Message struct {
 	Region    []byte
 	Text      string
 
-	// MeetingChanged, DeltaReset and Deltas belong to TNotifyDelta
-	// frames: the meeting point is serialized only when it changed,
-	// DeltaReset marks a complete-state (observer repair) frame, and
-	// Deltas holds the changed-region records.
+	// MeetingChanged and Deltas belong to TNotifyDelta frames: the
+	// meeting point is serialized only when it changed, and Deltas holds
+	// the changed-region records.
 	MeetingChanged bool
-	DeltaReset     bool
 	Deltas         []RegionDelta
 
 	// Peers belongs to TPeers frames: the cluster's client-facing
@@ -228,9 +208,6 @@ func (m Message) appendPayload(buf []byte) []byte {
 		fl := uint8(0)
 		if m.MeetingChanged {
 			fl |= deltaMeeting
-		}
-		if m.DeltaReset {
-			fl |= deltaReset
 		}
 		buf = append(buf, fl)
 		buf = binary.AppendUvarint(buf, m.Epoch)
@@ -360,10 +337,9 @@ func parsePayload(p []byte) (Message, error) {
 	case TNotifyDelta:
 		m.Group, m.User = c.u32(), c.u32()
 		fl := c.u8()
-		if fl&^(deltaMeeting|deltaReset) != 0 {
+		if fl&^deltaMeeting != 0 {
 			c.bad = true
 		}
-		m.DeltaReset = fl&deltaReset != 0
 		m.Epoch = c.uvarint()
 		if fl&deltaMeeting != 0 {
 			m.MeetingChanged = true

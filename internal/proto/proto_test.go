@@ -61,9 +61,9 @@ func TestFrameGoldenBytes(t *testing.T) {
 		{Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 6,
 			Deltas: []RegionDelta{{Member: 1, Epoch: 6, Region: []byte{'C', 1, 2}}}},
 			"0c000000070301000601010603430102"},
-		{Message{Type: TNotifyDelta, Group: 300, User: 70000, Epoch: 1 << 40, MeetingChanged: true, DeltaReset: true,
+		{Message{Type: TNotifyDelta, Group: 300, User: 70000, Epoch: 1 << 40, MeetingChanged: true,
 			Meeting: geom.Pt(-1, 2), Deltas: []RegionDelta{{Member: 1, Epoch: 9, Region: []byte{1, 2, 3}}, {Member: 200, Epoch: 2}}},
-			"2800000007ac02f0a20403808080808020000000000000f0bf000000000000004002010903010203c8010200"},
+			"2800000007ac02f0a20401808080808020000000000000f0bf000000000000004002010903010203c8010200"},
 		{Message{Type: TPing, Epoch: 42}, "02000000092a"},
 		{Message{Type: TPong, Epoch: 1 << 40}, "070000000a808080808020"},
 		{Message{Type: TPeers, Epoch: 3, Peers: []string{"primary:9000", "standby:9001"}},
@@ -335,12 +335,28 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 		t.Fatalf("want TError got %v", msg.Type)
 	}
 
+	// A flag bit other than FlagDeltaCapable: refused before any group
+	// state exists, so the client cannot join as a member it did not ask
+	// to be.
+	if err := Write(clientSide, Message{Type: TRegister, Group: 1, User: 0, GroupSize: 2, Flags: FlagDeltaCapable | 1<<2}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err = Read(clientSide); err != nil || msg.Type != TError {
+		t.Fatalf("unknown register flag: %v %v", msg.Type, err)
+	}
+	if n := coord.NumGroups(); n != 0 {
+		t.Fatalf("refused registration left %d groups", n)
+	}
+
 	// Report before register.
 	if err := Write(clientSide, Message{Type: TReport, Group: 1, User: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err = Read(clientSide); err != nil || msg.Type != TError {
 		t.Fatalf("report-before-register: %v %v", msg.Type, err)
+	}
+	if n := coord.Stats().ProtocolErrors; n != 3 {
+		t.Fatalf("ProtocolErrors=%d, want 3", n)
 	}
 }
 

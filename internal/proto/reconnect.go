@@ -76,12 +76,10 @@ type ReconnectClient struct {
 	backoff   Backoff
 	rng       *rand.Rand
 
-	// userPeers and userGroup are the caller's WithPeerUpdate and
-	// WithGroupNotify callbacks, extracted from opts at construction so
-	// the client can interpose its own retention/adoption handlers and
-	// still forward every event.
+	// userPeers is the caller's WithPeerUpdate callback, extracted from
+	// opts at construction so the client can interpose its own adoption
+	// handler and still forward every advertisement.
 	userPeers PeerUpdateFunc
-	userGroup GroupNotifyFunc
 
 	reconnects atomic.Uint64
 	connected  atomic.Bool
@@ -109,9 +107,6 @@ type ReconnectClient struct {
 	meeting geom.Point
 	region  core.SafeRegion
 	haveReg bool
-	// obsRegions is the observer-mode retained group view, surviving
-	// reconnects just like the member-mode plan above.
-	obsRegions map[uint32]core.SafeRegion
 }
 
 // NewReconnectClient builds a reconnecting client. dial and loc must be
@@ -158,8 +153,8 @@ func NewReconnectClientAddrs(dial AddrDialFunc, addrs []string, group, user, gro
 }
 
 // newReconnectClient is the shared construction path: it captures the
-// caller's peer/group callbacks so the session loop can interpose its
-// own adoption and retention handlers in front of them.
+// caller's peer callback so the session loop can interpose its own
+// adoption handler in front of it.
 func newReconnectClient(group, user, groupSize uint32, loc LocFunc, onNotify NotifyFunc, backoff Backoff, opts []ClientOption) *ReconnectClient {
 	b := backoff.withDefaults()
 	rc := &ReconnectClient{
@@ -169,13 +164,12 @@ func newReconnectClient(group, user, groupSize uint32, loc LocFunc, onNotify Not
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	// Probe the options on a throwaway Client to learn the caller's
-	// callbacks (options are plain field setters, so this is safe).
+	// callback (options are plain field setters, so this is safe).
 	var probe Client
 	for _, o := range opts {
 		o(&probe)
 	}
 	rc.userPeers = probe.onPeers
-	rc.userGroup = probe.onGroup
 	return rc
 }
 
@@ -309,19 +303,6 @@ func (rc *ReconnectClient) NeedsUpdate(loc geom.Point) bool {
 	return !rc.region.Contains(loc)
 }
 
-// GroupRegions returns a copy of the observer-mode retained group view
-// (user id → region), surviving reconnects. Empty on non-observer
-// clients and before the first observer frame.
-func (rc *ReconnectClient) GroupRegions() map[uint32]core.SafeRegion {
-	rc.pmu.RLock()
-	defer rc.pmu.RUnlock()
-	out := make(map[uint32]core.SafeRegion, len(rc.obsRegions))
-	for uid, r := range rc.obsRegions {
-		out[uid] = r
-	}
-	return out
-}
-
 // retain records a notification into the cross-session plan and forwards
 // it to the caller's callback.
 func (rc *ReconnectClient) retain(meeting geom.Point, region core.SafeRegion) {
@@ -335,27 +316,6 @@ func (rc *ReconnectClient) retain(meeting geom.Point, region core.SafeRegion) {
 	}
 }
 
-// retainGroup is the observer-mode analogue of retain: each session's
-// group snapshots replace the retained view (observer frames always
-// carry complete regions, and a fresh session starts from a DeltaReset
-// frame, so wholesale replacement is correct), then flow on to the
-// caller's WithGroupNotify callback.
-func (rc *ReconnectClient) retainGroup(meeting geom.Point, regions map[uint32]core.SafeRegion) {
-	rc.pmu.Lock()
-	rc.meeting = meeting
-	rc.obsRegions = regions
-	rc.pmu.Unlock()
-	if rc.userGroup != nil {
-		// Forward a copy: the retained map must not be aliased by a
-		// callback that mutates its argument.
-		fwd := make(map[uint32]core.SafeRegion, len(regions))
-		for uid, r := range regions {
-			fwd[uid] = r
-		}
-		rc.userGroup(meeting, fwd)
-	}
-}
-
 // run is the session loop: dial, register, pump frames; on any session
 // death, back off, rotate the address book (multi-address clients), and
 // start over. The backoff resets after every successful registration, so
@@ -363,11 +323,10 @@ func (rc *ReconnectClient) retainGroup(meeting geom.Point, regions map[uint32]co
 // is approached at Max cadence — and with several candidate addresses,
 // the whole ring is walked before the delay compounds much.
 func (rc *ReconnectClient) run() {
-	// Every session interposes the adoption and retention handlers; the
-	// caller's own callbacks (captured at construction) are forwarded
-	// from inside them.
-	sessionOpts := append(append([]ClientOption(nil), rc.opts...),
-		WithPeerUpdate(rc.adoptPeers), WithGroupNotify(rc.retainGroup))
+	// Every session interposes the adoption handler; the caller's own
+	// peer callback (captured at construction) is forwarded from inside
+	// it.
+	sessionOpts := append(append([]ClientOption(nil), rc.opts...), WithPeerUpdate(rc.adoptPeers))
 	delay := rc.backoff.Min
 	for attempt := 0; ; attempt++ {
 		if rc.isStopped() {
