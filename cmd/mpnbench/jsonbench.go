@@ -841,7 +841,7 @@ func runNetBench(report *benchfmt.Report, log io.Writer) error {
 // members, under the historical full protocol (re-encode every region
 // into a TNotify per member, every time) versus the epoch-tracked delta
 // protocol (one epoch compare per member; unchanged regions ship a
-// record-less TNotifyDelta and are never re-encoded). notify_bytes_*
+// region-less TNotifyDelta and are never re-encoded). notify_bytes_*
 // carry the deterministic frame bytes per notification round;
 // notify_encode_* carry the server-side serialization ns/op.
 func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) error {
@@ -905,7 +905,7 @@ func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Write
 			}
 		})
 		// Delta kept path: the coordinator's epoch compare finds every
-		// region unchanged; nothing is encoded, a record-less frame goes
+		// region unchanged; nothing is encoded, a region-less frame goes
 		// out.
 		rDelta := testing.Benchmark(func(b *testing.B) {
 			delivered := append([]uint64(nil), epochs...)
@@ -914,7 +914,7 @@ func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Write
 				for j := range regions {
 					msg := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(j), Epoch: epochs[j]}
 					if epochs[j] != delivered[j] {
-						msg.Deltas = []proto.RegionDelta{{Member: uint32(j), Epoch: epochs[j], Region: proto.EncodeRegion(regions[j])}}
+						msg.Region = proto.EncodeRegion(regions[j])
 						delivered[j] = epochs[j]
 					}
 					fb, _ = msg.AppendFrame(fb[:0])

@@ -197,20 +197,20 @@
 //   - Epoch stamping: core.PlanState tags every member slot with a
 //     monotone epoch that advances exactly when that slot's region
 //     content changes — a kept plan advances nothing, a partial regrow
-//     advances only the regrown members. The engine snapshots the
-//     vector into Notification.Epochs.
+//     advances only the regrown members. Every engine, incremental or
+//     not, records its plans there and snapshots the vector into
+//     Notification.Epochs.
 //   - Lazy encoding: the coordinator caches each member's encoded
 //     region keyed by its epoch. An unchanged region is never re-encoded
 //     — the kept path's serialization cost is one integer compare per
-//     member — and the cached bytes are shared across deliveries.
-//     Backends without epochs still work: the coordinator compares
-//     encodings and mints its own epochs, saving the bytes if not the
-//     encode.
+//     member — and a NACK is repaired from the cached bytes. A backend
+//     without epochs still works: the coordinator treats every region as
+//     changed and stamps it with the member's next epoch.
 //   - Delta frames: clients negotiate with a Register flag; the server
 //     then sends a compact TNotifyDelta (~10 bytes when nothing
-//     changed) carrying only the changed regions as (member, epoch,
-//     full encoded region) records. Records are complete regions, so
-//     one frame repairs any epoch gap.
+//     changed) carrying the member's own encoded region only when it
+//     changed, as the paper's step 3 sends each member her own region.
+//     A carried region is complete, so one frame repairs any epoch gap.
 //   - Full-frame fallback: registrations, clients that did not
 //     negotiate, reconnects, any frame dropped at the member's outbox,
 //     and client NACKs all force a full TNotify. The server never

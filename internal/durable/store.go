@@ -56,14 +56,6 @@ type Config struct {
 	// CompactAt is the log size (bytes) that triggers snapshot
 	// compaction. Default 1MiB.
 	CompactAt int64
-	// CompactEvery, when positive, also compacts once the live log is
-	// older than this — so a low-traffic server does not replay (or ship
-	// to a follower) a WAL of unbounded age. 0 disables the age trigger.
-	CompactEvery time.Duration
-	// CompactAfterRecords, when positive, also compacts once this many
-	// records landed in the live log regardless of byte size. 0 disables
-	// the record-count trigger.
-	CompactAfterRecords int
 	// ReopenAttempts bounds reopen-with-backoff after a transient write
 	// or sync error: the writer rebuilds a fresh snapshot+log pair from
 	// its mirror up to this many times before wedging permanently.
@@ -129,20 +121,18 @@ type Store struct {
 
 	// Writer-goroutine-owned state. Crash-path truncation also runs on
 	// the writer goroutine (crashCh / panic recovery), never outside.
-	f                *os.File
-	seq              uint64
-	hasSnap          bool // snap-<seq> exists on disk
-	written          int64
-	synced           int64
-	compactAfter     int64
-	lastSync         time.Time
-	lastCompact      time.Time
-	recsSinceCompact int
-	mirror           *State
-	buf              []byte
-	rng              *rand.Rand
-	ioErr            bool // transient I/O error: reopen-with-backoff may recover
-	permWedged       bool // torn write, crash, or reopen exhausted: stay wedged
+	f            *os.File
+	seq          uint64
+	hasSnap      bool // snap-<seq> exists on disk
+	written      int64
+	synced       int64
+	compactAfter int64
+	lastSync     time.Time
+	mirror       *State
+	buf          []byte
+	rng          *rand.Rand
+	ioErr        bool // transient I/O error: reopen-with-backoff may recover
+	permWedged   bool // torn write, crash, or reopen exhausted: stay wedged
 }
 
 // Open recovers the durable state in cfg.Dir and opens the store for
@@ -235,7 +225,6 @@ func Open(cfg Config) (*Store, *State, RecoverInfo, error) {
 		synced:       valid,
 		compactAfter: cfg.CompactAt,
 		lastSync:     time.Now(),
-		lastCompact:  time.Now(),
 		mirror:       st.Clone(),
 		rng:          rand.New(rand.NewSource(1)),
 	}
@@ -491,17 +480,6 @@ func (s *Store) writer() {
 		defer t.Stop()
 		tickC = t.C
 	}
-	var compactC <-chan time.Time
-	if s.cfg.CompactEvery > 0 {
-		period := s.cfg.CompactEvery / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		ct := time.NewTicker(period)
-		defer ct.Stop()
-		compactC = ct.C
-	}
-
 	batch := make([][]byte, 0, 128)
 	for {
 		select {
@@ -538,7 +516,8 @@ func (s *Store) writer() {
 			if s.maybeReopen() {
 				return
 			}
-			if !s.wedged.Load() && s.shouldCompact() {
+			// The one compaction trigger: the log's byte size.
+			if !s.wedged.Load() && s.written >= s.compactAfter {
 				s.compact()
 				if s.maybeReopen() {
 					return
@@ -551,35 +530,8 @@ func (s *Store) writer() {
 					return
 				}
 			}
-		case <-compactC:
-			if !s.wedged.Load() && s.shouldCompact() {
-				s.compact()
-				if s.maybeReopen() {
-					return
-				}
-			}
 		}
 	}
-}
-
-// shouldCompact evaluates the three compaction triggers: log byte size
-// (CompactAt), record count (CompactAfterRecords), and log age
-// (CompactEvery). Count and age only fire when the live log holds
-// records — there is nothing to fold otherwise.
-func (s *Store) shouldCompact() bool {
-	if s.written >= s.compactAfter {
-		return true
-	}
-	if s.written <= magicLen {
-		return false
-	}
-	if s.cfg.CompactAfterRecords > 0 && s.recsSinceCompact >= s.cfg.CompactAfterRecords {
-		return true
-	}
-	if s.cfg.CompactEvery > 0 && time.Since(s.lastCompact) >= s.cfg.CompactEvery {
-		return true
-	}
-	return false
 }
 
 // maybeReopen runs reopen-with-backoff when the store wedged on a
@@ -721,7 +673,6 @@ func (s *Store) flush(payloads [][]byte) {
 		s.forwardLocked(StreamRecord{Pos: s.pos.Add(1), Payload: p})
 	}
 	s.subMu.Unlock()
-	s.recsSinceCompact += len(payloads)
 	s.appended.Add(uint64(len(payloads)))
 }
 
@@ -826,8 +777,6 @@ func (s *Store) rotate() (renamed bool, err error) {
 	s.written, s.synced = magicLen, magicLen
 	s.compactAfter = s.cfg.CompactAt
 	s.lastSync = time.Now()
-	s.lastCompact = time.Now()
-	s.recsSinceCompact = 0
 
 	os.Remove(walName(s.cfg.Dir, oldSeq))
 	if oldSnap {

@@ -97,44 +97,6 @@ func TestReopenExhaustionWedgesPermanently(t *testing.T) {
 	s.Close()
 }
 
-// TestCompactionTriggers: the record-count and age triggers must each
-// compact on their own, far below the byte-size threshold.
-func TestCompactionTriggers(t *testing.T) {
-	loc := []geom.Point{geom.Pt(0.5, 0.5)}
-
-	t.Run("record-count", func(t *testing.T) {
-		dir := t.TempDir()
-		s, _ := openStore(t, dir, Config{Fsync: PolicyAlways, CompactAfterRecords: 5})
-		for i := 0; i < 8; i++ {
-			s.GroupUpsert(uint32(i), []uint32{1}, loc)
-		}
-		waitFor(t, "record-count compaction", func() bool { return s.Stats().Compactions >= 1 })
-		s.Close()
-		st, info, err := Recover(dir)
-		if err != nil || len(st.Groups) != 8 {
-			t.Fatalf("after compaction: %v groups=%d", err, len(st.Groups))
-		}
-		if info.SnapshotSeq < 2 {
-			t.Fatalf("no snapshot written: %+v", info)
-		}
-	})
-
-	t.Run("age", func(t *testing.T) {
-		dir := t.TempDir()
-		s, _ := openStore(t, dir, Config{Fsync: PolicyAlways, CompactEvery: 20 * time.Millisecond})
-		s.GroupUpsert(1, []uint32{1}, loc)
-		waitFor(t, "age compaction", func() bool { return s.Stats().Compactions >= 1 })
-		s.Close()
-		st, info, err := Recover(dir)
-		if err != nil || len(st.Groups) != 1 {
-			t.Fatalf("after compaction: %v groups=%d", err, len(st.Groups))
-		}
-		if info.SnapshotSeq < 2 {
-			t.Fatalf("no snapshot written: %+v", info)
-		}
-	})
-}
-
 // TestStreamFromSeedAndTail: StreamFrom's clone must be consistent with
 // its position, and applying the tail records it delivers must
 // reproduce exactly the state a recovery would see.
@@ -223,7 +185,7 @@ func TestStreamLagCutsSubscriber(t *testing.T) {
 func TestEpochRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	loc := []geom.Point{geom.Pt(0.5, 0.5)}
-	s, _ := openStore(t, dir, Config{Fsync: PolicyAlways, CompactAfterRecords: 3})
+	s, _ := openStore(t, dir, Config{Fsync: PolicyAlways, CompactAt: 64})
 	s.EpochRecord(7)
 	for i := 0; i < 5; i++ {
 		s.GroupUpsert(uint32(i), []uint32{1}, loc)

@@ -26,11 +26,13 @@
 // There is one path from a location snapshot to a notification:
 // recompute plans the snapshot (compute, the engine's only call into the
 // planner — a non-incremental PlanWSFunc is adapted to the ReplanWSFunc
-// shape at construction), stores the plan, bumps Seq, journals and
-// notifies. The synchronous Update runs it on the caller's goroutine,
-// Submit/SubmitTag hand it to a shard worker; the two differ only in
-// whose workspace plans and in who learns of a planner error (Update's
-// caller, or the subscribers of the asynchronous path).
+// shape at construction, recording each plan into the group's
+// core.PlanState so its epochs advance by the same rule), stores the
+// plan, bumps Seq, journals and notifies. The synchronous Update runs it
+// on the caller's goroutine, Submit/SubmitTag hand it to a shard worker;
+// the two differ only in whose workspace plans and in who learns of a
+// planner error (Update's caller, or the subscribers of the asynchronous
+// path).
 //
 // The engine guarantees at most one in-flight asynchronous recomputation
 // per group, so successful notifications for one group are emitted in
@@ -255,9 +257,9 @@ type Notification struct {
 	// parallel to Regions (see core.PlanState.Epochs): Epochs[i]
 	// advances exactly when member i's region content changes, so a
 	// consumer retaining the previous vector knows which regions it can
-	// skip re-encoding and re-sending. Nil on non-incremental engines
-	// and on error notifications; the slice is a private copy, safe to
-	// retain.
+	// skip re-encoding and re-sending. Every engine, incremental or not,
+	// advances them by that one rule. Nil on error notifications; the
+	// slice is a private copy, safe to retain.
 	Epochs []uint64
 	// Err is non-nil when the planner failed; Meeting and Regions then
 	// hold the previous plan.
@@ -323,7 +325,7 @@ type groupState struct {
 	// only ever contends with a racing synchronous Update. Never acquired
 	// while holding mu.
 	replanMu  sync.Mutex
-	planState core.PlanState // retained plan; stays zero unless Options.Replan is set
+	planState core.PlanState // retained plan and region epochs
 }
 
 // shard is one lock stripe of the registry plus its run queue.
@@ -480,16 +482,20 @@ func (e *Engine) beginOp() bool {
 // from the core pool, so steady-state planning is allocation-free. When
 // Options.Replan is set every recomputation goes through it and plan is
 // unused (it may be nil); otherwise plan is adapted to the replanner's
-// shape — it never touches the retained state, so every outcome is
-// core.IncFull and the epoch vector stays nil.
+// shape — every outcome is core.IncFull, and each successful plan is
+// recorded into the retained state only so that its epochs advance as an
+// incremental engine's do.
 func NewWS(plan PlanWSFunc, opts Options) *Engine {
 	replan := opts.Replan
 	if replan == nil {
 		if plan == nil {
 			panic("engine: nil PlanWSFunc")
 		}
-		replan = func(ws *core.Workspace, _ *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
+		replan = func(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
 			meeting, regions, stats, err := plan(ws, users, dirs)
+			if err == nil {
+				st.Record(core.Plan{Regions: regions, Stats: stats})
+			}
 			return meeting, regions, stats, core.IncFull, err
 		}
 	}
@@ -962,8 +968,7 @@ func (e *Engine) Regions(id GroupID) []core.SafeRegion {
 }
 
 // Epochs returns a copy of the group's current per-member region epoch
-// vector (see Notification.Epochs). Nil on non-incremental engines and
-// unknown groups.
+// vector (see Notification.Epochs). Nil on unknown groups.
 func (e *Engine) Epochs(id GroupID) []uint64 {
 	st := e.lookup(id)
 	if st == nil {

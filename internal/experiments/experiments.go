@@ -205,7 +205,8 @@ func methodConfigs(agg gnn.Aggregate) []sim.Config {
 var methodNames = []string{"Circle", "Tile", "Tile-D"}
 
 // sweep runs the standard three methods across x-axis points produced by
-// prepare and assembles one figure per (dataset, metric).
+// prepare and assembles one figure per (dataset, metric). Each (dataset,
+// x, method) cell is simulated once; every metric reads the same run.
 func (s *Suite) sweep(
 	figBase, title, xLabel string,
 	agg gnn.Aggregate,
@@ -213,37 +214,51 @@ func (s *Suite) sweep(
 	metrics []string, // subset of "updates", "packets", "cpu"
 	prepare func(xIdx int, set *workload.TrajectorySet) ([]geom.Point, *workload.TrajectorySet, int, error),
 ) ([]Figure, error) {
-	figs := make([]Figure, 0, len(s.Sets)*len(metrics))
-	sub := 'a'
-	for _, metric := range metrics {
-		for _, set := range s.Sets {
-			fig := Figure{
-				ID:     fmt.Sprintf("%s%c", figBase, sub),
-				Title:  fmt.Sprintf("%s (%s)", title, set.Name),
-				XLabel: xLabel,
-				Metric: metricLabel(metric),
-				Series: methodNames,
+	cells := make([][][]result, len(s.Sets))
+	for si, set := range s.Sets {
+		cells[si] = make([][]result, len(xs))
+		for xi := range xs {
+			pois, useSet, m, err := prepare(xi, set)
+			if err != nil {
+				return nil, err
 			}
-			sub++
-			for xi, x := range xs {
-				row := Row{X: x, Values: map[string]float64{}}
-				pois, useSet, m, err := prepare(xi, set)
+			for _, cfg := range methodConfigs(agg) {
+				res, err := s.runAvg(pois, useSet, m, cfg)
 				if err != nil {
 					return nil, err
 				}
-				for mi, cfg := range methodConfigs(agg) {
-					res, err := s.runAvg(pois, useSet, m, cfg)
-					if err != nil {
-						return nil, err
-					}
-					row.Values[methodNames[mi]] = pick(res, metric)
+				cells[si][xi] = append(cells[si][xi], res)
+			}
+		}
+	}
+	return s.figures(figBase, title, xLabel, xs, methodNames, metrics, cells), nil
+}
+
+// figures lays simulated cells out as one figure per (metric, dataset),
+// metric-major as the paper letters its sub-figures: cells[d][x][k] is
+// dataset d's result at x-axis point x for series k.
+func (s *Suite) figures(figBase, title, xLabel string, xs, series, metrics []string, cells [][][]result) []Figure {
+	figs := make([]Figure, 0, len(s.Sets)*len(metrics))
+	for _, metric := range metrics {
+		for si, set := range s.Sets {
+			fig := Figure{
+				ID:     fmt.Sprintf("%s%c", figBase, 'a'+len(figs)),
+				Title:  fmt.Sprintf("%s (%s)", title, set.Name),
+				XLabel: xLabel,
+				Metric: metricLabel(metric),
+				Series: series,
+			}
+			for xi, x := range xs {
+				row := Row{X: x, Values: map[string]float64{}}
+				for k, name := range series {
+					row.Values[name] = pick(cells[si][xi][k], metric)
 				}
 				fig.Rows = append(fig.Rows, row)
 			}
 			figs = append(figs, fig)
 		}
 	}
-	return figs, nil
+	return figs
 }
 
 func metricLabel(metric string) string {
@@ -348,39 +363,27 @@ func (s *Suite) Fig19() ([]Figure, error) { return s.bufferSweep("Fig19", gnn.Su
 
 func (s *Suite) bufferSweep(id string, agg gnn.Aggregate) ([]Figure, error) {
 	bs := s.Params.Buffers
-	series := []string{"Tile-D", "Tile-D-b"}
-	var figs []Figure
-	sub := 'a'
-	for _, metric := range []string{"cpu", "updates"} {
-		for _, set := range s.Sets {
-			fig := Figure{
-				ID:     fmt.Sprintf("%s%c", id, sub),
-				Title:  fmt.Sprintf("vary buffer b (%s)", set.Name),
-				XLabel: "b",
-				Metric: metricLabel(metric),
-				Series: series,
-			}
-			sub++
-			// Tile-D is independent of b: one run reused per row.
-			base, err := s.runAvg(s.POIs, set, s.Params.DefaultM,
-				sim.MethodConfig(sim.MethodTileD, agg, 0))
+	xs := make([]string, len(bs))
+	for i, b := range bs {
+		xs[i] = fmt.Sprintf("b=%d", b)
+	}
+	cells := make([][][]result, len(s.Sets))
+	for si, set := range s.Sets {
+		// Tile-D is independent of b: one run reused per row.
+		base, err := s.runAvg(s.POIs, set, s.Params.DefaultM,
+			sim.MethodConfig(sim.MethodTileD, agg, 0))
+		if err != nil {
+			return nil, err
+		}
+		for _, b := range bs {
+			buf, err := s.runAvg(s.POIs, set, s.Params.DefaultM,
+				sim.MethodConfig(sim.MethodTileD, agg, b))
 			if err != nil {
 				return nil, err
 			}
-			for _, b := range bs {
-				buf, err := s.runAvg(s.POIs, set, s.Params.DefaultM,
-					sim.MethodConfig(sim.MethodTileD, agg, b))
-				if err != nil {
-					return nil, err
-				}
-				figs0 := map[string]float64{
-					"Tile-D":   pick(base, metric),
-					"Tile-D-b": pick(buf, metric),
-				}
-				fig.Rows = append(fig.Rows, Row{X: fmt.Sprintf("b=%d", b), Values: figs0})
-			}
-			figs = append(figs, fig)
+			cells[si] = append(cells[si], []result{base, buf})
 		}
 	}
-	return figs, nil
+	return s.figures(id, "vary buffer b", "b", xs, []string{"Tile-D", "Tile-D-b"},
+		[]string{"cpu", "updates"}, cells), nil
 }

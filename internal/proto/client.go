@@ -60,13 +60,13 @@ func WithHeartbeat(interval time.Duration) ClientOption {
 // with the location supplier, reports escapes, and surfaces notifications.
 //
 // By default the client negotiates the delta protocol (FlagDeltaCapable):
-// the server then sends only changed regions, and the client
-// reassembles the current plan from its retained region. A delta frame
-// it cannot apply — no retained region yet, or an epoch that does not
-// match its retained one — is answered with TNack, and the server
-// repairs the client with a full TNotify; the plan exposed through
-// Meeting/Region/NeedsUpdate is byte-identical to the full protocol's at
-// every step.
+// the server then sends the client's region only when it changed, and
+// the client reassembles the current plan from its retained region. A
+// delta frame it cannot apply — no retained region yet, or an epoch that
+// does not match its retained one — is answered with TNack, and the
+// server repairs the client with a full TNotify; the plan exposed
+// through Meeting/Region/NeedsUpdate is byte-identical to the full
+// protocol's at every step.
 type Client struct {
 	conn      io.ReadWriter
 	group     uint32
@@ -246,34 +246,27 @@ func (c *Client) pinger(stop <-chan struct{}) {
 }
 
 // applyDelta folds a TNotifyDelta frame into the retained plan. A frame
-// carrying a record for this user replaces the region (records are
-// complete regions, so one frame repairs any gap); a frame without one
-// confirms the retained region is still current at msg.Epoch — if the
-// client's retained epoch disagrees, or there is no retained region, it
-// answers TNack and waits for the server's full repair instead of
-// exposing state it cannot verify.
+// carrying a region replaces the retained one (regions are complete, so
+// one frame repairs any gap); a frame without one confirms the retained
+// region is still current at msg.Epoch — if the client's retained epoch
+// disagrees, or there is no retained region, it answers TNack and waits
+// for the server's full repair instead of exposing state it cannot
+// verify.
 func (c *Client) applyDelta(msg Message) error {
-	var rec *RegionDelta
-	for i := range msg.Deltas {
-		if msg.Deltas[i].Member == c.user {
-			rec = &msg.Deltas[i]
-			break
-		}
-	}
 	c.mu.Lock()
-	if rec == nil && (!c.haveReg || c.epoch != msg.Epoch) {
+	if msg.Region == nil && (!c.haveReg || c.epoch != msg.Epoch) {
 		c.mu.Unlock()
 		return c.write(Message{Type: TNack, Group: c.group, User: c.user, Epoch: msg.Epoch})
 	}
-	if rec != nil {
-		region, err := DecodeRegion(rec.Region)
+	if msg.Region != nil {
+		region, err := DecodeRegion(msg.Region)
 		if err != nil {
 			c.mu.Unlock()
 			return err
 		}
 		c.region = region
 		c.haveReg = true
-		c.epoch = rec.Epoch
+		c.epoch = msg.Epoch
 	}
 	if msg.MeetingChanged {
 		c.meeting = msg.Meeting

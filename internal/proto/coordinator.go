@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,9 +34,9 @@ import (
 // recompute steady-state reports inline.
 //
 // epochs, when non-nil, is the backend's per-member region epoch vector
-// for the inline plan (regions[i] is at epoch epochs[i]); backends
-// without epoch tracking return nil and the coordinator falls back to
-// comparing encodings.
+// for the inline plan (regions[i] is at epoch epochs[i]); a backend
+// without epoch tracking returns nil, and the coordinator then treats
+// every region as changed.
 type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, ok bool)
 
 // WriteGateFunc decides whether this node currently accepts client
@@ -197,37 +196,34 @@ type group struct {
 	// user ids whose replies are still missing.
 	probing map[uint32]bool
 
-	// enc caches each member's encoded region keyed by its epoch, shared
-	// across every delivery to the group: an unchanged region (epoch
-	// match, or byte-equal encoding when the backend supplies no epochs)
-	// is never re-encoded. encIDs is the ascending member-id vector the
-	// cache (and every member's delivered-epoch state) was built for:
+	// encIDs is the ascending member-id vector every member's cached
+	// encoding (member.enc) and delivered-epoch state were built for:
 	// backend epochs are per SLOT, not per user, so any membership
 	// change — even one that keeps the group size — silently reassigns
-	// slot counters to different users, and the cache must be rebuilt
+	// slot counters to different users, and every cache must be dropped
 	// and every member repaired with a full frame (see resetEncLocked).
 	// lastMeeting/havePlan retain the last distributed plan's meeting
-	// point so a NACK can be repaired from the cache alone.
-	enc         map[uint32]*encRegion
+	// point so a NACK can be repaired from the member's cache alone.
 	encIDs      []uint32
 	lastMeeting geom.Point
 	havePlan    bool
 }
 
-// resetEncLocked invalidates the group's encoded-region cache and every
-// member's delivered state after a membership change: slot epochs may
-// now describe different users' regions, so nothing previously
-// delivered or cached can be trusted to match by epoch alone.
+// resetEncLocked invalidates every member's cached encoding and
+// delivered state after a membership change: slot epochs may now
+// describe different users' regions, so nothing previously delivered or
+// cached can be trusted to match by epoch alone.
 func (g *group) resetEncLocked(ids []uint32) {
-	clear(g.enc)
 	g.encIDs = append(g.encIDs[:0], ids...)
 	for _, mb := range g.members {
+		mb.enc = encRegion{}
 		mb.needFull = true
 	}
 }
 
-// encRegion is one cached region encoding. data is immutable once
-// stored (frames built from it copy it).
+// encRegion is one cached region encoding: the member's region at epoch
+// (data is nil when nothing is cached). data is immutable once stored
+// (frames built from it copy it).
 type encRegion struct {
 	epoch uint64
 	data  []byte
@@ -249,11 +245,15 @@ type member struct {
 	// delivery to be a full TNotify (fresh connections start true, and
 	// any dropped frame or NACK sets it — the server never assumes a
 	// client holds state it cannot prove was enqueued); epoch and
-	// meeting are the last values successfully enqueued to this member.
+	// meeting are the last values successfully enqueued to this member;
+	// enc is the encoding of her region in the latest distributed plan,
+	// so an unchanged region is never re-encoded and a NACK is repaired
+	// from it.
 	delta    bool
 	needFull bool
 	epoch    uint64
 	meeting  geom.Point
+	enc      encRegion
 
 	// drops counts consecutive outbox drops (guarded by the coordinator
 	// lock); any successful send resets it. kick, when non-nil, closes
@@ -362,10 +362,10 @@ func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 //
 // epochs is the backend's per-member region epoch vector (regions[i] is
 // at epoch epochs[i], see engine.Notification.Epochs): regions whose
-// epoch matches the cached encoding are not re-encoded, and delta-capable
-// members receive only the records that changed since their last
-// delivery. A nil epochs falls back to comparing fresh encodings against
-// the cache — correct for any backend, just not encode-free.
+// epoch matches the cached encoding are not re-encoded, and a
+// delta-capable member receives her region only when it changed since
+// her last delivery. A nil epochs means every region changed: each is
+// encoded and stamped with its member's next epoch.
 func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
 	faultinject.Fire(faultinject.CoordDeliver)
 	c.mu.Lock()
@@ -576,11 +576,7 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 	defer c.mu.Unlock()
 	g := c.groups[msg.Group]
 	if g == nil {
-		g = &group{
-			size:    msg.GroupSize,
-			members: map[uint32]*member{},
-			enc:     map[uint32]*encRegion{},
-		}
+		g = &group{size: msg.GroupSize, members: map[uint32]*member{}}
 		c.groups[msg.Group] = g
 	}
 	if g.size != msg.GroupSize {
@@ -697,13 +693,13 @@ func memberIDs(g *group) []uint32 {
 }
 
 // notifyLocked sends one notification per member, regions aligned with
-// ids. Encodings go through the group's epoch-keyed cache, so a region
-// unchanged since the last delivery is not re-encoded (with backend
-// epochs the check is one integer compare — the kept path encodes
-// nothing at all). Members that negotiated deltas receive a compact
-// TNotifyDelta carrying only the records that changed since the
-// server's last successful enqueue to them; everyone else — and any
-// member whose previous frame was dropped — gets a full TNotify.
+// ids. Encodings go through each member's epoch-keyed cache, so a region
+// unchanged since the last delivery is not re-encoded (the check is one
+// integer compare — the kept path encodes nothing at all). Members that
+// negotiated deltas receive a compact TNotifyDelta carrying their region
+// only if it changed since the server's last successful enqueue to them;
+// everyone else — and any member whose previous frame was dropped — gets
+// a full TNotify.
 func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting geom.Point, regions []core.SafeRegion, epochs []uint64) {
 	if len(epochs) != len(ids) {
 		epochs = nil
@@ -713,7 +709,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 	}
 	for i, uid := range ids {
 		mb := g.members[uid]
-		data, epoch := g.encodedRegion(uid, regions[i], epochs, i)
+		data, epoch := mb.encodedRegion(regions[i], epochs, i)
 		if !mb.delta || mb.needFull {
 			ok := mb.send(Message{
 				Type: TNotify, Group: gid, User: uid,
@@ -728,7 +724,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 			msg.Meeting = meeting
 		}
 		if epoch != mb.epoch {
-			msg.Deltas = []RegionDelta{{Member: uid, Epoch: epoch, Region: data}}
+			msg.Region = data
 		}
 		mb.recordSend(c, gid, mb.send(msg), epoch, meeting)
 	}
@@ -752,39 +748,28 @@ func (m *member) recordSend(c *Coordinator, gid uint32, ok bool, epoch uint64, m
 	c.logger.Printf("group %d: notify to user %d dropped (outbox full)", gid, m.user)
 }
 
-// encodedRegion returns the wire encoding of uid's region at slot i,
-// reusing the cached bytes when the region is unchanged. With backend
-// epochs the cache key is the epoch itself — an unchanged region is
-// never re-encoded. Without epochs the region is encoded and compared
-// against the cache, and the coordinator mints its own monotone epoch
-// per change, so the delta machinery works (at full encode cost) over
-// any backend.
-func (g *group) encodedRegion(uid uint32, r core.SafeRegion, epochs []uint64, i int) ([]byte, uint64) {
-	e := g.enc[uid]
+// encodedRegion returns the wire encoding of the member's region r, the
+// one at slot i of epochs, and its epoch. The cache key is the epoch
+// itself, so an unchanged region is never re-encoded. A nil epochs (a
+// backend without epoch tracking) marks the region changed: it is
+// encoded and stamped with the cached epoch plus one.
+func (m *member) encodedRegion(r core.SafeRegion, epochs []uint64, i int) ([]byte, uint64) {
+	epoch := m.enc.epoch + 1
 	if epochs != nil {
-		if e != nil && e.epoch == epochs[i] {
-			return e.data, e.epoch
+		if m.enc.data != nil && m.enc.epoch == epochs[i] {
+			return m.enc.data, m.enc.epoch
 		}
-		data := EncodeRegion(r)
-		g.enc[uid] = &encRegion{epoch: epochs[i], data: data}
-		return data, epochs[i]
+		epoch = epochs[i]
 	}
-	data := EncodeRegion(r)
-	if e != nil && bytes.Equal(e.data, data) {
-		return e.data, e.epoch
-	}
-	epoch := uint64(1)
-	if e != nil {
-		epoch = e.epoch + 1
-	}
-	g.enc[uid] = &encRegion{epoch: epoch, data: data}
-	return data, epoch
+	m.enc = encRegion{epoch: epoch, data: EncodeRegion(r)}
+	return m.enc.data, epoch
 }
 
 // handleNack is the client's repair request: it could not apply a delta
 // frame (no retained region, or an epoch it cannot reconcile). Mark the
-// member for full delivery and repair it immediately from the encoding
-// cache — the cache always holds the group's latest distributed plan.
+// member for full delivery and repair it immediately from her encoding
+// cache — it always holds her region of the group's latest distributed
+// plan.
 func (c *Coordinator) handleNack(msg Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -797,8 +782,8 @@ func (c *Coordinator) handleNack(msg Message) {
 		return
 	}
 	mb.needFull = true
-	e := g.enc[msg.User]
-	if !g.havePlan || e == nil {
+	e := mb.enc
+	if !g.havePlan || e.data == nil {
 		return // no plan distributed yet; registration will deliver one
 	}
 	ok := mb.send(Message{
@@ -821,11 +806,6 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 	if g := c.groups[gid]; g != nil {
 		if mb = g.members[uid]; mb != nil {
 			delete(g.members, uid)
-			// Drop the cached encoding too: entries are only trustworthy for
-			// the membership they were built under (see encIDs), and keeping
-			// them would leak one region per departed uid in a long-lived
-			// group with churning membership.
-			delete(g.enc, uid)
 			// A probe round in flight is abandoned, not closed: planning
 			// the m−1 members left would plan a subgroup. The member's
 			// re-registration completes the group and replans it whole.

@@ -22,16 +22,11 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 		// Meeting moved, region unchanged.
 		{Type: TNotifyDelta, Group: 7, User: 2, Epoch: 9,
 			MeetingChanged: true, Meeting: geom.Pt(0.4, 0.6)},
-		// One changed region.
-		{Type: TNotifyDelta, Group: 1, User: 0, Epoch: 4,
-			Deltas: []RegionDelta{{Member: 0, Epoch: 4, Region: region}}},
-		// Multiple records, meeting change, large epochs.
+		// Changed region.
+		{Type: TNotifyDelta, Group: 1, User: 0, Epoch: 4, Region: region},
+		// Changed region and meeting, large ids and epoch.
 		{Type: TNotifyDelta, Group: 1 << 30, User: 3, Epoch: 1 << 40,
-			MeetingChanged: true, Meeting: geom.Pt(-1, 2),
-			Deltas: []RegionDelta{
-				{Member: 3, Epoch: 1 << 40, Region: region},
-				{Member: 9, Epoch: 7, Region: []byte{1}},
-			}},
+			MeetingChanged: true, Meeting: geom.Pt(-1, 2), Region: region},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
@@ -47,7 +42,7 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 		if got.Type != want.Type || got.Group != want.Group || got.User != want.User ||
 			got.Epoch != want.Epoch || got.MeetingChanged != want.MeetingChanged ||
 			(want.MeetingChanged && got.Meeting != want.Meeting) ||
-			!reflect.DeepEqual(got.Deltas, want.Deltas) {
+			!bytes.Equal(got.Region, want.Region) {
 			t.Fatalf("delta round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -84,7 +79,7 @@ func TestClassicFrameFlagsEpochRoundTrip(t *testing.T) {
 func TestDeltaFrameCorruption(t *testing.T) {
 	m := Message{Type: TNotifyDelta, Group: 5, User: 1, Epoch: 3,
 		MeetingChanged: true, Meeting: geom.Pt(0.5, 0.5),
-		Deltas: []RegionDelta{{Member: 1, Epoch: 3, Region: []byte{9, 9, 9}}}}
+		Region: []byte{9, 9, 9}}
 	frame, err := m.AppendFrame(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +87,8 @@ func TestDeltaFrameCorruption(t *testing.T) {
 	payload := frame[4:]
 	for cut := 1; cut < len(payload); cut++ {
 		if _, err := parsePayload(payload[:cut]); err == nil {
-			// A truncation that still parses must at least not panic and
-			// must be a self-consistent shorter frame; the only way that
-			// happens is a record boundary — but trailing-garbage checks
-			// make any strict prefix invalid.
+			// The region is length-prefixed and trailing bytes are
+			// refused, so no strict prefix is a shorter valid frame.
 			t.Fatalf("truncated delta payload (%d/%d bytes) accepted", cut, len(payload))
 		}
 	}
@@ -108,10 +101,10 @@ func TestDeltaFrameCorruption(t *testing.T) {
 			t.Fatalf("unknown delta flags %#x accepted", fl)
 		}
 	}
-	// Absurd record count is rejected.
+	// Absurd region length is rejected.
 	bad := []byte{byte(TNotifyDelta), 5, 1, 0, 3, 0xff, 0xff, 0xff, 0xff, 0x0f}
 	if _, err := parsePayload(bad); err == nil {
-		t.Fatal("absurd record count accepted")
+		t.Fatal("absurd region length accepted")
 	}
 }
 
@@ -252,8 +245,8 @@ func circleRegions(n int) []core.SafeRegion {
 }
 
 // TestCoordinatorDeltaKeptAndChanged walks the wire protocol through
-// registration (full), a kept update (record-less delta), a changed
-// region (one-record delta), and a meeting move.
+// registration (full), a kept update (region-less delta), a changed
+// region (delta carrying it), and a meeting move.
 func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 	backend := &scriptedBackend{
 		regions: circleRegions(1),
@@ -274,34 +267,30 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 		t.Fatalf("registration frame %+v", reg)
 	}
 
-	// Kept plan: same epochs, same meeting → record-less delta.
+	// Kept plan: same epochs, same meeting → region-less delta.
 	before := rc.count.ReadCount()
 	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	kept := rc.read(t)
-	if kept.Type != TNotifyDelta || kept.Epoch != 1 || len(kept.Deltas) != 0 || kept.MeetingChanged {
+	if kept.Type != TNotifyDelta || kept.Epoch != 1 || kept.Region != nil || kept.MeetingChanged {
 		t.Fatalf("kept frame %+v", kept)
 	}
 	if sz := rc.count.ReadCount() - before; sz > 16 {
 		t.Fatalf("kept delta consumed %d wire bytes, want ≤ 16", sz)
 	}
 
-	// Changed region: epoch advances, one record travels.
+	// Changed region: epoch advances, the region travels.
 	newRegions := []core.SafeRegion{core.CircleRegion(geom.Pt(0.11, 0.2), 0.04)}
 	coord.Deliver(1, []uint32{0}, nil, backend.meeting, newRegions, []uint64{2}, nil)
 	chg := rc.read(t)
-	if chg.Type != TNotifyDelta || chg.Epoch != 2 || len(chg.Deltas) != 1 {
+	if chg.Type != TNotifyDelta || chg.Epoch != 2 || !bytes.Equal(chg.Region, EncodeRegion(newRegions[0])) {
 		t.Fatalf("changed frame %+v", chg)
 	}
-	if chg.Deltas[0].Member != 0 || chg.Deltas[0].Epoch != 2 ||
-		!bytes.Equal(chg.Deltas[0].Region, EncodeRegion(newRegions[0])) {
-		t.Fatalf("changed record %+v", chg.Deltas[0])
-	}
 
-	// Meeting moves while the region stays: delta with meeting, no record.
+	// Meeting moves while the region stays: delta with meeting, no region.
 	moved := geom.Pt(0.51, 0.5)
 	coord.Deliver(1, []uint32{0}, nil, moved, newRegions, []uint64{2}, nil)
 	mm := rc.read(t)
-	if mm.Type != TNotifyDelta || !mm.MeetingChanged || mm.Meeting != moved || len(mm.Deltas) != 0 {
+	if mm.Type != TNotifyDelta || !mm.MeetingChanged || mm.Meeting != moved || mm.Region != nil {
 		t.Fatalf("meeting frame %+v", mm)
 	}
 }
@@ -351,6 +340,61 @@ func TestCoordinatorNackRepair(t *testing.T) {
 	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
+	}
+}
+
+// TestCoordinatorNilEpochsShipEveryRegion: a backend without epoch
+// tracking marks every region changed, so every delta carries the
+// member's region and her epoch advances by exactly 1 per delivery —
+// even when the region repeats. A NACK is repaired from her cached
+// encoding of the latest plan.
+func TestCoordinatorNilEpochsShipEveryRegion(t *testing.T) {
+	planA := circleRegions(2)
+	planB := []core.SafeRegion{core.CircleRegion(geom.Pt(0.3, 0.4), 0.02), core.CircleRegion(geom.Pt(0.6, 0.1), 0.03)}
+	backend := &scriptedBackend{regions: planA, meeting: geom.Pt(0.5, 0.5)}
+	coord := NewAsyncCoordinator(backend.submit, nil)
+	conns := []*rawConn{dialRaw(t, coord), dialRaw(t, coord)}
+	for uid, rc := range conns {
+		if err := Write(rc.conn, Message{
+			Type: TRegister, Group: 4, User: uint32(uid), GroupSize: 2,
+			Flags: FlagDeltaCapable, Loc: geom.Pt(0.1, 0.2),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := make([]uint64, len(conns))
+	for uid, rc := range conns {
+		reg := rc.read(t)
+		if reg.Type != TNotify || reg.Epoch != 1 || !bytes.Equal(reg.Region, EncodeRegion(planA[uid])) {
+			t.Fatalf("u%d registration frame %+v", uid, reg)
+		}
+		epochs[uid] = reg.Epoch
+	}
+	for round, plan := range [][]core.SafeRegion{planA, planA, planB, planA, planB} {
+		coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, plan, nil, nil)
+		for uid, rc := range conns {
+			m := rc.read(t)
+			if m.Type != TNotifyDelta || m.Epoch != epochs[uid]+1 || !bytes.Equal(m.Region, EncodeRegion(plan[uid])) {
+				t.Fatalf("round %d: u%d got %v epoch %d region %x, want a delta at epoch %d carrying %x",
+					round, uid, m.Type, m.Epoch, m.Region, epochs[uid]+1, EncodeRegion(plan[uid]))
+			}
+			epochs[uid] = m.Epoch
+		}
+	}
+
+	if err := Write(conns[1].conn, Message{Type: TNack, Group: 4, User: 1, Epoch: epochs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	repair := conns[1].read(t)
+	coord.mu.Lock()
+	cached := coord.groups[4].members[1].enc
+	coord.mu.Unlock()
+	if repair.Type != TNotify || repair.Epoch != epochs[1] || repair.Meeting != backend.meeting ||
+		!bytes.Equal(repair.Region, EncodeRegion(planB[1])) || !bytes.Equal(repair.Region, cached.data) {
+		t.Fatalf("nack repair %+v, want a full frame of the cached %x at epoch %d", repair, cached.data, epochs[1])
+	}
+	if got := coord.Stats().NackRepairs; got != 1 {
+		t.Fatalf("NackRepairs = %d, want 1", got)
 	}
 }
 
@@ -540,7 +584,7 @@ func TestClientDeltaStateMachine(t *testing.T) {
 		t.Fatalf("kept delta changed the region: %+v", got)
 	}
 
-	// Epoch-gap delta without a record: NACK, state untouched.
+	// Epoch-gap delta without a region: NACK, state untouched.
 	if err := Write(server, Message{Type: TNotifyDelta, Group: 1, User: 0, Epoch: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -551,20 +595,20 @@ func TestClientDeltaStateMachine(t *testing.T) {
 		t.Fatal("gap delta mutated client state")
 	}
 
-	// Delta with a record: applied, epoch advances, meeting rides along.
+	// Delta with a region: applied, epoch advances, meeting rides along.
 	region2 := core.CircleRegion(geom.Pt(0.12, 0.1), 0.15)
 	if err := Write(server, Message{
 		Type: TNotifyDelta, Group: 1, User: 0, Epoch: 6,
 		MeetingChanged: true, Meeting: geom.Pt(0.6, 0.6),
-		Deltas: []RegionDelta{{Member: 0, Epoch: 6, Region: EncodeRegion(region2)}},
+		Region: EncodeRegion(region2),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-notifies; !reflect.DeepEqual(got, region2) {
-		t.Fatalf("record delta applied %+v", got)
+		t.Fatalf("region delta applied %+v", got)
 	}
 	if cl.Epoch() != 6 || cl.Meeting() != geom.Pt(0.6, 0.6) {
-		t.Fatalf("record delta state: epoch %d meeting %v", cl.Epoch(), cl.Meeting())
+		t.Fatalf("region delta state: epoch %d meeting %v", cl.Epoch(), cl.Meeting())
 	}
 	select {
 	case err := <-runErr:
@@ -609,7 +653,7 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 	if m := rc1.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u1 steady frame %v", m.Type)
 	}
-	if m := rc7.read(t); m.Type != TNotifyDelta || len(m.Deltas) != 0 {
+	if m := rc7.read(t); m.Type != TNotifyDelta || m.Region != nil {
 		t.Fatalf("u7 steady frame %+v", m)
 	}
 

@@ -18,11 +18,7 @@ func fuzzSeedMessages() []Message {
 		{Type: TNotify, Group: 3, User: 1, Epoch: 9,
 			Meeting: geom.Pt(0.4, 0.6), Region: []byte{1, 2, 3, 4}},
 		{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 12,
-			MeetingChanged: true, Meeting: geom.Pt(0.4, 0.6),
-			Deltas: []RegionDelta{
-				{Member: 0, Epoch: 12, Region: []byte{9, 8, 7}},
-				{Member: 2, Epoch: 4},
-			}},
+			MeetingChanged: true, Meeting: geom.Pt(0.4, 0.6), Region: []byte{9, 8, 7}},
 		{Type: TNotifyDelta, Group: 300, User: 70000, Epoch: 1},
 		{Type: TNack, Group: 3, User: 1, Epoch: 11},
 		{Type: TError, Text: "planner exploded"},
@@ -36,8 +32,7 @@ func fuzzSeedMessages() []Message {
 		{Type: TRegister, Group: 1 << 31, User: 1 << 20, GroupSize: 64},
 		{Type: TNotify, Group: 200, User: 2},
 		{Type: TError, Group: 200, Text: "group 200 is full"},
-		{Type: TNotifyDelta, Group: 8, User: 3,
-			Deltas: []RegionDelta{{Member: 3, Epoch: 1, Region: []byte{'C'}}}},
+		{Type: TNotifyDelta, Group: 8, User: 3, Region: []byte{'C'}},
 	}
 }
 

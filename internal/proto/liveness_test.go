@@ -235,7 +235,7 @@ func TestMemberFootprint(t *testing.T) {
 
 // Encoding a frame into a fresh buffer allocates once, whatever the
 // frame carries: send (the outbox path) and Write (the direct path) size
-// the buffer from the whole message, delta records and peer addresses
+// the buffer from the whole message, regions and peer addresses
 // included.
 func TestFrameAllocatesOnce(t *testing.T) {
 	circle := EncodeRegion(core.CircleRegion(geom.Pt(0.25, 0.75), 0.125))
@@ -246,10 +246,7 @@ func TestFrameAllocatesOnce(t *testing.T) {
 		msg  Message
 	}{
 		{"notify", Message{Type: TNotify, Group: 3, User: 1, Epoch: 7, Meeting: meeting, Region: circle}},
-		{"delta", Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 8, MeetingChanged: true, Meeting: meeting,
-			Deltas: []RegionDelta{{Member: 1, Epoch: 8, Region: circle}}}},
-		{"multi-record", Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 8, MeetingChanged: true, Meeting: meeting,
-			Deltas: []RegionDelta{{Member: 0, Epoch: 8, Region: circle}, {Member: 1, Epoch: 8, Region: circle}, {Member: 2, Epoch: 8, Region: circle}}}},
+		{"delta", Message{Type: TNotifyDelta, Group: 3, User: 1, Epoch: 8, MeetingChanged: true, Meeting: meeting, Region: circle}},
 		{"peers", Message{Type: TPeers, Epoch: 2, Peers: []string{"primary:9000", "standby:9001"}}},
 		{"probe", Message{Type: TProbe, Group: 3, User: 2}},
 	} {

@@ -9,7 +9,7 @@
 //	Probe       server → client   step 2a: the server asks the others
 //	ProbeReply  client → server   step 2b: they answer
 //	Notify      server → client   step 3: meeting point + safe region
-//	NotifyDelta server → client   step 3, delta form: only changed regions
+//	NotifyDelta server → client   step 3, delta form: region only if changed
 //	Nack        client → server   a delta could not be applied; send full
 //	Ping/Pong   either direction  liveness heartbeat
 //
@@ -26,16 +26,16 @@
 //
 // A client that sets FlagDeltaCapable on its Register frame opts into
 // TNotifyDelta: a frame (~10 bytes on the wire when nothing changed)
-// that carries only the regions whose epoch advanced since the server
-// last delivered to that client, each as a (member id, epoch, encoded
-// region) record. Regions are state, not diffs-of-diffs — every record
-// carries the member's complete encoded region — so a single delta
-// frame always repairs an arbitrary epoch gap. The frame's Epoch field
-// is the recipient's own-region epoch after
-// the update; a client holding a different epoch and receiving no record
-// for itself answers with TNack, and the server repairs it with a full
-// TNotify. Full TNotify frames also carry the recipient's epoch so the
-// client can resynchronize its tracking.
+// that carries the recipient's own region only when its epoch advanced
+// since the server last delivered to that client, and the meeting point
+// only when it moved. Regions are state, not diffs-of-diffs — a carried
+// region is the complete encoding — so a single delta frame always
+// repairs an arbitrary epoch gap. The frame's Epoch field is the
+// recipient's region epoch after the update; an empty region means "your
+// region is unchanged at Epoch", and a client holding a different epoch
+// answers it with TNack, which the server repairs with a full TNotify.
+// Full TNotify frames also carry the recipient's epoch so the client can
+// resynchronize its tracking.
 package proto
 
 import (
@@ -59,12 +59,13 @@ type MsgType uint8
 //	TProbeReply   group user loc
 //	TNotify       group user epoch meeting region
 //	TError        group text
-//	TNotifyDelta  group user dflags(1 byte) epoch [meeting] n {member epoch region}×n
+//	TNotifyDelta  group user dflags(1 byte) epoch [meeting] region
 //	TNack         group user epoch
 //	TPing, TPong  epoch
 //	TPeers        epoch n {addr}×n
 //
-// Codes 3 and 4 are unassigned.
+// A TNotifyDelta region is empty when the recipient's region is unchanged
+// at epoch; an encoded region never is. Codes 3 and 4 are unassigned.
 const (
 	TRegister    MsgType = 1
 	TReport      MsgType = 2
@@ -140,18 +141,11 @@ const deltaMeeting uint8 = 1 << 0
 // generous.
 const MaxFrame = 1 << 20
 
-// RegionDelta is one changed-region record of a TNotifyDelta frame: the
-// member's complete encoded region stamped with its fresh epoch.
-type RegionDelta struct {
-	Member uint32
-	Epoch  uint64
-	Region []byte
-}
-
 // Message is one protocol frame. Fields are used according to Type (see
 // the table at MsgType): Epoch is the recipient's region epoch on Notify,
 // NotifyDelta and Nack frames, the heartbeat sequence number on Ping and
-// Pong, and the fencing epoch on Peers; Error carries Text.
+// Pong, and the fencing epoch on Peers; Region is nil on a NotifyDelta
+// whose region is unchanged; Error carries Text.
 type Message struct {
 	Type      MsgType
 	Group     uint32
@@ -164,11 +158,9 @@ type Message struct {
 	Region    []byte
 	Text      string
 
-	// MeetingChanged and Deltas belong to TNotifyDelta frames: the
-	// meeting point is serialized only when it changed, and Deltas holds
-	// the changed-region records.
+	// MeetingChanged belongs to TNotifyDelta frames: the meeting point
+	// is serialized only when it changed.
 	MeetingChanged bool
-	Deltas         []RegionDelta
 
 	// Peers belongs to TPeers frames: the cluster's client-facing
 	// addresses, primary first (Epoch carries the fencing epoch that
@@ -214,11 +206,7 @@ func (m Message) appendPayload(buf []byte) []byte {
 		if m.MeetingChanged {
 			buf = appendPoint(buf, m.Meeting)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.Deltas)))
-		for _, d := range m.Deltas {
-			buf = appendUvarints(buf, uint64(d.Member), d.Epoch)
-			buf = appendBytes(buf, d.Region)
-		}
+		buf = appendBytes(buf, m.Region)
 	case TNack:
 		buf = appendUvarints(buf, uint64(m.Group), uint64(m.User), m.Epoch)
 	case TPing, TPong:
@@ -267,13 +255,10 @@ func (m Message) AppendFrame(buf []byte) ([]byte, error) {
 // frameCap is a buffer capacity that holds m's whole frame, so encoding
 // into a fresh buffer allocates once: the length prefix, the type byte
 // and any type's fixed fields at full varint width take at most 52 bytes
-// (TNotifyDelta's), a delta record adds 25 plus its region, and a peer
-// address 10 plus its bytes.
+// (TNotifyDelta's, region length included), and a peer address adds 10
+// plus its bytes.
 func (m Message) frameCap() int {
 	n := 52 + len(m.Region) + len(m.Text)
-	for _, d := range m.Deltas {
-		n += 25 + len(d.Region)
-	}
 	for _, a := range m.Peers {
 		n += binary.MaxVarintLen64 + len(a)
 	}
@@ -290,8 +275,8 @@ func Write(w io.Writer, m Message) error {
 	return err
 }
 
-// Read reads one framed message. Its Region and Deltas[i].Region share
-// the frame's freshly allocated payload.
+// Read reads one framed message. Its Region shares the frame's freshly
+// allocated payload.
 func Read(r io.Reader) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -345,20 +330,14 @@ func parsePayload(p []byte) (Message, error) {
 			m.MeetingChanged = true
 			m.Meeting = c.point()
 		}
-		// A record is at least three bytes: member, epoch, region length.
-		if n := c.count(3); n > 0 {
-			m.Deltas = make([]RegionDelta, 0, min(n, maxPrealloc))
-			for i := 0; i < n && !c.bad; i++ {
-				m.Deltas = append(m.Deltas, RegionDelta{Member: c.u32(), Epoch: c.uvarint(), Region: c.bytes()})
-			}
-		}
+		m.Region = c.bytes()
 	case TNack:
 		m.Group, m.User, m.Epoch = c.u32(), c.u32(), c.uvarint()
 	case TPing, TPong:
 		m.Epoch = c.uvarint()
 	case TPeers:
 		m.Epoch = c.uvarint()
-		if n := c.count(1); n > 0 {
+		if n := c.count(); n > 0 {
 			m.Peers = make([]string, 0, min(n, maxPrealloc))
 			for i := 0; i < n && !c.bad; i++ {
 				m.Peers = append(m.Peers, string(c.bytes()))
@@ -373,8 +352,8 @@ func parsePayload(p []byte) (Message, error) {
 	return m, nil
 }
 
-// maxPrealloc caps the slice a record count may preallocate: real frames
-// carry at most a group's worth of records, and append grows the rare
+// maxPrealloc caps the slice an address count may preallocate: real
+// frames carry a cluster's few addresses, and append grows the rare
 // larger (still payload-backed) frame, so a forged count cannot turn a
 // small frame into a many-times larger allocation.
 const maxPrealloc = 64
@@ -432,12 +411,12 @@ func (c *cursor) bytes() []byte {
 	return b
 }
 
-// count reads a record count, refusing one the rest of the payload could
-// not hold at minLen bytes a record — a forged count is corruption, and
-// must be caught before it sizes a slice.
-func (c *cursor) count(minLen int) int {
+// count reads an address count, refusing one the rest of the payload
+// could not hold at one byte (a length prefix) an address — a forged
+// count is corruption, and must be caught before it sizes a slice.
+func (c *cursor) count() int {
 	n := c.uvarint()
-	if c.bad || n > uint64(len(c.p)/minLen) {
+	if c.bad || n > uint64(len(c.p)) {
 		c.bad = true
 		return 0
 	}

@@ -91,7 +91,7 @@ type Config struct {
 
 // DeltaNotifyBytes is the modeled wire size of a region-less delta
 // notification: length prefix, type, varint group/user/epoch, flags, and
-// record count — ~10 bytes on the wire; 12 is the conservative model
+// an empty region — ~10 bytes on the wire; 12 is the conservative model
 // (matching the proto layer's worst case for small ids).
 const DeltaNotifyBytes = 12
 
