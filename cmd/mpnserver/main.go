@@ -11,7 +11,10 @@
 // back to the members' connections. After a group's one-time registration
 // plan (computed synchronously so its delivery is guaranteed), connection
 // read loops never wait on the planner, and a burst of reports costs one
-// recomputation.
+// recomputation. Under -method tiled the engine derives each member's
+// heading server-side, from the group's last planned locations; no frame
+// carries one, and a restored or replicated group starts from the
+// default heading again.
 //
 // Notifications use the delta wire protocol: clients that negotiate it
 // receive epoch-tracked region diffs — only regions whose content changed

@@ -51,7 +51,11 @@ func TestParseFlags(t *testing.T) {
 // options or flags onto it. At their defaults — α=30, b=100, θ=π/4, L=2,
 // a POI on every 9th network node — both must plan the same group the
 // same: one meeting point and byte-identical encoded regions, on
-// registration and on the update after one member escapes.
+// registration, on the update after one member escapes and on the update
+// after all three move. Neither front end passes headings, so under tiled
+// both plan with the engine's derived ones; the last step's regions must
+// then differ from a nil-heading plan, or parity would hold with both
+// ignoring headings.
 func TestFrontEndParity(t *testing.T) {
 	netw, err := roadnet.Generate(roadnet.DefaultConfig())
 	if err != nil {
@@ -72,6 +76,7 @@ func TestFrontEndParity(t *testing.T) {
 	// shape them differently.
 	users := []geom.Point{geom.Pt(0.10, 0.10), geom.Pt(0.90, 0.85), geom.Pt(0.50, 0.20)}
 	moved := []geom.Point{geom.Pt(0.30, 0.42), geom.Pt(0.90, 0.85), geom.Pt(0.50, 0.20)}
+	allMoved := []geom.Point{geom.Pt(0.25, 0.50), geom.Pt(0.80, 0.70), geom.Pt(0.60, 0.30)}
 	for _, method := range []string{"tiled", "tile", "circle", "net"} {
 		for _, agg := range []string{"max", "sum"} {
 			for _, incremental := range []bool{false, true} {
@@ -107,7 +112,8 @@ func TestFrontEndParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for step, locs := range [][]geom.Point{users, moved} {
+					steps := [][]geom.Point{users, moved, allMoved}
+					for step, locs := range steps {
 						if step > 0 {
 							if err := bin.eng.Update(id, locs, nil); err != nil {
 								t.Fatal(err)
@@ -126,6 +132,20 @@ func TestFrontEndParity(t *testing.T) {
 							}
 						}
 					}
+					if method != "tiled" {
+						return
+					}
+					_, undirected, _, err := lib.Plan(allMoved, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lr := g.Regions()
+					for i := range allMoved {
+						if !bytes.Equal(mpn.EncodeRegion(undirected[i]), mpn.EncodeRegion(lr[i])) {
+							return
+						}
+					}
+					t.Fatal("every member's region equals its nil-heading plan: headings were ignored")
 				})
 			}
 		}

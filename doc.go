@@ -25,7 +25,8 @@
 // Three safe-region strategies are provided: Circle (cheap to compute,
 // escapes often), Tile (tile-based regions approximating the maximal safe
 // region), and TileDirected (tiles grown toward each user's travel
-// direction — the paper's best method). The buffering optimization
+// direction — the paper's best method; with nil dirs, the bearing of her
+// move since the group's last plan). The buffering optimization
 // (WithBuffer) makes tile computation touch the POI index exactly once per
 // update.
 //

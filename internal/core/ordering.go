@@ -96,12 +96,8 @@ func ringCell(k, i int) (gx, gy int) {
 	}
 }
 
-// cellOffset spreads the east edge symmetrically: 0, 1, …, k, then −1 …
-// −k+? — we simply go 0,1,…,k−1,k? To keep the walk contiguous
-// anti-clockwise we start at (k,0) and go up to (k,k), so offsets are
-// 0…k, then the remainder of the east edge (negative y) is visited at the
-// end of the south edge wrap. For simplicity the east edge covers
-// y ∈ [−k+1 … k] shifted so the walk starts at y=0: 0,1,…,k,−k+1,…,−1.
+// cellOffset maps the east edge's index i ∈ [0, 2k) to its y offset:
+// 0, 1, …, k for i ≤ k, then −k+1, …, −1.
 func cellOffset(i, k int) int {
 	if i <= k {
 		return i

@@ -32,8 +32,9 @@ type PlanRequest struct {
 
 	// Dirs optionally holds per-member travel headings for the directed
 	// tile ordering. Ignored unless Kind is KindTiles with
-	// Options.Directed; may be nil or mismatched in length (both fall
-	// back to undirected defaults).
+	// Options.Directed. Nil or mismatched in length, it falls back to
+	// the zero Direction for every member: heading 0 with Options.Theta,
+	// a cone pointing east.
 	Dirs []Direction
 
 	// Cache is accepted and ignored; removed with ROADMAP 9.

@@ -45,6 +45,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -320,12 +321,14 @@ type groupState struct {
 	seq     uint64     // completed recomputations
 
 	// replanMu serializes recomputations for this group and guards
-	// planState. It is held across the whole planning call — per group
-	// there is at most one asynchronous recomputation in flight, so it
-	// only ever contends with a racing synchronous Update. Never acquired
-	// while holding mu.
+	// planState, planned and dirs. It is held across the whole planning
+	// call — per group there is at most one asynchronous recomputation in
+	// flight, so it only ever contends with a racing synchronous Update.
+	// Never acquired while holding mu.
 	replanMu  sync.Mutex
-	planState core.PlanState // retained plan and region epochs
+	planState core.PlanState   // retained plan and region epochs
+	planned   []geom.Point     // locations of the last successful plan
+	dirs      []core.Direction // headings derived from planned (see headings)
 }
 
 // shard is one lock stripe of the registry plus its run queue.
@@ -535,6 +538,8 @@ func (e *Engine) shardFor(id GroupID) *shard {
 
 // Register adds a group, computes its first plan synchronously (so the
 // caller can read regions immediately), and emits the Seq-1 notification.
+// dirs reach the planner as given: a registration has no earlier plan to
+// derive headings from.
 func (e *Engine) Register(users []geom.Point, dirs []core.Direction) (GroupID, error) {
 	return e.RegisterTag(users, dirs, nil)
 }
@@ -652,7 +657,9 @@ func CheckFinite(users []geom.Point) error {
 // group coalesce into one recomputation over the latest snapshot, and the
 // result arrives on the subscription stream. Submit blocks only when the
 // shard's run queue is full, and then at most Options.AdmissionWait
-// before shedding the submission with ErrOverloaded.
+// before shedding the submission with ErrOverloaded. dirs of the wrong
+// length, nil included, mean "derived from the group's last planned
+// locations" (see compute).
 func (e *Engine) Submit(id GroupID, users []geom.Point, dirs []core.Direction) error {
 	return e.SubmitTag(id, users, dirs, nil)
 }
@@ -721,6 +728,13 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 // wantEpochs asks for a snapshot of the post-recomputation epoch vector
 // (a copy, taken while the lock is still held); callers that will not
 // emit a notification pass false and skip the copy.
+//
+// dirs whose length matches users reach the planner unchanged. Otherwise,
+// once the group has a successful plan, compute derives the headings from
+// that plan's locations (see headings); registration has none, so its
+// dirs pass through. Only a successful plan advances that reference
+// snapshot. Derived headings are not journaled: after a restore or a
+// failover the first plan is again a registration.
 func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point, dirs []core.Direction, wantEpochs bool) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, stats core.Stats, outcome core.IncOutcome, err error) {
 	st.replanMu.Lock()
 	defer st.replanMu.Unlock()
@@ -734,11 +748,34 @@ func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point,
 		}
 	}()
 	faultinject.Fire(faultinject.EnginePlan)
+	if len(dirs) != len(users) && len(st.planned) == len(users) {
+		dirs = st.headings(users)
+	}
 	meeting, regions, stats, outcome, err = e.replan(ws, &st.planState, users, dirs)
-	if err == nil && wantEpochs {
-		epochs = append([]uint64(nil), st.planState.Epochs()...)
+	if err == nil {
+		st.planned = append(st.planned[:0], users...)
+		if wantEpochs {
+			epochs = append([]uint64(nil), st.planState.Epochs()...)
+		}
 	}
 	return meeting, regions, epochs, stats, outcome, err
+}
+
+// headings derives each member's heading for the directed tile ordering
+// from the group's last successfully planned locations: the bearing of
+// her move since then, or the zero Direction (the planner's default) if
+// she has not moved. θ stays the planner's Options.Theta. The buffer is
+// the group's own, reused across recomputations; callers hold replanMu.
+func (st *groupState) headings(users []geom.Point) []core.Direction {
+	st.dirs = st.dirs[:0]
+	for i, u := range users {
+		var d core.Direction
+		if dx, dy := u.X-st.planned[i].X, u.Y-st.planned[i].Y; dx != 0 || dy != 0 {
+			d.Angle = math.Atan2(dy, dx)
+		}
+		st.dirs = append(st.dirs, d)
+	}
+	return st.dirs
 }
 
 // recompute is the one path from a location snapshot to a committed
@@ -807,7 +844,8 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 // after. Seq assignment stays strictly increasing through the shared
 // per-group state, but a synchronous Update racing an asynchronous
 // recomputation already in flight may emit out of Seq order (the two
-// commit independently, last store wins).
+// commit independently, last store wins). dirs are read as Submit reads
+// them: nil headings are derived from the group's last planned locations.
 func (e *Engine) Update(id GroupID, users []geom.Point, dirs []core.Direction) error {
 	if !e.beginOp() {
 		return ErrClosed

@@ -184,9 +184,11 @@ func (s *Server) UpdatePOIs(inserts []Point, deleteIDs []int) ([]int, error) {
 }
 
 // Register creates a monitored group from the users' current locations and
-// computes its first meeting point and safe regions. dirs may be nil; it
-// is only consulted by the TileDirected method. The registration plan is
-// also emitted to subscribers as the group's Seq-1 notification.
+// computes its first meeting point and safe regions. dirs is only
+// consulted by the TileDirected method; nil means the default heading (a
+// registration has no earlier locations to derive one from). The
+// registration plan is also emitted to subscribers as the group's Seq-1
+// notification.
 func (s *Server) Register(users []Point, dirs []Direction) (*Group, error) {
 	if len(users) == 0 {
 		return nil, ErrNoGroup
@@ -267,8 +269,9 @@ func (g *Group) NeedsUpdate(i int, loc Point) bool {
 
 // Update recomputes the meeting point and safe regions from all users'
 // current locations (the server-side step after an escape), on the
-// caller's goroutine. dirs may be nil unless the server uses TileDirected
-// and per-user headings are available. The result is visible through the
+// caller's goroutine. dirs is only consulted by TileDirected; nil means
+// each user's heading is derived from the group's last planned locations
+// (the bearing of her move since). The result is visible through the
 // accessors when Update returns, and is also emitted to subscribers.
 func (g *Group) Update(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
@@ -281,7 +284,9 @@ func (g *Group) Update(users []Point, dirs []Direction) error {
 // worker pool and returns immediately. Bursts of submissions for the same
 // group coalesce into a single recomputation over the latest locations;
 // results arrive on the Server.Subscribe stream. SubmitUpdate blocks only
-// when the group's shard queue is full (backpressure).
+// when the group's shard queue is full (backpressure). dirs is read as
+// Update reads it: nil headings are derived from the group's last planned
+// locations.
 func (g *Group) SubmitUpdate(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))
