@@ -213,7 +213,7 @@ func runFailoverKillPrimary(t *testing.T, seed int64, pois, starts, finals []geo
 			break
 		}
 		if time.Now().After(deadline) {
-			st := standby.srv.stats()
+			st := standby.srv.snapshot()
 			for i, u := range users {
 				t.Logf("user %d: meeting=%v want=%v region-match=%v reconnects=%d connected=%v addrs=%v",
 					i, u.rc.Meeting(), want.meeting,
@@ -226,7 +226,7 @@ func runFailoverKillPrimary(t *testing.T, seed int64, pois, starts, finals []geo
 	}
 
 	// The standby must have promoted itself past the primary's epoch.
-	st := standby.srv.stats()
+	st := standby.srv.snapshot()
 	if st.Role != "primary" {
 		t.Fatalf("standby role after failover: %s", st.Role)
 	}
@@ -326,13 +326,13 @@ func TestFailoverFencing(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("clients never failed over to the promoted standby (primary refusals=%d)",
-				primary.srv.stats().Coord.WriteRefusals)
+				primary.srv.snapshot().Coord.WriteRefusals)
 		}
 	}
-	if got := primary.srv.stats().Coord.WriteRefusals; got == 0 {
+	if got := primary.srv.snapshot().Coord.WriteRefusals; got == 0 {
 		t.Fatal("deposed primary never refused a write")
 	}
-	if st := standby.srv.stats(); st.Role != "primary" {
+	if st := standby.srv.snapshot(); st.Role != "primary" {
 		t.Fatalf("standby role: %s", st.Role)
 	}
 

@@ -8,9 +8,14 @@ import (
 	"time"
 )
 
-// connStats aggregates connection-level accounting across the whole
-// server: byte totals, error totals, and how many connections were torn
-// down by the idle deadline. All counters are lock-free.
+// connTotals is connection-level accounting across the whole server:
+// byte totals, error totals, and how many connections were torn down by
+// the idle deadline.
+type connTotals struct {
+	Accepted, ReadBytes, WriteBytes, ReadErrors, WriteErrors, IdleTimeouts uint64
+}
+
+// connStats is connTotals' live, lock-free form.
 type connStats struct {
 	accepted     atomic.Uint64
 	readBytes    atomic.Uint64
@@ -18,6 +23,11 @@ type connStats struct {
 	readErrors   atomic.Uint64
 	writeErrors  atomic.Uint64
 	idleTimeouts atomic.Uint64
+}
+
+func (c *connStats) totals() connTotals {
+	return connTotals{c.accepted.Load(), c.readBytes.Load(), c.writeBytes.Load(),
+		c.readErrors.Load(), c.writeErrors.Load(), c.idleTimeouts.Load()}
 }
 
 // guardedConn wraps an accepted connection with deadline discipline and

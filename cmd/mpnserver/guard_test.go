@@ -51,7 +51,7 @@ func TestIdleConnectionReaped(t *testing.T) {
 		t.Fatal("idle connection never reaped")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.stats().IdleTimeouts == 0 {
+	for srv.snapshot().Conns.IdleTimeouts == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle teardown not recorded in stats")
 		}

@@ -21,7 +21,9 @@
 // travel, a steady-state "nothing changed" frame is ~10 bytes — with
 // automatic full-frame fallback on registration, reconnect, dropped
 // frames, and client NACKs; clients that do not negotiate it receive full
-// frames.
+// frames. At shutdown the server logs one line from one snapshot of every
+// layer's counters: plans per incremental outcome, coalesced and shed
+// reports (each counted once, by the engine), connections and the WAL.
 //
 // With -state-dir the server's authoritative state — group
 // registrations and membership, last committed member locations, and
@@ -228,8 +230,6 @@ type server struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	cstats       connStats
-	shedReports  atomic.Uint64 // reports shed by engine admission control
-	coalesced    atomic.Uint64 // reports that shared a newer report's recomputation
 
 	// mu guards the protocol-group → engine-group id mapping (the way
 	// back travels on every notification, see reportTag); it is also held
@@ -498,10 +498,10 @@ func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Poin
 // members still hold valid safe regions, and whoever escaped will escape
 // again and resubmit once the queue drains — so broadcasting it as a
 // fatal TError would turn transient pressure into a mass disconnect.
-// Shed reports are counted and logged instead.
+// The engine counts shed reports; they are logged instead.
 func (s *server) deliverError(gid uint32, err error) {
 	if errors.Is(err, engine.ErrOverloaded) {
-		if n := s.shedReports.Add(1); n == 1 || n%100 == 0 {
+		if n := s.eng.Shed(); n == 1 || n%100 == 0 {
 			s.logger.Printf("group %d: report shed under overload (%d shed so far)", gid, n)
 		}
 		return
@@ -542,9 +542,6 @@ func (s *server) fanout() {
 			return ok && cur == eid
 		}
 		s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Epochs, n.Err)
-		if n.Coalesced > 1 {
-			s.coalesced.Add(uint64(n.Coalesced - 1))
-		}
 	}
 }
 
@@ -583,92 +580,58 @@ func (s *server) serve(ln net.Listener) error {
 	}
 }
 
-// serverStats is a point-in-time roll-up of every fault/overload counter
-// the serving stack keeps: engine admission control, coordinator delivery
-// policy, and connection-level accounting.
-type serverStats struct {
-	ShedReports   uint64 // reports shed by engine admission control
-	EngineShed    uint64 // shard-level shed submissions
-	EngineAbandon uint64 // recomputations abandoned at Close
+// snapshot is the server's counters at one instant: each layer's own
+// accounting by value, zero for a layer that is off.
+type snapshot struct {
+	Engine        engine.Counters
 	Coord         proto.CoordStats
-	ConnsAccepted uint64
-	ReadBytes     uint64
-	WriteBytes    uint64
-	ReadErrors    uint64
-	WriteErrors   uint64
-	IdleTimeouts  uint64
-	FanoutDropped uint64        // engine→coordinator notification drops
-	WAL           durable.Stats // zero when durability is off
-	// CoalescedReports counts reports that shared a newer report's
-	// recomputation: Notification.Coalesced − 1 per delivery.
-	CoalescedReports uint64
-	// Replication roll-up (zero values when replication is off).
-	Role  string // current replication role
-	Epoch uint64 // fencing epoch
-	Ship  replica.ShipperStats
-	Tail  replica.TailerStats
+	WAL           durable.Stats
+	Ship          replica.ShipperStats
+	Tail          replica.TailerStats
+	Conns         connTotals
+	Role          string // replication role
+	Epoch         uint64 // fencing epoch
+	FanoutDropped uint64 // engine→coordinator notification drops
 }
 
-func (s *server) stats() serverStats {
-	var shed, abandoned uint64
-	for _, sh := range s.eng.ShardStats() {
-		shed += sh.Shed
-		abandoned += sh.Abandoned
-	}
-	st := serverStats{
-		ShedReports:   s.shedReports.Load(),
-		EngineShed:    shed,
-		EngineAbandon: abandoned,
-		Coord:         s.coord.Stats(),
-		ConnsAccepted: s.cstats.accepted.Load(),
-		ReadBytes:     s.cstats.readBytes.Load(),
-		WriteBytes:    s.cstats.writeBytes.Load(),
-		ReadErrors:    s.cstats.readErrors.Load(),
-		WriteErrors:   s.cstats.writeErrors.Load(),
-		IdleTimeouts:  s.cstats.idleTimeouts.Load(),
-		FanoutDropped: s.sub.Dropped(),
-
-		CoalescedReports: s.coalesced.Load(),
+func (s *server) snapshot() snapshot {
+	sn := snapshot{
+		Engine: s.eng.Counters(), Coord: s.coord.Stats(), Conns: s.cstats.totals(),
+		Role: s.role.Get().String(), Epoch: s.epoch.Load(), FanoutDropped: s.sub.Dropped(),
 	}
 	if s.store != nil {
-		st.WAL = s.store.Stats()
-	}
-	if s.role != nil {
-		st.Role = s.role.Get().String()
-		st.Epoch = s.epoch.Load()
+		sn.WAL = s.store.Stats()
 	}
 	if s.ship != nil {
-		st.Ship = s.ship.Stats()
+		sn.Ship = s.ship.Stats()
 	}
 	if s.tail != nil {
-		st.Tail = s.tail.Stats()
+		sn.Tail = s.tail.Stats()
 	}
-	return st
+	return sn
 }
 
 // close stops the engine (draining queued recomputations up to the
-// configured deadline), waits for the fan-out goroutine, and logs the
-// final fault counters so overload during the run is visible post-hoc.
+// configured deadline), waits for the fan-out goroutine, closes the store
+// (a clean close fsyncs the final journal records), and logs one snapshot
+// so overload during the run is visible post-hoc.
 func (s *server) close() {
 	s.stopRepl()
 	s.eng.Close()
 	<-s.fanoutDone
-	st := s.stats()
 	if s.store != nil {
-		// After the engine drained: the final journal records are
-		// queued, and a clean close fsyncs them.
 		if err := s.store.Close(); err != nil {
 			s.logger.Printf("durable close: %v", err)
 		}
-		w := s.store.Stats()
-		s.logger.Printf("wal: appended=%d shed=%d syncs=%d compactions=%d errors=%d wedged=%v",
-			w.Appended, w.Shed, w.Syncs, w.Compactions, w.Errors, w.Wedged)
 	}
-	s.logger.Printf("served %d conns (%dB in, %dB out); coalesced=%d shed=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d",
-		st.ConnsAccepted, st.ReadBytes, st.WriteBytes, st.CoalescedReports,
-		st.ShedReports+st.EngineShed, st.EngineAbandon,
+	st := s.snapshot()
+	c, w := st.Engine, st.WAL
+	s.logger.Printf("served %d conns (%dB in, %dB out); plans full=%d partial=%d kept=%d coalesced=%d shed=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d; wal appended=%d shed=%d syncs=%d compactions=%d errors=%d wedged=%v",
+		st.Conns.Accepted, st.Conns.ReadBytes, st.Conns.WriteBytes,
+		c.Plans[core.IncFull], c.Plans[core.IncPartial], c.Plans[core.IncKept], c.Coalesced, c.Shed, c.Abandoned,
 		st.Coord.SlowClientDisconnects, st.Coord.DroppedFrames,
-		st.IdleTimeouts, st.ReadErrors, st.WriteErrors)
+		st.Conns.IdleTimeouts, st.Conns.ReadErrors, st.Conns.WriteErrors,
+		w.Appended, w.Shed, w.Syncs, w.Compactions, w.Errors, w.Wedged)
 }
 
 // crash tears the server down as if the process died at this instant:

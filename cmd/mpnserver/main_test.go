@@ -237,15 +237,16 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 		}
 	}
 	// Every report either got a recomputation of its own or is counted as
-	// coalesced into a newer one. The fan-out counts in delivery order, so
-	// the final notification having arrived means all of them are in.
+	// coalesced into a newer one. The engine counts at commit, before it
+	// notifies, so the final notification having arrived means all of
+	// them are in.
 	srv.mu.Lock()
 	eid := srv.gidToEngine[9]
 	srv.mu.Unlock()
 	recomputed := uint64(srv.eng.Updates(eid) - 1) // minus the registration plan
-	if got := recomputed + srv.stats().CoalescedReports; got != 21 {
+	if coalesced := srv.snapshot().Engine.Coalesced; recomputed+coalesced != 21 {
 		t.Fatalf("%d recomputations + %d coalesced reports, want 21 reports accounted for",
-			recomputed, srv.stats().CoalescedReports)
+			recomputed, coalesced)
 	}
 }
 

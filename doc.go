@@ -283,7 +283,7 @@
 //     keeps the group's retained plan valid and the next accepted update
 //     carries the latest locations — so callers treat ErrOverloaded as
 //     backpressure, not failure. Shed and abandoned counts are visible
-//     per shard in Server.ShardStats; cmd/mpnserver counts sheds without
+//     in Server.Counters; cmd/mpnserver counts sheds without
 //     disconnecting the reporting client.
 //   - Panic isolation: a panic inside a planner recomputation is
 //     recovered by the owning worker and converted into an
@@ -293,7 +293,7 @@
 //     invalidated so the next update replans fully.
 //   - Shutdown: Server.Close drains queued recomputations for at most
 //     WithCloseTimeout before abandoning the remainder (counted in
-//     ShardStats), then rejects further operations with ErrServerClosed
+//     Counters), then rejects further operations with ErrServerClosed
 //     — including callers already blocked in admission, which unblock
 //     promptly rather than leak.
 //   - Dead and slow peers: cmd/mpnserver arms a read deadline covering

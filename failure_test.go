@@ -7,7 +7,7 @@ import (
 )
 
 // The public failure-semantics surface: fail-fast admission sheds with
-// ErrOverloaded and counts it in ShardStats, post-Close operations
+// ErrOverloaded and counts it in Counters, post-Close operations
 // return ErrServerClosed, and both sentinels compose with errors.Is.
 func TestAdmissionAndCloseErrors(t *testing.T) {
 	srv, err := NewServer(testPOIs(400, 3),
@@ -48,12 +48,8 @@ func TestAdmissionAndCloseErrors(t *testing.T) {
 	if !sawOverload {
 		t.Fatal("fail-fast admission never shed a submission")
 	}
-	var shed uint64
-	for _, st := range srv.ShardStats() {
-		shed += st.Shed
-	}
-	if shed == 0 {
-		t.Fatal("shed submission not counted in ShardStats")
+	if srv.Counters().Shed == 0 {
+		t.Fatal("shed submission not counted in Counters")
 	}
 
 	srv.Close()

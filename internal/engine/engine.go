@@ -120,7 +120,7 @@ var (
 	errNonFinite    = errors.New("engine: non-finite user location")
 	// ErrOverloaded is returned by Submit when the target shard's run
 	// queue stayed full for the whole admission wait: the submission was
-	// shed, not queued (see Options.AdmissionWait and ShardStats.Shed).
+	// shed, not queued (see Options.AdmissionWait and Counters.Shed).
 	// The recorded snapshot is retained as the group's pending update, so
 	// a later accepted submission recomputes over fresh locations.
 	ErrOverloaded = errors.New("engine: shard queue full, submission shed")
@@ -185,7 +185,7 @@ type Options struct {
 	AdmissionWait time.Duration
 	// CloseTimeout bounds how long Close waits for queued recomputations
 	// to drain before abandoning the remaining queue entries (counted in
-	// ShardStats.Abandoned). Zero selects DefaultCloseTimeout; negative
+	// Counters.Abandoned). Zero selects DefaultCloseTimeout; negative
 	// waits without bound.
 	CloseTimeout time.Duration
 	// Replan, when non-nil, enables incremental safe-region maintenance:
@@ -341,8 +341,21 @@ type shard struct {
 	depth    int
 	closed   bool
 
-	shed      atomic.Uint64 // submissions rejected with ErrOverloaded
-	abandoned atomic.Uint64 // queued entries dropped by Close's drain deadline
+	shed      atomic.Uint64                   // submissions rejected with ErrOverloaded
+	abandoned atomic.Uint64                   // queued entries dropped by Close's drain deadline
+	coalesced atomic.Uint64                   // submissions folded into a newer one's committed plan
+	plans     [core.IncKept + 1]atomic.Uint64 // committed plans by outcome
+	verifies  atomic.Uint64                   // core.Stats.TileVerifies of committed plans
+	accesses  atomic.Uint64                   // core.Stats.IndexAccesses of committed plans
+}
+
+// committed counts one committed plan that covered the given number of
+// submissions.
+func (sh *shard) committed(outcome core.IncOutcome, stats core.Stats, covered int) {
+	sh.plans[outcome].Add(1)
+	sh.coalesced.Add(uint64(covered - 1))
+	sh.verifies.Add(uint64(stats.TileVerifies))
+	sh.accesses.Add(uint64(stats.IndexAccesses))
 }
 
 func newShard(depth int) *shard {
@@ -562,7 +575,7 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		return 0, err
 	}
 	ws := core.GetWorkspace()
-	meeting, regions, epochs, stats, _, err := e.compute(st, ws, users, dirs, e.hasSubscribers())
+	meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, users, dirs, e.hasSubscribers())
 	core.PutWorkspace(ws)
 	if err != nil {
 		return 0, err
@@ -577,6 +590,7 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 	}
 	sh.groups[id] = st
 	sh.mu.Unlock()
+	sh.committed(outcome, stats, 1)
 	if e.journal != nil {
 		// The registration commit. No lock needed for ordering: a
 		// submission for this group cannot exist before the id returns.
@@ -808,6 +822,7 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 	st.regions = regions
 	st.stats.Add(stats)
 	st.seq++
+	e.shardFor(st.id).committed(outcome, stats, covered)
 	if e.journal != nil {
 		// Prefer the covering submission's tag: it describes the snapshot
 		// this commit was computed from. Untagged submissions fall back to
@@ -1092,7 +1107,7 @@ func (e *Engine) NumGroups() int {
 //   - Recomputations already running or already queued get
 //     Options.CloseTimeout to complete and emit. When the deadline
 //     passes, the remaining queue entries are abandoned (counted in
-//     ShardStats.Abandoned) and workers exit after their current
+//     Counters.Abandoned) and workers exit after their current
 //     recomputation; a worker wedged inside the planner past a second
 //     deadline is left behind rather than hanging Close. A snapshot
 //     accepted while its group's recomputation was in flight may be
@@ -1154,8 +1169,10 @@ func (e *Engine) Close() {
 	e.subMu.Unlock()
 }
 
-// ShardStats is one shard's admission and shutdown accounting.
-type ShardStats struct {
+// Counters is the engine's accounting, summed over its shards:
+// admission and shutdown, coalescing, and the plans it committed with
+// the planner work they did. Every field but Queued only grows.
+type Counters struct {
 	// Queued is the current run-queue length.
 	Queued int
 	// Shed counts submissions rejected with ErrOverloaded because the
@@ -1164,27 +1181,37 @@ type ShardStats struct {
 	// Abandoned counts queued recomputations discarded when Close's
 	// drain deadline passed.
 	Abandoned uint64
+	// Coalesced counts submissions folded into a newer submission's
+	// committed plan (Notification.Coalesced − 1 per commit), whether or
+	// not a subscriber received that notification.
+	Coalesced uint64
+	// Plans counts committed plans, registrations included, indexed by
+	// core.IncOutcome; they sum to the groups' Updates.
+	Plans [core.IncKept + 1]uint64
+	// TileVerifies and IndexAccesses sum those core.Stats counters over
+	// the committed plans.
+	TileVerifies, IndexAccesses uint64
 }
 
-// ShardStats returns a snapshot of every shard's admission counters,
-// indexed by shard.
-func (e *Engine) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(e.shards))
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		q := len(sh.ready)
-		sh.mu.Unlock()
-		out[i] = ShardStats{Queued: q, Shed: sh.shed.Load(), Abandoned: sh.abandoned.Load()}
-	}
-	return out
-}
-
-// Shed returns the total number of submissions rejected with
-// ErrOverloaded across all shards — the headline overload counter.
-func (e *Engine) Shed() uint64 {
-	var n uint64
+// Counters sums every shard's counters.
+func (e *Engine) Counters() Counters {
+	var c Counters
 	for _, sh := range e.shards {
-		n += sh.shed.Load()
+		sh.mu.Lock()
+		c.Queued += len(sh.ready)
+		sh.mu.Unlock()
+		c.Shed += sh.shed.Load()
+		c.Abandoned += sh.abandoned.Load()
+		c.Coalesced += sh.coalesced.Load()
+		for o := range sh.plans {
+			c.Plans[o] += sh.plans[o].Load()
+		}
+		c.TileVerifies += sh.verifies.Load()
+		c.IndexAccesses += sh.accesses.Load()
 	}
-	return n
+	return c
 }
+
+// Shed returns Counters().Shed, the submissions rejected with
+// ErrOverloaded across all shards.
+func (e *Engine) Shed() uint64 { return e.Counters().Shed }

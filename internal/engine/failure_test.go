@@ -91,12 +91,8 @@ func TestSubmitOverloadedBounded(t *testing.T) {
 	if got := e.Shed(); got != 1 {
 		t.Fatalf("Shed() = %d, want 1", got)
 	}
-	var total uint64
-	for _, ss := range e.ShardStats() {
-		total += ss.Shed
-	}
-	if total != 1 {
-		t.Fatalf("sum of ShardStats.Shed = %d, want 1", total)
+	if got := e.Counters().Shed; got != 1 {
+		t.Fatalf("Counters().Shed = %d, want 1", got)
 	}
 
 	// Unwedge and resubmit g3: the accepted submission must coalesce the
@@ -394,11 +390,7 @@ func TestCloseDrainDeadline(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("Close took %v despite a %v drain deadline", elapsed, 40*time.Millisecond)
 	}
-	var abandoned uint64
-	for _, ss := range e.ShardStats() {
-		abandoned += ss.Abandoned
-	}
-	if abandoned != 3 {
+	if abandoned := e.Counters().Abandoned; abandoned != 3 {
 		t.Fatalf("abandoned = %d, want 3 (queued behind the wedged worker)", abandoned)
 	}
 	close(p.release) // let the wedged worker go home

@@ -134,14 +134,13 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 	return &Server{st: st}, nil
 }
 
-// ShardStats is a snapshot of one engine shard's admission counters:
-// queued recomputations, submissions shed by admission control, and
-// recomputations abandoned by the Close drain deadline.
-type ShardStats = engine.ShardStats
+// Counters is a snapshot of the engine's accounting: admission, shutdown,
+// coalescing, and committed plans per ReplanOutcome.
+type Counters = engine.Counters
 
-// ShardStats reports every engine shard's admission counters — the
-// observability face of WithAdmissionWait and WithCloseTimeout.
-func (s *Server) ShardStats() []ShardStats { return s.st.Engine.ShardStats() }
+// Counters reports the engine's counters — the observability face of
+// WithAdmissionWait, WithCloseTimeout and WithIncremental.
+func (s *Server) Counters() Counters { return s.st.Engine.Counters() }
 
 // NumPOIs returns the indexed data set size.
 func (s *Server) NumPOIs() int { return s.st.Planner.NumPOIs() }

@@ -326,6 +326,9 @@ func TestWithIncrementalLifecycle(t *testing.T) {
 		if n := <-sub.C; n.Outcome != ReplanKept {
 			t.Fatalf("%v duplicate report: outcome %v", method, n.Outcome)
 		}
+		if kept := s.Counters().Plans[ReplanKept]; kept != 1 {
+			t.Fatalf("%v duplicate report: Counters counted %d kept plans, want 1", method, kept)
+		}
 		for i, u := range users {
 			if g.NeedsUpdate(i, u) {
 				t.Fatalf("%v: kept plan misses user %d", method, i)

@@ -242,7 +242,7 @@ func WithQueueDepth(depth int) Option {
 // retained plan stays valid and the next accepted update carries the
 // latest locations). The default is 1 second; a negative wait sheds
 // immediately (fail-fast admission). Shed counts are visible in
-// Server.ShardStats.
+// Server.Counters.
 func WithAdmissionWait(d time.Duration) Option {
 	return func(c *config) error {
 		if d == 0 {
@@ -255,7 +255,7 @@ func WithAdmissionWait(d time.Duration) Option {
 
 // WithCloseTimeout bounds how long Server.Close drains queued
 // recomputations before abandoning them (abandoned counts are visible
-// in Server.ShardStats). The default is 5 seconds; a negative timeout
+// in Server.Counters). The default is 5 seconds; a negative timeout
 // waits unboundedly.
 func WithCloseTimeout(d time.Duration) Option {
 	return func(c *config) error {
