@@ -190,10 +190,12 @@
 // regions exist to suppress messages — yet a kept plan whose regions
 // changed not at all would still ship every member her full encoded
 // region on every notification. The protocol layer (internal/proto,
-// cmd/mpnserver) closes that gap end to end. Every frame shares one
-// layout — a length prefix, the type byte, then only the fields that type
-// carries, integers as varints — so a step-1 report or a probe reply is
-// about 24 bytes and a probe about 8:
+// cmd/mpnserver) closes that gap end to end. A tile region is encoded as
+// the lattice lines of its δ cells and a quadtree per cell
+// (internal/tileenc), ~40 bytes for 30 tiles, and decodes bit for bit.
+// Every frame shares one layout — a length prefix, the type byte, then
+// only the fields that type carries, integers as varints — so a step-1
+// report or a probe reply is about 24 bytes and a probe about 8:
 //
 //   - Epoch stamping: core.PlanState tags every member slot with a
 //     monotone epoch that advances exactly when that slot's region
@@ -224,12 +226,14 @@
 //     round).
 //
 // On the kept-path steady state at m=6 the notification round shrinks
-// from ~1.0 KB to ~60 B (≈17×) and serialization from ~17µs to ~250ns;
-// the notify_bytes_*/notify_encode_* series in BENCH_plan.json carry
-// the numbers and cmd/benchgate enforces both the regression bound and
-// the ≥10× reduction. The simulator and experiment harness account the
-// same protocol (sim.Config.DeltaWire, mpnbench -delta), so the paper's
-// communication figures reflect what the coordinator actually ships.
+// from ~375 B to ~60 B (≈6×; ~1.0 KB and ≈17× before tile regions took
+// the lattice layout) and serialization from ~12µs to ~250ns; the
+// notify_bytes_*/notify_encode_* series in BENCH_plan.json carry the
+// numbers and cmd/benchgate enforces the regression bound and a ≥10×
+// reduction, which the smaller full frames miss. The simulator and
+// experiment harness account the same protocol (sim.Config.DeltaWire,
+// mpnbench -delta), so the paper's communication figures reflect what the
+// coordinator actually ships.
 //
 // # Live POI churn and snapshot semantics
 //

@@ -837,7 +837,9 @@ func (c *Coordinator) NumGroups() int {
 // EncodeRegion is the one region codec (the public mpn.EncodeRegion
 // delegates here): 25 bytes for a circle (tag byte + three
 // float64s), the 'N'-tagged covered-segment codec for network range
-// regions, the tileenc codec for tile regions.
+// regions, the tileenc codec for tile regions: a planned region in its
+// lattice layout (~40 bytes for 30 tiles, decoded bit for bit), any other
+// tile set in its offset layout. δ is the largest tile width.
 func EncodeRegion(r core.SafeRegion) []byte {
 	if r.Kind == core.KindCircle {
 		buf := make([]byte, 0, 25)

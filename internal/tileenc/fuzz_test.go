@@ -15,9 +15,11 @@ import (
 // (different δ, origin at the decoded bounding box), so inward rounding
 // may legitimately shrink tiles by up to one lattice pitch — only
 // decodability, validity, and the count are invariant. The seed corpus
-// covers the interesting shapes: empty payloads, bare headers, single
-// tiles, realistic multi-level regions, and an empty region. CI runs a
-// short `go test -fuzz=FuzzDecode` smoke on top of the seeds.
+// covers the interesting shapes in both layouts: empty payloads, bare
+// headers, single tiles, realistic multi-level regions, an empty region,
+// and in the lattice layout a planned region, one cell, quadrants at the
+// deepest level, a box larger than its bits and a truncated quadtree. CI
+// runs a short `go test -fuzz=FuzzDecode` smoke on top of the seeds.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
 	f.Add([]byte{})
@@ -28,6 +30,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode([]geom.Rect{{Min: pt(0.1, 0.1), Max: pt(0.2, 0.2)}}, 0.1))
 	f.Add(Encode(regionLike(pt(0.5, 0.5), 0.01, 20, rng), 0.01))
 	f.Add(Encode(regionLike(pt(0.25, 0.75), 0.003, 60, rng), 0.003))
+	f.Add(encodeOffsets(regionLike(pt(0.5, 0.5), 0.01, 20, rng), 0.01))
+	planned := plannedRegion(f)
+	f.Add(Encode(planned, maxWidth(planned)))
+	f.Add(Encode([]geom.Rect{geom.RectAround(pt(0.5, 0.5), 0.01)}, 0.01))
+	deep := latticeRegion(pt(0.5, 0.5), 0.01, 1, 3, rng)
+	f.Add(Encode(deep, 0.01))
+	huge := appendF(appendF(appendF([]byte{'T', Version}, 0), 0), 1)
+	f.Add(append(huge, 16, 16, 0, 0xff)) // 16×16 cells in 8 bits
+	lat := Encode(deep, 0.01)
+	f.Add(lat[:len(lat)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tiles, err := Decode(data)
 		if err != nil {
@@ -74,6 +86,9 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 			// Bias toward plausible headers to reach deeper code paths.
 			buf[0] = 'T'
 			buf[1] = Version
+			if rng.Intn(2) == 0 {
+				buf[1] = versionOffsets
+			}
 		}
 		tiles, err := Decode(buf)
 		if err != nil {
@@ -85,25 +100,48 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 			}
 		}
 	}
+	// Random bytes over a valid lattice payload past its 2-byte tag.
+	valid := Encode(latticeRegion(pt(0.5, 0.5), 0.01, 3, 2, rng), 0.01)
+	if valid[1] != Version {
+		t.Fatal("the lattice region took the offset layout")
+	}
+	for trial := 0; trial < 20000; trial++ {
+		buf := append([]byte(nil), valid[:2+rng.Intn(len(valid)-1)]...)
+		for k := rng.Intn(4); k >= 0; k-- {
+			if i := 2 + rng.Intn(len(buf)-1); i < len(buf) {
+				buf[i] = byte(rng.Intn(256))
+			}
+		}
+		tiles, err := Decode(buf)
+		if err != nil {
+			continue
+		}
+		for _, tile := range tiles {
+			if !tile.IsValid() {
+				t.Fatalf("decoded invalid tile %v from a mutated lattice payload", tile)
+			}
+		}
+	}
 }
 
-// Mutating single bytes of a valid payload must either fail cleanly or
-// produce valid tiles.
+// Mutating single bytes of a valid payload, in either layout, must either
+// fail cleanly or produce valid tiles.
 func TestDecodeBitflipRobust(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tiles := regionLike(pt(0.5, 0.5), 0.01, 20, rng)
-	valid := Encode(tiles, 0.01)
-	for i := range valid {
-		for _, flip := range []byte{0x01, 0x80, 0xff} {
-			mut := append([]byte(nil), valid...)
-			mut[i] ^= flip
-			decoded, err := Decode(mut)
-			if err != nil {
-				continue
-			}
-			for _, tile := range decoded {
-				if !tile.IsValid() {
-					t.Fatalf("byte %d flip %x: invalid tile %v", i, flip, tile)
+	for _, valid := range [][]byte{encodeOffsets(tiles, 0.01), Encode(latticeRegion(pt(0.5, 0.5), 0.01, 2, 2, rng), 0.01)} {
+		for i := range valid {
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				mut := append([]byte(nil), valid...)
+				mut[i] ^= flip
+				decoded, err := Decode(mut)
+				if err != nil {
+					continue
+				}
+				for _, tile := range decoded {
+					if !tile.IsValid() {
+						t.Fatalf("layout %d byte %d flip %x: invalid tile %v", valid[1], i, flip, tile)
+					}
 				}
 			}
 		}
