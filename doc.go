@@ -190,9 +190,11 @@
 // regions exist to suppress messages — yet a kept plan whose regions
 // changed not at all would still ship every member her full encoded
 // region on every notification. The protocol layer (internal/proto,
-// cmd/mpnserver) closes that gap end to end. A tile region is encoded as
-// the lattice lines of its δ cells and a quadtree per cell
-// (internal/tileenc), ~40 bytes for 30 tiles, and decodes bit for bit.
+// cmd/mpnserver) closes that gap end to end. A planned tile region is
+// encoded as the lattice lines of its δ cells and a quadtree per cell
+// (internal/tileenc, which derives δ from the tiles), ~40 bytes for 30
+// tiles; any other tile set as a list of its corners, 32 bytes a tile.
+// Either decodes bit for bit.
 // Every frame shares one layout — a length prefix, the type byte, then
 // only the fields that type carries, integers as varints — so a step-1
 // report or a probe reply is about 24 bytes and a probe about 8:

@@ -1,6 +1,7 @@
 package netmpn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -439,6 +440,22 @@ func TestRegionWireRoundTrip(t *testing.T) {
 		}
 		if _, err := DecodeRegion(enc[:len(enc)-1]); err == nil {
 			t.Fatal("truncated encoding accepted")
+		}
+		// A NaN or ±Inf coordinate, or a NaN or negative radius, is
+		// refused; a +Inf radius (a single POI's) is not.
+		for _, c := range []struct {
+			off  int
+			v    float64
+			okay bool
+		}{{1, math.NaN(), false}, {9, math.Inf(-1), false}, {17, math.NaN(), false}, {17, -1, false}, {17, math.Inf(-1), false}, {17, math.Inf(1), true}, {29, math.NaN(), false}, {len(enc) - 8, math.Inf(1), false}} {
+			if c.off > 17 && len(nr.Segs) == 0 {
+				continue
+			}
+			bad := append([]byte(nil), enc...)
+			binary.LittleEndian.PutUint64(bad[c.off:], math.Float64bits(c.v))
+			if _, err := DecodeRegion(bad); (err == nil) != c.okay {
+				t.Errorf("region %d: %v at byte %d decodes with %v", i, c.v, c.off, err)
+			}
 		}
 	}
 }

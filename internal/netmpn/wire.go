@@ -152,14 +152,24 @@ func DecodeRegion(data []byte) (*Region, error) {
 	if len(data) != 29+32*n {
 		return nil, fmt.Errorf("%w: %d segments in %d bytes", ErrBadRegionEncoding, n, len(data))
 	}
+	// Every coordinate is finite and the radius is not NaN or negative;
+	// it may be +Inf, a whole network's (radiusOf's single POI). x-x is 0
+	// only for finite x.
+	if !(r.Radius >= 0) || r.Center.X-r.Center.X != 0 || r.Center.Y-r.Center.Y != 0 {
+		return nil, fmt.Errorf("%w: center %v, radius %v", ErrBadRegionEncoding, r.Center, r.Radius)
+	}
 	if n > 0 {
 		r.Segs = make([]Segment, n)
 		for i := range r.Segs {
 			off := 29 + 32*i
-			r.Segs[i] = Segment{
+			s := Segment{
 				A: geom.Pt(f64At(data, off), f64At(data, off+8)),
 				B: geom.Pt(f64At(data, off+16), f64At(data, off+24)),
 			}
+			if s.A.X-s.A.X != 0 || s.A.Y-s.A.Y != 0 || s.B.X-s.B.X != 0 || s.B.Y-s.B.Y != 0 {
+				return nil, fmt.Errorf("%w: segment %d is %v–%v", ErrBadRegionEncoding, i, s.A, s.B)
+			}
+			r.Segs[i] = s
 		}
 	}
 	return r, nil

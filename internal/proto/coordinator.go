@@ -838,8 +838,8 @@ func (c *Coordinator) NumGroups() int {
 // delegates here): 25 bytes for a circle (tag byte + three
 // float64s), the 'N'-tagged covered-segment codec for network range
 // regions, the tileenc codec for tile regions: a planned region in its
-// lattice layout (~40 bytes for 30 tiles, decoded bit for bit), any other
-// tile set in its offset layout. δ is the largest tile width.
+// lattice layout (~40 bytes for 30 tiles), any other tile set as a list of
+// its corners; either decodes bit for bit.
 func EncodeRegion(r core.SafeRegion) []byte {
 	if r.Kind == core.KindCircle {
 		buf := make([]byte, 0, 25)
@@ -852,19 +852,19 @@ func EncodeRegion(r core.SafeRegion) []byte {
 	if r.Kind == core.KindNetRange {
 		return r.Net.AppendEncode(nil)
 	}
-	delta := 0.0
-	for _, t := range r.Tiles {
-		if w := t.Width(); w > delta {
-			delta = w
-		}
-	}
-	return tileenc.Encode(r.Tiles, delta)
+	return tileenc.Encode(r.Tiles)
 }
 
 // DecodeRegion parses an EncodeRegion payload back into a SafeRegion.
 func DecodeRegion(data []byte) (core.SafeRegion, error) {
 	if len(data) == 25 && data[0] == 'C' {
-		return core.CircleRegion(geom.Pt(readF(data, 1), readF(data, 9)), readF(data, 17)), nil
+		// A NaN or ±Inf centre or radius, or a negative radius, would
+		// contain nothing or everything; x-x is 0 only for finite x.
+		c, r := geom.Pt(readF(data, 1), readF(data, 9)), readF(data, 17)
+		if c.X-c.X != 0 || c.Y-c.Y != 0 || r-r != 0 || r < 0 {
+			return core.SafeRegion{}, errors.New("proto: corrupt circle region")
+		}
+		return core.CircleRegion(c, r), nil
 	}
 	if len(data) > 0 && data[0] == 'N' {
 		nr, err := netmpn.DecodeRegion(data)

@@ -147,6 +147,19 @@ func TestRegionCodec(t *testing.T) {
 	if _, err := DecodeRegion([]byte{9, 9}); err == nil {
 		t.Fatal("garbage region accepted")
 	}
+	// A circle that would contain nothing or everything is refused.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []core.SafeRegion{
+		core.CircleRegion(geom.Pt(nan, 0.5), 0.1),
+		core.CircleRegion(geom.Pt(0.5, -inf), 0.1),
+		core.CircleRegion(geom.Pt(0.5, 0.5), nan),
+		core.CircleRegion(geom.Pt(0.5, 0.5), -0.1),
+		core.CircleRegion(geom.Pt(0.5, 0.5), inf),
+	} {
+		if dec, err := DecodeRegion(EncodeRegion(bad)); err == nil {
+			t.Errorf("circle %v accepted as %v", bad.Circle, dec.Circle)
+		}
+	}
 }
 
 // --- coordinator + client over net.Pipe -------------------------------------

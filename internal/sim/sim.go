@@ -337,18 +337,13 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 }
 
 // regionBytes is the encoded payload size of a safe region: three doubles
-// for a circle, the tileenc compression for tile regions.
+// for a circle, tileenc's encoding (which derives δ itself) for tile
+// regions.
 func regionBytes(r core.SafeRegion) int {
 	if r.Kind == core.KindCircle {
 		return 24
 	}
-	delta := 0.0
-	for _, t := range r.Tiles {
-		if w := t.Width(); w > delta {
-			delta = w
-		}
-	}
-	return len(tileenc.Encode(r.Tiles, delta))
+	return len(tileenc.Encode(r.Tiles))
 }
 
 // MethodConfig builds the Config for one of the paper's named

@@ -8,37 +8,33 @@ import (
 )
 
 // FuzzDecode is the native fuzz target over the codec: Decode must never
-// panic on arbitrary input — only return an error or well-formed tiles —
-// and whatever decodes must survive a re-encode/re-decode round trip
-// with its tile count intact. The round trip cannot assert exact
-// geometric equality: the re-encode anchors a fresh quantization lattice
-// (different δ, origin at the decoded bounding box), so inward rounding
-// may legitimately shrink tiles by up to one lattice pitch — only
-// decodability, validity, and the count are invariant. The seed corpus
-// covers the interesting shapes in both layouts: empty payloads, bare
-// headers, single tiles, realistic multi-level regions, an empty region,
-// and in the lattice layout a planned region, one cell, quadrants at the
-// deepest level, a box larger than its bits and a truncated quadtree. CI
-// runs a short `go test -fuzz=FuzzDecode` smoke on top of the seeds.
+// panic on arbitrary input — only return an error or valid tiles — and
+// whatever decodes must re-encode to a payload that decodes to the same
+// tiles, bit for bit. The seed corpus covers the interesting shapes in
+// both layouts: empty payloads, bare headers, single tiles, realistic
+// multi-level regions, an empty region, a corner list of overlapping
+// tiles, and in the lattice layout a planned region, one cell, quadrants
+// at the deepest level, a box larger than its bits and a truncated
+// quadtree. CI runs a short `go test -fuzz=FuzzDecode` smoke on top of
+// the seeds.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
 	f.Add([]byte{})
 	f.Add([]byte{'T'})
 	f.Add([]byte{'T', Version})
-	f.Add([]byte{'T', Version + 1, 0, 0})
-	f.Add(Encode(nil, 1))
-	f.Add(Encode([]geom.Rect{{Min: pt(0.1, 0.1), Max: pt(0.2, 0.2)}}, 0.1))
-	f.Add(Encode(regionLike(pt(0.5, 0.5), 0.01, 20, rng), 0.01))
-	f.Add(Encode(regionLike(pt(0.25, 0.75), 0.003, 60, rng), 0.003))
-	f.Add(encodeOffsets(regionLike(pt(0.5, 0.5), 0.01, 20, rng), 0.01))
-	planned := plannedRegion(f)
-	f.Add(Encode(planned, maxWidth(planned)))
-	f.Add(Encode([]geom.Rect{geom.RectAround(pt(0.5, 0.5), 0.01)}, 0.01))
+	f.Add([]byte{'T', versionCorners + 1, 0, 0})
+	f.Add(Encode(nil))
+	f.Add(Encode([]geom.Rect{{Min: pt(0.1, 0.1), Max: pt(0.2, 0.2)}}))
+	f.Add(Encode(regionLike(pt(0.5, 0.5), 0.01, 20, rng)))
+	f.Add(Encode(regionLike(pt(0.25, 0.75), 0.003, 60, rng)))
+	f.Add(Encode([]geom.Rect{{Max: pt(1, 1)}, {Min: pt(0.5, 0.5), Max: pt(0.75, 0.75)}}))
+	f.Add(Encode(plannedRegion(f)))
+	f.Add(Encode([]geom.Rect{geom.RectAround(pt(0.5, 0.5), 0.01)}))
 	deep := latticeRegion(pt(0.5, 0.5), 0.01, 1, 3, rng)
-	f.Add(Encode(deep, 0.01))
+	f.Add(Encode(deep))
 	huge := appendF(appendF(appendF([]byte{'T', Version}, 0), 0), 1)
 	f.Add(append(huge, 16, 16, 0, 0xff)) // 16×16 cells in 8 bits
-	lat := Encode(deep, 0.01)
+	lat := Encode(deep)
 	f.Add(lat[:len(lat)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tiles, err := Decode(data)
@@ -46,28 +42,16 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		for _, tile := range tiles {
-			if !tile.IsValid() {
+			if !valid(tile) {
 				t.Fatalf("decoded invalid tile %v", tile)
 			}
 		}
-		// Round trip on decoded output: re-encoding with a derived delta
-		// must stay decodable with the tile count preserved (see the
-		// target comment for why exact geometry is not asserted).
-		delta := 0.0
-		for _, tile := range tiles {
-			if w := tile.Width(); w > delta {
-				delta = w
-			}
-		}
-		if delta <= 0 {
-			delta = 1
-		}
-		again, err := Decode(Encode(tiles, delta))
+		again, err := Decode(Encode(tiles))
 		if err != nil {
 			t.Fatalf("re-encode of decoded tiles failed to decode: %v", err)
 		}
-		if len(again) != len(tiles) {
-			t.Fatalf("re-encode changed tile count %d → %d", len(tiles), len(again))
+		if !sameTiles(again, tiles) {
+			t.Fatalf("re-encode changed the tiles %v → %v", tiles, again)
 		}
 	})
 }
@@ -82,12 +66,13 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 		n := rng.Intn(120)
 		buf := make([]byte, n)
 		rng.Read(buf)
-		if rng.Intn(2) == 0 && n >= 2 {
-			// Bias toward plausible headers to reach deeper code paths.
-			buf[0] = 'T'
-			buf[1] = Version
+		if rng.Intn(2) == 0 && n >= 3 {
+			// Bias toward plausible headers to reach deeper code paths: a
+			// lattice header, or a corner list whose count fits its length.
+			buf[0], buf[1] = 'T', Version
 			if rng.Intn(2) == 0 {
-				buf[1] = versionOffsets
+				buf = buf[:3+(n-3)/32*32]
+				buf[1], buf[2] = versionCorners, byte((n-3)/32)
 			}
 		}
 		tiles, err := Decode(buf)
@@ -95,18 +80,18 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 			continue
 		}
 		for _, tile := range tiles {
-			if !tile.IsValid() {
+			if !valid(tile) {
 				t.Fatalf("decoded invalid tile %v from random input", tile)
 			}
 		}
 	}
 	// Random bytes over a valid lattice payload past its 2-byte tag.
-	valid := Encode(latticeRegion(pt(0.5, 0.5), 0.01, 3, 2, rng), 0.01)
-	if valid[1] != Version {
-		t.Fatal("the lattice region took the offset layout")
+	lattice := Encode(latticeRegion(pt(0.5, 0.5), 0.01, 3, 2, rng))
+	if lattice[1] != Version {
+		t.Fatal("the lattice region took the corner list")
 	}
 	for trial := 0; trial < 20000; trial++ {
-		buf := append([]byte(nil), valid[:2+rng.Intn(len(valid)-1)]...)
+		buf := append([]byte(nil), lattice[:2+rng.Intn(len(lattice)-1)]...)
 		for k := rng.Intn(4); k >= 0; k-- {
 			if i := 2 + rng.Intn(len(buf)-1); i < len(buf) {
 				buf[i] = byte(rng.Intn(256))
@@ -117,7 +102,7 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 			continue
 		}
 		for _, tile := range tiles {
-			if !tile.IsValid() {
+			if !valid(tile) {
 				t.Fatalf("decoded invalid tile %v from a mutated lattice payload", tile)
 			}
 		}
@@ -129,18 +114,22 @@ func TestDecodeRandomBytesRobust(t *testing.T) {
 func TestDecodeBitflipRobust(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tiles := regionLike(pt(0.5, 0.5), 0.01, 20, rng)
-	for _, valid := range [][]byte{encodeOffsets(tiles, 0.01), Encode(latticeRegion(pt(0.5, 0.5), 0.01, 2, 2, rng), 0.01)} {
-		for i := range valid {
+	corners := Encode(append(tiles, tiles[0])) // a duplicate tile
+	if corners[1] != versionCorners {
+		t.Fatal("a duplicate tile took the lattice layout")
+	}
+	for _, payload := range [][]byte{corners, Encode(latticeRegion(pt(0.5, 0.5), 0.01, 2, 2, rng))} {
+		for i := range payload {
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
-				mut := append([]byte(nil), valid...)
+				mut := append([]byte(nil), payload...)
 				mut[i] ^= flip
 				decoded, err := Decode(mut)
 				if err != nil {
 					continue
 				}
 				for _, tile := range decoded {
-					if !tile.IsValid() {
-						t.Fatalf("layout %d byte %d flip %x: invalid tile %v", valid[1], i, flip, tile)
+					if !valid(tile) {
+						t.Fatalf("layout %d byte %d flip %x: invalid tile %v", payload[1], i, flip, tile)
 					}
 				}
 			}

@@ -42,9 +42,8 @@ func latticeRegion(c geom.Point, delta float64, rings, splits int, rng *rand.Ran
 }
 
 // checkLattice asserts that enc is a lattice-layout payload of tiles that
-// decodes to the original tiles bit for bit — each decoded tile lies
-// inside its original with no inset, under an exact comparison — and
-// returns the decoded tiles.
+// decodes to the original tiles bit for bit, and returns the decoded
+// tiles.
 func checkLattice(t *testing.T, tiles []geom.Rect, enc []byte) []geom.Rect {
 	t.Helper()
 	if len(enc) < 2 || enc[1] != Version {
@@ -54,34 +53,33 @@ func checkLattice(t *testing.T, tiles []geom.Rect, enc []byte) []geom.Rect {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec) != len(tiles) {
-		t.Fatalf("decoded %d tiles, want %d", len(dec), len(tiles))
-	}
-	used := make([]bool, len(tiles))
-	for _, d := range dec {
-		i := 0
-		for i < len(tiles) && (used[i] || tiles[i] != d) {
-			i++
-		}
-		if i == len(tiles) {
-			t.Fatalf("decoded %v is no original tile", d)
-		}
-		used[i] = true
+	if !sameTiles(dec, tiles) {
+		t.Fatalf("decoded %v, want %v", dec, tiles)
 	}
 	return dec
 }
 
+// Lattice regions anywhere, on an axis or at the origin included, take
+// the lattice layout, decode exactly, and encode to the same bytes in any
+// tile order.
 func TestLatticeLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		delta := rng.Float64()*0.01 + 1e-4
 		c := geom.Pt(rng.Float64()*100-50, rng.Float64()*100-50)
+		switch trial % 4 {
+		case 1: // on the y axis
+			c.X = (rng.Float64() - 0.5) * delta
+		case 2: // on the x axis
+			c.Y = float64(rng.Intn(3)-1) * delta / 2
+		case 3: // at the origin
+			c = geom.Pt(0, (rng.Float64()-0.5)*delta)
+		}
 		tiles := latticeRegion(c, delta, rng.Intn(5), rng.Intn(4), rng)
-		enc := Encode(tiles, delta)
+		enc := Encode(tiles)
 		checkLattice(t, tiles, enc)
-		// Any tile order gives the same bytes.
 		rng.Shuffle(len(tiles), func(i, j int) { tiles[i], tiles[j] = tiles[j], tiles[i] })
-		if again := Encode(tiles, delta); !bytes.Equal(again, enc) {
+		if again := Encode(tiles); !bytes.Equal(again, enc) {
 			t.Fatalf("trial %d: reordered tiles encode differently", trial)
 		}
 	}
@@ -100,36 +98,47 @@ func TestLatticeLayoutGoldenBytes(t *testing.T) {
 		"0000000000000000" + "0000000000000000" + "000000000000e03f" + // origin (0, 0), δ 0.5
 		"02" + "01" + "02" + // 2×1 cells, depth 2
 		"000764c0" // nine x and four y lattice lines at their predictions (0 each), then the cells 11 | 10 [11] [0] [0] [10 [0] [1] [1] [0]], padded to 32 bits
-	enc := Encode(tiles, 0.5)
+	enc := Encode(tiles)
 	if got := hex.EncodeToString(enc); got != want {
 		t.Fatalf("lattice payload\n got %s\nwant %s", got, want)
 	}
 	checkLattice(t, tiles, enc)
 }
 
-// Tile sets off one lattice take the offset layout, byte for byte.
+// Tile sets Tile-MSR cannot produce take the corner list; tiles off the
+// lattice's spacing, whose lines are written whole, do not.
 func TestLatticeFallback(t *testing.T) {
 	a := geom.RectAround(geom.Pt(0.5, 0.5), 0.1)
 	for name, tiles := range map[string][]geom.Rect{
 		"empty":          nil,
 		"duplicate":      {a, a},
 		"overlap":        {a, geom.RectAround(geom.Pt(0.52, 0.5), 0.05)},
-		"off grid":       {a, geom.RectAround(geom.Pt(0.63, 0.5), 0.1)},
 		"point":          {{Min: geom.Pt(0.5, 0.5), Max: geom.Pt(0.5, 0.5)}},
-		"sparse":         {a, geom.RectAround(geom.Pt(100.5, 100.5), 0.1)},
-		"too deep":       {geom.RectAround(geom.Pt(0.5, 0.5), 0.1/512)},
+		"wide":           {a, geom.RectAround(geom.Pt(26.1, 0.5), 0.1)},
+		"too deep":       {a, geom.RectAround(geom.Pt(0.6+0.1/1024, 0.5), 0.1/512)},
 		"edges disagree": {a, {Min: geom.Pt(math.Nextafter(a.Min.X, 1), a.Max.Y), Max: geom.Pt(a.Max.X, a.Max.Y+0.1)}},
 	} {
-		enc := Encode(tiles, 0.1)
-		if want := encodeOffsets(tiles, 0.1); !bytes.Equal(enc, want) {
-			t.Errorf("%s: got layout %d, want the offset layout's bytes", name, enc[1])
+		enc := Encode(tiles)
+		if enc[1] != versionCorners {
+			t.Errorf("%s: got layout %d, want the corner list", name, enc[1])
 		}
+		if dec, err := Decode(enc); err != nil || !sameTiles(dec, tiles) {
+			t.Errorf("%s: decoded %v, %v; want %v", name, dec, err, tiles)
+		}
+	}
+	for name, tiles := range map[string][]geom.Rect{
+		"off grid":   {a, geom.RectAround(geom.Pt(0.63, 0.5), 0.1)},
+		"255 cells":  {a, geom.RectAround(geom.Pt(25.9, 0.5), 0.1)},
+		"level 8":    {a, geom.RectAround(geom.Pt(0.6+0.1/512, 0.5), 0.1/256)},
+		"lone small": {geom.RectAround(geom.Pt(0.5, 0.5), 0.1/512)},
+	} {
+		t.Run(name, func(t *testing.T) { checkLattice(t, tiles, Encode(tiles)) })
 	}
 }
 
 func TestLatticeDecodeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	valid := Encode(latticeRegion(pt(0.5, 0.5), 0.01, 2, 2, rng), 0.01)
+	valid := Encode(latticeRegion(pt(0.5, 0.5), 0.01, 2, 2, rng))
 	header := func(w, h uint64, depth byte) []byte {
 		b := append([]byte(nil), valid[:26]...)
 		b = binary.AppendUvarint(b, w)
@@ -137,19 +146,19 @@ func TestLatticeDecodeErrors(t *testing.T) {
 		return append(b, depth)
 	}
 	for name, c := range map[string][]byte{
-		"short header":     valid[:20],
-		"no depth":         valid[:28],
-		"box over bits":    append(header(9, 8, 0), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), // 72 cells, 64 bits
-		"huge box":         append(header(1<<40, 1<<40, 0), 0xff),
-		"too deep":         append(header(1, 1, maxLevel+1), 0xff),
-		"too many units":   append(header(16, 16, maxLevel), make([]byte, 32)...), // 256 cells of 4⁸ units
-		"truncated tree":   valid[:len(valid)-1],
-		"trailing byte":    append(append([]byte(nil), valid...), 0),
-		"wide box":         append(header(maxLines+1, 1, 0), bytes.Repeat([]byte{0xff}, 80)...),
-		"line far off":     append(header(1, 1, 0), bytes.Repeat([]byte{0xff}, 17)...),                               // the x line's code past 2·maxSteps ones
-		"lines past range": append(appendF(appendF(appendF([]byte{'T', Version}, -1e308), 0), 1e308), 2, 1, 0, 0x0c), // x lines −10³⁰⁸ … 10³⁰⁸
-		"padding bits":     append(header(1, 1, 0), 0x21),                                                            // lines 0 0, one tile 1, padding 00001
-		"zero delta":       append(append(append([]byte(nil), valid[:18]...), make([]byte, 8)...), valid[26:]...),
+		"short header":    valid[:20],
+		"no depth":        valid[:28],
+		"box over bits":   append(header(9, 8, 0), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), // 72 cells, 64 bits
+		"huge box":        append(header(1<<40, 1<<40, 0), 0xff),
+		"too deep":        append(header(1, 1, maxLevel+1), 0xff),
+		"too many units":  append(header(16, 16, maxLevel), make([]byte, 32)...), // 256 cells of 4⁸ units
+		"truncated tree":  valid[:len(valid)-1],
+		"trailing byte":   append(append([]byte(nil), valid...), 0),
+		"short line":      append(header(1, 1, 0), bytes.Repeat([]byte{0xff}, 17)...),                              // the x line's 64 bits cut off
+		"NaN line":        append(append(header(1, 1, 0), bytes.Repeat([]byte{0xff}, 24)...), 0x20),                // the x line written whole, NaN
+		"tile past range": append(appendF(appendF(appendF([]byte{'T', Version}, 1e308), 0), 1e308), 1, 1, 0, 0x20), // x lines 10³⁰⁸, +Inf
+		"padding bits":    append(header(1, 1, 0), 0x21),                                                           // lines 0 0, one tile 1, padding 00001
+		"zero delta":      append(append(append([]byte(nil), valid[:18]...), make([]byte, 8)...), valid[26:]...),
 	} {
 		if _, err := Decode(c); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
@@ -171,7 +180,7 @@ func TestLatticeLoneQuadrant(t *testing.T) {
 	north := geom.RectAround(geom.Pt(u.X, u.Y+delta), delta).Quadrants()[1].Quadrants()
 	west, q := geom.RectAround(geom.Pt(u.X-delta, u.Y), delta), seed.Quadrants()
 	for _, tiles := range [][]geom.Rect{{seed, east[3]}, {seed, east[0]}, {north[3], seed}, {west, q[0], q[2], east[3], north[0]}} {
-		dec := checkLattice(t, tiles, Encode(tiles, delta))
+		dec := checkLattice(t, tiles, Encode(tiles))
 		orig, got := core.TileRegion(tiles...), core.TileRegion(dec...)
 		for _, o := range tiles {
 			for _, p := range []geom.Point{u, o.Min, o.Max, {X: o.Min.X, Y: o.Max.Y}, {X: o.Max.X, Y: o.Min.Y}} {
@@ -183,65 +192,18 @@ func TestLatticeLoneQuadrant(t *testing.T) {
 	}
 }
 
-// Offset-layout tiles decode to finite coordinates or not at all: a NaN
-// origin, or offsets past the float64 range, are corruption.
-func TestOffsetsNonFinite(t *testing.T) {
-	valid := encodeOffsets([]geom.Rect{geom.RectAround(pt(0.5, 0.5), 0.1)}, 0.1)
-	nan := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(nan[2:], math.Float64bits(math.NaN()))
-	huge := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(huge[18:], math.Float64bits(math.MaxFloat64/2))
-	for name, c := range map[string][]byte{"NaN origin": nan, "huge pitch": huge} {
-		if _, err := Decode(c); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
-		}
-	}
-}
-
-// Offsets too wide for the pitch coarsen it, so that the payload decodes;
-// a payload with a tile below its box's corner (which would re-encode to
-// an extent past the float64 range) is corruption.
-func TestOffsetsWideBox(t *testing.T) {
-	wide := []geom.Rect{{Max: pt(1, 1)}, {Min: pt(1e20, 0), Max: pt(1e20+1e4, 1)}}
-	if got, err := Decode(Encode(wide, 1)); err != nil || len(got) != 2 {
-		t.Errorf("a 10²⁰-wide box decodes to %d tiles, %v", len(got), err)
-	}
-	below := []byte("T\x0100000000000000000000000\x7f\x140000000000000000000000000\xf9000000000000000000000000000000000000\x9800000000\xc800000000000")
-	if _, err := Decode(below); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("a tile below its box: want ErrCorrupt, got %v", err)
-	}
-}
-
-// A forged offset-layout count past one tile per 4 payload bytes is
-// corruption, refused before the tile slice is allocated.
-func TestOffsetsCountBound(t *testing.T) {
-	body := make([]byte, 12)
-	for _, count := range []uint64{uint64(len(body))/4 + 1, uint64(len(body)), math.MaxUint32} {
-		bad := binary.AppendUvarint(Encode(nil, 1)[:26], count)
-		bad = append(bad, body...)
-		var err error
-		if allocs := testing.AllocsPerRun(10, func() { _, err = Decode(bad) }); allocs != 0 {
-			t.Errorf("count %d over %d bytes: %v allocations before refusing", count, len(body), allocs)
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("count %d over %d bytes: want ErrCorrupt, got %v", count, len(body), err)
-		}
-	}
-}
-
 // The lattice benchmarks run on one planned region (plannedRegion).
 func BenchmarkEncodeLattice(b *testing.B) {
 	tiles := plannedRegion(b)
-	delta := maxWidth(tiles)
 	b.ReportAllocs()
 	for b.Loop() {
-		Encode(tiles, delta)
+		Encode(tiles)
 	}
 }
 
 func BenchmarkDecodeLattice(b *testing.B) {
 	tiles := plannedRegion(b)
-	enc := Encode(tiles, maxWidth(tiles))
+	enc := Encode(tiles)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := Decode(enc); err != nil {

@@ -1,27 +1,29 @@
 // Package tileenc implements the compact wire encoding of tile-based safe
 // regions (the "lossless compression" of the authors' ICDE'13 work [12]):
-// the tag 'T', a version byte, then one of two layouts.
+// the tag 'T', a version byte, then one of two layouts. Both are exact:
+// Decode returns the encoded tiles bit for bit.
 //
 // Version 2, the lattice layout, serves Tile-MSR regions, whose tiles are
 // cells of a δ grid (geom.RectAround) or quadrants of one, halved down to
-// a deepest level (Rect.Quadrants). It holds the box of cells — its
-// lower-left corner and δ as float64s, a byte each for its width and
-// height in cells and the deepest level — then, as bits, the lattice
-// lines of each column and row of cells, each as its distance in float64
-// steps from a prediction (see coder.walk), and a quadtree per cell in
-// row-major order: "any tile here?" and, above the deepest level, "is this
-// node one tile?"; a node that is neither is followed by its four
-// children. Every tile decodes to its original bit for bit; 30 tiles take
+// a deepest level (Rect.Quadrants). Encode derives δ itself: a side of a
+// largest tile, the one centred nearest zero, where rounding moved it
+// least. The
+// layout holds the box of cells — its first lattice lines and δ as
+// float64s, a byte each for its width and height in cells and the deepest
+// level — then, as bits, the lattice lines of each column and row of
+// cells, each as its distance in float64 steps from a prediction (see
+// coder.walk and coder.code), and a quadtree per cell in row-major order:
+// "any tile here?" and, above the deepest level, "is this node one
+// tile?"; a node that is neither is followed by its four children. Each
+// tile's four coordinates are lattice lines it recorded; 30 tiles take
 // ~40 bytes.
 //
-// Version 1, the offset layout, takes any tiles: a float64 origin and pitch
-// δ·2⁻¹⁶, a count, then four zig-zag varints per tile (3–6 bytes), quantized
-// inward so that each decoded tile lies inside its original, less than one
-// pitch from each edge. Encode writes it for an empty region, for sparse
-// tiles (past 32 cells a tile) and for tiles the lattice layout cannot
-// hold: overlapping ones, ones not squares of side δ/2ʲ (j ≤ 8) on one
-// lattice, and ones that disagree on a lattice line. Either way the tile
-// count is unchanged.
+// Version 3, the corner list, takes any tiles: a count, then each tile's
+// four float64 coordinates in the given order, 32 bytes a tile. Encode
+// writes it only for tile sets Tile-MSR cannot produce: none, overlapping
+// tiles, tiles off one structure of δ/2ʲ cells — deeper than level 8,
+// wider than 255 cells, or disagreeing on a lattice line — and tiles that
+// are not finite with Min ≤ Max, which Decode refuses.
 package tileenc
 
 import (
@@ -30,23 +32,20 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"mpn/internal/geom"
 )
 
-// Version is the newest layout Decode reads, the lattice layout.
+// Version is the lattice layout's version byte.
 const Version = 2
 
 const (
-	versionOffsets = 1
-	// pitchShift fixes the offset layout's pitch at δ·2^-pitchShift.
-	pitchShift = 16
-	// The lattice layout's deepest level, most lattice lines, widest offset
-	// from its anchor in lattice units, and farthest a lattice line may lie
-	// from its prediction in float64 steps (past it, the tiles are not on
-	// one lattice).
-	maxLevel, maxLines, maxUnits, maxSteps = 8, 512, 1 << 16, 64
+	versionCorners = 3
+	// The lattice layout's deepest level, widest box in cells, widest
+	// offset from its anchor in lattice units, and farthest a lattice line
+	// may lie from its prediction in float64 steps before it is written
+	// whole.
+	maxLevel, maxCells, maxUnits, maxSteps = 8, 255, 1 << 16, 64
 )
 
 // Errors returned by Decode.
@@ -55,81 +54,16 @@ var (
 	ErrVersion = errors.New("tileenc: unsupported version")
 )
 
-// Encode serializes the tiles of a safe region. delta is the base tile
-// side length δ of the producing Tile-MSR run; it anchors the lattice of
-// either layout. Encoding an empty region yields a valid payload that
-// decodes to an empty region. The same tiles in any order encode to the
-// same lattice-layout bytes.
-func Encode(tiles []geom.Rect, delta float64) []byte {
-	// A delta whose pitch would underflow is as unusable as a negative one.
-	if !(delta >= 0x1p-1000) || math.IsInf(delta, 0) {
-		delta = 1
-	}
-	if buf := encodeLattice(tiles, delta); buf != nil {
+// Encode serializes the tiles of a safe region. Encoding an empty region
+// yields a valid payload that decodes to an empty region. The same tiles
+// in any order encode to the same lattice-layout bytes.
+func Encode(tiles []geom.Rect) []byte {
+	if buf := encodeLattice(tiles); buf != nil {
 		return buf
 	}
-	return encodeOffsets(tiles, delta)
-}
-
-// encodeOffsets writes the version-1 layout.
-func encodeOffsets(tiles []geom.Rect, delta float64) []byte {
-	pitch := delta / (1 << pitchShift)
-
-	// Lattice origin: the lower-left corner of the bounding box.
-	var origin geom.Point
-	if len(tiles) > 0 {
-		origin = tiles[0].Min
-		for _, t := range tiles[1:] {
-			origin.X = math.Min(origin.X, t.Min.X)
-			origin.Y = math.Min(origin.Y, t.Min.Y)
-		}
-	}
-	// A pitch too fine for the box doubles until every offset fits under
-	// Decode's bound.
+	buf := binary.AppendUvarint(append(make([]byte, 0, 12+32*len(tiles)), 'T', versionCorners), uint64(len(tiles)))
 	for _, t := range tiles {
-		for (t.Max.X-origin.X)/pitch > 1<<52 || (t.Max.Y-origin.Y)/pitch > 1<<52 {
-			pitch *= 2
-		}
-	}
-
-	type qtile struct {
-		ix, iy, w, h int64
-	}
-	qs := make([]qtile, 0, len(tiles))
-	for _, t := range tiles {
-		// Inward quantization keeps the decoded tile inside the original.
-		ix := int64(math.Ceil((t.Min.X - origin.X) / pitch))
-		iy := int64(math.Ceil((t.Min.Y - origin.Y) / pitch))
-		ax := int64(math.Floor((t.Max.X - origin.X) / pitch))
-		ay := int64(math.Floor((t.Max.Y - origin.Y) / pitch))
-		if ax < ix {
-			ax = ix
-		}
-		if ay < iy {
-			ay = iy
-		}
-		qs = append(qs, qtile{ix: ix, iy: iy, w: ax - ix, h: ay - iy})
-	}
-	// Position-sorted delta encoding compresses the spiral tile order into
-	// small varints.
-	sort.Slice(qs, func(i, j int) bool {
-		if qs[i].iy != qs[j].iy {
-			return qs[i].iy < qs[j].iy
-		}
-		return qs[i].ix < qs[j].ix
-	})
-
-	buf := make([]byte, 0, 32+6*len(qs))
-	buf = appendF(appendF(appendF(append(buf, 'T', versionOffsets), origin.X), origin.Y), pitch)
-	buf = binary.AppendUvarint(buf, uint64(len(qs)))
-
-	var px, py, pw, ph int64
-	for _, q := range qs {
-		buf = binary.AppendVarint(buf, q.ix-px)
-		buf = binary.AppendVarint(buf, q.iy-py)
-		buf = binary.AppendVarint(buf, q.w-pw)
-		buf = binary.AppendVarint(buf, q.h-ph)
-		px, py, pw, ph = q.ix, q.iy, q.w, q.h
+		buf = appendF(appendF(appendF(appendF(buf, t.Min.X), t.Min.Y), t.Max.X), t.Max.Y)
 	}
 	return buf
 }
@@ -140,29 +74,45 @@ type square struct{ x, y, j int }
 
 // encodeLattice writes the version-2 layout, or returns nil when the tiles
 // do not allow it.
-func encodeLattice(tiles []geom.Rect, delta float64) []byte {
-	// Each tile's level j, whose side δ/2^j is nearest its width, then its
-	// corner in lattice units from the anchor — a corner of a largest
-	// tile, the lowest-leftmost so that tile order does not matter. 128
-	// tiles fit on the stack.
-	sq, c := make([]square, 0, 128), coder{}
-	top, anchor := maxLevel+1, geom.Point{}
+func encodeLattice(tiles []geom.Rect) []byte {
+	wmax := 0.0
 	for _, t := range tiles {
-		j, side, w := 0, delta, t.Max.X-t.Min.X
+		if !valid(t) {
+			return nil
+		}
+		wmax = max(wmax, t.Width())
+	}
+	// Each tile's level j, whose side wmax/2^j is nearest its width; δ, a
+	// side of a largest tile, the one whose centre is nearest zero, where
+	// rounding moved it least; the anchor, the lowest-leftmost largest
+	// tile's corner, so that tile order does not matter. 128 tiles fit on
+	// the stack.
+	sq, c := make([]square, 0, 128), coder{}
+	delta, near, anchor := 0.0, math.Inf(1), geom.Pt(math.Inf(1), 0)
+	for _, t := range tiles {
+		j, side, w := 0, wmax, t.Width()
 		for ; j <= maxLevel && !(w > 0.75*side && w < 1.5*side); j++ {
 			side /= 2
 		}
 		if j > maxLevel {
 			return nil
 		}
-		c.depth = max(c.depth, j)
-		if j < top || j == top && (t.Min.X < anchor.X || t.Min.X == anchor.X && t.Min.Y < anchor.Y) {
-			top, anchor = j, t.Min
+		if j == 0 {
+			if t.Min.X < anchor.X || t.Min.X == anchor.X && t.Min.Y < anchor.Y {
+				anchor = t.Min
+			}
+			if m := math.Abs(t.Min.X + t.Max.X); m < near || m == near && w < delta {
+				delta, near = w, m
+			}
+			if h, m := t.Height(), math.Abs(t.Min.Y+t.Max.Y); h > 0.75*wmax && h < 1.5*wmax && (m < near || m == near && h < delta) {
+				delta, near = h, m
+			}
 		}
+		c.depth = max(c.depth, j)
 		sq = append(sq, square{j: j})
 	}
-	if top > maxLevel {
-		return nil // no tiles
+	if len(sq) == 0 {
+		return nil
 	}
 	s := math.Ldexp(delta, -c.depth)
 	x0, y0, x1, y1 := math.MaxInt, math.MaxInt, math.MinInt, math.MinInt
@@ -177,17 +127,19 @@ func encodeLattice(tiles []geom.Rect, delta float64) []byte {
 	}
 	x0, y0 = x0>>c.depth<<c.depth, y0>>c.depth<<c.depth
 	c.w, c.h = (x1-x0-1)>>c.depth+1, (y1-y0-1)>>c.depth+1
-	// At one bit a cell, past 32 cells a tile the offset layout is smaller.
-	if c.w*c.h > 32*len(tiles) || (c.w+c.h)*(1<<c.depth+1) > maxLines || len(tiles) > 1<<16 {
+	if c.w > maxCells || c.h > maxCells || len(tiles) > 1<<16 {
 		return nil
 	}
 	// ord holds each tile's key<<16 | index, sorted. The key numbers the
 	// box's units cell by cell in row-major order and, inside a cell,
 	// along a Morton curve (x bit lowest), the order of the quadtree walk;
-	// a tile holds keys [key, key+4^(depth−j)). Each tile gives its four
-	// lattice lines; two tiles that disagree on one do not fit the layout.
-	ord := make([]int, 0, 128)
-	var known [maxLines]bool
+	// a tile holds keys [key, key+4^(depth−j)). Each tile records its four
+	// lattice lines (NaN: none yet); two tiles that disagree on one do not
+	// fit the layout.
+	ord, l := make([]int, 0, 128), c.lines()
+	for i := range l {
+		l[i] = math.NaN()
+	}
 	for i, q := range sq {
 		q.x, q.y = q.x-x0, q.y-y0
 		sq[i] = q
@@ -195,10 +147,10 @@ func encodeLattice(tiles []geom.Rect, delta float64) []byte {
 		t, n := tiles[i], 1<<(c.depth-q.j)
 		for m, v := range [4]float64{t.Min.X, t.Min.Y, t.Max.X, t.Max.Y} {
 			k := c.index(m%2, [2]int{q.x, q.y}[m%2]) + m/2*n
-			if known[k] && c.line[k] != v {
+			if !math.IsNaN(l[k]) && math.Float64bits(l[k]) != math.Float64bits(v) {
 				return nil
 			}
-			c.line[k], known[k] = v, true
+			l[k] = v
 		}
 	}
 	slices.Sort(ord)
@@ -207,54 +159,54 @@ func encodeLattice(tiles []geom.Rect, delta float64) []byte {
 			return nil // overlaps another tile
 		}
 	}
-	// The other lines take their prediction, and an axis' first line the
-	// anchor's lattice line. One allocation, as a line costs a bit or two:
-	// the header, the lines' codes, then at most two bits a node — each
-	// cell, and four children per level above a tile.
+	// An axis' first line is the anchor's lattice line unless a tile
+	// recorded it; the other lines take their prediction. One allocation,
+	// as a line costs a bit or two: the header, the lines' codes, then at
+	// most two bits a node — each cell, and four children per level above
+	// a tile.
 	c.buf = make([]byte, 0, 29+(4*(c.w+c.h)<<c.depth+2*(c.w*c.h+4*len(sq)*c.depth))/8+1)
 	c.buf = append(c.buf, 'T', Version)
 	for a, o := range [2]float64{anchor.X + float64(float64(x0)*s), anchor.Y + float64(float64(y0)*s)} {
-		if k := c.index(a, 0); !known[k] {
-			c.line[k] = o
+		if k := c.index(a, 0); math.IsNaN(l[k]) {
+			l[k] = o
 		}
-		c.buf = appendF(c.buf, c.line[c.index(a, 0)])
+		c.buf = appendF(c.buf, l[c.index(a, 0)])
 	}
 	c.buf = append(appendF(c.buf, delta), byte(c.w), byte(c.h), byte(c.depth))
 	c.pos = 8 * len(c.buf)
-	for a := range 2 {
-		if !c.walk(a, delta, func(i int, p float64) bool {
-			if !known[i] {
-				c.line[i] = p
-			}
-			// The line's code: its distance in float64 steps from its
-			// prediction (away from zero counts up), zig-zagged, in unary.
-			d := int64(math.Float64bits(c.line[i])) - int64(math.Float64bits(p))
-			if d < -maxSteps || d > maxSteps {
-				return false
-			}
-			for v := uint64(d<<1 ^ d>>63); c.bit(v > 0); v-- {
-			}
-			return true
-		}) {
-			return nil
-		}
-	}
+	c.walk(l, 0, delta)
+	c.walk(l, 1, delta)
 	c.cells(sq, ord)
 	return c.buf
 }
 
 // coder writes the lattice layout's bits to buf, most significant first,
 // or, reading, reads them from it; pos counts them, and bad records a read
-// past the end or a tile whose corners are out of order. line holds the
-// lattice lines of a box of w×h cells 2^depth units a side: for each
-// column, then each row, 2^depth+1 lines, low to high.
+// past the end or a tile that is not valid. The lattice lines of a box of
+// w×h cells 2^depth units a side live in small, or past it in big (see
+// lines).
 type coder struct {
 	buf          []byte
 	pos          int
 	reading, bad bool
 	w, h, depth  int
-	line         [maxLines]float64
+	small        [512]float64
+	big          []float64
 	tiles        []geom.Rect
+}
+
+// lines returns the lattice lines: for each column, then each row,
+// 2^depth+1 lines, low to high. It returns a slice of small rather than
+// c keeping one, which would move small to the heap.
+func (c *coder) lines() []float64 {
+	n := (c.w + c.h) * (1<<c.depth + 1)
+	if n <= len(c.small) {
+		return c.small[:n]
+	}
+	if c.big == nil {
+		c.big = make([]float64, n)
+	}
+	return c.big
 }
 
 // key returns the key of unit (x, y) of the box (see encodeLattice).
@@ -266,31 +218,55 @@ func (c *coder) key(x, y int) int {
 	return ((y>>c.depth)*c.w+x>>c.depth)<<(2*c.depth) | m
 }
 
-// index returns the index in line of the lattice line at unit u on axis a.
+// index returns the index in lines of the lattice line at unit u on axis a.
 func (c *coder) index(a, u int) int {
 	return (a*c.w+u>>c.depth)*(1<<c.depth+1) + u&(1<<c.depth-1)
 }
 
-// walk visits the lattice lines of axis a after its first in an order in
+// walk codes the lattice lines l of axis a after its first in an order in
 // which each one's prediction is known: a cell's low line at the last
 // cell's high one, its high line δ past its low one, then each other line
-// midway between the two around it, as Rect.Quadrants splits a tile. at
-// sets line i from its prediction p; false stops the walk.
-func (c *coder) walk(a int, delta float64, at func(i int, p float64) bool) bool {
-	l, n := c.line[:], 1<<c.depth
+// midway between the two around it, as Rect.Quadrants splits a tile.
+func (c *coder) walk(l []float64, a int, delta float64) {
+	n := 1 << c.depth
 	for b := c.index(a, 0); b < c.index(a, [2]int{c.w, c.h}[a]<<c.depth); b += n + 1 {
-		if b > c.index(a, 0) && !at(b, l[b-1]) || !at(b+n, l[b]+delta) {
-			return false
+		if b > c.index(a, 0) {
+			c.code(l, b, l[b-1])
 		}
+		c.code(l, b+n, l[b]+delta)
 		for s := n / 2; s > 0; s /= 2 {
 			for o := b + s; o < b+n; o += 2 * s {
-				if !at(o, (l[o-s]+l[o+s])/2) {
-					return false
-				}
+				c.code(l, o, (l[o-s]+l[o+s])/2)
 			}
 		}
 	}
-	return true
+}
+
+// code writes line i, or reads it, given its prediction p, which a line
+// no tile recorded takes: its distance from p in float64 steps (away from
+// zero counts up), zig-zagged, in unary, or past maxSteps 2·maxSteps+1
+// one-bits and the line's 64 bits.
+func (c *coder) code(l []float64, i int, p float64) {
+	if math.IsNaN(l[i]) {
+		l[i] = p
+	}
+	d, v, n := int64(math.Float64bits(l[i])-math.Float64bits(p)), uint64(0), uint64(0)
+	if !c.reading {
+		v = min(uint64(d<<1^d>>63), 2*maxSteps+1)
+	}
+	for ; n <= 2*maxSteps && c.bit(n < v); n++ {
+	}
+	if n <= 2*maxSteps {
+		l[i] = math.Float64frombits(math.Float64bits(p) + uint64(int64(n>>1)^-int64(n&1)))
+		return
+	}
+	u, w := math.Float64bits(l[i]), uint64(0)
+	for k := 63; k >= 0; k-- {
+		if c.bit(u>>k&1 != 0) {
+			w |= 1 << k
+		}
+	}
+	l[i] = math.Float64frombits(w)
 }
 
 // cells codes each cell's quadtree in row-major order (see tree).
@@ -325,11 +301,12 @@ func (c *coder) tree(sq []square, ord []int, key, x, y, j int) {
 			ord = ord[n:]
 		}
 	} else if c.reading {
+		l := c.lines()
 		t := geom.Rect{
-			Min: geom.Pt(c.line[c.index(0, x)], c.line[c.index(1, y)]),
-			Max: geom.Pt(c.line[c.index(0, x)+k], c.line[c.index(1, y)+k]),
+			Min: geom.Pt(l[c.index(0, x)], l[c.index(1, y)]),
+			Max: geom.Pt(l[c.index(0, x)+k], l[c.index(1, y)+k]),
 		}
-		c.bad = c.bad || !t.IsValid()
+		c.bad = c.bad || !valid(t)
 		c.tiles = append(c.tiles, t)
 	}
 }
@@ -358,101 +335,58 @@ func appendF(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// Decode reconstructs the tiles from an Encode payload of either version.
+// Decode reconstructs the tiles from an Encode payload of either layout.
+// Every decoded tile is valid: finite, with Min ≤ Max.
 func Decode(data []byte) ([]geom.Rect, error) {
 	if len(data) < 2 || data[0] != 'T' {
 		return nil, ErrCorrupt
 	}
-	if data[1] != versionOffsets && data[1] != Version {
-		return nil, ErrVersion
+	switch data[1] {
+	case versionCorners:
+		return decodeCorners(data[2:])
+	case Version:
+		return decodeLattice(data[2:])
 	}
-	if len(data) < 26 || data[1] == Version && len(data) < 29 {
-		return nil, ErrCorrupt
-	}
-	// Both layouts start with three float64s: an origin, then the pitch or
-	// δ.
-	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data[2+8*i:])) }
-	ox, oy, scale := f(0), f(1), f(2)
-	if !finite(ox) || !finite(oy) || !finite(scale) || scale <= 0 {
-		return nil, ErrCorrupt
-	}
-	if data[1] == versionOffsets {
-		return decodeOffsets(data[26:], ox, oy, scale)
-	}
-	return decodeLattice(data[26:], ox, oy, scale)
+	return nil, ErrVersion
 }
 
-func decodeOffsets(rest []byte, ox, oy, pitch float64) ([]geom.Rect, error) {
+func decodeCorners(rest []byte) ([]geom.Rect, error) {
 	count, n := binary.Uvarint(rest)
-	if n <= 0 {
+	if n <= 0 || (len(rest)-n)%32 != 0 || count != uint64(len(rest)-n)/32 {
 		return nil, ErrCorrupt
 	}
-	rest = rest[n:]
-	if count > uint64(len(rest))/4 {
-		// Each tile needs at least 4 varint bytes; a larger count is
-		// corruption, not a huge region.
-		return nil, ErrCorrupt
-	}
-
-	tiles := make([]geom.Rect, 0, count)
-	var px, py, pw, ph int64
-	for i := uint64(0); i < count; i++ {
-		var vals [4]int64
-		for k := 0; k < 4; k++ {
-			v, n := binary.Varint(rest)
-			if n <= 0 {
-				return nil, ErrCorrupt
-			}
-			vals[k] = v
-			rest = rest[n:]
+	tiles := make([]geom.Rect, count)
+	for i := range tiles {
+		f := func(k int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(rest[n+32*i+8*k:])) }
+		tiles[i] = geom.Rect{Min: geom.Pt(f(0), f(1)), Max: geom.Pt(f(2), f(3))}
+		if !valid(tiles[i]) {
+			return nil, fmt.Errorf("%w: tile %d is %v", ErrCorrupt, i, tiles[i])
 		}
-		px += vals[0]
-		py += vals[1]
-		pw += vals[2]
-		ph += vals[3]
-		// Encode writes offsets from the box's lower-left corner, each
-		// under 2⁵³ pitches, and finite corners.
-		if (px|py|pw|ph)>>53 != 0 {
-			return nil, fmt.Errorf("%w: tile outside its box", ErrCorrupt)
-		}
-		t := geom.Rect{
-			Min: geom.Pt(ox+float64(px)*pitch, oy+float64(py)*pitch),
-			Max: geom.Pt(ox+float64(px+pw)*pitch, oy+float64(py+ph)*pitch),
-		}
-		if !finite(t.Max.X) || !finite(t.Max.Y) {
-			return nil, fmt.Errorf("%w: tile out of range", ErrCorrupt)
-		}
-		tiles = append(tiles, t)
 	}
 	return tiles, nil
 }
 
-func decodeLattice(rest []byte, x0, y0, delta float64) ([]geom.Rect, error) {
-	w, h := int(rest[0]), int(rest[1])
-	c := coder{buf: rest[3:], reading: true, w: w, h: h, depth: int(rest[2])}
+func decodeLattice(rest []byte) ([]geom.Rect, error) {
+	if len(rest) < 27 {
+		return nil, ErrCorrupt
+	}
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:])) }
+	x0, y0, delta := f(0), f(1), f(2)
+	if !finite(x0) || !finite(y0) || !finite(delta) || delta <= 0 {
+		return nil, ErrCorrupt
+	}
+	w, h := int(rest[24]), int(rest[25])
+	c := coder{buf: rest[27:], reading: true, w: w, h: h, depth: int(rest[26])}
 	// Every line after an axis' first and every cell cost at least one bit,
-	// so a larger box is corruption; so are a deeper tree or more lines
-	// than Encode writes.
-	if w == 0 || h == 0 || c.depth > maxLevel || (w+h)*(1<<c.depth+1) > maxLines ||
-		(w+h)*(1<<c.depth+1)-2+w*h > 8*len(c.buf) {
+	// so a larger box is corruption; so is a deeper tree than Encode
+	// writes.
+	if w == 0 || h == 0 || c.depth > maxLevel || (w+h)*(1<<c.depth+1)-2+w*h > 8*len(c.buf) {
 		return nil, fmt.Errorf("%w: %d×%d cells, depth %d, in %d bytes", ErrCorrupt, w, h, c.depth, len(c.buf))
 	}
-	// An axis' lines span a finite distance, as Encode's offset layout
-	// needs of any tiles it is given.
-	for a, o := range [2]float64{x0, y0} {
-		c.line[c.index(a, 0)] = o
-		lo, hi := o, o
-		if !c.walk(a, delta, func(i int, p float64) bool {
-			v := uint64(0)
-			for ; v <= 2*maxSteps && c.bit(false); v++ {
-			}
-			c.line[i] = math.Float64frombits(uint64(int64(math.Float64bits(p)) + (int64(v>>1) ^ -int64(v&1))))
-			lo, hi = min(lo, c.line[i]), max(hi, c.line[i])
-			return v <= 2*maxSteps && finite(hi-lo)
-		}) {
-			return nil, fmt.Errorf("%w: lattice line out of range", ErrCorrupt)
-		}
-	}
+	l := c.lines()
+	l[c.index(0, 0)], l[c.index(1, 0)] = x0, y0
+	c.walk(l, 0, delta)
+	c.walk(l, 1, delta)
 	c.tiles = make([]geom.Rect, 0, w*h)
 	c.cells(nil, nil)
 	// The last byte's padding is zero and nothing follows it.
@@ -460,6 +394,11 @@ func decodeLattice(rest []byte, x0, y0, delta float64) ([]geom.Rect, error) {
 		return nil, fmt.Errorf("%w: %d bits for %d bytes", ErrCorrupt, c.pos, len(c.buf))
 	}
 	return c.tiles, nil
+}
+
+// valid reports whether t's coordinates are finite, with Min ≤ Max.
+func valid(t geom.Rect) bool {
+	return -math.MaxFloat64 <= min(t.Min.X, t.Min.Y) && t.IsValid() && max(t.Max.X, t.Max.Y) <= math.MaxFloat64
 }
 
 func finite(f float64) bool { return math.Abs(f) <= math.MaxFloat64 }

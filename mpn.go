@@ -313,8 +313,8 @@ func (g *Group) Stats() Stats {
 // circle (1 tag byte + 3 little-endian float64s), a tagged
 // covered-segment encoding for a network range region, the compact tile
 // codec otherwise: a Tile or TileDirected region is its δ cells' lattice
-// lines plus a quadtree per cell, ~40 bytes for 30 tiles, and decodes bit
-// for bit. DecodeRegion reverses it.
+// lines plus a quadtree per cell, ~40 bytes for 30 tiles. DecodeRegion
+// reverses it exactly, bit for bit.
 func EncodeRegion(r SafeRegion) []byte { return proto.EncodeRegion(r) }
 
 // DecodeRegion parses an EncodeRegion payload.

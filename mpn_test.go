@@ -226,9 +226,8 @@ func TestEncodeDecodeRegion(t *testing.T) {
 		if dec.NumTiles() != r.NumTiles() {
 			t.Fatalf("tile count %d != %d", dec.NumTiles(), r.NumTiles())
 		}
-		// Decoded (inward-quantized) region stays within the original's
-		// bounding box and still contains the user's location (which sits
-		// strictly inside the seed tile).
+		// The decoded region is the original, so it stays within the
+		// original's bounding box and contains the user's location.
 		if !r.BoundingRect().ContainsRect(dec.BoundingRect()) {
 			t.Fatal("decoded region escapes original bounds")
 		}
