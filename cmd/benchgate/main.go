@@ -1,211 +1,192 @@
 // Command benchgate is the benchmark-regression gate: it compares a
 // freshly produced cmd/mpnbench -json report against the committed
-// baseline (BENCH_plan.json) and exits non-zero when any series
-// regresses beyond tolerance — more than -tol relative ns/op increase
-// (default 0.25), or any allocs/op increase at all (allocation counts
-// are deterministic, so even +1 is a real regression; the churn_* and
-// net_* series alone get a slack of 2, see allocSlack). It also enforces
-// machine-independent in-report bounds on the current report: the ratio
-// floors and ceilings of ratioBounds (the delta notification protocol's
-// wire-byte reduction, the road-network backend's speedup over the
-// per-member full-SSSP oracle, and the WAL journal's and hot-standby
-// replication's overhead on the steady-state update path).
+// baseline (BENCH_plan.json) and exits 1 when any rule fails, 2 when the
+// reports cannot be compared. There is one rule per quantity:
 //
-// The baseline is typically produced on a different machine than the
-// gate run (a developer box vs a CI runner), so raw ns/op ratios mostly
-// measure hardware. With -normalize (the default) every per-series ratio
-// is divided by the median of all ratios first: a uniformly slower
-// machine scales every series alike and normalizes away, while a
-// regression in one code path sticks out against the others. The median
-// (rather than a mean) keeps a large genuine improvement or regression
-// in a minority of series from dragging the scale and flagging the
-// untouched majority. The remaining blind spot is a uniform shift in
-// code shared by every series, which normalization would also cancel —
-// so the scale itself is bounded, symmetrically: deviating from 1 by
-// more than -warn-scale in either direction prints a loud warning, more
-// than -max-scale fails (hardware accounts for a few ×; more than that
-// is the code, or a baseline overdue for a refresh). Disable
-// normalization (-normalize=false) when baseline and current come from
-// the same machine. The allocs/op half of the gate is
-// machine-independent and always exact.
+//   - The exact fields (allocs/op, the planner's tile verifies,
+//     candidates checked and index accesses over the fixed replay, and
+//     wire bytes) are reproduced by a sweep on any machine, so any
+//     increase fails. A decrease passes with a note to re-record the
+//     baseline, so the next regression is measured from the new floor.
+//   - ns/op is divided by the machine-speed scale, the median cur/base
+//     ratio over every timed series, and fails only beyond maxSlowdown.
+//     That bound sits above the spread of clean sweeps of one tree;
+//     algorithmic regressions show in the exact counts first.
+//   - The scale itself fails beyond maxScale in either direction: a shift
+//     that large is the code moving every series together, or a stale
+//     baseline, not hardware.
+//   - A timed series that reports no ns/op failed to run, and fails.
+//   - A baseline series missing from the current report fails (coverage
+//     must not silently shrink); a series only in the current report
+//     passes until the baseline is re-recorded to gate it.
+//   - In-report bounds on the current report alone: the ratio bounds of
+//     ratioBounds, and the delta protocol's frames stay within what the
+//     figure pipeline charges for them (deltaBound).
+//
+// Reports compare only at equal workload parameters (GOMAXPROCS, POI
+// count, tile limit, buffer, replay length); record the baseline with
+// GOMAXPROCS=1, as CI runs the sweep.
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_plan.json -current bench_current.json [-tol 0.25]
-//
-// Series are matched by (name, group_size). A series present in the
-// baseline but missing from the current report fails the gate (coverage
-// must not silently shrink); a series only in the current report is
-// reported but passes (it has no baseline yet — refresh the baseline to
-// start gating it).
+//	benchgate -baseline BENCH_plan.json -current bench_current.json
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"mpn/internal/benchfmt"
+	"mpn/internal/sim"
+	"mpn/internal/stats"
 )
+
+const (
+	// maxSlowdown bounds a series' normalized ns/op over its baseline.
+	// Clean sweeps of one tree spread −44 % … +80 % (+45 % at matched
+	// GOMAXPROCS), so 2× fails no clean tree.
+	maxSlowdown = 2.0
+	// maxScale bounds the machine-speed scale, or its inverse.
+	maxScale = 3.0
+)
+
+func main() {
+	baselinePath := flag.String("baseline", "BENCH_plan.json", "committed baseline report")
+	currentPath := flag.String("current", "", "freshly produced report to gate")
+	flag.Parse()
+	if *currentPath == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
+		os.Exit(2)
+	}
+	failures, err := run(*baselinePath, *currentPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
+	if failures > 0 {
+		fmt.Printf("\nbenchgate: %d failure(s)\n", failures)
+		os.Exit(1)
+	}
+	fmt.Println("\nbenchgate: every rule holds")
+}
+
+func run(baselinePath, currentPath string) (int, error) {
+	base, err := load(baselinePath)
+	if err != nil {
+		return 0, err
+	}
+	cur, err := load(currentPath)
+	if err != nil {
+		return 0, err
+	}
+	return gate(os.Stdout, base, cur)
+}
+
+func load(path string) (benchfmt.Report, error) {
+	var r benchfmt.Report
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &r)
+	}
+	if err != nil {
+		return r, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
 
 type key struct {
 	name string
 	m    int
 }
 
-func load(path string) (map[key]benchfmt.Series, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// gate checks cur against base and every in-report bound, writes one
+// line per series and bound to w, and returns the number of failures. It
+// returns an error, and checks nothing, when the two reports ran
+// different workloads.
+func gate(w io.Writer, base, cur benchfmt.Report) (int, error) {
+	params := func(r benchfmt.Report) [5]int {
+		return [...]int{r.GoMaxProcs, r.POIs, r.TileLimit, r.Buffer, r.ReplayOps}
 	}
-	var r benchfmt.Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if params(base) != params(cur) {
+		return 0, fmt.Errorf("reports ran different workloads: [gomaxprocs pois tile_limit buffer replay_ops] %v in the baseline, %v in the current report",
+			params(base), params(cur))
 	}
-	out := make(map[key]benchfmt.Series, len(r.Series))
-	for _, s := range r.Series {
-		out[key{s.Name, s.GroupSize}] = s
-	}
-	return out, nil
-}
-
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_plan.json", "committed baseline report")
-	currentPath := flag.String("current", "", "freshly produced report to gate")
-	tol := flag.Float64("tol", 0.25, "maximum tolerated relative ns/op regression")
-	normalize := flag.Bool("normalize", true, "divide ns/op ratios by their median to cancel uniform machine-speed differences")
-	warnScale := flag.Float64("warn-scale", 1.5, "warn when the machine-speed scale (or its inverse) exceeds this — a uniform shift could be hiding in the normalization")
-	maxScale := flag.Float64("max-scale", 3.0, "fail when the machine-speed scale (or its inverse) exceeds this — a uniform shift that large is the code or a stale baseline, not hardware")
-	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
-		os.Exit(2)
+	current := make(map[key]benchfmt.Series, len(cur.Series))
+	for _, s := range cur.Series {
+		current[key{s.Name, s.GroupSize}] = s
 	}
 
-	baseline, err := load(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+	// Machine-speed scale: the median cur/base ns/op ratio.
+	var ratios []float64
+	for _, b := range base.Series {
+		if c, ok := current[key{b.Name, b.GroupSize}]; ok && b.NsPerOp > 0 && c.NsPerOp > 0 {
+			ratios = append(ratios, c.NsPerOp/b.NsPerOp)
+		}
 	}
-	current, err := load(*currentPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-
-	// Machine-speed scale: the median of cur/base ns ratios over the
-	// series present in both reports. 1.0 when not normalizing.
 	scale := 1.0
-	if *normalize {
-		var ratios []float64
-		for k, base := range baseline {
-			if cur, ok := current[k]; ok && base.NsPerOp > 0 && cur.NsPerOp > 0 {
-				ratios = append(ratios, cur.NsPerOp/base.NsPerOp)
-			}
-		}
-		if len(ratios) > 0 {
-			sort.Float64s(ratios)
-			mid := len(ratios) / 2
-			if len(ratios)%2 == 1 {
-				scale = ratios[mid]
-			} else {
-				scale = (ratios[mid-1] + ratios[mid]) / 2
-			}
-		}
-		fmt.Printf("machine-speed scale (median cur/base): %.3f — deltas below are relative to it\n", scale)
+	if len(ratios) > 0 {
+		scale = stats.Median(ratios)
 	}
-
 	failures := 0
-	if dev := math.Max(scale, 1/scale); dev > *maxScale {
-		fmt.Printf("FAIL: scale %.2f deviates from 1 beyond -max-scale %.2f — most series shifted together; that is the code (or a stale baseline), not the runner\n",
-			scale, *maxScale)
+	verdict := ""
+	if math.Max(scale, 1/scale) > maxScale {
+		verdict = fmt.Sprintf("  FAIL beyond %.0fx either way: most series moved together, which is the code or a stale baseline", maxScale)
 		failures++
-	} else if dev > *warnScale {
-		fmt.Printf("WARNING: scale %.2f deviates from 1 beyond -warn-scale %.2f — a uniform shift could be hiding in the normalization; compare on matching hardware or refresh the baseline\n",
-			scale, *warnScale)
 	}
-	fmt.Printf("%-22s %3s  %14s %14s %8s  %s\n",
-		"series", "m", "base ns/op", "cur ns/op", "delta", "allocs base→cur")
-	for _, base := range sortedSeries(baseline) {
-		k := key{base.Name, base.GroupSize}
-		cur, ok := current[k]
+	fmt.Fprintf(w, "machine-speed scale (median cur/base ns/op): %.3f%s\n", scale, verdict)
+
+	fmt.Fprintf(w, "%-20s %2s %12s %12s %8s\n", "series", "m", "base ns/op", "cur ns/op", "norm")
+	for _, b := range sortedSeries(base.Series) {
+		c, ok := current[key{b.Name, b.GroupSize}]
 		if !ok {
-			fmt.Printf("%-22s %3d  MISSING from current report\n", base.Name, base.GroupSize)
+			fmt.Fprintf(w, "%-20s %2d  FAIL missing from the current report\n", b.Name, b.GroupSize)
 			failures++
 			continue
 		}
-		if base.WireBytes > 0 {
-			// Wire-byte series are deterministic and machine-independent:
-			// no normalization, and only a small slack for frame-size
-			// drift from workload perturbations.
-			growth := cur.WireBytes/base.WireBytes - 1
-			verdict := ""
-			if growth > wireBytesTol {
-				verdict = fmt.Sprintf("  FAIL wire bytes +%.0f%% > %.0f%%", 100*growth, 100*wireBytesTol)
+		line := fmt.Sprintf("%-20s %2d", b.Name, b.GroupSize)
+		if b.NsPerOp > 0 {
+			norm := c.NsPerOp / b.NsPerOp / scale
+			line += fmt.Sprintf(" %12.0f %12.0f %+7.1f%%", b.NsPerOp, c.NsPerOp, 100*(norm-1))
+			switch {
+			case c.NsPerOp <= 0:
+				line += "  FAIL no ns/op: the series did not run"
+				failures++
+			case norm > maxSlowdown:
+				line += fmt.Sprintf("  FAIL ns/op beyond %.0fx the baseline", maxSlowdown)
 				failures++
 			}
-			fmt.Printf("%-22s %3d  %11.0f B  %11.0f B %+7.1f%%%s\n",
-				base.Name, base.GroupSize, base.WireBytes, cur.WireBytes, 100*growth, verdict)
-			continue
 		}
-		delta := 0.0
-		if base.NsPerOp > 0 {
-			delta = cur.NsPerOp/base.NsPerOp/scale - 1
+		was, now := b.Exact(), c.Exact()
+		for f := range was {
+			switch {
+			case now[f] > was[f]:
+				line += fmt.Sprintf("  FAIL %s %d→%d", benchfmt.ExactFields[f], was[f], now[f])
+				failures++
+			case now[f] < was[f]:
+				line += fmt.Sprintf("  %s %d→%d improved, re-record the baseline", benchfmt.ExactFields[f], was[f], now[f])
+			}
 		}
-		verdict := ""
-		if delta > *tol {
-			verdict = fmt.Sprintf("  FAIL ns/op +%.0f%% > %.0f%%", 100*delta, 100**tol)
-			failures++
-		}
-		if cur.AllocsPerOp > base.AllocsPerOp+allocSlack(base.Name) {
-			verdict += fmt.Sprintf("  FAIL allocs/op %d→%d", base.AllocsPerOp, cur.AllocsPerOp)
-			failures++
-		}
-		fmt.Printf("%-22s %3d  %14.0f %14.0f %+7.1f%%  %d→%d%s\n",
-			base.Name, base.GroupSize, base.NsPerOp, cur.NsPerOp, 100*delta,
-			base.AllocsPerOp, cur.AllocsPerOp, verdict)
+		fmt.Fprintln(w, line)
 	}
-	for _, cur := range sortedSeries(current) {
-		if _, ok := baseline[key{cur.Name, cur.GroupSize}]; !ok {
-			fmt.Printf("%-22s %3d  new series (no baseline; refresh BENCH_plan.json to gate it)\n",
-				cur.Name, cur.GroupSize)
+	baseline := make(map[key]bool, len(base.Series))
+	for _, b := range base.Series {
+		baseline[key{b.Name, b.GroupSize}] = true
+	}
+	for _, c := range sortedSeries(cur.Series) {
+		if !baseline[key{c.Name, c.GroupSize}] {
+			fmt.Fprintf(w, "%-20s %2d  new series, not gated until the baseline is re-recorded\n", c.Name, c.GroupSize)
 		}
 	}
-	failures += enforceRatios(current)
-	if failures > 0 {
-		fmt.Printf("\nbenchgate: %d regression(s) beyond tolerance\n", failures)
-		os.Exit(1)
-	}
-	fmt.Println("\nbenchgate: all series within tolerance")
-}
-
-// wireBytesTol is the slack on deterministic wire-byte series (region
-// shapes shift slightly when the planner workload is perturbed).
-const wireBytesTol = 0.10
-
-// allocSlack returns the allocs/op headroom a series gets on top of its
-// baseline. The churn_* series interleave mutation batches with the
-// measured iterations, so their allocs/op is an amortized average whose
-// integer rounding can wobble with the harness-chosen iteration count —
-// a slack of 2 absorbs the rounding without hiding a real per-op leak
-// (one new allocation on the plan path shows up 8×, not 1×). The net_*
-// series average over a stream of moving groups whose region sizes (and
-// so allocation counts) differ, and the harness-chosen iteration count
-// decides how much of the stream is averaged: the same slack. Every
-// other series is exactly repeatable and gets none.
-func allocSlack(name string) int64 {
-	if strings.HasPrefix(name, "churn_") || strings.HasPrefix(name, "net_") {
-		return 2
-	}
-	return 0
+	return failures + inReport(w, current, cur.Series), nil
 }
 
 // ratioBound is one machine-independent in-report bound: at group size m,
-// series num's field divided by series den's must be at least min (when
+// series num's ns/op divided by series den's must be at least min (when
 // min > 0) and at most max (when max > 0). Both series come from the same
 // report — the same process on the same machine — so the ratio measures
 // the code, not the hardware. A missing pair fails: a bounded series must
@@ -213,16 +194,11 @@ func allocSlack(name string) int64 {
 type ratioBound struct {
 	what     string
 	num, den string
-	wire     bool // compare WireBytes; otherwise NsPerOp
 	m        int
 	min, max float64
 }
 
 var ratioBounds = []ratioBound{
-	// The delta notification protocol's steady-state win at the largest
-	// benchmarked group: full-protocol bytes per kept-path notification
-	// round over the delta protocol's.
-	{what: "notify delta reduction", num: "notify_bytes_full", den: "notify_bytes_delta", wire: true, m: 6, min: 10},
 	// The table-driven network backend over the per-member full-SSSP
 	// oracle, on groups whose members start at independent junctions.
 	// Losing it means a per-plan shortest-path search crept back into the
@@ -242,23 +218,25 @@ var ratioBounds = []ratioBound{
 	{what: "repl ship overhead", num: "repl_ship", den: "update_inc", m: 3, max: 2.5},
 }
 
-// enforceRatios checks every ratioBound against the current report and
-// returns the number of failures.
-func enforceRatios(current map[key]benchfmt.Series) int {
+// deltaBound is the most a delta notification frame may take on the
+// wire: what the figure pipeline charges for it, so the paper's
+// communication figures never undercount what the coordinator ships.
+const deltaBound = sim.DeltaNotifyBytes
+
+// inReport checks the current report's own bounds — every ratioBound,
+// and notify_bytes_delta ≤ m·deltaBound at every m — and returns the
+// number of failures.
+func inReport(w io.Writer, current map[key]benchfmt.Series, series []benchfmt.Series) int {
 	failures := 0
 	for _, b := range ratioBounds {
 		num, okN := current[key{b.num, b.m}]
 		den, okD := current[key{b.den, b.m}]
-		n, d, unit := num.NsPerOp, den.NsPerOp, "ns/op"
-		if b.wire {
-			n, d, unit = num.WireBytes, den.WireBytes, "B"
-		}
-		if !okN || !okD || d <= 0 {
-			fmt.Printf("%s m=%d: %s / %s pair missing from report  FAIL\n", b.what, b.m, b.num, b.den)
+		if !okN || !okD || den.NsPerOp <= 0 {
+			fmt.Fprintf(w, "%s m=%d: %s / %s pair missing from report  FAIL\n", b.what, b.m, b.num, b.den)
 			failures++
 			continue
 		}
-		ratio := n / d
+		ratio := num.NsPerOp / den.NsPerOp
 		status := ""
 		if b.min > 0 && ratio < b.min {
 			status = fmt.Sprintf("  FAIL %.2fx < %.2fx", ratio, b.min)
@@ -269,18 +247,27 @@ func enforceRatios(current map[key]benchfmt.Series) int {
 		if status != "" {
 			failures++
 		}
-		fmt.Printf("%s m=%d: %s %.0f %s / %s %.0f %s = %.2fx%s\n",
-			b.what, b.m, b.num, n, unit, b.den, d, unit, ratio, status)
+		fmt.Fprintf(w, "%s m=%d: %s %.0f ns/op / %s %.0f ns/op = %.2fx%s\n",
+			b.what, b.m, b.num, num.NsPerOp, b.den, den.NsPerOp, ratio, status)
+	}
+	for _, s := range series {
+		if s.Name != "notify_bytes_delta" {
+			continue
+		}
+		limit := int64(s.GroupSize) * deltaBound
+		status := ""
+		if s.WireBytes > limit {
+			status = "  FAIL"
+			failures++
+		}
+		fmt.Fprintf(w, "delta frames m=%d: %d B ≤ %d B (m · sim.DeltaNotifyBytes)%s\n", s.GroupSize, s.WireBytes, limit, status)
 	}
 	return failures
 }
 
-// sortedSeries returns the map's series in a stable name-then-size order.
-func sortedSeries(m map[key]benchfmt.Series) []benchfmt.Series {
-	out := make([]benchfmt.Series, 0, len(m))
-	for _, s := range m {
-		out = append(out, s)
-	}
+// sortedSeries returns a copy of series in a stable name-then-size order.
+func sortedSeries(series []benchfmt.Series) []benchfmt.Series {
+	out := append([]benchfmt.Series(nil), series...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name

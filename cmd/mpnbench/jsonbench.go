@@ -1,11 +1,13 @@
 package main
 
-// The -json mode: machine-readable micro-benchmarks of the two hottest
-// server paths — one-shot safe-region planning (a tile Plan on an owned
-// workspace, exactly what an engine worker runs per recomputation) and
-// the end-to-end synchronous engine update — swept over group size. The
-// ns/op, throughput, and allocs/op series are written as JSON so CI and
-// future PRs can diff against the committed baseline (BENCH_plan.json).
+// The -json mode: machine-readable micro-benchmarks of the serving paths
+// — planning, engine updates, notification encoding, POI churn, the WAL,
+// replication and the road-network backend — swept over group size and
+// written as JSON (committed as BENCH_plan.json, the baseline
+// cmd/benchgate gates against). Every series is a row: a setup and an op
+// run once per iteration. measure times each row with testing.Benchmark,
+// for ns/op and bytes/op, then replays replayOps ops untimed from a fresh
+// setup for the exact fields: allocs/op and the planner's work counts.
 
 import (
 	"encoding/json"
@@ -15,6 +17,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -32,6 +35,247 @@ import (
 	"mpn/internal/workload"
 )
 
+// replayOps is the op count of every series' untimed replay: a multiple
+// of every op stream's period (the 7-step jitter, the 2-step escape, the
+// 8-op churn cycle and net_update_inc's 32 groups × 4 visits), so every
+// replay covers whole periods.
+const replayOps = 7 * 128
+
+// A fixture is one set-up instance of a series.
+type fixture struct {
+	// op runs op i and returns the planner work it did.
+	op func(i int) (core.Stats, error)
+	// drain, when set, waits on the clock until work the ops started in
+	// the background is done.
+	drain func()
+	// close, when set, releases the fixture off the clock.
+	close func()
+}
+
+// A row is one series. A row without a setup is a wire-size series: it
+// carries only wire, measured once when the row was built.
+type row struct {
+	name  string
+	m     int
+	setup func() (fixture, error)
+	wire  int64
+}
+
+// open sets a fixture up, with no-ops for what the row leaves unset.
+func (r row) open() (fixture, error) {
+	fx, err := r.setup()
+	if fx.drain == nil {
+		fx.drain = func() {}
+	}
+	if fx.close == nil {
+		fx.close = func() {}
+	}
+	return fx, err
+}
+
+// measure runs one row: timed for ns/op and bytes/op, then replayed for
+// the exact fields. A failing op fails the series, on either run.
+func measure(r row) (benchfmt.Series, error) {
+	s := benchfmt.Series{Name: r.name, GroupSize: r.m, WireBytes: r.wire}
+	if r.setup == nil {
+		return s, nil
+	}
+	var opErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		fail := func(err error) {
+			opErr = err
+			b.FailNow()
+		}
+		fx, err := r.open()
+		if err != nil {
+			fail(err)
+		}
+		defer fx.close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := fx.op(i); err != nil {
+				fail(err)
+			}
+		}
+		fx.drain()
+	})
+	if opErr != nil {
+		return s, fmt.Errorf("%s m=%d: timed run: %w", r.name, r.m, opErr)
+	}
+	if res.N == 0 {
+		return s, fmt.Errorf("%s m=%d: the timed run measured no ops", r.name, r.m)
+	}
+	s.NsPerOp = float64(res.NsPerOp())
+	s.OpsPerSec = 1e9 / s.NsPerOp
+	s.BytesPerOp = res.AllocedBytesPerOp()
+
+	fx, err := r.open()
+	if err != nil {
+		return s, fmt.Errorf("%s m=%d: %w", r.name, r.m, err)
+	}
+	defer fx.close()
+	// The replay starts from an emptied sync.Pool and runs on one P
+	// without a collection, so the count is the same in every sweep: a
+	// goroutine that changes P misses its pool cache, and a collection
+	// empties the pool, and either allocates anew. What background
+	// goroutines allocate (the WAL writer, the follower) still varies by
+	// a few allocations, so the total is rounded to the nearest op.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var work core.Stats
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < replayOps; i++ {
+		st, err := fx.op(i)
+		if err != nil {
+			return s, fmt.Errorf("%s m=%d: replay op %d: %w", r.name, r.m, i, err)
+		}
+		work.Add(st)
+	}
+	fx.drain()
+	runtime.ReadMemStats(&after)
+	s.AllocsPerOp = int64((after.Mallocs - before.Mallocs + replayOps/2) / replayOps)
+	s.TileVerifies = int64(work.TileVerifies)
+	s.CandidatesChecked = int64(work.CandidatesChecked)
+	s.IndexAccesses = int64(work.IndexAccesses)
+	return s, nil
+}
+
+// runPlanJSONBench runs `rounds` sweeps of every series and writes the
+// merged JSON report. The whole sweep repeats end to end, not one series
+// back to back, so a transient load spike lands on at most one timed run
+// of every series, and the median discards it.
+func runPlanJSONBench(out io.Writer, log io.Writer, rounds int) error {
+	var reports []benchfmt.Report
+	for r := 0; r < max(rounds, 1); r++ {
+		if rounds > 1 {
+			fmt.Fprintf(log, "round %d/%d:\n", r+1, rounds)
+		}
+		rep, err := collectPlanReport(log)
+		if err != nil {
+			return err
+		}
+		reports = append(reports, rep)
+	}
+	merged, err := mergeReports(reports)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(merged)
+}
+
+// mergeReports folds the rounds of one sweep into one report. ns/op and
+// bytes/op take their median across rounds, and OpsPerSec follows ns/op.
+// The exact fields must agree across rounds: if they do not, the fixture
+// is nondeterministic, and the sweep fails rather than gating on it.
+func mergeReports(reports []benchfmt.Report) (benchfmt.Report, error) {
+	merged := reports[0]
+	merged.Series = append([]benchfmt.Series(nil), merged.Series...)
+	for i := range merged.Series {
+		s := &merged.Series[i]
+		var ns, bytes []float64
+		for r, rep := range reports {
+			if len(rep.Series) != len(merged.Series) || rep.Series[i].Name != s.Name || rep.Series[i].GroupSize != s.GroupSize {
+				return benchfmt.Report{}, fmt.Errorf("round %d ran other series than round 1", r+1)
+			}
+			want, got := s.Exact(), rep.Series[i].Exact()
+			for f := range want {
+				if got[f] != want[f] {
+					return benchfmt.Report{}, fmt.Errorf("%s m=%d: %s is %d in round 1 but %d in round %d: the fixture is nondeterministic",
+						s.Name, s.GroupSize, benchfmt.ExactFields[f], want[f], got[f], r+1)
+				}
+			}
+			ns = append(ns, rep.Series[i].NsPerOp)
+			bytes = append(bytes, float64(rep.Series[i].BytesPerOp))
+		}
+		s.NsPerOp = stats.Median(ns)
+		if s.NsPerOp > 0 {
+			s.OpsPerSec = 1e9 / s.NsPerOp
+		}
+		s.BytesPerOp = int64(stats.Median(bytes))
+	}
+	return merged, nil
+}
+
+// collectPlanReport runs one sweep of every series.
+func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
+	const (
+		tileLimit = 10
+		buffer    = 50
+	)
+	pois, err := workload.GeneratePOIs(workload.DefaultPOIConfig())
+	if err != nil {
+		return benchfmt.Report{}, err
+	}
+	opts := core.DefaultOptions()
+	opts.TileLimit = tileLimit
+	opts.Buffer = buffer
+	opts.Directed = true
+	planner, err := core.NewPlanner(pois, opts)
+	if err != nil {
+		return benchfmt.Report{}, err
+	}
+
+	var rows []row
+	for m := 2; m <= 6; m++ {
+		amp, partial := probeEscapeAmp(planner, m)
+		fmt.Fprintf(log, "  escape m=%d: amplitude %.5f, %.0f%% of the probe's replans partial\n", m, amp, 100*partial)
+		rows = append(rows,
+			planRow("plan", m, planner),
+			updateRow("update", m, planner, false, jitter, noWAL),
+			updateRow("update_inc", m, planner, true, jitter, noWAL),
+			updateRow("update_escape", m, planner, false, escape(amp), noWAL),
+			updateRow("update_inc_escape", m, planner, true, escape(amp), noWAL),
+		)
+	}
+	for m := 2; m <= 6; m++ {
+		notify, err := notifyRows(planner, m, log)
+		if err != nil {
+			return benchfmt.Report{}, err
+		}
+		rows = append(rows, notify...)
+	}
+	rows = append(rows, churnRows(pois, opts)...)
+	rows = append(rows,
+		updateRow("durable_update", walM, planner, true, jitter, walLocal),
+		recordRow("wal_append", walLocal),
+		updateRow("repl_ship", walM, planner, true, jitter, walShipped),
+		recordRow("repl_lag", walShipped),
+	)
+	net, err := netRows()
+	if err != nil {
+		return benchfmt.Report{}, err
+	}
+	rows = append(rows, net...)
+
+	report := benchfmt.Report{
+		Description: "safe-region planning and serving paths by group size: ns/op and bytes/op timed, allocs/op and planner work counts over a fixed replay",
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		POIs:        len(pois),
+		TileLimit:   tileLimit,
+		Buffer:      buffer,
+		ReplayOps:   replayOps,
+	}
+	for _, r := range rows {
+		s, err := measure(r)
+		if err != nil {
+			return benchfmt.Report{}, err
+		}
+		report.Series = append(report.Series, s)
+		if r.setup == nil {
+			fmt.Fprintf(log, "  %-20s m=%d  %6d wire bytes\n", s.Name, s.GroupSize, s.WireBytes)
+			continue
+		}
+		fmt.Fprintf(log, "  %-20s m=%d  %10.0f ns/op %4d allocs/op  per %d ops: %7d verifies %7d candidates %5d index accesses\n",
+			s.Name, s.GroupSize, s.NsPerOp, s.AllocsPerOp, replayOps, s.TileVerifies, s.CandidatesChecked, s.IndexAccesses)
+	}
+	return report, nil
+}
+
 // jsonBenchGroup returns a deterministic clustered group of m users with
 // headings, centered mid-domain.
 func jsonBenchGroup(m int) ([]geom.Point, []core.Direction) {
@@ -44,18 +288,26 @@ func jsonBenchGroup(m int) ([]geom.Point, []core.Direction) {
 	return users, dirs
 }
 
-// toSeries converts one benchmark result into the shared report format
-// (see internal/benchfmt for the series names).
-func toSeries(name string, m int, r testing.BenchmarkResult) benchfmt.Series {
-	ns := float64(r.NsPerOp())
-	ops := 0.0
-	if ns > 0 {
-		ops = 1e9 / ns
+// A stream fills locs with the group's locations at op i.
+type stream func(locs, users []geom.Point, i int)
+
+// jitter is the in-region stream every steady-state series shares: op i
+// moves every member by 1e-5·(i mod 7) along (+1, −1).
+func jitter(locs, users []geom.Point, i int) {
+	d := 1e-5 * float64(i%7)
+	for j, u := range users {
+		locs[j] = geom.Pt(u.X+d, u.Y-d)
 	}
-	return benchfmt.Series{
-		Name: name, GroupSize: m,
-		NsPerOp: ns, OpsPerSec: ops,
-		AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
+}
+
+// escape is the oscillation stream: on every odd op member 0 steps amp
+// along (+1, −1), just out of its region (see probeEscapeAmp).
+func escape(amp float64) stream {
+	return func(locs, users []geom.Point, i int) {
+		copy(locs, users)
+		if i%2 == 1 {
+			locs[0] = geom.Pt(users[0].X+amp, users[0].Y-amp)
+		}
 	}
 }
 
@@ -100,10 +352,7 @@ func probeEscapeAmp(planner *core.Planner, m int) (amp float64, partialFrac floa
 	const steps = 16
 	partial := 0
 	for i := 0; i < steps; i++ {
-		copy(locs, users)
-		if i%2 == 1 {
-			locs[0] = at(amp)
-		}
+		escape(amp)(locs, users, i)
 		_, _, _, out, err := replan(ws, &st, locs, dirs)
 		if err != nil {
 			return amp, 0
@@ -115,248 +364,133 @@ func probeEscapeAmp(planner *core.Planner, m int) (amp float64, partialFrac floa
 	return amp, float64(partial) / steps
 }
 
-// runPlanJSONBench measures the plan and update series over `rounds`
-// interleaved sweeps and writes the JSON report. Interleaving means the
-// whole sweep repeats end to end — not the same benchmark back to back —
-// so a transient machine-load spike lands on at most one measurement of
-// every series rather than all measurements of one; the per-series
-// median then discards it. A single round keeps the historical one-shot
-// behavior (and the report format is unchanged either way, so committed
-// baselines stay comparable).
-func runPlanJSONBench(out io.Writer, log io.Writer, rounds int) error {
-	if rounds < 1 {
-		rounds = 1
+// planOp returns an op that plans the group's tile regions over the
+// jitter stream on one long-lived workspace, as an engine worker holds it.
+func planOp(planner *core.Planner, users []geom.Point, dirs []core.Direction) func(int) (core.Stats, error) {
+	ws := core.NewWorkspace()
+	locs := make([]geom.Point, len(users))
+	return func(i int) (core.Stats, error) {
+		jitter(locs, users, i)
+		p, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: locs, Dirs: dirs})
+		return p.Stats, err
 	}
-	var reports []benchfmt.Report
-	for r := 0; r < rounds; r++ {
-		if rounds > 1 {
-			fmt.Fprintf(log, "round %d/%d:\n", r+1, rounds)
+}
+
+// planRow times the planner kernel: one tile plan per op.
+func planRow(name string, m int, planner *core.Planner) row {
+	users, dirs := jsonBenchGroup(m)
+	return row{name: name, m: m, setup: func() (fixture, error) {
+		return fixture{op: planOp(planner, users, dirs)}, nil
+	}}
+}
+
+// walMode says what an engine series journals to.
+type walMode int
+
+const (
+	noWAL      walMode = iota
+	walLocal           // a WAL at fsync=interval, the serving configuration
+	walShipped         // that WAL, tailed by a live follower
+)
+
+// walM is the group size of the WAL and replication series.
+const walM = 3
+
+// updateRow times one synchronous engine.Update of the m-member group
+// per op over move, with no subscribers: a full replan, or with inc the
+// incremental protocol. Under a WAL mode the engine journals every
+// committed plan as the server's journal adapter does.
+func updateRow(name string, m int, planner *core.Planner, inc bool, move stream, mode walMode) row {
+	users, dirs := jsonBenchGroup(m)
+	return row{name: name, m: m, setup: func() (fixture, error) {
+		var fx fixture
+		opts := engine.Options{Shards: 1}
+		if inc {
+			opts.Replan = engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
 		}
-		rep, err := collectPlanReport(log)
+		var w *benchWAL
+		if mode != noWAL {
+			var err error
+			if w, err = openWAL(mode == walShipped); err != nil {
+				return fixture{}, err
+			}
+			opts.Journal = durJournal{w.store}
+			fx.drain = w.drain
+		}
+		eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), opts)
+		fx.close = func() {
+			eng.Close()
+			if w != nil {
+				w.close()
+			}
+		}
+		id, err := eng.RegisterTag(users, dirs, durTag{gid: 1, ids: memberIDs(m)})
 		if err != nil {
-			return err
+			fx.close()
+			return fixture{}, err
 		}
-		reports = append(reports, rep)
-	}
-	merged := mergeReports(reports)
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(merged)
+		locs := make([]geom.Point, m)
+		prev := eng.Stats(id)
+		fx.op = func(i int) (core.Stats, error) {
+			move(locs, users, i)
+			if err := eng.Update(id, locs, dirs); err != nil {
+				return core.Stats{}, err
+			}
+			if w != nil {
+				w.pace(i)
+			}
+			cur := eng.Stats(id)
+			d := core.Stats{
+				TileVerifies:      cur.TileVerifies - prev.TileVerifies,
+				CandidatesChecked: cur.CandidatesChecked - prev.CandidatesChecked,
+				IndexAccesses:     cur.IndexAccesses - prev.IndexAccesses,
+			}
+			prev = cur
+			return d, nil
+		}
+		return fx, nil
+	}}
 }
 
-// mergeReports folds N sweeps into one report: every (Name, GroupSize)
-// series takes the per-field median across rounds. Medians are taken
-// per field, not per run — ns/op and allocs/op may peak in different
-// rounds, and each field should get its own robust center. OpsPerSec is
-// recomputed from the median ns/op so the two stay consistent.
-func mergeReports(reports []benchfmt.Report) benchfmt.Report {
-	merged := reports[0]
-	if len(reports) == 1 {
-		return merged
-	}
-	type key struct {
-		name string
-		m    int
-	}
-	byKey := map[key][]benchfmt.Series{}
-	for _, rep := range reports {
-		for _, s := range rep.Series {
-			k := key{s.Name, s.GroupSize}
-			byKey[k] = append(byKey[k], s)
+// recordRow times the WAL without the engine: one bare group record per
+// op, through the store alone (walLocal: its sustained append-to-disk
+// rate) or on to the follower (walShipped: how fast a follower's lag
+// drains).
+func recordRow(name string, mode walMode) row {
+	users, _ := jsonBenchGroup(walM)
+	ids := memberIDs(walM)
+	return row{name: name, m: walM, setup: func() (fixture, error) {
+		w, err := openWAL(mode == walShipped)
+		if err != nil {
+			return fixture{}, err
 		}
-	}
-	med := func(pick func(benchfmt.Series) float64, group []benchfmt.Series) float64 {
-		xs := make([]float64, len(group))
-		for i, s := range group {
-			xs[i] = pick(s)
-		}
-		return stats.Median(xs)
-	}
-	out := merged.Series[:0:0]
-	for _, s := range merged.Series { // keep the round-1 series order
-		group := byKey[key{s.Name, s.GroupSize}]
-		s.NsPerOp = med(func(x benchfmt.Series) float64 { return x.NsPerOp }, group)
-		if s.NsPerOp > 0 {
-			s.OpsPerSec = 1e9 / s.NsPerOp
-		}
-		s.AllocsPerOp = int64(med(func(x benchfmt.Series) float64 { return float64(x.AllocsPerOp) }, group))
-		s.BytesPerOp = int64(med(func(x benchfmt.Series) float64 { return float64(x.BytesPerOp) }, group))
-		s.WireBytes = med(func(x benchfmt.Series) float64 { return x.WireBytes }, group)
-		out = append(out, s)
-	}
-	merged.Series = out
-	return merged
+		return fixture{
+			op: func(i int) (core.Stats, error) {
+				w.store.GroupUpsert(uint32(i&63), ids, users)
+				w.pace(i)
+				return core.Stats{}, nil
+			},
+			drain: w.drain,
+			close: w.close,
+		}, nil
+	}}
 }
 
-// collectPlanReport runs one full sweep of every series.
-func collectPlanReport(log io.Writer) (benchfmt.Report, error) {
-	const (
-		tileLimit = 10
-		buffer    = 50
-	)
-	pcfg := workload.DefaultPOIConfig()
-	pois, err := workload.GeneratePOIs(pcfg)
-	if err != nil {
-		return benchfmt.Report{}, err
-	}
-	opts := core.DefaultOptions()
-	opts.TileLimit = tileLimit
-	opts.Buffer = buffer
-	opts.Directed = true
-	planner, err := core.NewPlanner(pois, opts)
-	if err != nil {
-		return benchfmt.Report{}, err
-	}
-
-	report := benchfmt.Report{
-		Description: "steady-state safe-region planning: ns/op, throughput, allocs/op by group size",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		POIs:        len(pois),
-		TileLimit:   tileLimit,
-		Buffer:      buffer,
-	}
-
-	for m := 2; m <= 6; m++ {
-		users, dirs := jsonBenchGroup(m)
-
-		// Planner kernel: one long-lived workspace, as an engine worker
-		// holds it.
-		r := testing.Benchmark(func(b *testing.B) {
-			ws := core.NewWorkspace()
-			locs := make([]geom.Point, len(users))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				if _, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: locs, Dirs: dirs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		s := toSeries("plan", m, r)
-		report.Series = append(report.Series, s)
-		fmt.Fprintf(log, "  plan   m=%d  %12.0f ns/op %8.0f plans/s %6d allocs/op\n",
-			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp)
-
-		// End-to-end engine update: registered group, synchronous
-		// recomputation, no subscribers.
-		r = testing.Benchmark(func(b *testing.B) {
-			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{Shards: 1})
-			defer eng.Close()
-			id, err := eng.Register(users, dirs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			locs := make([]geom.Point, len(users))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				if err := eng.Update(id, locs, dirs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		s = toSeries("update", m, r)
-		report.Series = append(report.Series, s)
-		fmt.Fprintf(log, "  update m=%d  %12.0f ns/op %8.0f upd/s   %6d allocs/op\n",
-			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp)
-
-		// Incremental engine, same in-region jitter: every update
-		// re-verifies and keeps the whole retained plan (the paper's
-		// silence regime — only the result-set check is paid).
-		r = testing.Benchmark(func(b *testing.B) {
-			eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
-				Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
-			})
-			defer eng.Close()
-			id, err := eng.Register(users, dirs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			locs := make([]geom.Point, len(users))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jitter := 1e-5 * float64(i%7)
-				for j, u := range users {
-					locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-				}
-				if err := eng.Update(id, locs, dirs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		s = toSeries("update_inc", m, r)
-		report.Series = append(report.Series, s)
-		fmt.Fprintf(log, "  update_inc m=%d  %8.0f ns/op %8.0f upd/s   %6d allocs/op (kept path)\n",
-			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp)
-
-		// Escaping-user oscillation: user 0 steps just outside her region
-		// on every other report. Measured twice over the identical
-		// stream — full-replan engine vs incremental engine — so the two
-		// series isolate exactly what dirty-user replanning saves.
-		amp, partialFrac := probeEscapeAmp(planner, m)
-		escapeBench := func(incremental bool) testing.BenchmarkResult {
-			return testing.Benchmark(func(b *testing.B) {
-				eopts := engine.Options{Shards: 1}
-				if incremental {
-					eopts.Replan = engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
-				}
-				eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), eopts)
-				defer eng.Close()
-				id, err := eng.Register(users, dirs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				locs := make([]geom.Point, len(users))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(locs, users)
-					if i%2 == 1 {
-						locs[0] = geom.Pt(users[0].X+amp, users[0].Y-amp)
-					}
-					if err := eng.Update(id, locs, dirs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		s = toSeries("update_escape", m, escapeBench(false))
-		report.Series = append(report.Series, s)
-		fmt.Fprintf(log, "  update_escape m=%d  %8.0f ns/op %8.0f upd/s %6d allocs/op (amp %.5f)\n",
-			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, amp)
-		s = toSeries("update_inc_escape", m, escapeBench(true))
-		report.Series = append(report.Series, s)
-		fmt.Fprintf(log, "  update_inc_escape m=%d  %8.0f ns/op %8.0f upd/s %6d allocs/op (%.0f%% partial)\n",
-			m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, 100*partialFrac)
-	}
-
-	if err := runNotifyBench(&report, planner, log); err != nil {
-		return benchfmt.Report{}, err
-	}
-	runChurnBench(&report, pois, opts, log)
-	if err := runDurableBench(&report, planner, log); err != nil {
-		return benchfmt.Report{}, err
-	}
-	if err := runReplBench(&report, planner, log); err != nil {
-		return benchfmt.Report{}, err
-	}
-	if err := runNetBench(&report, log); err != nil {
-		return benchfmt.Report{}, err
-	}
-	return report, nil
-}
-
-// durTag is the engine tag the durable bench registers groups with —
-// the same shape a serving layer uses: group id plus the member ids the
+// durTag is the engine tag updateRow registers its group with — the
+// same shape a serving layer uses: group id plus the member ids the
 // journaled locations align with.
 type durTag struct {
 	gid uint32
 	ids []uint32
+}
+
+// memberIDs returns the member ids 0…m−1 a group's records carry.
+func memberIDs(m int) []uint32 {
+	ids := make([]uint32, m)
+	for j := range ids {
+		ids[j] = uint32(j)
+	}
+	return ids
 }
 
 // durJournal bridges engine.Journal to a durable.Store, as the server's
@@ -374,134 +508,39 @@ func (j durJournal) GroupRemoved(tag any) {
 	}
 }
 
-// runDurableBench appends the durability series. durable_update is
-// update_inc's exact workload (incremental engine, kept-path jitter)
-// with the WAL journal attached at fsync=interval — the steady-state
-// serving configuration — so the pair prices what crash safety costs on
-// the hot path: one group-state record encoded and enqueued per
-// committed update, file I/O entirely off the update's critical path
-// (cmd/benchgate enforces the disclosed overhead ceiling). wal_append
-// prices the store itself: enqueue of b.N group records plus the
-// drain-and-fsync of the clean close, amortized per record.
-func runDurableBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) error {
-	const m = 3
-	users, dirs := jsonBenchGroup(m)
-	ids := []uint32{0, 1, 2}
+// walWindow is how many records a WAL series lets the writer, and the
+// follower, fall behind the producer.
+const walWindow = 1 << 11
 
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "mpnbench-durable-*")
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer os.RemoveAll(dir)
-		store, _, _, err := durable.Open(durable.Config{
-			Dir: dir, Fsync: durable.PolicyInterval, Queue: 1 << 14, POIBase: -1,
-		})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer store.Close()
-		eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
-			Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
-			Journal: durJournal{store},
-		})
-		defer eng.Close()
-		id, err := eng.RegisterTag(users, dirs, durTag{gid: 1, ids: ids})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		locs := make([]geom.Point, len(users))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			jitter := 1e-5 * float64(i%7)
-			for j, u := range users {
-				locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-			}
-			if err := eng.Update(id, locs, dirs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	s := toSeries("durable_update", m, r)
-	report.Series = append(report.Series, s)
-	ratio := 0.0
-	for _, inc := range report.Series {
-		if inc.Name == "update_inc" && inc.GroupSize == m && inc.NsPerOp > 0 {
-			ratio = s.NsPerOp / inc.NsPerOp
-		}
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f upd/s %4d allocs/op (%.2fx vs update_inc)\n",
-		"durable_update", m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, ratio)
-
-	var shed uint64
-	r = testing.Benchmark(func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "mpnbench-wal-*")
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer os.RemoveAll(dir)
-		const window = 1 << 12
-		store, _, _, err := durable.Open(durable.Config{
-			Dir: dir, Fsync: durable.PolicyInterval, Queue: 4 * window, POIBase: -1,
-		})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		locs := append([]geom.Point(nil), users...)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			store.GroupUpsert(uint32(i&63), ids, locs)
-			// Pace the producer so the series prices the writer, not the
-			// shed path: a raw enqueue loop overruns any writer and would
-			// measure the cost of dropping records. Keeping at most one
-			// window in flight makes ns/op the store's sustained
-			// append-to-disk rate under the interval fsync policy.
-			if i%window == window-1 && i >= window {
-				floor := uint64(i) - window
-				for {
-					st := store.Stats()
-					if st.Appended+st.Shed >= floor {
-						break
-					}
-					time.Sleep(20 * time.Microsecond)
-				}
-			}
-		}
-		// The close drains the queue and fsyncs the tail on the clock, so
-		// the tail records are fully priced too.
-		_ = store.Close()
-		b.StopTimer()
-		shed = store.Stats().Shed
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	s = toSeries("wal_append", m, r)
-	report.Series = append(report.Series, s)
-	extra := ""
-	if shed > 0 {
-		extra = fmt.Sprintf(" (%d shed — queue overran the writer)", shed)
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f rec/s %4d allocs/op%s\n",
-		"wal_append", m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, extra)
-	return nil
+// benchWAL is a fresh WAL in a temp dir at fsync=interval, optionally
+// tailed by a follower: a replica.Shipper serving the store's record
+// stream over loopback TCP to a Tailer folding it into a bare state
+// mirror — the standby's data path minus the engine replay.
+type benchWAL struct {
+	store *durable.Store
+	tl    *replica.Tailer // nil without a follower
+	close func()
 }
 
-// benchFollower attaches one follower to a durable store over real
-// loopback TCP — a Shipper serving the store's record stream and a
-// Tailer folding it into a bare state mirror, exactly the standby's
-// data path minus the engine replay. It returns once the stream is
-// live, along with the tailer (for lag reads) and a teardown.
-func benchFollower(b *testing.B, store *durable.Store) (*replica.Tailer, func()) {
+func openWAL(follower bool) (*benchWAL, error) {
+	dir, err := os.MkdirTemp("", "mpnbench-wal-*")
+	if err != nil {
+		return nil, err
+	}
+	store, _, _, err := durable.Open(durable.Config{
+		Dir: dir, Fsync: durable.PolicyInterval, Queue: 8 * walWindow, POIBase: -1,
+	})
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	w := &benchWAL{store: store, close: func() {
+		store.Close()
+		os.RemoveAll(dir)
+	}}
+	if !follower {
+		return w, nil
+	}
 	ship := replica.NewShipper(replica.ShipperConfig{
 		Store:  store,
 		Epoch:  func() uint64 { return 1 },
@@ -509,43 +548,70 @@ func benchFollower(b *testing.B, store *durable.Store) (*replica.Tailer, func())
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		w.close()
+		return nil, err
 	}
 	go ship.Serve(ln)
 	mirror := durable.NewState()
-	tl := replica.StartTailer(replica.TailerConfig{
+	w.tl = replica.StartTailer(replica.TailerConfig{
 		PrimaryAddr:  ln.Addr().String(),
 		Epoch:        func() uint64 { return 0 },
 		OnRecord:     mirror.ApplyRecord,
 		RetryBackoff: 5 * time.Millisecond,
 		AckInterval:  2 * time.Millisecond,
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for !tl.Stats().Connected {
+	closeStore := w.close
+	w.close = func() {
+		w.tl.Stop()
+		ship.Close()
+		closeStore()
+	}
+	for deadline := time.Now().Add(5 * time.Second); !w.tl.Stats().Connected; {
 		if time.Now().After(deadline) {
-			tl.Stop()
-			ship.Close()
-			b.Fatal("replication follower never connected")
+			w.close()
+			return nil, fmt.Errorf("replication follower never connected")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	return tl, func() {
-		tl.Stop()
-		ship.Close()
+	return w, nil
+}
+
+// pace holds the producer, every walWindow-th op, until the writer has
+// appended (or shed) all but the last window of records and the follower
+// has applied all but the last window of the stream. A series then prices
+// sustained writing and shipping: an unpaced enqueue loop overruns any
+// writer and prices the shed path, and an overrun follower is cut and
+// prices reseeds.
+func (w *benchWAL) pace(i int) {
+	if i%walWindow != walWindow-1 || i < walWindow {
+		return
+	}
+	floor := uint64(i - walWindow)
+	for {
+		st := w.store.Stats()
+		if st.Appended+st.Shed >= floor && (w.tl == nil || w.store.StreamPos() <= w.tl.Stats().Pos+walWindow) {
+			return
+		}
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 
-// replDrain waits (on the benchmark clock) until the follower has
-// applied everything the store has streamed and the stream position is
-// quiescent, so the tail of the pipeline is fully priced.
-func replDrain(store *durable.Store, tl *replica.Tailer) {
+// drain waits until every queued record is on disk (the store's clean
+// close drains the queue and fsyncs the tail) or, with a follower, until
+// the follower has applied everything the store streamed and the stream
+// position is quiescent.
+func (w *benchWAL) drain() {
+	if w.tl == nil {
+		w.store.Close()
+		return
+	}
 	for {
-		sp := store.StreamPos()
-		if tl.Stats().Pos >= sp {
+		sp := w.store.StreamPos()
+		if w.tl.Stats().Pos >= sp {
 			// Settle: records still in the store queue haven't reached
 			// the mirror yet; only a stable position means drained.
 			time.Sleep(200 * time.Microsecond)
-			if sp2 := store.StreamPos(); sp2 == sp && tl.Stats().Pos >= sp2 {
+			if sp2 := w.store.StreamPos(); sp2 == sp && w.tl.Stats().Pos >= sp2 {
 				return
 			}
 			continue
@@ -554,381 +620,85 @@ func replDrain(store *durable.Store, tl *replica.Tailer) {
 	}
 }
 
-// runReplBench appends the hot-standby replication series. repl_ship is
-// durable_update's exact workload (incremental engine, WAL journal at
-// fsync=interval) with a live follower tailing the record stream over
-// loopback TCP, producer paced so the follower stays within a bounded
-// lag window and the final drain on the clock — it prices what shipping
-// to a caught-up standby costs per committed update (cmd/benchgate
-// enforces the ceiling vs update_inc). repl_lag strips the engine away
-// and pushes bare group records through the same pipeline — ns/op is
-// the sustained ship→apply→ack rate, i.e. how fast a follower's lag
-// drains in records.
-func runReplBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) error {
-	const m = 3
+// notifyRows returns the notification series at group size m for one
+// kept-path recomputation fanned out to all m members: its wire size and
+// its serialization cost under the full protocol (every region
+// re-encoded into a TNotify per member) and the epoch-tracked delta
+// protocol (one epoch compare per member; an unchanged region ships a
+// region-less TNotifyDelta and is never re-encoded).
+func notifyRows(planner *core.Planner, m int, log io.Writer) ([]row, error) {
 	users, dirs := jsonBenchGroup(m)
-	ids := []uint32{0, 1, 2}
-	const window = 1 << 11
+	ws := core.NewWorkspace()
+	var st core.PlanState
+	replan := engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
+	locs := append([]geom.Point(nil), users...)
+	if _, _, _, _, err := replan(ws, &st, locs, dirs); err != nil {
+		return nil, err
+	}
+	// One kept-path step: in-region jitter, result set unchanged.
+	for j, u := range users {
+		locs[j] = geom.Pt(u.X+1e-6, u.Y-1e-6)
+	}
+	meeting, regions, _, outcome, err := replan(ws, &st, locs, dirs)
+	if err != nil {
+		return nil, err
+	}
+	if outcome != core.IncKept {
+		fmt.Fprintf(log, "  notify m=%d: jitter step was %v, not kept; series measures that outcome\n", m, outcome)
+	}
+	epochs := append([]uint64(nil), st.Epochs()...)
+	delivered := append([]uint64(nil), epochs...)
 
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "mpnbench-repl-*")
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer os.RemoveAll(dir)
-		store, _, _, err := durable.Open(durable.Config{
-			Dir: dir, Fsync: durable.PolicyInterval, Queue: 1 << 14, POIBase: -1,
-		})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer store.Close()
-		tl, stop := benchFollower(b, store)
-		defer stop()
-		eng := engine.NewWS(engine.PlannerKindWSFunc(planner, core.KindTiles, nil), engine.Options{
-			Shards: 1, Replan: engine.PlannerKindIncFunc(planner, core.KindTiles, nil),
-			Journal: durJournal{store},
-		})
-		defer eng.Close()
-		id, err := eng.RegisterTag(users, dirs, durTag{gid: 1, ids: ids})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		locs := make([]geom.Point, len(users))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			jitter := 1e-5 * float64(i%7)
-			for j, u := range users {
-				locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
+	full := func(buf []byte) ([]byte, error) {
+		var err error
+		for j, r := range regions {
+			msg := proto.Message{
+				Type: proto.TNotify, Group: 1, User: uint32(j),
+				Meeting: meeting, Epoch: epochs[j], Region: proto.EncodeRegion(r),
 			}
-			if err := eng.Update(id, locs, dirs); err != nil {
-				b.Fatal(err)
-			}
-			// Keep the follower within one lag window so the series
-			// prices sustained shipping, not an unbounded queue (an
-			// overrun would cut the stream and measure reseeds instead).
-			if i%window == window-1 {
-				for store.StreamPos() > tl.Stats().Pos+window {
-					time.Sleep(20 * time.Microsecond)
-				}
-			}
-		}
-		replDrain(store, tl)
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	s := toSeries("repl_ship", m, r)
-	report.Series = append(report.Series, s)
-	incRatio, durRatio := 0.0, 0.0
-	for _, prev := range report.Series {
-		if prev.GroupSize != m || prev.NsPerOp <= 0 {
-			continue
-		}
-		switch prev.Name {
-		case "update_inc":
-			incRatio = s.NsPerOp / prev.NsPerOp
-		case "durable_update":
-			durRatio = s.NsPerOp / prev.NsPerOp
-		}
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f upd/s %4d allocs/op (%.2fx vs update_inc, %.2fx vs durable_update)\n",
-		"repl_ship", m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, incRatio, durRatio)
-
-	var shed uint64
-	r = testing.Benchmark(func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "mpnbench-repllag-*")
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer os.RemoveAll(dir)
-		store, _, _, err := durable.Open(durable.Config{
-			Dir: dir, Fsync: durable.PolicyInterval, Queue: 4 * window, POIBase: -1,
-		})
-		if err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		defer store.Close()
-		tl, stop := benchFollower(b, store)
-		defer stop()
-		locs := append([]geom.Point(nil), users...)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			store.GroupUpsert(uint32(i&63), ids, locs)
-			// Pace the producer against BOTH stages: the store writer
-			// (appended+shed, as wal_append does — a raw enqueue loop
-			// overruns any writer and prices the shed path) and the
-			// follower's applied position (so the series prices sustained
-			// ship→apply→ack, not an unbounded lag that would cut the
-			// stream and measure reseeds).
-			if i%window == window-1 && i >= window {
-				floor := uint64(i) - window
-				for {
-					st := store.Stats()
-					if st.Appended+st.Shed >= floor && store.StreamPos() <= tl.Stats().Pos+window {
-						break
-					}
-					time.Sleep(20 * time.Microsecond)
-				}
-			}
-		}
-		replDrain(store, tl)
-		b.StopTimer()
-		shed = store.Stats().Shed
-	})
-	if benchErr != nil {
-		return benchErr
-	}
-	s = toSeries("repl_lag", m, r)
-	report.Series = append(report.Series, s)
-	extra := ""
-	if shed > 0 {
-		extra = fmt.Sprintf(" (%d shed — producer overran the writer)", shed)
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f rec/s %4d allocs/op%s\n",
-		"repl_lag", m, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, extra)
-	return nil
-}
-
-// netBenchFleet draws the net series' fixture the way bench/'s net_road
-// movers are drawn: seeded groups of m members who each start at an
-// independent random junction and walk mobility.NetworkTrajectory routes
-// at the paper's default speed, so a group's members sit half a city
-// apart (one hand-picked cluster hid a 10× slower plan). Iteration i of a
-// series plans group i mod groups.
-func netBenchFleet(netw *roadnet.Network, groups, m, steps int) ([][]mobility.Trajectory, error) {
-	rng := rand.New(rand.NewSource(1))
-	fleet := make([][]mobility.Trajectory, groups)
-	for g := range fleet {
-		fleet[g] = make([]mobility.Trajectory, m)
-		for j := range fleet[g] {
-			cfg := mobility.DefaultNetworkConfig()
-			cfg.Steps, cfg.Seed = steps, rng.Int63()
-			var err error
-			if fleet[g][j], err = mobility.NetworkTrajectory(netw, cfg); err != nil {
+			if buf, err = msg.AppendFrame(buf); err != nil {
 				return nil, err
 			}
 		}
+		return buf, nil
 	}
-	return fleet, nil
-}
-
-// runNetBench appends the road-network backend series at the default
-// network size over the netBenchFleet stream: net_plan_naive (the
-// per-member full-SSSP oracle the paper's network variant starts from),
-// net_plan (the production backend through the core dispatch — the exact
-// top-2 read from the POI distance table, see internal/netmpn's
-// differential fences) and net_update_inc (the incremental kept/partial
-// protocol, each group advancing one timestamp every fourth visit). CI
-// gates net_plan_naive/net_plan at ≥10× (see cmd/benchgate).
-func runNetBench(report *benchfmt.Report, log io.Writer) error {
-	const (
-		netM        = 3
-		netPOIEvery = 9
-		netGroups   = 32
-		netSteps    = 512
-	)
-	netw, err := roadnet.Generate(roadnet.DefaultConfig())
+	delta := func(buf []byte) ([]byte, error) {
+		var err error
+		for j := range regions {
+			msg := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(j), Epoch: epochs[j]}
+			if epochs[j] != delivered[j] {
+				msg.Region = proto.EncodeRegion(regions[j])
+			}
+			if buf, err = msg.AppendFrame(buf); err != nil {
+				return nil, err
+			}
+		}
+		return buf, nil
+	}
+	encode := func(name string, round func([]byte) ([]byte, error)) row {
+		return row{name: name, m: m, setup: func() (fixture, error) {
+			var buf []byte
+			return fixture{op: func(int) (core.Stats, error) {
+				var err error
+				buf, err = round(buf[:0])
+				return core.Stats{}, err
+			}}, nil
+		}}
+	}
+	fullRound, err := full(nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var poiNodes []int
-	for i := 0; i < netw.NumNodes(); i += netPOIEvery {
-		poiNodes = append(poiNodes, i)
-	}
-	pois := make([]geom.Point, len(poiNodes))
-	for i, n := range poiNodes {
-		pois[i] = netw.Nodes[n].P
-	}
-	planner, err := core.NewPlanner(pois, core.DefaultOptions())
+	deltaRound, err := delta(nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	backend, err := netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{Aggregate: netmpn.Max})
-	if err != nil {
-		return err
-	}
-	planner.RegisterNetBackend(backend)
-	fleet, err := netBenchFleet(netw, netGroups, netM, netSteps)
-	if err != nil {
-		return err
-	}
-	// at fills locs with group g's positions at timestamp t.
-	at := func(g, t int, locs []geom.Point) {
-		for j, traj := range fleet[g] {
-			locs[j] = traj[t%netSteps]
-		}
-	}
-
-	// Naive oracle: one full SSSP per member per plan (snapping included,
-	// as the backend path snaps too).
-	naive := testing.Benchmark(func(b *testing.B) {
-		srv := backend.Server()
-		locs := make([]geom.Point, netM)
-		pos := make([]netmpn.Position, netM)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			at(i%netGroups, i/netGroups, locs)
-			for j, u := range locs {
-				pos[j] = backend.Snap(u)
-			}
-			if _, _, err := srv.Plan(pos, netmpn.Max); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sNaive := toSeries("net_plan_naive", netM, naive)
-	report.Series = append(report.Series, sNaive)
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op\n",
-		"net_plan_naive", netM, sNaive.NsPerOp, sNaive.OpsPerSec, sNaive.AllocsPerOp)
-
-	plan := testing.Benchmark(func(b *testing.B) {
-		ws := core.NewWorkspace()
-		locs := make([]geom.Point, netM)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			at(i%netGroups, i/netGroups, locs)
-			if _, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sPlan := toSeries("net_plan", netM, plan)
-	report.Series = append(report.Series, sPlan)
-	speedup := 0.0
-	if sPlan.NsPerOp > 0 {
-		speedup = sNaive.NsPerOp / sPlan.NsPerOp
-	}
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op (%.1fx vs naive)\n",
-		"net_plan", netM, sPlan.NsPerOp, sPlan.OpsPerSec, sPlan.AllocsPerOp, speedup)
-
-	var outcomes [3]int // of the last (longest) benchmark round
-	inc := testing.Benchmark(func(b *testing.B) {
-		ws := core.NewWorkspace()
-		states := make([]core.PlanState, netGroups)
-		locs := make([]geom.Point, netM)
-		outcomes = [3]int{}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A group's locations advance every 4th visit: the
-			// coalesced-burst regime (identical repeats) the kept path
-			// accelerates.
-			g := i % netGroups
-			at(g, i/netGroups/4, locs)
-			_, out, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs, State: &states[g]})
-			if err != nil {
-				b.Fatal(err)
-			}
-			outcomes[out]++
-		}
-	})
-	sInc := toSeries("net_update_inc", netM, inc)
-	report.Series = append(report.Series, sInc)
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f upd/s %4d allocs/op (kept %d, partial %d, full %d)\n",
-		"net_update_inc", netM, sInc.NsPerOp, sInc.OpsPerSec, sInc.AllocsPerOp,
-		outcomes[core.IncKept], outcomes[core.IncPartial], outcomes[core.IncFull])
-	return nil
-}
-
-// runNotifyBench appends the notification wire series: what one
-// kept-path recomputation costs to put on the wire, fanned out to all m
-// members, under the historical full protocol (re-encode every region
-// into a TNotify per member, every time) versus the epoch-tracked delta
-// protocol (one epoch compare per member; unchanged regions ship a
-// region-less TNotifyDelta and are never re-encoded). notify_bytes_*
-// carry the deterministic frame bytes per notification round;
-// notify_encode_* carry the server-side serialization ns/op.
-func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Writer) error {
-	for m := 2; m <= 6; m++ {
-		users, dirs := jsonBenchGroup(m)
-		ws := core.NewWorkspace()
-		var st core.PlanState
-		replan := engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
-		locs := append([]geom.Point(nil), users...)
-		if _, _, _, _, err := replan(ws, &st, locs, dirs); err != nil {
-			return err
-		}
-		// One kept-path step: in-region jitter, result set unchanged.
-		for j, u := range users {
-			locs[j] = geom.Pt(u.X+1e-6, u.Y-1e-6)
-		}
-		meeting, regions, _, outcome, err := replan(ws, &st, locs, dirs)
-		if err != nil {
-			return err
-		}
-		if outcome != core.IncKept {
-			fmt.Fprintf(log, "  notify m=%d: jitter step was %v, not kept; series measures that outcome\n", m, outcome)
-		}
-		epochs := append([]uint64(nil), st.Epochs()...)
-
-		// Deterministic wire bytes of this notification round.
-		var buf []byte
-		fullBytes, deltaBytes := 0, 0
-		for i, r := range regions {
-			full := proto.Message{
-				Type: proto.TNotify, Group: 1, User: uint32(i),
-				Meeting: meeting, Epoch: epochs[i], Region: proto.EncodeRegion(r),
-			}
-			if buf, err = full.AppendFrame(buf[:0]); err != nil {
-				return err
-			}
-			fullBytes += len(buf)
-			delta := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(i), Epoch: epochs[i]}
-			if buf, err = delta.AppendFrame(buf[:0]); err != nil {
-				return err
-			}
-			deltaBytes += len(buf)
-		}
-		report.Series = append(report.Series,
-			benchfmt.Series{Name: "notify_bytes_full", GroupSize: m, WireBytes: float64(fullBytes)},
-			benchfmt.Series{Name: "notify_bytes_delta", GroupSize: m, WireBytes: float64(deltaBytes)},
-		)
-
-		// Serialization cost per notification round. Full: encode every
-		// region and frame it (what every pre-delta notification paid).
-		rFull := testing.Benchmark(func(b *testing.B) {
-			var fb []byte
-			for i := 0; i < b.N; i++ {
-				for j, r := range regions {
-					msg := proto.Message{
-						Type: proto.TNotify, Group: 1, User: uint32(j),
-						Meeting: meeting, Epoch: epochs[j], Region: proto.EncodeRegion(r),
-					}
-					fb, _ = msg.AppendFrame(fb[:0])
-				}
-			}
-		})
-		// Delta kept path: the coordinator's epoch compare finds every
-		// region unchanged; nothing is encoded, a region-less frame goes
-		// out.
-		rDelta := testing.Benchmark(func(b *testing.B) {
-			delivered := append([]uint64(nil), epochs...)
-			var fb []byte
-			for i := 0; i < b.N; i++ {
-				for j := range regions {
-					msg := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(j), Epoch: epochs[j]}
-					if epochs[j] != delivered[j] {
-						msg.Region = proto.EncodeRegion(regions[j])
-						delivered[j] = epochs[j]
-					}
-					fb, _ = msg.AppendFrame(fb[:0])
-				}
-			}
-		})
-		sFull := toSeries("notify_encode_full", m, rFull)
-		sDelta := toSeries("notify_encode_delta", m, rDelta)
-		report.Series = append(report.Series, sFull, sDelta)
-		fmt.Fprintf(log, "  notify m=%d  bytes %5d → %3d (%5.1fx)  encode %8.0f → %4.0f ns/op\n",
-			m, fullBytes, deltaBytes, float64(fullBytes)/float64(deltaBytes),
-			sFull.NsPerOp, sDelta.NsPerOp)
-	}
-	return nil
+	return []row{
+		{name: "notify_bytes_full", m: m, wire: int64(len(fullRound))},
+		{name: "notify_bytes_delta", m: m, wire: int64(len(deltaRound))},
+		encode("notify_encode_full", full),
+		encode("notify_encode_delta", delta),
+	}, nil
 }
 
 // Churn workload shape: one group of churnM members planning in place
@@ -939,10 +709,9 @@ func runNotifyBench(report *benchfmt.Report, planner *core.Planner, log io.Write
 // live set stays bounded). The mutations sit far outside the group's
 // neighborhood.
 const (
-	churnM            = 3
-	churnEvery        = 8
-	churnOps          = 8
-	churnResetBatches = 4096
+	churnM     = 3
+	churnEvery = 8
+	churnOps   = 8
 )
 
 // churnState drives the deterministic mutation stream: a monotone
@@ -979,78 +748,144 @@ func (c *churnState) batch(planner *core.Planner) error {
 	return nil
 }
 
-// runChurnBench appends the churn_* series: planning under live POI
-// churn. churn_plan times the planner kernel with a mutation batch
-// landing every churnEvery iterations. churn_mutate times the ApplyPOIs
-// batch itself: the full RCU publication — reader drain, shadow
-// catch-up, batched R-tree insert/delete, tombstone re-publication and
-// the atomic snapshot swap. Every series runs a fresh planner over the
-// same POIs so churn never perturbs the shared planner the other
-// series measure.
-func runChurnBench(report *benchfmt.Report, pois []geom.Point, opts core.Options, log io.Writer) {
+// churnRows returns the planning-under-live-POI-churn series, each setup
+// on a fresh planner over the same POIs so churn never perturbs the
+// shared planner the other series measure. churn_plan is the planner
+// kernel with a mutation batch landing before every churnEvery-th plan.
+// churn_mutate is the ApplyPOIs batch itself: the full RCU publication —
+// reader drain, shadow catch-up, batched R-tree insert/delete, tombstone
+// re-publication and the atomic snapshot swap.
+func churnRows(pois []geom.Point, opts core.Options) []row {
 	users, dirs := jsonBenchGroup(churnM)
-
-	plan := testing.Benchmark(func(b *testing.B) {
-		planner, err := core.NewPlanner(pois, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := core.NewWorkspace()
-		locs := make([]geom.Point, churnM)
-		var st churnState
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%churnEvery == churnEvery-1 {
-				if err := st.batch(planner); err != nil {
-					b.Fatal(err)
+	churnRow := func(name string, plan bool) row {
+		return row{name: name, m: churnM, setup: func() (fixture, error) {
+			planner, err := core.NewPlanner(pois, opts)
+			if err != nil {
+				return fixture{}, err
+			}
+			var st churnState
+			if !plan {
+				return fixture{op: func(int) (core.Stats, error) { return core.Stats{}, st.batch(planner) }}, nil
+			}
+			planOnce := planOp(planner, users, dirs)
+			return fixture{op: func(i int) (core.Stats, error) {
+				if i%churnEvery == churnEvery-1 {
+					if err := st.batch(planner); err != nil {
+						return core.Stats{}, err
+					}
 				}
-			}
-			jitter := 1e-5 * float64(i%7)
-			for j, u := range users {
-				locs[j] = geom.Pt(u.X+jitter, u.Y-jitter)
-			}
-			_, _, err = planner.Plan(ws, core.PlanRequest{Kind: core.KindTiles, Users: locs, Dirs: dirs})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	s := toSeries("churn_plan", churnM, plan)
-	report.Series = append(report.Series, s)
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f plans/s %4d allocs/op\n",
-		"churn_plan", churnM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp)
+				return planOnce(i)
+			}}, nil
+		}}
+	}
+	return []row{churnRow("churn_plan", true), churnRow("churn_mutate", false)}
+}
 
-	mutate := testing.Benchmark(func(b *testing.B) {
-		// The external id space is append-only, but long sessions no
-		// longer pay for it per batch: tombstones are shared between
-		// publishes (copied only on delete) and the slot table compacts
-		// once tombstones outnumber live points. The off-clock reset
-		// every churnResetBatches batches is kept so the measured regime
-		// stays comparable with historical baselines.
-		var planner *core.Planner
-		var st churnState
-		reset := func() {
-			p, err := core.NewPlanner(pois, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			planner, st = p, churnState{}
-		}
-		reset()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i > 0 && i%churnResetBatches == 0 {
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-			}
-			if err := st.batch(planner); err != nil {
-				b.Fatal(err)
+// netBenchFleet draws the net series' fixture the way bench/'s net_road
+// movers are drawn: seeded groups of m members who each start at an
+// independent random junction and walk mobility.NetworkTrajectory routes
+// at the paper's default speed, so a group's members sit half a city
+// apart (one hand-picked cluster hid a 10× slower plan). Op i of a
+// series plans group i mod groups.
+func netBenchFleet(netw *roadnet.Network, groups, m, steps int) ([][]mobility.Trajectory, error) {
+	rng := rand.New(rand.NewSource(1))
+	fleet := make([][]mobility.Trajectory, groups)
+	for g := range fleet {
+		fleet[g] = make([]mobility.Trajectory, m)
+		for j := range fleet[g] {
+			cfg := mobility.DefaultNetworkConfig()
+			cfg.Steps, cfg.Seed = steps, rng.Int63()
+			var err error
+			if fleet[g][j], err = mobility.NetworkTrajectory(netw, cfg); err != nil {
+				return nil, err
 			}
 		}
-	})
-	s = toSeries("churn_mutate", churnM, mutate)
-	report.Series = append(report.Series, s)
-	fmt.Fprintf(log, "  %-18s m=%d  %10.0f ns/op %8.0f batches/s %4d allocs/op (%d-op batches)\n",
-		"churn_mutate", churnM, s.NsPerOp, s.OpsPerSec, s.AllocsPerOp, churnOps)
+	}
+	return fleet, nil
+}
+
+// netRows returns the road-network backend series at the default network
+// size over the netBenchFleet stream: net_plan_naive (the per-member
+// full-SSSP oracle the paper's network variant starts from), net_plan
+// (the production backend through the core dispatch — the exact top-2
+// read from the POI distance table, see internal/netmpn's differential
+// fences) and net_update_inc (the incremental kept/partial protocol, each
+// group advancing one timestamp every fourth visit: the coalesced-burst
+// regime of identical repeats the kept path accelerates).
+func netRows() ([]row, error) {
+	const (
+		netM        = 3
+		netPOIEvery = 9
+		netGroups   = 32
+		netSteps    = 512
+	)
+	netw, err := roadnet.Generate(roadnet.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	var poiNodes []int
+	for i := 0; i < netw.NumNodes(); i += netPOIEvery {
+		poiNodes = append(poiNodes, i)
+	}
+	pois := make([]geom.Point, len(poiNodes))
+	for i, n := range poiNodes {
+		pois[i] = netw.Nodes[n].P
+	}
+	planner, err := core.NewPlanner(pois, core.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	backend, err := netmpn.NewBackend(netw, poiNodes, netmpn.BackendConfig{Aggregate: netmpn.Max})
+	if err != nil {
+		return nil, err
+	}
+	planner.RegisterNetBackend(backend)
+	fleet, err := netBenchFleet(netw, netGroups, netM, netSteps)
+	if err != nil {
+		return nil, err
+	}
+	// at fills locs with group g's positions at timestamp t.
+	at := func(g, t int, locs []geom.Point) {
+		for j, traj := range fleet[g] {
+			locs[j] = traj[t%netSteps]
+		}
+	}
+	netRow := func(name string, op func(locs []geom.Point) func(int) (core.Stats, error)) row {
+		return row{name: name, m: netM, setup: func() (fixture, error) {
+			return fixture{op: op(make([]geom.Point, netM))}, nil
+		}}
+	}
+	return []row{
+		// One full SSSP per member per plan, snapping included, as the
+		// backend path snaps too.
+		netRow("net_plan_naive", func(locs []geom.Point) func(int) (core.Stats, error) {
+			pos := make([]netmpn.Position, netM)
+			return func(i int) (core.Stats, error) {
+				at(i%netGroups, i/netGroups, locs)
+				for j, u := range locs {
+					pos[j] = backend.Snap(u)
+				}
+				_, _, err := backend.Server().Plan(pos, netmpn.Max)
+				return core.Stats{}, err
+			}
+		}),
+		netRow("net_plan", func(locs []geom.Point) func(int) (core.Stats, error) {
+			ws := core.NewWorkspace()
+			return func(i int) (core.Stats, error) {
+				at(i%netGroups, i/netGroups, locs)
+				p, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs})
+				return p.Stats, err
+			}
+		}),
+		netRow("net_update_inc", func(locs []geom.Point) func(int) (core.Stats, error) {
+			ws := core.NewWorkspace()
+			states := make([]core.PlanState, netGroups)
+			return func(i int) (core.Stats, error) {
+				g := i % netGroups
+				at(g, i/netGroups/4, locs)
+				p, _, err := planner.Plan(ws, core.PlanRequest{Kind: core.KindNetRange, Users: locs, State: &states[g]})
+				return p.Stats, err
+			}
+		}),
+	}, nil
 }

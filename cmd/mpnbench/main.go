@@ -9,13 +9,15 @@
 //	mpnbench [-scale quick|full|bench] [-fig all|13|14|15|16|17|18|19] [-o FILE]
 //	mpnbench -json [-rounds N] [-o FILE]      plan/update series → BENCH_plan.json
 //
-// The -json mode micro-benchmarks steady-state safe-region planning (the
-// workspace-reusing tile planning kernel and the engine's synchronous
-// update path) across group sizes and writes the ns/op, throughput, and
-// allocs/op series as JSON — the repo's benchmark baseline format. The
-// sweep runs -rounds times end to end (interleaved, so a load spike
-// perturbs at most one measurement per series) and each series reports
-// the per-field median across rounds.
+// The -json mode micro-benchmarks the serving paths (planning, engine
+// updates, notification encoding, POI churn, the WAL, replication and the
+// road-network backend) across group sizes and writes each series' timed
+// ns/op and bytes/op and its exact allocs/op, planner work counts and
+// wire bytes as JSON — the repo's benchmark baseline format, gated by
+// cmd/benchgate. The sweep runs -rounds times end to end (interleaved, so
+// a load spike perturbs at most one timed run per series); each series
+// reports its median ns/op and bytes/op, and the sweep fails if the
+// rounds disagree on any exact field.
 //
 // The quick scale (default) keeps the POI cardinality and every algorithm
 // parameter at the paper's values but shortens trajectories so the whole
@@ -48,7 +50,7 @@ func main() {
 	incremental := flag.Bool("incremental", true, "replay figures under the paper's incremental maintenance protocol (false = historical full-replan accounting)")
 	deltaWire := flag.Bool("delta", true, "account notification bytes/packets under the delta wire protocol (unchanged regions ship a tiny delta frame; requires -incremental)")
 	jsonMode := flag.Bool("json", false, "write the plan/update benchmark series as JSON (default BENCH_plan.json; -o overrides)")
-	jsonRounds := flag.Int("rounds", 3, "-json: interleaved sweep repetitions merged by per-series median (1 = historical single-shot)")
+	jsonRounds := flag.Int("rounds", 3, "-json: interleaved sweep repetitions merged by per-series median")
 	flag.Parse()
 
 	if *jsonMode {
