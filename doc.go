@@ -100,8 +100,9 @@
 // cmd/mpnbench's -json mode benchmarks this path (planner kernel and
 // engine update, swept over group size) and writes the ns/op, throughput,
 // and allocs/op series to BENCH_plan.json — the committed baseline that
-// cmd/benchgate enforces in CI (a series failing by more than 25% ns/op,
-// or allocating more, fails the build).
+// cmd/benchgate enforces in CI (a series whose allocations, work counts
+// or wire bytes rise, or whose ns/op normalised by the machine-speed
+// scale more than doubles, fails the build).
 //
 // All planning flows through one entry point, core.Planner.Plan, which
 // takes a PlanRequest naming the region kind (tiles, circles, or network
@@ -167,11 +168,15 @@
 //     Nothing is regrown; subscribers receive the retained regions
 //     unchanged, and on the wire the delta protocol (below) ships a
 //     handful of bytes instead of re-encoded regions.
-//   - Result set unchanged, some members escaped: only the escapees'
-//     regions are regrown, verified against the other members' retained
-//     regions (ReplanPartial). The clean majority stays silent.
-//   - Result set churned (or the retained regions leave an escapee no
-//     room): full replan (ReplanFull).
+//   - Result set unchanged, a minority of members escaped (at most half):
+//     only the escapees' regions are regrown, verified against the other
+//     members' retained regions (ReplanPartial). The clean majority stays
+//     silent.
+//   - Result set churned, most members escaped, or the retained regions
+//     leave an escapee's seed tile no room: full replan (ReplanFull).
+//     Regrown against a retained majority, escapees are crowded into more
+//     tile verifies than a regrow of everyone costs; a doomed partial is
+//     abandoned at the seed, before any growth round.
 //
 // Incremental and full plans are equivalent — both are valid safe-region
 // sets for the same optimal meeting point, so correctness is unaffected —
@@ -180,8 +185,8 @@
 // differently. Plans produced on the ReplanFull path are byte-identical
 // to what the non-incremental server would compute. In the
 // steady-state benchmark the kept path turns a multi-millisecond
-// recomputation into ~10µs, and a single escaping member costs a regrow
-// of one region instead of m.
+// recomputation into ~10µs, and a single escaping member of a group of
+// two or more costs a regrow of one region instead of m.
 //
 // # Delta notifications on the wire
 //
@@ -231,8 +236,8 @@
 // from ~375 B to ~60 B (≈6×; ~1.0 KB and ≈17× before tile regions took
 // the lattice layout) and serialization from ~12µs to ~250ns; the
 // notify_bytes_*/notify_encode_* series in BENCH_plan.json carry the
-// numbers and cmd/benchgate enforces the regression bound and a ≥10×
-// reduction, which the smaller full frames miss. The simulator and
+// numbers; cmd/benchgate gates the full frames' bytes exactly and bounds
+// each delta frame at what the figure pipeline charges. The simulator and
 // experiment harness account the same protocol (sim.Config.DeltaWire,
 // mpnbench -delta), so the paper's communication figures reflect what the
 // coordinator actually ships.

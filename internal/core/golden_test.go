@@ -25,10 +25,12 @@ import (
 // makes the same decisions as the slower one. A change that only removes
 // work re-records the work column and must leave the decisions column
 // byte for byte as it found it; regenerate that one only in a change
-// that means to alter plans. The one such change so far deleted the
+// that means to alter plans. The first such change deleted the
 // retained-region trim of the partial regrow: it re-recorded the 36
 // streams where the trim had fired and left the other 13 lines, both
-// columns, as they were.
+// columns, as they were. The second sent every update with most members
+// dirty to the full regrow: it re-recorded the 37 streams with m ≤ 3 and
+// left the 12 with m = 5 as they were (their escapes dirty at most two).
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plan_golden.txt from the current planner")
 
 const goldenPath = "testdata/plan_golden.txt"

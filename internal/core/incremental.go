@@ -14,14 +14,14 @@ type IncOutcome int
 const (
 	// IncFull means the whole plan was recomputed from scratch: the
 	// retained state was missing or stale, the result set churned, the
-	// optimum was degenerate, or a partial regrow could not cover a
-	// reporting user. Full-replan output is byte-identical to the
-	// same request without a State.
+	// optimum was degenerate, most members escaped their regions, or a
+	// partial regrow could not cover a reporting user. Full-replan output
+	// is byte-identical to the same request without a State.
 	IncFull IncOutcome = iota
 	// IncPartial means the result set was unchanged and only the dirty
-	// users — those whose reported location escaped their retained region
-	// — had their regions regrown; every clean member kept her region
-	// verbatim.
+	// users — those whose reported location escaped their retained region,
+	// at most half the group — had their regions regrown; every clean
+	// member kept her region verbatim.
 	IncPartial
 	// IncKept means the result set was unchanged and every member is
 	// still inside her retained region: the entire previous plan remains
@@ -182,6 +182,10 @@ func regionEqual(a, b SafeRegion) bool {
 //     reported location escaped her retained region is dirty. With no
 //     dirty members the whole retained plan is still a valid safe-region
 //     set and is returned as-is (IncKept).
+//   - Otherwise, if most members are dirty (2·dirty > m), every region
+//     is regrown from scratch (IncFull): regrown around the retained
+//     regions, the escapees are crowded into small regions that cost
+//     more tile verifies than a full regrow and are escaped again sooner.
 //   - Otherwise only the dirty members' regions are regrown (IncPartial):
 //     clean members keep their tiles verbatim and the grower verifies
 //     every new tile against the mixed region set.
@@ -208,10 +212,11 @@ func regionEqual(a, b SafeRegion) bool {
 // tile whose check saw it. Unlike a full run, the dirty user's seed tile
 // is still submitted to Divide-Verify rather than inserted by fiat —
 // Theorem 1 covers the unverified seed only when all regions fit the
-// fresh safe radius, which retained regions need not. If the regrown
-// region fails to cover the reporting user (the retained regions left it
-// no room under the fresh thresholds), the call falls back to a full
-// replan, which shrinks everyone.
+// fresh safe radius, which retained regions need not. If the seed's
+// Divide-Verify leaves a dirty user uncovered (the retained regions left
+// it no room under the fresh thresholds), growTiles stops there, since no
+// growth round adds a tile containing her location, and the call falls
+// back to a full replan, which shrinks everyone.
 //
 // The returned plan is exported by copy except on IncKept, where
 // Plan.Regions aliases the retained (immutable, previously exported)
@@ -265,19 +270,18 @@ func (pl *Planner) tileMSRInc(ws *Workspace, st *PlanState, users []geom.Point, 
 		return plan, IncKept, nil
 	}
 
-	pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, st.regions, dirty)
-	for i, u := range users {
-		if dirty[i] && !plan.Regions[i].Contains(u) {
-			// Carry the wasted partial work's counters into the full
-			// replan's stats: it is work this update really performed.
-			full := Plan{Best: plan.Best, Stats: plan.Stats}
-			pl.growTiles(ws, snap, &full, users, dirs, ws.topk, nil, nil)
-			st.Record(full)
-			return full, IncFull, nil
-		}
+	// A partial regrow keeps the clean regions only while the escapees
+	// are at most half the group (see above).
+	if 2*ndirty <= len(users) && pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, st.regions, dirty) {
+		st.Record(plan)
+		return plan, IncPartial, nil
 	}
-	st.Record(plan)
-	return plan, IncPartial, nil
+	// Carry a doomed partial's counters into the full replan's stats: it
+	// is work this update really performed.
+	full := Plan{Best: plan.Best, Stats: plan.Stats}
+	pl.growTiles(ws, snap, &full, users, dirs, ws.topk, nil, nil)
+	st.Record(full)
+	return full, IncFull, nil
 }
 
 // circleMSRInc is the incremental variant of circleMSR. The top-2

@@ -286,40 +286,170 @@ func TestIncrementalStateMismatches(t *testing.T) {
 // the tile-group enumeration indexed into the empty set. The drifting
 // two-member stream below panicked at many seeds before the empty-set
 // guard in itVerifyMaxInto; it also cross-checks soundness and clean
-// -region preservation on every partial outcome.
+// -region preservation on every partial outcome. Three of the five
+// members never move, so two escapees are a minority and the stream must
+// reach the partial path with both dirty.
 func TestIncrementalMultiDirtyITVerify(t *testing.T) {
 	for _, seed := range []int64{1, 2, 4} {
 		rng := rand.New(rand.NewSource(seed))
 		pts := randomPoints(500, rng)
-		pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.GroupVerify = false }))
-		users := randomPoints(3, rng)
+		pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.GroupVerify = false; o.TileLimit = 3 }))
+		users := randomPoints(5, rng)
 		var st PlanState
 		ws := NewWorkspace()
 		if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
 			t.Fatal(err)
 		}
-		sawPartial := false
+		twoDirty := 0
 		for step := 0; step < 40; step++ {
 			d := 0.002 + 0.002*float64(step%5)
 			users[0] = geom.Pt(users[0].X+d*rng.Float64(), users[0].Y-d*rng.Float64())
 			users[1] = geom.Pt(users[1].X-d*rng.Float64(), users[1].Y+d*rng.Float64())
-			prevClean := st.Regions()[2]
+			prev := st.Regions()
 			plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if out == IncPartial {
-				sawPartial = true
-				// Member 2 never moves, so she is always the clean one.
-				if !reflect.DeepEqual(plan.Regions[2], prevClean) {
-					t.Fatalf("seed %d step %d: clean member's region changed", seed, step)
+				// Members 2–4 never move, so they are always clean.
+				for i := 2; i < len(users); i++ {
+					if !reflect.DeepEqual(plan.Regions[i], prev[i]) {
+						t.Fatalf("seed %d step %d: clean member %d's region changed", seed, step, i)
+					}
+				}
+				if !prev[0].Contains(users[0]) && !prev[1].Contains(users[1]) {
+					twoDirty++
 				}
 			}
 			assertPlanSound(t, pts, plan, gnn.Max, rng, 15)
 		}
-		if !sawPartial {
-			t.Fatalf("seed %d: stream never hit the partial path", seed)
+		if twoDirty == 0 {
+			t.Fatalf("seed %d: stream never hit the partial path with two dirty members", seed)
 		}
+	}
+}
+
+// TestIncrementalMajorityRule pins when a partial regrow is attempted: only
+// while the escapees are a minority (2·dirty ≤ m). With most members
+// dirty the update takes the full path, and its regions are bit-identical
+// to the same request without a State; with a minority dirty it stays
+// partial and keeps every clean region verbatim.
+func TestIncrementalMajorityRule(t *testing.T) {
+	for _, tc := range []struct {
+		m     int
+		dirty []int
+		want  IncOutcome
+	}{
+		{m: 3, dirty: []int{0, 1}, want: IncFull},
+		{m: 3, dirty: []int{1}, want: IncPartial},
+		{m: 5, dirty: []int{0, 3}, want: IncPartial},
+	} {
+		rng := rand.New(rand.NewSource(23))
+		pts := randomPoints(2000, rng)
+		pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.Buffer = 50 }))
+		users := make([]geom.Point, tc.m)
+		for i := range users {
+			users[i] = geom.Pt(0.5+0.02*rng.Float64(), 0.5+0.02*rng.Float64())
+		}
+		var st PlanState
+		ws := NewWorkspace()
+		if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
+			t.Fatal(err)
+		}
+		prev, prevBest := st.Regions(), st.BestID()
+		for _, i := range tc.dirty {
+			users[i] = escapeFrom(prev[i], users[i], 2*math.Pi*rng.Float64())
+		}
+		plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Best.Item.ID != prevBest {
+			t.Fatalf("m=%d dirty=%v: the optimum moved, so the fixture proves nothing", tc.m, tc.dirty)
+		}
+		if out != tc.want {
+			t.Fatalf("m=%d dirty=%v: outcome %v, want %v", tc.m, tc.dirty, out, tc.want)
+		}
+		if out == IncFull {
+			full, err := planFull(pl, NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Best != full.Best || !reflect.DeepEqual(plan.Regions, full.Regions) {
+				t.Fatalf("m=%d dirty=%v: full outcome differs from the State-less plan", tc.m, tc.dirty)
+			}
+			continue
+		}
+		for i, u := range users {
+			if prev[i].Contains(u) && !reflect.DeepEqual(plan.Regions[i], prev[i]) {
+				t.Fatalf("m=%d dirty=%v: clean member %d's region was regrown", tc.m, tc.dirty, i)
+			}
+			if !plan.Regions[i].Contains(u) {
+				t.Fatalf("m=%d dirty=%v: member %d lies outside her region", tc.m, tc.dirty, i)
+			}
+		}
+	}
+}
+
+// TestIncrementalDoomedPartialStopsAtSeed: a partial regrow whose dirty
+// member's seed is left uncovered by the retained regions stops there and
+// falls back to the full path. The plan equals the State-less plan bit for
+// bit, and the work the doomed partial wasted is at most its seeds'
+// Divide-Verify: (4^(L+1)−1)/3 nodes per dirty member (each node is
+// counted at most once, as accepted or rejected), each verified against
+// at most b buffered candidates.
+func TestIncrementalDoomedPartialStopsAtSeed(t *testing.T) {
+	const b = 8
+	opts := tileOpts(func(o *Options) { o.Buffer = b })
+	rng := rand.New(rand.NewSource(5))
+	pts := randomPoints(2000, rng)
+	pl := mustPlanner(t, pts, opts)
+	users := []geom.Point{geom.Pt(0.4, 0.4), geom.Pt(0.42, 0.41), geom.Pt(0.41, 0.43)}
+	var st PlanState
+	ws := NewWorkspace()
+	if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
+		t.Fatal(err)
+	}
+	nodes := (1<<(2*(opts.SplitLevel+1)) - 1) / 3
+	doomed := 0
+	for step := 0; step < 60 && doomed < 3; step++ {
+		// One member strides 0.03 — far enough past her region that the
+		// retained regions often leave her seed no room.
+		i := step % len(users)
+		a := 2 * math.Pi * rng.Float64()
+		users[i] = geom.Pt(users[i].X+0.03*math.Cos(a), users[i].Y+0.03*math.Sin(a))
+		prev, prevBest := st.Regions(), st.BestID()
+		plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ndirty := 0
+		for j, u := range users {
+			if !prev[j].Contains(u) {
+				ndirty++
+			}
+		}
+		if out != IncFull || plan.Best.Item.ID != prevBest || ndirty != 1 {
+			continue
+		}
+		doomed++
+		full, err := planFull(pl, NewWorkspace(), PlanRequest{Kind: KindTiles, Users: users})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Best != full.Best || !reflect.DeepEqual(plan.Regions, full.Regions) {
+			t.Fatalf("step %d: doomed partial's plan differs from the State-less plan", step)
+		}
+		tiles := func(p Plan) int { return p.Stats.TilesAccepted + p.Stats.TilesRejected }
+		if extra := tiles(plan) - tiles(full); extra < 0 || extra > ndirty*nodes {
+			t.Fatalf("step %d: doomed partial wasted %d Divide-Verify nodes, budget %d", step, extra, ndirty*nodes)
+		}
+		if extra := plan.Stats.TileVerifies - full.Stats.TileVerifies; extra < 0 || extra > ndirty*nodes*b {
+			t.Fatalf("step %d: doomed partial wasted %d tile verifies, budget %d", step, extra, ndirty*nodes*b)
+		}
+	}
+	if doomed == 0 {
+		t.Fatal("stream never reached a doomed partial regrow")
 	}
 }
 

@@ -34,7 +34,9 @@ type PlanRequest struct {
 	// tile ordering. Ignored unless Kind is KindTiles with
 	// Options.Directed. Nil or mismatched in length, it falls back to
 	// the zero Direction for every member: heading 0 with Options.Theta,
-	// a cone pointing east.
+	// a cone pointing east. The engine derives them when its caller
+	// passes none: each moved member's bearing with θ = π/8, the zero
+	// Direction for a still one.
 	Dirs []Direction
 
 	// Cache is accepted and ignored; removed with ROADMAP 9.

@@ -85,7 +85,12 @@ func (pl *Planner) topK() int {
 // report safe — so a tile's own acceptance check does NOT by itself
 // cover all groups the final region set forms through it; soundness is
 // transitive (see tileMSRInc for the full argument).
-func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []geom.Point, dirs []Direction, top []gnn.Result, retained []SafeRegion, dirty []bool) {
+//
+// A dirty user's coverage is settled by her seed: growth rounds start
+// at layer 1 of the ordering, so no later tile contains her location.
+// When the seed's Divide-Verify leaves her uncovered, growTiles stops
+// there and returns false without exporting; it returns true otherwise.
+func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []geom.Point, dirs []Direction, top []gnn.Result, retained []SafeRegion, dirty []bool) bool {
 	rmax := pl.circleRadius(users, top)
 
 	t := &ws.tp
@@ -101,7 +106,7 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 		}
 		plan.Regions = exportTiles(t.regions)
 		t.release()
-		return
+		return true
 	}
 
 	// Seed clean users' regions with their retained tiles before any
@@ -136,6 +141,10 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 			t.addTile(i, seed) // seed: inscribed square of the rmax circle
 		} else {
 			t.divideVerify(i, seed, pl.opts.SplitLevel)
+			if !t.regions[i].Contains(u) {
+				t.release()
+				return false
+			}
 		}
 		var heading, theta float64 = 0, pl.opts.Theta
 		if dirs != nil {
@@ -170,6 +179,7 @@ func (pl *Planner) growTiles(ws *Workspace, snap *Snapshot, plan *Plan, users []
 
 	plan.Regions = exportTiles(t.regions)
 	t.release()
+	return true
 }
 
 // tilePlanning is the per-computation state of one Tile-MSR run. It lives

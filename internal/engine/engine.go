@@ -775,17 +775,23 @@ func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point,
 	return meeting, regions, epochs, stats, outcome, err
 }
 
+// headingTheta is the cone half-width θ of a derived heading. On
+// euclid_tile (medians of seeds 1–5), ops_per_kts read 269.7 at π/8,
+// 272.4 at π/12, 275.0 at π/6 and 290.2 at the planner's default π/4.
+const headingTheta = math.Pi / 8
+
 // headings derives each member's heading for the directed tile ordering
 // from the group's last successfully planned locations: the bearing of
-// her move since then, or the zero Direction (the planner's default) if
-// she has not moved. θ stays the planner's Options.Theta. The buffer is
-// the group's own, reused across recomputations; callers hold replanMu.
+// her move since then within a cone of headingTheta, or the zero
+// Direction (the planner's default heading and Options.Theta) if she has
+// not moved. The buffer is the group's own, reused across
+// recomputations; callers hold replanMu.
 func (st *groupState) headings(users []geom.Point) []core.Direction {
 	st.dirs = st.dirs[:0]
 	for i, u := range users {
 		var d core.Direction
 		if dx, dy := u.X-st.planned[i].X, u.Y-st.planned[i].Y; dx != 0 || dy != 0 {
-			d.Angle = math.Atan2(dy, dx)
+			d = core.Direction{Angle: math.Atan2(dy, dx), Theta: headingTheta}
 		}
 		st.dirs = append(st.dirs, d)
 	}

@@ -60,13 +60,13 @@ func (r *headingRecorder) last() []core.Direction {
 }
 
 // headingsFrom is the heading rule stated independently of the engine:
-// the bearing of each member's move from prev to cur, the zero Direction
-// for a member who did not move.
+// the bearing of each member's move from prev to cur within a cone of
+// π/8, the zero Direction for a member who did not move.
 func headingsFrom(prev, cur []geom.Point) []core.Direction {
 	dirs := make([]core.Direction, len(cur))
 	for i := range cur {
 		if cur[i] != prev[i] {
-			dirs[i].Angle = math.Atan2(cur[i].Y-prev[i].Y, cur[i].X-prev[i].X)
+			dirs[i] = core.Direction{Angle: math.Atan2(cur[i].Y-prev[i].Y, cur[i].X-prev[i].X), Theta: math.Pi / 8}
 		}
 	}
 	return dirs
@@ -112,6 +112,9 @@ func TestDerivedHeadings(t *testing.T) {
 			want := headingsFrom(p, q)
 			if want[0].Angle == 0 || want[1].Angle == 0 || want[2] != (core.Direction{}) {
 				t.Fatalf("fixture headings %v: want two moved members and one still", want)
+			}
+			if want[0].Theta != headingTheta || want[1].Theta != headingTheta {
+				t.Fatalf("fixture headings %v: want θ = headingTheta for the moved members", want)
 			}
 			check("update", want)
 
