@@ -168,15 +168,15 @@
 //     Nothing is regrown; subscribers receive the retained regions
 //     unchanged, and on the wire the delta protocol (below) ships a
 //     handful of bytes instead of re-encoded regions.
-//   - Result set unchanged, a minority of members escaped (at most half):
-//     only the escapees' regions are regrown, verified against the other
-//     members' retained regions (ReplanPartial). The clean majority stays
-//     silent.
-//   - Result set churned, most members escaped, or the retained regions
-//     leave an escapee's seed tile no room: full replan (ReplanFull).
-//     Regrown against a retained majority, escapees are crowded into more
-//     tile verifies than a regrow of everyone costs; a doomed partial is
-//     abandoned at the seed, before any growth round.
+//   - Result set unchanged, some members escaped: only the escapees'
+//     regions are regrown, verified against the other members' retained
+//     regions (ReplanPartial). The clean members stay silent.
+//   - Result set churned, most of a tile group of at most three escaped,
+//     or the retained regions leave an escapee's seed tile no room: full
+//     replan (ReplanFull). Regrown around the retained regions, escapees
+//     are crowded into small regions that cost more tile verifies than a
+//     regrow of everyone; a doomed partial is abandoned at the seed,
+//     before any growth round.
 //
 // Incremental and full plans are equivalent — both are valid safe-region
 // sets for the same optimal meeting point, so correctness is unaffected —

@@ -28,9 +28,9 @@ import (
 // that means to alter plans. The first such change deleted the
 // retained-region trim of the partial regrow: it re-recorded the 36
 // streams where the trim had fired and left the other 13 lines, both
-// columns, as they were. The second sent every update with most members
-// dirty to the full regrow: it re-recorded the 37 streams with m ≤ 3 and
-// left the 12 with m = 5 as they were (their escapes dirty at most two).
+// columns, as they were. The second sent every update with most of a
+// group of at most three dirty to the full regrow: it re-recorded the 37
+// streams with m ≤ 3 and left the 12 with m = 5 as they were.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plan_golden.txt from the current planner")
 
 const goldenPath = "testdata/plan_golden.txt"
@@ -43,7 +43,8 @@ const goldenPath = "testdata/plan_golden.txt"
 type goldenTally struct {
 	full, kept         int
 	partial1, partial2 int // partial outcomes with exactly 1 / at least 2 dirty members
-	fallback           int // usable state, same optimum, still replanned fully
+	majority           int // usable state, same optimum, full regrow chosen by regrowAll
+	fallback           int // usable state, same optimum, a partial regrow that fell back
 }
 
 func (g *goldenTally) add(o goldenTally) {
@@ -51,12 +52,13 @@ func (g *goldenTally) add(o goldenTally) {
 	g.kept += o.kept
 	g.partial1 += o.partial1
 	g.partial2 += o.partial2
+	g.majority += o.majority
 	g.fallback += o.fallback
 }
 
 func goldenLine(name string, sum goldenSum, g goldenTally) string {
-	return fmt.Sprintf("%s decisions=%016x work=%016x full=%d kept=%d partial1=%d partial2=%d fallback=%d",
-		name, sum.decisions.Sum64(), sum.work.Sum64(), g.full, g.kept, g.partial1, g.partial2, g.fallback)
+	return fmt.Sprintf("%s decisions=%016x work=%016x full=%d kept=%d partial1=%d partial2=%d majority=%d fallback=%d",
+		name, sum.decisions.Sum64(), sum.work.Sum64(), g.full, g.kept, g.partial1, g.partial2, g.majority, g.fallback)
 }
 
 // goldenSum is one stream's pair of hashes: what its plans decided, and
@@ -129,7 +131,8 @@ func escapeFrom(region SafeRegion, u geom.Point, a float64) geom.Point {
 // a retained PlanState and one reused workspace, and returns the stream
 // hashes and path tallies. The step pattern mixes minimal escapes of one
 // and two members (partial regrows, which also pile sub-tiles onto the
-// regions), a long stride (the regrown region cannot reach the member →
+// regions; at m ≤ 3 an escape of most of the group takes the full regrow
+// instead), a long stride (the regrown region cannot reach the member →
 // full fallback, or the optimum moves), in-region drift (kept) and a
 // whole-group teleport.
 func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (goldenSum, goldenTally) {
@@ -185,21 +188,27 @@ func goldenStream(t *testing.T, pl *Planner, m int, seed int64) (goldenSum, gold
 		}
 		hashPlan(sum, out, plan)
 
-		switch out {
-		case IncKept:
-			tally.kept++
-		case IncFull:
-			tally.full++
-			if usable && prevBest == plan.Best.Item.ID {
-				tally.fallback++
-			}
-		case IncPartial:
-			ndirty := 0
+		ndirty := 0
+		if usable {
 			for i, u := range users {
 				if !prev[i].Contains(u) {
 					ndirty++
 				}
 			}
+		}
+		switch out {
+		case IncKept:
+			tally.kept++
+		case IncFull:
+			tally.full++
+			switch {
+			case !usable || prevBest != plan.Best.Item.ID:
+			case regrowAll(m, ndirty):
+				tally.majority++
+			default:
+				tally.fallback++
+			}
+		case IncPartial:
 			if ndirty == 1 {
 				tally.partial1++
 			} else {
@@ -259,7 +268,7 @@ func TestPlanGoldenCorpus(t *testing.T) {
 
 	// The corpus must exercise every path the memo touches, or a green
 	// run proves less than it claims.
-	if total.full == 0 || total.kept == 0 || total.partial1 == 0 || total.partial2 == 0 || total.fallback == 0 {
+	if total.full == 0 || total.kept == 0 || total.partial1 == 0 || total.partial2 == 0 || total.majority == 0 || total.fallback == 0 {
 		t.Fatalf("corpus does not cover every planning path: %+v", total)
 	}
 

@@ -14,14 +14,15 @@ type IncOutcome int
 const (
 	// IncFull means the whole plan was recomputed from scratch: the
 	// retained state was missing or stale, the result set churned, the
-	// optimum was degenerate, most members escaped their regions, or a
-	// partial regrow could not cover a reporting user. Full-replan output
-	// is byte-identical to the same request without a State.
+	// optimum was degenerate, most members of a group of at most three
+	// escaped their regions, or a partial regrow could not cover a
+	// reporting user. Full-replan output is byte-identical to the same
+	// request without a State.
 	IncFull IncOutcome = iota
 	// IncPartial means the result set was unchanged and only the dirty
-	// users — those whose reported location escaped their retained region,
-	// at most half the group — had their regions regrown; every clean
-	// member kept her region verbatim.
+	// users — those whose reported location escaped their retained region
+	// (in a group of at most three, at most half of it) — had their
+	// regions regrown; every clean member kept her region verbatim.
 	IncPartial
 	// IncKept means the result set was unchanged and every member is
 	// still inside her retained region: the entire previous plan remains
@@ -182,10 +183,11 @@ func regionEqual(a, b SafeRegion) bool {
 //     reported location escaped her retained region is dirty. With no
 //     dirty members the whole retained plan is still a valid safe-region
 //     set and is returned as-is (IncKept).
-//   - Otherwise, if most members are dirty (2·dirty > m), every region
-//     is regrown from scratch (IncFull): regrown around the retained
-//     regions, the escapees are crowded into small regions that cost
-//     more tile verifies than a full regrow and are escaped again sooner.
+//   - Otherwise, if most members of a group of at most majorityMaxGroup
+//     are dirty (2·dirty > m), every region is regrown from scratch
+//     (IncFull): regrown around the retained regions, the escapees are
+//     crowded into small regions that cost more tile verifies than a
+//     full regrow and are escaped again sooner.
 //   - Otherwise only the dirty members' regions are regrown (IncPartial):
 //     clean members keep their tiles verbatim and the grower verifies
 //     every new tile against the mixed region set.
@@ -270,9 +272,7 @@ func (pl *Planner) tileMSRInc(ws *Workspace, st *PlanState, users []geom.Point, 
 		return plan, IncKept, nil
 	}
 
-	// A partial regrow keeps the clean regions only while the escapees
-	// are at most half the group (see above).
-	if 2*ndirty <= len(users) && pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, st.regions, dirty) {
+	if !regrowAll(len(users), ndirty) && pl.growTiles(ws, snap, &plan, users, dirs, ws.topk, st.regions, dirty) {
 		st.Record(plan)
 		return plan, IncPartial, nil
 	}
@@ -283,6 +283,14 @@ func (pl *Planner) tileMSRInc(ws *Workspace, st *PlanState, users []geom.Point, 
 	st.Record(full)
 	return full, IncFull, nil
 }
+
+// majorityMaxGroup is the largest group whose escaped majority takes the
+// full regrow: the rule is measured only on groups of three, and Fig. 13's
+// Tile-D counts at m = 4–6 grew under it (ROADMAP 17).
+const majorityMaxGroup = 3
+
+// regrowAll reports whether ndirty of m escapees skip the partial regrow.
+func regrowAll(m, ndirty int) bool { return m <= majorityMaxGroup && 2*ndirty > m }
 
 // circleMSRInc is the incremental variant of circleMSR. The top-2
 // GNN is recomputed on every call (it is nearly the entire cost of circle

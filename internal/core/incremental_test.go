@@ -286,54 +286,69 @@ func TestIncrementalStateMismatches(t *testing.T) {
 // the tile-group enumeration indexed into the empty set. The drifting
 // two-member stream below panicked at many seeds before the empty-set
 // guard in itVerifyMaxInto; it also cross-checks soundness and clean
-// -region preservation on every partial outcome. Three of the five
-// members never move, so two escapees are a minority and the stream must
-// reach the partial path with both dirty.
+// -region preservation on every partial outcome. It runs twice. With
+// m = 3 at the default growth depth α = 10, two escapees are most of the
+// group and take the full regrow, so the partial outcomes have one dirty
+// member. With m = 5, three members never move, two escapees are a
+// minority, and the stream must reach the partial path with both dirty;
+// α = 3 there keeps IT-Verify's enumeration over five regions to seconds.
 func TestIncrementalMultiDirtyITVerify(t *testing.T) {
-	for _, seed := range []int64{1, 2, 4} {
-		rng := rand.New(rand.NewSource(seed))
-		pts := randomPoints(500, rng)
-		pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.GroupVerify = false; o.TileLimit = 3 }))
-		users := randomPoints(5, rng)
-		var st PlanState
-		ws := NewWorkspace()
-		if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
-			t.Fatal(err)
-		}
-		twoDirty := 0
-		for step := 0; step < 40; step++ {
-			d := 0.002 + 0.002*float64(step%5)
-			users[0] = geom.Pt(users[0].X+d*rng.Float64(), users[0].Y-d*rng.Float64())
-			users[1] = geom.Pt(users[1].X-d*rng.Float64(), users[1].Y+d*rng.Float64())
-			prev := st.Regions()
-			plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
-			if err != nil {
+	for _, tc := range []struct{ m, alpha, minDirty int }{
+		{m: 3, alpha: 10, minDirty: 1},
+		{m: 5, alpha: 3, minDirty: 2},
+	} {
+		for _, seed := range []int64{1, 2, 4} {
+			rng := rand.New(rand.NewSource(seed))
+			pts := randomPoints(500, rng)
+			pl := mustPlanner(t, pts, tileOpts(func(o *Options) { o.GroupVerify = false; o.TileLimit = tc.alpha }))
+			users := randomPoints(tc.m, rng)
+			var st PlanState
+			ws := NewWorkspace()
+			if _, _, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st}); err != nil {
 				t.Fatal(err)
 			}
-			if out == IncPartial {
-				// Members 2–4 never move, so they are always clean.
-				for i := 2; i < len(users); i++ {
-					if !reflect.DeepEqual(plan.Regions[i], prev[i]) {
-						t.Fatalf("seed %d step %d: clean member %d's region changed", seed, step, i)
+			hits := 0
+			for step := 0; step < 40; step++ {
+				d := 0.002 + 0.002*float64(step%5)
+				users[0] = geom.Pt(users[0].X+d*rng.Float64(), users[0].Y-d*rng.Float64())
+				users[1] = geom.Pt(users[1].X-d*rng.Float64(), users[1].Y+d*rng.Float64())
+				prev := st.Regions()
+				plan, out, err := pl.Plan(ws, PlanRequest{Kind: KindTiles, Users: users, State: &st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out == IncPartial {
+					// Members 2 and up never move, so they are always clean.
+					for i := 2; i < len(users); i++ {
+						if !reflect.DeepEqual(plan.Regions[i], prev[i]) {
+							t.Fatalf("m=%d seed %d step %d: clean member %d's region changed", tc.m, seed, step, i)
+						}
+					}
+					ndirty := 0
+					for i := 0; i < 2; i++ {
+						if !prev[i].Contains(users[i]) {
+							ndirty++
+						}
+					}
+					if ndirty >= tc.minDirty {
+						hits++
 					}
 				}
-				if !prev[0].Contains(users[0]) && !prev[1].Contains(users[1]) {
-					twoDirty++
-				}
+				assertPlanSound(t, pts, plan, gnn.Max, rng, 15)
 			}
-			assertPlanSound(t, pts, plan, gnn.Max, rng, 15)
-		}
-		if twoDirty == 0 {
-			t.Fatalf("seed %d: stream never hit the partial path with two dirty members", seed)
+			if hits == 0 {
+				t.Fatalf("m=%d seed %d: stream never hit the partial path with %d dirty members", tc.m, seed, tc.minDirty)
+			}
 		}
 	}
 }
 
-// TestIncrementalMajorityRule pins when a partial regrow is attempted: only
-// while the escapees are a minority (2·dirty ≤ m). With most members
-// dirty the update takes the full path, and its regions are bit-identical
-// to the same request without a State; with a minority dirty it stays
-// partial and keeps every clean region verbatim.
+// TestIncrementalMajorityRule pins when a partial regrow is attempted: in
+// a group of at most three, only while the escapees are a minority
+// (2·dirty ≤ m); in a larger group, whatever the dirty count. With most
+// of a small group dirty the update takes the full path, and its regions
+// are bit-identical to the same request without a State; otherwise it
+// stays partial and keeps every clean region verbatim.
 func TestIncrementalMajorityRule(t *testing.T) {
 	for _, tc := range []struct {
 		m     int
@@ -343,6 +358,7 @@ func TestIncrementalMajorityRule(t *testing.T) {
 		{m: 3, dirty: []int{0, 1}, want: IncFull},
 		{m: 3, dirty: []int{1}, want: IncPartial},
 		{m: 5, dirty: []int{0, 3}, want: IncPartial},
+		{m: 4, dirty: []int{0, 1, 3}, want: IncPartial},
 	} {
 		rng := rand.New(rand.NewSource(23))
 		pts := randomPoints(2000, rng)

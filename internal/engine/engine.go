@@ -775,9 +775,10 @@ func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point,
 	return meeting, regions, epochs, stats, outcome, err
 }
 
-// headingTheta is the cone half-width θ of a derived heading. On
-// euclid_tile (medians of seeds 1–5), ops_per_kts read 269.7 at π/8,
-// 272.4 at π/12, 275.0 at π/6 and 290.2 at the planner's default π/4.
+// headingTheta is the cone half-width θ of a derived heading, whatever
+// the planner's Options.Theta. On euclid_tile (medians of seeds 1–5),
+// ops_per_kts read 269.7 at π/8, 272.4 at π/12, 275.0 at π/6 and 290.2 at
+// the planner's default π/4.
 const headingTheta = math.Pi / 8
 
 // headings derives each member's heading for the directed tile ordering

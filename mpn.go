@@ -270,8 +270,9 @@ func (g *Group) NeedsUpdate(i int, loc Point) bool {
 // current locations (the server-side step after an escape), on the
 // caller's goroutine. dirs is only consulted by TileDirected; nil means
 // each user's heading is derived from the group's last planned locations
-// (the bearing of her move since). The result is visible through the
-// accessors when Update returns, and is also emitted to subscribers.
+// (the bearing of her move since, within a cone of π/8). The result is
+// visible through the accessors when Update returns, and is also emitted
+// to subscribers.
 func (g *Group) Update(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))

@@ -1,11 +1,14 @@
 package mpn
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"mpn/internal/core"
 )
 
 func testPOIs(n int, seed int64) []Point {
@@ -206,6 +209,52 @@ func TestDirectedUsesHeadings(t *testing.T) {
 	backward := users[0].X - br.Min.X
 	if forward < backward {
 		t.Fatalf("directed region not biased toward heading: fwd=%v back=%v", forward, backward)
+	}
+}
+
+// TestWithThetaDerivedHeadings pins how a non-default WithTheta meets
+// the headings the server derives on a nil-dirs Update: the member who
+// moved is planned along her bearing within the fixed π/8 cone, and the
+// still member keeps the zero Direction, which the planner reads as
+// WithTheta's cone. The group's regions must equal, byte for byte, the
+// planner's with those dirs, and differ from the plan that gives the
+// moved member the option's cone instead.
+func TestWithThetaDerivedHeadings(t *testing.T) {
+	s, err := NewServer(testPOIs(2000, 12), WithMethod(TileDirected), WithTheta(math.Pi/2), WithTileLimit(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []Point{Pt(0.4, 0.4), Pt(0.43, 0.42)}
+	g, err := s.Register(users, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := []Point{Pt(0.404, 0.403), users[1]}
+	if err := g.Update(moved, nil); err != nil {
+		t.Fatal(err)
+	}
+	bearing := math.Atan2(moved[0].Y-users[0].Y, moved[0].X-users[0].X)
+	plan := func(dirs []Direction) core.Plan {
+		t.Helper()
+		p, _, err := s.st.Planner.Plan(core.NewWorkspace(), core.PlanRequest{Kind: core.KindTiles, Users: moved, Dirs: dirs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	same := func(p core.Plan) bool {
+		for i := range moved {
+			if !bytes.Equal(EncodeRegion(g.Region(i)), EncodeRegion(p.Regions[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(plan([]Direction{{Angle: bearing, Theta: math.Pi / 8}, {}})) {
+		t.Fatal("derived headings are not the moved member's bearing within π/8 and the still member's zero Direction")
+	}
+	if same(plan([]Direction{{Angle: bearing}, {}})) {
+		t.Fatal("the moved member's cone made no difference, so the test proves nothing")
 	}
 }
 

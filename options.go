@@ -269,7 +269,8 @@ func WithCloseTimeout(d time.Duration) Option {
 
 // WithTheta sets the default angular half-width (radians) of the directed
 // ordering's travel cone, used when a caller does not supply per-user
-// deviation bounds (default π/4).
+// deviation bounds (default π/4). A heading the server derives from a
+// member's move (nil dirs on an update) has a fixed cone of π/8 instead.
 func WithTheta(theta float64) Option {
 	return func(c *config) error {
 		if theta <= 0 || theta > math.Pi {
