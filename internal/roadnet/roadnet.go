@@ -219,11 +219,10 @@ func (n *Network) NearestNode(p geom.Point) int {
 	return best
 }
 
-// spEntry is a Dijkstra priority-queue element. The queue itself is the
-// generic internal/heapq min-heap: this path runs during trajectory
-// generation, not per update, so unlike the R-tree's best-first queue
-// (see the measurement note in rtree/search.go) it can afford the
-// generic instantiation in exchange for not duplicating the sift code.
+// spEntry is a Dijkstra priority-queue element. The queue is the generic
+// internal/heapq min-heap, shared with netmpn, whose rangeRegion pops it
+// on every network plan; only the R-tree's best-first queue keeps a
+// typed copy (see the measurement note in rtree/search.go).
 type spEntry struct {
 	node int
 	dist float64

@@ -28,8 +28,8 @@ type Scratch struct {
 // the interface{} API (one heap allocation per push).
 //
 // This heap deliberately stays a hand-typed copy rather than using the
-// generic internal/heapq helper (which the colder roadnet Dijkstra
-// queue does use): measured on BenchmarkBestFirstInto (top-50 kNN over
+// generic internal/heapq helper (which the road-network Dijkstra
+// queues do use): measured on BenchmarkBestFirstInto (top-50 kNN over
 // 21,287 points, go1.24 linux/amd64), the generic form ran ~21.0µs/op
 // against ~14.1µs/op typed — a ~49% regression, far beyond the 1%
 // budget — because pqEntry's pointer field puts Less behind a gcshape
