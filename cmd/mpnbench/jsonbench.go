@@ -623,16 +623,18 @@ func (w *benchWAL) drain() {
 // notifyRows returns the notification series at group size m for one
 // kept-path recomputation fanned out to all m members: its wire size and
 // its serialization cost under the full protocol (every region
-// re-encoded into a TNotify per member) and the epoch-tracked delta
-// protocol (one epoch compare per member; an unchanged region ships a
-// region-less TNotifyDelta and is never re-encoded).
+// re-encoded into a TNotify per member) and the delta protocol (one
+// region compare per member; an unchanged region ships a region-less
+// TNotifyDelta and is never re-encoded). Every frame carries epoch 1, the
+// coordinator's epoch for a member's first region.
 func notifyRows(planner *core.Planner, m int, log io.Writer) ([]row, error) {
 	users, dirs := jsonBenchGroup(m)
 	ws := core.NewWorkspace()
 	var st core.PlanState
 	replan := engine.PlannerKindIncFunc(planner, core.KindTiles, nil)
 	locs := append([]geom.Point(nil), users...)
-	if _, _, _, _, err := replan(ws, &st, locs, dirs); err != nil {
+	_, delivered, _, _, err := replan(ws, &st, locs, dirs)
+	if err != nil {
 		return nil, err
 	}
 	// One kept-path step: in-region jitter, result set unchanged.
@@ -646,15 +648,14 @@ func notifyRows(planner *core.Planner, m int, log io.Writer) ([]row, error) {
 	if outcome != core.IncKept {
 		fmt.Fprintf(log, "  notify m=%d: jitter step was %v, not kept; series measures that outcome\n", m, outcome)
 	}
-	epochs := append([]uint64(nil), st.Epochs()...)
-	delivered := append([]uint64(nil), epochs...)
+	const epoch = 1
 
 	full := func(buf []byte) ([]byte, error) {
 		var err error
 		for j, r := range regions {
 			msg := proto.Message{
 				Type: proto.TNotify, Group: 1, User: uint32(j),
-				Meeting: meeting, Epoch: epochs[j], Region: proto.EncodeRegion(r),
+				Meeting: meeting, Epoch: epoch, Region: proto.EncodeRegion(r),
 			}
 			if buf, err = msg.AppendFrame(buf); err != nil {
 				return nil, err
@@ -665,8 +666,8 @@ func notifyRows(planner *core.Planner, m int, log io.Writer) ([]row, error) {
 	delta := func(buf []byte) ([]byte, error) {
 		var err error
 		for j := range regions {
-			msg := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(j), Epoch: epochs[j]}
-			if epochs[j] != delivered[j] {
+			msg := proto.Message{Type: proto.TNotifyDelta, Group: 1, User: uint32(j), Epoch: epoch}
+			if !regions[j].Equal(delivered[j]) {
 				msg.Region = proto.EncodeRegion(regions[j])
 			}
 			if buf, err = msg.AppendFrame(buf); err != nil {

@@ -17,8 +17,9 @@
 // default heading again.
 //
 // Notifications use the delta wire protocol: clients that negotiate it
-// receive epoch-tracked region diffs — only regions whose content changed
-// travel, a steady-state "nothing changed" frame is ~10 bytes — with
+// receive region diffs — the coordinator compares each member's region
+// with the one it last sent her, only a changed region travels, and a
+// steady-state "nothing changed" frame is ~10 bytes — with
 // automatic full-frame fallback on registration, reconnect, dropped
 // frames, and client NACKs; clients that do not negotiate it receive full
 // frames. At shutdown the server logs one line from one snapshot of every
@@ -56,7 +57,6 @@
 //	mpnserver [-listen :7464] [-method circle|tile|tiled|net] [-agg max|sum]
 //	          [-n 21287] [-alpha 30] [-buffer 100] [-seed 42] [-pois FILE.csv]
 //	          [-shards N] [-workers N] [-queue N] [-incremental] [-gnncache N]
-//	          [-poi-every 9]
 //	          [-state-dir DIR] [-fsync always|interval|off]
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
 //	          [-promote-after 10s]
@@ -65,7 +65,7 @@
 // POI per line as "x,y" (two finite decimal floats; blank lines and an
 // "x,y" header line are skipped). With -method net the server plans
 // under shortest-path distance on a synthetic road network:
-// POIs sit on every k-th network node (-poi-every), safe regions are
+// POIs sit on every 9th network node (netPOIEvery), safe regions are
 // covered road segments shipped with the 'N' wire tag, -pois, -n and
 // -seed are ignored and no Euclidean POIs are generated, and the POI set
 // is fixed: a durable or replicated POI batch is refused. -gnncache is
@@ -136,7 +136,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	var cfg serverConfig
 	listen := fs.String("listen", ":7464", "TCP listen address")
 	fs.StringVar(&cfg.method, "method", "tiled", "safe-region method: circle, tile, tiled, or net (plan under shortest-path distance on a synthetic road network; POIs live on network nodes and safe regions are covered road segments)")
-	fs.IntVar(&cfg.netPOIEvery, "poi-every", 9, "with -method net, place a POI on every k-th network node")
 	fs.StringVar(&cfg.agg, "agg", "max", "objective: max or sum")
 	n := fs.Int("n", workload.DefaultPOICount, "synthetic POI count (ignored with -pois and -method net)")
 	fs.IntVar(&cfg.alpha, "alpha", 30, "tile limit α")
@@ -175,7 +174,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 type serverConfig struct {
 	pois                   []geom.Point
 	method, agg            string
-	netPOIEvery            int // "net" method: POI on every k-th network node (0 = 9)
 	alpha, buffer          int
 	shards, workers, queue int
 	incremental            bool
@@ -296,6 +294,10 @@ func (j serverJournal) GroupRemoved(tag any) {
 	}
 }
 
+// netPOIEvery places the "net" method's POIs on every netPOIEvery-th
+// network node.
+const netPOIEvery = 9
+
 // newServer maps the configuration onto the serving stack (see
 // internal/serving), restores durable state into it, and wires the
 // coordinator and replication around it.
@@ -324,11 +326,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
-		every := cfg.netPOIEvery
-		if every <= 0 {
-			every = 9
-		}
-		for i := 0; i < netw.NumNodes(); i += every {
+		for i := 0; i < netw.NumNodes(); i += netPOIEvery {
 			scfg.POINodes = append(scfg.POINodes, i)
 		}
 		scfg.Kind, scfg.Network = core.KindNetRange, netw
@@ -478,7 +476,7 @@ func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point) (eid e
 // after registration the read loops never wait on the planner; a full
 // shard queue blocks here, backpressure toward the transport. The
 // member-id ordering travels as the submission tag so deliveries can be
-// verified against membership churn.
+// verified against membership churn. The ignored []uint64 result is nil.
 func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 	eid, registered, err := s.routeGroup(gid, ids, users)
 	if err != nil {
@@ -487,7 +485,7 @@ func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Poin
 	if !registered {
 		return geom.Point{}, nil, nil, false
 	}
-	return s.eng.Meeting(eid), s.eng.Regions(eid), s.eng.Epochs(eid), true
+	return s.eng.Meeting(eid), s.eng.Regions(eid), nil, true
 }
 
 // deliverError reports a submission failure to the group's members. It
@@ -506,7 +504,7 @@ func (s *server) deliverError(gid uint32, err error) {
 		}
 		return
 	}
-	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, nil, err)
+	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, err)
 }
 
 // fanout pumps engine notifications into the coordinator's delivery path.
@@ -532,8 +530,8 @@ func (s *server) fanout() {
 		// The engine group must still be the one serving gid when the
 		// coordinator sends, so Deliver runs live under its lock. Checked
 		// any earlier, the group could dissolve and re-form with the same
-		// member ids before the send; the new incarnation's epochs restart
-		// at 1, so the old plan would pass for current.
+		// member ids before the send, and the old plan would pass the
+		// coordinator's membership check.
 		eid := n.Group
 		live := func() bool {
 			s.mu.Lock()
@@ -541,7 +539,7 @@ func (s *server) fanout() {
 			cur, ok := s.gidToEngine[rt.gid]
 			return ok && cur == eid
 		}
-		s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Epochs, n.Err)
+		s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Err)
 	}
 }
 

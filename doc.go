@@ -138,10 +138,10 @@
 //     finite non-negative length per street (ErrBadNetwork). A uniform
 //     edge grid makes position snapping sublinear, bit-identical to the
 //     exhaustive scan.
-//   - Workspace and epochs: network planning keeps its scratch in the
-//     same core.Workspace as the Euclidean planners and stamps
-//     per-member region epochs into core.PlanState, so kept/partial
-//     incremental outcomes and the delta wire protocol work unchanged.
+//   - Workspace and retained plans: network planning keeps its scratch
+//     in the same core.Workspace as the Euclidean planners and records
+//     its plans into core.PlanState, so kept/partial incremental
+//     outcomes and the delta wire protocol work unchanged.
 //     Cleanliness is judged at the member's snapped network position, so
 //     an off-road GPS report a snap away from a covered segment does not
 //     spuriously dirty her.
@@ -204,18 +204,13 @@
 // only the fields that type carries, integers as varints — so a step-1
 // report or a probe reply is about 24 bytes and a probe about 8:
 //
-//   - Epoch stamping: core.PlanState tags every member slot with a
-//     monotone epoch that advances exactly when that slot's region
-//     content changes — a kept plan advances nothing, a partial regrow
-//     advances only the regrown members. Every engine, incremental or
-//     not, records its plans there and snapshots the vector into
-//     Notification.Epochs.
-//   - Lazy encoding: the coordinator caches each member's encoded
-//     region keyed by its epoch. An unchanged region is never re-encoded
-//     — the kept path's serialization cost is one integer compare per
-//     member — and a NACK is repaired from the cached bytes. A backend
-//     without epochs still works: the coordinator treats every region as
-//     changed and stamps it with the member's next epoch.
+//   - One change test: the coordinator keeps, per member, the region it
+//     last encoded for her with its bytes and a monotone epoch, and
+//     compares each fresh region with it (core.SafeRegion.Equal). Only a
+//     changed region is encoded and stamped with her next epoch — the
+//     kept path's regions alias the cached ones, so it encodes nothing —
+//     and a NACK is repaired from the cached bytes. The decision is per member, not per plan slot, so
+//     membership churn that reshuffles slots re-sends nothing unchanged.
 //   - Delta frames: clients negotiate with a Register flag; the server
 //     then sends a compact TNotifyDelta (~10 bytes when nothing
 //     changed) carrying the member's own encoded region only when it

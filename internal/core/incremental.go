@@ -48,21 +48,11 @@ func (o IncOutcome) String() string {
 // and invalid, so the first computation through it replans fully. A
 // PlanState is not safe for concurrent use; the engine guards each
 // group's state with the group's replan lock.
-//
-// Alongside the regions the state maintains one monotone epoch per
-// member slot (see Epochs): the epoch advances exactly when that slot's
-// region content changes, so downstream consumers — the wire
-// coordinator's delta notifications, encoded-region caches — can tell
-// "this member's region is byte-identical to the last plan" without
-// comparing (or re-encoding) the regions themselves. A kept plan
-// advances no epoch; a partial regrow advances only the regrown
-// members'.
 type PlanState struct {
 	valid   bool
 	bestID  int
 	version uint64 // index version the retained plan was computed against
 	regions []SafeRegion
-	epochs  []uint64
 }
 
 // Valid reports whether the state holds a retained plan.
@@ -70,8 +60,7 @@ func (st *PlanState) Valid() bool { return st.valid }
 
 // Invalidate drops the retained plan, forcing the next incremental call
 // down the full-replan path — what the engine does when a planner panic
-// may have left the state torn. The epoch vector survives, so slots keep
-// advancing monotonically across the forced replan.
+// may have left the state torn.
 func (st *PlanState) Invalidate() {
 	st.valid = false
 	st.regions = nil
@@ -81,91 +70,16 @@ func (st *PlanState) Invalidate() {
 // plan copies).
 func (st *PlanState) Regions() []SafeRegion { return st.regions }
 
-// Epochs exposes the per-member region epochs, parallel to Regions: a
-// slot's epoch advances exactly when Record observes that slot's region
-// content change (a kept plan records nothing, so kept regions never
-// advance). The slice is the state's own — read-only, valid until the
-// next Record; copy it before publishing across goroutines.
-func (st *PlanState) Epochs() []uint64 { return st.epochs }
-
 // Record retains a freshly computed plan as the state to validate the
-// next update against, advancing the epoch of every member slot whose
-// region content changed. The incremental planners call it on every
+// next update against. The incremental planners call it on every
 // non-kept outcome; custom engine.ReplanWSFunc implementations use it
 // the same way. Exported plans never alias workspace memory, so holding
 // them across computations is safe.
 func (st *PlanState) Record(p Plan) {
-	st.bumpEpochs(p.Regions)
 	st.valid = true
 	st.bestID = p.Best.Item.ID
 	st.version = p.Stats.IndexVersion
 	st.regions = p.Regions
-}
-
-// bumpEpochs advances the epoch of every slot whose fresh region
-// differs from the retained one. With no retained plan to compare
-// against (first record, after Invalidate, or membership churn) every
-// slot advances — the safe direction: an epoch that advances without a
-// content change costs one redundant region send; an epoch that fails
-// to advance on a change would freeze a stale region at the client.
-func (st *PlanState) bumpEpochs(fresh []SafeRegion) {
-	if len(st.epochs) != len(fresh) {
-		// Membership churn: slot identity changed, restart the vector
-		// past the old maximum so every slot stays monotone.
-		base := uint64(0)
-		for _, e := range st.epochs {
-			if e > base {
-				base = e
-			}
-		}
-		st.epochs = make([]uint64, len(fresh))
-		for i := range st.epochs {
-			st.epochs[i] = base + 1
-		}
-		return
-	}
-	prev := st.regions
-	if !st.valid {
-		prev = nil
-	}
-	for i := range fresh {
-		if prev == nil || !regionEqual(prev[i], fresh[i]) {
-			st.epochs[i]++
-		}
-	}
-}
-
-// regionEqual reports whether two regions have identical content (the
-// property the epoch tracks). Tile slices sharing a backing array are
-// equal without element comparison — the common case for regions a
-// partial regrow kept verbatim.
-func regionEqual(a, b SafeRegion) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == KindCircle {
-		return a.Circle == b.Circle
-	}
-	if a.Kind == KindNetRange {
-		// Kept network regions alias the retained payload, so the pointer
-		// fast path covers the steady state.
-		if a.Net == b.Net {
-			return true
-		}
-		return a.Net != nil && b.Net != nil && a.Net.EqualRegion(b.Net)
-	}
-	if len(a.Tiles) != len(b.Tiles) {
-		return false
-	}
-	if len(a.Tiles) == 0 || &a.Tiles[0] == &b.Tiles[0] {
-		return true
-	}
-	for i := range a.Tiles {
-		if a.Tiles[i] != b.Tiles[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // tileMSRInc is the incremental variant of tileMSR: it maintains

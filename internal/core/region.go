@@ -59,16 +59,16 @@ func (k RegionKind) String() string {
 // NetworkRegion is the opaque payload of a KindNetRange safe region,
 // implemented by the road-network backend (internal/netmpn). core needs
 // only the operations the engine and wire layers perform on any region:
-// the escape test, a content-equality test for the epoch protocol, and
-// the wire encoding. Implementations must be immutable once published in
+// the escape test, a content-equality test (SafeRegion.Equal), and the
+// wire encoding. Implementations must be immutable once published in
 // a Plan.
 type NetworkRegion interface {
 	// ContainsPoint reports whether the planar point p — snapped onto the
 	// backend's road network — lies inside the region.
 	ContainsPoint(p geom.Point) bool
 	// EqualRegion reports content equality with another payload (same
-	// center, radius, and covered intervals). Used by PlanState's epoch
-	// bumping; pointer-identical payloads are equal without being asked.
+	// center, radius, and covered intervals). Used by SafeRegion.Equal;
+	// pointer-identical payloads are equal without being asked.
 	EqualRegion(other NetworkRegion) bool
 	// AppendEncode appends the region's wire encoding (without any outer
 	// kind tag) to buf and returns it.
@@ -118,6 +118,40 @@ func (r SafeRegion) Contains(p geom.Point) bool {
 		}
 	}
 	return false
+}
+
+// Equal reports whether two regions have identical content, so one
+// encodes to the same bytes as the other. Tile slices sharing a backing
+// array are equal without element comparison — the common case for
+// regions a kept plan or a partial regrow carried over verbatim. A
+// circle with a NaN field equals nothing, itself included.
+func (r SafeRegion) Equal(o SafeRegion) bool {
+	if r.Kind != o.Kind {
+		return false
+	}
+	if r.Kind == KindCircle {
+		return r.Circle == o.Circle
+	}
+	if r.Kind == KindNetRange {
+		// Kept network regions alias the retained payload, so the pointer
+		// fast path covers the steady state.
+		if r.Net == o.Net {
+			return true
+		}
+		return r.Net != nil && o.Net != nil && r.Net.EqualRegion(o.Net)
+	}
+	if len(r.Tiles) != len(o.Tiles) {
+		return false
+	}
+	if len(r.Tiles) == 0 || &r.Tiles[0] == &o.Tiles[0] {
+		return true
+	}
+	for i := range r.Tiles {
+		if r.Tiles[i] != o.Tiles[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // MinDist returns ‖p,R‖min, the minimum distance from p to the region.

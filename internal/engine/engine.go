@@ -26,13 +26,11 @@
 // There is one path from a location snapshot to a notification:
 // recompute plans the snapshot (compute, the engine's only call into the
 // planner — a non-incremental PlanWSFunc is adapted to the ReplanWSFunc
-// shape at construction, recording each plan into the group's
-// core.PlanState so its epochs advance by the same rule), stores the
-// plan, bumps Seq, journals and notifies. The synchronous Update runs it
-// on the caller's goroutine, Submit/SubmitTag hand it to a shard worker;
-// the two differ only in whose workspace plans and in who learns of a
-// planner error (Update's caller, or the subscribers of the asynchronous
-// path).
+// shape at construction), stores the plan, bumps Seq, journals and
+// notifies. The synchronous Update runs it on the caller's goroutine,
+// Submit/SubmitTag hand it to a shard worker; the two differ only in
+// whose workspace plans and in who learns of a planner error (Update's
+// caller, or the subscribers of the asynchronous path).
 //
 // The engine guarantees at most one in-flight asynchronous recomputation
 // per group, so successful notifications for one group are emitted in
@@ -254,14 +252,6 @@ type Notification struct {
 	// regrown), or core.IncFull (from-scratch replan — always the value
 	// on non-incremental engines).
 	Outcome core.IncOutcome
-	// Epochs are the per-member region epochs after this recomputation,
-	// parallel to Regions (see core.PlanState.Epochs): Epochs[i]
-	// advances exactly when member i's region content changes, so a
-	// consumer retaining the previous vector knows which regions it can
-	// skip re-encoding and re-sending. Every engine, incremental or not,
-	// advances them by that one rule. Nil on error notifications; the
-	// slice is a private copy, safe to retain.
-	Epochs []uint64
 	// Err is non-nil when the planner failed; Meeting and Regions then
 	// hold the previous plan.
 	Err error
@@ -326,7 +316,7 @@ type groupState struct {
 	// flight, so it only ever contends with a racing synchronous Update.
 	// Never acquired while holding mu.
 	replanMu  sync.Mutex
-	planState core.PlanState   // retained plan and region epochs
+	planState core.PlanState   // retained plan
 	planned   []geom.Point     // locations of the last successful plan
 	dirs      []core.Direction // headings derived from planned (see headings)
 }
@@ -498,20 +488,15 @@ func (e *Engine) beginOp() bool {
 // from the core pool, so steady-state planning is allocation-free. When
 // Options.Replan is set every recomputation goes through it and plan is
 // unused (it may be nil); otherwise plan is adapted to the replanner's
-// shape — every outcome is core.IncFull, and each successful plan is
-// recorded into the retained state only so that its epochs advance as an
-// incremental engine's do.
+// shape, and every outcome is core.IncFull.
 func NewWS(plan PlanWSFunc, opts Options) *Engine {
 	replan := opts.Replan
 	if replan == nil {
 		if plan == nil {
 			panic("engine: nil PlanWSFunc")
 		}
-		replan = func(ws *core.Workspace, st *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
+		replan = func(ws *core.Workspace, _ *core.PlanState, users []geom.Point, dirs []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, core.IncOutcome, error) {
 			meeting, regions, stats, err := plan(ws, users, dirs)
-			if err == nil {
-				st.Record(core.Plan{Regions: regions, Stats: stats})
-			}
 			return meeting, regions, stats, core.IncFull, err
 		}
 	}
@@ -575,7 +560,7 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		return 0, err
 	}
 	ws := core.GetWorkspace()
-	meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, users, dirs, e.hasSubscribers())
+	meeting, regions, stats, outcome, err := e.compute(st, ws, users, dirs)
 	core.PutWorkspace(ws)
 	if err != nil {
 		return 0, err
@@ -600,7 +585,6 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		e.emit(Notification{
 			Group: id, Seq: 1, Meeting: meeting, Regions: regions,
 			Stats: stats, Coalesced: 1, Changed: true, Tag: tag,
-			Epochs: epochs,
 		})
 	}
 	return id, nil
@@ -739,9 +723,6 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 // worker). The group's replan lock is held across the whole call: it
 // guards the retained plan state, serializing a synchronous Update
 // against the at-most-one asynchronous recomputation in flight.
-// wantEpochs asks for a snapshot of the post-recomputation epoch vector
-// (a copy, taken while the lock is still held); callers that will not
-// emit a notification pass false and skip the copy.
 //
 // dirs whose length matches users reach the planner unchanged. Otherwise,
 // once the group has a successful plan, compute derives the headings from
@@ -749,7 +730,7 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 // dirs pass through. Only a successful plan advances that reference
 // snapshot. Derived headings are not journaled: after a restore or a
 // failover the first plan is again a registration.
-func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point, dirs []core.Direction, wantEpochs bool) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, stats core.Stats, outcome core.IncOutcome, err error) {
+func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point, dirs []core.Direction) (meeting geom.Point, regions []core.SafeRegion, stats core.Stats, outcome core.IncOutcome, err error) {
 	st.replanMu.Lock()
 	defer st.replanMu.Unlock()
 	defer func() {
@@ -768,11 +749,8 @@ func (e *Engine) compute(st *groupState, ws *core.Workspace, users []geom.Point,
 	meeting, regions, stats, outcome, err = e.replan(ws, &st.planState, users, dirs)
 	if err == nil {
 		st.planned = append(st.planned[:0], users...)
-		if wantEpochs {
-			epochs = append([]uint64(nil), st.planState.Epochs()...)
-		}
 	}
-	return meeting, regions, epochs, stats, outcome, err
+	return meeting, regions, stats, outcome, err
 }
 
 // headingTheta is the cone half-width θ of a derived heading, whatever
@@ -809,7 +787,7 @@ func (st *groupState) headings(users []geom.Point) []core.Direction {
 // group unregistered while its plan was computing commits nothing,
 // journals nothing, emits nothing and returns ErrUnknownGroup.
 func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *update) error {
-	meeting, regions, epochs, stats, outcome, err := e.compute(st, ws, up.users, up.dirs, e.hasSubscribers())
+	meeting, regions, stats, outcome, err := e.compute(st, ws, up.users, up.dirs)
 	if err != nil {
 		return err
 	}
@@ -848,7 +826,7 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 		n = Notification{
 			Group: st.id, Seq: st.seq, Meeting: meeting, Regions: regions,
 			Stats: stats, Coalesced: covered, Changed: changed,
-			Outcome: outcome, Epochs: epochs, Tag: up.tag,
+			Outcome: outcome, Tag: up.tag,
 		}
 	}
 	st.mu.Unlock()
@@ -1025,18 +1003,6 @@ func (e *Engine) Regions(id GroupID) []core.SafeRegion {
 	out := make([]core.SafeRegion, len(st.regions))
 	copy(out, st.regions)
 	return out
-}
-
-// Epochs returns a copy of the group's current per-member region epoch
-// vector (see Notification.Epochs). Nil on unknown groups.
-func (e *Engine) Epochs(id GroupID) []uint64 {
-	st := e.lookup(id)
-	if st == nil {
-		return nil
-	}
-	st.replanMu.Lock()
-	defer st.replanMu.Unlock()
-	return append([]uint64(nil), st.planState.Epochs()...)
 }
 
 // Region returns user i's safe region (zero region when out of range).

@@ -31,6 +31,22 @@ func testPlanner(t testing.TB, n int, seed int64) *core.Planner {
 	return pl
 }
 
+// nextNotification waits up to 10 s for the subscription's next
+// notification.
+func nextNotification(t *testing.T, sub *Subscription) Notification {
+	t.Helper()
+	select {
+	case n, ok := <-sub.C:
+		if !ok {
+			t.Fatal("subscription closed")
+		}
+		return n
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for notification")
+	}
+	return Notification{}
+}
+
 func tilePlan(pl *core.Planner) PlanWSFunc {
 	return PlannerKindWSFunc(pl, core.KindTiles, nil)
 }

@@ -275,11 +275,11 @@ func TestIncrementalEngineEndToEnd(t *testing.T) {
 		}
 	}
 	teleported := n.Regions
-	epochs := n.Epochs
+	prev := n.Regions
 
 	// Single-member streams: walk user 0 outward until an update is
-	// served partially, and check the clean members kept their regions
-	// and, with them, their epochs (nothing is re-shipped to them).
+	// served partially, and check the clean members kept their regions,
+	// Equal to the last notification's (nothing is re-shipped to them).
 	step := moved
 	sawPartial := false
 	for i := 1; i <= 12 && !sawPartial; i++ {
@@ -304,14 +304,14 @@ func TestIncrementalEngineEndToEnd(t *testing.T) {
 				if !reflect.DeepEqual(n.Regions[j], teleported[j]) {
 					t.Fatalf("clean member %d's region changed on a partial update", j)
 				}
-				if n.Epochs[j] != epochs[j] {
-					t.Fatalf("clean member %d's epoch advanced on a partial update: %d → %d", j, epochs[j], n.Epochs[j])
+				if !n.Regions[j].Equal(prev[j]) {
+					t.Fatalf("clean member %d's region is not Equal to her last one on a partial update", j)
 				}
 			}
 		case core.IncFull:
 			teleported = n.Regions // churn: new baseline for the clean check
 		}
-		epochs = n.Epochs
+		prev = n.Regions
 	}
 	if !sawPartial {
 		t.Fatal("walking stream never produced a partial outcome")

@@ -119,10 +119,9 @@ type Suite struct {
 	// proposes. False replays the historical full-replan accounting.
 	Incremental bool
 	// DeltaWire replays the figures under the delta notification
-	// protocol (sim.Config.DeltaWire): members whose region epoch did
-	// not advance receive a region-less delta frame, so the
-	// packets/bytes measures reflect what the epoch-tracked coordinator
-	// actually ships. Requires Incremental to have any effect.
+	// protocol (sim.Config.DeltaWire): members whose region content did
+	// not change receive a region-less delta frame, so the packets/bytes
+	// measures reflect what the coordinator actually ships. Requires Incremental to have any effect.
 	DeltaWire bool
 }
 

@@ -20,8 +20,8 @@ import (
 // on both ends of the protocol.
 //
 // A Region is immutable after construction; the planner aliases it
-// freely across retained plans (kept/partial outcomes) and the epoch
-// machinery relies on pointer identity for the fast path.
+// freely across retained plans (kept/partial outcomes) and
+// core.SafeRegion.Equal relies on pointer identity for the fast path.
 type Region struct {
 	// Center is the Euclidean location of the region's network center
 	// (the member's position when the region was planned).
@@ -86,7 +86,7 @@ func distToSeg2(p, a, b geom.Point) float64 {
 }
 
 // EqualRegion reports structural equality (same center, radius, and
-// covered segments). Used by the epoch machinery when pointer identity
+// covered segments). Used by core.SafeRegion.Equal when pointer identity
 // does not already answer.
 func (r *Region) EqualRegion(other core.NetworkRegion) bool {
 	o, ok := other.(*Region)
@@ -113,9 +113,9 @@ const netRegionTag = 'N'
 
 // AppendEncode appends the wire form: tag 'N', center, radius, and the
 // covered sub-segments, all little-endian float64s. The segment order is
-// the deterministic construction order, so byte-identical regions encode
-// byte-identically (the property the coordinator's epoch-keyed encoding
-// cache certifies).
+// the deterministic construction order, so equal regions encode
+// byte-identically (the property the coordinator's per-member encoding
+// cache relies on).
 func (r *Region) AppendEncode(buf []byte) []byte {
 	buf = append(buf, netRegionTag)
 	buf = appendF64(buf, r.Center.X)

@@ -20,7 +20,7 @@ func TestAsyncEndToEnd(t *testing.T) {
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		go func() {
 			meeting, regions, err := plan(users)
-			coord.Deliver(gid, ids, nil, meeting, regions, nil, err)
+			coord.Deliver(gid, ids, nil, meeting, regions, err)
 		}()
 		return geom.Point{}, nil, nil, false
 	}, nil)
@@ -83,7 +83,7 @@ func TestDeliverStaleOrUnknownDropped(t *testing.T) {
 	}, nil)
 
 	// Unknown group: no-op.
-	coord.Deliver(99, nil, nil, geom.Pt(0.5, 0.5), nil, nil, nil)
+	coord.Deliver(99, nil, nil, geom.Pt(0.5, 0.5), nil, nil)
 
 	u1 := newTestUser(t, coord, 1, 0, geom.Pt(0.3, 0.3))
 	if err := u1.client.Register(1); err != nil {
@@ -99,9 +99,9 @@ func TestDeliverStaleOrUnknownDropped(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	coord.Deliver(1, nil, nil, geom.Pt(0.5, 0.5), make([]core.SafeRegion, 3), nil, nil)
+	coord.Deliver(1, nil, nil, geom.Pt(0.5, 0.5), make([]core.SafeRegion, 3), nil)
 	coord.Deliver(1, []uint32{7}, nil, geom.Pt(0.5, 0.5),
-		[]core.SafeRegion{core.CircleRegion(geom.Pt(0.5, 0.5), 0.1)}, nil, nil)
+		[]core.SafeRegion{core.CircleRegion(geom.Pt(0.5, 0.5), 0.1)}, nil)
 	select {
 	case p := <-u1.notifyCh:
 		t.Fatalf("stale delivery notified members: %v", p)
@@ -113,7 +113,7 @@ func TestDeliverError(t *testing.T) {
 	var coord *Coordinator
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		go func() {
-			coord.Deliver(gid, nil, nil, geom.Point{}, nil, nil, errors.New("planner exploded"))
+			coord.Deliver(gid, nil, nil, geom.Point{}, nil, errors.New("planner exploded"))
 		}()
 		return geom.Point{}, nil, nil, false
 	}, nil)

@@ -33,10 +33,11 @@ import (
 // enqueue (or at most compute that one registration plan), never
 // recompute steady-state reports inline.
 //
-// epochs, when non-nil, is the backend's per-member region epoch vector
-// for the inline plan (regions[i] is at epoch epochs[i]); a backend
-// without epoch tracking returns nil, and the coordinator then treats
-// every region as changed.
+// The coordinator keeps each member's region to compare her next one
+// with (see Deliver), so a backend must not modify a region after
+// handing it over. The []uint64 result is ignored; it stays in the
+// signature only because bench/ compiles against it, and is removed with
+// ROADMAP 9.
 type SubmitFunc func(gid uint32, ids []uint32, users []geom.Point) (meeting geom.Point, regions []core.SafeRegion, epochs []uint64, ok bool)
 
 // WriteGateFunc decides whether this node currently accepts client
@@ -196,37 +197,19 @@ type group struct {
 	// user ids whose replies are still missing.
 	probing map[uint32]bool
 
-	// encIDs is the ascending member-id vector every member's cached
-	// encoding (member.enc) and delivered-epoch state were built for:
-	// backend epochs are per SLOT, not per user, so any membership
-	// change — even one that keeps the group size — silently reassigns
-	// slot counters to different users, and every cache must be dropped
-	// and every member repaired with a full frame (see resetEncLocked).
 	// lastMeeting/havePlan retain the last distributed plan's meeting
 	// point so a NACK can be repaired from the member's cache alone.
-	encIDs      []uint32
 	lastMeeting geom.Point
 	havePlan    bool
 }
 
-// resetEncLocked invalidates every member's cached encoding and
-// delivered state after a membership change: slot epochs may now
-// describe different users' regions, so nothing previously delivered or
-// cached can be trusted to match by epoch alone.
-func (g *group) resetEncLocked(ids []uint32) {
-	g.encIDs = append(g.encIDs[:0], ids...)
-	for _, mb := range g.members {
-		mb.enc = encRegion{}
-		mb.needFull = true
-	}
-}
-
-// encRegion is one cached region encoding: the member's region at epoch
-// (data is nil when nothing is cached). data is immutable once stored
-// (frames built from it copy it).
+// encRegion is a member's cached region: the last region encoded for
+// her, its encoding and its epoch (data is nil when nothing is cached).
+// Both are immutable once stored (frames built from data copy it).
 type encRegion struct {
-	epoch uint64
-	data  []byte
+	region core.SafeRegion
+	epoch  uint64
+	data   []byte
 }
 
 type member struct {
@@ -246,7 +229,7 @@ type member struct {
 	// any dropped frame or NACK sets it — the server never assumes a
 	// client holds state it cannot prove was enqueued); epoch and
 	// meeting are the last values successfully enqueued to this member;
-	// enc is the encoding of her region in the latest distributed plan,
+	// enc is her region in the latest distributed plan and its encoding,
 	// so an unchanged region is never re-encoded and a NACK is repaired
 	// from it.
 	delta    bool
@@ -360,13 +343,13 @@ func NewAsyncCoordinator(submit SubmitFunc, logger *log.Logger) *Coordinator {
 // lock first, as for SubmitFunc) but must not call back into the
 // coordinator.
 //
-// epochs is the backend's per-member region epoch vector (regions[i] is
-// at epoch epochs[i], see engine.Notification.Epochs): regions whose
-// epoch matches the cached encoding are not re-encoded, and a
-// delta-capable member receives her region only when it changed since
-// her last delivery. A nil epochs means every region changed: each is
-// encoded and stamped with its member's next epoch.
-func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meeting geom.Point, regions []core.SafeRegion, epochs []uint64, err error) {
+// Each member's region is compared with the one last encoded for her
+// (core.SafeRegion.Equal): an equal region is not re-encoded and keeps
+// its epoch, so a delta-capable member receives her region only when its
+// content changed since her last delivery; a changed one is encoded and
+// stamped with her next epoch. The coordinator keeps the regions, so the
+// caller must not modify them afterwards.
+func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meeting geom.Point, regions []core.SafeRegion, err error) {
 	faultinject.Fire(faultinject.CoordDeliver)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -394,7 +377,7 @@ func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meetin
 			gid, current, ids, len(regions))
 		return
 	}
-	c.notifyLocked(gid, g, current, meeting, regions, epochs)
+	c.notifyLocked(gid, g, current, meeting, regions)
 }
 
 // errNonFinite ends the session of a client that sent a NaN or ±Inf
@@ -677,8 +660,8 @@ func (c *Coordinator) replanLocked(gid uint32, g *group) {
 	for i, uid := range ids {
 		users[i] = g.members[uid].loc
 	}
-	if meeting, regions, epochs, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
-		c.notifyLocked(gid, g, ids, meeting, regions, epochs)
+	if meeting, regions, _, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
+		c.notifyLocked(gid, g, ids, meeting, regions)
 	}
 }
 
@@ -693,23 +676,16 @@ func memberIDs(g *group) []uint32 {
 }
 
 // notifyLocked sends one notification per member, regions aligned with
-// ids. Encodings go through each member's epoch-keyed cache, so a region
-// unchanged since the last delivery is not re-encoded (the check is one
-// integer compare — the kept path encodes nothing at all). Members that
-// negotiated deltas receive a compact TNotifyDelta carrying their region
-// only if it changed since the server's last successful enqueue to them;
-// everyone else — and any member whose previous frame was dropped — gets
-// a full TNotify.
-func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting geom.Point, regions []core.SafeRegion, epochs []uint64) {
-	if len(epochs) != len(ids) {
-		epochs = nil
-	}
-	if !slices.Equal(ids, g.encIDs) {
-		g.resetEncLocked(ids)
-	}
+// ids. Encodings go through each member's cache, so a region unchanged
+// since the last delivery is not re-encoded (the kept path encodes
+// nothing at all). Members that negotiated deltas receive a compact
+// TNotifyDelta carrying their region only if it changed since the
+// server's last successful enqueue to them; everyone else — and any
+// member whose previous frame was dropped — gets a full TNotify.
+func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting geom.Point, regions []core.SafeRegion) {
 	for i, uid := range ids {
 		mb := g.members[uid]
-		data, epoch := mb.encodedRegion(regions[i], epochs, i)
+		data, epoch := mb.encodedRegion(regions[i])
 		if !mb.delta || mb.needFull {
 			ok := mb.send(Message{
 				Type: TNotify, Group: gid, User: uid,
@@ -748,21 +724,15 @@ func (m *member) recordSend(c *Coordinator, gid uint32, ok bool, epoch uint64, m
 	c.logger.Printf("group %d: notify to user %d dropped (outbox full)", gid, m.user)
 }
 
-// encodedRegion returns the wire encoding of the member's region r, the
-// one at slot i of epochs, and its epoch. The cache key is the epoch
-// itself, so an unchanged region is never re-encoded. A nil epochs (a
-// backend without epoch tracking) marks the region changed: it is
-// encoded and stamped with the cached epoch plus one.
-func (m *member) encodedRegion(r core.SafeRegion, epochs []uint64, i int) ([]byte, uint64) {
-	epoch := m.enc.epoch + 1
-	if epochs != nil {
-		if m.enc.data != nil && m.enc.epoch == epochs[i] {
-			return m.enc.data, m.enc.epoch
-		}
-		epoch = epochs[i]
+// encodedRegion returns the wire encoding of the member's region r and
+// its epoch. A region equal to the cached one keeps the cached encoding
+// and epoch; any other is encoded and stamped with the cached epoch plus
+// one, so her epochs only grow, and change exactly when her region does.
+func (m *member) encodedRegion(r core.SafeRegion) ([]byte, uint64) {
+	if m.enc.data == nil || !m.enc.region.Equal(r) {
+		m.enc = encRegion{region: r, epoch: m.enc.epoch + 1, data: EncodeRegion(r)}
 	}
-	m.enc = encRegion{epoch: epoch, data: EncodeRegion(r)}
-	return m.enc.data, epoch
+	return m.enc.data, m.enc.epoch
 }
 
 // handleNack is the client's repair request: it could not apply a delta

@@ -159,7 +159,6 @@ func TestDeltaKeptFrameIsTiny(t *testing.T) {
 type scriptedBackend struct {
 	mu      sync.Mutex
 	regions []core.SafeRegion
-	epochs  []uint64
 	meeting geom.Point
 	submits int
 }
@@ -171,7 +170,7 @@ func (b *scriptedBackend) submit(gid uint32, ids []uint32, users []geom.Point) (
 	if len(b.regions) != len(ids) {
 		return geom.Point{}, nil, nil, false
 	}
-	return b.meeting, b.regions, b.epochs, true
+	return b.meeting, b.regions, nil, true
 }
 
 // rawConn registers over a pipe without the Client state machine, so the
@@ -250,7 +249,6 @@ func circleRegions(n int) []core.SafeRegion {
 func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 	backend := &scriptedBackend{
 		regions: circleRegions(1),
-		epochs:  []uint64{1},
 		meeting: geom.Pt(0.5, 0.5),
 	}
 	coord := NewAsyncCoordinator(backend.submit, nil)
@@ -269,7 +267,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Kept plan: same epochs, same meeting → region-less delta.
 	before := rc.count.ReadCount()
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	kept := rc.read(t)
 	if kept.Type != TNotifyDelta || kept.Epoch != 1 || kept.Region != nil || kept.MeetingChanged {
 		t.Fatalf("kept frame %+v", kept)
@@ -280,7 +278,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Changed region: epoch advances, the region travels.
 	newRegions := []core.SafeRegion{core.CircleRegion(geom.Pt(0.11, 0.2), 0.04)}
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, newRegions, nil)
 	chg := rc.read(t)
 	if chg.Type != TNotifyDelta || chg.Epoch != 2 || !bytes.Equal(chg.Region, EncodeRegion(newRegions[0])) {
 		t.Fatalf("changed frame %+v", chg)
@@ -288,7 +286,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 
 	// Meeting moves while the region stays: delta with meeting, no region.
 	moved := geom.Pt(0.51, 0.5)
-	coord.Deliver(1, []uint32{0}, nil, moved, newRegions, []uint64{2}, nil)
+	coord.Deliver(1, []uint32{0}, nil, moved, newRegions, nil)
 	mm := rc.read(t)
 	if mm.Type != TNotifyDelta || !mm.MeetingChanged || mm.Meeting != moved || mm.Region != nil {
 		t.Fatalf("meeting frame %+v", mm)
@@ -298,7 +296,7 @@ func TestCoordinatorDeltaKeptAndChanged(t *testing.T) {
 // TestCoordinatorDeltaNotNegotiated: a client without FlagDeltaCapable
 // receives full frames forever.
 func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
-	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: circleRegions(1), meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 	rc := dialRaw(t, coord)
 	if err := Write(rc.conn, Message{Type: TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.1, 0.2)}); err != nil {
@@ -307,7 +305,7 @@ func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("registration frame %v", m.Type)
 	}
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	if m := rc.read(t); m.Type != TNotify {
 		t.Fatalf("kept update frame %v, want full TNotify without negotiation", m.Type)
 	}
@@ -316,7 +314,7 @@ func TestCoordinatorDeltaNotNegotiated(t *testing.T) {
 // TestCoordinatorNackRepair: a TNack is answered with a full TNotify
 // carrying the group's latest distributed plan.
 func TestCoordinatorNackRepair(t *testing.T) {
-	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: circleRegions(1), meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 	rc := dialRaw(t, coord)
 	if err := Write(rc.conn, Message{
@@ -337,20 +335,33 @@ func TestCoordinatorNackRepair(t *testing.T) {
 
 	// The repair reset delivered-state; the next kept delivery is a delta
 	// again.
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
 }
 
-// TestCoordinatorNilEpochsShipEveryRegion: a backend without epoch
-// tracking marks every region changed, so every delta carries the
-// member's region and her epoch advances by exactly 1 per delivery —
-// even when the region repeats. A NACK is repaired from her cached
-// encoding of the latest plan.
-func TestCoordinatorNilEpochsShipEveryRegion(t *testing.T) {
-	planA := circleRegions(2)
-	planB := []core.SafeRegion{core.CircleRegion(geom.Pt(0.3, 0.4), 0.02), core.CircleRegion(geom.Pt(0.6, 0.1), 0.03)}
+// TestCoordinatorShipsOnlyChangedRegions: the coordinator compares each
+// member's region with the one it last encoded for her. An equal region —
+// the same tiles, or a fresh copy of them — rides a region-less delta at
+// her current epoch; a changed one ships its bytes at epoch + 1. A plan
+// the coordinator never delivered (here a stale one) leaves the cache as
+// it was, so a region that changes back to the cached one ships nothing
+// new, while one that returns to a region sent before the cached one is
+// new again (epochs never repeat). A NACK is repaired from the cache.
+func TestCoordinatorShipsOnlyChangedRegions(t *testing.T) {
+	tiles := func(x float64) core.SafeRegion {
+		return core.TileRegion(geom.RectAround(geom.Pt(x, 0.2), 0.01), geom.RectAround(geom.Pt(x+0.01, 0.2), 0.01))
+	}
+	copyOf := func(rs ...core.SafeRegion) []core.SafeRegion {
+		out := make([]core.SafeRegion, len(rs))
+		for i, r := range rs {
+			out[i] = core.TileRegion(append([]geom.Rect(nil), r.Tiles...)...)
+		}
+		return out
+	}
+	planA := []core.SafeRegion{tiles(0.1), tiles(0.3)}
+	planB := []core.SafeRegion{tiles(0.5), planA[1]} // only u0's region changes
 	backend := &scriptedBackend{regions: planA, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 	conns := []*rawConn{dialRaw(t, coord), dialRaw(t, coord)}
@@ -370,28 +381,49 @@ func TestCoordinatorNilEpochsShipEveryRegion(t *testing.T) {
 		}
 		epochs[uid] = reg.Epoch
 	}
-	for round, plan := range [][]core.SafeRegion{planA, planA, planB, planA, planB} {
-		coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, plan, nil, nil)
+	for _, step := range []struct {
+		name    string
+		stale   []core.SafeRegion // delivered first under ids that do not match
+		plan    []core.SafeRegion
+		changed [2]bool
+	}{
+		{name: "the same regions again", plan: planA},
+		{name: "fresh copies of them", plan: copyOf(planA...)},
+		{name: "u0's region changes", plan: planB, changed: [2]bool{true, false}},
+		{name: "u0's region changes back to the cached one", stale: planA, plan: copyOf(planB...)},
+		{name: "u0 returns to the region sent before", plan: planA, changed: [2]bool{true, false}},
+	} {
+		if step.stale != nil {
+			coord.Deliver(4, []uint32{0, 9}, nil, backend.meeting, step.stale, nil)
+		}
+		coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, step.plan, nil)
 		for uid, rc := range conns {
 			m := rc.read(t)
-			if m.Type != TNotifyDelta || m.Epoch != epochs[uid]+1 || !bytes.Equal(m.Region, EncodeRegion(plan[uid])) {
-				t.Fatalf("round %d: u%d got %v epoch %d region %x, want a delta at epoch %d carrying %x",
-					round, uid, m.Type, m.Epoch, m.Region, epochs[uid]+1, EncodeRegion(plan[uid]))
+			want, region := epochs[uid], []byte(nil)
+			if step.changed[uid] {
+				want, region = want+1, EncodeRegion(step.plan[uid])
+			}
+			if m.Type != TNotifyDelta || m.Epoch != want || !bytes.Equal(m.Region, region) {
+				t.Fatalf("%s: u%d got %v epoch %d region %x, want a delta at epoch %d carrying %x",
+					step.name, uid, m.Type, m.Epoch, m.Region, want, region)
 			}
 			epochs[uid] = m.Epoch
 		}
 	}
+	if got := coord.Stats().StaleDeliveries; got != 1 {
+		t.Fatalf("StaleDeliveries = %d, want 1", got)
+	}
 
-	if err := Write(conns[1].conn, Message{Type: TNack, Group: 4, User: 1, Epoch: epochs[1]}); err != nil {
+	if err := Write(conns[0].conn, Message{Type: TNack, Group: 4, User: 0, Epoch: epochs[0]}); err != nil {
 		t.Fatal(err)
 	}
-	repair := conns[1].read(t)
+	repair := conns[0].read(t)
 	coord.mu.Lock()
-	cached := coord.groups[4].members[1].enc
+	cached := coord.groups[4].members[0].enc
 	coord.mu.Unlock()
-	if repair.Type != TNotify || repair.Epoch != epochs[1] || repair.Meeting != backend.meeting ||
-		!bytes.Equal(repair.Region, EncodeRegion(planB[1])) || !bytes.Equal(repair.Region, cached.data) {
-		t.Fatalf("nack repair %+v, want a full frame of the cached %x at epoch %d", repair, cached.data, epochs[1])
+	if repair.Type != TNotify || repair.Epoch != epochs[0] || repair.Meeting != backend.meeting ||
+		!bytes.Equal(repair.Region, EncodeRegion(planA[0])) || !bytes.Equal(repair.Region, cached.data) {
+		t.Fatalf("nack repair %+v, want a full frame of the cached %x at epoch %d", repair, cached.data, epochs[0])
 	}
 	if got := coord.Stats().NackRepairs; got != 1 {
 		t.Fatalf("NackRepairs = %d, want 1", got)
@@ -402,7 +434,7 @@ func TestCoordinatorNilEpochsShipEveryRegion(t *testing.T) {
 // rejoins mid-stream must receive a full TNotify (never a delta) on the
 // next delivery, while the member that stayed keeps receiving deltas.
 func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
-	backend := &scriptedBackend{regions: circleRegions(2), epochs: []uint64{3, 3}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: circleRegions(2), meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 
 	reg := func(rc *rawConn, user uint32) {
@@ -426,7 +458,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	}
 
 	// Steady state: both on deltas.
-	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 steady frame %v", m.Type)
 	}
@@ -453,7 +485,7 @@ func TestCoordinatorReconnectGetsFullSnapshot(t *testing.T) {
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 frame during rejoin %v", m.Type)
 	}
-	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(2, []uint32{0, 1}, nil, backend.meeting, backend.regions, nil)
 	if m := rc0.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u0 post-rejoin frame %v", m.Type)
 	}
@@ -489,7 +521,7 @@ func waitGroupsSize(t *testing.T, c *Coordinator, gid uint32, want int) {
 // assume the client holds the latest state — the next delivered frame
 // after the drop is a full TNotify even though nothing changed.
 func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
-	backend := &scriptedBackend{regions: circleRegions(1), epochs: []uint64{1}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: circleRegions(1), meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 	// Kicks off: the overflow below must only coalesce, not disconnect,
 	// so the post-drop repair path can be observed on a live member.
@@ -506,7 +538,7 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 	// registration notify) and the outbox absorbs deltas until it
 	// overflows; everything past that is dropped and flips needFull.
 	for i := 0; i < outboxSize+8; i++ {
-		coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+		coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	}
 	// Drain everything queued so far (the exact count depends on whether
 	// the writer goroutine held a frame when the outbox filled).
@@ -515,13 +547,13 @@ func TestCoordinatorDroppedFrameForcesFullRepair(t *testing.T) {
 		t.Fatalf("drained %d frames from a %d-slot outbox", drained, outboxSize)
 	}
 	// Nothing changed, but the drop must force a full frame now.
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	m := rc.read(t)
 	if m.Type != TNotify {
 		t.Fatalf("post-drop frame %v, want full TNotify repair", m.Type)
 	}
 	// And once repaired, deltas resume.
-	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, []uint64{1}, nil)
+	coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
 	if m := rc.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("post-repair frame %v", m.Type)
 	}
@@ -617,16 +649,15 @@ func TestClientDeltaStateMachine(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSameSizeChurnForcesFull is the regression test for the
-// slot-vs-user epoch hazard: backend epochs are per SLOT, so when
-// membership changes without changing the group size, a continuing
-// member's slot can inherit another user's epoch counter — and a value
-// that coincidentally matches her last delivered epoch must NOT let the
-// coordinator skip her region. Any id-vector change resets the encoding
-// cache and forces full frames to everyone.
-func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
+// TestCoordinatorSameSizeChurnShipsFreshRegions: when membership changes
+// without changing the group size, a member who stays can move to another
+// slot of the plan. Her region is still compared with the one last sent
+// to her, never with her slot's: after the churn she receives her fresh
+// region's bytes, and a newcomer gets a full frame. A member who stays
+// and whose region did not change gets a region-less delta.
+func TestCoordinatorSameSizeChurnShipsFreshRegions(t *testing.T) {
 	regionsA := circleRegions(2)
-	backend := &scriptedBackend{regions: regionsA, epochs: []uint64{4, 4}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: regionsA, meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 
 	reg := func(rc *rawConn, user uint32) {
@@ -638,6 +669,22 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// join replaces leaver with a newcomer while backend answers the
+	// re-completion replan with plan, and checks the newcomer's full frame.
+	join := func(leaver *rawConn, user uint32, plan []core.SafeRegion, slot int) *rawConn {
+		t.Helper()
+		leaver.conn.Close()
+		waitGroupsSize(t, coord, 6, 1)
+		backend.mu.Lock()
+		backend.regions = plan
+		backend.mu.Unlock()
+		rc := dialRaw(t, coord)
+		reg(rc, user)
+		if m := rc.read(t); m.Type != TNotify || m.Epoch != 1 || !bytes.Equal(m.Region, EncodeRegion(plan[slot])) {
+			t.Fatalf("joining member u%d frame %+v", user, m)
+		}
+		return rc
+	}
 	rc1 := dialRaw(t, coord)
 	rc7 := dialRaw(t, coord)
 	reg(rc1, 1)
@@ -645,48 +692,33 @@ func TestCoordinatorSameSizeChurnForcesFull(t *testing.T) {
 	if m := rc1.read(t); m.Type != TNotify {
 		t.Fatalf("u1 registration frame %v", m.Type)
 	}
-	if m := rc7.read(t); m.Type != TNotify || m.Epoch != 4 {
+	if m := rc7.read(t); m.Type != TNotify || m.Epoch != 1 {
 		t.Fatalf("u7 registration frame %+v", m)
 	}
-	// Steady state: u7 on deltas at epoch 4 (slot 1).
-	coord.Deliver(6, []uint32{1, 7}, nil, backend.meeting, regionsA, []uint64{4, 4}, nil)
+	coord.Deliver(6, []uint32{1, 7}, nil, backend.meeting, regionsA, nil)
 	if m := rc1.read(t); m.Type != TNotifyDelta {
 		t.Fatalf("u1 steady frame %v", m.Type)
 	}
-	if m := rc7.read(t); m.Type != TNotifyDelta || m.Region != nil {
+	if m := rc7.read(t); m.Type != TNotifyDelta || m.Epoch != 1 || m.Region != nil {
 		t.Fatalf("u7 steady frame %+v", m)
 	}
 
-	// Same-size churn: u1 leaves, u9 joins. u7 now occupies slot 0,
-	// whose counter (u1's history) can coincidentally sit at 4 while the
-	// region content is brand new.
-	rc1.conn.Close()
-	waitGroupsSize(t, coord, 6, 1)
+	// u1 leaves, u9 joins: u7 moves from slot 1 to slot 0, whose region
+	// is new to her. She must receive it.
 	regionsB := []core.SafeRegion{
 		core.CircleRegion(geom.Pt(0.7, 0.7), 0.03), // u7's fresh region, NOT regionsA[1]
 		core.CircleRegion(geom.Pt(0.72, 0.71), 0.03),
 	}
-	backend.mu.Lock()
-	backend.regions = regionsB
-	backend.mu.Unlock()
-	rc9 := dialRaw(t, coord)
-	reg(rc9, 9)
-	// The re-completion replan delivers inline with ids [7,9] and slot
-	// epochs [4,4]. u7's last delivered epoch is 4 — the trap. She must
-	// receive a FULL frame carrying her fresh region.
-	m7 := rc7.read(t)
-	if m7.Type != TNotify {
-		t.Fatalf("continuing member got %v after same-size churn, want full TNotify", m7.Type)
+	rc9 := join(rc1, 9, regionsB, 1)
+	if m := rc7.read(t); m.Type != TNotifyDelta || m.Epoch != 2 || !bytes.Equal(m.Region, EncodeRegion(regionsB[0])) {
+		t.Fatalf("continuing member after same-size churn got %+v, want a delta at epoch 2 carrying her fresh region", m)
 	}
-	if !bytes.Equal(m7.Region, EncodeRegion(regionsB[0])) {
-		t.Fatal("continuing member's post-churn region is not her fresh slot's region")
-	}
-	if m := rc9.read(t); m.Type != TNotify || !bytes.Equal(m.Region, EncodeRegion(regionsB[1])) {
-		t.Fatalf("joining member frame %+v", m)
-	}
-	// After the reset, deltas resume against the new id vector.
-	coord.Deliver(6, []uint32{7, 9}, nil, backend.meeting, regionsB, []uint64{4, 4}, nil)
-	if m := rc7.read(t); m.Type != TNotifyDelta {
-		t.Fatalf("u7 post-churn steady frame %v", m.Type)
+
+	// u9 leaves, u3 joins: u7 moves back to slot 1 and keeps her region,
+	// so nothing needs to travel to her.
+	regionsC := []core.SafeRegion{core.CircleRegion(geom.Pt(0.69, 0.7), 0.02), regionsB[0]}
+	join(rc9, 3, regionsC, 0)
+	if m := rc7.read(t); m.Type != TNotifyDelta || m.Epoch != 2 || m.Region != nil {
+		t.Fatalf("continuing member with an unchanged region got %+v, want a region-less delta at epoch 2", m)
 	}
 }

@@ -179,7 +179,7 @@ func TestMemberWriterOneFramePerWrite(t *testing.T) {
 // counted drop at enqueue: the writer never sees it, so it cannot stop
 // the connection's later frames from being written.
 func TestOversizedErrorIsCountedDrop(t *testing.T) {
-	backend := &scriptedBackend{regions: circleRegions(2), epochs: []uint64{1, 1}, meeting: geom.Pt(0.5, 0.5)}
+	backend := &scriptedBackend{regions: circleRegions(2), meeting: geom.Pt(0.5, 0.5)}
 	coord := NewAsyncCoordinator(backend.submit, nil)
 	conns := []*rawConn{dialRaw(t, coord), dialRaw(t, coord)}
 	for uid, rc := range conns {
@@ -196,12 +196,12 @@ func TestOversizedErrorIsCountedDrop(t *testing.T) {
 	}
 
 	before := coord.Stats().DroppedFrames
-	coord.Deliver(4, nil, nil, geom.Point{}, nil, nil, errors.New(strings.Repeat("x", MaxFrame+1)))
+	coord.Deliver(4, nil, nil, geom.Point{}, nil, errors.New(strings.Repeat("x", MaxFrame+1)))
 	if got := coord.Stats().DroppedFrames - before; got != uint64(len(conns)) {
 		t.Errorf("oversized error raised DroppedFrames by %d, want %d (one per member)", got, len(conns))
 	}
 
-	coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, backend.regions, backend.epochs, nil)
+	coord.Deliver(4, []uint32{0, 1}, nil, backend.meeting, backend.regions, nil)
 	for uid, rc := range conns {
 		m := rc.read(t)
 		if m.Type != TNotify || !bytes.Equal(m.Region, EncodeRegion(backend.regions[uid])) {

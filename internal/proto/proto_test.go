@@ -175,7 +175,7 @@ func newSyncCoordinator(plan planFunc) *Coordinator {
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 		meeting, regions, err := plan(users)
 		if err != nil {
-			go coord.Deliver(gid, nil, nil, geom.Point{}, nil, nil, err)
+			go coord.Deliver(gid, nil, nil, geom.Point{}, nil, err)
 			return geom.Point{}, nil, nil, false
 		}
 		return meeting, regions, nil, true

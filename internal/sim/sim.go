@@ -11,7 +11,7 @@
 // with the tileenc lossless compression, as the tile methods do in the
 // paper [12]. With Config.DeltaWire the notification accounting follows
 // the delta protocol of internal/proto instead: a member whose region
-// epoch did not advance receives a DeltaNotifyBytes stub rather than a
+// content did not change receives a DeltaNotifyBytes stub rather than a
 // re-encoded region.
 package sim
 
@@ -80,8 +80,8 @@ type Config struct {
 	// m regions from scratch.
 	Incremental bool
 	// DeltaWire models the delta notification protocol on the wire
-	// (TNotifyDelta, internal/proto): a member whose region epoch did
-	// not advance since her last notification receives a small
+	// (TNotifyDelta, internal/proto): a member whose region content did
+	// not change since her last notification receives a small
 	// region-less delta frame instead of a re-encoded region. Only
 	// meaningful together with Incremental (without retained plan state
 	// every region is fresh every update); plans and update counts are
@@ -124,7 +124,7 @@ type Metrics struct {
 	KeptPlans      int
 	// FullNotifies and DeltaNotifies break the downlink result
 	// notifications down by wire form: a full notify re-ships the
-	// member's encoded region, a delta notify (Config.DeltaWire, epoch
+	// member's encoded region, a delta notify (Config.DeltaWire, region
 	// unchanged) ships the DeltaNotifyBytes stub. Without DeltaWire
 	// every notification is full.
 	FullNotifies  int
@@ -225,17 +225,16 @@ type session struct {
 	group   []mobility.Trajectory
 	cfg     Config
 	m       int
+	// regions is the last distributed plan: the DeltaWire accounting
+	// compares each fresh region with it, as the coordinator compares
+	// each member's region with the one it last sent her.
 	regions []core.SafeRegion
 
 	// Incremental-protocol state: the retained plan and the reusable
 	// workspace (the real server's workers hold one each; the simulated
-	// server holds one per run). prevEpochs retains the epoch vector of
-	// the last distributed plan for the DeltaWire accounting — the
-	// simulated counterpart of the coordinator's per-client epoch
-	// tracking.
-	state      core.PlanState
-	ws         *core.Workspace
-	prevEpochs []uint64
+	// server holds one per run).
+	state core.PlanState
+	ws    *core.Workspace
 }
 
 // update executes the three-step protocol of Fig. 3 at timestamp t and
@@ -311,17 +310,17 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 		}
 	}
 	met.PlanStats.Add(plan.Stats)
+	prev := s.regions
 	s.regions = plan.Regions
 
 	// Notify every user: meeting point (2 values) + her safe region — or,
 	// under the delta protocol, a region-less delta frame for every
-	// member whose region epoch did not advance since the last
-	// distribution (the epoch-tracked coordinator never re-encodes or
-	// re-ships an unchanged region).
-	epochs := s.state.Epochs()
+	// member whose region content did not change since the last
+	// distribution (the coordinator never re-encodes or re-ships an
+	// unchanged region).
 	for i, r := range plan.Regions {
 		unchanged := s.cfg.DeltaWire && s.cfg.Incremental && !initial &&
-			i < len(s.prevEpochs) && i < len(epochs) && epochs[i] == s.prevEpochs[i]
+			i < len(prev) && prev[i].Equal(r)
 		met.DownlinkMessages++
 		if unchanged {
 			met.DeltaNotifies++
@@ -333,7 +332,6 @@ func (s *session) update(t int, met *Metrics, initial bool) {
 		met.RegionBytes += regionBytes(r)
 		met.Packets += (bytes + PacketPayload - 1) / PacketPayload
 	}
-	s.prevEpochs = append(s.prevEpochs[:0], epochs...)
 }
 
 // regionBytes is the encoded payload size of a safe region: three doubles
