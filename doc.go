@@ -146,8 +146,8 @@
 //     an off-road GPS report a snap away from a covered segment does not
 //     spuriously dirty her.
 //
-// Network regions encode with a dedicated 'N'-tagged wire codec
-// (segments plus a center/radius summary) understood by EncodeRegion /
+// Network regions encode with a dedicated 'N'-tagged wire codec (the
+// covered segments over shared endpoints) understood by EncodeRegion /
 // DecodeRegion and the coordinator. cmd/mpnserver -method net serves the
 // network backend over TCP; the net_* series in BENCH_plan.json track
 // the table-driven planner against the naive oracle (benchgate enforces

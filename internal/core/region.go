@@ -66,15 +66,14 @@ type NetworkRegion interface {
 	// ContainsPoint reports whether the planar point p — snapped onto the
 	// backend's road network — lies inside the region.
 	ContainsPoint(p geom.Point) bool
-	// EqualRegion reports content equality with another payload (same
-	// center, radius, and covered intervals). Used by SafeRegion.Equal;
-	// pointer-identical payloads are equal without being asked.
+	// EqualRegion reports whether another payload has the same wire
+	// content, so the two encode to the same bytes. Used by
+	// SafeRegion.Equal; pointer-identical payloads are equal without
+	// being asked.
 	EqualRegion(other NetworkRegion) bool
 	// AppendEncode appends the region's wire encoding (without any outer
 	// kind tag) to buf and returns it.
 	AppendEncode(buf []byte) []byte
-	// WireSize returns the encoding's length in bytes.
-	WireSize() int
 }
 
 // SafeRegion is one user's safe region. Exactly one of Circle/Tiles/Net

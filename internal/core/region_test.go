@@ -17,7 +17,6 @@ type fakeNet struct {
 
 func (n *fakeNet) ContainsPoint(geom.Point) bool  { return false }
 func (n *fakeNet) AppendEncode(buf []byte) []byte { return buf }
-func (n *fakeNet) WireSize() int                  { return 0 }
 func (n *fakeNet) EqualRegion(o NetworkRegion) bool {
 	*n.calls++
 	m, ok := o.(*fakeNet)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"mpn/internal/heapq"
 	"mpn/internal/roadnet"
 )
 
@@ -173,11 +172,11 @@ func (s *Server) sssp(from Position) []float64 {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	var q []nodeEntry
+	var q roadnet.NodeQueue
 	push := func(n int, d float64) {
 		if d < dist[n] {
 			dist[n] = d
-			q = heapq.Push(q, nodeEntry{node: n, dist: d})
+			q.Push(n, d)
 		}
 	}
 	if from.A == from.B {
@@ -188,13 +187,12 @@ func (s *Server) sssp(from Position) []float64 {
 		push(from.B, (1-from.T)*l)
 	}
 	for len(q) > 0 {
-		var e nodeEntry
-		e, q = heapq.Pop(q)
-		if e.dist > dist[e.node] {
+		e := q.Pop()
+		if e.Dist > dist[e.Node] {
 			continue
 		}
-		for _, ed := range s.net.Adj[e.node] {
-			push(ed.To, e.dist+ed.Len)
+		for _, ed := range s.net.Adj[e.Node] {
+			push(ed.To, e.Dist+ed.Len)
 		}
 	}
 	return dist
@@ -281,17 +279,3 @@ func (s *Server) Plan(users []Position, agg Aggregate) (Result, []RangeRegion, e
 	}
 	return best, regions, nil
 }
-
-// nodeEntry is one Dijkstra frontier entry; the queues are plain
-// []nodeEntry slices driven by the generic internal/heapq primitives, so
-// pushes and pops move typed values with no interface boxing (the seed
-// implementation went through container/heap, which allocated one
-// interface{} conversion per operation on the hottest loop of the
-// package).
-type nodeEntry struct {
-	node int
-	dist float64
-}
-
-// Less orders the frontier by tentative distance (heapq.Ordered).
-func (e nodeEntry) Less(o nodeEntry) bool { return e.dist < o.dist }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"mpn/internal/heapq"
+	"mpn/internal/roadnet"
 )
 
 // RangeRegion is a network range safe region: every point of the road
@@ -49,14 +49,14 @@ func (s *Server) rangeRegion(center Position, radius float64) RangeRegion {
 
 	// Truncated Dijkstra over nodes.
 	dist := make(map[int]float64)
-	var q []nodeEntry
+	var q roadnet.NodeQueue
 	push := func(n int, d float64) {
 		if d > radius {
 			return
 		}
 		if old, ok := dist[n]; !ok || d < old {
 			dist[n] = d
-			q = heapq.Push(q, nodeEntry{node: n, dist: d})
+			q.Push(n, d)
 		}
 	}
 	if center.A == center.B {
@@ -70,13 +70,12 @@ func (s *Server) rangeRegion(center Position, radius float64) RangeRegion {
 		r.coverAround(center, l, radius)
 	}
 	for len(q) > 0 {
-		var e nodeEntry
-		e, q = heapq.Pop(q)
-		if d, ok := dist[e.node]; !ok || e.dist > d {
+		e := q.Pop()
+		if d, ok := dist[e.Node]; !ok || e.Dist > d {
 			continue
 		}
-		for _, ed := range s.net.Adj[e.node] {
-			push(ed.To, e.dist+ed.Len)
+		for _, ed := range s.net.Adj[e.Node] {
+			push(ed.To, e.Dist+ed.Len)
 		}
 	}
 	r.nodeDist = dist

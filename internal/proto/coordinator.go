@@ -806,8 +806,8 @@ func (c *Coordinator) NumGroups() int {
 
 // EncodeRegion is the one region codec (the public mpn.EncodeRegion
 // delegates here): 25 bytes for a circle (tag byte + three
-// float64s), the 'N'-tagged covered-segment codec for network range
-// regions, the tileenc codec for tile regions: a planned region in its
+// float64s), the 'N'-tagged segment list over shared endpoints for network
+// range regions, the tileenc codec for tile regions: a planned region in its
 // lattice layout (~40 bytes for 30 tiles), any other tile set as a list of
 // its corners; either decodes bit for bit.
 func EncodeRegion(r core.SafeRegion) []byte {

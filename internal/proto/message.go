@@ -19,8 +19,8 @@
 // and regions, texts and addresses are uvarint-length-prefixed bytes — in
 // group 200, a report or a probe reply is 24 bytes on the wire and a
 // probe 8. Safe regions travel in the mpn region encoding (25-byte
-// circles — one tag byte plus three float64 values — and
-// varint-compressed tile grids).
+// circles — one tag byte plus three float64 values — road segments over
+// a table of shared endpoints, and lattice-coded tile grids).
 //
 // # Delta notifications
 //

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"mpn/internal/geom"
-	"mpn/internal/heapq"
 )
 
 // Node is a road junction.
@@ -219,18 +218,6 @@ func (n *Network) NearestNode(p geom.Point) int {
 	return best
 }
 
-// spEntry is a Dijkstra priority-queue element. The queue is the generic
-// internal/heapq min-heap, shared with netmpn, whose rangeRegion pops it
-// on every network plan; only the R-tree's best-first queue keeps a
-// typed copy (see the measurement note in rtree/search.go).
-type spEntry struct {
-	node int
-	dist float64
-}
-
-// Less orders entries by distance for heapq.
-func (e spEntry) Less(o spEntry) bool { return e.dist < o.dist }
-
 // ShortestPath returns the node sequence and length of the shortest path
 // from a to b (Dijkstra). ok is false only if a and b are disconnected,
 // which cannot happen on Generate output.
@@ -245,22 +232,21 @@ func (n *Network) ShortestPath(a, b int) (path []int, length float64, ok bool) {
 		prev[i] = -1
 	}
 	dist[a] = 0
-	q := []spEntry{{node: a}}
+	q := NodeQueue{{Node: a}}
 	for len(q) > 0 {
-		var e spEntry
-		e, q = heapq.Pop(q)
-		if e.dist > dist[e.node] {
+		e := q.Pop()
+		if e.Dist > dist[e.Node] {
 			continue
 		}
-		if e.node == b {
+		if e.Node == b {
 			break
 		}
-		for _, ed := range n.Adj[e.node] {
-			nd := e.dist + ed.Len
+		for _, ed := range n.Adj[e.Node] {
+			nd := e.Dist + ed.Len
 			if nd < dist[ed.To] {
 				dist[ed.To] = nd
-				prev[ed.To] = e.node
-				q = heapq.Push(q, spEntry{node: ed.To, dist: nd})
+				prev[ed.To] = e.Node
+				q.Push(ed.To, nd)
 			}
 		}
 	}

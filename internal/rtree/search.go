@@ -27,14 +27,11 @@ type Scratch struct {
 // sift-up instead of container/heap avoids boxing every entry through
 // the interface{} API (one heap allocation per push).
 //
-// This heap deliberately stays a hand-typed copy rather than using the
-// generic internal/heapq helper (which the road-network Dijkstra
-// queues do use): measured on BenchmarkBestFirstInto (top-50 kNN over
-// 21,287 points, go1.24 linux/amd64), the generic form ran ~21.0µs/op
-// against ~14.1µs/op typed — a ~49% regression, far beyond the 1%
-// budget — because pqEntry's pointer field puts Less behind a gcshape
-// dictionary call in the innermost loop. Re-evaluate if the compiler
-// learns to devirtualize shape-stenciled methods.
+// Keep it hand-typed (as roadnet.NodeQueue is): measured on
+// BenchmarkBestFirstInto (top-50 kNN over 21,287 points, go1.24
+// linux/amd64), a generic heap ran ~21.0µs/op against ~14.1µs/op typed,
+// ~49% slower, because pqEntry's pointer field puts Less behind a
+// gcshape dictionary call in the innermost loop.
 func pqPush(q []pqEntry, e pqEntry) []pqEntry {
 	q = append(q, e)
 	i := len(q) - 1

@@ -311,8 +311,8 @@ func (g *Group) Stats() Stats {
 }
 
 // EncodeRegion serializes a safe region for transmission: 25 bytes for a
-// circle (1 tag byte + 3 little-endian float64s), a tagged
-// covered-segment encoding for a network range region, the compact tile
+// circle (1 tag byte + 3 little-endian float64s), 36 bytes for a network
+// range region of one road segment (shared junctions sent once), the tile
 // codec otherwise: a Tile or TileDirected region is its δ cells' lattice
 // lines plus a quadtree per cell, ~40 bytes for 30 tiles. DecodeRegion
 // reverses it exactly, bit for bit.
