@@ -35,9 +35,11 @@ func (c *connStats) totals() connTotals {
 // nothing (not even a heartbeat) within idleTimeout fails the read with a
 // timeout instead of holding the connection open forever. Every Write
 // arms a write deadline — a peer that stops draining cannot pin the
-// member writer goroutine indefinitely; the write fails, the coordinator
-// tears the member down, and the outbox is released. Both timeouts are
-// optional (non-positive disables).
+// member's drain goroutine indefinitely; the write fails, the coordinator
+// tears the member down, and her backlog is released. Frames the socket
+// takes at once go through TryWrite (see transport), which never waits,
+// so the deadline is armed only on a write that had to wait. Both
+// timeouts are optional (non-positive disables).
 //
 // Per-connection byte and error counts feed the disconnect log line;
 // totals roll up into the server-wide connStats.
@@ -82,13 +84,18 @@ func (g *guardedConn) Write(p []byte) (int, error) {
 		_ = g.Conn.SetWriteDeadline(time.Now().Add(g.writeTimeout))
 	}
 	n, err := g.Conn.Write(p)
+	g.count(n, err)
+	return n, err
+}
+
+// count adds one write's bytes and error to the accounting.
+func (g *guardedConn) count(n int, err error) {
 	g.wBytes.Add(uint64(n))
 	g.stats.writeBytes.Add(uint64(n))
 	if err != nil && !isClosed(err) {
 		g.errs.Add(1)
 		g.stats.writeErrors.Add(1)
 	}
-	return n, err
 }
 
 // reason classifies why the connection ended, for the disconnect log.

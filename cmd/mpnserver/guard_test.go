@@ -5,6 +5,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,5 +73,66 @@ func TestIdleConnectionReaped(t *testing.T) {
 	}
 	if hb.client.Pongs() == 0 {
 		t.Fatal("no pongs on the surviving connection")
+	}
+}
+
+// An idle registered fleet costs one goroutine per connection, its read
+// loop, plus a constant: frames the socket takes are written inline, and
+// a member's drain goroutine runs only while her backlog is non-empty.
+func TestIdleFleetOneGoroutinePerConn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pois := make([]geom.Point, 300)
+	for i := range pois {
+		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	srv, err := newServer(serverConfig{
+		pois: pois, method: "circle", agg: "max",
+		alpha: 5, buffer: 10, shards: 1, workers: 1,
+		logger: log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srv.serve(ln) }()
+
+	const groups, size, slack = 16, 3, 8
+	base := runtime.NumGoroutine()
+	var conns []net.Conn
+	for g := range uint32(groups) {
+		for u := range uint32(size) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := proto.Write(conn, proto.Message{
+				Type: proto.TRegister, Group: g, User: u, GroupSize: size,
+				Loc: geom.Pt(0.2+0.03*float64(g), 0.2+0.1*float64(u)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+		}
+	}
+	for i, conn := range conns {
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if msg, err := proto.Read(conn); err != nil || msg.Type != proto.TNotify {
+			t.Fatalf("conn %d: first frame %v, %v; want the registration TNotify", i, msg.Type, err)
+		}
+	}
+	bound := base + len(conns) + slack
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > bound {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines for %d idle connections over a base of %d, want ≤ %d (one per connection plus %d)",
+				runtime.NumGoroutine(), len(conns), base, bound, slack)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

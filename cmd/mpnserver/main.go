@@ -557,7 +557,9 @@ func (s *server) onGroupEmpty(gid uint32) {
 // serve accepts connections until the listener closes. Every connection
 // is wrapped in a guardedConn: idle and write deadlines bound how long a
 // dead or stalled peer can hold resources, and byte/error accounting
-// feeds the per-connection disconnect log and the server stats.
+// feeds the per-connection disconnect log and the server stats. The
+// coordinator writes through its transport, which can try a write
+// without waiting.
 func (s *server) serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
@@ -569,7 +571,7 @@ func (s *server) serve(ln net.Listener) error {
 		}
 		gc := newGuardedConn(conn, s.readTimeout, s.writeTimeout, &s.cstats)
 		go func() {
-			err := s.coord.ServeConn(gc)
+			err := s.coord.ServeConn(gc.transport())
 			if err != nil || gc.errs.Load() > 0 {
 				s.logger.Printf("conn %v: %s (read %dB, wrote %dB, %d conn errors): %v",
 					conn.RemoteAddr(), gc.reason(err), gc.rBytes.Load(), gc.wBytes.Load(), gc.errs.Load(), err)

@@ -217,7 +217,7 @@
 //     changed, as the paper's step 3 sends each member her own region.
 //     A carried region is complete, so one frame repairs any epoch gap.
 //   - Full-frame fallback: registrations, clients that did not
-//     negotiate, reconnects, any frame dropped at the member's outbox,
+//     negotiate, reconnects, any frame dropped at the member's backlog,
 //     and client NACKs all force a full TNotify. The server never
 //     assumes a client holds state it cannot prove was enqueued, and a
 //     client never exposes state it cannot verify — so the reassembled
@@ -303,17 +303,20 @@
 //     — including callers already blocked in admission, which unblock
 //     promptly rather than leak.
 //   - Dead and slow peers: cmd/mpnserver arms a read deadline covering
-//     idle time (-read-timeout) and a write deadline per flush
-//     (-write-timeout); clients send Ping heartbeats
+//     idle time (-read-timeout) and a write deadline on every write that
+//     has to wait (-write-timeout); clients send Ping heartbeats
 //     (proto.WithHeartbeat) so an idle-but-alive client is never reaped
-//     while a silent TCP hole is, on both ends. Each connection's
-//     outbox queues up to 16 frames, encoded when queued (a frame too
-//     large to encode is dropped and counted there, like an overflow).
-//     A client too slow to drain its outbox first has deliveries
-//     coalesced (newest plan wins), then is disconnected with an
-//     observable reason; per-connection
-//     byte and error accounting distinguishes peer-closed, protocol
-//     error, and idle timeout.
+//     while a silent TCP hole is, on both ends. Each frame is encoded
+//     when sent and written at once with a non-blocking write; only
+//     what a full socket does not take waits in the connection's
+//     backlog of up to 16 frames, written by a goroutine that lives
+//     while the backlog is non-empty (a frame too large to encode is
+//     dropped and counted there, like an overflow). A client too slow
+//     to drain its backlog first has deliveries coalesced (newest plan
+//     wins), then is disconnected with an observable reason; a failed
+//     write disconnects it at once. Per-connection byte and error
+//     accounting distinguishes peer-closed, protocol error, and idle
+//     timeout.
 //   - Restarts: proto.ReconnectClient redials with exponential backoff
 //     plus seeded jitter, re-registers, and resumes via the server's
 //     full-snapshot-on-register path; across a server restart the client

@@ -54,11 +54,14 @@ type WriteGateFunc func() (peers []string, epoch uint64, err error)
 // connections (one per user), assembles groups, and runs the
 // report → probe → notify exchange, recomputing plans via its SubmitFunc.
 //
-// Outbound frames are encoded when they are queued, queued per member
-// and written by a dedicated goroutine, so the coordinator never blocks
-// on a slow (or synchronous, e.g. net.Pipe) transport while holding its
-// lock — a deadlock hazard otherwise, since clients may be writing to the
-// server at the same moment.
+// Outbound frames are encoded when they are sent and written at once
+// with a non-blocking attempt when the transport offers one (TryWriter).
+// What the socket does not take — and every frame on a transport without
+// one, e.g. net.Pipe — waits in the member's backlog for a drain
+// goroutine that lives only while the backlog is non-empty. So the
+// coordinator never blocks on a slow (or synchronous) transport while
+// holding its lock — a deadlock hazard otherwise, since clients may be
+// writing to the server at the same moment.
 type Coordinator struct {
 	submit SubmitFunc // the compute backend
 	logger *log.Logger
@@ -100,8 +103,9 @@ type coordCounters struct {
 // counters (see Coordinator.Stats).
 type CoordStats struct {
 	// DroppedFrames counts outbound frames discarded because a member's
-	// outbox was full (the member is repaired by a later full notify) or
-	// because the frame could not be encoded (it exceeded MaxFrame).
+	// outbox was full (the member is repaired by a later full notify),
+	// because the frame could not be encoded (it exceeded MaxFrame), or
+	// because an earlier write to her connection failed.
 	DroppedFrames uint64
 	// SlowClientDisconnects counts members kicked by the slow-client
 	// policy: their outbox stayed full for SlowClientLimit consecutive
@@ -173,18 +177,19 @@ func (c *Coordinator) SetWriteGate(fn WriteGateFunc) { c.gate = fn }
 // into the coordinator or block.
 func (c *Coordinator) SetGroupEmptyHook(fn func(gid uint32)) { c.onEmpty = fn }
 
-// outboxSize bounds the per-member outbound queue, in frames; a frame
-// that finds it full is dropped. It is sized from measured traffic, since
-// the channel buffer (24 B a slot) is allocated at registration and is
-// most of an idle member's heap. Recording len(out) after every enqueue,
-// the high-water mark was 1 frame on all five bench/ workloads. The
-// largest burst one critical section queues to one member is 2 frames (a
+// outboxSize bounds a member's outbox — her backlog — in frames (the
+// unwritten tail of a frame counts as one); a send that finds it full is
+// refused and counted as a drop. Frames the socket takes at once never
+// enter it. Recording the queue length after every enqueue, the
+// high-water mark was 1 frame on all five bench/ workloads. The largest
+// burst one critical section sends to one member is 2 frames (a
 // registration's TNotify plus TPeers, or refuseWrite's TPeers plus
-// TError). Over net.Pipe, whose writes wait for the reader, the
-// closed-loop fleet of TestFleetTrafficFitsOutbox dropped frames in 50 of
-// 50 runs at 1 slot and 35 of 50 at 2 (20 of 20 each under -race), and
-// in none of 50 (20 under -race) at 16. The queue fills only while the
-// writer is blocked on a full socket, and then the write deadline is the
+// TError). Over net.Pipe, which has no non-blocking write and whose
+// writes wait for the reader, the closed-loop fleet of
+// TestFleetTrafficFitsOutbox dropped frames in 50 of 50 runs at 1 slot
+// and 35 of 50 at 2 (20 of 20 each under -race), and in none of 50 (20
+// under -race) at 16. The backlog fills only while the
+// drain is blocked on a full socket, and then the write deadline is the
 // real bound: more slots only delay the drop → needFull → kick path the
 // slow-client policy already takes.
 const outboxSize = 16
@@ -212,12 +217,37 @@ type encRegion struct {
 	data   []byte
 }
 
+// TryWriter is a transport that can write without waiting. TryWrite
+// writes whatever the transport accepts now: a short count with a nil
+// error means the rest would block. A member whose connection implements
+// it writes each frame inline; without it every frame takes the backlog.
+type TryWriter interface {
+	TryWrite(p []byte) (int, error)
+}
+
 type member struct {
 	user uint32
-	// out holds encoded frames, length prefix included, each written to
-	// the connection with one Write call by the member's writer goroutine.
-	out  chan []byte
-	done chan struct{}
+	// dead is set by the first failed write: the member is being torn
+	// down, and sends are refused (guarded by wmu; declared beside user,
+	// where it costs no padding).
+	dead bool
+
+	// w is the member's connection, try its non-blocking write (nil when
+	// it has none). After registration every write to the connection goes
+	// through send, so frames are never interleaved.
+	w      io.Writer
+	try    TryWriter
+	logger *log.Logger
+
+	// wmu guards dead and the backlog; the lock order is coordinator lock,
+	// then wmu. backlog holds encoded frames (a partially written frame's
+	// tail first) that the drain goroutine writes with one Write each;
+	// draining is non-nil while that goroutine runs and closed when it
+	// exits. While it runs every send joins the backlog, so frames reach
+	// the peer in send order.
+	wmu      sync.Mutex
+	backlog  [][]byte
+	draining chan struct{}
 
 	// loc is the member's last reported location (registration, escape
 	// report or probe reply), guarded by the coordinator lock.
@@ -247,8 +277,9 @@ type member struct {
 
 // noteSend updates the slow-client drop streak after a send attempt and
 // applies the policy: limit consecutive drops close the connection. Every
-// send's result goes through it, so DroppedFrames counts every drop. Must
-// be called with the coordinator lock held.
+// send's result goes through it, so DroppedFrames counts every drop. A
+// member whose write failed was already kicked, so she is not kicked
+// again. Must be called with the coordinator lock held.
 func (m *member) noteSend(c *Coordinator, gid uint32, ok bool) {
 	if ok {
 		m.drops = 0
@@ -256,7 +287,7 @@ func (m *member) noteSend(c *Coordinator, gid uint32, ok bool) {
 	}
 	m.drops++
 	c.stats.droppedFrames.Add(1)
-	if limit := c.slowClientLimit(); limit > 0 && m.drops == limit && m.kick != nil {
+	if limit := c.slowClientLimit(); limit > 0 && m.drops == limit && m.kick != nil && !m.isDead() {
 		c.stats.slowKicks.Add(1)
 		c.logger.Printf("group %d: user %d disconnected by slow-client policy (%d consecutive outbox drops)",
 			gid, m.user, m.drops)
@@ -264,47 +295,102 @@ func (m *member) noteSend(c *Coordinator, gid uint32, ok bool) {
 	}
 }
 
-// newMember starts the writer goroutine for one connection: it writes
-// each queued frame with one w.Write call, in queue order, until close.
+// newMember sets up the write path for one connection; no goroutine runs
+// until a frame has to wait (see send).
 func newMember(user uint32, w io.Writer, logger *log.Logger) *member {
-	m := &member{user: user, out: make(chan []byte, outboxSize), done: make(chan struct{}), needFull: true}
-	go func() {
-		defer close(m.done)
-		for frame := range m.out {
-			if _, err := w.Write(frame); err != nil {
-				logger.Printf("user %d: write failed: %v", user, err)
-				// Drain remaining frames so senders never block.
-				for range m.out {
-				}
-				return
-			}
-		}
-	}()
+	m := &member{user: user, w: w, logger: logger, needFull: true}
+	m.try, _ = w.(TryWriter)
 	return m
 }
 
-// send encodes msg and enqueues the frame without blocking; it reports
-// whether the member accepted it. A frame that cannot be encoded (it
-// exceeds MaxFrame) is refused here, like one that finds the outbox full,
-// so the caller counts it as a drop and the writer never sees it.
+// send encodes msg and writes it without blocking; it reports whether the
+// member accepted it. With no drain running and a transport that can try,
+// the frame is written inline; whatever the socket did not take joins the
+// backlog, and a drain goroutine is started to write it. A frame that
+// cannot be encoded (it exceeds MaxFrame) is refused here, like one that
+// finds the backlog full or the member dead, so the caller counts it as a
+// drop.
 func (m *member) send(msg Message) bool {
 	frame, err := msg.AppendFrame(make([]byte, 0, msg.frameCap()))
 	if err != nil {
 		return false
 	}
-	select {
-	case m.out <- frame:
-		return true
-	default:
+	m.wmu.Lock()
+	if m.dead || len(m.backlog) == outboxSize {
+		m.wmu.Unlock()
 		return false
+	}
+	if m.draining == nil && m.try != nil {
+		n, err := m.try.TryWrite(frame)
+		if err != nil {
+			m.wmu.Unlock()
+			m.fail(err)
+			return false
+		}
+		if n == len(frame) {
+			m.wmu.Unlock()
+			return true
+		}
+		frame = frame[n:]
+	}
+	m.backlog = append(m.backlog, frame)
+	if m.draining == nil {
+		m.draining = make(chan struct{})
+		go m.drain(m.draining)
+	}
+	m.wmu.Unlock()
+	return true
+}
+
+// drain writes the backlog in order, one blocking Write per frame (under
+// the transport's write deadline), and exits once it is empty or a write
+// failed; done is closed on exit.
+func (m *member) drain(done chan struct{}) {
+	defer close(done)
+	for {
+		m.wmu.Lock()
+		if len(m.backlog) == 0 || m.dead {
+			m.backlog, m.draining = nil, nil
+			m.wmu.Unlock()
+			return
+		}
+		frame := m.backlog[0]
+		m.backlog = slices.Delete(m.backlog, 0, 1)
+		m.wmu.Unlock()
+		if _, err := m.w.Write(frame); err != nil {
+			m.fail(err)
+		}
 	}
 }
 
-// close stops the writer after the queue drains: it returns once every
-// queued frame was written, or the writer gave up on a failed write.
+// fail tears down a member whose write failed: she is marked dead, and
+// the kick closes the connection, so her read loop ends and removes her.
+// A frame cut short leaves the stream unusable, so nothing more is
+// written.
+func (m *member) fail(err error) {
+	m.wmu.Lock()
+	m.dead = true
+	m.wmu.Unlock()
+	m.logger.Printf("user %d: write failed: %v", m.user, err)
+	if m.kick != nil {
+		m.kick()
+	}
+}
+
+func (m *member) isDead() bool {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.dead
+}
+
+// close returns once the backlog was written, or a write failed.
 func (m *member) close() {
-	close(m.out)
-	<-m.done
+	m.wmu.Lock()
+	done := m.draining
+	m.wmu.Unlock()
+	if done != nil {
+		<-done
+	}
 }
 
 // NewAsyncCoordinator builds a coordinator over its compute backend (see
@@ -417,11 +503,11 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 		switch msg.Type {
 		case TRegister:
 			if registered {
-				c.sendError(conn, "already registered")
+				c.protocolError(conn, registered, gid, uid, "already registered")
 				continue
 			}
 			if c.gate != nil {
-				// Before registration no outbox exists, so the redirect
+				// Before registration no member exists, so the redirect
 				// is written directly — nothing else owns the connection.
 				if peers, epoch, gerr := c.gate(); gerr != nil {
 					c.stats.writeRefusals.Add(1)
@@ -431,14 +517,14 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 				}
 			}
 			if err := c.register(msg, conn); err != nil {
-				c.sendError(conn, err.Error())
+				c.protocolError(conn, registered, gid, uid, err.Error())
 				continue
 			}
 			gid, uid, registered = msg.Group, msg.User, true
 			c.pushPeers(gid, uid)
 		case TReport:
 			if !registered {
-				c.sendError(conn, "report before register")
+				c.protocolError(conn, registered, gid, uid, "report before register")
 				continue
 			}
 			if c.gate != nil {
@@ -450,7 +536,7 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 			c.handleReport(msg)
 		case TProbeReply:
 			if !registered {
-				c.sendError(conn, "reply before register")
+				c.protocolError(conn, registered, gid, uid, "reply before register")
 				continue
 			}
 			c.handleProbeReply(msg)
@@ -459,12 +545,12 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 			c.reply(conn, registered, gid, uid, Message{Type: TPong, Epoch: msg.Epoch})
 		case TNack:
 			if !registered {
-				c.sendError(conn, "nack before register")
+				c.protocolError(conn, registered, gid, uid, "nack before register")
 				continue
 			}
 			c.handleNack(msg)
 		default:
-			c.sendError(conn, fmt.Sprintf("unexpected %v from client", msg.Type))
+			c.protocolError(conn, registered, gid, uid, fmt.Sprintf("unexpected %v from client", msg.Type))
 		}
 	}
 }
@@ -473,7 +559,7 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 // registered member, so failover-capable clients learn the standby
 // addresses before they ever need them. The gate is consulted outside
 // the coordinator lock (it may take replication locks of its own); the
-// frame rides the member's outbox like any other delivery.
+// frame is sent through the member like any other delivery.
 func (c *Coordinator) pushPeers(gid, uid uint32) {
 	if c.gate == nil {
 		return
@@ -494,10 +580,10 @@ func (c *Coordinator) pushPeers(gid, uid uint32) {
 }
 
 // refuseWrite answers a gated-off report from a registered member: a
-// peer redirect followed by an error, both routed through the member's
-// outbox — the writer goroutine owns the connection, so a direct write
-// here would race it. The error ends the client's session; a
-// reconnecting client then dials the advertised primary.
+// peer redirect followed by an error, both sent through the member — a
+// direct write here could overtake her backlog or split a frame she is
+// writing. The error ends the client's session; a reconnecting client
+// then dials the advertised primary.
 func (c *Coordinator) refuseWrite(gid, uid uint32, peers []string, epoch uint64, gerr error) {
 	c.stats.writeRefusals.Add(1)
 	c.mu.Lock()
@@ -516,20 +602,19 @@ func (c *Coordinator) refuseWrite(gid, uid uint32, peers []string, epoch uint64,
 	mb.noteSend(c, gid, mb.send(Message{Type: TError, Group: gid, Text: gerr.Error()}))
 }
 
-// sendError writes directly: it is only used before the member has an
-// outbox (or for protocol violations where blocking the offender is
-// acceptable).
-func (c *Coordinator) sendError(w io.Writer, text string) {
+// protocolError counts a rejected client frame and answers it with a
+// TError through reply.
+func (c *Coordinator) protocolError(conn io.Writer, registered bool, gid, uid uint32, text string) {
 	c.stats.protocolErrors.Add(1)
-	_ = Write(w, Message{Type: TError, Text: text})
+	c.reply(conn, registered, gid, uid, Message{Type: TError, Text: text})
 }
 
 // reply answers the connection's own peer: a heartbeat's TPong echoing
-// the sequence number, or the TError that ends a session. A registered
-// member's frame rides its outbox — the writer goroutine owns the
-// connection, and a wedged outbox failing the heartbeat is exactly the
-// liveness signal the peer wants. Before registration the read loop may
-// write directly (nothing else owns the connection yet).
+// the sequence number, or a TError. A registered member's frame is sent
+// through her — a direct write could overtake her backlog or split a frame
+// she is writing, and a wedged backlog failing the heartbeat is exactly
+// the liveness signal the peer wants. Before registration the read loop
+// may write directly (nothing else owns the connection yet).
 func (c *Coordinator) reply(conn io.Writer, registered bool, gid, uid uint32, msg Message) {
 	if !registered {
 		_ = Write(conn, msg)
@@ -605,25 +690,39 @@ func (c *Coordinator) handleReport(msg Message) {
 	if g.probing != nil {
 		// A probe round is already in flight (e.g. two users escaped in
 		// the same tick); the fresh location is recorded and the pending
-		// round will cover it.
+		// round will cover it. A reporter the round does not await
+		// started it or already answered, and reports again because no
+		// plan came: a probe reply lost on the way would stall the round
+		// for good, so the members it still awaits are asked again.
+		if !g.probing[msg.User] {
+			c.probeLocked(msg.Group, g)
+		}
 		delete(g.probing, msg.User)
 		c.maybeReplanLocked(msg.Group, g)
 		return
 	}
 	g.probing = map[uint32]bool{}
-	for uid, other := range g.members {
-		if uid == msg.User {
-			continue
+	for uid := range g.members {
+		if uid != msg.User {
+			g.probing[uid] = true
 		}
-		g.probing[uid] = true
-		ok := other.send(Message{Type: TProbe, Group: msg.Group, User: uid})
-		other.noteSend(c, msg.Group, ok)
+	}
+	c.probeLocked(msg.Group, g)
+	c.maybeReplanLocked(msg.Group, g)
+}
+
+// probeLocked sends a TProbe to every member the probe round awaits; one
+// whose probe is dropped is no longer awaited.
+func (c *Coordinator) probeLocked(gid uint32, g *group) {
+	for uid := range g.probing {
+		other := g.members[uid]
+		ok := other.send(Message{Type: TProbe, Group: gid, User: uid})
+		other.noteSend(c, gid, ok)
 		if !ok {
-			c.logger.Printf("group %d: probe to user %d dropped (outbox full)", msg.Group, uid)
+			c.logger.Printf("group %d: probe to user %d dropped", gid, uid)
 			delete(g.probing, uid)
 		}
 	}
-	c.maybeReplanLocked(msg.Group, g)
 }
 
 // handleProbeReply is step 2b.
@@ -721,7 +820,7 @@ func (m *member) recordSend(c *Coordinator, gid uint32, ok bool, epoch uint64, m
 		return
 	}
 	m.needFull = true
-	c.logger.Printf("group %d: notify to user %d dropped (outbox full)", gid, m.user)
+	c.logger.Printf("group %d: notify to user %d dropped", gid, m.user)
 }
 
 // encodedRegion returns the wire encoding of the member's region r and

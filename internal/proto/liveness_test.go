@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,39 +84,67 @@ func waitGroups(t *testing.T, c *Coordinator, want int) {
 	}
 }
 
-// Outbox overflow drops frames rather than blocking the sender.
-func TestMemberOutboxOverflow(t *testing.T) {
-	// A writer whose peer never reads.
-	serverSide, clientSide := net.Pipe()
-	defer clientSide.Close()
-	defer serverSide.Close()
-	m := newMember(1, serverSide, log.New(io.Discard, "", 0))
-	defer func() {
-		// close() must return even with a blocked writer once the peer
-		// pipe is closed.
-		clientSide.Close()
-		m.close()
-	}()
+// fullSocket is a transport that has a non-blocking write but whose
+// socket is full: every TryWrite takes nothing, so each frame must wait
+// in the backlog for blocking Writes.
+type fullSocket struct {
+	io.Writer
+	tries atomic.Int32
+}
 
-	// First send is picked up by the writer goroutine and blocks on the
-	// pipe; the following outboxSize sends fill the queue; one more must
-	// be rejected.
-	accepted := 0
-	for i := 0; i < outboxSize+8; i++ {
-		if m.send(Message{Type: TNotify, Group: 1, User: 1}) {
-			accepted++
-		}
-	}
-	if accepted > outboxSize+1 {
-		t.Fatalf("accepted %d frames into a %d-slot outbox", accepted, outboxSize)
-	}
-	if accepted < outboxSize {
-		t.Fatalf("outbox rejected too early: %d", accepted)
+func (f *fullSocket) TryWrite([]byte) (int, error) {
+	f.tries.Add(1)
+	return 0, nil
+}
+
+// Backlog overflow drops frames rather than blocking the sender, whether
+// the transport has no non-blocking write (net.Pipe) or has one and its
+// socket is full. In the second case only the first frame is tried: while
+// the drain runs, every send joins the backlog.
+func TestMemberOutboxOverflow(t *testing.T) {
+	for _, tryable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tryable=%v", tryable), func(t *testing.T) {
+			// A writer whose peer never reads.
+			serverSide, clientSide := net.Pipe()
+			defer clientSide.Close()
+			defer serverSide.Close()
+			var w io.Writer = serverSide
+			full := &fullSocket{Writer: serverSide}
+			if tryable {
+				w = full
+			}
+			m := newMember(1, w, log.New(io.Discard, "", 0))
+			defer func() {
+				// close() must return even with a blocked drain once the
+				// peer pipe is closed.
+				clientSide.Close()
+				m.close()
+			}()
+
+			// The first send starts the drain, which takes its frame and
+			// blocks on the pipe; the following outboxSize sends fill the
+			// backlog; one more must be rejected.
+			accepted := 0
+			for i := 0; i < outboxSize+8; i++ {
+				if m.send(Message{Type: TNotify, Group: 1, User: 1}) {
+					accepted++
+				}
+			}
+			if accepted > outboxSize+1 {
+				t.Fatalf("accepted %d frames into a %d-frame backlog", accepted, outboxSize)
+			}
+			if accepted < outboxSize {
+				t.Fatalf("backlog rejected too early: %d", accepted)
+			}
+			if tryable && full.tries.Load() != 1 {
+				t.Fatalf("%d non-blocking tries, want 1 (later sends must join the backlog)", full.tries.Load())
+			}
+		})
 	}
 }
 
 // frameWriter records each Write call's bytes. Until release is closed,
-// every Write blocks, so a test can hold the writer goroutine mid-queue.
+// every Write blocks, so a test can hold the drain goroutine mid-backlog.
 type frameWriter struct {
 	release chan struct{}
 	mu      sync.Mutex
@@ -130,47 +159,264 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The writer contract the fault-injection schedules count on: frames
+// The drain contract the fault-injection schedules count on: frames
 // reach the peer in send order, one frame per Write call, and close
-// returns only once every queued frame was written.
+// returns only once every queued frame was written — on a transport
+// without a non-blocking write and on one whose socket is full.
 func TestMemberWriterOneFramePerWrite(t *testing.T) {
-	w := &frameWriter{release: make(chan struct{})}
-	m := newMember(1, w, log.New(io.Discard, "", 0))
-	const n = outboxSize
-	for i := range n {
-		if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
-			t.Fatalf("send %d refused by a %d-slot outbox", i, outboxSize)
-		}
-	}
-	closed := make(chan struct{})
-	go func() {
-		m.close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-		t.Fatal("close returned while the writer was still blocked")
-	default:
-	}
-	close(w.release)
-	<-closed
+	for _, tryable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tryable=%v", tryable), func(t *testing.T) {
+			w := &frameWriter{release: make(chan struct{})}
+			var tw io.Writer = w
+			if tryable {
+				tw = &fullSocket{Writer: w}
+			}
+			m := newMember(1, tw, log.New(io.Discard, "", 0))
+			const n = outboxSize
+			for i := range n {
+				if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
+					t.Fatalf("send %d refused by a %d-frame backlog", i, outboxSize)
+				}
+			}
+			closed := make(chan struct{})
+			go func() {
+				m.close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+				t.Fatal("close returned while the drain was still blocked")
+			default:
+			}
+			close(w.release)
+			<-closed
 
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.writes) != n {
-		t.Fatalf("close returned after %d of %d writes", len(w.writes), n)
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			if len(w.writes) != n {
+				t.Fatalf("close returned after %d of %d writes", len(w.writes), n)
+			}
+			for i, p := range w.writes {
+				r := bytes.NewReader(p)
+				msg, err := Read(r)
+				if err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+				if r.Len() != 0 {
+					t.Fatalf("write %d carries %d bytes past its frame", i, r.Len())
+				}
+				if msg.Type != TPing || msg.Epoch != uint64(i) {
+					t.Fatalf("write %d is %v epoch %d, want ping %d", i, msg.Type, msg.Epoch, i)
+				}
+			}
+		})
 	}
-	for i, p := range w.writes {
-		r := bytes.NewReader(p)
-		msg, err := Read(r)
-		if err != nil {
-			t.Fatalf("write %d: %v", i, err)
+}
+
+// shortSocket is a transport whose non-blocking write takes at most
+// budget more bytes and then would block; its blocking Write waits for
+// release. Both append to one byte stream, the peer's view.
+type shortSocket struct {
+	release chan struct{}
+	mu      sync.Mutex
+	budget  int
+	tries   int
+	writes  int
+	stream  bytes.Buffer
+}
+
+func (s *shortSocket) TryWrite(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tries++
+	n := min(len(p), s.budget)
+	s.budget -= n
+	s.stream.Write(p[:n])
+	return n, nil
+}
+
+func (s *shortSocket) Write(p []byte) (int, error) {
+	<-s.release
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.writes++
+	s.stream.Write(p)
+	return len(p), nil
+}
+
+// A frame the socket takes only in part: its tail waits in the backlog,
+// every later send joins the backlog behind it instead of trying inline,
+// and the peer's byte stream parses into the frames in send order. Once
+// the backlog is written the drain goroutine exits, and the next send is
+// written inline again.
+func TestMemberShortWriteKeepsOrder(t *testing.T) {
+	s := &shortSocket{release: make(chan struct{}), budget: 3}
+	m := newMember(1, s, log.New(io.Discard, "", 0))
+	const queued = 6
+	for i := range queued {
+		if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
+			t.Fatalf("send %d refused", i)
 		}
-		if r.Len() != 0 {
-			t.Fatalf("write %d carries %d bytes past its frame", i, r.Len())
+	}
+	m.wmu.Lock()
+	done := m.draining
+	m.wmu.Unlock()
+	if done == nil {
+		t.Fatal("a short write started no drain")
+	}
+	close(s.release)
+	<-done
+	m.wmu.Lock()
+	draining, backlog := m.draining, len(m.backlog)
+	m.wmu.Unlock()
+	if draining != nil || backlog != 0 {
+		t.Fatalf("after the drain exited: draining=%v, %d frames in the backlog", draining != nil, backlog)
+	}
+
+	s.mu.Lock()
+	s.budget = 1 << 20
+	s.mu.Unlock()
+	if !m.send(Message{Type: TPing, Epoch: queued}) {
+		t.Fatal("send after the drain refused")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tries != 2 || s.writes != queued {
+		t.Fatalf("%d tries and %d blocking writes, want 2 and %d (the tail, then one per frame)",
+			s.tries, s.writes, queued)
+	}
+	for i := range queued + 1 {
+		msg, err := Read(&s.stream)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
 		}
 		if msg.Type != TPing || msg.Epoch != uint64(i) {
-			t.Fatalf("write %d is %v epoch %d, want ping %d", i, msg.Type, msg.Epoch, i)
+			t.Fatalf("frame %d is %v epoch %d, want ping %d", i, msg.Type, msg.Epoch, i)
+		}
+	}
+	if s.stream.Len() != 0 {
+		t.Fatalf("%d bytes past the last frame", s.stream.Len())
+	}
+}
+
+// failingConn is a server-side connection whose writes fail. Reads come
+// from the pipe the test writes to; Close only counts, so the member stays
+// registered and the test can watch what later sends do. With tryable,
+// the failure comes from the non-blocking write.
+type failingConn struct {
+	io.Reader
+	tryable bool
+	writes  atomic.Int32
+	closes  atomic.Int32
+}
+
+func (c *failingConn) Write([]byte) (int, error) {
+	c.writes.Add(1)
+	return 0, errors.New("connection reset")
+}
+
+func (c *failingConn) Close() error {
+	c.closes.Add(1)
+	return nil
+}
+
+type failingTryConn struct{ *failingConn }
+
+func (c failingTryConn) TryWrite(p []byte) (int, error) { return c.Write(p) }
+
+// A failed write tears the member down: the connection is closed once,
+// nothing more is written to it, and every later send is a counted drop
+// (so she is marked for a full repair), without a second kick from the
+// slow-client policy.
+func TestMemberWriteErrorKicksOnce(t *testing.T) {
+	for _, tryable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tryable=%v", tryable), func(t *testing.T) {
+			coord := newSyncCoordinator(testPlan(t, "circle"))
+			serverSide, clientSide := net.Pipe()
+			defer clientSide.Close()
+			fc := &failingConn{Reader: serverSide}
+			var conn io.ReadWriteCloser = fc
+			if tryable {
+				conn = failingTryConn{fc}
+			}
+			go func() { _ = coord.ServeConn(conn) }()
+			if err := Write(clientSide, Message{
+				Type: TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.2, 0.2),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the kick", func() bool { return fc.closes.Load() == 1 })
+
+			const reports = 2 * DefaultSlowClientLimit
+			before := coord.Stats().DroppedFrames
+			for i := range reports {
+				if err := Write(clientSide, Message{
+					Type: TReport, Group: 1, User: 0, Loc: geom.Pt(0.2+float64(i)*1e-3, 0.2),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "the drops", func() bool { return coord.Stats().DroppedFrames-before == reports })
+			if n := fc.closes.Load(); n != 1 {
+				t.Errorf("connection closed %d times, want 1", n)
+			}
+			if n := fc.writes.Load(); n != 1 {
+				t.Errorf("%d writes, want 1 (nothing after the failure)", n)
+			}
+			if n := coord.Stats().SlowClientDisconnects; n != 0 {
+				t.Errorf("%d slow-client kicks of a member already torn down", n)
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A registered member's protocol errors are sent through her, behind the
+// frames already waiting for her: the client reads only well-formed
+// frames, and the TErrors come last.
+func TestProtocolErrorsFollowQueuedFrames(t *testing.T) {
+	backend := &scriptedBackend{regions: circleRegions(1), meeting: geom.Pt(0.5, 0.5)}
+	coord := NewAsyncCoordinator(backend.submit, nil)
+	rc := dialRaw(t, coord)
+	if err := Write(rc.conn, Message{
+		Type: TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.1, 0.2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitGroups(t, coord, 1)
+	// The client does not read yet: the registration notify blocks the
+	// pipe and these wait behind it.
+	const delivered = 4
+	for range delivered {
+		coord.Deliver(1, []uint32{0}, nil, backend.meeting, backend.regions, nil)
+	}
+	go func() {
+		// A second registration and a frame no client may send.
+		for _, msg := range []Message{
+			{Type: TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.1, 0.2)},
+			{Type: TPong, Epoch: 1},
+		} {
+			if err := Write(rc.conn, msg); err != nil {
+				return
+			}
+		}
+	}()
+	waitFor(t, "both protocol errors", func() bool { return coord.Stats().ProtocolErrors == 2 })
+	for i := range 1 + delivered + 2 {
+		msg := rc.read(t)
+		if wantErr := i > delivered; (msg.Type == TError) != wantErr {
+			t.Fatalf("frame %d is %v; want the %d plan frames, then the two TErrors", i, msg.Type, 1+delivered)
 		}
 	}
 }
@@ -210,10 +456,10 @@ func TestOversizedErrorIsCountedDrop(t *testing.T) {
 	}
 }
 
-// The per-member footprint fence: registering a member allocates its
-// outbox, writer goroutine closure and bookkeeping, which must stay
-// under 2 KB; the outbox's 16 slots of 24 bytes are 384 B of it.
-// Goroutine stacks are not heap, so TotalAlloc does not count them.
+// The per-member footprint fence: registering a member allocates only her
+// bookkeeping, which must stay under 512 B. No goroutine and no backlog
+// exist until a frame has to wait (goroutine stacks are not heap, so
+// TotalAlloc would not count them anyway).
 func TestMemberFootprint(t *testing.T) {
 	const n = 512
 	members := make([]*member, n)
@@ -228,19 +474,24 @@ func TestMemberFootprint(t *testing.T) {
 	}
 	perMember := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d B allocated per member", perMember)
-	if perMember > 2<<10 {
-		t.Fatalf("newMember allocates %d B per member, want ≤ %d", perMember, 2<<10)
+	if perMember > 512 {
+		t.Fatalf("newMember allocates %d B per member, want ≤ %d", perMember, 512)
 	}
 }
 
+// sinkSocket is a transport whose socket takes every frame at once.
+type sinkSocket struct{ io.Writer }
+
+func (sinkSocket) TryWrite(p []byte) (int, error) { return len(p), nil }
+
 // Encoding a frame into a fresh buffer allocates once, whatever the
-// frame carries: send (the outbox path) and Write (the direct path) size
+// frame carries: send (the inline path) and Write (the direct path) size
 // the buffer from the whole message, regions and peer addresses
 // included.
 func TestFrameAllocatesOnce(t *testing.T) {
 	circle := EncodeRegion(core.CircleRegion(geom.Pt(0.25, 0.75), 0.125))
 	meeting := geom.Pt(0.4, 0.6)
-	m := &member{out: make(chan []byte, 1)}
+	m := newMember(1, sinkSocket{io.Discard}, log.New(io.Discard, "", 0))
 	for _, tc := range []struct {
 		name string
 		msg  Message
@@ -254,9 +505,7 @@ func TestFrameAllocatesOnce(t *testing.T) {
 		n := testing.AllocsPerRun(100, func() {
 			if !m.send(tc.msg) {
 				refused = true
-				return
 			}
-			<-m.out
 		})
 		if refused {
 			t.Fatalf("%s: member.send refused the frame", tc.name)

@@ -630,3 +630,52 @@ func TestClientCleanEOF(t *testing.T) {
 }
 
 var _ io.ReadWriteCloser = (net.Conn)(nil)
+
+// A probe reply lost on the way must not stall the round for good: when a
+// member the round does not await reports again, the members it still
+// awaits are probed again, and the plan follows their answers. A member
+// that already answered is not asked twice.
+func TestLostProbeReplyIsAskedAgain(t *testing.T) {
+	coord := newSyncCoordinator(testPlan(t, "circle"))
+	locs := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.35, 0.32), geom.Pt(0.31, 0.36)}
+	conns := make([]*rawConn, len(locs))
+	for uid, loc := range locs {
+		conns[uid] = dialRaw(t, coord)
+		if err := Write(conns[uid].conn, Message{
+			Type: TRegister, Group: 1, User: uint32(uid), GroupSize: 3, Loc: loc,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(uid int, want MsgType) {
+		t.Helper()
+		if m := conns[uid].read(t); m.Type != want {
+			t.Fatalf("user %d read %v, want %v", uid, m.Type, want)
+		}
+	}
+	for uid := range conns {
+		expect(uid, TNotify)
+	}
+	report := func() {
+		t.Helper()
+		if err := Write(conns[0].conn, Message{Type: TReport, Group: 1, User: 0, Loc: geom.Pt(0.5, 0.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply := func(uid int) {
+		t.Helper()
+		if err := Write(conns[uid].conn, Message{Type: TProbeReply, Group: 1, User: uint32(uid), Loc: locs[uid]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report()
+	expect(1, TProbe)
+	expect(2, TProbe)
+	reply(1) // user 2's reply is lost
+	report()
+	expect(2, TProbe)
+	reply(2)
+	for uid := range conns {
+		expect(uid, TNotify) // user 1's next frame is the plan, not a probe
+	}
+}
