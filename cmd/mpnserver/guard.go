@@ -38,8 +38,9 @@ func (c *connStats) totals() connTotals {
 // member's drain goroutine indefinitely; the write fails, the coordinator
 // tears the member down, and her backlog is released. Frames the socket
 // takes at once go through TryWrite (see transport), which never waits,
-// so the deadline is armed only on a write that had to wait. Both
-// timeouts are optional (non-positive disables).
+// so the deadline is armed only on a write that had to wait, and cleared
+// when that write returns. Both timeouts are optional (non-positive
+// disables).
 //
 // Per-connection byte and error counts feed the disconnect log line;
 // totals roll up into the server-wide connStats.
@@ -82,6 +83,9 @@ func (g *guardedConn) Read(p []byte) (int, error) {
 func (g *guardedConn) Write(p []byte) (int, error) {
 	if g.writeTimeout > 0 {
 		_ = g.Conn.SetWriteDeadline(time.Now().Add(g.writeTimeout))
+		// TryWrite shares the socket's write deadline: one left to expire
+		// would fail the next inline frame long after this write returned.
+		defer g.Conn.SetWriteDeadline(time.Time{})
 	}
 	n, err := g.Conn.Write(p)
 	g.count(n, err)

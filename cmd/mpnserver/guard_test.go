@@ -1,11 +1,13 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log"
 	"math/rand"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,5 +136,129 @@ func TestIdleFleetOneGoroutinePerConn(t *testing.T) {
 				runtime.NumGoroutine(), len(conns), base, bound, slack)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// deadlineSpy counts the write deadlines armed on a connection. It keeps
+// the TCP connection's SyscallConn, so the member still writes inline.
+type deadlineSpy struct {
+	*net.TCPConn
+	armed atomic.Int32
+}
+
+func (s *deadlineSpy) SetWriteDeadline(t time.Time) error {
+	if !t.IsZero() {
+		s.armed.Add(1)
+	}
+	return s.TCPConn.SetWriteDeadline(t)
+}
+
+// A member whose socket filled once, so that her backlog was drained
+// under the write deadline, must outlive that deadline: the frames her
+// socket takes later are written inline, and a deadline left to expire
+// on the socket would fail them and disconnect her.
+func TestDrainedMemberOutlivesWriteTimeout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pois := make([]geom.Point, 300)
+	for i := range pois {
+		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	const writeTimeout = time.Second
+	srv, err := newServer(serverConfig{
+		pois: pois, method: "circle", agg: "max",
+		alpha: 5, buffer: 10, shards: 1, workers: 1,
+		writeTimeout: writeTimeout,
+		slowLimit:    -1, // the flood below overflows the backlog on purpose
+		logger:       log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	spies := make(chan *deadlineSpy, 1)
+	go func() {
+		// serve's wiring, over a socket with the smallest send buffer.
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		tc := conn.(*net.TCPConn)
+		_ = tc.SetWriteBuffer(1)
+		spy := &deadlineSpy{TCPConn: tc}
+		spies <- spy
+		_ = srv.coord.ServeConn(newGuardedConn(spy, 0, writeTimeout, &srv.cstats).transport())
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(1)
+	spy := <-spies
+	if err := proto.Write(conn, proto.Message{
+		Type: proto.TRegister, Group: 1, User: 0, GroupSize: 1, Loc: geom.Pt(0.4, 0.4),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if msg, err := proto.Read(conn); err != nil || msg.Type != proto.TNotify {
+		t.Fatalf("first frame %v, %v; want the registration TNotify", msg.Type, err)
+	}
+
+	// Pings unread fill both socket buffers until a pong has to wait for
+	// the drain, which arms the deadline. They go in batches the server
+	// answers before the next, so no unanswered pings pile up behind the
+	// full socket, and reading the pongs then empties the backlog well
+	// within the deadline.
+	var sent uint64
+	deadline := time.Now().Add(10 * time.Second)
+	for spy.armed.Load() == 0 {
+		for range 32 {
+			if err := proto.Write(conn, proto.Message{Type: proto.TPing, Epoch: sent}); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		for srv.coord.Stats().Heartbeats < sent {
+			if time.Now().After(deadline) {
+				t.Fatal("no write had to wait: the socket never filled")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for {
+		_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+		if _, err := proto.Read(conn); err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("connection lost while draining: %v", err)
+			}
+			break
+		}
+	}
+
+	time.Sleep(writeTimeout + 100*time.Millisecond)
+	const last = 1 << 40
+	if err := proto.Write(conn, proto.Message{Type: proto.TPing, Epoch: last}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		msg, err := proto.Read(conn)
+		if err != nil {
+			t.Fatalf("member disconnected after her write deadline expired: %v", err)
+		}
+		if msg.Type == proto.TPong && msg.Epoch == last {
+			break
+		}
+	}
+	if n := srv.snapshot().Conns.WriteErrors; n != 0 {
+		t.Fatalf("%d write errors, want 0", n)
 	}
 }

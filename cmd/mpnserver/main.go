@@ -148,7 +148,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	fs.BoolVar(&cfg.incremental, "incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
 	fs.Int64("gnncache", 0, "accepted and ignored; removed with ROADMAP 9")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
-	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline armed before every connection write; a peer that stops draining this long is disconnected (0 disables)")
+	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline on a connection write that has to wait for a full socket; a peer that stops draining this long is disconnected (0 disables)")
 	fs.IntVar(&cfg.slowLimit, "slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
 	fs.DurationVar(&cfg.admissionWait, "admission-wait", 0, "how long a report may wait for shard queue space before being shed (0 = engine default, negative = shed immediately)")
 	fs.DurationVar(&cfg.closeTimeout, "close-timeout", 0, "how long shutdown drains queued recomputations before abandoning them (0 = engine default, negative = unbounded)")

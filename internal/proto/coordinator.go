@@ -199,8 +199,10 @@ type group struct {
 	size    uint32
 	members map[uint32]*member
 	// probing is non-nil while a probe round is outstanding; it holds the
-	// user ids whose replies are still missing.
+	// user ids whose replies are still missing. strays counts the round's
+	// reports from members it does not await (see handleReport).
 	probing map[uint32]bool
+	strays  int
 
 	// lastMeeting/havePlan retain the last distributed plan's meeting
 	// point so a NACK can be repaired from the member's cache alone.
@@ -693,15 +695,20 @@ func (c *Coordinator) handleReport(msg Message) {
 		// round will cover it. A reporter the round does not await
 		// started it or already answered, and reports again because no
 		// plan came: a probe reply lost on the way would stall the round
-		// for good, so the members it still awaits are asked again.
+		// for good, so the members it still awaits are asked again. A
+		// client outside her region may report every tick, so the round
+		// re-probes only at its 1st, 2nd, 4th, 8th, … such report.
 		if !g.probing[msg.User] {
-			c.probeLocked(msg.Group, g)
+			g.strays++
+			if g.strays&(g.strays-1) == 0 {
+				c.probeLocked(msg.Group, g)
+			}
 		}
 		delete(g.probing, msg.User)
 		c.maybeReplanLocked(msg.Group, g)
 		return
 	}
-	g.probing = map[uint32]bool{}
+	g.probing, g.strays = map[uint32]bool{}, 0
 	for uid := range g.members {
 		if uid != msg.User {
 			g.probing[uid] = true

@@ -634,7 +634,9 @@ var _ io.ReadWriteCloser = (net.Conn)(nil)
 // A probe reply lost on the way must not stall the round for good: when a
 // member the round does not await reports again, the members it still
 // awaits are probed again, and the plan follows their answers. A member
-// that already answered is not asked twice.
+// that already answered is not asked twice, and a reporter that keeps
+// reporting re-probes only at the round's 1st, 2nd, 4th, 8th, … stray
+// report, not at every one.
 func TestLostProbeReplyIsAskedAgain(t *testing.T) {
 	coord := newSyncCoordinator(testPlan(t, "circle"))
 	locs := []geom.Point{geom.Pt(0.30, 0.30), geom.Pt(0.35, 0.32), geom.Pt(0.31, 0.36)}
@@ -671,9 +673,20 @@ func TestLostProbeReplyIsAskedAgain(t *testing.T) {
 	report()
 	expect(1, TProbe)
 	expect(2, TProbe)
-	reply(1) // user 2's reply is lost
-	report()
-	expect(2, TProbe)
+	reply(1) // user 2's replies are lost
+	// The 9 stray reports re-probe at the 1st, 2nd, 4th and 8th.
+	const reports, probes = 9, 4
+	for range reports {
+		report()
+	}
+	// A pong on the reporter's connection orders every report before it.
+	if err := Write(conns[0].conn, Message{Type: TPing, Epoch: 7}); err != nil {
+		t.Fatal(err)
+	}
+	expect(0, TPong)
+	for range probes {
+		expect(2, TProbe)
+	}
 	reply(2)
 	for uid := range conns {
 		expect(uid, TNotify) // user 1's next frame is the plan, not a probe
