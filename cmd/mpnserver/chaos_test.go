@@ -101,7 +101,6 @@ func chaosSchedules() []chaosSchedule {
 			tweak: func(cfg *serverConfig) {
 				cfg.shards = 1
 				cfg.queue = 1
-				cfg.admissionWait = -1 // shed immediately: overload must be survivable
 			},
 		},
 		{

@@ -30,7 +30,7 @@ func TestShutdownLineCountsShedOnce(t *testing.T) {
 	var logs bytes.Buffer
 	srv, err := newServer(serverConfig{
 		pois: pois, method: "circle", agg: "max", alpha: 5, buffer: 10,
-		shards: 1, workers: 1, queue: 1, admissionWait: -1,
+		shards: 1, workers: 1, queue: 1,
 		logger: log.New(&logs, "", 0),
 	})
 	if err != nil {

@@ -5,16 +5,17 @@
 //
 // Compute runs on the sharded concurrent group engine (internal/engine):
 // an escape report submits the group's fresh locations to a per-shard
-// work queue and returns immediately, worker goroutines recompute safe
-// regions asynchronously (coalescing bursts for the same group into one
-// recomputation), and a notification fan-out goroutine delivers results
-// back to the members' connections. After a group's one-time registration
-// plan (computed synchronously so its delivery is guaranteed), connection
-// read loops never wait on the planner, and a burst of reports costs one
-// recomputation. Under -method tiled the engine derives each member's
-// heading server-side, from the group's last planned locations; no frame
-// carries one, and a restored or replicated group starts from the
-// default heading again.
+// work queue and returns immediately, and a shard worker recomputes the
+// safe regions (coalescing bursts for the same group into one
+// recomputation) and delivers them to the members' connections itself.
+// After a group's one-time registration plan (computed synchronously so
+// its delivery is guaranteed), connection read loops never wait on the
+// planner. A report that finds its shard's queue full is shed at once
+// and counted; the engine keeps it pending for the group's next report.
+// Under -method tiled the engine derives each member's heading
+// server-side, from the group's last planned locations; no frame carries
+// one, and a restored or replicated group starts from the default
+// heading again.
 //
 // Notifications use the delta wire protocol: clients that negotiate it
 // receive region diffs — the coordinator compares each member's region
@@ -25,6 +26,9 @@
 // frames. At shutdown the server logs one line from one snapshot of every
 // layer's counters: plans per incremental outcome, coalesced and shed
 // reports (each counted once, by the engine), connections and the WAL.
+// SIGTERM or SIGINT stops the server cleanly: the listener closes, queued
+// recomputations drain, the WAL flushes and syncs, and that line prints.
+// A second signal exits at once.
 //
 // With -state-dir the server's authoritative state — group
 // registrations and membership, last committed member locations, and
@@ -57,7 +61,8 @@
 //	mpnserver [-listen :7464] [-method circle|tile|tiled|net] [-agg max|sum]
 //	          [-n 21287] [-alpha 30] [-buffer 100] [-seed 42] [-pois FILE.csv]
 //	          [-shards N] [-workers N] [-queue N] [-incremental] [-gnncache N]
-//	          [-state-dir DIR] [-fsync always|interval|off]
+//	          [-read-timeout 2m] [-write-timeout 30s] [-slow-limit N]
+//	          [-close-timeout 5s] [-state-dir DIR] [-fsync always|interval|off]
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
 //	          [-promote-after 10s]
 //
@@ -81,11 +86,13 @@ import (
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"mpn/internal/core"
@@ -123,6 +130,16 @@ func main() {
 	if cfg.incremental {
 		mode = "incremental"
 	}
+	// Handled from the "serving" line on: the first SIGTERM or SIGINT closes
+	// the listener, so serve returns and the deferred close runs; a second
+	// exits at once.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	go func() {
+		log.Printf("%v: stopping", <-sigs)
+		ln.Close()
+		log.Fatalf("%v: exiting without a clean stop", <-sigs)
+	}()
 	log.Printf("serving %d POIs with %s/%s on %s (%d shards × %d workers, %s)",
 		srv.planner.NumPOIs(), cfg.method, cfg.agg, ln.Addr(), eo.Shards, eo.Workers, mode)
 	if err := srv.serve(ln); err != nil {
@@ -150,7 +167,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline on a connection write that has to wait for a full socket; a peer that stops draining this long is disconnected (0 disables)")
 	fs.IntVar(&cfg.slowLimit, "slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
-	fs.DurationVar(&cfg.admissionWait, "admission-wait", 0, "how long a report may wait for shard queue space before being shed (0 = engine default, negative = shed immediately)")
 	fs.DurationVar(&cfg.closeTimeout, "close-timeout", 0, "how long shutdown drains queued recomputations before abandoning them (0 = engine default, negative = unbounded)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "durable state directory (write-ahead log + snapshots); restored on boot, empty disables durability")
 	fs.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy: always (per write batch), interval (periodic, bounded loss), off (clean close only)")
@@ -179,9 +195,9 @@ type serverConfig struct {
 	incremental            bool
 	// Failure-semantics knobs (zero values keep prior behavior for
 	// timeouts and pick engine/coordinator defaults for the rest).
-	readTimeout, writeTimeout   time.Duration
-	slowLimit                   int
-	admissionWait, closeTimeout time.Duration
+	readTimeout, writeTimeout time.Duration
+	slowLimit                 int
+	closeTimeout              time.Duration
 	// Durability (empty stateDir disables): fsync is the WAL sync
 	// policy ("" = interval), fsyncEvery shortens the interval period
 	// (0 = store default; tests use milliseconds to tighten the crash
@@ -207,13 +223,11 @@ type serverConfig struct {
 }
 
 // server wires the protocol coordinator to the sharded group engine: the
-// coordinator submits replans, the engine computes them on its worker
-// pool, and the fan-out goroutine delivers notifications back to the
-// members' connections.
+// coordinator submits replans, and the engine's worker that commits a
+// plan delivers it to the members' connections (see deliver).
 type server struct {
 	eng     *engine.Engine
 	coord   *proto.Coordinator
-	sub     *engine.Subscription
 	planner *core.Planner
 	logger  *log.Logger
 
@@ -229,14 +243,11 @@ type server struct {
 	writeTimeout time.Duration
 	cstats       connStats
 
-	// mu guards the protocol-group → engine-group id mapping (the way
-	// back travels on every notification, see reportTag); it is also held
-	// across engine registration so a group's initial notification cannot
-	// outrun the mapping it needs.
+	// mu guards the protocol-group → engine-group id mapping that client
+	// reports, boot-time restore and replicated records share (see
+	// routeGroup).
 	mu          sync.Mutex
 	gidToEngine map[uint32]engine.GroupID
-
-	fanoutDone chan struct{}
 
 	// Replication (see replication.go): role gates client writes
 	// through writeGate, epoch is the monotone fencing epoch, ship
@@ -261,11 +272,10 @@ type server struct {
 
 // reportTag travels with every engine registration and submission for a
 // protocol group: the protocol group id plus the ascending member-id
-// ordering the location snapshot was computed for. The fan-out routes
-// a notification by gid (dropping one from an engine group the gid no
-// longer maps to) and fences deliveries against membership churn with
-// ids; the durable journal logs committed state under gid, the group's
-// stable identity.
+// ordering the location snapshot was computed for. deliver routes a
+// notification by gid and fences it against membership churn with ids;
+// the durable journal logs committed state under gid, the group's stable
+// identity.
 type reportTag struct {
 	gid uint32
 	ids []uint32
@@ -310,7 +320,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		Incremental: cfg.incremental,
 		Engine: engine.Options{
 			Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
-			AdmissionWait: cfg.admissionWait, CloseTimeout: cfg.closeTimeout,
+			// submit runs under the coordinator lock, which the worker
+			// delivering a plan needs: it must never wait for queue space.
+			AdmissionWait: -1, CloseTimeout: cfg.closeTimeout,
 		},
 	}
 	scfg.Core.TileLimit = cfg.alpha
@@ -355,7 +367,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		readTimeout:  cfg.readTimeout,
 		writeTimeout: cfg.writeTimeout,
 		gidToEngine:  map[uint32]engine.GroupID{},
-		fanoutDone:   make(chan struct{}),
 	}
 	if cfg.stateDir != "" {
 		scfg.Engine.Journal = serverJournal{s}
@@ -428,8 +439,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.coord = proto.NewAsyncCoordinator(s.submit, cfg.logger)
 	s.coord.SetGroupEmptyHook(s.onGroupEmpty)
 	s.coord.SetSlowClientLimit(cfg.slowLimit)
-	s.sub = s.eng.Subscribe(1024)
-	go s.fanout()
+	s.eng.Observe(s.deliver)
 	if err := s.initReplication(cfg, restored); err != nil {
 		s.close()
 		return nil, err
@@ -469,14 +479,12 @@ func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point) (eid e
 // lock held — that lock is what keeps a group's snapshots ordered, so the
 // engine's coalescing slot always ends on the latest locations. First
 // contact registers the group: the engine computes the initial plan
-// synchronously and submit returns it for inline delivery, so the one
-// notification clients cannot recover from losing never rides the lossy
-// subscription stream (the fan-out skips the matching Seq-1
-// notification). Every later report is a plain bounded enqueue, so
-// after registration the read loops never wait on the planner; a full
-// shard queue blocks here, backpressure toward the transport. The
-// member-id ordering travels as the submission tag so deliveries can be
-// verified against membership churn. The ignored []uint64 result is nil.
+// synchronously and submit returns it for inline delivery (deliver skips
+// the matching Seq-1 notification). Every later report is a bounded
+// enqueue that never waits: a full shard queue sheds it at once (see
+// deliverError). The member-id ordering travels as the submission tag so
+// deliveries can be verified against membership churn. The ignored
+// []uint64 result is nil.
 func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 	eid, registered, err := s.routeGroup(gid, ids, users)
 	if err != nil {
@@ -507,40 +515,21 @@ func (s *server) deliverError(gid uint32, err error) {
 	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, err)
 }
 
-// fanout pumps engine notifications into the coordinator's delivery path.
-// A dropped steady-state notification self-heals — the member still holds
-// her old region, escapes it, and her report triggers a fresh replan —
-// but it is logged so sustained overload is visible.
-func (s *server) fanout() {
-	defer close(s.fanoutDone)
-	var dropped uint64
-	for n := range s.sub.C {
-		if d := s.sub.Dropped(); d != dropped {
-			s.logger.Printf("notification fan-out overloaded: %d dropped so far", d)
-			dropped = d
-		}
-		if n.Seq == 1 {
-			continue // the registration plan was delivered inline by submit
-		}
-		// The gid and the id ordering the snapshot was computed for.
-		rt, ok := n.Tag.(reportTag)
-		if !ok {
-			continue
-		}
-		// The engine group must still be the one serving gid when the
-		// coordinator sends, so Deliver runs live under its lock. Checked
-		// any earlier, the group could dissolve and re-form with the same
-		// member ids before the send, and the old plan would pass the
-		// coordinator's membership check.
-		eid := n.Group
-		live := func() bool {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			cur, ok := s.gidToEngine[rt.gid]
-			return ok && cur == eid
-		}
-		s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Err)
+// deliver is the engine's observer: the worker that committed a plan
+// hands it to the coordinator. submit delivered the registration plan
+// (Seq 1) inline, under the coordinator lock it still holds. Deliver runs
+// live under that lock, so a group that dissolved and re-formed with the
+// same member ids cannot receive the old plan: engine ids are never
+// reused, and every retirement of a gid's engine group unregisters it, on
+// the client path under the coordinator lock (onGroupEmpty, routeGroup).
+func (s *server) deliver(n engine.Notification) {
+	rt, ok := n.Tag.(reportTag)
+	if n.Seq == 1 || !ok {
+		return
 	}
+	eid := n.Group
+	live := func() bool { return s.eng.Size(eid) > 0 }
+	s.coord.Deliver(rt.gid, rt.ids, live, n.Meeting, n.Regions, n.Err)
 }
 
 // onGroupEmpty releases the engine group when its last member leaves.
@@ -583,21 +572,20 @@ func (s *server) serve(ln net.Listener) error {
 // snapshot is the server's counters at one instant: each layer's own
 // accounting by value, zero for a layer that is off.
 type snapshot struct {
-	Engine        engine.Counters
-	Coord         proto.CoordStats
-	WAL           durable.Stats
-	Ship          replica.ShipperStats
-	Tail          replica.TailerStats
-	Conns         connTotals
-	Role          string // replication role
-	Epoch         uint64 // fencing epoch
-	FanoutDropped uint64 // engine→coordinator notification drops
+	Engine engine.Counters
+	Coord  proto.CoordStats
+	WAL    durable.Stats
+	Ship   replica.ShipperStats
+	Tail   replica.TailerStats
+	Conns  connTotals
+	Role   string // replication role
+	Epoch  uint64 // fencing epoch
 }
 
 func (s *server) snapshot() snapshot {
 	sn := snapshot{
 		Engine: s.eng.Counters(), Coord: s.coord.Stats(), Conns: s.cstats.totals(),
-		Role: s.role.Get().String(), Epoch: s.epoch.Load(), FanoutDropped: s.sub.Dropped(),
+		Role: s.role.Get().String(), Epoch: s.epoch.Load(),
 	}
 	if s.store != nil {
 		sn.WAL = s.store.Stats()
@@ -611,14 +599,13 @@ func (s *server) snapshot() snapshot {
 	return sn
 }
 
-// close stops the engine (draining queued recomputations up to the
-// configured deadline), waits for the fan-out goroutine, closes the store
-// (a clean close fsyncs the final journal records), and logs one snapshot
-// so overload during the run is visible post-hoc.
+// close stops the engine (draining and delivering queued recomputations
+// up to the configured deadline), closes the store (a clean close fsyncs
+// the final journal records), and logs one snapshot so overload during
+// the run is visible post-hoc.
 func (s *server) close() {
 	s.stopRepl()
 	s.eng.Close()
-	<-s.fanoutDone
 	if s.store != nil {
 		if err := s.store.Close(); err != nil {
 			s.logger.Printf("durable close: %v", err)
@@ -645,7 +632,6 @@ func (s *server) crash() {
 		s.store.Crash()
 	}
 	s.eng.Close()
-	<-s.fanoutDone
 }
 
 // loadPOIs generates a synthetic set or, given a path, reads a CSV file

@@ -59,8 +59,9 @@
 // computation instead of one per report. Per group there is at most one
 // in-flight recomputation and notifications carry strictly increasing
 // sequence numbers; subscription sends never block, with drops counted on
-// the Subscription. With no subscribers attached, notification payloads
-// are never assembled at all. Server.Close releases the worker pool.
+// the Subscription. With no subscribers attached, a recomputation hands
+// its notification to no one and takes no lock for it. Server.Close
+// releases the worker pool.
 //
 // # Zero-allocation steady-state planning
 //

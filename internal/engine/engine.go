@@ -18,10 +18,11 @@
 //     running collapses into a single recomputation over the latest
 //     locations (Notification.Coalesced reports how many submissions a
 //     recomputation covered).
-//   - Results fan out on subscription channels: every recomputation emits
-//     a Notification carrying the meeting point, the fresh safe regions,
-//     and whether the meeting point actually moved. Sends never block; a
-//     slow subscriber drops frames and the drop count is observable.
+//   - Every recomputation hands a Notification (meeting point, fresh safe
+//     regions, whether the meeting point moved) to each observer attached
+//     with Observe, on the committing goroutine. A Subscription is an
+//     observer whose sends never block; a slow subscriber drops frames
+//     and the drop count is observable.
 //
 // There is one path from a location snapshot to a notification:
 // recompute plans the snapshot (compute, the engine's only call into the
@@ -30,7 +31,7 @@
 // notifies. The synchronous Update runs it on the caller's goroutine,
 // Submit/SubmitTag hand it to a shard worker; the two differ only in
 // whose workspace plans and in who learns of a planner error (Update's
-// caller, or the subscribers of the asynchronous path).
+// caller, or the observers of the asynchronous path).
 //
 // The engine guarantees at most one in-flight asynchronous recomputation
 // per group, so successful notifications for one group are emitted in
@@ -262,16 +263,16 @@ type Notification struct {
 	Tag any
 }
 
-// Subscription is one listener on the engine's notification stream.
+// Subscription is one listener on the engine's notification stream, an
+// observer (see Engine.Observe) that sends on C without blocking.
 type Subscription struct {
 	// C delivers notifications. It is closed by Subscription.Close and by
 	// Engine.Close.
 	C <-chan Notification
 
-	engine  *Engine
 	ch      chan Notification
 	dropped atomic.Uint64
-	once    sync.Once
+	detach  func()
 }
 
 // Dropped returns how many notifications were discarded because the
@@ -279,9 +280,21 @@ type Subscription struct {
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Close detaches the subscription and closes C.
-func (s *Subscription) Close() {
-	s.engine.unsubscribe(s)
-	s.once.Do(func() { close(s.ch) })
+func (s *Subscription) Close() { s.detach() }
+
+// send is the subscription's observer.
+func (s *Subscription) send(n Notification) {
+	select {
+	case s.ch <- n:
+	default:
+		s.dropped.Add(1)
+	}
+}
+
+// observer is one attached notification callback (see observe).
+type observer struct {
+	fn   func(Notification)
+	done func()
 }
 
 // update is one submitted location snapshot.
@@ -464,9 +477,11 @@ type Engine struct {
 	// and no notification is still being emitted.
 	opGate sync.RWMutex
 
-	subMu sync.RWMutex
-	subs  map[*Subscription]struct{}
-	nsubs atomic.Int64 // len(subs), readable without subMu
+	// obsMu is held for read while observers run, so a detach waits out
+	// the calls in flight.
+	obsMu sync.RWMutex
+	obs   map[*observer]struct{}
+	nobs  atomic.Int64 // len(obs), readable without obsMu
 }
 
 // beginOp admits one synchronous operation, taking opGate for read. It
@@ -506,7 +521,7 @@ func NewWS(plan PlanWSFunc, opts Options) *Engine {
 		journal: opts.Journal,
 		opts:    opts,
 		shards:  make([]*shard, opts.Shards),
-		subs:    make(map[*Subscription]struct{}),
+		obs:     make(map[*observer]struct{}),
 	}
 	for i := range e.shards {
 		e.shards[i] = newShard(opts.QueueDepth)
@@ -581,12 +596,10 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		// submission for this group cannot exist before the id returns.
 		e.journal.GroupCommitted(tag, users, dirs)
 	}
-	if e.hasSubscribers() {
-		e.emit(Notification{
-			Group: id, Seq: 1, Meeting: meeting, Regions: regions,
-			Stats: stats, Coalesced: 1, Changed: true, Tag: tag,
-		})
-	}
+	e.emit(Notification{
+		Group: id, Seq: 1, Meeting: meeting, Regions: regions,
+		Stats: stats, Coalesced: 1, Changed: true, Tag: tag,
+	})
 	return id, nil
 }
 
@@ -653,7 +666,7 @@ func CheckFinite(users []geom.Point) error {
 // Submit schedules an asynchronous recomputation from the users' current
 // locations. It returns once the update is recorded: bursts for the same
 // group coalesce into one recomputation over the latest snapshot, and the
-// result arrives on the subscription stream. Submit blocks only when the
+// result reaches the observers (see Observe). Submit blocks only when the
 // shard's run queue is full, and then at most Options.AdmissionWait
 // before shedding the submission with ErrOverloaded. dirs of the wrong
 // length, nil included, mean "derived from the group's last planned
@@ -818,21 +831,13 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 		}
 		e.journal.GroupCommitted(jt, up.users, up.dirs)
 	}
-	// Assemble the notification only when someone is listening: the
-	// zero-subscriber steady state pays for the recomputation alone.
-	emit := e.hasSubscribers()
-	var n Notification
-	if emit {
-		n = Notification{
-			Group: st.id, Seq: st.seq, Meeting: meeting, Regions: regions,
-			Stats: stats, Coalesced: covered, Changed: changed,
-			Outcome: outcome, Tag: up.tag,
-		}
+	n := Notification{
+		Group: st.id, Seq: st.seq, Meeting: meeting, Regions: regions,
+		Stats: stats, Coalesced: covered, Changed: changed,
+		Outcome: outcome, Tag: up.tag,
 	}
 	st.mu.Unlock()
-	if emit {
-		e.emit(n)
-	}
+	e.emit(n)
 	return nil
 }
 
@@ -897,7 +902,7 @@ func (e *Engine) worker(sh *shard) {
 		st.mu.Lock()
 		// The asynchronous path has no caller to return a planner failure
 		// to: surface it as a notification over the previous plan.
-		emit := err != nil && !st.removed && e.hasSubscribers()
+		emit := err != nil && !st.removed
 		var n Notification
 		if emit {
 			n = Notification{
@@ -922,53 +927,60 @@ func (e *Engine) worker(sh *shard) {
 	}
 }
 
+// Observe attaches fn, which the goroutine that commits a plan — the
+// caller of Register or Update, or a shard worker — calls with its
+// Notification once every group and shard lock is released; per group, a
+// worker's calls arrive in Seq order. A worker plans nothing else while
+// fn runs, and fn must not attach or detach observers or close the
+// engine. Close detaches every observer once all emission has ceased.
+func (e *Engine) Observe(fn func(Notification)) {
+	e.observe(fn, func() {})
+}
+
 // Subscribe attaches a notification listener with the given channel
 // buffer (minimum 1). Sends never block: when the buffer is full the
 // notification is dropped and counted.
 func (e *Engine) Subscribe(buffer int) *Subscription {
-	if buffer < 1 {
-		buffer = 1
-	}
-	ch := make(chan Notification, buffer)
-	s := &Subscription{engine: e, ch: ch, C: ch}
-	e.subMu.Lock()
-	if e.closed.Load() {
-		e.subMu.Unlock()
-		s.once.Do(func() { close(ch) })
-		return s
-	}
-	e.subs[s] = struct{}{}
-	e.nsubs.Store(int64(len(e.subs)))
-	e.subMu.Unlock()
+	ch := make(chan Notification, max(buffer, 1))
+	s := &Subscription{C: ch, ch: ch}
+	s.detach = e.observe(s.send, func() { close(ch) })
 	return s
 }
 
-func (e *Engine) unsubscribe(s *Subscription) {
-	e.subMu.Lock()
-	delete(e.subs, s)
-	e.nsubs.Store(int64(len(e.subs)))
-	e.subMu.Unlock()
-}
-
-// hasSubscribers reports whether any subscription is attached, without
-// taking subMu. Recomputation paths consult it before assembling a
-// Notification: with no listeners the payload is never built or copied. A
-// subscription attached concurrently with an in-flight recomputation may
-// miss that one notification — the stream is already lossy by design
-// (sends never block and drop on full buffers).
-func (e *Engine) hasSubscribers() bool { return e.nsubs.Load() > 0 }
-
-// emit fans a notification out to every subscriber without blocking.
-func (e *Engine) emit(n Notification) {
-	e.subMu.RLock()
-	for s := range e.subs {
-		select {
-		case s.ch <- n:
-		default:
-			s.dropped.Add(1)
+// observe attaches fn; done runs once, when it is detached (at once on a
+// closed engine).
+func (e *Engine) observe(fn func(Notification), done func()) (detach func()) {
+	o := &observer{fn: fn, done: done}
+	e.obsMu.Lock()
+	defer e.obsMu.Unlock()
+	if e.closed.Load() {
+		done()
+		return func() {}
+	}
+	e.obs[o] = struct{}{}
+	e.nobs.Store(int64(len(e.obs)))
+	return func() {
+		e.obsMu.Lock()
+		defer e.obsMu.Unlock()
+		if _, ok := e.obs[o]; ok {
+			delete(e.obs, o)
+			e.nobs.Store(int64(len(e.obs)))
+			done()
 		}
 	}
-	e.subMu.RUnlock()
+}
+
+// emit hands a notification to every observer in turn. With none attached
+// it takes no lock; an observer attached meanwhile may miss this one.
+func (e *Engine) emit(n Notification) {
+	if e.nobs.Load() == 0 {
+		return
+	}
+	e.obsMu.RLock()
+	for o := range e.obs {
+		o.fn(n)
+	}
+	e.obsMu.RUnlock()
 }
 
 // Meeting returns the group's current meeting point (zero if unknown).
@@ -1076,7 +1088,7 @@ func (e *Engine) NumGroups() int {
 //     notification emission included — by the time Close returns; calls
 //     arriving after return ErrClosed. This is the opGate: Close waits
 //     for every in-flight caller, so an Update returning nil has had its
-//     notification offered to subscribers before any channel closes.
+//     notification handed to observers before any is detached.
 //   - Recomputations already running or already queued get
 //     Options.CloseTimeout to complete and emit. When the deadline
 //     passes, the remaining queue entries are abandoned (counted in
@@ -1086,8 +1098,8 @@ func (e *Engine) NumGroups() int {
 //     accepted while its group's recomputation was in flight may be
 //     discarded without a notification — Close is a shutdown, not a
 //     flush.
-//   - Every subscription channel is closed last, after all emission has
-//     ceased.
+//   - Every observer is detached last, after all emission has ceased
+//     (a Subscription's channel closes then).
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
@@ -1125,21 +1137,21 @@ func (e *Engine) Close() {
 				t2.Stop()
 			case <-t2.C:
 				// A recomputation is wedged inside the planner. Leaving
-				// its worker behind is safe: the subscription map empties
-				// below before any channel closes, so a late emit sends
-				// nowhere.
+				// its worker behind is safe: the observer map empties
+				// below before any channel closes, so a late emit reaches
+				// no one.
 			}
 		}
 	} else {
 		<-done
 	}
-	e.subMu.Lock()
-	for s := range e.subs {
-		delete(e.subs, s)
-		s.once.Do(func() { close(s.ch) })
+	e.obsMu.Lock()
+	for o := range e.obs {
+		o.done()
 	}
-	e.nsubs.Store(0)
-	e.subMu.Unlock()
+	clear(e.obs)
+	e.nobs.Store(0)
+	e.obsMu.Unlock()
 }
 
 // Counters is the engine's accounting, summed over its shards:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -538,4 +539,48 @@ func TestSubscriptionDrop(t *testing.T) {
 	if err := e.Update(id, users, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestObserveRunsOnCommitter: an observer runs on the goroutine that
+// committed the plan, once the engine's locks are released (it reads the
+// group back from inside the call), and in Seq order for a group a worker
+// plans.
+func TestObserveRunsOnCommitter(t *testing.T) {
+	e := NewWS(tilePlan(testPlanner(t, 200, 9)), Options{Shards: 1, Workers: 1})
+	defer e.Close()
+	var (
+		mu   sync.Mutex
+		seqs []uint64
+	)
+	got := make(chan struct{}, 16)
+	e.Observe(func(n Notification) {
+		if e.Updates(n.Group) != int(n.Seq) { // takes the shard and group locks
+			t.Errorf("observer saw Seq %d, the group has %d plans", n.Seq, e.Updates(n.Group))
+		}
+		mu.Lock()
+		seqs = append(seqs, n.Seq)
+		mu.Unlock()
+		got <- struct{}{}
+	})
+	users := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.52, 0.5)}
+	id, err := e.Register(users, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got: // Register returned after its observer call
+	default:
+		t.Fatal("the registration plan was not observed before Register returned")
+	}
+	for i := 1; i <= 3; i++ {
+		if err := e.Submit(id, []geom.Point{geom.Pt(0.5+0.1*float64(i), 0.5), geom.Pt(0.52, 0.5)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	mu.Lock()
+	if want := []uint64{1, 2, 3, 4}; !slices.Equal(seqs, want) {
+		t.Fatalf("observed Seqs %v, want %v", seqs, want)
+	}
+	mu.Unlock()
 }
