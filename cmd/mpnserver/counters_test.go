@@ -1,74 +1,16 @@
 package main
 
 import (
-	"bytes"
 	"io"
 	"log"
 	"math"
 	"math/rand"
 	"net"
-	"regexp"
-	"strconv"
 	"testing"
-	"time"
 
 	"mpn/internal/core"
-	"mpn/internal/faultinject"
 	"mpn/internal/geom"
 )
-
-// TestShutdownLineCountsShedOnce overloads a one-shard, depth-1 server
-// with fail-fast admission behind a stalled worker and reads the shutdown
-// line: its shed= is the engine's own count, so every shed report is
-// counted once.
-func TestShutdownLineCountsShedOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pois := make([]geom.Point, 300)
-	for i := range pois {
-		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
-	}
-	var logs bytes.Buffer
-	srv, err := newServer(serverConfig{
-		pois: pois, method: "circle", agg: "max", alpha: 5, buffer: 10,
-		shards: 1, workers: 1, queue: 1,
-		logger: log.New(&logs, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(gid uint32, step int) []geom.Point {
-		return []geom.Point{geom.Pt(0.15*float64(gid), 0.2+0.01*float64(step))}
-	}
-	const groups = 4
-	for gid := uint32(1); gid <= groups; gid++ {
-		if _, _, _, registered := srv.submit(gid, []uint32{1}, at(gid, 0)); !registered {
-			t.Fatalf("group %d did not register", gid)
-		}
-	}
-	// Every plan stalls, so one report per group is in the worker or the
-	// one-slot queue and the others are shed.
-	faultinject.Arm(faultinject.Script{faultinject.EnginePlan: faultinject.StallEvery(1, 20*time.Millisecond)})
-	defer faultinject.Disarm()
-	for step := 1; step <= 3; step++ {
-		for gid := uint32(1); gid <= groups; gid++ {
-			srv.submit(gid, []uint32{1}, at(gid, step))
-		}
-	}
-	faultinject.Disarm()
-	srv.close()
-
-	shed := srv.eng.Shed()
-	if shed == 0 {
-		t.Fatal("the stalled one-slot queue never shed a report")
-	}
-	m := regexp.MustCompile(` shed=(\d+)`).FindStringSubmatch(logs.String())
-	if m == nil {
-		t.Fatalf("no shed= on the shutdown line:\n%s", logs.String())
-	}
-	if got, _ := strconv.ParseUint(m[1], 10, 64); got != shed {
-		t.Fatalf("shutdown line says shed=%d, the engine shed %d", got, shed)
-	}
-}
 
 // TestTiledFleetOutcomeCounters drives a closed-loop tiled fleet over
 // loopback on an incremental server, where every report is an escape

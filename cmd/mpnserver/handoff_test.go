@@ -14,15 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"mpn/internal/engine"
 	"mpn/internal/faultinject"
 	"mpn/internal/geom"
 	"mpn/internal/proto"
 )
 
-// handoffServer starts a one-shard, one-worker circle server with the
-// given queue depth (0 = the engine default).
-func handoffServer(t *testing.T, queue int) *server {
+// handoffServer starts a one-shard, one-worker circle server.
+func handoffServer(t *testing.T) *server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	pois := make([]geom.Point, 300)
@@ -31,7 +29,7 @@ func handoffServer(t *testing.T, queue int) *server {
 	}
 	srv, err := newServer(serverConfig{
 		pois: pois, method: "circle", agg: "max", alpha: 5, buffer: 10,
-		shards: 1, workers: 1, queue: queue,
+		shards: 1, workers: 1,
 		logger: log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -62,15 +60,13 @@ func waitFor(d time.Duration, cond func() bool) bool {
 }
 
 // TestEveryCommitReachesDeliver holds the first delivery of a one-shard,
-// one-worker server at the coordinator while more single-member groups
-// than the shard queue holds report once. No committed plan is lost on
-// the way to the coordinator: every commit past registration reaches
-// Deliver, and every report was either committed or shed and counted.
+// one-worker server at the coordinator while 1,100 single-member groups
+// report once. Every report waits in the shard's run queue, however
+// long it grows, and every one is committed and reaches Deliver.
 func TestEveryCommitReachesDeliver(t *testing.T) {
-	const depth = 1024 // the engine's default, and the old fan-out channel's size
-	srv := handoffServer(t, depth)
+	srv := handoffServer(t)
 	defer srv.close()
-	const groups = depth + 76
+	const groups = 1100
 	at := func(gid uint32, step int) []geom.Point {
 		return []geom.Point{geom.Pt(float64(gid)/groups, 0.2+0.3*float64(step))}
 	}
@@ -89,13 +85,12 @@ func TestEveryCommitReachesDeliver(t *testing.T) {
 	for gid := uint32(2); gid <= groups; gid++ {
 		srv.submit(gid, []uint32{1}, at(gid, 1))
 	}
-	// Keep the hold until the shard settles: its queue is full behind the
-	// held delivery, or empty because the worker went on committing.
-	if !waitFor(10*time.Second, func() bool { q := srv.eng.Counters().Queued; return q == 0 || q == depth }) {
-		t.Fatal("the shard queue never settled")
-	}
+	queued := srv.eng.Counters().Queued
 	close(release)
 	srv.close() // drains the queue; every commit is delivered before it returns
+	if queued != groups-1 {
+		t.Fatalf("%d reports queued behind the held delivery, want %d", queued, groups-1)
+	}
 
 	c := srv.eng.Counters()
 	var plans uint64
@@ -104,26 +99,22 @@ func TestEveryCommitReachesDeliver(t *testing.T) {
 	}
 	committed := plans - groups // minus the registrations
 	delivered := faultinject.Hits(faultinject.CoordDeliver)
-	t.Logf("%d reports: %d committed, %d delivered, %d shed", groups, committed, delivered, c.Shed)
+	t.Logf("%d reports: %d committed, %d delivered", groups, committed, delivered)
+	if committed != groups {
+		t.Fatalf("%d of %d reports committed", committed, groups)
+	}
 	if delivered != committed {
 		t.Fatalf("%d of %d committed plans reached Deliver", delivered, committed)
 	}
-	if committed+c.Shed != groups {
-		t.Fatalf("%d committed + %d shed, want all %d reports accounted for", committed, c.Shed, groups)
-	}
-	if c.Shed == 0 {
-		t.Fatal("the held worker never filled the queue")
-	}
 }
 
-// TestFullQueueShedsAtOnce stalls the worker of a one-shard, depth-1
-// server and fills its queue. A report to the full shard is shed and
-// counted at once: its reader holds the coordinator lock, which the
-// worker needs to deliver, so it must not wait for queue space, and a
-// ping from another group is answered meanwhile. The shed group's next
-// report is planned and delivered.
-func TestFullQueueShedsAtOnce(t *testing.T) {
-	srv := handoffServer(t, 1)
+// TestStalledShardAnswersAtOnce stalls the worker of a one-shard server
+// inside a plan. Reports to the stalled shard return at once: their
+// reader holds the coordinator lock, which the worker needs to deliver,
+// and a ping from another group is answered meanwhile. After the release
+// the queued reports are planned and delivered with no second report.
+func TestStalledShardAnswersAtOnce(t *testing.T) {
+	srv := handoffServer(t)
 	defer srv.close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -132,8 +123,8 @@ func TestFullQueueShedsAtOnce(t *testing.T) {
 	defer ln.Close()
 	go func() { _ = srv.serve(ln) }()
 
-	// a's plan stalls the worker, b's report fills the queue, c's is shed
-	// and d pings.
+	// a's plan stalls the worker, b's and c's reports queue behind it and
+	// d pings.
 	users := make([]*e2eUser, 4)
 	for i := range users {
 		users[i] = dialUser(t, ln.Addr().String(), uint32(i+1), 0, geom.Pt(0.2+0.2*float64(i), 0.2))
@@ -160,40 +151,36 @@ func TestFullQueueShedsAtOnce(t *testing.T) {
 		}
 	}()
 
-	report(a, geom.Pt(0.2, 0.8))
+	moved := []geom.Point{geom.Pt(0.2, 0.8), geom.Pt(0.4, 0.8), geom.Pt(0.6, 0.8)}
+	report(a, moved[0])
 	if !waitFor(10*time.Second, func() bool { return faultinject.Hits(faultinject.EnginePlan) == 1 }) {
 		t.Fatal("a's report never reached the worker")
 	}
-	report(b, geom.Pt(0.4, 0.8))
-	if !waitFor(10*time.Second, func() bool { return srv.eng.Counters().Queued == 1 }) {
-		t.Fatal("b's report never filled the queue")
-	}
-	start := time.Now()
-	report(c, geom.Pt(0.6, 0.8))
-	// c's reader is inside the engine's submit, under the coordinator lock.
+	const limit = 500 * time.Millisecond
+	report(b, moved[1])
+	report(c, moved[2])
 	if !waitFor(10*time.Second, func() bool { return faultinject.Hits(faultinject.EngineSubmit) == 3 }) {
-		t.Fatal("c's report never reached the engine")
+		t.Fatal("b's and c's reports never reached the engine")
 	}
+	// c's reader may still be inside the engine's submit, under the
+	// coordinator lock; d's pong needs that lock.
 	if err := proto.Write(d.conn, proto.Message{Type: proto.TPing, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	limit := engine.DefaultAdmissionWait / 2
 	if !waitFor(limit, func() bool { return d.client.Pongs() == 1 }) {
-		t.Fatalf("a ping waited over %v behind a report to a full shard", limit)
+		t.Fatalf("a ping waited over %v behind reports to a stalled shard", limit)
 	}
-	if !waitFor(limit-time.Since(start), func() bool { return srv.eng.Counters().Shed == 1 }) {
-		t.Fatalf("a report to a full shard was not shed within %v (shed=%d)", limit, srv.eng.Counters().Shed)
+	if q := srv.eng.Counters().Queued; q != 2 {
+		t.Fatalf("%d reports queued behind the stalled plan, want b's and c's", q)
 	}
 
 	close(release)
 	released = true
-	a.waitNotify(t)
-	b.waitNotify(t)
-	final := geom.Pt(0.6, 0.5)
-	report(c, final)
-	c.waitNotify(t)
-	if !c.client.Region().Contains(final) {
-		t.Fatalf("c's region after her next report does not contain %v", final)
+	for i, u := range []*e2eUser{a, b, c} {
+		u.waitNotify(t)
+		if !u.client.Region().Contains(moved[i]) {
+			t.Fatalf("the region planned for report %d does not contain %v", i, moved[i])
+		}
 	}
 }
 
@@ -225,7 +212,7 @@ func TestCleanStopOnSIGTERM(t *testing.T) {
 	}
 	u.waitNotify(t)
 	logs := stop()
-	if !regexp.MustCompile(`served 1 conns .* plans full=2 `).MatchString(logs) {
+	if !regexp.MustCompile(`served 1 conns .* plans full=2 .*; ship seeds=0 cuts=0\n`).MatchString(logs) {
 		t.Fatalf("no counters line with the group's two plans after SIGTERM:\n%s", logs)
 	}
 

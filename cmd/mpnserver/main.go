@@ -10,8 +10,8 @@
 // recomputation) and delivers them to the members' connections itself.
 // After a group's one-time registration plan (computed synchronously so
 // its delivery is guaranteed), connection read loops never wait on the
-// planner. A report that finds its shard's queue full is shed at once
-// and counted; the engine keeps it pending for the group's next report.
+// planner, and no report waits for room or is shed: a group sits in its
+// shard's queue at most once, and the worker plans its latest locations.
 // Under -method tiled the engine derives each member's heading
 // server-side, from the group's last planned locations; no frame carries
 // one, and a restored or replicated group starts from the default
@@ -24,8 +24,9 @@
 // automatic full-frame fallback on registration, reconnect, dropped
 // frames, and client NACKs; clients that do not negotiate it receive full
 // frames. At shutdown the server logs one line from one snapshot of every
-// layer's counters: plans per incremental outcome, coalesced and shed
-// reports (each counted once, by the engine), connections and the WAL.
+// layer's counters: plans per incremental outcome and coalesced reports
+// (each counted once, by the engine), connections, the WAL and the
+// replication shipper.
 // SIGTERM or SIGINT stops the server cleanly: the listener closes, queued
 // recomputations drain, the WAL flushes and syncs, and that line prints.
 // A second signal exits at once.
@@ -60,7 +61,7 @@
 //
 //	mpnserver [-listen :7464] [-method circle|tile|tiled|net] [-agg max|sum]
 //	          [-n 21287] [-alpha 30] [-buffer 100] [-seed 42] [-pois FILE.csv]
-//	          [-shards N] [-workers N] [-queue N] [-incremental] [-gnncache N]
+//	          [-shards N] [-workers N] [-incremental] [-gnncache N]
 //	          [-read-timeout 2m] [-write-timeout 30s] [-slow-limit N]
 //	          [-close-timeout 5s] [-state-dir DIR] [-fsync always|interval|off]
 //	          [-replicate-to ADDR] [-standby-of ADDR] [-advertise ADDR]
@@ -161,7 +162,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	poiPath := fs.String("pois", "", "CSV file of x,y POIs (optional; ignored with -method net)")
 	fs.IntVar(&cfg.shards, "shards", 0, "engine registry shards (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.workers, "workers", 0, "recompute workers per shard (0 = 1)")
-	fs.IntVar(&cfg.queue, "queue", 0, "per-shard work queue depth (0 = 1024)")
 	fs.BoolVar(&cfg.incremental, "incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
 	fs.Int64("gnncache", 0, "accepted and ignored; removed with ROADMAP 9")
 	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
@@ -188,11 +188,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 // small synthetic setup in the end-to-end test). pois is ignored by the
 // net method.
 type serverConfig struct {
-	pois                   []geom.Point
-	method, agg            string
-	alpha, buffer          int
-	shards, workers, queue int
-	incremental            bool
+	pois            []geom.Point
+	method, agg     string
+	alpha, buffer   int
+	shards, workers int
+	incremental     bool
 	// Failure-semantics knobs (zero values keep prior behavior for
 	// timeouts and pick engine/coordinator defaults for the rest).
 	readTimeout, writeTimeout time.Duration
@@ -319,10 +319,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		Kind: core.KindTiles, Core: core.DefaultOptions(), POIs: cfg.pois,
 		Incremental: cfg.incremental,
 		Engine: engine.Options{
-			Shards: cfg.shards, Workers: cfg.workers, QueueDepth: cfg.queue,
-			// submit runs under the coordinator lock, which the worker
-			// delivering a plan needs: it must never wait for queue space.
-			AdmissionWait: -1, CloseTimeout: cfg.closeTimeout,
+			Shards: cfg.shards, Workers: cfg.workers, CloseTimeout: cfg.closeTimeout,
 		},
 	}
 	scfg.Core.TileLimit = cfg.alpha
@@ -480,11 +477,11 @@ func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point) (eid e
 // engine's coalescing slot always ends on the latest locations. First
 // contact registers the group: the engine computes the initial plan
 // synchronously and submit returns it for inline delivery (deliver skips
-// the matching Seq-1 notification). Every later report is a bounded
-// enqueue that never waits: a full shard queue sheds it at once (see
-// deliverError). The member-id ordering travels as the submission tag so
-// deliveries can be verified against membership churn. The ignored
-// []uint64 result is nil.
+// the matching Seq-1 notification). Every later report is an enqueue
+// that never waits — it must not, since the worker delivering a plan
+// needs the coordinator lock. The member-id ordering travels as the
+// submission tag so deliveries can be verified against membership
+// churn. The ignored []uint64 result is nil.
 func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
 	eid, registered, err := s.routeGroup(gid, ids, users)
 	if err != nil {
@@ -499,19 +496,7 @@ func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Poin
 // deliverError reports a submission failure to the group's members. It
 // must run off the submit path: submit holds the coordinator lock and
 // Deliver re-acquires it.
-//
-// Overload is the exception: a shed report is not a group failure — the
-// members still hold valid safe regions, and whoever escaped will escape
-// again and resubmit once the queue drains — so broadcasting it as a
-// fatal TError would turn transient pressure into a mass disconnect.
-// The engine counts shed reports; they are logged instead.
 func (s *server) deliverError(gid uint32, err error) {
-	if errors.Is(err, engine.ErrOverloaded) {
-		if n := s.eng.Shed(); n == 1 || n%100 == 0 {
-			s.logger.Printf("group %d: report shed under overload (%d shed so far)", gid, n)
-		}
-		return
-	}
 	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, err)
 }
 
@@ -613,12 +598,13 @@ func (s *server) close() {
 	}
 	st := s.snapshot()
 	c, w := st.Engine, st.WAL
-	s.logger.Printf("served %d conns (%dB in, %dB out); plans full=%d partial=%d kept=%d coalesced=%d shed=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d; wal appended=%d shed=%d syncs=%d compactions=%d errors=%d wedged=%v",
+	s.logger.Printf("served %d conns (%dB in, %dB out); plans full=%d partial=%d kept=%d coalesced=%d abandoned=%d slow-kicks=%d dropped-frames=%d idle-timeouts=%d read-errs=%d write-errs=%d; wal appended=%d shed=%d syncs=%d compactions=%d errors=%d wedged=%v; ship seeds=%d cuts=%d",
 		st.Conns.Accepted, st.Conns.ReadBytes, st.Conns.WriteBytes,
-		c.Plans[core.IncFull], c.Plans[core.IncPartial], c.Plans[core.IncKept], c.Coalesced, c.Shed, c.Abandoned,
+		c.Plans[core.IncFull], c.Plans[core.IncPartial], c.Plans[core.IncKept], c.Coalesced, c.Abandoned,
 		st.Coord.SlowClientDisconnects, st.Coord.DroppedFrames,
 		st.Conns.IdleTimeouts, st.Conns.ReadErrors, st.Conns.WriteErrors,
-		w.Appended, w.Shed, w.Syncs, w.Compactions, w.Errors, w.Wedged)
+		w.Appended, w.Shed, w.Syncs, w.Compactions, w.Errors, w.Wedged,
+		st.Ship.Seeds, st.Ship.Cuts)
 }
 
 // crash tears the server down as if the process died at this instant:

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"mpn/internal/durable"
-	"mpn/internal/engine"
 	"mpn/internal/replica"
 )
 
@@ -282,25 +281,12 @@ func (s *server) adoptEpoch(e uint64) {
 // applyReplGroup routes a replicated group record like a client report
 // (routeGroup): first sight registers (synchronous plan, so the standby
 // is warm), a shape change retires the stale engine group first, and
-// later records are ordinary submissions. The engine's admission control
-// can shed a submission under load — on the replication path that must
-// never surface as divergence, so overload retries until the queue
-// drains or the server stops.
+// later records are ordinary submissions.
 func (s *server) applyReplGroup(rec durable.Record) error {
-	for {
-		_, _, err := s.routeGroup(rec.GID, rec.IDs, rec.Locs)
-		if !errors.Is(err, engine.ErrOverloaded) {
-			if err != nil {
-				return fmt.Errorf("replicated group %d: %w", rec.GID, err)
-			}
-			return nil
-		}
-		select {
-		case <-s.replStop:
-			return nil // shutting down; the stream dies with us anyway
-		case <-time.After(time.Millisecond):
-		}
+	if _, _, err := s.routeGroup(rec.GID, rec.IDs, rec.Locs); err != nil {
+		return fmt.Errorf("replicated group %d: %w", rec.GID, err)
 	}
+	return nil
 }
 
 // replAddr returns the replication listener's bound address ("" when

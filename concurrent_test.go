@@ -17,12 +17,12 @@ import (
 
 func TestEngineOptions(t *testing.T) {
 	s, err := NewServer(testPOIs(200, 30),
-		WithShards(4), WithWorkers(2), WithQueueDepth(64))
+		WithShards(4), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i, o := range []Option{WithShards(0), WithWorkers(0), WithQueueDepth(0)} {
+	for i, o := range []Option{WithShards(0), WithWorkers(0)} {
 		if _, err := NewServer(testPOIs(5, 31), o); err == nil {
 			t.Fatalf("bad engine option %d accepted", i)
 		}

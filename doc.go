@@ -284,14 +284,12 @@
 // and then fences the surviving clients' final plans byte-for-byte
 // against a fault-free run.
 //
-//   - Overload: Group.SubmitUpdate waits at most WithAdmissionWait for
-//     queue space, then sheds with ErrOverloaded (negative wait = shed
-//     immediately). Shedding is harmless by construction — coalescing
-//     keeps the group's retained plan valid and the next accepted update
-//     carries the latest locations — so callers treat ErrOverloaded as
-//     backpressure, not failure. Shed and abandoned counts are visible
-//     in Server.Counters; cmd/mpnserver counts sheds without
-//     disconnecting the reporting client.
+//   - Overload: Group.SubmitUpdate never waits and sheds nothing. A
+//     group holds one pending snapshot and waits in its shard's run
+//     queue at most once, so the queue is bounded by the registered
+//     groups; a burst of updates coalesces into one recomputation over
+//     the latest locations (Counters.Coalesced), and every update is
+//     planned by the recomputation that covers it.
 //   - Panic isolation: a panic inside a planner recomputation is
 //     recovered by the owning worker and converted into an
 //     error-carrying notification for that group (repeating the last
@@ -300,9 +298,7 @@
 //     invalidated so the next update replans fully.
 //   - Shutdown: Server.Close drains queued recomputations for at most
 //     WithCloseTimeout before abandoning the remainder (counted in
-//     Counters), then rejects further operations with ErrServerClosed
-//     — including callers already blocked in admission, which unblock
-//     promptly rather than leak.
+//     Counters), then rejects further operations with ErrServerClosed.
 //   - Dead and slow peers: cmd/mpnserver arms a read deadline covering
 //     idle time (-read-timeout) and a write deadline on every write that
 //     has to wait (-write-timeout); clients send Ping heartbeats

@@ -136,7 +136,7 @@ func BenchmarkSingleMutexParallelUpdates(b *testing.B) {
 // recomputes/op metric reports the collapse factor.
 func BenchmarkEngineAsyncBurst(b *testing.B) {
 	pl := testPlanner(b, 2000, 42)
-	e := NewWS(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0), Workers: 1, QueueDepth: 4096})
+	e := NewWS(tilePlan(pl), Options{Shards: runtime.GOMAXPROCS(0), Workers: 1})
 	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	ids := make([]GroupID, benchGroups)

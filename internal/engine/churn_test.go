@@ -20,7 +20,7 @@ import (
 func TestEngineChurnConcurrent(t *testing.T) {
 	pl := testPlanner(t, 1200, 21)
 	e := NewWS(PlannerKindWSFunc(pl, core.KindTiles, nil), Options{
-		Shards: 4, Workers: 2, QueueDepth: 64,
+		Shards: 4, Workers: 2,
 		Replan: PlannerKindIncFunc(pl, core.KindTiles, nil),
 	})
 	defer e.Close()

@@ -8,12 +8,15 @@
 //   - Groups are hashed over S independent shards. Each shard owns its
 //     slice of the registry under its own mutex, so registration, lookup
 //     and submission on different shards never contend.
-//   - Each shard has a bounded FIFO run queue drained by a pool of worker
-//     goroutines. Submitting a location update enqueues the group;
-//     workers pop groups and recompute the meeting point and safe regions
-//     via the PlanWSFunc, outside all registry locks.
+//   - Each shard has a FIFO run queue drained by a pool of worker
+//     goroutines: the shard's groups that hold a pending location
+//     snapshot, each at most once. Submitting a location update enqueues
+//     the group; workers pop groups and recompute the meeting point and
+//     safe regions via the PlanWSFunc, outside all registry locks.
 //   - Updates coalesce: a group holds at most one pending location
-//     snapshot and sits in the run queue at most once. A burst of
+//     snapshot and sits in the run queue at most once, so the queue never
+//     holds more entries than the shard has live groups and Submit never
+//     waits for room. A burst of
 //     submissions for the same group while a recomputation is queued or
 //     running collapses into a single recomputation over the latest
 //     locations (Notification.Coalesced reports how many submissions a
@@ -47,6 +50,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,12 +121,6 @@ var (
 	ErrUnknownGroup = errors.New("engine: unknown group")
 	ErrNoUsers      = errors.New("engine: empty user group")
 	errNonFinite    = errors.New("engine: non-finite user location")
-	// ErrOverloaded is returned by Submit when the target shard's run
-	// queue stayed full for the whole admission wait: the submission was
-	// shed, not queued (see Options.AdmissionWait and Counters.Shed).
-	// The recorded snapshot is retained as the group's pending update, so
-	// a later accepted submission recomputes over fresh locations.
-	ErrOverloaded = errors.New("engine: shard queue full, submission shed")
 )
 
 // PanicError is the error a notification carries when the planner
@@ -143,12 +141,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: planner panic: %v", e.Value)
 }
 
-// Default bounds for the zero values of Options.AdmissionWait and
-// Options.CloseTimeout.
-const (
-	DefaultAdmissionWait = time.Second
-	DefaultCloseTimeout  = 5 * time.Second
-)
+// DefaultCloseTimeout is the drain bound a zero Options.CloseTimeout
+// selects.
+const DefaultCloseTimeout = 5 * time.Second
 
 // Journal receives the engine's durably significant group transitions
 // (see Options.Journal). GroupCommitted reports a committed plan
@@ -171,17 +166,6 @@ type Options struct {
 	// starts lazily on the first Submit, so a server using only the
 	// synchronous path spawns no goroutines.
 	Workers int
-	// QueueDepth bounds each shard's run queue (default 1024). Submit
-	// waits up to AdmissionWait while the shard queue is full —
-	// backpressure toward the transport — then sheds the submission with
-	// ErrOverloaded. Coalescing keeps at most one entry per group, so a
-	// depth of at least the shard's group count never blocks.
-	QueueDepth int
-	// AdmissionWait bounds how long Submit may block when the target
-	// shard's run queue is full before giving up with ErrOverloaded.
-	// Zero selects DefaultAdmissionWait; negative disables waiting
-	// entirely (a full queue sheds immediately).
-	AdmissionWait time.Duration
 	// CloseTimeout bounds how long Close waits for queued recomputations
 	// to drain before abandoning the remaining queue entries (counted in
 	// Counters.Abandoned). Zero selects DefaultCloseTimeout; negative
@@ -212,12 +196,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	if o.AdmissionWait == 0 {
-		o.AdmissionWait = DefaultAdmissionWait
 	}
 	if o.CloseTimeout == 0 {
 		o.CloseTimeout = DefaultCloseTimeout
@@ -334,17 +312,16 @@ type groupState struct {
 	dirs      []core.Direction // headings derived from planned (see headings)
 }
 
-// shard is one lock stripe of the registry plus its run queue.
+// shard is one lock stripe of the registry plus its run queue. Every
+// entry of ready is a registered group (see push and Unregister), so
+// len(ready) <= len(groups).
 type shard struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond // run queue gained work or shard closed
-	notFull  *sync.Cond // run queue has space, shard closed, or a waiter expired
 	groups   map[GroupID]*groupState
 	ready    []*groupState // FIFO run queue
-	depth    int
 	closed   bool
 
-	shed      atomic.Uint64                   // submissions rejected with ErrOverloaded
 	abandoned atomic.Uint64                   // queued entries dropped by Close's drain deadline
 	coalesced atomic.Uint64                   // submissions folded into a newer one's committed plan
 	plans     [core.IncKept + 1]atomic.Uint64 // committed plans by outcome
@@ -361,61 +338,25 @@ func (sh *shard) committed(outcome core.IncOutcome, stats core.Stats, covered in
 	sh.accesses.Add(uint64(stats.IndexAccesses))
 }
 
-func newShard(depth int) *shard {
-	sh := &shard{groups: make(map[GroupID]*groupState), depth: depth}
+func newShard() *shard {
+	sh := &shard{groups: make(map[GroupID]*groupState)}
 	sh.notEmpty = sync.NewCond(&sh.mu)
-	sh.notFull = sync.NewCond(&sh.mu)
 	return sh
 }
 
-// push appends st to the run queue, applying bounded-wait admission:
-// when the queue is at capacity the producer blocks at most wait
-// (non-positive wait fails immediately) before the submission is shed
-// with ErrOverloaded. Returns ErrClosed when the shard closed.
-func (sh *shard) push(st *groupState, wait time.Duration) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.ready) >= sh.depth && !sh.closed && wait > 0 {
-		// sync.Cond has no timed wait; an AfterFunc flips expired under
-		// the shard lock and broadcasts. Because the callback takes
-		// sh.mu, it cannot fire between this goroutine's condition check
-		// and its Wait — no missed wakeup, the wait is strictly bounded.
-		expired := false
-		timer := time.AfterFunc(wait, func() {
-			sh.mu.Lock()
-			expired = true
-			sh.mu.Unlock()
-			sh.notFull.Broadcast()
-		})
-		for len(sh.ready) >= sh.depth && !sh.closed && !expired {
-			sh.notFull.Wait()
-		}
-		timer.Stop()
-	}
-	if sh.closed {
-		return ErrClosed
-	}
-	if len(sh.ready) >= sh.depth {
-		sh.shed.Add(1)
-		return ErrOverloaded
-	}
-	sh.ready = append(sh.ready, st)
-	sh.notEmpty.Signal()
-	return nil
-}
-
-// pushUnbounded appends st to the run queue ignoring capacity: a worker
-// re-enqueueing a group after a compute must never block on (or be shed
-// from) its own queue. Overshoot is at most one entry per worker.
-// Returns false when the shard closed.
-func (sh *shard) pushUnbounded(st *groupState) bool {
+// push appends st to the run queue; it never waits. A group unregistered
+// since its caller marked it queued is not appended, so the queue holds
+// only live groups. Returns false when the shard closed.
+func (sh *shard) push(st *groupState) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return false
 	}
-	sh.ready = append(sh.ready, st)
-	sh.notEmpty.Signal()
+	if sh.groups[st.id] == st {
+		sh.ready = append(sh.ready, st)
+		sh.notEmpty.Signal()
+	}
 	return true
 }
 
@@ -432,7 +373,6 @@ func (sh *shard) pop() *groupState {
 	}
 	st := sh.ready[0]
 	sh.ready = sh.ready[1:]
-	sh.notFull.Signal()
 	return st
 }
 
@@ -440,7 +380,6 @@ func (sh *shard) close() {
 	sh.mu.Lock()
 	sh.closed = true
 	sh.notEmpty.Broadcast()
-	sh.notFull.Broadcast()
 	sh.mu.Unlock()
 }
 
@@ -524,7 +463,7 @@ func NewWS(plan PlanWSFunc, opts Options) *Engine {
 		obs:     make(map[*observer]struct{}),
 	}
 	for i := range e.shards {
-		e.shards[i] = newShard(opts.QueueDepth)
+		e.shards[i] = newShard()
 	}
 	return e
 }
@@ -603,13 +542,16 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 	return id, nil
 }
 
-// Unregister removes a group. Queued or in-flight recomputations for it
-// are discarded.
+// Unregister removes a group and takes it out of its shard's run queue.
+// Queued or in-flight recomputations for it are discarded.
 func (e *Engine) Unregister(id GroupID) {
 	sh := e.shardFor(id)
 	sh.mu.Lock()
 	st := sh.groups[id]
 	delete(sh.groups, id)
+	if i := slices.Index(sh.ready, st); i >= 0 {
+		sh.ready = slices.Delete(sh.ready, i, i+1)
+	}
 	sh.mu.Unlock()
 	if st != nil {
 		st.mu.Lock()
@@ -666,10 +608,9 @@ func CheckFinite(users []geom.Point) error {
 // Submit schedules an asynchronous recomputation from the users' current
 // locations. It returns once the update is recorded: bursts for the same
 // group coalesce into one recomputation over the latest snapshot, and the
-// result reaches the observers (see Observe). Submit blocks only when the
-// shard's run queue is full, and then at most Options.AdmissionWait
-// before shedding the submission with ErrOverloaded. dirs of the wrong
-// length, nil included, mean "derived from the group's last planned
+// result reaches the observers (see Observe). Submit never waits for
+// queue room: the run queue holds each group at most once. dirs of the
+// wrong length, nil included, mean "derived from the group's last planned
 // locations" (see compute).
 func (e *Engine) Submit(id GroupID, users []geom.Point, dirs []core.Direction) error {
 	return e.SubmitTag(id, users, dirs, nil)
@@ -712,18 +653,8 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 		st.queued = true
 	}
 	st.mu.Unlock()
-	if !enqueue {
-		return nil
-	}
-	if err := e.shardFor(id).push(st, e.opts.AdmissionWait); err != nil {
-		// The shard refused the enqueue. The recorded snapshot stays
-		// pending — the next accepted submission (or an already-running
-		// recomputation's requeue pass) coalesces it — but the group must
-		// not look queued when it is not in the queue.
-		st.mu.Lock()
-		st.queued = false
-		st.mu.Unlock()
-		return err
+	if enqueue && !e.shardFor(id).push(st) {
+		return ErrClosed
 	}
 	return nil
 }
@@ -922,7 +853,7 @@ func (e *Engine) worker(sh *shard) {
 			e.emit(n)
 		}
 		if requeue {
-			sh.pushUnbounded(st)
+			sh.push(st)
 		}
 	}
 }
@@ -1104,9 +1035,8 @@ func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	// Closing the shards first wakes producers blocked in admission
-	// waits (they return ErrClosed and release the op gate) and tells
-	// workers to exit once their queues drain.
+	// Closing the shards first tells workers to exit once their queues
+	// drain; a Submit admitted before the flag then returns ErrClosed.
 	for _, sh := range e.shards {
 		sh.close()
 	}
@@ -1154,15 +1084,13 @@ func (e *Engine) Close() {
 	e.obsMu.Unlock()
 }
 
-// Counters is the engine's accounting, summed over its shards:
-// admission and shutdown, coalescing, and the plans it committed with
-// the planner work they did. Every field but Queued only grows.
+// Counters is the engine's accounting, summed over its shards: the run
+// queue, shutdown, coalescing, and the plans it committed with the
+// planner work they did. Every field but Queued only grows.
 type Counters struct {
-	// Queued is the current run-queue length.
+	// Queued is the current length of the run queues: groups waiting for a
+	// worker, never more than the registered groups.
 	Queued int
-	// Shed counts submissions rejected with ErrOverloaded because the
-	// queue stayed full for the whole admission wait.
-	Shed uint64
 	// Abandoned counts queued recomputations discarded when Close's
 	// drain deadline passed.
 	Abandoned uint64
@@ -1185,7 +1113,6 @@ func (e *Engine) Counters() Counters {
 		sh.mu.Lock()
 		c.Queued += len(sh.ready)
 		sh.mu.Unlock()
-		c.Shed += sh.shed.Load()
 		c.Abandoned += sh.abandoned.Load()
 		c.Coalesced += sh.coalesced.Load()
 		for o := range sh.plans {
@@ -1197,6 +1124,6 @@ func (e *Engine) Counters() Counters {
 	return c
 }
 
-// Shed returns Counters().Shed, the submissions rejected with
-// ErrOverloaded across all shards.
-func (e *Engine) Shed() uint64 { return e.Counters().Shed }
+// Shed returns 0: the engine sheds no submission. It is kept only until
+// the benchmark stops calling it (ROADMAP 9).
+func (e *Engine) Shed() uint64 { return 0 }

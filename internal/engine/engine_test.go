@@ -277,7 +277,7 @@ func TestCoalescing(t *testing.T) {
 // coalescing may skip intermediates but must never lose the last word.
 func TestShardContention(t *testing.T) {
 	pl := testPlanner(t, 500, 5)
-	e := NewWS(tilePlan(pl), Options{Shards: 8, Workers: 2, QueueDepth: 64})
+	e := NewWS(tilePlan(pl), Options{Shards: 8, Workers: 2})
 	defer e.Close()
 
 	const groups, writers, rounds = 40, 8, 10

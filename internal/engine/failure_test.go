@@ -44,104 +44,147 @@ func threeUsers() []geom.Point {
 	return []geom.Point{geom.Pt(0.2, 0.2), geom.Pt(0.3, 0.25), geom.Pt(0.25, 0.3)}
 }
 
-// TestSubmitOverloadedBounded saturates a one-deep shard queue behind a
-// wedged worker and checks the admission contract: Submit fails with
-// ErrOverloaded after (but not much after) the configured wait, the shed
-// is counted, and the shed snapshot survives as the group's pending
-// update — the next accepted submission coalesces it.
-func TestSubmitOverloadedBounded(t *testing.T) {
-	const wait = 60 * time.Millisecond
+// TestRunQueueHoldsOnlyLiveGroups stalls the only worker inside a plan
+// while submitters burst reports at every live group and the test
+// goroutine registers and unregisters groups. The run queue never holds
+// more entries than the shard has live groups (an unregistered group
+// leaves it at once), and after the release each live group's newest
+// snapshot is committed with no further submission.
+func TestRunQueueHoldsOnlyLiveGroups(t *testing.T) {
 	p := newStubPlan()
-	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: wait})
-	sub := e.Subscribe(64)
-	g1, err := e.Register(threeUsers(), nil)
-	if err != nil {
-		t.Fatal(err)
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1})
+	defer e.Close()
+
+	// A group's submissions and its unregistration serialize on its mu,
+	// so last is the snapshot the engine holds as newest.
+	type group struct {
+		mu   sync.Mutex
+		id   GroupID
+		last []geom.Point
+		live bool
 	}
-	g2, err := e.Register(threeUsers(), nil)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		mu     sync.Mutex
+		groups []*group
+	)
+	register := func() {
+		id, err := e.Register(threeUsers(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		groups = append(groups, &group{id: id, live: true})
+		mu.Unlock()
 	}
-	g3, err := e.Register(threeUsers(), nil)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		register()
 	}
 
-	p.blocking.Store(true)
-	if err := e.Submit(g1, threeUsers(), nil); err != nil {
+	// The worker's plan for group 0 is the first hit after arming; the
+	// registrations below pass the failpoint.
+	release := make(chan struct{})
+	faultinject.Arm(faultinject.Script{faultinject.EnginePlan: func(hit uint64) faultinject.Effect {
+		if hit == 1 {
+			<-release
+		}
+		return faultinject.Effect{}
+	}})
+	defer faultinject.Disarm()
+	if err := e.Submit(groups[0].id, threeUsers(), nil); err != nil {
+		close(release)
 		t.Fatal(err)
 	}
-	<-p.entered // the only worker is now wedged inside the planner
-	if err := e.Submit(g2, threeUsers(), nil); err != nil {
-		t.Fatal(err) // fills the queue (depth 1)
+	groups[0].last = threeUsers()
+	for faultinject.Hits(faultinject.EnginePlan) < 1 {
+		time.Sleep(time.Millisecond)
 	}
 
-	start := time.Now()
-	err = e.Submit(g3, threeUsers(), nil)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated Submit: err = %v, want ErrOverloaded", err)
-	}
-	if elapsed < wait-5*time.Millisecond {
-		t.Fatalf("shed after %v, before the %v admission wait", elapsed, wait)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("shed took %v — admission wait is not bounded", elapsed)
-	}
-	if got := e.Shed(); got != 1 {
-		t.Fatalf("Shed() = %d, want 1", got)
-	}
-	if got := e.Counters().Shed; got != 1 {
-		t.Fatalf("Counters().Shed = %d, want 1", got)
-	}
-
-	// Unwedge and resubmit g3: the accepted submission must coalesce the
-	// shed snapshot (Coalesced == 2 on g3's notification).
-	p.blocking.Store(false)
-	close(p.release)
-	if err := e.Submit(g3, threeUsers(), nil); err != nil {
-		t.Fatalf("post-overload Submit: %v", err)
-	}
-	e.quiesce(t)
-	e.Close()
-	for n := range sub.C {
-		if n.Group == g3 && n.Seq > 1 {
-			if n.Coalesced != 2 {
-				t.Fatalf("g3 recomputation coalesced %d submissions, want 2 (accepted + shed)", n.Coalesced)
-			}
-			return
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad atomic.Value
+	var submitted atomic.Uint64
+	stopped := false
+	halt := func() { // stops the submitters, then the stall
+		if !stopped {
+			stopped = true
+			close(stop)
+			wg.Wait()
+			close(release)
 		}
 	}
-	t.Fatal("no recomputation notification for the shed-then-resubmitted group")
-}
-
-// TestSubmitOverloadedFailFast checks that a negative AdmissionWait
-// sheds immediately instead of blocking.
-func TestSubmitOverloadedFailFast(t *testing.T) {
-	p := newStubPlan()
-	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, QueueDepth: 1, AdmissionWait: -1})
-	defer e.Close()
-	defer close(p.release) // unwedge the worker before Close's drain
-	g1, _ := e.Register(threeUsers(), nil)
-	g2, _ := e.Register(threeUsers(), nil)
-	g3, _ := e.Register(threeUsers(), nil)
-
-	p.blocking.Store(true)
-	if err := e.Submit(g1, threeUsers(), nil); err != nil {
-		t.Fatal(err)
+	defer halt()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				g := groups[(w+7*i)%len(groups)]
+				mu.Unlock()
+				users := []geom.Point{geom.Pt(float64(w), float64(i)), geom.Pt(0.5, 0.5), geom.Pt(0.1, 0.9)}
+				g.mu.Lock()
+				if g.live {
+					if err := e.Submit(g.id, users, nil); err != nil {
+						bad.Store(err)
+					}
+					g.last = users
+				}
+				g.mu.Unlock()
+				submitted.Add(1)
+			}
+		}(w)
 	}
-	<-p.entered
-	if err := e.Submit(g2, threeUsers(), nil); err != nil {
-		t.Fatal(err)
+	maxQueued := 0
+	check := func() {
+		// Unregistrations happen only on this goroutine and a stalled
+		// worker pops nothing, so the groups read after the queue are at
+		// least the groups live when the queue was read.
+		q := e.Counters().Queued
+		if n := e.NumGroups(); q > n {
+			t.Fatalf("run queue holds %d entries for %d live groups", q, n)
+		}
+		maxQueued = max(maxQueued, q)
 	}
-	start := time.Now()
-	if err := e.Submit(g3, threeUsers(), nil); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	for i := 0; i < 200; i++ {
+		// Let the submitters run between churn steps.
+		for n := submitted.Load(); submitted.Load() < n+8; {
+			runtime.Gosched()
+		}
+		register()
+		check()
+		mu.Lock()
+		g := groups[1+(i*5)%(len(groups)-1)] // never group 0, whose plan is stalled
+		mu.Unlock()
+		g.mu.Lock()
+		if g.live {
+			e.Unregister(g.id)
+			g.live = false
+		}
+		g.mu.Unlock()
+		check()
 	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Fatalf("fail-fast shed took %v", elapsed)
+	halt()
+	if err := bad.Load(); err != nil {
+		t.Fatalf("Submit to a live group: %v", err)
 	}
-	p.blocking.Store(false)
+	if maxQueued < 2 {
+		t.Fatalf("the stalled shard never queued two groups at once (max %d)", maxQueued)
+	}
+	e.quiesce(t)
+	for _, g := range groups {
+		if !g.live || g.last == nil {
+			continue
+		}
+		want, _, _, _ := p.fn(nil, g.last, nil)
+		if got := e.Meeting(g.id); got != want {
+			t.Fatalf("group %d meets at %v, want %v from its newest snapshot", g.id, got, want)
+		}
+	}
 }
 
 // TestWorkerPanicIsolation injects a planner panic into a worker
@@ -281,7 +324,7 @@ func TestClosePostContract(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := newStubPlan()
 	close(p.release) // never block
-	e := NewWS(p.fn, Options{Shards: 2, Workers: 2, QueueDepth: 1024})
+	e := NewWS(p.fn, Options{Shards: 2, Workers: 2})
 	sub := e.Subscribe(1 << 14)
 
 	const groups = 8
@@ -361,10 +404,7 @@ func TestClosePostContract(t *testing.T) {
 // queue (counted), and return in bounded time.
 func TestCloseDrainDeadline(t *testing.T) {
 	p := newStubPlan()
-	e := NewWS(p.fn, Options{
-		Shards: 1, Workers: 1, QueueDepth: 16,
-		AdmissionWait: -1, CloseTimeout: 40 * time.Millisecond,
-	})
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, CloseTimeout: 40 * time.Millisecond})
 	var ids []GroupID
 	for i := 0; i < 4; i++ {
 		id, err := e.Register(threeUsers(), nil)

@@ -37,11 +37,10 @@ const (
 	// EnginePlan fires inside every engine recomputation, immediately
 	// before the planner call (sync and worker paths alike). A panic
 	// here exercises the engine's panic isolation; a stall holds a shard
-	// worker busy, which together with a small queue depth forces
-	// admission-control sheds.
+	// worker busy, so other groups' submissions wait in its run queue.
 	EnginePlan Point = "engine.plan"
 	// EngineSubmit fires at the top of every asynchronous submission,
-	// before admission.
+	// before the group's snapshot is recorded and queued.
 	EngineSubmit Point = "engine.submit"
 	// CoordDeliver fires at the top of every coordinator delivery
 	// (fan-out of one completed plan).

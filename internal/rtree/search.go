@@ -4,7 +4,7 @@ import (
 	"mpn/internal/geom"
 )
 
-// pqEntry is a priority-queue element for best-first traversal: either a
+// pqEntry is a priority queue element for best-first traversal: either a
 // node to expand or an item ready to be reported.
 type pqEntry struct {
 	dist float64

@@ -51,15 +51,6 @@ type Stats = core.Stats
 // ErrNoGroup is returned when operating on an empty user group.
 var ErrNoGroup = errors.New("mpn: empty user group")
 
-// ErrOverloaded is returned by Group.SubmitUpdate when the target
-// shard's run queue stayed full for the whole admission wait (see
-// WithAdmissionWait): the submission was shed, not queued. The group's
-// retained plan is untouched — members still hold valid safe regions —
-// so the natural recovery is to resubmit after backoff, or simply wait
-// for the next escape report. It aliases the engine's sentinel, so
-// errors.Is works across layers.
-var ErrOverloaded = engine.ErrOverloaded
-
 // ErrServerClosed is returned by group operations after Server.Close.
 // It aliases the engine's sentinel, so errors.Is works across layers.
 var ErrServerClosed = engine.ErrClosed
@@ -134,12 +125,12 @@ func NewServer(pois []Point, opts ...Option) (*Server, error) {
 	return &Server{st: st}, nil
 }
 
-// Counters is a snapshot of the engine's accounting: admission, shutdown,
-// coalescing, and committed plans per ReplanOutcome.
+// Counters is a snapshot of the engine's accounting: the run queue,
+// shutdown, coalescing, and committed plans per ReplanOutcome.
 type Counters = engine.Counters
 
 // Counters reports the engine's counters — the observability face of
-// WithAdmissionWait, WithCloseTimeout and WithIncremental.
+// SubmitUpdate's coalescing, WithCloseTimeout and WithIncremental.
 func (s *Server) Counters() Counters { return s.st.Engine.Counters() }
 
 // NumPOIs returns the indexed data set size.
@@ -281,12 +272,12 @@ func (g *Group) Update(users []Point, dirs []Direction) error {
 }
 
 // SubmitUpdate schedules an asynchronous recomputation on the engine's
-// worker pool and returns immediately. Bursts of submissions for the same
-// group coalesce into a single recomputation over the latest locations;
-// results arrive on the Server.Subscribe stream. SubmitUpdate blocks only
-// when the group's shard queue is full (backpressure). dirs is read as
-// Update reads it: nil headings are derived from the group's last planned
-// locations.
+// worker pool and returns without waiting: a group sits in its shard's
+// run queue at most once, so there is never a full queue to wait for.
+// Bursts of submissions for the same group coalesce into a single
+// recomputation over the latest locations; results arrive on the
+// Server.Subscribe stream. dirs is read as Update reads it: nil headings
+// are derived from the group's last planned locations.
 func (g *Group) SubmitUpdate(users []Point, dirs []Direction) error {
 	if len(users) != g.size {
 		return fmt.Errorf("mpn: group has %d users, got %d locations", g.size, len(users))

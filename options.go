@@ -220,39 +220,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithQueueDepth bounds each shard's pending-update queue (default 1024).
-// Submissions block while the shard queue is full, pushing backpressure
-// toward the transport; coalescing keeps at most one queue entry per
-// group, so a depth of at least the groups-per-shard count never blocks.
-func WithQueueDepth(depth int) Option {
-	return func(c *config) error {
-		if depth < 1 {
-			return fmt.Errorf("mpn: queue depth %d must be positive", depth)
-		}
-		c.Engine.QueueDepth = depth
-		return nil
-	}
-}
-
-// WithAdmissionWait bounds how long Group.SubmitUpdate may wait for
-// space when its shard's run queue is full: once the wait expires the
-// submission is shed with ErrOverloaded instead of queued, so a
-// saturated server degrades into bounded-latency rejections rather than
-// unbounded caller stalls (coalescing makes shedding safe — the group's
-// retained plan stays valid and the next accepted update carries the
-// latest locations). The default is 1 second; a negative wait sheds
-// immediately (fail-fast admission). Shed counts are visible in
-// Server.Counters.
-func WithAdmissionWait(d time.Duration) Option {
-	return func(c *config) error {
-		if d == 0 {
-			return nil // keep the engine default
-		}
-		c.Engine.AdmissionWait = d
-		return nil
-	}
-}
-
 // WithCloseTimeout bounds how long Server.Close drains queued
 // recomputations before abandoning them (abandoned counts are visible
 // in Server.Counters). The default is 5 seconds; a negative timeout
