@@ -216,7 +216,9 @@ func runDeltaFence(t *testing.T, method, agg string) {
 // region epochs from 1, so nothing in the old plan marks it as old. The
 // first delivery is held at the CoordDeliver failpoint while both members
 // disconnect and re-register far away; released, it must be dropped as
-// stale, and every client must keep the new registration plan.
+// stale, and every client must keep the new registration plan. The shard
+// has two workers: the held delivery keeps one, and the other commits and
+// delivers the re-formed group's first plan.
 func TestStaleDeliveryAfterRejoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pois := make([]geom.Point, 800)
@@ -225,7 +227,7 @@ func TestStaleDeliveryAfterRejoin(t *testing.T) {
 	}
 	srv, err := newServer(serverConfig{
 		pois: pois, method: "circle", agg: "max",
-		alpha: 5, buffer: 20, shards: 1, workers: 1,
+		alpha: 5, buffer: 20, shards: 1, workers: 2,
 		incremental: true,
 		logger:      log.New(io.Discard, "", 0),
 	})

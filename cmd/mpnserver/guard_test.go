@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,6 +137,76 @@ func TestIdleFleetOneGoroutinePerConn(t *testing.T) {
 				runtime.NumGoroutine(), len(conns), base, bound, slack)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReadLoopStackPerConn forms a fleet of tiled groups over loopback
+// and bounds the goroutine stack memory each connection adds. A read
+// loop only decodes frames and hands snapshots to the engine; one that
+// ran a tile plan would keep a stack sized to the planner's depth (about
+// 8.5 KB a connection over groups of three, against 4.3 KB when no read
+// loop plans). The collector is off while the fleet forms, so no stack
+// shrinks before it is counted.
+func TestReadLoopStackPerConn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector deepens every stack")
+	}
+	rng := rand.New(rand.NewSource(9))
+	pois := make([]geom.Point, 2000)
+	for i := range pois {
+		pois[i] = geom.Pt(rng.Float64(), rng.Float64())
+	}
+	srv, err := newServer(serverConfig{
+		pois: pois, method: "tiled", agg: "max", alpha: 30, buffer: 100,
+		shards: 1, workers: 1,
+		logger: log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srv.serve(ln) }()
+
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.StackInuse
+	const groups, size = 64, 3
+	var conns []net.Conn
+	for g := range uint32(groups) {
+		for u := range uint32(size) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := proto.Write(conn, proto.Message{
+				Type: proto.TRegister, Group: g, User: u, GroupSize: size,
+				Loc: geom.Pt(rng.Float64(), rng.Float64()),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+		}
+	}
+	for i, conn := range conns {
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if msg, err := proto.Read(conn); err != nil || msg.Type != proto.TNotify {
+			t.Fatalf("conn %d: first frame %v, %v; want the group's first TNotify", i, msg.Type, err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	const limit = 6 << 10
+	per := (int64(ms.StackInuse) - int64(base)) / int64(len(conns))
+	t.Logf("stacks %d → %d B: %d B per connection", base, ms.StackInuse, per)
+	if per > limit {
+		t.Fatalf("%d B of stack per connection, want ≤ %d: a read loop planned", per, limit)
 	}
 }
 

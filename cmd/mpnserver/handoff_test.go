@@ -59,10 +59,12 @@ func waitFor(d time.Duration, cond func() bool) bool {
 	return true
 }
 
-// TestEveryCommitReachesDeliver holds the first delivery of a one-shard,
-// one-worker server at the coordinator while 1,100 single-member groups
-// report once. Every report waits in the shard's run queue, however
-// long it grows, and every one is committed and reaches Deliver.
+// TestEveryCommitReachesDeliver forms 1,100 single-member groups on a
+// one-shard, one-worker server: each first plan is queued, none is
+// returned inline, and all 1,100 reach Deliver. It then holds the first
+// delivery at the coordinator while every group reports once. Every
+// report waits in the shard's run queue, however long it grows, and every
+// one is committed and reaches Deliver.
 func TestEveryCommitReachesDeliver(t *testing.T) {
 	srv := handoffServer(t)
 	defer srv.close()
@@ -70,14 +72,18 @@ func TestEveryCommitReachesDeliver(t *testing.T) {
 	at := func(gid uint32, step int) []geom.Point {
 		return []geom.Point{geom.Pt(float64(gid)/groups, 0.2+0.3*float64(step))}
 	}
+	faultinject.Arm(faultinject.Script{}) // counts the deliveries
+	defer faultinject.Disarm()
 	for gid := uint32(1); gid <= groups; gid++ {
-		if _, _, _, registered := srv.submit(gid, []uint32{1}, at(gid, 0)); !registered {
-			t.Fatalf("group %d did not register", gid)
+		if _, _, _, inline := srv.submit(gid, []uint32{1}, at(gid, 0)); inline {
+			t.Fatalf("group %d was planned inline", gid)
 		}
+	}
+	if !waitFor(10*time.Second, func() bool { return faultinject.Hits(faultinject.CoordDeliver) == groups }) {
+		t.Fatalf("%d of %d first plans reached Deliver", faultinject.Hits(faultinject.CoordDeliver), groups)
 	}
 	release := make(chan struct{})
 	faultinject.Arm(faultinject.Script{faultinject.CoordDeliver: holdFirst(release)})
-	defer faultinject.Disarm()
 	srv.submit(1, []uint32{1}, at(1, 1))
 	if !waitFor(10*time.Second, func() bool { return faultinject.Hits(faultinject.CoordDeliver) == 1 }) {
 		t.Fatal("the first report's plan never reached Deliver")
@@ -97,7 +103,7 @@ func TestEveryCommitReachesDeliver(t *testing.T) {
 	for _, n := range c.Plans {
 		plans += n
 	}
-	committed := plans - groups // minus the registrations
+	committed := plans - groups // minus the first plans
 	delivered := faultinject.Hits(faultinject.CoordDeliver)
 	t.Logf("%d reports: %d committed, %d delivered", groups, committed, delivered)
 	if committed != groups {
@@ -181,6 +187,68 @@ func TestStalledShardAnswersAtOnce(t *testing.T) {
 		if !u.client.Region().Contains(moved[i]) {
 			t.Fatalf("the region planned for report %d does not contain %v", i, moved[i])
 		}
+	}
+}
+
+// TestFormingGroupAnswersAtOnce stalls the worker of a one-shard server
+// in the first plan of a forming group. Every member's ping, the one who
+// completed the group included, and a ping from another group's member
+// are answered at once: no read loop runs the plan or waits for it, and
+// none holds the coordinator lock meanwhile. After the release every
+// member of the new group gets her first notification.
+func TestFormingGroupAnswersAtOnce(t *testing.T) {
+	srv := handoffServer(t)
+	defer srv.close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { _ = srv.serve(ln) }()
+	addr := ln.Addr().String()
+
+	other := dialUser(t, addr, 2, 1, geom.Pt(0.5, 0.5))
+	if err := other.client.Register(1); err != nil {
+		t.Fatal(err)
+	}
+	other.waitNotify(t)
+	release := make(chan struct{})
+	faultinject.Arm(faultinject.Script{faultinject.EnginePlan: holdFirst(release)})
+	defer faultinject.Disarm()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+
+	members := make([]*e2eUser, 3)
+	for i := range members {
+		members[i] = dialUser(t, addr, 1, uint32(i), geom.Pt(0.2+0.1*float64(i), 0.3))
+		if err := members[i].client.Register(uint32(len(members))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !waitFor(10*time.Second, func() bool { return faultinject.Hits(faultinject.EnginePlan) == 1 }) {
+		t.Fatal("the group's first plan never started")
+	}
+	pinged := append([]*e2eUser{other}, members...)
+	for _, u := range pinged {
+		if err := proto.Write(u.conn, proto.Message{Type: proto.TPing, Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const limit = 500 * time.Millisecond
+	for i, u := range pinged {
+		if !waitFor(limit, func() bool { return u.client.Pongs() == 1 }) {
+			t.Fatalf("user %d: no pong within %v while a group's first plan ran", i, limit)
+		}
+	}
+
+	close(release)
+	released = true
+	for _, u := range members {
+		u.waitNotify(t)
 	}
 }
 

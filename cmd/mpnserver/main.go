@@ -4,14 +4,15 @@
 // encoding (the Fig. 3 architecture as a real network service).
 //
 // Compute runs on the sharded concurrent group engine (internal/engine):
-// an escape report submits the group's fresh locations to a per-shard
-// work queue and returns immediately, and a shard worker recomputes the
-// safe regions (coalescing bursts for the same group into one
-// recomputation) and delivers them to the members' connections itself.
-// After a group's one-time registration plan (computed synchronously so
-// its delivery is guaranteed), connection read loops never wait on the
-// planner, and no report waits for room or is shed: a group sits in its
-// shard's queue at most once, and the worker plans its latest locations.
+// the member who completes a group, and every escape report after, hands
+// the group's fresh locations to a per-shard work queue and returns
+// immediately, and a shard worker computes the safe regions (coalescing
+// bursts for the same group into one recomputation) and delivers them to
+// the members' connections itself, the group's first plan included. So
+// connection read loops never run or wait on the planner, no plan runs
+// under the coordinator lock, and no report waits for room or is shed: a
+// group sits in its shard's queue at most once, and the worker plans its
+// latest locations.
 // Under -method tiled the engine derives each member's heading
 // server-side, from the group's last planned locations; no frame carries
 // one, and a restored or replicated group starts from the default
@@ -410,10 +411,12 @@ func newServer(cfg serverConfig) (*server, error) {
 
 	// Re-own every recovered group before taking traffic: each is
 	// registered with its last committed member locations and retained
-	// id ordering, and its plan recomputes synchronously, so a member
-	// reconnecting a moment later resumes through the ordinary
-	// full-snapshot-on-register path as if the process never died. The
-	// journal stays disarmed — this state is already in the log.
+	// id ordering, and its plan is computed here, before the listener
+	// opens (the synchronous RegisterTag), so a member reconnecting a
+	// moment later resumes through the ordinary full-snapshot-on-register
+	// path as if the process never died. The journal stays disarmed until
+	// every restored plan has committed — this state is already in the
+	// log, and a queued plan would commit after the journal is armed.
 	if restored != nil && len(restored.Groups) > 0 {
 		gids := make([]uint32, 0, len(restored.Groups))
 		for gid := range restored.Groups {
@@ -423,7 +426,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		ok := 0
 		for _, gid := range gids {
 			g := restored.Groups[gid]
-			if _, _, rerr := s.routeGroup(gid, g.IDs, g.Locs); rerr != nil {
+			if rerr := s.routeGroup(gid, g.IDs, g.Locs, s.eng.RegisterTag); rerr != nil {
 				cfg.logger.Printf("group %d: restore failed: %v", gid, rerr)
 				continue
 			}
@@ -447,50 +450,46 @@ func newServer(cfg serverConfig) (*server, error) {
 // routeGroup hands protocol group gid's location snapshot to the engine —
 // the one gid→engine routine behind client reports (submit), boot-time
 // restore and replicated group records. The first snapshot registers the
-// group, planning it synchronously (registered is true). So does a
-// snapshot whose member count differs from the engine group's — one
-// restored or replicated under a shape the members no longer have — after
-// the stale engine group is retired (journaled, so a crash right there
-// does not resurrect it). Every other snapshot is a plain SubmitTag.
-func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point) (eid engine.GroupID, registered bool, err error) {
+// group through register: RegisterAsync, which queues its first plan on
+// the group's shard worker, on the client and replication paths, and the
+// synchronous RegisterTag on boot-time restore only. So does a snapshot
+// whose member count differs from the engine group's — one restored or
+// replicated under a shape the members no longer have — after the stale
+// engine group is retired (journaled, so a crash right there does not
+// resurrect it). Every other snapshot is a plain SubmitTag.
+func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point, register func([]geom.Point, []core.Direction, any) (engine.GroupID, error)) error {
 	tag := reportTag{gid: gid, ids: ids}
 	s.mu.Lock()
 	eid, ok := s.gidToEngine[gid]
 	if ok && s.eng.Size(eid) == len(users) {
 		s.mu.Unlock()
-		return eid, false, s.eng.SubmitTag(eid, users, nil, tag)
+		return s.eng.SubmitTag(eid, users, nil, tag)
 	}
 	defer s.mu.Unlock()
 	if ok {
 		delete(s.gidToEngine, gid)
 		s.eng.Unregister(eid)
 	}
-	if eid, err = s.eng.RegisterTag(users, nil, tag); err != nil {
-		return 0, false, err
+	eid, err := register(users, nil, tag)
+	if err != nil {
+		return err
 	}
 	s.gidToEngine[gid] = eid
-	return eid, true, nil
+	return nil
 }
 
 // submit is the coordinator's replan hook, called with the coordinator
 // lock held — that lock is what keeps a group's snapshots ordered, so the
-// engine's coalescing slot always ends on the latest locations. First
-// contact registers the group: the engine computes the initial plan
-// synchronously and submit returns it for inline delivery (deliver skips
-// the matching Seq-1 notification). Every later report is an enqueue
-// that never waits — it must not, since the worker delivering a plan
-// needs the coordinator lock. The member-id ordering travels as the
-// submission tag so deliveries can be verified against membership
-// churn. The ignored []uint64 result is nil.
+// engine's coalescing slot always ends on the latest locations. It only
+// ever enqueues, first contact included, and never returns a plan
+// inline: it must not wait for the engine, since the worker delivering a
+// plan needs the coordinator lock. The member-id ordering travels as the
+// submission tag so deliveries can be verified against membership churn.
 func (s *server) submit(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
-	eid, registered, err := s.routeGroup(gid, ids, users)
-	if err != nil {
+	if err := s.routeGroup(gid, ids, users, s.eng.RegisterAsync); err != nil {
 		s.deliverError(gid, err)
 	}
-	if !registered {
-		return geom.Point{}, nil, nil, false
-	}
-	return s.eng.Meeting(eid), s.eng.Regions(eid), nil, true
+	return geom.Point{}, nil, nil, false
 }
 
 // deliverError reports a submission failure to the group's members. It
@@ -500,16 +499,16 @@ func (s *server) deliverError(gid uint32, err error) {
 	go s.coord.Deliver(gid, nil, nil, geom.Point{}, nil, err)
 }
 
-// deliver is the engine's observer: the worker that committed a plan
-// hands it to the coordinator. submit delivered the registration plan
-// (Seq 1) inline, under the coordinator lock it still holds. Deliver runs
-// live under that lock, so a group that dissolved and re-formed with the
-// same member ids cannot receive the old plan: engine ids are never
-// reused, and every retirement of a gid's engine group unregisters it, on
-// the client path under the coordinator lock (onGroupEmpty, routeGroup).
+// deliver is the engine's observer: the worker that committed a plan,
+// the group's first included, hands it to the coordinator. Deliver runs
+// live under the coordinator lock, so a group that dissolved and
+// re-formed with the same member ids cannot receive the old plan: engine
+// ids are never reused, and every retirement of a gid's engine group
+// unregisters it, on the client path under the coordinator lock
+// (onGroupEmpty, routeGroup).
 func (s *server) deliver(n engine.Notification) {
 	rt, ok := n.Tag.(reportTag)
-	if n.Seq == 1 || !ok {
+	if !ok {
 		return
 	}
 	eid := n.Group

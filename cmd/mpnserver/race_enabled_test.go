@@ -1,0 +1,7 @@
+//go:build race
+
+package main
+
+// raceEnabled lets memory fences skip under the race detector, whose
+// instrumentation deepens every stack.
+const raceEnabled = true

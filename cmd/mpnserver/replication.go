@@ -228,8 +228,8 @@ func (s *server) autoPromote() {
 
 // applyReplicated replays one replicated record into the serving
 // stack, strictly in stream order on the tailer goroutine. It reuses
-// exactly the paths boot-time recovery uses — ApplyPOIs for POI
-// batches, RegisterTag/SubmitTag for group state — and the engine's
+// the paths boot-time recovery and client reports use — ApplyPOIs for
+// POI batches, routeGroup for group state — and the engine's
 // journal hook re-journals each application locally, so a promoted
 // standby's own durable state is as authoritative as the primary's
 // was. An error return is fatal to the tail (ErrDiverged): replay can
@@ -279,11 +279,11 @@ func (s *server) adoptEpoch(e uint64) {
 }
 
 // applyReplGroup routes a replicated group record like a client report
-// (routeGroup): first sight registers (synchronous plan, so the standby
-// is warm), a shape change retires the stale engine group first, and
-// later records are ordinary submissions.
+// (routeGroup): first sight registers with the group's first plan queued
+// on its shard worker, a shape change retires the stale engine group
+// first, and later records are ordinary submissions.
 func (s *server) applyReplGroup(rec durable.Record) error {
-	if _, _, err := s.routeGroup(rec.GID, rec.IDs, rec.Locs); err != nil {
+	if err := s.routeGroup(rec.GID, rec.IDs, rec.Locs, s.eng.RegisterAsync); err != nil {
 		return fmt.Errorf("replicated group %d: %w", rec.GID, err)
 	}
 	return nil

@@ -378,10 +378,11 @@
 // so a slow standby can never stall the primary's write path.
 //
 // A standby (-standby-of, pointed at the primary's replication address)
-// replays every shipped record through exactly the paths boot-time
-// recovery uses — POI batches through the planner, group records into
-// the engine with synchronous plans — so its engine is warm the moment
-// it is asked to serve. While following, it refuses client writes with
+// replays every shipped record through the paths boot-time recovery and
+// client reports use — POI batches through the planner, group records
+// into the engine, each new group's first plan queued on its shard
+// worker like a client's — so its engine is warm the moment it is asked
+// to serve. While following, it refuses client writes with
 // a redirect at the primary. Promotion (automatic after -promote-after
 // of primary silence, and never after a fatal divergence) bumps a
 // fencing epoch above everything the primary ever presented, journals

@@ -27,14 +27,20 @@
 //     observer whose sends never block; a slow subscriber drops frames
 //     and the drop count is observable.
 //
+// A group enters the registry one way (publish), either planned or with
+// its first snapshot queued: RegisterTag computes the first plan on the
+// caller's goroutine and publishes the planned group, RegisterAsync
+// publishes the group with that snapshot pending, so a shard worker
+// commits its first plan like every later one.
+//
 // There is one path from a location snapshot to a notification:
 // recompute plans the snapshot (compute, the engine's only call into the
 // planner — a non-incremental PlanWSFunc is adapted to the ReplanWSFunc
 // shape at construction), stores the plan, bumps Seq, journals and
 // notifies. The synchronous Update runs it on the caller's goroutine,
-// Submit/SubmitTag hand it to a shard worker; the two differ only in
-// whose workspace plans and in who learns of a planner error (Update's
-// caller, or the observers of the asynchronous path).
+// Submit/SubmitTag/RegisterAsync hand it to a shard worker; the two
+// differ only in whose workspace plans and in who learns of a planner
+// error (Update's caller, or the observers of the asynchronous path).
 //
 // The engine guarantees at most one in-flight asynchronous recomputation
 // per group, so successful notifications for one group are emitted in
@@ -163,8 +169,9 @@ type Options struct {
 	Shards int
 	// Workers is the number of recomputation workers per shard (default
 	// 1). Total compute parallelism is Shards × Workers. The worker pool
-	// starts lazily on the first Submit, so a server using only the
-	// synchronous path spawns no goroutines.
+	// starts lazily on the first asynchronous call (SubmitTag or
+	// RegisterAsync), so an engine used only through the synchronous path
+	// spawns no goroutines.
 	Workers int
 	// CloseTimeout bounds how long Close waits for queued recomputations
 	// to drain before abandoning the remaining queue entries (counted in
@@ -208,9 +215,10 @@ type Notification struct {
 	// Group is the recomputed group.
 	Group GroupID
 	// Seq is the group's recomputation sequence number, starting at 1
-	// with the registration plan. Per group, successful notifications
-	// arrive in strictly increasing Seq order; a notification with Err
-	// set repeats the Seq of the last successful plan.
+	// with the group's first plan, whichever goroutine commits it. Per
+	// group, successful notifications arrive in strictly increasing Seq
+	// order; a notification with Err set repeats the Seq of the last
+	// successful plan (0 when the first plan failed).
 	Seq uint64
 	// Meeting is the fresh optimal meeting point.
 	Meeting geom.Point
@@ -248,7 +256,8 @@ type Subscription struct {
 	// Engine.Close.
 	C <-chan Notification
 
-	ch      chan Notification
+	mu      sync.Mutex        // orders send against close
+	ch      chan Notification // nil once closed
 	dropped atomic.Uint64
 	detach  func()
 }
@@ -260,13 +269,27 @@ func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 // Close detaches the subscription and closes C.
 func (s *Subscription) Close() { s.detach() }
 
-// send is the subscription's observer.
+// send is the subscription's observer. A call that began before C closed
+// (a worker Close left behind, see Engine.Close) sends nothing.
 func (s *Subscription) send(n Notification) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		return
+	}
 	select {
 	case s.ch <- n:
 	default:
 		s.dropped.Add(1)
 	}
+}
+
+// close closes C.
+func (s *Subscription) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	close(s.ch)
+	s.ch = nil
 }
 
 // observer is one attached notification callback (see observe).
@@ -281,6 +304,16 @@ type update struct {
 	dirs  []core.Direction
 	count int // submissions coalesced into this snapshot
 	tag   any // opaque caller tag of the newest submission
+}
+
+// newUpdate copies one submission into a snapshot of its own.
+func newUpdate(users []geom.Point, dirs []core.Direction, tag any) *update {
+	return &update{
+		users: append([]geom.Point(nil), users...),
+		dirs:  append([]core.Direction(nil), dirs...),
+		count: 1,
+		tag:   tag,
+	}
 }
 
 // groupState is the engine-side state of one group. The registry shard
@@ -354,10 +387,16 @@ func (sh *shard) push(st *groupState) bool {
 		return false
 	}
 	if sh.groups[st.id] == st {
-		sh.ready = append(sh.ready, st)
-		sh.notEmpty.Signal()
+		sh.readyLocked(st)
 	}
 	return true
+}
+
+// readyLocked appends st to the run queue and wakes a worker; sh.mu is
+// held.
+func (sh *shard) readyLocked(st *groupState) {
+	sh.ready = append(sh.ready, st)
+	sh.notEmpty.Signal()
 }
 
 // pop removes the next group to recompute, blocking until work arrives.
@@ -416,11 +455,11 @@ type Engine struct {
 	// and no notification is still being emitted.
 	opGate sync.RWMutex
 
-	// obsMu is held for read while observers run, so a detach waits out
-	// the calls in flight.
-	obsMu sync.RWMutex
-	obs   map[*observer]struct{}
-	nobs  atomic.Int64 // len(obs), readable without obsMu
+	// obs is the attached observers, replaced whole on every attach and
+	// detach (under obsMu), so emit reads it without a lock and a detach
+	// never waits for an observer call in flight.
+	obsMu sync.Mutex
+	obs   atomic.Pointer[[]*observer]
 }
 
 // beginOp admits one synchronous operation, taking opGate for read. It
@@ -460,7 +499,6 @@ func NewWS(plan PlanWSFunc, opts Options) *Engine {
 		journal: opts.Journal,
 		opts:    opts,
 		shards:  make([]*shard, opts.Shards),
-		obs:     make(map[*observer]struct{}),
 	}
 	for i := range e.shards {
 		e.shards[i] = newShard()
@@ -503,14 +541,11 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		return 0, ErrClosed
 	}
 	defer e.opGate.RUnlock()
-	if len(users) == 0 {
-		return 0, ErrNoUsers
-	}
 	// The zero plan state forces the replanner down the full path and
 	// comes back seeded, so the first escape report can already be served
 	// incrementally. The group is published only once its plan succeeded.
-	st := &groupState{size: len(users), tag: tag}
-	if err := st.validate(users); err != nil {
+	st, err := newGroup(users, tag)
+	if err != nil {
 		return 0, err
 	}
 	ws := core.GetWorkspace()
@@ -519,17 +554,12 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 	if err != nil {
 		return 0, err
 	}
-	id := GroupID(e.nextID.Add(1))
-	st.id, st.meeting, st.regions, st.stats, st.seq = id, meeting, regions, stats, 1
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return 0, ErrClosed
+	st.meeting, st.regions, st.stats, st.seq = meeting, regions, stats, 1
+	id, err := e.publish(st)
+	if err != nil {
+		return 0, err
 	}
-	sh.groups[id] = st
-	sh.mu.Unlock()
-	sh.committed(outcome, stats, 1)
+	e.shardFor(id).committed(outcome, stats, 1)
 	if e.journal != nil {
 		// The registration commit. No lock needed for ordering: a
 		// submission for this group cannot exist before the id returns.
@@ -540,6 +570,59 @@ func (e *Engine) RegisterTag(users []geom.Point, dirs []core.Direction, tag any)
 		Stats: stats, Coalesced: 1, Changed: true, Tag: tag,
 	})
 	return id, nil
+}
+
+// RegisterAsync adds a group and queues its first plan on the group's
+// shard, returning at once: a shard worker commits the plan as Seq 1 —
+// journaling it and notifying the observers like every later plan — and
+// a planner error reaches the observers as a notification with Seq 0, the
+// group staying registered so that its next submission plans from
+// scratch. Until that commit the group has no plan: Meeting, Regions,
+// Region, Stats and Updates read zero, NeedsUpdate is true, and a
+// submission coalesces into the first plan. dirs reach the planner as
+// given, as for Register.
+func (e *Engine) RegisterAsync(users []geom.Point, dirs []core.Direction, tag any) (GroupID, error) {
+	if !e.beginOp() {
+		return 0, ErrClosed
+	}
+	defer e.opGate.RUnlock()
+	st, err := newGroup(users, tag)
+	if err != nil {
+		return 0, err
+	}
+	e.startOnce.Do(e.start)
+	st.pending, st.queued = newUpdate(users, dirs, tag), true
+	return e.publish(st)
+}
+
+// newGroup is the unpublished state of a group registering with users.
+func newGroup(users []geom.Point, tag any) (*groupState, error) {
+	if len(users) == 0 {
+		return nil, ErrNoUsers
+	}
+	st := &groupState{size: len(users), tag: tag}
+	if err := st.validate(users); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// publish gives st a fresh id and enters it in its shard's registry and,
+// when it is marked queued, in the shard's run queue. It is the one way a
+// group becomes reachable, so st needs no lock until it returns.
+func (e *Engine) publish(st *groupState) (GroupID, error) {
+	st.id = GroupID(e.nextID.Add(1))
+	sh := e.shardFor(st.id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return 0, ErrClosed
+	}
+	sh.groups[st.id] = st
+	if st.queued {
+		sh.readyLocked(st)
+	}
+	return st.id, nil
 }
 
 // Unregister removes a group and takes it out of its shard's run queue.
@@ -557,10 +640,11 @@ func (e *Engine) Unregister(id GroupID) {
 		st.mu.Lock()
 		st.removed = true
 		st.pending = nil
-		if e.journal != nil {
+		if e.journal != nil && st.seq > 0 {
 			// Under st.mu, after removed is set: commits serialize on the
 			// same lock and skip removed groups, so per group the removal
-			// is the journal's final record.
+			// is the journal's final record. A group whose first plan
+			// never committed has no record to remove.
 			e.journal.GroupRemoved(st.tag)
 		}
 		st.mu.Unlock()
@@ -633,12 +717,7 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 	if err := st.validate(users); err != nil {
 		return err
 	}
-	up := &update{
-		users: append([]geom.Point(nil), users...),
-		dirs:  append([]core.Direction(nil), dirs...),
-		count: 1,
-		tag:   tag,
-	}
+	up := newUpdate(users, dirs, tag)
 	st.mu.Lock()
 	if st.removed {
 		st.mu.Unlock()
@@ -746,7 +825,7 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 		covered += superseded.count
 		st.pending = nil
 	}
-	changed := meeting != st.meeting
+	changed := st.seq == 0 || meeting != st.meeting
 	st.meeting = meeting
 	st.regions = regions
 	st.stats.Add(stats)
@@ -863,7 +942,7 @@ func (e *Engine) worker(sh *shard) {
 // Notification once every group and shard lock is released; per group, a
 // worker's calls arrive in Seq order. A worker plans nothing else while
 // fn runs, and fn must not attach or detach observers or close the
-// engine. Close detaches every observer once all emission has ceased.
+// engine. Close detaches every observer (see Close).
 func (e *Engine) Observe(fn func(Notification)) {
 	e.observe(fn, func() {})
 }
@@ -874,7 +953,7 @@ func (e *Engine) Observe(fn func(Notification)) {
 func (e *Engine) Subscribe(buffer int) *Subscription {
 	ch := make(chan Notification, max(buffer, 1))
 	s := &Subscription{C: ch, ch: ch}
-	s.detach = e.observe(s.send, func() { close(ch) })
+	s.detach = e.observe(s.send, s.close)
 	return s
 }
 
@@ -888,30 +967,34 @@ func (e *Engine) observe(fn func(Notification), done func()) (detach func()) {
 		done()
 		return func() {}
 	}
-	e.obs[o] = struct{}{}
-	e.nobs.Store(int64(len(e.obs)))
+	var obs []*observer
+	if p := e.obs.Load(); p != nil {
+		obs = slices.Clone(*p)
+	}
+	obs = append(obs, o)
+	e.obs.Store(&obs)
 	return func() {
 		e.obsMu.Lock()
 		defer e.obsMu.Unlock()
-		if _, ok := e.obs[o]; ok {
-			delete(e.obs, o)
-			e.nobs.Store(int64(len(e.obs)))
+		p := e.obs.Load()
+		if p == nil {
+			return
+		}
+		if i := slices.Index(*p, o); i >= 0 {
+			obs := slices.Delete(slices.Clone(*p), i, i+1)
+			e.obs.Store(&obs)
 			done()
 		}
 	}
 }
 
-// emit hands a notification to every observer in turn. With none attached
-// it takes no lock; an observer attached meanwhile may miss this one.
+// emit hands a notification to every observer in turn.
 func (e *Engine) emit(n Notification) {
-	if e.nobs.Load() == 0 {
-		return
+	if p := e.obs.Load(); p != nil {
+		for _, o := range *p {
+			o.fn(n)
+		}
 	}
-	e.obsMu.RLock()
-	for o := range e.obs {
-		o.fn(n)
-	}
-	e.obsMu.RUnlock()
 }
 
 // Meeting returns the group's current meeting point (zero if unknown).
@@ -943,9 +1026,7 @@ func (e *Engine) Regions(id GroupID) []core.SafeRegion {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]core.SafeRegion, len(st.regions))
-	copy(out, st.regions)
-	return out
+	return slices.Clone(st.regions)
 }
 
 // Region returns user i's safe region (zero region when out of range).
@@ -1024,13 +1105,16 @@ func (e *Engine) NumGroups() int {
 //     Options.CloseTimeout to complete and emit. When the deadline
 //     passes, the remaining queue entries are abandoned (counted in
 //     Counters.Abandoned) and workers exit after their current
-//     recomputation; a worker wedged inside the planner past a second
-//     deadline is left behind rather than hanging Close. A snapshot
-//     accepted while its group's recomputation was in flight may be
-//     discarded without a notification — Close is a shutdown, not a
+//     recomputation; a worker wedged inside the planner or an observer
+//     past a second deadline is left behind rather than hanging Close. A
+//     snapshot accepted while its group's recomputation was in flight may
+//     be discarded without a notification — Close is a shutdown, not a
 //     flush.
-//   - Every observer is detached last, after all emission has ceased
-//     (a Subscription's channel closes then).
+//   - Every observer is detached last, after all emission has ceased or
+//     the second deadline passed (a Subscription's channel closes then).
+//     A worker left behind may still finish the emission it was in, but
+//     a Subscription it reaches after its channel closed receives
+//     nothing.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
@@ -1066,22 +1150,22 @@ func (e *Engine) Close() {
 			case <-done:
 				t2.Stop()
 			case <-t2.C:
-				// A recomputation is wedged inside the planner. Leaving
-				// its worker behind is safe: the observer map empties
-				// below before any channel closes, so a late emit reaches
-				// no one.
+				// A worker is wedged inside the planner or an observer.
+				// Leaving it behind is safe: detaching waits for no
+				// observer call, and a Subscription closed below drops
+				// whatever the worker sends it later.
 			}
 		}
 	} else {
 		<-done
 	}
 	e.obsMu.Lock()
-	for o := range e.obs {
-		o.done()
+	defer e.obsMu.Unlock()
+	if p := e.obs.Swap(nil); p != nil {
+		for _, o := range *p {
+			o.done()
+		}
 	}
-	clear(e.obs)
-	e.nobs.Store(0)
-	e.obsMu.Unlock()
 }
 
 // Counters is the engine's accounting, summed over its shards: the run

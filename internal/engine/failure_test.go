@@ -435,3 +435,57 @@ func TestCloseDrainDeadline(t *testing.T) {
 	}
 	close(p.release) // let the wedged worker go home
 }
+
+// TestCloseReturnsPastWedgedObserver wedges the only worker inside an
+// observer call: Close still returns once its two drain deadlines pass,
+// with the subscription's channel closed, and the worker, released
+// afterwards, finishes its emission to that subscription without a send
+// on the closed channel.
+func TestCloseReturnsPastWedgedObserver(t *testing.T) {
+	p := newStubPlan()
+	close(p.release)
+	const d = 50 * time.Millisecond
+	e := NewWS(p.fn, Options{Shards: 1, Workers: 1, CloseTimeout: d})
+	id, err := e.Register(threeUsers(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	e.Observe(func(Notification) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	})
+	sub := e.Subscribe(1)
+	if err := e.Submit(id, threeUsers(), nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the plan never reached the observer")
+	}
+
+	closed := make(chan time.Duration, 1)
+	start := time.Now()
+	go func() {
+		e.Close()
+		closed <- time.Since(start)
+	}()
+	select {
+	case elapsed := <-closed:
+		if elapsed > 2*d+time.Second {
+			t.Fatalf("Close took %v with a %v drain deadline", elapsed, d)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Close hung on an observer call in flight")
+	}
+	if _, ok := <-sub.C; ok {
+		t.Fatal("the subscription's channel is open after Close")
+	}
+	close(release)
+	e.wg.Wait() // the worker's emission reaches the closed subscription
+}

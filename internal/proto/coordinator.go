@@ -19,19 +19,18 @@ import (
 // SubmitFunc is the coordinator's one compute backend: every replan is
 // handed to it, which is how the coordinator stays decoupled from the
 // planner implementation. users[i] is the location of ids[i], the group's
-// members in ascending user-id order. Normally the backend (the sharded
-// group engine) enqueues and answers later through Coordinator.Deliver,
-// echoing ids so the delivery can be checked against membership churn,
-// and returns ok=false. When it has the plan in hand — a group's one-time
-// registration, or every call of a backend that computes inline — it
-// returns the plan with ok=true and the coordinator notifies the members
-// inline, so the very first plan (the one clients cannot recover from
-// losing, since they never escape a region they never received) does not
-// depend on any lossy notification path. SubmitFunc is called with the
-// coordinator lock held — which is what guarantees a group's snapshots
-// reach the backend in report order — so a serving backend must only
-// enqueue (or at most compute that one registration plan), never
-// recompute steady-state reports inline.
+// members in ascending user-id order. A serving backend (cmd/mpnserver's
+// sharded group engine) enqueues every snapshot, a group's first
+// included, returns ok=false, and answers later through
+// Coordinator.Deliver, echoing ids so the delivery can be checked against
+// membership churn. A backend that computes inline (test doubles and the
+// benchmark's in-process replay) returns the plan with ok=true instead,
+// and the coordinator notifies the members at once. SubmitFunc is called
+// with the coordinator lock held — which is what guarantees a group's
+// snapshots reach the backend in report order — so a serving backend must
+// only enqueue: a plan computed here stalls every group's frames, and a
+// backend whose delivery takes the coordinator lock must never wait for
+// it.
 //
 // The coordinator keeps each member's region to compare her next one
 // with (see Deliver), so a backend must not modify a region after
@@ -633,8 +632,8 @@ func (c *Coordinator) reply(conn io.Writer, registered bool, gid, uid uint32, ms
 	}
 }
 
-// register adds the member; when the group completes, the first plan is
-// computed and distributed.
+// register adds the member; when the group completes, its locations go
+// to the backend for the group's first plan (see replanLocked).
 func (c *Coordinator) register(msg Message, w io.Writer) error {
 	if msg.GroupSize == 0 {
 		return errors.New("group size must be positive")
