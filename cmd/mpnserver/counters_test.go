@@ -80,8 +80,8 @@ func TestTiledFleetOutcomeCounters(t *testing.T) {
 
 	var committed uint64
 	srv.mu.Lock()
-	for _, eid := range srv.gidToEngine {
-		committed += uint64(srv.eng.Updates(eid))
+	for _, r := range srv.gidToEngine {
+		committed += uint64(srv.eng.Updates(r.eid))
 	}
 	srv.mu.Unlock()
 	c := srv.snapshot().Engine

@@ -31,9 +31,10 @@ func (c *connStats) totals() connTotals {
 }
 
 // guardedConn wraps an accepted connection with deadline discipline and
-// accounting. Every Read arms an idle deadline — a peer that sends
-// nothing (not even a heartbeat) within idleTimeout fails the read with a
-// timeout instead of holding the connection open forever. Every Write
+// accounting. Reads keep an idle deadline armed — a peer that sends
+// nothing (not even a heartbeat) for idleTimeout (at most 9/8 of it: a
+// Read re-arms only every idleTimeout/8) fails the read with a timeout
+// instead of holding the connection open forever. Every Write
 // arms a write deadline — a peer that stops draining cannot pin the
 // member's drain goroutine indefinitely; the write fails, the coordinator
 // tears the member down, and her backlog is released. Frames the socket
@@ -50,11 +51,15 @@ type guardedConn struct {
 	writeTimeout time.Duration
 	stats        *connStats
 
+	armed time.Duration // the last idle deadline's arming, since monoBase; read loop only
+
 	rBytes  atomic.Uint64
 	wBytes  atomic.Uint64
 	errs    atomic.Uint64
 	timeout atomic.Bool // last read failed on the idle deadline
 }
+
+var monoBase = time.Now() // makes guardedConn.armed an 8-byte monotonic reading
 
 func newGuardedConn(conn net.Conn, idle, write time.Duration, stats *connStats) *guardedConn {
 	stats.accepted.Add(1)
@@ -62,8 +67,11 @@ func newGuardedConn(conn net.Conn, idle, write time.Duration, stats *connStats) 
 }
 
 func (g *guardedConn) Read(p []byte) (int, error) {
-	if g.idleTimeout > 0 {
-		_ = g.Conn.SetReadDeadline(time.Now().Add(g.idleTimeout))
+	if t := g.idleTimeout; t > 0 {
+		if now := time.Since(monoBase); g.armed == 0 || now-g.armed >= t/8 {
+			g.armed = now
+			_ = g.Conn.SetReadDeadline(monoBase.Add(now + t + t/8))
+		}
 	}
 	n, err := g.Conn.Read(p)
 	g.rBytes.Add(uint64(n))

@@ -5,6 +5,7 @@ package main
 import (
 	"io"
 	"os"
+	"sync"
 	"syscall"
 )
 
@@ -30,19 +31,31 @@ type rawGuardedConn struct {
 	raw syscall.RawConn
 }
 
+// rawWrites holds TryWrite's argument blocks, each with its write(2)
+// callback bound once: one built per call would be allocated per frame.
+var rawWrites = sync.Pool{New: func() any {
+	w := new(rawWrite)
+	w.write = func(fd uintptr) bool { w.n, w.err = syscall.Write(int(fd), w.p); return true }
+	return w
+}}
+
+type rawWrite struct {
+	p     []byte
+	n     int
+	err   error
+	write func(fd uintptr) bool
+}
+
 // TryWrite makes one write(2) on the non-blocking socket and returns what
 // it took: EAGAIN (the socket buffer is full) and EINTR are a short count
-// with a nil error. It never waits, so it arms no write deadline.
+// with a nil error. It never waits, so it arms no write deadline, and
+// allocates only on failure.
 func (c *rawGuardedConn) TryWrite(p []byte) (int, error) {
-	var n int
-	var werr error
-	err := c.raw.Write(func(fd uintptr) bool {
-		n, werr = syscall.Write(int(fd), p)
-		return true
-	})
-	if n < 0 {
-		n = 0
-	}
+	w := rawWrites.Get().(*rawWrite)
+	w.p, w.n, w.err = p, 0, nil
+	err := c.raw.Write(w.write)
+	n, werr := max(w.n, 0), w.err
+	rawWrites.Put(w)
 	if err == nil && werr != syscall.EAGAIN && werr != syscall.EINTR {
 		err = os.NewSyscallError("write", werr)
 	}

@@ -89,6 +89,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,7 +166,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (serverConfig, string, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "recompute workers per shard (0 = 1)")
 	fs.BoolVar(&cfg.incremental, "incremental", false, "incremental safe-region maintenance: keep retained regions and regrow only what a report invalidates")
 	fs.Int64("gnncache", 0, "accepted and ignored; removed with ROADMAP 9")
-	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline armed before every connection read; a peer silent this long is disconnected (0 disables)")
+	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute, "idle deadline on connection reads; a peer silent this long (up to 9/8 of it) is disconnected (0 disables)")
 	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "deadline on a connection write that has to wait for a full socket; a peer that stops draining this long is disconnected (0 disables)")
 	fs.IntVar(&cfg.slowLimit, "slow-limit", 0, "consecutive outbox drops before a slow client is disconnected (0 = default, negative = never)")
 	fs.DurationVar(&cfg.closeTimeout, "close-timeout", 0, "how long shutdown drains queued recomputations before abandoning them (0 = engine default, negative = unbounded)")
@@ -244,11 +245,11 @@ type server struct {
 	writeTimeout time.Duration
 	cstats       connStats
 
-	// mu guards the protocol-group → engine-group id mapping that client
+	// mu guards the protocol-group → engine-group mapping that client
 	// reports, boot-time restore and replicated records share (see
 	// routeGroup).
 	mu          sync.Mutex
-	gidToEngine map[uint32]engine.GroupID
+	gidToEngine map[uint32]route
 
 	// Replication (see replication.go): role gates client writes
 	// through writeGate, epoch is the monotone fencing epoch, ship
@@ -276,10 +277,17 @@ type server struct {
 // ordering the location snapshot was computed for. deliver routes a
 // notification by gid and fences it against membership churn with ids;
 // the durable journal logs committed state under gid, the group's stable
-// identity.
+// identity. A tag is never modified: routeGroup reuses one per membership
+// (a pointer is not boxed, so a report allocates none).
 type reportTag struct {
 	gid uint32
 	ids []uint32
+}
+
+// route is a protocol group's engine group and its current tag.
+type route struct {
+	eid engine.GroupID
+	tag *reportTag
 }
 
 // serverJournal adapts engine.Journal to the durable store. The store's
@@ -291,7 +299,7 @@ func (j serverJournal) GroupCommitted(tag any, users []geom.Point, _ []core.Dire
 	if !j.s.journalOn.Load() {
 		return
 	}
-	if rt, ok := tag.(reportTag); ok {
+	if rt, ok := tag.(*reportTag); ok {
 		j.s.store.GroupUpsert(rt.gid, rt.ids, users)
 	}
 }
@@ -300,7 +308,7 @@ func (j serverJournal) GroupRemoved(tag any) {
 	if !j.s.journalOn.Load() {
 		return
 	}
-	if rt, ok := tag.(reportTag); ok {
+	if rt, ok := tag.(*reportTag); ok {
 		j.s.store.GroupUnregister(rt.gid)
 	}
 }
@@ -364,7 +372,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		logger:       cfg.logger,
 		readTimeout:  cfg.readTimeout,
 		writeTimeout: cfg.writeTimeout,
-		gidToEngine:  map[uint32]engine.GroupID{},
+		gidToEngine:  map[uint32]route{},
 	}
 	if cfg.stateDir != "" {
 		scfg.Engine.Journal = serverJournal{s}
@@ -458,23 +466,26 @@ func newServer(cfg serverConfig) (*server, error) {
 // engine group is retired (journaled, so a crash right there does not
 // resurrect it). Every other snapshot is a plain SubmitTag.
 func (s *server) routeGroup(gid uint32, ids []uint32, users []geom.Point, register func([]geom.Point, []core.Direction, any) (engine.GroupID, error)) error {
-	tag := reportTag{gid: gid, ids: ids}
 	s.mu.Lock()
-	eid, ok := s.gidToEngine[gid]
-	if ok && s.eng.Size(eid) == len(users) {
+	r, ok := s.gidToEngine[gid]
+	if !ok || !slices.Equal(r.tag.ids, ids) {
+		r.tag = &reportTag{gid: gid, ids: ids}
+	}
+	if ok && s.eng.Size(r.eid) == len(users) {
+		s.gidToEngine[gid] = r
 		s.mu.Unlock()
-		return s.eng.SubmitTag(eid, users, nil, tag)
+		return s.eng.SubmitTag(r.eid, users, nil, r.tag)
 	}
 	defer s.mu.Unlock()
 	if ok {
 		delete(s.gidToEngine, gid)
-		s.eng.Unregister(eid)
+		s.eng.Unregister(r.eid)
 	}
-	eid, err := register(users, nil, tag)
+	eid, err := register(users, nil, r.tag)
 	if err != nil {
 		return err
 	}
-	s.gidToEngine[gid] = eid
+	s.gidToEngine[gid] = route{eid: eid, tag: r.tag}
 	return nil
 }
 
@@ -507,7 +518,7 @@ func (s *server) deliverError(gid uint32, err error) {
 // unregisters it, on the client path under the coordinator lock
 // (onGroupEmpty, routeGroup).
 func (s *server) deliver(n engine.Notification) {
-	rt, ok := n.Tag.(reportTag)
+	rt, ok := n.Tag.(*reportTag)
 	if !ok {
 		return
 	}
@@ -519,11 +530,11 @@ func (s *server) deliver(n engine.Notification) {
 // onGroupEmpty releases the engine group when its last member leaves.
 func (s *server) onGroupEmpty(gid uint32) {
 	s.mu.Lock()
-	eid, ok := s.gidToEngine[gid]
+	r, ok := s.gidToEngine[gid]
 	delete(s.gidToEngine, gid)
 	s.mu.Unlock()
 	if ok {
-		s.eng.Unregister(eid)
+		s.eng.Unregister(r.eid)
 	}
 }
 

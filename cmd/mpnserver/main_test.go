@@ -241,7 +241,7 @@ func TestEndToEndBurstCoalesces(t *testing.T) {
 	// notifies, so the final notification having arrived means all of
 	// them are in.
 	srv.mu.Lock()
-	eid := srv.gidToEngine[9]
+	eid := srv.gidToEngine[9].eid
 	srv.mu.Unlock()
 	recomputed := uint64(srv.eng.Updates(eid) - 1) // minus the registration plan
 	if coalesced := srv.snapshot().Engine.Coalesced; recomputed+coalesced != 21 {

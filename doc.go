@@ -79,6 +79,11 @@
 // their own; TestSteadyStateUpdateAllocs and the core-level allocation
 // fence gate the budget so regressions fail CI.
 //
+// Around the planner, a steady-state report in cmd/mpnserver allocates
+// only the plan's regions (about once per op on circle groups, from 27):
+// the read loop, the coordinator lock, a member's region cache and
+// recycled engine snapshots own every other buffer, under fences.
+//
 // The cost of one recomputation is the cost of its tile attempts, and an
 // attempt costs O(m) per candidate POI, not O(tiles): the planner keeps
 // running per-member region aggregates and one lazily filled memo cell
@@ -300,8 +305,9 @@
 //     WithCloseTimeout before abandoning the remainder (counted in
 //     Counters), then rejects further operations with ErrServerClosed.
 //   - Dead and slow peers: cmd/mpnserver arms a read deadline covering
-//     idle time (-read-timeout) and a write deadline on every write that
-//     has to wait (-write-timeout); clients send Ping heartbeats
+//     idle time (-read-timeout T, re-armed every T/8: a cut within 9T/8)
+//     and a write deadline on every write that has to wait
+//     (-write-timeout); clients send Ping heartbeats
 //     (proto.WithHeartbeat) so an idle-but-alive client is never reaped
 //     while a silent TCP hole is, on both ends. Each frame is encoded
 //     when sent and written at once with a non-blocking write; only

@@ -304,3 +304,35 @@ func TestUpdateRacingUnregister(t *testing.T) {
 		t.Fatalf("orphaned state committed to Seq %d", seq)
 	}
 }
+
+// After a group's first commit, a submission and the worker's commit of
+// it allocate nothing: SubmitTag refills the snapshot the worker handed
+// back, the run queue reuses its slots, and a pointer tag is not boxed.
+// The planner returns one fixed plan, so only the engine is measured.
+func TestSubmitAllocatesNothing(t *testing.T) {
+	regions := make([]core.SafeRegion, 3)
+	plan := func(_ *core.Workspace, users []geom.Point, _ []core.Direction) (geom.Point, []core.SafeRegion, core.Stats, error) {
+		return users[0], regions, core.Stats{}, nil
+	}
+	e := NewWS(plan, Options{Shards: 1, Workers: 1})
+	defer e.Close()
+	committed := make(chan struct{}, 1)
+	e.Observe(func(Notification) { committed <- struct{}{} })
+	users := threeUsers()
+	tag := new(int)
+	id, err := e.RegisterAsync(users, nil, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-committed
+	submit := func() {
+		if err := e.SubmitTag(id, users, nil, tag); err != nil {
+			t.Fatal(err)
+		}
+		<-committed
+	}
+	submit()
+	if n := testing.AllocsPerRun(100, submit); n != 0 {
+		t.Fatalf("a submission and its commit allocate %.1f times, want 0", n)
+	}
+}

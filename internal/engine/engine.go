@@ -306,14 +306,19 @@ type update struct {
 	tag   any // opaque caller tag of the newest submission
 }
 
+// snapshots holds snapshots no one reads any more (committed, replaced or
+// superseded) for newUpdate to refill: a pool holds only what is in
+// flight, where a spare per group would pin one per group. Update's
+// snapshot wraps the caller's slices and never enters it.
+var snapshots = sync.Pool{New: func() any { return new(update) }}
+
 // newUpdate copies one submission into a snapshot of its own.
 func newUpdate(users []geom.Point, dirs []core.Direction, tag any) *update {
-	return &update{
-		users: append([]geom.Point(nil), users...),
-		dirs:  append([]core.Direction(nil), dirs...),
-		count: 1,
-		tag:   tag,
-	}
+	up := snapshots.Get().(*update)
+	up.users = append(up.users[:0], users...)
+	up.dirs = append(up.dirs[:0], dirs...)
+	up.count, up.tag = 1, tag
+	return up
 }
 
 // groupState is the engine-side state of one group. The registry shard
@@ -328,6 +333,7 @@ type groupState struct {
 	queued  bool    // state sits in the shard run queue
 	running bool    // a worker is recomputing this group
 	removed bool    // unregistered; workers skip it
+	submits uint64  // snapshots made pending so far (see recompute)
 
 	meeting geom.Point
 	regions []core.SafeRegion
@@ -346,13 +352,14 @@ type groupState struct {
 }
 
 // shard is one lock stripe of the registry plus its run queue. Every
-// entry of ready is a registered group (see push and Unregister), so
-// len(ready) <= len(groups).
+// entry of the queue is a registered group (see push and Unregister), so
+// it never holds more than len(groups).
 type shard struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond // run queue gained work or shard closed
 	groups   map[GroupID]*groupState
-	ready    []*groupState // FIFO run queue
+	ready    []*groupState // FIFO run queue from head; slots are reused
+	head     int
 	closed   bool
 
 	abandoned atomic.Uint64                   // queued entries dropped by Close's drain deadline
@@ -395,6 +402,11 @@ func (sh *shard) push(st *groupState) bool {
 // readyLocked appends st to the run queue and wakes a worker; sh.mu is
 // held.
 func (sh *shard) readyLocked(st *groupState) {
+	if sh.head > 0 && len(sh.ready) == cap(sh.ready) { // move to the front, not grow
+		n := copy(sh.ready, sh.ready[sh.head:])
+		clear(sh.ready[n:])
+		sh.ready, sh.head = sh.ready[:n], 0
+	}
 	sh.ready = append(sh.ready, st)
 	sh.notEmpty.Signal()
 }
@@ -404,14 +416,17 @@ func (sh *shard) readyLocked(st *groupState) {
 func (sh *shard) pop() *groupState {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for len(sh.ready) == 0 && !sh.closed {
+	for len(sh.ready) == sh.head && !sh.closed {
 		sh.notEmpty.Wait()
 	}
-	if len(sh.ready) == 0 {
+	if len(sh.ready) == sh.head {
 		return nil
 	}
-	st := sh.ready[0]
-	sh.ready = sh.ready[1:]
+	st := sh.ready[sh.head]
+	sh.ready[sh.head] = nil
+	if sh.head++; sh.head == len(sh.ready) {
+		sh.ready, sh.head = sh.ready[:0], 0
+	}
 	return st
 }
 
@@ -428,8 +443,8 @@ func (sh *shard) close() {
 // recomputation.
 func (sh *shard) abandon() {
 	sh.mu.Lock()
-	sh.abandoned.Add(uint64(len(sh.ready)))
-	sh.ready = nil
+	sh.abandoned.Add(uint64(len(sh.ready) - sh.head))
+	sh.ready, sh.head = nil, 0
 	sh.notEmpty.Broadcast()
 	sh.mu.Unlock()
 }
@@ -591,7 +606,7 @@ func (e *Engine) RegisterAsync(users []geom.Point, dirs []core.Direction, tag an
 		return 0, err
 	}
 	e.startOnce.Do(e.start)
-	st.pending, st.queued = newUpdate(users, dirs, tag), true
+	st.pending, st.queued, st.submits = newUpdate(users, dirs, tag), true, 1
 	return e.publish(st)
 }
 
@@ -632,8 +647,8 @@ func (e *Engine) Unregister(id GroupID) {
 	sh.mu.Lock()
 	st := sh.groups[id]
 	delete(sh.groups, id)
-	if i := slices.Index(sh.ready, st); i >= 0 {
-		sh.ready = slices.Delete(sh.ready, i, i+1)
+	if i := slices.Index(sh.ready[sh.head:], st); i >= 0 {
+		sh.ready = slices.Delete(sh.ready, sh.head+i, sh.head+i+1)
 	}
 	sh.mu.Unlock()
 	if st != nil {
@@ -695,14 +710,15 @@ func CheckFinite(users []geom.Point) error {
 // result reaches the observers (see Observe). Submit never waits for
 // queue room: the run queue holds each group at most once. dirs of the
 // wrong length, nil included, mean "derived from the group's last planned
-// locations" (see compute).
+// locations" (see compute). The caller may reuse users and dirs at once.
 func (e *Engine) Submit(id GroupID, users []geom.Point, dirs []core.Direction) error {
 	return e.SubmitTag(id, users, dirs, nil)
 }
 
 // SubmitTag is Submit with an opaque tag: the notification for the
 // recomputation that covers this submission carries the tag of the
-// newest coalesced submission (see Notification.Tag).
+// newest coalesced submission (see Notification.Tag). After a group's
+// first commit it allocates nothing, given a pointer (unboxed) tag.
 func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction, tag any) error {
 	if !e.beginOp() {
 		return ErrClosed
@@ -721,12 +737,15 @@ func (e *Engine) SubmitTag(id GroupID, users []geom.Point, dirs []core.Direction
 	st.mu.Lock()
 	if st.removed {
 		st.mu.Unlock()
+		snapshots.Put(up)
 		return ErrUnknownGroup
 	}
 	if st.pending != nil {
 		up.count += st.pending.count
+		snapshots.Put(st.pending) // Update tells snapshots apart by submits, not pointers
 	}
 	st.pending = up
+	st.submits++
 	enqueue := !st.queued && !st.running
 	if enqueue {
 		st.queued = true
@@ -803,13 +822,13 @@ func (st *groupState) headings(users []geom.Point) []core.Direction {
 // recompute is the one path from a location snapshot to a committed
 // plan: compute, store the plan, bump Seq, journal, notify. Update runs
 // it on the caller's goroutine with a pooled workspace, the shard worker
-// on its own. superseded, when non-nil, is a pending snapshot older than
-// up: if it is still the group's pending snapshot at commit time it is
-// dropped and its submissions count as covered here. A planner error
+// on its own. superseded is the group's submits when Update began (the
+// worker's 0 is none): a pending snapshot that count still describes is
+// dropped, its submissions counted as covered here. A planner error
 // leaves the previous plan (and its Seq) in place and is returned; a
 // group unregistered while its plan was computing commits nothing,
 // journals nothing, emits nothing and returns ErrUnknownGroup.
-func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *update) error {
+func (e *Engine) recompute(st *groupState, ws *core.Workspace, up *update, superseded uint64) error {
 	meeting, regions, stats, outcome, err := e.compute(st, ws, up.users, up.dirs)
 	if err != nil {
 		return err
@@ -820,9 +839,10 @@ func (e *Engine) recompute(st *groupState, ws *core.Workspace, up, superseded *u
 		return ErrUnknownGroup
 	}
 	covered := up.count
-	if superseded != nil && st.pending == superseded {
+	if st.pending != nil && st.submits == superseded {
 		// The group may stay queued; the worker skips a nil pending.
-		covered += superseded.count
+		covered += st.pending.count
+		snapshots.Put(st.pending)
 		st.pending = nil
 	}
 	changed := st.seq == 0 || meeting != st.meeting
@@ -874,7 +894,7 @@ func (e *Engine) Update(id GroupID, users []geom.Point, dirs []core.Direction) e
 		return err
 	}
 	st.mu.Lock()
-	superseded := st.pending
+	superseded := st.submits
 	st.mu.Unlock()
 	ws := core.GetWorkspace()
 	err := e.recompute(st, ws, &update{users: users, dirs: dirs, count: 1}, superseded)
@@ -907,7 +927,7 @@ func (e *Engine) worker(sh *shard) {
 		st.running = true
 		st.mu.Unlock()
 
-		err := e.recompute(st, ws, up, nil)
+		err := e.recompute(st, ws, up, 0)
 
 		st.mu.Lock()
 		// The asynchronous path has no caller to return a planner failure
@@ -927,6 +947,7 @@ func (e *Engine) worker(sh *shard) {
 		}
 		st.running = false
 		st.mu.Unlock()
+		snapshots.Put(up)
 
 		if emit {
 			e.emit(n)
@@ -1195,7 +1216,7 @@ func (e *Engine) Counters() Counters {
 	var c Counters
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		c.Queued += len(sh.ready)
+		c.Queued += len(sh.ready) - sh.head
 		sh.mu.Unlock()
 		c.Abandoned += sh.abandoned.Load()
 		c.Coalesced += sh.coalesced.Load()

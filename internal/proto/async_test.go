@@ -2,6 +2,7 @@ package proto
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ func TestAsyncEndToEnd(t *testing.T) {
 	plan := testPlan(t, "tile")
 	var coord *Coordinator
 	coord = NewAsyncCoordinator(func(gid uint32, ids []uint32, users []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
+		users = slices.Clone(users) // valid only during the call
 		go func() {
 			meeting, regions, err := plan(users)
 			coord.Deliver(gid, ids, nil, meeting, regions, err)

@@ -19,7 +19,8 @@ import (
 // SubmitFunc is the coordinator's one compute backend: every replan is
 // handed to it, which is how the coordinator stays decoupled from the
 // planner implementation. users[i] is the location of ids[i], the group's
-// members in ascending user-id order. A serving backend (cmd/mpnserver's
+// members in ascending user-id order. ids is immutable and may be kept;
+// users is valid only during the call. A serving backend (cmd/mpnserver's
 // sharded group engine) enqueues every snapshot, a group's first
 // included, returns ok=false, and answers later through
 // Coordinator.Deliver, echoing ids so the delivery can be checked against
@@ -84,6 +85,8 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	groups map[uint32]*group
+	frame  []byte       // encode scratch of every send, guarded by mu
+	users  []geom.Point // replanLocked's snapshot scratch, guarded by mu
 }
 
 // coordCounters are the coordinator's monotone counters, updated with
@@ -195,23 +198,23 @@ const outboxSize = 16
 
 // group is the server-side state of one user group.
 type group struct {
-	size    uint32
-	members map[uint32]*member
-	// probing is non-nil while a probe round is outstanding; it holds the
-	// user ids whose replies are still missing. strays counts the round's
+	size uint32
+	// probing is set while a probe round is outstanding, and awaiting
+	// counts the members still marked awaited; strays counts the round's
 	// reports from members it does not await (see handleReport).
-	probing map[uint32]bool
-	strays  int
-
+	awaiting, strays uint32
+	probing          bool
 	// lastMeeting/havePlan retain the last distributed plan's meeting
 	// point so a NACK can be repaired from the member's cache alone.
-	lastMeeting geom.Point
 	havePlan    bool
+	lastMeeting geom.Point
+	members     map[uint32]*member
+	ids         []uint32 // sorted member ids, nil after a membership change; never modified
 }
 
 // encRegion is a member's cached region: the last region encoded for
 // her, its encoding and its epoch (data is nil when nothing is cached).
-// Both are immutable once stored (frames built from data copy it).
+// data is rewritten in place under the coordinator lock; frames copy it.
 type encRegion struct {
 	region core.SafeRegion
 	epoch  uint64
@@ -222,6 +225,7 @@ type encRegion struct {
 // writes whatever the transport accepts now: a short count with a nil
 // error means the rest would block. A member whose connection implements
 // it writes each frame inline; without it every frame takes the backlog.
+// p is the coordinator's scratch: TryWrite must not keep it.
 type TryWriter interface {
 	TryWrite(p []byte) (int, error)
 }
@@ -229,9 +233,10 @@ type TryWriter interface {
 type member struct {
 	user uint32
 	// dead is set by the first failed write: the member is being torn
-	// down, and sends are refused (guarded by wmu; declared beside user,
-	// where it costs no padding).
-	dead bool
+	// down, and sends are refused (guarded by wmu); awaited, while her
+	// probe reply is missing (coordinator lock). Both cost no padding here.
+	dead    bool
+	awaited bool
 
 	// w is the member's connection, try its non-blocking write (nil when
 	// it has none). After registration every write to the connection goes
@@ -304,15 +309,18 @@ func newMember(user uint32, w io.Writer, logger *log.Logger) *member {
 	return m
 }
 
-// send encodes msg and writes it without blocking; it reports whether the
-// member accepted it. With no drain running and a transport that can try,
-// the frame is written inline; whatever the socket did not take joins the
-// backlog, and a drain goroutine is started to write it. A frame that
-// cannot be encoded (it exceeds MaxFrame) is refused here, like one that
-// finds the backlog full or the member dead, so the caller counts it as a
-// drop.
-func (m *member) send(msg Message) bool {
-	frame, err := msg.AppendFrame(make([]byte, 0, msg.frameCap()))
+// send encodes msg into *scratch (the coordinator's, under its lock) and
+// writes it without blocking; it reports whether the member accepted it.
+// With no drain running and a transport that can try, the frame is
+// written inline; whatever the socket did not take is copied into the
+// backlog, and a drain goroutine is started to write it. A frame too
+// large to encode (over MaxFrame) is refused here, like one that finds the
+// backlog full or the member dead, so the caller counts it as a drop.
+func (m *member) send(scratch *[]byte, msg Message) bool {
+	frame, err := msg.AppendFrame((*scratch)[:0])
+	if cap(frame) <= maxScratch { // a rare huge frame does not pin its buffer
+		*scratch = frame[:0]
+	}
 	if err != nil {
 		return false
 	}
@@ -334,7 +342,7 @@ func (m *member) send(msg Message) bool {
 		}
 		frame = frame[n:]
 	}
-	m.backlog = append(m.backlog, frame)
+	m.backlog = append(m.backlog, append(make([]byte, 0, len(frame)), frame...))
 	if m.draining == nil {
 		m.draining = make(chan struct{})
 		go m.drain(m.draining)
@@ -342,6 +350,11 @@ func (m *member) send(msg Message) bool {
 	m.wmu.Unlock()
 	return true
 }
+
+const (
+	maxScratch  = 64 << 10 // bounds the coordinator's encode scratch
+	readBufSize = 48       // fits every client frame (a TRegister is ≤ 37 B)
+)
 
 // drain writes the backlog in order, one blocking Write per frame (under
 // the transport's write deadline), and exits once it is empty or a write
@@ -449,12 +462,12 @@ func (c *Coordinator) Deliver(gid uint32, ids []uint32, live func() bool, meetin
 		c.logger.Printf("group %d: dropping delivery computed for an earlier incarnation of the group", gid)
 		return
 	}
-	current := memberIDs(g)
+	current := g.memberIDs()
 	if err != nil {
 		c.logger.Printf("group %d: plan failed: %v", gid, err)
 		for _, uid := range current {
 			mb := g.members[uid]
-			mb.noteSend(c, gid, mb.send(Message{Type: TError, Group: gid, Text: err.Error()}))
+			mb.noteSend(c, gid, mb.send(&c.frame, Message{Type: TError, Group: gid, Text: err.Error()}))
 		}
 		return
 	}
@@ -483,8 +496,9 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 			c.removeMember(gid, uid)
 		}
 	}()
+	buf := make([]byte, readBufSize) // no handled message keeps a slice of it
 	for {
-		msg, err := Read(conn)
+		msg, err := readFrame(conn, buf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -576,7 +590,7 @@ func (c *Coordinator) pushPeers(gid, uid uint32) {
 		return
 	}
 	if mb := g.members[uid]; mb != nil {
-		mb.noteSend(c, gid, mb.send(Message{Type: TPeers, Epoch: epoch, Peers: peers}))
+		mb.noteSend(c, gid, mb.send(&c.frame, Message{Type: TPeers, Epoch: epoch, Peers: peers}))
 	}
 }
 
@@ -598,9 +612,9 @@ func (c *Coordinator) refuseWrite(gid, uid uint32, peers []string, epoch uint64,
 		return
 	}
 	if len(peers) > 0 {
-		mb.noteSend(c, gid, mb.send(Message{Type: TPeers, Epoch: epoch, Peers: peers}))
+		mb.noteSend(c, gid, mb.send(&c.frame, Message{Type: TPeers, Epoch: epoch, Peers: peers}))
 	}
-	mb.noteSend(c, gid, mb.send(Message{Type: TError, Group: gid, Text: gerr.Error()}))
+	mb.noteSend(c, gid, mb.send(&c.frame, Message{Type: TError, Group: gid, Text: gerr.Error()}))
 }
 
 // protocolError counts a rejected client frame and answers it with a
@@ -628,7 +642,7 @@ func (c *Coordinator) reply(conn io.Writer, registered bool, gid, uid uint32, ms
 		return
 	}
 	if mb := g.members[uid]; mb != nil {
-		mb.noteSend(c, gid, mb.send(msg))
+		mb.noteSend(c, gid, mb.send(&c.frame, msg))
 	}
 }
 
@@ -666,6 +680,7 @@ func (c *Coordinator) register(msg Message, w io.Writer) error {
 		mb.kick = func() { _ = closer.Close() }
 	}
 	g.members[msg.User] = mb
+	g.ids = nil
 	c.logger.Printf("group %d: user %d registered (%d/%d)",
 		msg.Group, msg.User, len(g.members), g.size)
 	if uint32(len(g.members)) == g.size {
@@ -688,7 +703,7 @@ func (c *Coordinator) handleReport(msg Message) {
 		return
 	}
 	mb.loc = msg.Loc
-	if g.probing != nil {
+	if g.probing {
 		// A probe round is already in flight (e.g. two users escaped in
 		// the same tick); the fresh location is recorded and the pending
 		// round will cover it. A reporter the round does not await
@@ -697,21 +712,20 @@ func (c *Coordinator) handleReport(msg Message) {
 		// for good, so the members it still awaits are asked again. A
 		// client outside her region may report every tick, so the round
 		// re-probes only at its 1st, 2nd, 4th, 8th, … such report.
-		if !g.probing[msg.User] {
+		if mb.awaited {
+			mb.awaited, g.awaiting = false, g.awaiting-1
+		} else {
 			g.strays++
 			if g.strays&(g.strays-1) == 0 {
 				c.probeLocked(msg.Group, g)
 			}
 		}
-		delete(g.probing, msg.User)
 		c.maybeReplanLocked(msg.Group, g)
 		return
 	}
-	g.probing, g.strays = map[uint32]bool{}, 0
-	for uid := range g.members {
-		if uid != msg.User {
-			g.probing[uid] = true
-		}
+	g.probing, g.awaiting, g.strays = true, g.size-1, 0
+	for uid, other := range g.members {
+		other.awaited = uid != msg.User
 	}
 	c.probeLocked(msg.Group, g)
 	c.maybeReplanLocked(msg.Group, g)
@@ -720,13 +734,16 @@ func (c *Coordinator) handleReport(msg Message) {
 // probeLocked sends a TProbe to every member the probe round awaits; one
 // whose probe is dropped is no longer awaited.
 func (c *Coordinator) probeLocked(gid uint32, g *group) {
-	for uid := range g.probing {
+	for _, uid := range g.memberIDs() {
 		other := g.members[uid]
-		ok := other.send(Message{Type: TProbe, Group: gid, User: uid})
+		if !other.awaited {
+			continue
+		}
+		ok := other.send(&c.frame, Message{Type: TProbe, Group: gid, User: uid})
 		other.noteSend(c, gid, ok)
 		if !ok {
 			c.logger.Printf("group %d: probe to user %d dropped", gid, uid)
-			delete(g.probing, uid)
+			other.awaited, g.awaiting = false, g.awaiting-1
 		}
 	}
 }
@@ -736,22 +753,24 @@ func (c *Coordinator) handleProbeReply(msg Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.groups[msg.Group]
-	if g == nil || g.probing == nil {
+	if g == nil || !g.probing {
 		return
 	}
 	if mb := g.members[msg.User]; mb != nil {
 		mb.loc = msg.Loc
+		if mb.awaited {
+			mb.awaited, g.awaiting = false, g.awaiting-1
+		}
 	}
-	delete(g.probing, msg.User)
 	c.maybeReplanLocked(msg.Group, g)
 }
 
 // maybeReplanLocked replans once all probe replies arrived.
 func (c *Coordinator) maybeReplanLocked(gid uint32, g *group) {
-	if g.probing == nil || len(g.probing) > 0 {
+	if !g.probing || g.awaiting > 0 {
 		return
 	}
-	g.probing = nil
+	g.probing = false
 	c.replanLocked(gid, g)
 }
 
@@ -760,24 +779,25 @@ func (c *Coordinator) maybeReplanLocked(gid uint32, g *group) {
 // otherwise the plan arrives through Deliver. Member order is by
 // ascending user id so regions match deterministically.
 func (c *Coordinator) replanLocked(gid uint32, g *group) {
-	ids := memberIDs(g)
-	users := make([]geom.Point, len(ids))
-	for i, uid := range ids {
-		users[i] = g.members[uid].loc
+	ids := g.memberIDs()
+	c.users = c.users[:0]
+	for _, uid := range ids {
+		c.users = append(c.users, g.members[uid].loc)
 	}
-	if meeting, regions, _, ok := c.submit(gid, ids, users); ok && len(regions) == len(ids) {
+	if meeting, regions, _, ok := c.submit(gid, ids, c.users); ok && len(regions) == len(ids) {
 		c.notifyLocked(gid, g, ids, meeting, regions)
 	}
 }
 
-// memberIDs returns a group's user ids in ascending order.
-func memberIDs(g *group) []uint32 {
-	ids := make([]uint32, 0, len(g.members))
-	for uid := range g.members {
-		ids = append(ids, uid)
+// memberIDs returns the group's user ids in ascending order.
+func (g *group) memberIDs() []uint32 {
+	if g.ids == nil {
+		for uid := range g.members {
+			g.ids = append(g.ids, uid)
+		}
+		slices.Sort(g.ids)
 	}
-	slices.Sort(ids)
-	return ids
+	return g.ids
 }
 
 // notifyLocked sends one notification per member, regions aligned with
@@ -792,7 +812,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 		mb := g.members[uid]
 		data, epoch := mb.encodedRegion(regions[i])
 		if !mb.delta || mb.needFull {
-			ok := mb.send(Message{
+			ok := mb.send(&c.frame, Message{
 				Type: TNotify, Group: gid, User: uid,
 				Meeting: meeting, Epoch: epoch, Region: data,
 			})
@@ -807,7 +827,7 @@ func (c *Coordinator) notifyLocked(gid uint32, g *group, ids []uint32, meeting g
 		if epoch != mb.epoch {
 			msg.Region = data
 		}
-		mb.recordSend(c, gid, mb.send(msg), epoch, meeting)
+		mb.recordSend(c, gid, mb.send(&c.frame, msg), epoch, meeting)
 	}
 	g.lastMeeting = meeting
 	g.havePlan = true
@@ -833,9 +853,17 @@ func (m *member) recordSend(c *Coordinator, gid uint32, ok bool, epoch uint64, m
 // its epoch. A region equal to the cached one keeps the cached encoding
 // and epoch; any other is encoded and stamped with the cached epoch plus
 // one, so her epochs only grow, and change exactly when her region does.
+// A circle or network region is encoded into the cached buffer (cut to
+// size when it is more than half idle); a tile region gets a fresh one.
 func (m *member) encodedRegion(r core.SafeRegion) ([]byte, uint64) {
 	if m.enc.data == nil || !m.enc.region.Equal(r) {
-		m.enc = encRegion{region: r, epoch: m.enc.epoch + 1, data: EncodeRegion(r)}
+		data := m.enc.data
+		if data == nil || r.Kind == core.KindTiles {
+			data = EncodeRegion(r)
+		} else if data = appendRegion(data[:0], r); cap(data) > 2*len(data) {
+			data = slices.Clone(data)
+		}
+		m.enc = encRegion{region: r, epoch: m.enc.epoch + 1, data: data}
 	}
 	return m.enc.data, m.enc.epoch
 }
@@ -861,7 +889,7 @@ func (c *Coordinator) handleNack(msg Message) {
 	if !g.havePlan || e.data == nil {
 		return // no plan distributed yet; registration will deliver one
 	}
-	ok := mb.send(Message{
+	ok := mb.send(&c.frame, Message{
 		Type: TNotify, Group: msg.Group, User: msg.User,
 		Meeting: g.lastMeeting, Epoch: e.epoch, Region: e.data,
 	})
@@ -881,10 +909,11 @@ func (c *Coordinator) removeMember(gid, uid uint32) {
 	if g := c.groups[gid]; g != nil {
 		if mb = g.members[uid]; mb != nil {
 			delete(g.members, uid)
+			g.ids = nil
 			// A probe round in flight is abandoned, not closed: planning
 			// the m−1 members left would plan a subgroup. The member's
 			// re-registration completes the group and replans it whole.
-			g.probing = nil
+			g.probing = false
 			if len(g.members) == 0 {
 				delete(c.groups, gid)
 				if c.onEmpty != nil {
@@ -916,18 +945,24 @@ func (c *Coordinator) NumGroups() int {
 // lattice layout (~40 bytes for 30 tiles), any other tile set as a list of
 // its corners; either decodes bit for bit.
 func EncodeRegion(r core.SafeRegion) []byte {
-	if r.Kind == core.KindCircle {
-		buf := make([]byte, 0, 25)
-		buf = append(buf, 'C')
-		buf = appendF(buf, r.Circle.C.X)
-		buf = appendF(buf, r.Circle.C.Y)
-		buf = appendF(buf, r.Circle.R)
-		return buf
-	}
-	if r.Kind == core.KindNetRange {
-		return r.Net.AppendEncode(nil)
+	switch r.Kind {
+	case core.KindCircle:
+		return appendRegion(make([]byte, 0, 25), r)
+	case core.KindNetRange:
+		return appendRegion(nil, r)
 	}
 	return tileenc.Encode(r.Tiles)
+}
+
+// appendRegion appends a circle's or a network region's encoding to buf.
+func appendRegion(buf []byte, r core.SafeRegion) []byte {
+	if r.Kind == core.KindNetRange {
+		return r.Net.AppendEncode(buf)
+	}
+	buf = append(buf, 'C')
+	buf = appendF(buf, r.Circle.C.X)
+	buf = appendF(buf, r.Circle.C.Y)
+	return appendF(buf, r.Circle.R)
 }
 
 // DecodeRegion parses an EncodeRegion payload back into a SafeRegion.

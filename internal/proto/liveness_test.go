@@ -125,8 +125,9 @@ func TestMemberOutboxOverflow(t *testing.T) {
 			// blocks on the pipe; the following outboxSize sends fill the
 			// backlog; one more must be rejected.
 			accepted := 0
+			var scratch []byte
 			for i := 0; i < outboxSize+8; i++ {
-				if m.send(Message{Type: TNotify, Group: 1, User: 1}) {
+				if m.send(&scratch, Message{Type: TNotify, Group: 1, User: 1}) {
 					accepted++
 				}
 			}
@@ -173,8 +174,9 @@ func TestMemberWriterOneFramePerWrite(t *testing.T) {
 			}
 			m := newMember(1, tw, log.New(io.Discard, "", 0))
 			const n = outboxSize
+			var scratch []byte
 			for i := range n {
-				if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
+				if !m.send(&scratch, Message{Type: TPing, Epoch: uint64(i)}) {
 					t.Fatalf("send %d refused by a %d-frame backlog", i, outboxSize)
 				}
 			}
@@ -253,8 +255,9 @@ func TestMemberShortWriteKeepsOrder(t *testing.T) {
 	s := &shortSocket{release: make(chan struct{}), budget: 3}
 	m := newMember(1, s, log.New(io.Discard, "", 0))
 	const queued = 6
+	var scratch []byte
 	for i := range queued {
-		if !m.send(Message{Type: TPing, Epoch: uint64(i)}) {
+		if !m.send(&scratch, Message{Type: TPing, Epoch: uint64(i)}) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
@@ -276,7 +279,7 @@ func TestMemberShortWriteKeepsOrder(t *testing.T) {
 	s.mu.Lock()
 	s.budget = 1 << 20
 	s.mu.Unlock()
-	if !m.send(Message{Type: TPing, Epoch: queued}) {
+	if !m.send(&scratch, Message{Type: TPing, Epoch: queued}) {
 		t.Fatal("send after the drain refused")
 	}
 	s.mu.Lock()
@@ -484,14 +487,30 @@ type sinkSocket struct{ io.Writer }
 
 func (sinkSocket) TryWrite(p []byte) (int, error) { return len(p), nil }
 
-// Encoding a frame into a fresh buffer allocates once, whatever the
-// frame carries: send (the inline path) and Write (the direct path) size
-// the buffer from the whole message, regions and peer addresses
-// included.
+// gateWriter is a transport without a non-blocking write whose Write
+// blocks until release is closed; entered receives once per Write call.
+type gateWriter struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	w.entered <- struct{}{}
+	<-w.release
+	return len(p), nil
+}
+
+// A frame allocates at most once, whatever it carries. A frame the socket
+// takes whole is encoded into the caller's scratch (the coordinator's) and
+// allocates nothing; Write, the direct path, sizes one fresh buffer from
+// the whole message, regions and peer addresses included; a frame that
+// joins the backlog is copied out of the scratch once.
 func TestFrameAllocatesOnce(t *testing.T) {
 	circle := EncodeRegion(core.CircleRegion(geom.Pt(0.25, 0.75), 0.125))
 	meeting := geom.Pt(0.4, 0.6)
-	m := newMember(1, sinkSocket{io.Discard}, log.New(io.Discard, "", 0))
+	logger := log.New(io.Discard, "", 0)
+	var scratch []byte
+	m := newMember(1, sinkSocket{io.Discard}, logger)
 	for _, tc := range []struct {
 		name string
 		msg  Message
@@ -503,19 +522,125 @@ func TestFrameAllocatesOnce(t *testing.T) {
 	} {
 		refused := false
 		n := testing.AllocsPerRun(100, func() {
-			if !m.send(tc.msg) {
+			if !m.send(&scratch, tc.msg) {
 				refused = true
 			}
 		})
 		if refused {
 			t.Fatalf("%s: member.send refused the frame", tc.name)
 		}
-		if n != 1 {
-			t.Errorf("%s: member.send allocates %.1f times, want 1", tc.name, n)
+		if n != 0 {
+			t.Errorf("%s: an inline member.send allocates %.1f times, want 0", tc.name, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { _ = Write(io.Discard, tc.msg) }); n != 1 {
 			t.Errorf("%s: Write allocates %.1f times, want 1", tc.name, n)
 		}
+
+		// The backlogged frame: the drain holds the first frame in a
+		// blocked Write, and the backlog has grown to its full capacity,
+		// so the one send measured (after AllocsPerRun's warm-up send)
+		// allocates only its copy.
+		w := &gateWriter{entered: make(chan struct{}, 1), release: make(chan struct{})}
+		b := newMember(2, w, logger)
+		if !b.send(&scratch, tc.msg) {
+			t.Fatalf("%s: the first backlogged send was refused", tc.name)
+		}
+		<-w.entered
+		for range outboxSize - 2 {
+			b.send(&scratch, tc.msg)
+		}
+		refused = false
+		n = testing.AllocsPerRun(1, func() {
+			if !b.send(&scratch, tc.msg) {
+				refused = true
+			}
+		})
+		close(w.release)
+		go func() {
+			for range w.entered {
+			}
+		}()
+		b.close()
+		close(w.entered)
+		if refused {
+			t.Fatalf("%s: a backlogged send was refused", tc.name)
+		}
+		if n != 1 {
+			t.Errorf("%s: a backlogged member.send allocates %.1f times, want 1", tc.name, n)
+		}
+	}
+}
+
+// A steady-state report round — the report and the probe replies read
+// into the connection's buffer, the probes, the replan and the delivery —
+// allocates nothing on the server, for a group of 2 and of 3. Members sit
+// on sockets that take every frame at once, and the inline backend
+// alternates between two fixed circle plans, so every round re-encodes
+// every member's region and ships it in a delta frame.
+func TestReportRoundAllocatesNothing(t *testing.T) {
+	for _, size := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("m=%d", size), func(t *testing.T) {
+			var plans [2][]core.SafeRegion
+			for i := range size {
+				x := 0.1 + 0.2*float64(i)
+				plans[0] = append(plans[0], core.CircleRegion(geom.Pt(x, 0.3), 0.05))
+				plans[1] = append(plans[1], core.CircleRegion(geom.Pt(x, 0.6), 0.07))
+			}
+			round := 0
+			coord := NewAsyncCoordinator(func(_ uint32, ids []uint32, _ []geom.Point) (geom.Point, []core.SafeRegion, []uint64, bool) {
+				round++
+				return geom.Pt(0.5, 0.5+0.1*float64(round%2)), plans[round%2], nil, true
+			}, nil)
+			const gid = 7
+			for uid := range size {
+				reg := Message{Type: TRegister, Group: gid, User: uid, GroupSize: size,
+					Flags: FlagDeltaCapable, Loc: geom.Pt(0.1*float64(uid), 0.2)}
+				if err := coord.register(reg, sinkSocket{io.Discard}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The client frames, encoded once; each is read back through the
+			// read loop's buffer every round.
+			frames := make([][]byte, size)
+			for uid := range size {
+				ty := TProbeReply
+				if uid == 0 {
+					ty = TReport
+				}
+				var err error
+				frames[uid], err = Message{Type: ty, Group: gid, User: uid, Loc: geom.Pt(0.3, 0.1*float64(uid))}.AppendFrame(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, readBufSize)
+			r := new(bytes.Reader)
+			read := func(frame []byte) Message {
+				r.Reset(frame)
+				msg, err := readFrame(r, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return msg
+			}
+			runRound := func() {
+				coord.handleReport(read(frames[0]))
+				for _, f := range frames[1:] {
+					coord.handleProbeReply(read(f))
+				}
+			}
+			before := round
+			runRound()
+			if round != before+1 {
+				t.Fatalf("a round made %d replans, want 1", round-before)
+			}
+			if n := testing.AllocsPerRun(100, runRound); n != 0 {
+				t.Errorf("a report round allocates %.1f times, want 0", n)
+			}
+			if st := coord.Stats(); st.DroppedFrames != 0 || st.StaleDeliveries != 0 {
+				t.Fatalf("rounds dropped %d frames and %d deliveries", st.DroppedFrames, st.StaleDeliveries)
+			}
+		})
 	}
 }
 

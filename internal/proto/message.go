@@ -277,20 +277,25 @@ func Write(w io.Writer, m Message) error {
 
 // Read reads one framed message. Its Region shares the frame's freshly
 // allocated payload.
-func Read(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func Read(r io.Reader) (Message, error) { return readFrame(r, make([]byte, 4)) }
+
+// readFrame is Read into buf (at least 4 bytes) when the frame fits, into
+// a fresh buffer otherwise; the message's Region shares that buffer.
+func readFrame(r io.Reader, buf []byte) (Message, error) {
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return Message{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > MaxFrame {
 		return Message{}, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if n > uint32(len(buf)) {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return Message{}, err
 	}
-	return parsePayload(payload)
+	return parsePayload(buf[:n])
 }
 
 // parsePayload decodes one payload. Unknown types, truncation, overflow,

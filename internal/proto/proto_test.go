@@ -525,7 +525,7 @@ func TestDepartureAbandonsProbeRound(t *testing.T) {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
 		g := coord.groups[1]
-		return len(g.probing), len(g.members)
+		return int(g.awaiting), len(g.members)
 	}
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
