@@ -147,7 +147,12 @@
 //   - Workspace and retained plans: network planning keeps its scratch
 //     in the same core.Workspace as the Euclidean planners and records
 //     its plans into core.PlanState, so kept/partial incremental
-//     outcomes and the delta wire protocol work unchanged.
+//     outcomes and the delta wire protocol work unchanged. The region
+//     search runs in that scratch too (a dense distance row cleaned on
+//     entry, one queue, one interval buffer sorted once and merged), so
+//     a plan allocates only the regions it returns; each retains its
+//     junction distances as a slice sorted by junction id, which the
+//     incremental arm binary-searches for a clean member's drift.
 //     Cleanliness is judged at the member's snapped network position, so
 //     an off-road GPS report a snap away from a covered segment does not
 //     spuriously dirty her.

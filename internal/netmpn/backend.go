@@ -1,8 +1,10 @@
 package netmpn
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mpn/internal/core"
@@ -40,9 +42,15 @@ type BackendConfig struct {
 // resolve differently. The bitwise fence is against brute force over the
 // same POI-rooted distances.
 //
-// The incremental arm runs no search either: a clean member's drift from
-// her retained center is read off the junction distances her region was
-// grown with (Region.drift).
+// A fresh region is one truncated Dijkstra from the member's snapped
+// position (Server.region), run in scratch the workspace owns — a dense
+// distance row cleaned on entry, one queue, one interval buffer — so a
+// plan allocates only what it returns: the region slice, and per fresh
+// region the Region, its Segs and its junction distances. The
+// incremental arm runs no search: a clean member's drift from her
+// retained center is read off the junction distances her region was
+// grown with, a slice sorted by junction id, by binary search
+// (Region.drift).
 //
 // A Backend is immutable after construction and safe for concurrent use
 // with distinct workspaces and plan states.
@@ -67,9 +75,10 @@ func NewBackend(net *roadnet.Network, poiNodes []int, cfg BackendConfig) (*Backe
 }
 
 // buildPOIDist runs one Dijkstra per POI — rows are independent, so
-// GOMAXPROCS goroutines take every workers-th POI — and scatters each
-// into the node-major table. A cell's value depends only on its POI's
-// own search, never on which goroutine ran it.
+// GOMAXPROCS goroutines take every workers-th POI, each reusing one row
+// and one queue — and scatters each into the node-major table. A cell's
+// value depends only on its POI's own search, never on which goroutine
+// ran it.
 func buildPOIDist(s *Server) []float64 {
 	np := len(s.pois)
 	table := make([]float64, s.net.NumNodes()*np)
@@ -79,8 +88,10 @@ func buildPOIDist(s *Server) []float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			row := make([]float64, s.net.NumNodes())
+			var q roadnet.NodeQueue
 			for j := w; j < np; j += workers {
-				for v, d := range s.sssp(NodePos(s.pois[j])) {
+				for v, d := range s.sssp(NodePos(s.pois[j]), row, &q) {
 					table[v*np+j] = d
 				}
 			}
@@ -101,39 +112,6 @@ func (b *Backend) Server() *Server { return b.s }
 // queries.
 func (b *Backend) Snap(p geom.Point) Position { return b.grid.snap(p) }
 
-// snapSlow is the exhaustive projection scan the grid accelerates; it is
-// retained as the differential oracle for the grid's exactness fence.
-func (b *Backend) snapSlow(p geom.Point) Position {
-	net := b.s.net
-	best := math.Inf(1)
-	var pos Position
-	for a := range net.Adj {
-		pa := net.Nodes[a].P
-		for _, e := range net.Adj[a] {
-			if e.To < a {
-				continue // each undirected edge once
-			}
-			pb := net.Nodes[e.To].P
-			ab := pb.Sub(pa)
-			den := ab.Dot(ab)
-			t := 0.0
-			if den > 0 {
-				t = p.Sub(pa).Dot(ab) / den
-				if t < 0 {
-					t = 0
-				} else if t > 1 {
-					t = 1
-				}
-			}
-			if d2 := p.Dist2(pa.Add(ab.Scale(t))); d2 < best {
-				best = d2
-				pos = Position{A: a, B: e.To, T: t}
-			}
-		}
-	}
-	return pos
-}
-
 // posPoint returns the Euclidean location of a network position.
 func (s *Server) posPoint(p Position) geom.Point {
 	a := s.net.Nodes[p.A].P
@@ -149,6 +127,14 @@ type netScratch struct {
 	pos   []Position
 	dirty []bool
 	agg   []float64 // per-POI aggregate distance of the plan in flight
+
+	// Scratch of the region search (Server.region): dist has one entry
+	// per junction and is +Inf except at the junctions listed in
+	// touched; q is its frontier and spans the covered edge intervals.
+	dist    []float64
+	touched []int
+	q       roadnet.NodeQueue
+	spans   []edgeSpan
 }
 
 func (b *Backend) scratch(ws *core.Workspace) *netScratch {
@@ -202,7 +188,7 @@ func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, 
 	full := func() (core.Plan, core.IncOutcome, error) {
 		plan.Regions = make([]core.SafeRegion, len(users))
 		for i := range users {
-			plan.Regions[i] = b.freshRegion(ns, i, r)
+			plan.Regions[i] = core.NetRegion(b.s.region(ns, ns.pos[i], r))
 		}
 		if req.State != nil {
 			req.State.Record(plan)
@@ -275,7 +261,7 @@ func (b *Backend) PlanNet(ws *core.Workspace, req core.PlanRequest) (core.Plan, 
 	regions := make([]core.SafeRegion, len(users))
 	for i := range users {
 		if ns.dirty[i] {
-			regions[i] = b.freshRegion(ns, i, r)
+			regions[i] = core.NetRegion(b.s.region(ns, ns.pos[i], r))
 		} else {
 			regions[i] = retained[i]
 		}
@@ -301,27 +287,20 @@ func radiusOf(best, second Result, agg Aggregate, m int) float64 {
 	return gap / (2 * float64(m))
 }
 
-// freshRegion grows member i's network range region of radius r around
-// her snapped position and exports it as a retainable payload.
-func (b *Backend) freshRegion(ns *netScratch, i int, r float64) core.SafeRegion {
-	rr := b.s.rangeRegion(ns.pos[i], r)
-	return core.NetRegion(b.s.exportRegion(&rr, b.s.posPoint(ns.pos[i])))
-}
-
 // drift returns the network distance between the region's center and p:
 // along their common street, or through an endpoint of p's street using
 // the center's retained junction distances. It is exact for every p
 // inside the region — a shortest path from the center to such a p enters
-// p's street through a junction within Radius, which nodeDist holds — and
-// an over-estimate (possibly +Inf) outside, which only makes the caller's
-// safety test more conservative. No search is run.
+// p's street through a junction within Radius, which junctions holds —
+// and an over-estimate (possibly +Inf) outside, which only makes the
+// caller's safety test more conservative. No search is run.
 func (r *Region) drift(s *Server, p Position) float64 {
 	l := s.edgeLen[edgeKey(p.A, p.B)] // 0 at a node (A == B)
 	d := math.Inf(1)
-	if v, ok := r.nodeDist[p.A]; ok {
+	if v, ok := r.junctionDist(p.A); ok {
 		d = v + p.T*l
 	}
-	if v, ok := r.nodeDist[p.B]; ok {
+	if v, ok := r.junctionDist(p.B); ok {
 		d = min(d, v+(1-p.T)*l)
 	}
 	if c := r.cpos; c.A != c.B && edgeKey(c.A, c.B) == edgeKey(p.A, p.B) {
@@ -332,6 +311,16 @@ func (r *Region) drift(s *Server, p Position) float64 {
 		d = min(d, math.Abs(p.T-ct)*l)
 	}
 	return d
+}
+
+// junctionDist returns the retained distance from the center to junction
+// n, if n lies within Radius: a binary search of the sorted junctions.
+func (r *Region) junctionDist(n int) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(r.junctions, n, func(e roadnet.NodeDist, n int) int { return cmp.Compare(e.Node, n) })
+	if !ok {
+		return 0, false
+	}
+	return r.junctions[i].Dist, true
 }
 
 // top2 finds the best and runner-up meeting POIs under the aggregate

@@ -148,7 +148,7 @@ func TestBackendMatchesPOIRootedBruteForce(t *testing.T) {
 			s := b.Server()
 			fromPOI := make([][]float64, len(s.pois))
 			for j, p := range s.pois {
-				fromPOI[j] = s.sssp(NodePos(p))
+				fromPOI[j] = s.distRow(NodePos(p))
 			}
 			ws := core.NewWorkspace()
 			rng := rand.New(rand.NewSource(23 + int64(agg)))
@@ -244,12 +244,14 @@ func TestDriftMatchesDijkstra(t *testing.T) {
 	b := testBackend(t, 9, BackendConfig{})
 	s := b.Server()
 	rng := rand.New(rand.NewSource(43))
+	sc := new(netScratch)
 	inside := 0
 	for trial := 0; trial < 40; trial++ {
 		center := b.Snap(geom.Pt(rng.Float64(), rng.Float64()))
-		rr := s.rangeRegion(center, 0.05+0.2*rng.Float64())
-		region := s.exportRegion(&rr, s.posPoint(center))
-		fromCenter := s.sssp(center)
+		radius := 0.05 + 0.2*rng.Float64()
+		rr := s.rangeRegion(center, radius) // the reference's network containment
+		region := s.region(sc, center, radius)
+		fromCenter := s.distRow(center)
 		for k := 0; k < 50; k++ {
 			c := s.posPoint(center) // draw around the center: half land inside
 			p := b.Snap(geom.Pt(c.X+0.3*(rng.Float64()-0.5), c.Y+0.3*(rng.Float64()-0.5)))

@@ -144,10 +144,6 @@ func edgeKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// EdgeLen returns the length of the edge between nodes a and b (0 if no
-// such edge).
-func (s *Server) EdgeLen(a, b int) float64 { return s.edgeLen[edgeKey(a, b)] }
-
 // validate checks that a position references an existing edge or node.
 func (s *Server) validate(p Position) error {
 	if p.A < 0 || p.A >= s.net.NumNodes() || p.B < 0 || p.B >= s.net.NumNodes() {
@@ -165,14 +161,14 @@ func (s *Server) validate(p Position) error {
 	return nil
 }
 
-// sssp runs Dijkstra from a position: distances to every node, seeded with
-// the two partial-edge offsets.
-func (s *Server) sssp(from Position) []float64 {
-	dist := make([]float64, s.net.NumNodes())
+// sssp runs Dijkstra from a position into dist, one entry per junction,
+// seeded with the two partial-edge offsets, and returns dist. q is the
+// caller's queue, reused across searches.
+func (s *Server) sssp(from Position, dist []float64, q *roadnet.NodeQueue) []float64 {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	var q roadnet.NodeQueue
+	*q = (*q)[:0]
 	push := func(n int, d float64) {
 		if d < dist[n] {
 			dist[n] = d
@@ -186,7 +182,7 @@ func (s *Server) sssp(from Position) []float64 {
 		push(from.A, from.T*l)
 		push(from.B, (1-from.T)*l)
 	}
-	for len(q) > 0 {
+	for len(*q) > 0 {
 		e := q.Pop()
 		if e.Dist > dist[e.Node] {
 			continue
@@ -200,7 +196,8 @@ func (s *Server) sssp(from Position) []float64 {
 
 // Dist returns the network distance from a position to a node.
 func (s *Server) Dist(from Position, node int) float64 {
-	return s.sssp(from)[node]
+	var q roadnet.NodeQueue
+	return s.sssp(from, make([]float64, s.net.NumNodes()), &q)[node]
 }
 
 // Result is the chosen meeting POI and its aggregate network distance.
@@ -214,11 +211,12 @@ type Result struct {
 // network distance is a metric.
 //
 // Plan pays one full single-source Dijkstra per member and scans every
-// POI — the naive baseline. It is retained as the user-rooted oracle
-// for the table-driven Backend (whose aggregate distances agree with
-// Plan's to 1e-12, see backend.go) and as the net_plan_naive benchmark
-// series the speedup gate compares against.
-func (s *Server) Plan(users []Position, agg Aggregate) (Result, []RangeRegion, error) {
+// POI — the naive baseline — and builds its regions in a scratch of its
+// own. It is retained as the user-rooted oracle for the table-driven
+// Backend (whose aggregate distances agree with Plan's to 1e-12, see
+// backend.go) and as the net_plan_naive benchmark series the speedup
+// gate compares against.
+func (s *Server) Plan(users []Position, agg Aggregate) (Result, []*Region, error) {
 	if len(users) == 0 {
 		return Result{}, nil, ErrNoUsers
 	}
@@ -228,9 +226,10 @@ func (s *Server) Plan(users []Position, agg Aggregate) (Result, []RangeRegion, e
 		}
 	}
 	// One SSSP per user; aggregate per POI.
+	sc := new(netScratch)
 	dists := make([][]float64, len(users))
 	for i, u := range users {
-		dists[i] = s.sssp(u)
+		dists[i] = s.sssp(u, make([]float64, s.net.NumNodes()), &sc.q)
 	}
 	best, second := Result{Node: -1, Dist: math.Inf(1)}, Result{Node: -1, Dist: math.Inf(1)}
 	for _, p := range s.pois {
@@ -273,9 +272,9 @@ func (s *Server) Plan(users []Position, agg Aggregate) (Result, []RangeRegion, e
 		}
 	}
 
-	regions := make([]RangeRegion, len(users))
+	regions := make([]*Region, len(users))
 	for i, u := range users {
-		regions[i] = s.rangeRegion(u, rmax)
+		regions[i] = s.region(sc, u, rmax)
 	}
 	return best, regions, nil
 }

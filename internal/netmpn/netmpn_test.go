@@ -115,7 +115,7 @@ func TestSSSPFromMidEdge(t *testing.T) {
 	b := s.net.Adj[a][0].To
 	l := s.EdgeLen(a, b)
 	pos := Position{A: a, B: b, T: 0.5}
-	d := s.sssp(pos)
+	d := s.distRow(pos)
 	if math.Abs(d[a]-l/2) > 1e-9 || math.Abs(d[b]-l/2) > 1e-9 {
 		t.Fatalf("mid-edge distances to endpoints: %v, %v want %v", d[a], d[b], l/2)
 	}
@@ -141,7 +141,7 @@ func TestPlanOptimality(t *testing.T) {
 			// Brute-force check of the optimum.
 			dists := make([][]float64, len(users))
 			for i, u := range users {
-				dists[i] = s.sssp(u)
+				dists[i] = s.distRow(u)
 			}
 			best := math.Inf(1)
 			for _, p := range s.pois {
@@ -166,7 +166,7 @@ func TestPlanOptimality(t *testing.T) {
 			}
 			// Every region contains its user.
 			for i, r := range regions {
-				if !r.Contains(users[i]) {
+				if !r.ContainsPoint(s.posPoint(users[i])) {
 					t.Fatalf("region %d misses its user %v", i, users[i])
 				}
 			}
@@ -217,7 +217,7 @@ func TestRegionSoundness(t *testing.T) {
 			}
 			dists := make([][]float64, len(inst))
 			for i, u := range inst {
-				dists[i] = s.sssp(u)
+				dists[i] = s.distRow(u)
 			}
 			dOf := func(p int) float64 {
 				var d float64
@@ -240,43 +240,36 @@ func TestRegionSoundness(t *testing.T) {
 
 // sampleRegionNode picks a covered node of the region (falling back to the
 // user's own position).
-func sampleRegionNode(r RangeRegion, fallback Position, rng *rand.Rand) Position {
-	if len(r.nodeDist) == 0 {
+func sampleRegionNode(r *Region, fallback Position, rng *rand.Rand) Position {
+	if len(r.junctions) == 0 {
 		return fallback
 	}
-	k := rng.Intn(len(r.nodeDist))
-	for n := range r.nodeDist {
-		if k == 0 {
-			return NodePos(n)
-		}
-		k--
-	}
-	return fallback
+	return NodePos(r.junctions[rng.Intn(len(r.junctions))].Node)
 }
 
 func TestRangeRegionGeometry(t *testing.T) {
 	s := testServer(t, 5)
 	center := NodePos(7)
-	r := s.rangeRegion(center, 0.12)
-	if !r.Contains(center) {
+	r := s.region(new(netScratch), center, 0.12)
+	if !r.ContainsPoint(s.posPoint(center)) {
 		t.Fatal("region misses its center")
 	}
-	if r.NumEdges() == 0 {
+	if len(r.Segs) == 0 {
 		t.Fatal("no edges covered")
 	}
 	// Every covered node must be within the radius; nearby uncovered
 	// nodes must be beyond it.
-	d := s.sssp(center)
-	for n, dn := range r.nodeDist {
-		if math.Abs(dn-d[n]) > 1e-9 {
-			t.Fatalf("node %d recorded dist %v true %v", n, dn, d[n])
+	d := s.distRow(center)
+	for _, j := range r.junctions {
+		if math.Abs(j.Dist-d[j.Node]) > 1e-9 {
+			t.Fatalf("node %d recorded dist %v true %v", j.Node, j.Dist, d[j.Node])
 		}
-		if dn > r.Radius+1e-9 {
-			t.Fatalf("node %d at %v beyond radius %v", n, dn, r.Radius)
+		if j.Dist > r.Radius+1e-9 {
+			t.Fatalf("node %d at %v beyond radius %v", j.Node, j.Dist, r.Radius)
 		}
 	}
 	for n := 0; n < s.net.NumNodes(); n++ {
-		if _, ok := r.nodeDist[n]; !ok && d[n] <= r.Radius-1e-9 {
+		if _, ok := r.junctionDist(n); !ok && d[n] <= r.Radius-1e-9 {
 			t.Fatalf("node %d within radius but not covered", n)
 		}
 	}
@@ -291,20 +284,21 @@ func TestRangeRegionMidEdgeCenter(t *testing.T) {
 	// A radius smaller than the distance to either endpoint: region is a
 	// sub-interval of the single edge.
 	radius := 0.2 * l * math.Min(0.4, 0.6)
-	r := s.rangeRegion(center, radius)
-	if !r.Contains(center) {
+	r := s.region(new(netScratch), center, radius)
+	in := func(p Position) bool { return r.ContainsPoint(s.posPoint(p)) }
+	if !in(center) {
 		t.Fatal("tiny region misses center")
 	}
-	if r.Contains(NodePos(a)) || r.Contains(NodePos(b)) {
+	if in(NodePos(a)) || in(NodePos(b)) {
 		t.Fatal("tiny region should not reach the edge endpoints")
 	}
 	// Moving along the edge within the radius stays inside.
 	inside := Position{A: a, B: b, T: 0.4 + 0.5*radius/l}
-	if !r.Contains(inside) {
+	if !in(inside) {
 		t.Fatal("in-radius point on center edge not covered")
 	}
 	outside := Position{A: a, B: b, T: 0.4 + 2*radius/l}
-	if r.Contains(outside) {
+	if in(outside) {
 		t.Fatal("out-of-radius point covered")
 	}
 }
@@ -324,7 +318,7 @@ func TestRangeRegionInfinite(t *testing.T) {
 			t.Fatalf("single-POI radius %v", r.Radius)
 		}
 		// Any position is inside.
-		if !r.Contains(NodePos(net.NumNodes() - 1)) {
+		if !r.ContainsPoint(net.Nodes[net.NumNodes()-1].P) {
 			t.Fatal("infinite region misses a node")
 		}
 	}

@@ -1,95 +1,84 @@
 package netmpn
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"mpn/internal/roadnet"
 )
 
-// RangeRegion is a network range safe region: every point of the road
-// network within network distance Radius of Center. It stores the covered
-// interval of each touched edge so the client-side Contains test is a map
-// lookup, matching the paper's "range search region over road segments".
-type RangeRegion struct {
-	Center Position
-	Radius float64
-	// nodeDist holds the distance from Center to each node reached within
-	// Radius.
-	nodeDist map[int]float64
-	// edges maps an undirected edge to the covered sub-intervals,
-	// expressed as fractions along the edge from the smaller-id endpoint.
-	edges map[[2]int][]interval
+// edgeSpan is one covered [lo, hi] fraction range of the edge between
+// junctions a ≤ b, as fractions along it from a.
+type edgeSpan struct {
+	a, b   int
+	lo, hi float64
 }
 
-// interval is a covered [Lo,Hi] fraction range of an edge.
-type interval struct {
-	Lo, Hi float64
-}
-
-// rangeRegion runs a truncated Dijkstra from center and records covered
-// edge intervals.
-func (s *Server) rangeRegion(center Position, radius float64) RangeRegion {
-	r := RangeRegion{
-		Center:   center,
-		Radius:   radius,
-		nodeDist: map[int]float64{},
-		edges:    map[[2]int][]interval{},
+func cmpSpan(x, y edgeSpan) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(x.b, y.b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.lo, y.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.hi, y.hi)
+}
+
+// region builds the network range safe region of the given radius around
+// center — every point of the road network within network distance
+// radius of it, the paper's "range search region over road segments" —
+// in sc's scratch, so once that has grown, the returned Region, its Segs
+// and its junction distances are all it allocates.
+//
+// A truncated Dijkstra runs over sc's dense distance row. Each reached
+// junction a covers its first radius − d(a) of every incident edge, and
+// the center's own edge is covered for radius on both sides of it. The
+// covered intervals are sorted once by (edge, lo, hi) and merged: an
+// interval that starts within 1e-12 of the previous one's end extends
+// it. Segs holds the merged intervals in ascending edge order, then every
+// junction at exactly radius (covered, yet spanning no interval) as a
+// degenerate segment, ascending by id. A +Inf radius is the whole
+// network: no Segs, and every junction retained at distance 0.
+func (s *Server) region(sc *netScratch, center Position, radius float64) *Region {
+	r := &Region{Center: s.posPoint(center), Radius: radius, cpos: center, hasPos: true}
 	if math.IsInf(radius, 1) {
-		// Whole-network region: mark every edge fully covered.
-		for a := range s.net.Adj {
-			r.nodeDist[a] = 0
-			for _, e := range s.net.Adj[a] {
-				r.edges[edgeKey(a, e.To)] = []interval{{0, 1}}
-			}
+		r.junctions = make([]roadnet.NodeDist, s.net.NumNodes())
+		for v := range r.junctions {
+			r.junctions[v].Node = v
 		}
 		return r
 	}
-
-	// Truncated Dijkstra over nodes.
-	dist := make(map[int]float64)
-	var q roadnet.NodeQueue
-	push := func(n int, d float64) {
-		if d > radius {
-			return
-		}
-		if old, ok := dist[n]; !ok || d < old {
-			dist[n] = d
-			q.Push(n, d)
-		}
-	}
+	sc.reset(s.net.NumNodes())
 	if center.A == center.B {
-		push(center.A, 0)
+		sc.reach(center.A, 0, radius)
 	} else {
 		l := s.edgeLen[edgeKey(center.A, center.B)]
-		push(center.A, center.T*l)
-		push(center.B, (1-center.T)*l)
+		sc.reach(center.A, center.T*l, radius)
+		sc.reach(center.B, (1-center.T)*l, radius)
 		// The center's own edge is partially covered around T even when
 		// the endpoints are out of range.
-		r.coverAround(center, l, radius)
+		sc.coverAround(center, l, radius)
 	}
-	for len(q) > 0 {
-		e := q.Pop()
-		if d, ok := dist[e.Node]; !ok || e.Dist > d {
+	for len(sc.q) > 0 {
+		e := sc.q.Pop()
+		if e.Dist > sc.dist[e.Node] {
 			continue
 		}
 		for _, ed := range s.net.Adj[e.Node] {
-			push(ed.To, e.Dist+ed.Len)
+			sc.reach(ed.To, e.Dist+ed.Len, radius)
 		}
 	}
-	r.nodeDist = dist
-
-	// Convert node distances to per-edge covered intervals: from endpoint
-	// a, the edge a→b is covered for the first (radius − dist[a]) length.
-	for a, da := range dist {
+	for _, a := range sc.touched {
 		for _, ed := range s.net.Adj[a] {
-			key := edgeKey(a, ed.To)
 			if ed.Len == 0 {
-				r.addInterval(key, interval{0, 1})
+				sc.cover(a, ed.To, 0, 1)
 				continue
 			}
-			reach := (radius - da) / ed.Len
+			reach := (radius - sc.dist[a]) / ed.Len
 			if reach <= 0 {
 				continue
 			}
@@ -97,20 +86,93 @@ func (s *Server) rangeRegion(center Position, radius float64) RangeRegion {
 				reach = 1
 			}
 			if a < ed.To {
-				r.addInterval(key, interval{0, reach})
+				sc.cover(a, ed.To, 0, reach)
 			} else {
-				r.addInterval(key, interval{1 - reach, 1})
+				sc.cover(a, ed.To, 1-reach, 1)
 			}
 		}
 	}
-	r.normalize()
+
+	slices.SortFunc(sc.spans, cmpSpan)
+	merged := sc.spans[:0]
+	for _, iv := range sc.spans {
+		if k := len(merged) - 1; k >= 0 && merged[k].a == iv.a && merged[k].b == iv.b && iv.lo <= merged[k].hi+1e-12 {
+			if iv.hi > merged[k].hi {
+				merged[k].hi = iv.hi
+			}
+			continue
+		}
+		merged = append(merged, iv)
+	}
+	slices.Sort(sc.touched)
+	n := len(merged)
+	for _, v := range sc.touched {
+		if sc.dist[v] == radius {
+			n++
+		}
+	}
+	r.Segs = make([]Segment, 0, n)
+	for _, iv := range merged {
+		a, b := s.net.Nodes[iv.a].P, s.net.Nodes[iv.b].P
+		r.Segs = append(r.Segs, Segment{A: lerp(a, b, iv.lo), B: lerp(a, b, iv.hi)})
+	}
+	r.junctions = make([]roadnet.NodeDist, len(sc.touched))
+	for i, v := range sc.touched {
+		r.junctions[i] = roadnet.NodeDist{Node: v, Dist: sc.dist[v]}
+		if sc.dist[v] == radius {
+			p := s.net.Nodes[v].P
+			r.Segs = append(r.Segs, Segment{A: p, B: p})
+		}
+	}
 	return r
 }
 
+// reset readies the region search for a network of n junctions. It runs
+// on entry, not on exit: the engine recovers a planner panic and keeps
+// the worker's workspace, so a search cut off mid-way may have left
+// distances behind, and touched lists every one of them.
+func (sc *netScratch) reset(n int) {
+	if len(sc.dist) != n {
+		sc.dist = grow(sc.dist, n)
+		for i := range sc.dist {
+			sc.dist[i] = math.Inf(1)
+		}
+	} else {
+		for _, v := range sc.touched {
+			sc.dist[v] = math.Inf(1)
+		}
+	}
+	sc.touched = sc.touched[:0]
+	sc.q = sc.q[:0]
+	sc.spans = sc.spans[:0]
+}
+
+// reach records junction n at distance d and queues it, if d is within
+// radius and shorter than any distance n already has.
+func (sc *netScratch) reach(n int, d, radius float64) {
+	if d > radius || d >= sc.dist[n] {
+		return
+	}
+	if math.IsInf(sc.dist[n], 1) {
+		sc.touched = append(sc.touched, n)
+	}
+	sc.dist[n] = d
+	sc.q.Push(n, d)
+}
+
+// cover records [lo, hi] of the edge between a and b, as fractions from
+// its smaller-id endpoint.
+func (sc *netScratch) cover(a, b int, lo, hi float64) {
+	if a > b {
+		a, b = b, a
+	}
+	sc.spans = append(sc.spans, edgeSpan{a: a, b: b, lo: lo, hi: hi})
+}
+
 // coverAround covers the center's own edge for radius on both sides of T.
-func (r *RangeRegion) coverAround(center Position, edgeLen, radius float64) {
+func (sc *netScratch) coverAround(center Position, edgeLen, radius float64) {
 	if edgeLen == 0 {
-		r.addInterval(edgeKey(center.A, center.B), interval{0, 1})
+		sc.cover(center.A, center.B, 0, 1)
 		return
 	}
 	t := center.T
@@ -126,64 +188,9 @@ func (r *RangeRegion) coverAround(center Position, edgeLen, radius float64) {
 		hi = 1
 	}
 	if hi > lo {
-		r.addInterval(edgeKey(center.A, center.B), interval{lo, hi})
+		sc.cover(center.A, center.B, lo, hi)
 	} else {
 		// Zero radius still covers the exact point.
-		r.addInterval(edgeKey(center.A, center.B), interval{t, t})
+		sc.cover(center.A, center.B, t, t)
 	}
 }
-
-func (r *RangeRegion) addInterval(key [2]int, iv interval) {
-	r.edges[key] = append(r.edges[key], iv)
-}
-
-// normalize merges overlapping intervals per edge.
-func (r *RangeRegion) normalize() {
-	for key, ivs := range r.edges {
-		if len(ivs) <= 1 {
-			continue
-		}
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Lo < ivs[j].Lo })
-		merged := ivs[:1]
-		for _, iv := range ivs[1:] {
-			last := &merged[len(merged)-1]
-			if iv.Lo <= last.Hi+1e-12 {
-				if iv.Hi > last.Hi {
-					last.Hi = iv.Hi
-				}
-			} else {
-				merged = append(merged, iv)
-			}
-		}
-		r.edges[key] = merged
-	}
-}
-
-// Contains reports whether a position lies inside the region.
-func (r RangeRegion) Contains(p Position) bool {
-	if p.A == p.B {
-		_, ok := r.nodeDist[p.A]
-		if ok {
-			return true
-		}
-		// A node can also be covered as an interval endpoint.
-		return r.coveredAt(p.A, p.B, 0)
-	}
-	return r.coveredAt(p.A, p.B, p.T)
-}
-
-func (r RangeRegion) coveredAt(a, b int, t float64) bool {
-	if a > b {
-		a, b = b, a
-		t = 1 - t
-	}
-	for _, iv := range r.edges[[2]int{a, b}] {
-		if t >= iv.Lo-1e-12 && t <= iv.Hi+1e-12 {
-			return true
-		}
-	}
-	return false
-}
-
-// NumEdges returns how many road segments the region touches.
-func (r RangeRegion) NumEdges() int { return len(r.edges) }

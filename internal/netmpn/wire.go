@@ -6,20 +6,19 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"mpn/internal/core"
 	"mpn/internal/geom"
+	"mpn/internal/roadnet"
 )
 
-// Region is the exported, self-contained form of a network range safe
-// region: the covered road intervals flattened to Euclidean sub-segments.
-// Unlike RangeRegion (whose containment test needs the road graph to
-// interpret edge ids), a Region answers ContainsPoint from coordinates
-// alone, so the same type serves as the planner's core.NetworkRegion
-// payload AND as what a wire client decodes — one containment semantics
-// on both ends of the protocol. The wire carries what ContainsPoint
-// reads: whether the region is whole, and Segs.
+// Region is a network range safe region in self-contained form: the
+// covered road intervals flattened to Euclidean sub-segments (built by
+// Server.region). A Region answers ContainsPoint from coordinates alone,
+// without the road graph, so the same type serves as the planner's
+// core.NetworkRegion payload AND as what a wire client decodes — one
+// containment semantics on both ends of the protocol. The wire carries
+// what ContainsPoint reads: whether the region is whole, and Segs.
 //
 // A Region is immutable after construction; the planner aliases it
 // freely across retained plans (kept/partial outcomes) and
@@ -38,13 +37,13 @@ type Region struct {
 	Segs []Segment
 
 	// cpos is the planner-side network position of the center and
-	// nodeDist the distance from it to every junction within Radius;
-	// decoded regions leave both zero (hasPos false). The incremental
-	// planner reads a member's network drift from her retained center off
-	// them (see drift).
-	cpos     Position
-	nodeDist map[int]float64
-	hasPos   bool
+	// junctions the distance from it to every junction within Radius,
+	// ascending by junction id; decoded regions leave both zero (hasPos
+	// false). The incremental planner reads a member's network drift from
+	// her retained center off them (see drift).
+	cpos      Position
+	junctions []roadnet.NodeDist
+	hasPos    bool
 }
 
 // Segment is one covered sub-segment of a road edge.
@@ -54,8 +53,7 @@ type Segment struct {
 
 // containsEps is the Euclidean slack of the point-on-segment test: far
 // above float error on unit-square coordinates (~1e-16), far below road
-// spacing (~2.5e-2) — equivalent to the seed RangeRegion's fractional
-// tolerance scaled to distance.
+// spacing (~2.5e-2).
 const containsEps = 1e-9
 
 // whole reports whether the region is the whole network.
@@ -215,55 +213,6 @@ func uvarint(data []byte) (uint64, []byte, bool) {
 		return 0, nil, false
 	}
 	return v, data[n:], true
-}
-
-// exportRegion flattens a RangeRegion into its self-contained form. The
-// segment order is deterministic: covered edges ascending by (smaller
-// endpoint, larger endpoint), intervals in their normalized (sorted,
-// merged) order, then any boundary nodes whose incident intervals
-// degenerate to nothing, ascending by id.
-func (s *Server) exportRegion(rr *RangeRegion, center geom.Point) *Region {
-	out := &Region{
-		Center:   center,
-		Radius:   rr.Radius,
-		cpos:     rr.Center,
-		nodeDist: rr.nodeDist,
-		hasPos:   true,
-	}
-	if math.IsInf(rr.Radius, 1) {
-		return out // contains everything; no segment list needed
-	}
-	keys := make([][2]int, 0, len(rr.edges))
-	for k := range rr.edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		a, b := s.net.Nodes[k[0]].P, s.net.Nodes[k[1]].P
-		for _, iv := range rr.edges[k] {
-			out.Segs = append(out.Segs, Segment{A: lerp(a, b, iv.Lo), B: lerp(a, b, iv.Hi)})
-		}
-	}
-	// A node at exactly Radius is covered but spans no interval on any
-	// incident edge; keep it as a degenerate segment so containment at
-	// the boundary matches RangeRegion's node test.
-	var boundary []int
-	for n, d := range rr.nodeDist {
-		if d == rr.Radius {
-			boundary = append(boundary, n)
-		}
-	}
-	sort.Ints(boundary)
-	for _, n := range boundary {
-		p := s.net.Nodes[n].P
-		out.Segs = append(out.Segs, Segment{A: p, B: p})
-	}
-	return out
 }
 
 func lerp(a, b geom.Point, t float64) geom.Point {

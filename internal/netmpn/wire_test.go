@@ -48,8 +48,7 @@ func plannedRegions(tb testing.TB) (regions []*Region, at []geom.Point) {
 		}
 	}
 	center := NodePos(s.net.NumNodes() / 2)
-	rr := s.rangeRegion(center, 0.3)
-	regions = append(regions, s.exportRegion(&rr, s.posPoint(center)), &Region{Radius: math.Inf(1)})
+	regions = append(regions, s.region(new(netScratch), center, 0.3), &Region{Radius: math.Inf(1)})
 	at = append(at, s.posPoint(center), geom.Pt(0.5, 0.5))
 	return regions, at
 }

@@ -8,7 +8,7 @@ type NodeDist struct {
 }
 
 // NodeQueue is the binary min-heap on Dist behind every road-network
-// Dijkstra (ShortestPath, netmpn's sssp and rangeRegion). It is concrete
+// Dijkstra (ShortestPath, netmpn's sssp and region search). It is concrete
 // because a generic heap calls Less through a GC-shape dictionary, half
 // of netmpn's POI table build. Keep the sift code: the pop order of ties
 // feeds distances that netmpn's fences compare bit for bit.

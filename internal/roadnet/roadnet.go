@@ -206,18 +206,6 @@ func (n *Network) RandomNode(rng *rand.Rand) int {
 	return rng.Intn(len(n.Nodes))
 }
 
-// NearestNode returns the junction closest to p (linear scan; networks are
-// small and this is called once per trajectory).
-func (n *Network) NearestNode(p geom.Point) int {
-	best, bestD := 0, math.Inf(1)
-	for i, nd := range n.Nodes {
-		if d := nd.P.Dist2(p); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // ShortestPath returns the node sequence and length of the shortest path
 // from a to b (Dijkstra). ok is false only if a and b are disconnected,
 // which cannot happen on Generate output.

@@ -138,6 +138,17 @@ func TestShortestPathTrivial(t *testing.T) {
 	}
 }
 
+// NearestNode returns the junction closest to p (linear scan).
+func (n *Network) NearestNode(p geom.Point) int {
+	best, bestD := 0, math.Inf(1)
+	for i, nd := range n.Nodes {
+		if d := nd.P.Dist2(p); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
 func TestNearestNode(t *testing.T) {
 	n := mustGenerate(t, Config{Rows: 8, Cols: 8, Seed: 6})
 	rng := rand.New(rand.NewSource(12))
